@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-compare kernel-equivalence lint chaos crash resume fleet-soak fuzz-smoke sketch-smoke topo-smoke cover ci
+.PHONY: build test benchmark-module race bench bench-json bench-compare kernel-equivalence lint chaos crash resume fleet-soak fuzz-smoke sketch-smoke topo-smoke cover ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own module, out of reach of `go test ./...`; its
+# smoke test builds the repository benchmark against this tree and runs
+# every workload at -quick scale. Matches the CI benchmark-module job.
+benchmark-module:
+	$(GO) test -C benchmark .
 
 # The race target certifies the deterministic parallel replication
 # engine (internal/parallel) and every fan-out built on it. The
@@ -143,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzAdjacencyParser -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLimiterSnapshotDecode -fuzztime 10s ./internal/core
 
 # Coverage floors: the deployable network path (internal/gateway), the
 # durability layer (internal/durable), the containment policy plus
@@ -181,4 +188,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: lint build test race chaos crash resume fleet-soak sketch-smoke topo-smoke kernel-equivalence cover bench
+ci: lint build test benchmark-module race chaos crash resume fleet-soak sketch-smoke topo-smoke kernel-equivalence cover bench

@@ -11,10 +11,12 @@ import (
 )
 
 // runFsck verifies a durable state directory offline: every snapshot's
-// checksum, every WAL segment's framing, and the exact recovery
+// checksum and payload (printing its format version, backend and host
+// count), every WAL segment's framing, and the exact recovery
 // accounting a `wormgate serve -state-dir` startup would perform —
 // fsck and recovery share the same code path, so their numbers always
-// agree.
+// agree. Like serve, it fails on a snapshot in the retired JSON format
+// instead of reporting intact state as a fresh start.
 func runFsck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wormgate fsck", flag.ContinueOnError)
 	stateDir := fs.String("state-dir", "", "durable state directory to verify")

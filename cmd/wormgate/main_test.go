@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -97,7 +98,7 @@ func exactFactory(cfg core.LimiterConfig) func(time.Time) (core.ContainmentLimit
 
 func TestLimiterStatePersistence(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
+	path := filepath.Join(dir, "state.snap")
 	factory := exactFactory(core.LimiterConfig{M: 3, Cycle: time.Hour})
 
 	fresh, err := loadOrCreateLimiter(path, factory)
@@ -122,10 +123,10 @@ func TestLimiterStatePersistence(t *testing.T) {
 // TestSketchStatePersistence round-trips a sketch snapshot through the
 // legacy -state path: the saved file must restore into a sketch backend
 // even when the restoring process asked for -limiter=exact, because the
-// snapshot's embedded version wins.
+// snapshot's backend byte wins.
 func TestSketchStatePersistence(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
+	path := filepath.Join(dir, "state.snap")
 	scfg := core.SketchConfig{
 		LimiterConfig: core.LimiterConfig{M: 100, Cycle: time.Hour},
 		Bits:          128,
@@ -151,12 +152,21 @@ func TestSketchStatePersistence(t *testing.T) {
 
 func TestLoadOrCreateLimiterBadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "garbage.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o600); err != nil {
+	path := filepath.Join(dir, "garbage.snap")
+	if err := os.WriteFile(path, []byte("not a snapshot"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadOrCreateLimiter(path, exactFactory(core.LimiterConfig{M: 1, Cycle: time.Hour})); err == nil {
+	factory := exactFactory(core.LimiterConfig{M: 1, Cycle: time.Hour})
+	if _, err := loadOrCreateLimiter(path, factory); err == nil {
 		t.Error("expected error for corrupt state file")
+	}
+	// A -state file from before the binary codec is refused by name,
+	// never silently replaced by a fresh limiter.
+	if err := os.WriteFile(path, []byte(`{"version":1,"m":1,"cycleMillis":3600000,"hosts":[]}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadOrCreateLimiter(path, factory); !errors.Is(err, core.ErrLegacySnapshot) {
+		t.Errorf("legacy JSON state file: err = %v, want ErrLegacySnapshot", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -64,47 +65,47 @@ func (b *alertBook) apply(a Alert) bool {
 	return true
 }
 
-// sorted returns the ledger ordered by (Origin, Seq) — application
-// order differs between peers that heard the same alerts along
-// different gossip paths, so every serialization and comparison uses
-// this canonical order instead.
-func (b *alertBook) sorted() []Alert {
+// unsorted copies the ledger out in map order — the cheap half of a
+// snapshot, done under the limiter mutex; sortAlerts runs after it.
+func (b *alertBook) unsorted() []Alert {
 	out := make([]Alert, 0, len(b.alerts))
 	for _, a := range b.alerts {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out
 }
 
-// alertJS is one alert's serialized form (see persist.go).
-type alertJS struct {
-	Origin uint64 `json:"origin"`
-	Seq    uint64 `json:"seq"`
-	Src    uint32 `json:"src"`
-	UnixMs int64  `json:"unixMs"`
-}
-
-// marshalAlerts converts the ledger to its canonical serialized form.
-func (b *alertBook) marshalAlerts() []alertJS {
-	sorted := b.sorted()
-	out := make([]alertJS, len(sorted))
-	for i, a := range sorted {
-		out[i] = alertJS{Origin: a.Origin, Seq: a.Seq, Src: a.Src, UnixMs: a.UnixMs}
+// compareAlertIDs orders alerts by (Origin, Seq).
+func compareAlertIDs(a, b Alert) int {
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// sortAlerts puts alerts in canonical (Origin, Seq) order. Application
+// order differs between peers that heard the same alerts along
+// different gossip paths, so every serialization and comparison uses
+// this order instead.
+func sortAlerts(alerts []Alert) { slices.SortFunc(alerts, compareAlertIDs) }
+
+// sorted returns the ledger in canonical order.
+func (b *alertBook) sorted() []Alert {
+	out := b.unsorted()
+	sortAlerts(out)
 	return out
 }
 
-// restoreAlerts rebuilds the ledger from its serialized form.
-func (b *alertBook) restoreAlerts(alerts []alertJS, removals int) {
+// restore rebuilds the ledger from a snapshot's alerts, whose IDs the
+// decoder has already checked to be distinct.
+func (b *alertBook) restore(alerts []Alert, removals int) {
+	if len(alerts) > 0 {
+		b.alerts = make(map[AlertID]Alert, len(alerts))
+	}
 	for _, a := range alerts {
-		b.apply(Alert{Origin: a.Origin, Seq: a.Seq, Src: a.Src, UnixMs: a.UnixMs})
+		b.alerts[a.ID()] = a
 	}
+	b.applied = len(alerts)
 	b.removals = removals
 }
 

@@ -19,7 +19,8 @@ import "time"
 // remove at M, reset every cycle. Both backends journal their logical
 // inputs through the same Journal hook and serialize deterministic
 // snapshots, so internal/durable persists either one without caring
-// which it is — RestoreAnyLimiter dispatches on the snapshot version.
+// which it is — RestoreAnyLimiter dispatches on the snapshot header's
+// backend byte.
 type ContainmentLimiter interface {
 	// Observe records one connection attempt and returns the verdict.
 	Observe(src, dst uint32, t time.Time) Decision
@@ -46,7 +47,8 @@ type ContainmentLimiter interface {
 	// SetJournal attaches (or detaches) the WAL hook.
 	SetJournal(Journal)
 	// CheckpointState marshals the state and marks the journal cut
-	// point atomically; see (*Limiter).CheckpointState.
+	// point atomically with copying it out; see
+	// (*Limiter).CheckpointState.
 	CheckpointState(cut func()) ([]byte, error)
 	// MarshalState serializes the complete state deterministically.
 	MarshalState() ([]byte, error)

@@ -1,160 +1,410 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
+
+	"wormcontain/internal/binio"
 )
 
 // Containment cycles span weeks or months (Section IV), so a limiter's
 // counters must survive process restarts: losing them would silently
-// refund every host's scan budget mid-cycle. This file provides a
-// versioned, deterministic JSON snapshot of the limiter state and its
-// inverse.
+// refund every host's scan budget mid-cycle. This file is the snapshot
+// codec both backends share — a canonical little-endian binary payload
+// and its strict inverse. Layout (binio encodings, no padding):
+//
+//	header    magic "WCLS" | format u8 | backend u8 | hosts u32 | alerts u32
+//	cycle     M u64 | cycle ns u64 | check fraction f64 | epoch unix-ms u64 | cycle index u64
+//	counters  observed | removals | flags | denied | alert removals      (u64 each)
+//	sketch    bits u32 | failure bits u32 | failure M u64 | failures u64 | failure removals u64
+//	hosts     exact:  src u32 | removed u8 | flagged u8 | n u32 | n × dst u32
+//	          sketch: src u32 | removed u8 | flagged u8 | register words u64 … (contact, then failure)
+//	alerts    origin u64 | seq u64 | src u32 | unix-ms u64
+//
+// The sketch section exists only when backend = sketch. Canonical form:
+// hosts ascend strictly by source, an exact host's destinations ascend
+// strictly, alerts ascend strictly by (origin, seq), the removed and
+// flagged marks are 0 or 1, and the payload ends with its last alert — so
+// one limiter state has exactly one byte string, and the decoder
+// rejects every other spelling of it. Snapshot diffing, the durable
+// crash suite's byte-equality invariant and content-addressed storage
+// all rest on that.
 
-// limiterStateVersion guards against decoding snapshots from an
-// incompatible future layout.
-const limiterStateVersion = 1
+const (
+	snapshotMagic  = "WCLS"
+	snapshotFormat = 1
 
-// limiterState is the serialized form. All fields are exported for
-// encoding/json but the type itself stays private: the snapshot is a
-// persistence format, not an API.
-type limiterState struct {
-	Version       int             `json:"version"`
-	M             int             `json:"m"`
-	CycleMillis   int64           `json:"cycleMillis"`
-	CheckFraction float64         `json:"checkFraction"`
-	EpochUnixMs   int64           `json:"epochUnixMillis"`
-	CycleIndex    uint64          `json:"cycleIndex"`
-	TotalObserved int             `json:"totalObserved,omitempty"`
-	TotalRemovals int             `json:"totalRemovals"`
-	TotalFlags    int             `json:"totalFlags"`
-	TotalDenied   int             `json:"totalDenied"`
-	AlertRemovals int             `json:"alertRemovals,omitempty"`
-	Hosts         []limiterHostJS `json:"hosts"`
-	// Alerts is the fleet immunization ledger in canonical (origin,
-	// seq) order; absent from pre-fleet snapshots, which decode to an
-	// empty ledger.
-	Alerts []alertJS `json:"alerts,omitempty"`
+	snapshotCommonLen = (4 + 1 + 1 + 4 + 4) + 5*8 + 5*8 // header, cycle, counters
+	alertRecordLen    = 8 + 8 + 4 + 8
+	hostHeaderLen     = 4 + 1 + 1 // src, removed, flagged
+)
+
+// SnapshotBackend names the limiter backend a snapshot was cut from.
+type SnapshotBackend uint8
+
+const (
+	// BackendExact is *Limiter.
+	BackendExact SnapshotBackend = 1
+	// BackendSketch is *SketchLimiter.
+	BackendSketch SnapshotBackend = 2
+)
+
+var backendNames = map[SnapshotBackend]string{BackendExact: "exact", BackendSketch: "sketch"}
+
+// String implements fmt.Stringer.
+func (k SnapshotBackend) String() string { return backendNames[k] }
+
+// ErrLegacySnapshot reports a snapshot in the JSON format this codec
+// replaced. There is no decoder for it: callers holding durable state
+// must stop rather than treat the file as corrupt and start fresh,
+// which would refund every host's scan budget mid-cycle.
+var ErrLegacySnapshot = errors.New("core: limiter snapshot is in the retired JSON format " +
+	"(written by a wormgate older than the binary snapshot codec); " +
+	"this build cannot read it and will not discard it")
+
+// SnapshotHeader is a snapshot's fixed-size prefix — what an audit can
+// say about a payload without restoring it.
+type SnapshotHeader struct {
+	Format  uint8
+	Backend SnapshotBackend
+	Hosts   int
+	Alerts  int
 }
 
-// limiterHostJS is one host's serialized counters.
-type limiterHostJS struct {
-	Src      uint32   `json:"src"`
-	Distinct []uint32 `json:"distinct"`
-	Removed  bool     `json:"removed,omitempty"`
-	Flagged  bool     `json:"flagged,omitempty"`
+// ReadSnapshotHeader decodes the fixed prefix of a MarshalState
+// payload. It validates magic, format and backend only; the counts are
+// as claimed, unverified until a Restore call checks them against the
+// bytes that follow.
+func ReadSnapshotHeader(data []byte) (SnapshotHeader, error) {
+	h, _, err := readSnapshotHeader(data)
+	return h, err
+}
+
+func readSnapshotHeader(data []byte) (SnapshotHeader, *binio.Reader, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return SnapshotHeader{}, nil, ErrLegacySnapshot
+	}
+	r := binio.NewReader(data, "core: limiter snapshot")
+	if magic := r.Bytes(len(snapshotMagic), "magic"); r.Err() == nil && string(magic) != snapshotMagic {
+		return SnapshotHeader{}, nil, r.Failf("has magic %q, want %q", magic, snapshotMagic)
+	}
+	h := SnapshotHeader{Format: r.U8("format")}
+	if r.Err() == nil && h.Format != snapshotFormat {
+		return h, nil, r.Failf("format %d, want %d", h.Format, snapshotFormat)
+	}
+	h.Backend = SnapshotBackend(r.U8("backend"))
+	if r.Err() == nil && backendNames[h.Backend] == "" {
+		return h, nil, r.Failf("backend %d unknown", uint8(h.Backend))
+	}
+	h.Hosts = int(r.U32("host count"))
+	h.Alerts = int(r.U32("alert count"))
+	return h, r, r.Err()
+}
+
+// snapshotCommon is the part of the payload both backends carry.
+type snapshotCommon struct {
+	cfg           LimiterConfig
+	epoch         time.Time
+	cycleIndex    uint64
+	observed      int
+	removals      int
+	flags         int
+	denied        int
+	alertRemovals int
+}
+
+// appendSnapshotCommon appends the snapshotCommonLen bytes every
+// payload starts with.
+func appendSnapshotCommon(b []byte, h SnapshotHeader, c snapshotCommon) []byte {
+	b = append(b, snapshotMagic...)
+	b = binio.AppendU8(b, snapshotFormat)
+	b = binio.AppendU8(b, uint8(h.Backend))
+	b = binio.AppendU32(b, uint32(h.Hosts))
+	b = binio.AppendU32(b, uint32(h.Alerts))
+	b = binio.AppendU64(b, uint64(c.cfg.M))
+	b = binio.AppendU64(b, uint64(c.cfg.Cycle))
+	b = binio.AppendF64(b, c.cfg.CheckFraction)
+	b = binio.AppendU64(b, uint64(c.epoch.UnixMilli()))
+	b = binio.AppendU64(b, c.cycleIndex)
+	for _, n := range [...]int{c.observed, c.removals, c.flags, c.denied, c.alertRemovals} {
+		b = binio.AppendU64(b, uint64(n))
+	}
+	return b
+}
+
+// readSnapshotCommon decodes the header and the common sections of a
+// payload that must come from backend want.
+func readSnapshotCommon(data []byte, want SnapshotBackend) (SnapshotHeader, snapshotCommon, *binio.Reader, error) {
+	var c snapshotCommon
+	h, r, err := readSnapshotHeader(data)
+	if err != nil {
+		return h, c, nil, err
+	}
+	if h.Backend != want {
+		return h, c, nil, r.Failf("is from the %v backend, want %v", h.Backend, want)
+	}
+	c.cfg.M = readInt(r, "M")
+	c.cfg.Cycle = time.Duration(r.U64("cycle"))
+	c.cfg.CheckFraction = r.F64("check fraction")
+	c.epoch = time.UnixMilli(int64(r.U64("epoch"))).UTC()
+	c.cycleIndex = r.U64("cycle index")
+	c.observed = readInt(r, "observed total")
+	c.removals = readInt(r, "removal total")
+	c.flags = readInt(r, "flag total")
+	c.denied = readInt(r, "denied total")
+	c.alertRemovals = readInt(r, "alert removal total")
+	return h, c, r, r.Err()
+}
+
+// readInt reads a u64 that must fit a non-negative int.
+func readInt(r *binio.Reader, what string) int {
+	v := r.U64(what)
+	if v > math.MaxInt {
+		r.Failf("%s %d out of range", what, v)
+		return 0
+	}
+	return int(v)
+}
+
+// appendAlerts sorts the ledger copy into canonical order and appends it.
+func appendAlerts(b []byte, alerts []Alert) []byte {
+	sortAlerts(alerts)
+	for _, a := range alerts {
+		b = binio.AppendU64(b, a.Origin)
+		b = binio.AppendU64(b, a.Seq)
+		b = binio.AppendU32(b, a.Src)
+		b = binio.AppendU64(b, uint64(a.UnixMs))
+	}
+	return b
+}
+
+// readAlerts decodes the n-alert ledger that ends the payload and
+// restores it into book.
+func readAlerts(r *binio.Reader, n, removals int, book *alertBook) error {
+	if r.Len() != n*alertRecordLen {
+		return r.Failf("has %d bytes where %d alerts need %d", r.Len(), n, n*alertRecordLen)
+	}
+	alerts := make([]Alert, n)
+	for i := range alerts {
+		a := Alert{
+			Origin: r.U64("alert origin"),
+			Seq:    r.U64("alert seq"),
+			Src:    r.U32("alert src"),
+			UnixMs: int64(r.U64("alert time")),
+		}
+		if i > 0 && compareAlertIDs(alerts[i-1], a) >= 0 {
+			return r.Failf("alert (%d, %d) is not after (%d, %d)",
+				a.Origin, a.Seq, alerts[i-1].Origin, alerts[i-1].Seq)
+		}
+		alerts[i] = a
+	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	book.restore(alerts, removals)
+	return nil
+}
+
+// hostCopy locates one exact-backend host inside the destination arena
+// CheckpointState copies out under the lock.
+type hostCopy struct {
+	off, n           int
+	removed, flagged bool
 }
 
 // MarshalState serializes the limiter's complete state (configuration,
-// cycle position, per-host counters) as deterministic JSON: hosts and
-// destination sets are sorted, so identical states produce identical
-// bytes — snapshot diffing and content-addressed storage work.
-func (l *Limiter) MarshalState() ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.marshalStateLocked()
-}
+// cycle position, per-host counters, alert ledger) in the canonical
+// binary form described at the top of this file: identical states
+// produce identical bytes.
+func (l *Limiter) MarshalState() ([]byte, error) { return l.CheckpointState(nil) }
 
-// CheckpointState marshals the state like MarshalState and, on success,
-// invokes cut while still holding the limiter mutex. A journal (see
-// journal.go) uses cut to mark its cut point: because both journal
-// appends and this marshal run under the same lock, every input record
-// lands strictly before or strictly after the cut — the returned
-// snapshot plus the post-cut journal suffix is exactly the live state,
-// with no record double-applied or lost.
+// CheckpointState marshals the state like MarshalState and invokes cut
+// while holding the limiter mutex. A journal (see journal.go) uses cut
+// to mark its cut point: journal appends and the copy-out of the state
+// run under the same lock, so every input record lands strictly before
+// or strictly after the cut — the returned snapshot plus the post-cut
+// journal suffix is exactly the live state, with no record
+// double-applied or lost. Only the copy-out and cut hold the lock;
+// sorting and encoding run after it is released, so a periodic
+// snapshot stalls Observe for a copy, not for the whole marshal.
 func (l *Limiter) CheckpointState(cut func()) ([]byte, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	data, err := l.marshalStateLocked()
-	if err == nil && cut != nil {
+	c := snapshotCommon{
+		cfg: l.cfg, epoch: l.epoch, cycleIndex: l.cycleIndex,
+		observed: l.totalObserved, removals: l.totalRemovals, flags: l.totalFlags,
+		denied: l.totalDenied, alertRemovals: l.alerts.removals,
+	}
+	// keys pack (src, index into hosts) so that sorting plain integers
+	// orders the hosts by source.
+	keys := make([]uint64, 0, len(l.hosts))
+	hosts := make([]hostCopy, 0, len(l.hosts))
+	total, largest := 0, 0
+	for _, h := range l.hosts {
+		total += h.count()
+		largest = max(largest, h.count())
+	}
+	dsts := make([]uint32, 0, total)
+	for src, h := range l.hosts {
+		keys = append(keys, uint64(src)<<32|uint64(len(hosts)))
+		hosts = append(hosts, hostCopy{off: len(dsts), n: h.count(), removed: h.removed, flagged: h.flagged})
+		dsts = h.destinations(dsts)
+	}
+	alerts := l.alerts.unsorted()
+	if cut != nil {
 		cut()
 	}
-	return data, err
+	l.mu.Unlock()
+
+	slices.Sort(keys)
+	b := make([]byte, 0, snapshotCommonLen+(hostHeaderLen+4)*len(hosts)+4*len(dsts)+alertRecordLen*len(alerts))
+	b = appendSnapshotCommon(b, SnapshotHeader{Backend: BackendExact, Hosts: len(hosts), Alerts: len(alerts)}, c)
+	scratch := make([]uint32, largest)
+	for _, k := range keys {
+		h := hosts[uint32(k)]
+		d := dsts[h.off : h.off+h.n]
+		sortDestinations(d, scratch)
+		b = binio.AppendU32(b, uint32(k>>32))
+		b = binio.AppendBool(b, h.removed)
+		b = binio.AppendBool(b, h.flagged)
+		b = binio.AppendU32(b, uint32(h.n))
+		for _, dst := range d {
+			b = binio.AppendU32(b, dst)
+		}
+	}
+	return appendAlerts(b, alerts), nil
 }
 
-func (l *Limiter) marshalStateLocked() ([]byte, error) {
-	st := limiterState{
-		Version:       limiterStateVersion,
-		M:             l.cfg.M,
-		CycleMillis:   l.cfg.Cycle.Milliseconds(),
-		CheckFraction: l.cfg.CheckFraction,
-		EpochUnixMs:   l.epoch.UnixMilli(),
-		CycleIndex:    l.cycleIndex,
-		TotalObserved: l.totalObserved,
-		TotalRemovals: l.totalRemovals,
-		TotalFlags:    l.totalFlags,
-		TotalDenied:   l.totalDenied,
-		AlertRemovals: l.alerts.removals,
-		Hosts:         make([]limiterHostJS, 0, len(l.hosts)),
-		Alerts:        l.alerts.marshalAlerts(),
+// sortDestinations sorts one host's copied-out destinations ascending,
+// with scratch (at least as long) as the second buffer. A scanner's set
+// is thousands of uniformly random addresses, where four counting
+// passes beat a comparison sort severalfold — half of the whole marshal
+// at 200 spent scanners; a legitimate host's handful goes to the
+// library sort.
+func sortDestinations(d, scratch []uint32) {
+	if len(d) < 256 {
+		slices.Sort(d)
+		return
 	}
-	for src, h := range l.hosts {
-		dsts := h.destinations(make([]uint32, 0, h.count()))
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		st.Hosts = append(st.Hosts, limiterHostJS{
-			Src:      src,
-			Distinct: dsts,
-			Removed:  h.removed,
-			Flagged:  h.flagged,
-		})
+	scratch = scratch[:len(d)]
+	for shift := 0; shift < 32; shift += 8 { // an even number of passes ends in d
+		var next [257]int // next[b] becomes where the next value with digit b goes
+		for _, v := range d {
+			next[v>>shift&0xff+1]++
+		}
+		for b := 1; b < 256; b++ {
+			next[b] += next[b-1]
+		}
+		for _, v := range d {
+			scratch[next[v>>shift&0xff]] = v
+			next[v>>shift&0xff]++
+		}
+		d, scratch = scratch, d
 	}
-	sort.Slice(st.Hosts, func(i, j int) bool { return st.Hosts[i].Src < st.Hosts[j].Src })
-	return json.Marshal(st)
 }
 
 // RestoreLimiter rebuilds a limiter from a MarshalState snapshot. The
 // restored limiter continues the same containment cycle: epoch, cycle
-// index, per-host distinct sets, removal/flag marks and cumulative
-// counters all carry over.
+// index, per-host distinct sets, removal/flag marks, cumulative
+// counters and alert ledger all carry over. Anything but a canonical
+// payload of a valid state is an error.
 func RestoreLimiter(data []byte) (*Limiter, error) {
-	var st limiterState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("core: decode limiter snapshot: %w", err)
+	h, c, r, err := readSnapshotCommon(data, BackendExact)
+	if err != nil {
+		return nil, err
 	}
-	if st.Version != limiterStateVersion {
-		return nil, fmt.Errorf("core: limiter snapshot version %d, want %d",
-			st.Version, limiterStateVersion)
-	}
-	cfg := LimiterConfig{
-		M:             st.M,
-		Cycle:         time.Duration(st.CycleMillis) * time.Millisecond,
-		CheckFraction: st.CheckFraction,
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := c.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: limiter snapshot config: %w", err)
 	}
-	l := &Limiter{
-		cfg:           cfg,
-		epoch:         time.UnixMilli(st.EpochUnixMs).UTC(),
-		cycleIndex:    st.CycleIndex,
-		hosts:         make(map[uint32]*hostState, len(st.Hosts)),
-		totalObserved: st.TotalObserved,
-		totalRemovals: st.TotalRemovals,
-		totalFlags:    st.TotalFlags,
-		totalDenied:   st.TotalDenied,
+
+	// Sizing pass on a forked cursor, before anything is allocated by
+	// the header's counts: every claimed host must be present, and those
+	// at or under smallSetMax will keep their destinations in one shared
+	// arena (the rest spill to maps exactly as a live limiter's would).
+	probe, arenaLen := *r, 0
+	for i := 0; i < h.Hosts && probe.Err() == nil; i++ {
+		probe.Bytes(hostHeaderLen, "host")
+		n := probe.Count(4, "host destinations")
+		probe.Bytes(4*n, "host destinations")
+		if n <= smallSetMax {
+			arenaLen += n
+		}
 	}
-	for _, h := range st.Hosts {
-		if len(h.Distinct) > st.M {
-			return nil, fmt.Errorf("core: limiter snapshot host %d has %d distinct > M=%d",
-				h.Src, len(h.Distinct), st.M)
+	if err := probe.Err(); err != nil {
+		return nil, err
+	}
+
+	l := &Limiter{
+		cfg:           c.cfg,
+		epoch:         c.epoch,
+		cycleIndex:    c.cycleIndex,
+		hosts:         make(map[uint32]*hostState, h.Hosts),
+		totalObserved: c.observed,
+		totalRemovals: c.removals,
+		totalFlags:    c.flags,
+		totalDenied:   c.denied,
+	}
+	states := make([]hostState, h.Hosts)
+	arena := make([]uint32, arenaLen)
+	var prevSrc uint32
+	for i := range states {
+		src := r.U32("host src")
+		if i > 0 && src <= prevSrc {
+			return nil, r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
 		}
-		hs := &hostState{
-			small:   make([]uint32, 0, min(len(h.Distinct), smallSetMax)),
-			removed: h.Removed,
-			flagged: h.Flagged,
+		prevSrc = src
+		hs := &states[i]
+		hs.removed, hs.flagged = r.Bool("host removed mark"), r.Bool("host flagged mark")
+		n := r.Count(4, "host destinations")
+		if n > c.cfg.M {
+			return nil, r.Failf("host %d has %d distinct > M=%d", src, n, c.cfg.M)
 		}
-		for _, d := range h.Distinct {
-			if !hs.seen(d) {
-				hs.add(d)
+		raw := r.Bytes(4*n, "host destinations")
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		if n <= smallSetMax {
+			// Full slice expression: a later append reallocates instead
+			// of growing into the next host's destinations.
+			hs.small, arena = arena[:0:n], arena[n:]
+		} else {
+			hs.distinct = make(map[uint32]struct{}, n)
+		}
+		var prev uint32
+		for j := 0; j < n; j++ {
+			d := binary.LittleEndian.Uint32(raw[4*j:])
+			if j > 0 && d <= prev {
+				return nil, r.Failf("host %d destination %d is not after %d (duplicate or unsorted)", src, d, prev)
+			}
+			prev = d
+			if hs.distinct != nil {
+				hs.distinct[d] = struct{}{}
+			} else {
+				hs.small = append(hs.small, d)
 			}
 		}
-		if _, dup := l.hosts[h.Src]; dup {
-			return nil, fmt.Errorf("core: limiter snapshot duplicates host %d", h.Src)
-		}
-		l.hosts[h.Src] = hs
+		l.hosts[src] = hs
 	}
-	l.alerts.restoreAlerts(st.Alerts, st.AlertRemovals)
+	if err := readAlerts(r, h.Alerts, c.alertRemovals, &l.alerts); err != nil {
+		return nil, err
+	}
 	return l, nil
+}
+
+// RestoreAnyLimiter rebuilds whichever limiter backend produced the
+// snapshot, dispatching on the header's backend byte. This is the entry
+// point internal/durable uses, which is what lets one state directory
+// carry either backend.
+func RestoreAnyLimiter(data []byte) (ContainmentLimiter, error) {
+	h, err := ReadSnapshotHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if h.Backend == BackendSketch {
+		return RestoreSketchLimiter(data)
+	}
+	return RestoreLimiter(data)
 }

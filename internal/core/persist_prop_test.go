@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,57 +10,241 @@ import (
 	"wormcontain/internal/rng"
 )
 
+// randomExactHistory drives an exact limiter through a seeded history
+// that leaves every kind of state behind: spilled distinct sets,
+// removals, flags, reinstates, multi-cycle rolls and fleet alerts.
+func randomExactHistory(t testing.TB, seed uint64) *Limiter {
+	t.Helper()
+	r := rng.NewPCG64(seed, 42)
+	cfg := LimiterConfig{
+		M:             int(3 + r.Uint64()%100), // crosses smallSetMax=64 spill
+		Cycle:         time.Duration(1+r.Uint64()%30) * time.Second,
+		CheckFraction: float64(r.Uint64()%11) / 10, // includes 0 (disabled) and 1
+	}
+	start := time.UnixMilli(int64(r.Uint64() % (1 << 41))).UTC()
+	l, err := NewLimiter(cfg, start)
+	if err != nil {
+		t.Fatalf("seed %d: NewLimiter: %v", seed, err)
+	}
+	now := start
+	for i := 0; i < 5000; i++ {
+		now = now.Add(time.Duration(r.Uint64()%20_000_000) * time.Nanosecond)
+		src := uint32(r.Uint64() % 16)
+		l.Observe(src, uint32(r.Uint64()%256), now)
+		switch r.Uint64() % 100 {
+		case 0:
+			l.Reinstate(src)
+		case 1:
+			l.ApplyAlert(Alert{Origin: r.Uint64() % 3, Seq: r.Uint64() % 40, Src: uint32(r.Uint64() % 24), UnixMs: now.UnixMilli()})
+		}
+	}
+	// Whatever the last cycle roll erased, the snapshot holds a host
+	// flagged and removed at its budget, one removed by alert and one
+	// mid-budget.
+	for dst := uint32(0); !l.Removed(200); dst++ {
+		l.Observe(200, dst, now)
+	}
+	l.Observe(201, 1, now)
+	l.ApplyAlert(Alert{Origin: 9, Seq: 1, Src: 202, UnixMs: now.UnixMilli()})
+	if s := l.Snapshot(); s.RemovedHosts < 2 || s.FlaggedHosts == 0 && cfg.CheckFraction > 0 {
+		t.Fatalf("seed %d: history left no removed or flagged host behind: %+v", seed, s)
+	}
+	return l
+}
+
+// randomSketchHistory is randomExactHistory's sketch-backend twin, with
+// failure observations filling the failure registers.
+func randomSketchHistory(t testing.TB, seed uint64) *SketchLimiter {
+	t.Helper()
+	r := rng.NewPCG64(seed, 43)
+	cfg := SketchConfig{
+		LimiterConfig: LimiterConfig{
+			M:             int(20 + r.Uint64()%300), // 64- and 128-bit contact sketches
+			Cycle:         time.Duration(1+r.Uint64()%30) * time.Second,
+			CheckFraction: float64(r.Uint64()%11) / 10,
+		},
+		FailureM: int(5 + r.Uint64()%20),
+	}
+	start := time.UnixMilli(int64(r.Uint64() % (1 << 41))).UTC()
+	l, err := NewSketchLimiter(cfg, start)
+	if err != nil {
+		t.Fatalf("seed %d: NewSketchLimiter: %v", seed, err)
+	}
+	now := start
+	for i := 0; i < 5000; i++ {
+		now = now.Add(time.Duration(r.Uint64()%20_000_000) * time.Nanosecond)
+		src, dst := uint32(r.Uint64()%16), uint32(r.Uint64())
+		l.Observe(src, dst, now)
+		switch r.Uint64() % 100 {
+		case 0:
+			l.Reinstate(src)
+		case 1:
+			l.ApplyAlert(Alert{Origin: r.Uint64() % 3, Seq: r.Uint64() % 40, Src: uint32(r.Uint64() % 24), UnixMs: now.UnixMilli()})
+		case 2, 3, 4, 5, 6, 7, 8, 9:
+			l.ObserveFailure(src, dst, now)
+		}
+	}
+	// As in randomExactHistory, plus a host with failure registers set.
+	for dst := uint32(0); !l.Removed(200); dst++ {
+		l.Observe(200, dst, now)
+	}
+	l.Observe(201, 1, now)
+	l.ObserveFailure(201, 1, now)
+	l.ApplyAlert(Alert{Origin: 9, Seq: 1, Src: 202, UnixMs: now.UnixMilli()})
+	if s := l.Snapshot(); s.RemovedHosts < 2 || l.FailureCount(201) == 0 || s.FlaggedHosts == 0 && cfg.CheckFraction > 0 {
+		t.Fatalf("seed %d: history left no removed, flagged or failing host behind: %+v", seed, s)
+	}
+	return l
+}
+
 // TestLimiterSnapshotRoundTripRandomHistories is the durability
-// property test: MarshalState → RestoreLimiter → MarshalState is
-// byte-identical across randomized limiter histories, including spilled
-// distinct sets, removals, flags, reinstates and multi-cycle rolls.
+// property test: MarshalState → Restore → MarshalState is byte-identical
+// across randomized limiter histories of both backends, and the
+// restored limiter decides the next observation like the live one.
 func TestLimiterSnapshotRoundTripRandomHistories(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1905} {
-		r := rng.NewPCG64(seed, 42)
-		cfg := LimiterConfig{
-			M:             int(3 + r.Uint64()%100), // crosses smallSetMax=64 spill
-			Cycle:         time.Duration(1+r.Uint64()%30) * time.Second,
-			CheckFraction: float64(r.Uint64()%11) / 10, // includes 0 (disabled) and 1
-		}
-		start := time.UnixMilli(int64(r.Uint64() % (1 << 41))).UTC()
-		l, err := NewLimiter(cfg, start)
-		if err != nil {
-			t.Fatalf("seed %d: NewLimiter: %v", seed, err)
-		}
-		now := start
-		for i := 0; i < 5000; i++ {
-			now = now.Add(time.Duration(r.Uint64()%200_000_000) * time.Nanosecond)
-			src := uint32(r.Uint64() % 16)
-			dst := uint32(r.Uint64() % 256)
-			l.Observe(src, dst, now)
-			if r.Uint64()%100 == 0 {
-				l.Reinstate(src)
+		for name, l := range map[string]ContainmentLimiter{
+			"exact":  randomExactHistory(t, seed),
+			"sketch": randomSketchHistory(t, seed),
+		} {
+			first := mustMarshal(t, l)
+			restored, err := RestoreAnyLimiter(first)
+			if err != nil {
+				t.Fatalf("seed %d %s: restore: %v", seed, name, err)
+			}
+			if second := mustMarshal(t, restored); !bytes.Equal(first, second) {
+				t.Fatalf("seed %d %s: round trip not byte-identical:\nfirst:  %x\nsecond: %x", seed, name, first, second)
+			}
+			if l.Snapshot() != restored.Snapshot() {
+				t.Fatalf("seed %d %s: stats diverge: %+v vs %+v", seed, name, l.Snapshot(), restored.Snapshot())
+			}
+			if !slices.Equal(l.Alerts(), restored.Alerts()) {
+				t.Fatalf("seed %d %s: alert ledgers diverge", seed, name)
+			}
+			// Behaviorally live, not just serializable: both copies
+			// decide fresh traffic the same way, in this cycle and the
+			// next, and end in the same state.
+			probe := epochOf(restored)
+			for i := 0; i < 400; i++ {
+				at := probe.Add(time.Duration(i) * l.Config().Cycle / 300)
+				src, dst := uint32(i%20), uint32(999+i/3)
+				if a, b := l.Observe(src, dst, at), restored.Observe(src, dst, at); a != b {
+					t.Fatalf("seed %d %s: decision %d diverged: live %v, restored %v", seed, name, i, a, b)
+				}
+			}
+			if !bytes.Equal(mustMarshal(t, l), mustMarshal(t, restored)) {
+				t.Fatalf("seed %d %s: states diverged after identical traffic", seed, name)
 			}
 		}
+	}
+}
 
-		first, err := l.MarshalState()
-		if err != nil {
-			t.Fatalf("seed %d: MarshalState: %v", seed, err)
-		}
-		restored, err := RestoreLimiter(first)
-		if err != nil {
-			t.Fatalf("seed %d: RestoreLimiter: %v", seed, err)
-		}
-		second, err := restored.MarshalState()
-		if err != nil {
-			t.Fatalf("seed %d: restored MarshalState: %v", seed, err)
-		}
-		if !bytes.Equal(first, second) {
-			t.Fatalf("seed %d: round trip not byte-identical:\nfirst:  %s\nsecond: %s",
-				seed, first, second)
-		}
+// epochOf reads the current cycle's start.
+func epochOf(l ContainmentLimiter) time.Time {
+	switch l := l.(type) {
+	case *Limiter:
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.epoch
+	case *SketchLimiter:
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.epoch
+	}
+	panic("unknown backend")
+}
 
-		// The restored limiter is behaviorally live, not just
-		// serializable: both copies decide the next observation the same
-		// way.
-		probe := now.Add(time.Millisecond)
-		if a, b := l.Observe(3, 999, probe), restored.Observe(3, 999, probe); a != b {
-			t.Fatalf("seed %d: post-restore decision diverged: live %v, restored %v", seed, a, b)
+// TestLimiterSnapshotCanonical is the one-state-one-byte-string
+// property: limiters that reach the same state along different paths —
+// sources interleaved in a different order, alerts applied in a
+// different order, hence different map layouts and sketch slot
+// assignments — marshal to identical bytes.
+func TestLimiterSnapshotCanonical(t *testing.T) {
+	type event struct {
+		src, dst uint32
+		failure  bool
+	}
+	for _, seed := range []uint64{1, 7, 1905} {
+		r := rng.NewPCG64(seed, 44)
+		const sources = 24
+		perSource := make([][]event, sources)
+		for s := range perSource {
+			n := int(r.Uint64() % 200)
+			for i := 0; i < n; i++ {
+				perSource[s] = append(perSource[s], event{uint32(s), uint32(r.Uint64() % 512), r.Uint64()%4 == 0})
+			}
+		}
+		alerts := make([]Alert, 12)
+		for i := range alerts {
+			alerts[i] = Alert{Origin: uint64(i % 3), Seq: uint64(1 + i/3), Src: 1000 + uint32(r.Uint64()%8), UnixMs: t0.UnixMilli()}
+		}
+		// A host's state depends only on its own events in order, so
+		// any interleaving of the sources reaches the same state; the
+		// alerts remove hosts that send nothing.
+		forward := func(apply func(event), alert func(Alert)) {
+			for s := 0; s < sources; s++ {
+				for _, e := range perSource[s] {
+					apply(e)
+				}
+			}
+			for _, a := range alerts {
+				alert(a)
+			}
+		}
+		interleaved := func(apply func(event), alert func(Alert)) {
+			for i := len(alerts) - 1; i >= 0; i-- {
+				alert(alerts[i])
+			}
+			for i := 0; i < 200; i++ {
+				for s := sources - 1; s >= 0; s-- {
+					if i < len(perSource[s]) {
+						apply(perSource[s][i])
+					}
+				}
+			}
+		}
+		for _, backend := range []string{"exact", "sketch"} {
+			var states [][]byte
+			for _, order := range []func(func(event), func(Alert)){forward, interleaved} {
+				var l ContainmentLimiter
+				cfg := LimiterConfig{M: 90, Cycle: time.Hour, CheckFraction: 0.5}
+				if backend == "sketch" {
+					l = newTestSketch(t, SketchConfig{LimiterConfig: cfg, FailureM: 20})
+				} else {
+					l = newTestLimiter(t, cfg)
+				}
+				order(func(e event) {
+					if fo, ok := l.(FailureObserver); ok && e.failure {
+						fo.ObserveFailure(e.src, e.dst, t0)
+					}
+					l.Observe(e.src, e.dst, t0)
+				}, func(a Alert) { l.ApplyAlert(a) })
+				states = append(states, mustMarshal(t, l))
+			}
+			if !bytes.Equal(states[0], states[1]) {
+				t.Errorf("seed %d %s: the same state reached along two paths marshals differently", seed, backend)
+			}
+		}
+	}
+}
+
+// TestSortDestinations checks the counting sort against the library
+// sort on both sides of its size cutoff.
+func TestSortDestinations(t *testing.T) {
+	r := rng.NewPCG64(1905, 45)
+	for _, n := range []int{0, 1, 255, 256, 257, 5000} {
+		d := make([]uint32, n)
+		for i := range d {
+			d[i] = uint32(r.Uint64())
+			if i%7 == 0 {
+				d[i] &= 0xff00ff // shared digits
+			}
+		}
+		want := slices.Clone(d)
+		slices.Sort(want)
+		sortDestinations(d, make([]uint32, n))
+		if !slices.Equal(d, want) {
+			t.Fatalf("n=%d: counting sort disagrees with slices.Sort", n)
 		}
 	}
 }
@@ -79,23 +263,16 @@ func TestRestoreLimiterRejectsCheckFractionLikeValidate(t *testing.T) {
 		if _, err := NewLimiter(cfg, time.Unix(0, 0)); err == nil {
 			t.Fatalf("CheckFraction %v: NewLimiter accepted", f)
 		}
-		snap, err := json.Marshal(map[string]any{
-			"version":       1,
-			"m":             5,
-			"cycleMillis":   3600000,
-			"checkFraction": f,
-			"hosts":         []any{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = RestoreLimiter(snap)
-		if err == nil {
-			t.Fatalf("CheckFraction %v: RestoreLimiter accepted out-of-range snapshot", f)
-		}
-		if !strings.Contains(err.Error(), wantErr.Error()) {
-			t.Fatalf("CheckFraction %v: RestoreLimiter error %q does not carry Validate error %q",
-				f, err, wantErr)
+		for _, spec := range []snapSpec{exactSpec(), sketchSpecValid()} {
+			spec.checkFraction = f
+			_, err := RestoreAnyLimiter(spec.encode())
+			if err == nil {
+				t.Fatalf("CheckFraction %v: restore accepted out-of-range snapshot", f)
+			}
+			if !strings.Contains(err.Error(), wantErr.Error()) {
+				t.Fatalf("CheckFraction %v: restore error %q does not carry Validate error %q",
+					f, err, wantErr)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 )
@@ -519,18 +518,4 @@ func (l *SketchLimiter) ExpectedRelativeError() float64 {
 	n := float64(l.cfg.M)
 	t := n / m
 	return math.Sqrt(m*(math.Exp(t)-t-1)) / n
-}
-
-// setBitsFor recomputes a host's cached set-bit counters from its
-// registers — used by snapshot restore, where registers arrive as raw
-// words.
-func (l *SketchLimiter) setBitsFor(slot uint32) (set, fset uint16) {
-	regs := l.regs(slot)
-	for _, w := range regs[:l.cwords] {
-		set += uint16(bits.OnesCount64(w))
-	}
-	for _, w := range regs[l.cwords:] {
-		fset += uint16(bits.OnesCount64(w))
-	}
-	return set, fset
 }

@@ -2,217 +2,157 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"sort"
-	"time"
+	"math/bits"
+	"slices"
+
+	"wormcontain/internal/binio"
 )
 
-// Sketch snapshots share the exact backend's persistence contract
-// (versioned, deterministic JSON; see persist.go) under their own
-// version number, so RestoreAnyLimiter can dispatch on the payload
-// alone. Registers serialize as hex-encoded little-endian words; a
-// host's cached set-bit counters are recomputed on restore rather than
-// stored — they are derived state.
+// Sketch snapshots are the sketch-backend half of the codec in
+// persist.go: same header, cycle, counter and alert sections, plus the
+// estimator's configuration and failure counters, and per host the raw
+// register words — the hyper-compact estimator is a bit array, stored
+// as bits. A host's cached set-bit counters are recomputed on restore
+// rather than stored: they are derived state.
 
-// sketchStateVersion tags sketch-backend snapshots. Exact snapshots
-// are version 1 (limiterStateVersion).
-const sketchStateVersion = 2
+// sketchSectionLen is the sketch-only section's encoded size.
+const sketchSectionLen = 4 + 4 + 8 + 8 + 8
 
-type sketchState struct {
-	Version         int            `json:"version"`
-	M               int            `json:"m"`
-	CycleMillis     int64          `json:"cycleMillis"`
-	CheckFraction   float64        `json:"checkFraction"`
-	Bits            int            `json:"bits"`
-	FailureM        int            `json:"failureM,omitempty"`
-	FailureBits     int            `json:"failureBits,omitempty"`
-	EpochUnixMs     int64          `json:"epochUnixMillis"`
-	CycleIndex      uint64         `json:"cycleIndex"`
-	TotalObserved   int            `json:"totalObserved,omitempty"`
-	TotalRemovals   int            `json:"totalRemovals"`
-	TotalFlags      int            `json:"totalFlags"`
-	TotalDenied     int            `json:"totalDenied"`
-	TotalFailures   int            `json:"totalFailures,omitempty"`
-	FailureRemovals int            `json:"failureRemovals,omitempty"`
-	AlertRemovals   int            `json:"alertRemovals,omitempty"`
-	Hosts           []sketchHostJS `json:"hosts"`
-	Alerts          []alertJS      `json:"alerts,omitempty"`
-}
-
-type sketchHostJS struct {
-	Src uint32 `json:"src"`
-	// Regs holds the contact registers, hex-encoded little-endian
-	// uint64 words; FailRegs the failure registers (present only when
-	// the failure variant is configured).
-	Regs     string `json:"regs"`
-	FailRegs string `json:"failRegs,omitempty"`
-	Removed  bool   `json:"removed,omitempty"`
-	Flagged  bool   `json:"flagged,omitempty"`
-}
-
-// hexWords encodes register words deterministically.
-func hexWords(words []uint64) string {
-	buf := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return hex.EncodeToString(buf)
-}
-
-// parseHexWords inverts hexWords into dst, which must be exactly the
-// right length.
-func parseHexWords(s string, dst []uint64) error {
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return err
-	}
-	if len(raw) != 8*len(dst) {
-		return fmt.Errorf("register payload is %d bytes, want %d", len(raw), 8*len(dst))
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(raw[8*i:])
-	}
-	return nil
-}
-
-// MarshalState serializes the sketch limiter's complete state as
-// deterministic JSON: hosts sorted by source, registers hex-encoded,
-// so identical states produce identical bytes — the property the
-// durable crash suite's byte-equality invariant rests on.
-func (l *SketchLimiter) MarshalState() ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.marshalStateLocked()
-}
+// MarshalState serializes the sketch limiter's complete state in the
+// canonical binary form of persist.go: hosts sorted by source, raw
+// register words, so identical states produce identical bytes — the
+// property the durable crash suite's byte-equality invariant rests on.
+func (l *SketchLimiter) MarshalState() ([]byte, error) { return l.CheckpointState(nil) }
 
 // CheckpointState marshals like MarshalState and invokes cut under the
-// limiter mutex; see (*Limiter).CheckpointState for the journal-cut
-// contract.
+// limiter mutex, which it holds only to copy the state out; see
+// (*Limiter).CheckpointState for the journal-cut contract.
 func (l *SketchLimiter) CheckpointState(cut func()) ([]byte, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	data, err := l.marshalStateLocked()
-	if err == nil && cut != nil {
+	c := snapshotCommon{
+		cfg: l.cfg.LimiterConfig, epoch: l.epoch, cycleIndex: l.cycleIndex,
+		observed: l.totalObserved, removals: l.totalRemovals, flags: l.totalFlags,
+		denied: l.totalDenied, alertRemovals: l.alerts.removals,
+	}
+	failures, failureRemovals := l.totalFailures, l.failureRemovals
+	// keys pack (src, slot) so that sorting plain integers orders the
+	// hosts by source.
+	keys := make([]uint64, 0, len(l.slots))
+	for src, slot := range l.slots {
+		keys = append(keys, uint64(src)<<32|uint64(slot))
+	}
+	meta := slices.Clone(l.meta[:l.used])
+	words := make([]uint64, 0, int(l.used)*l.stride)
+	for _, slab := range l.pool {
+		words = append(words, slab[:min(len(slab), cap(words)-len(words))]...)
+	}
+	alerts := l.alerts.unsorted()
+	if cut != nil {
 		cut()
 	}
-	return data, err
-}
+	l.mu.Unlock()
 
-func (l *SketchLimiter) marshalStateLocked() ([]byte, error) {
-	st := sketchState{
-		Version:         sketchStateVersion,
-		M:               l.cfg.M,
-		CycleMillis:     l.cfg.Cycle.Milliseconds(),
-		CheckFraction:   l.cfg.CheckFraction,
-		Bits:            l.cfg.Bits,
-		FailureM:        l.cfg.FailureM,
-		FailureBits:     l.cfg.FailureBits,
-		EpochUnixMs:     l.epoch.UnixMilli(),
-		CycleIndex:      l.cycleIndex,
-		TotalObserved:   l.totalObserved,
-		TotalRemovals:   l.totalRemovals,
-		TotalFlags:      l.totalFlags,
-		TotalDenied:     l.totalDenied,
-		TotalFailures:   l.totalFailures,
-		FailureRemovals: l.failureRemovals,
-		AlertRemovals:   l.alerts.removals,
-		Hosts:           make([]sketchHostJS, 0, len(l.slots)),
-		Alerts:          l.alerts.marshalAlerts(),
-	}
-	for src, slot := range l.slots {
-		regs := l.regs(slot)
-		h := sketchHostJS{
-			Src:     src,
-			Regs:    hexWords(regs[:l.cwords]),
-			Removed: l.meta[slot].removed,
-			Flagged: l.meta[slot].flagged,
+	slices.Sort(keys)
+	hostLen := hostHeaderLen + 8*l.stride
+	b := make([]byte, 0, snapshotCommonLen+sketchSectionLen+hostLen*len(keys)+alertRecordLen*len(alerts))
+	b = appendSnapshotCommon(b, SnapshotHeader{Backend: BackendSketch, Hosts: len(keys), Alerts: len(alerts)}, c)
+	b = binio.AppendU32(b, uint32(l.cfg.Bits))
+	b = binio.AppendU32(b, uint32(l.cfg.FailureBits))
+	b = binio.AppendU64(b, uint64(l.cfg.FailureM))
+	b = binio.AppendU64(b, uint64(failures))
+	b = binio.AppendU64(b, uint64(failureRemovals))
+	for _, k := range keys {
+		slot := int(uint32(k))
+		b = binio.AppendU32(b, uint32(k>>32))
+		b = binio.AppendBool(b, meta[slot].removed)
+		b = binio.AppendBool(b, meta[slot].flagged)
+		for _, w := range words[slot*l.stride : (slot+1)*l.stride] {
+			b = binio.AppendU64(b, w)
 		}
-		if l.cfg.FailureM > 0 {
-			h.FailRegs = hexWords(regs[l.cwords:])
-		}
-		st.Hosts = append(st.Hosts, h)
 	}
-	sort.Slice(st.Hosts, func(i, j int) bool { return st.Hosts[i].Src < st.Hosts[j].Src })
-	return json.Marshal(st)
+	return appendAlerts(b, alerts), nil
 }
 
 // RestoreSketchLimiter rebuilds a sketch limiter from a MarshalState
-// snapshot.
+// snapshot. Anything but a canonical payload of a valid state is an
+// error.
 func RestoreSketchLimiter(data []byte) (*SketchLimiter, error) {
-	var st sketchState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("core: decode sketch snapshot: %w", err)
+	h, c, r, err := readSnapshotCommon(data, BackendSketch)
+	if err != nil {
+		return nil, err
 	}
-	if st.Version != sketchStateVersion {
-		return nil, fmt.Errorf("core: sketch snapshot version %d, want %d",
-			st.Version, sketchStateVersion)
+	cfg := SketchConfig{LimiterConfig: c.cfg}
+	cfg.Bits = int(r.U32("bits"))
+	cfg.FailureBits = int(r.U32("failure bits"))
+	cfg.FailureM = readInt(r, "failure M")
+	failures := readInt(r, "failure total")
+	failureRemovals := readInt(r, "failure removal total")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	cfg := SketchConfig{
-		LimiterConfig: LimiterConfig{
-			M:             st.M,
-			Cycle:         time.Duration(st.CycleMillis) * time.Millisecond,
-			CheckFraction: st.CheckFraction,
-		},
-		Bits:        st.Bits,
-		FailureM:    st.FailureM,
-		FailureBits: st.FailureBits,
+	// Snapshots carry the widths NewSketchLimiter resolved; a zero
+	// (auto-size) width here would restore to a state that marshals
+	// differently.
+	if cfg != cfg.normalize() {
+		return nil, r.Failf("sketch widths %d/%d are not the resolved form of FailureM=%d",
+			cfg.Bits, cfg.FailureBits, cfg.FailureM)
 	}
-	l, err := NewSketchLimiter(cfg, time.UnixMilli(st.EpochUnixMs).UTC())
+	l, err := NewSketchLimiter(cfg, c.epoch)
 	if err != nil {
 		return nil, fmt.Errorf("core: sketch snapshot config: %w", err)
 	}
-	l.cycleIndex = st.CycleIndex
-	l.totalObserved = st.TotalObserved
-	l.totalRemovals = st.TotalRemovals
-	l.totalFlags = st.TotalFlags
-	l.totalDenied = st.TotalDenied
-	l.totalFailures = st.TotalFailures
-	l.failureRemovals = st.FailureRemovals
-	for _, h := range st.Hosts {
-		if _, dup := l.slots[h.Src]; dup {
-			return nil, fmt.Errorf("core: sketch snapshot duplicates host %d", h.Src)
+	hostLen := hostHeaderLen + 8*l.stride
+	if want := h.Hosts*hostLen + h.Alerts*alertRecordLen; r.Len() != want {
+		return nil, r.Failf("has %d bytes where %d hosts of %d register words and %d alerts need %d",
+			r.Len(), h.Hosts, l.stride, h.Alerts, want)
+	}
+	l.cycleIndex = c.cycleIndex
+	l.totalObserved = c.observed
+	l.totalRemovals = c.removals
+	l.totalFlags = c.flags
+	l.totalDenied = c.denied
+	l.totalFailures = failures
+	l.failureRemovals = failureRemovals
+
+	l.slots = make(map[uint32]uint32, h.Hosts)
+	l.meta = make([]sketchMeta, h.Hosts)
+	for n := 0; n < h.Hosts; n += sketchSlabHosts {
+		l.pool = append(l.pool, make([]uint64, sketchSlabHosts*l.stride))
+	}
+	l.used = uint32(h.Hosts)
+	var prevSrc uint32
+	for slot := uint32(0); slot < l.used; slot++ {
+		src := r.U32("host src")
+		if slot > 0 && src <= prevSrc {
+			return nil, r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
 		}
-		slot := l.newSlotLocked(h.Src)
+		prevSrc = src
+		m := &l.meta[slot]
+		m.removed, m.flagged = r.Bool("host removed mark"), r.Bool("host flagged mark")
+		raw := r.Bytes(8*l.stride, "host registers")
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
 		regs := l.regs(slot)
-		if err := parseHexWords(h.Regs, regs[:l.cwords]); err != nil {
-			return nil, fmt.Errorf("core: sketch snapshot host %d registers: %w", h.Src, err)
-		}
-		if l.cfg.FailureM > 0 {
-			if err := parseHexWords(h.FailRegs, regs[l.cwords:]); err != nil {
-				return nil, fmt.Errorf("core: sketch snapshot host %d failure registers: %w", h.Src, err)
+		var set, fset int
+		for i := range regs {
+			regs[i] = binary.LittleEndian.Uint64(raw[8*i:])
+			if i < l.cwords {
+				set += bits.OnesCount64(regs[i])
+			} else {
+				fset += bits.OnesCount64(regs[i])
 			}
 		}
-		set, fset := l.setBitsFor(slot)
-		if int(set) > l.denyBits || (l.cfg.FailureM > 0 && int(fset) > l.failDenyBits) {
-			return nil, fmt.Errorf("core: sketch snapshot host %d has %d/%d set bits past thresholds %d/%d",
-				h.Src, set, fset, l.denyBits, l.failDenyBits)
+		if set > l.denyBits || fset > l.failDenyBits {
+			return nil, r.Failf("host %d has %d/%d set bits past thresholds %d/%d",
+				src, set, fset, l.denyBits, l.failDenyBits)
 		}
-		l.meta[slot] = sketchMeta{set: set, fset: fset, removed: h.Removed, flagged: h.Flagged}
+		m.set, m.fset = uint16(set), uint16(fset)
+		l.slots[src] = slot
 	}
-	l.alerts.restoreAlerts(st.Alerts, st.AlertRemovals)
+	if err := readAlerts(r, h.Alerts, c.alertRemovals, &l.alerts); err != nil {
+		return nil, err
+	}
 	return l, nil
-}
-
-// RestoreAnyLimiter rebuilds whichever limiter backend produced the
-// snapshot, dispatching on the embedded version: 1 → exact *Limiter,
-// 2 → *SketchLimiter. This is the entry point internal/durable uses,
-// which is what lets one state directory carry either backend.
-func RestoreAnyLimiter(data []byte) (ContainmentLimiter, error) {
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("core: decode limiter snapshot: %w", err)
-	}
-	switch probe.Version {
-	case limiterStateVersion:
-		return RestoreLimiter(data)
-	case sketchStateVersion:
-		return RestoreSketchLimiter(data)
-	default:
-		return nil, fmt.Errorf("core: limiter snapshot version %d not supported (want %d or %d)",
-			probe.Version, limiterStateVersion, sketchStateVersion)
-	}
 }

@@ -1,13 +1,13 @@
 package defense
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"wormcontain/internal/addr"
+	"wormcontain/internal/binio"
 	"wormcontain/internal/core"
 	"wormcontain/internal/rng"
 )
@@ -72,69 +72,14 @@ func (d *MLimit) RestoreState(data []byte) error {
 	return nil
 }
 
-// Binary snapshot layout helpers: little-endian, length-prefixed,
-// bounds-checked on read. The per-defense formats below are versioned
-// with a leading byte so a future layout change fails loudly.
+// The per-defense formats below are binio encodings (little-endian,
+// count-prefixed), versioned with a leading byte so a future layout
+// change fails loudly.
 
 const (
 	throttleSnapVersion   = 1
 	quarantineSnapVersion = 1
 )
-
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) u8() uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(1)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *snapReader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail(4)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *snapReader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail(8)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *snapReader) fail(n int) {
-	if r.err == nil {
-		r.err = fmt.Errorf("defense: snapshot truncated (need %d bytes, have %d)", n, len(r.b))
-	}
-}
-
-func (r *snapReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("defense: snapshot has %d trailing bytes", len(r.b))
-	}
-	return nil
-}
 
 // SnapshotState implements Snapshotter: per-host working sets and delay
 // queues, emitted in ascending source-address order.
@@ -144,15 +89,15 @@ func (th *Throttle) SnapshotState() ([]byte, error) {
 		srcs = append(srcs, ip)
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	b := appendU8(nil, throttleSnapVersion)
-	b = appendU32(b, uint32(len(srcs)))
+	b := binio.AppendU8(nil, throttleSnapVersion)
+	b = binio.AppendU32(b, uint32(len(srcs)))
 	for _, ip := range srcs {
 		st := th.perHost[ip]
-		b = appendU32(b, uint32(ip))
-		b = appendU64(b, uint64(st.nextFree))
-		b = appendU32(b, uint32(len(st.recent)))
+		b = binio.AppendU32(b, uint32(ip))
+		b = binio.AppendU64(b, uint64(st.nextFree))
+		b = binio.AppendU32(b, uint32(len(st.recent)))
 		for _, d := range st.recent {
-			b = appendU32(b, uint32(d))
+			b = binio.AppendU32(b, uint32(d))
 		}
 	}
 	return b, nil
@@ -160,29 +105,28 @@ func (th *Throttle) SnapshotState() ([]byte, error) {
 
 // RestoreState implements Snapshotter.
 func (th *Throttle) RestoreState(data []byte) error {
-	r := &snapReader{b: data}
-	if v := r.u8(); r.err == nil && v != throttleSnapVersion {
-		return fmt.Errorf("defense: throttle snapshot version %d, want %d", v, throttleSnapVersion)
+	r := binio.NewReader(data, "defense: throttle snapshot")
+	if v := r.U8("version"); r.Err() == nil && v != throttleSnapVersion {
+		return r.Failf("version %d, want %d", v, throttleSnapVersion)
 	}
-	n := r.u32()
+	n := r.Count(16, "host count")
 	perHost := make(map[addr.IP]*throttleState, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		ip := addr.IP(r.u32())
-		st := &throttleState{nextFree: time.Duration(r.u64())}
-		k := r.u32()
-		if r.err == nil && int(k) > th.workingSet {
-			return fmt.Errorf("defense: throttle snapshot working set %d exceeds configured %d",
-				k, th.workingSet)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ip := addr.IP(r.U32("host"))
+		st := &throttleState{nextFree: time.Duration(r.U64("next free slot"))}
+		k := r.Count(4, "working set")
+		if k > th.workingSet {
+			return r.Failf("working set %d exceeds configured %d", k, th.workingSet)
 		}
-		for j := uint32(0); j < k && r.err == nil; j++ {
-			st.recent = append(st.recent, addr.IP(r.u32()))
+		for j := 0; j < k; j++ {
+			st.recent = append(st.recent, addr.IP(r.U32("working set")))
 		}
 		if _, dup := perHost[ip]; dup {
-			return fmt.Errorf("defense: throttle snapshot duplicates host %v", ip)
+			return r.Failf("duplicates host %v", ip)
 		}
 		perHost[ip] = st
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	th.perHost = perHost
@@ -199,21 +143,21 @@ func (q *Quarantine) SnapshotState() ([]byte, error) {
 		return nil, fmt.Errorf("defense: quarantine source %T is not checkpointable (need *rng.PCG64)", q.src)
 	}
 	st := src.State()
-	b := appendU8(nil, quarantineSnapVersion)
-	b = appendU64(b, st.Hi)
-	b = appendU64(b, st.Lo)
-	b = appendU64(b, st.IncHi)
-	b = appendU64(b, st.IncLo)
-	b = appendU64(b, uint64(q.alarms))
+	b := binio.AppendU8(nil, quarantineSnapVersion)
+	b = binio.AppendU64(b, st.Hi)
+	b = binio.AppendU64(b, st.Lo)
+	b = binio.AppendU64(b, st.IncHi)
+	b = binio.AppendU64(b, st.IncLo)
+	b = binio.AppendU64(b, uint64(q.alarms))
 	srcs := make([]addr.IP, 0, len(q.until))
 	for ip := range q.until {
 		srcs = append(srcs, ip)
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	b = appendU32(b, uint32(len(srcs)))
+	b = binio.AppendU32(b, uint32(len(srcs)))
 	for _, ip := range srcs {
-		b = appendU32(b, uint32(ip))
-		b = appendU64(b, uint64(q.until[ip]))
+		b = binio.AppendU32(b, uint32(ip))
+		b = binio.AppendU64(b, uint64(q.until[ip]))
 	}
 	return b, nil
 }
@@ -224,26 +168,26 @@ func (q *Quarantine) RestoreState(data []byte) error {
 	if !ok {
 		return fmt.Errorf("defense: quarantine source %T is not checkpointable (need *rng.PCG64)", q.src)
 	}
-	r := &snapReader{b: data}
-	if v := r.u8(); r.err == nil && v != quarantineSnapVersion {
-		return fmt.Errorf("defense: quarantine snapshot version %d, want %d", v, quarantineSnapVersion)
+	r := binio.NewReader(data, "defense: quarantine snapshot")
+	if v := r.U8("version"); r.Err() == nil && v != quarantineSnapVersion {
+		return r.Failf("version %d, want %d", v, quarantineSnapVersion)
 	}
-	st := rng.PCG64State{Hi: r.u64(), Lo: r.u64(), IncHi: r.u64(), IncLo: r.u64()}
-	alarms := r.u64()
-	if r.err == nil && alarms > math.MaxInt32 {
-		return fmt.Errorf("defense: quarantine snapshot alarm count %d out of range", alarms)
+	st := rng.PCG64State{Hi: r.U64("rng hi"), Lo: r.U64("rng lo"), IncHi: r.U64("rng inc hi"), IncLo: r.U64("rng inc lo")}
+	alarms := r.U64("alarm count")
+	if alarms > math.MaxInt32 {
+		return r.Failf("alarm count %d out of range", alarms)
 	}
-	n := r.u32()
+	n := r.Count(12, "host count")
 	until := make(map[addr.IP]time.Duration, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		ip := addr.IP(r.u32())
-		t := time.Duration(r.u64())
+	for i := 0; i < n; i++ {
+		ip := addr.IP(r.U32("host"))
+		t := time.Duration(r.U64("quarantine end"))
 		if _, dup := until[ip]; dup {
-			return fmt.Errorf("defense: quarantine snapshot duplicates host %v", ip)
+			return r.Failf("duplicates host %v", ip)
 		}
 		until[ip] = t
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	src.SetState(st)

@@ -23,6 +23,9 @@ type FileCheck struct {
 	ValidBytes int
 	// Records is the intact record count (segments only).
 	Records int
+	// Header is the payload's format, backend and host count (valid
+	// snapshots only).
+	Header core.SnapshotHeader
 }
 
 // Report is a read-only audit of a state directory — what wormgate
@@ -47,7 +50,8 @@ type Report struct {
 	Stats      core.Stats
 }
 
-// Inspect audits dir without modifying it.
+// Inspect audits dir without modifying it. Like Open it fails on a
+// snapshot in the retired JSON format.
 func Inspect(fsys faultfs.FS) (Report, error) {
 	var rep Report
 	sc, err := scanDir(fsys)
@@ -55,18 +59,24 @@ func Inspect(fsys faultfs.FS) (Report, error) {
 		return rep, err
 	}
 	rep.TempFiles = sc.tmps
+	// Every snapshot is restored once, oldest first; the newest valid
+	// one stays as the base recovery would have chosen, and the corrupt
+	// ones after it are the ones recovery would have skipped to reach it.
+	rec := recovered{info: RecoveryInfo{Fresh: true}, scan: sc}
 	for _, seq := range sc.snaps {
-		raw, err := fsys.ReadFile(snapName(seq))
+		f, err := loadSnapshot(fsys, seq)
 		if err != nil {
 			return rep, err
 		}
-		fc := FileCheck{Name: snapName(seq), Seq: seq, Bytes: len(raw)}
-		if payload, derr := decodeSnapshot(raw); derr == nil {
-			if _, derr = core.RestoreAnyLimiter(payload); derr == nil {
-				fc.Valid = true
-			}
+		rep.Snapshots = append(rep.Snapshots, FileCheck{
+			Name: snapName(seq), Seq: seq, Bytes: f.bytes, Valid: f.corrupt == nil, Header: f.header,
+		})
+		if f.corrupt != nil {
+			rec.info.CorruptSnapshots++
+			continue
 		}
-		rep.Snapshots = append(rep.Snapshots, fc)
+		rec.base(f.limiter, seq)
+		rec.info.CorruptSnapshots = 0
 	}
 	for _, seq := range sc.segs {
 		raw, err := fsys.ReadFile(walName(seq))
@@ -80,13 +90,10 @@ func Inspect(fsys faultfs.FS) (Report, error) {
 	}
 
 	// Replay exactly as recovery would.
-	rec, err := recoverState(fsys, func(string, ...any) {})
-	if err != nil {
-		return rep, err
-	}
+	nolog := func(string, ...any) {}
+	rec.planReplay(nolog)
 	if rec.replayable {
-		if err := replaySegments(fsys, rec.limiter, rec.scan, rec.baseSeq, &rec.info,
-			func(string, ...any) {}); err != nil {
+		if err := replaySegments(fsys, rec.limiter, rec.scan, rec.baseSeq, &rec.info, nolog); err != nil {
 			return rep, err
 		}
 	}
@@ -107,11 +114,12 @@ func Inspect(fsys faultfs.FS) (Report, error) {
 func (r Report) Write(w io.Writer) {
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
 	for _, fc := range r.Snapshots {
-		status := "OK"
-		if !fc.Valid {
-			status = "CORRUPT"
+		if fc.Valid {
+			p("snapshot %s  %d bytes  format %d  %v  %d host(s)  OK\n",
+				fc.Name, fc.Bytes, fc.Header.Format, fc.Header.Backend, fc.Header.Hosts)
+		} else {
+			p("snapshot %s  %d bytes  CORRUPT\n", fc.Name, fc.Bytes)
 		}
-		p("snapshot %s  %d bytes  %s\n", fc.Name, fc.Bytes, status)
 	}
 	for _, fc := range r.Segments {
 		if fc.Valid {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -105,7 +106,7 @@ func matchSeq(name, pattern string, seq *uint64) bool {
 // recovered is the outcome of recoverState.
 type recovered struct {
 	// limiter is the snapshot-restored limiter (exact or sketch,
-	// whichever backend the snapshot's version selects), nil when
+	// whichever backend the snapshot's header names), nil when
 	// info.Fresh (the caller constructs the base limiter, then replays).
 	limiter core.ContainmentLimiter
 	info    RecoveryInfo
@@ -118,59 +119,94 @@ type recovered struct {
 	replayable bool
 }
 
+// snapshotFile is one snapshot generation as loadSnapshot found it.
+type snapshotFile struct {
+	bytes int
+	// corrupt is why the file failed its checksum or did not decode;
+	// nil for a valid snapshot, whose header and restored limiter
+	// follow.
+	corrupt error
+	header  core.SnapshotHeader
+	limiter core.ContainmentLimiter
+}
+
+// loadSnapshot reads, verifies and restores one snapshot generation.
+// Corruption is reported in the result, never as an error: only an I/O
+// failure or a CRC-valid payload in the retired JSON format is fatal —
+// the latter is intact state this build cannot read, and skipping it
+// would start fresh and refund every host's budget.
+func loadSnapshot(fsys faultfs.FS, seq uint64) (snapshotFile, error) {
+	raw, err := fsys.ReadFile(snapName(seq))
+	if err != nil {
+		return snapshotFile{}, fmt.Errorf("durable: read %s: %w", snapName(seq), err)
+	}
+	f := snapshotFile{bytes: len(raw)}
+	payload, err := decodeSnapshot(raw)
+	if err == nil {
+		f.header, err = core.ReadSnapshotHeader(payload)
+	}
+	if err == nil {
+		f.limiter, err = core.RestoreAnyLimiter(payload)
+	}
+	if errors.Is(err, core.ErrLegacySnapshot) {
+		return f, fmt.Errorf("durable: %s: %w", snapName(seq), err)
+	}
+	f.corrupt = err
+	return f, nil
+}
+
 // recoverState rebuilds the limiter from the state directory: newest
 // valid snapshot, then WAL replay with tail truncation. It is strictly
-// read-only (Open does the rewriting afterwards; Inspect never does)
-// and never fails on corrupt or torn state — only on I/O errors. A nil
-// limiter with info.Fresh means no snapshot was usable.
+// read-only (Open does the rewriting afterwards) and never fails on
+// corrupt or torn state — only on I/O errors and legacy-format
+// snapshots. A nil limiter with info.Fresh means no snapshot was
+// usable.
 func recoverState(fsys faultfs.FS, logf func(string, ...any)) (recovered, error) {
 	sc, err := scanDir(fsys)
 	if err != nil {
 		return recovered{}, err
 	}
-	info := RecoveryInfo{Fresh: true}
+	rec := recovered{info: RecoveryInfo{Fresh: true}, scan: sc}
 
 	// Newest valid snapshot wins; corrupt ones are logged, metered and
 	// skipped — never fatal.
-	var limiter core.ContainmentLimiter
-	var baseSeq uint64
-	for i := len(sc.snaps) - 1; i >= 0; i-- {
+	for i := len(sc.snaps) - 1; i >= 0 && rec.limiter == nil; i-- {
 		seq := sc.snaps[i]
-		raw, err := fsys.ReadFile(snapName(seq))
+		f, err := loadSnapshot(fsys, seq)
 		if err != nil {
-			return recovered{}, fmt.Errorf("durable: read %s: %w", snapName(seq), err)
+			return recovered{}, err
 		}
-		payload, derr := decodeSnapshot(raw)
-		if derr == nil {
-			limiter, derr = core.RestoreAnyLimiter(payload)
-		}
-		if derr != nil {
-			info.CorruptSnapshots++
-			logf("durable: skipping corrupt snapshot %s: %v", snapName(seq), derr)
-			limiter = nil
+		if f.corrupt != nil {
+			rec.info.CorruptSnapshots++
+			logf("durable: skipping corrupt snapshot %s: %v", snapName(seq), f.corrupt)
 			continue
 		}
-		info.Fresh = false
-		info.SnapshotSeq = seq
-		baseSeq = seq
-		break
+		rec.base(f.limiter, seq)
 	}
+	rec.planReplay(logf)
+	return rec, nil
+}
 
-	// Without a valid snapshot the WAL is only replayable from
-	// generation 0 (each segment's records assume its snapshot as the
-	// base state): the caller builds a fresh base limiter and replay
-	// regenerates the full history. A WAL that starts later is
-	// unreachable — recovery starts fresh rather than failing.
-	replayable := limiter != nil
-	if limiter == nil {
-		if len(sc.segs) > 0 && sc.segs[0] == 0 {
-			baseSeq = 0
-			replayable = true
-		} else if len(sc.segs) > 0 {
-			logf("durable: no valid snapshot and WAL does not start at generation 0; starting fresh")
-		}
+// base records the snapshot recovery starts from.
+func (rec *recovered) base(limiter core.ContainmentLimiter, seq uint64) {
+	rec.limiter = limiter
+	rec.info.Fresh = false
+	rec.info.SnapshotSeq = seq
+	rec.baseSeq = seq
+}
+
+// planReplay decides whether the WAL is reachable from the base.
+// Without a valid snapshot it is only replayable from generation 0
+// (each segment's records assume its snapshot as the base state): the
+// caller builds a fresh base limiter and replay regenerates the full
+// history. A WAL that starts later is unreachable — recovery starts
+// fresh rather than failing.
+func (rec *recovered) planReplay(logf func(string, ...any)) {
+	segs := rec.scan.segs
+	rec.replayable = rec.limiter != nil || (len(segs) > 0 && segs[0] == 0)
+	if !rec.replayable && len(segs) > 0 {
+		logf("durable: no valid snapshot and WAL does not start at generation 0; starting fresh")
 	}
-	return recovered{limiter: limiter, info: info, scan: sc, baseSeq: baseSeq, replayable: replayable}, nil
 }
 
 // replaySegments applies WAL segments baseSeq, baseSeq+1, … to limiter,

@@ -110,6 +110,11 @@ type Store struct {
 // starting a new WAL segment: torn tails from the previous life are
 // truncated logically, never rewritten in place, and old generations
 // are garbage-collected (the previous one is kept as a fallback).
+//
+// Corrupt or torn files never fail Open; a checksum-valid snapshot in
+// the retired JSON format does (core.ErrLegacySnapshot), before
+// anything is written: that is intact state this build cannot read,
+// not damage to recover around.
 func Open(opts Options, cfg core.LimiterConfig, start time.Time) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -337,8 +342,9 @@ func (s *Store) WriteSnapshot() error {
 }
 
 func (s *Store) snapshotLocked() error {
-	// Cut point: marshal and journal-cut under the limiter mutex, so
-	// the snapshot equals base + exactly the records before the cut.
+	// Cut point: the state is copied out and the journal cut under one
+	// hold of the limiter mutex, so the snapshot equals base + exactly
+	// the records before the cut.
 	var tail []byte
 	var tailRecs int
 	var cutTotal uint64
