@@ -33,17 +33,18 @@ bench:
 
 # bench-json measures the event-kernel and simulation suites (the
 # deep-churn EventKernelChurn matrix, the internet-scale SimRun10M and
-# the checkpoint encoder's Checkpoint10M) alongside the telemetry,
-# gateway, fleet and topology suites, records name → ns/op, B/op,
-# allocs/op in BENCH_PR10.json, and gates the steady-state
-# zero-allocation contract: SimRun10M and the wheel churn benchmarks
-# must record 0 allocs/op.
+# the checkpoint encoder's Checkpoint10M) and the 10M-host population
+# layer (Repopulate10M, RestoreAddrs10M, LookupDense10M) alongside the
+# telemetry, gateway, fleet and topology suites, records name → ns/op,
+# B/op, allocs/op in BENCH_PR10.json, and gates the steady-state
+# zero-allocation contract: SimRun10M, Repopulate10M and the wheel
+# churn benchmarks must record 0 allocs/op.
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -benchtime 1s \
-		./internal/des ./internal/sim \
+		./internal/des ./internal/sim ./internal/addr \
 		./internal/telemetry ./internal/gateway ./internal/fleet ./internal/topo
 	$(GO) run ./cmd/benchjson gate \
-		-pattern 'BenchmarkSimRun10M|BenchmarkEventKernelChurn/kernel=wheel' \
+		-pattern 'BenchmarkSimRun10M|BenchmarkRepopulate10M|BenchmarkEventKernelChurn/kernel=wheel' \
 		-max-allocs 0 BENCH_PR10.json
 
 # bench-compare re-measures the perf-critical benchmark suites (event

@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"strings"
 	"testing"
 
 	"wormcontain/internal/rng"
@@ -81,6 +82,52 @@ func TestRestoreAddrsReuse(t *testing.T) {
 	}
 	if err := p.RestoreAddrs(nil); err == nil {
 		t.Fatal("empty restore accepted")
+	}
+}
+
+// TestRestoreAddrsDuplicatePositions plants one duplicated address at
+// every position the batched build treats differently — both copies in
+// one batch, one on each side of a batch boundary, first and last
+// element of the list — and checks that each is still rejected with the
+// duplicate error, and that the same Population then restores the clean
+// list correctly.
+func TestRestoreAddrsDuplicatePositions(t *testing.T) {
+	const n = 3*popBatch + 7
+	clean := make([]IP, n)
+	for i := range clean {
+		clean[i] = IP(0x0a000000 + 977*i)
+	}
+	p := &Population{}
+	for _, c := range []struct {
+		name     string
+		src, dst int // addrs[dst] = addrs[src]
+	}{
+		{"adjacent-in-first-batch", 3, 4},
+		{"ends-of-one-batch", popBatch, 2*popBatch - 1},
+		{"straddling-boundary", popBatch - 1, popBatch},
+		{"two-batches-apart", 5, 2*popBatch + 5},
+		{"first-and-last", 0, n - 1},
+		{"in-short-last-batch", 3 * popBatch, n - 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]IP(nil), clean...)
+			bad[c.dst] = bad[c.src]
+			err := p.RestoreAddrs(bad)
+			if err == nil || !strings.Contains(err.Error(), "duplicate address "+bad[c.src].String()) {
+				t.Fatalf("RestoreAddrs = %v, want the duplicate-address error for %v", err, bad[c.src])
+			}
+			if err := p.RestoreAddrs(clean); err != nil {
+				t.Fatalf("restore after a rejected one: %v", err)
+			}
+			if p.Size() != n {
+				t.Fatalf("size %d, want %d", p.Size(), n)
+			}
+			for i, ip := range clean {
+				if idx, ok := p.Lookup(ip); !ok || idx != i || p.Addr(i) != ip {
+					t.Fatalf("host %d: lookup %v -> %d %v, addr %v", i, ip, idx, ok, p.Addr(i))
+				}
+			}
+		})
 	}
 }
 

@@ -14,20 +14,37 @@ import (
 // a scanned address hit a vulnerable host, and if so which one?
 //
 // The address index is a flat open-addressing hash table (linear
-// probing at ≤2/3 load) instead of a Go map: two plain slices, no
-// per-entry boxing, one cache line touched per probe, and ~12 bytes
-// per host — at internet scale (10M–100M hosts) the whole structure is
-// a few hundred MB where map[IP]int would be several times that and
-// pointer-dense (every lookup chases buckets the GC must also scan).
+// probing at ≤2/3 load) instead of a Go map: one slice of 8-byte
+// (address, host index) slots, no per-entry boxing, and ~12 bytes per
+// host plus the address slab — at internet scale (10M–100M hosts) the
+// whole structure is a few hundred MB where map[IP]int would be
+// several times that and pointer-dense (every lookup chases buckets
+// the GC must also scan). The table is far larger than any cache, so
+// what a probe costs is the cold lines it touches: key and index share
+// a slot, eight slots share a line, and a probe that ends within its
+// home line — the common case — is one miss.
 type Population struct {
 	addrs []IP // host index -> address
-	// Open-addressing table: keys[h] is an address, vals[h] its host
-	// index, or vals[h] < 0 for an empty slot. Capacity is a power of
-	// two so probes wrap with a mask.
-	keys []IP
-	vals []int32
-	mask uint32
+	// Open-addressing table. Capacity is a power of two so probes wrap
+	// with a mask; a table retained from a larger draw keeps its size.
+	table []popSlot
+	mask  uint32
 }
+
+// popSlot is one table entry: an address and its host index, or
+// val < 0 for an empty slot.
+type popSlot struct {
+	key IP
+	val int32
+}
+
+// popBatch is how many insertions the build paths stage at once. The
+// home slots of a batch are loaded in a loop with no dependency between
+// iterations, so their cache misses are in flight together, before the
+// insertions run one by one against lines that are by then resident. 32
+// is past the number of misses a core keeps outstanding; larger batches
+// gain nothing.
+const popBatch = 32
 
 // NewPopulation samples v distinct addresses uniformly from the IPv4
 // space using src. Optionally the hosts can be clustered: with
@@ -65,6 +82,59 @@ func tableSize(v int) int {
 	return 1 << bits.Len(uint(need-1))
 }
 
+// reset empties the population for a build of v hosts, reusing the
+// address slab and the table when they are large enough.
+func (p *Population) reset(v int) error {
+	if v > 1<<31-1 {
+		return fmt.Errorf("addr: population %d exceeds index capacity", v)
+	}
+	if cap(p.addrs) < v {
+		p.addrs = make([]IP, 0, v)
+	} else {
+		p.addrs = p.addrs[:0]
+	}
+	if n := tableSize(v); len(p.table) < n {
+		p.table = make([]popSlot, n)
+		p.mask = uint32(n - 1)
+	}
+	for i := range p.table {
+		p.table[i] = popSlot{val: -1}
+	}
+	return nil
+}
+
+// touchHomes loads the home slot of every staged insertion. Nothing in
+// one iteration depends on another, so the misses overlap instead of
+// queueing behind each other as they would in the insert loop, where
+// each probe's outcome decides what happens next. The sum is returned,
+// and the function kept out of line, only so that the compiler cannot
+// discard the loads.
+//
+//go:noinline
+func touchHomes(table []popSlot, home []uint32) (sum int32) {
+	for _, h := range home {
+		sum += table[h].val
+	}
+	return sum
+}
+
+// insert files ip as the next host index, probing from its home slot h.
+// It reports false, changing nothing, when ip is already present.
+func (p *Population) insert(ip IP, h uint32) bool {
+	for {
+		s := &p.table[h]
+		if s.val < 0 {
+			*s = popSlot{key: ip, val: int32(len(p.addrs))}
+			p.addrs = append(p.addrs, ip)
+			return true
+		}
+		if s.key == ip {
+			return false
+		}
+		h = (h + 1) & p.mask
+	}
+}
+
 // Repopulate redraws the population in place, reusing the address slice
 // and lookup table of the previous draw. The RNG draw sequence is
 // identical to NewPopulation's — membership tests against the table
@@ -84,42 +154,29 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 				v, clusterPrefix, size)
 		}
 	}
-	if v > 1<<31-1 {
-		return fmt.Errorf("addr: population %d exceeds index capacity", v)
+	if err := p.reset(v); err != nil {
+		return err
 	}
-	if cap(p.addrs) < v {
-		p.addrs = make([]IP, 0, v)
-	} else {
-		p.addrs = p.addrs[:0]
-	}
-	if n := tableSize(v); len(p.keys) < n {
-		p.keys = make([]IP, n)
-		p.vals = make([]int32, n)
-		p.mask = uint32(n - 1)
-		for i := range p.vals {
-			p.vals[i] = -1
-		}
-	} else {
-		for i := range p.vals {
-			p.vals[i] = -1
-		}
-	}
-	// For v << size, rejection sampling of distinct addresses is fast;
-	// density in the paper's scenarios is <= 1e-4.
+	// Rejection sampling of distinct addresses: a draw that is already
+	// placed is dropped and the loop draws again. Density v/size spans
+	// 1e-4 and below in the paper's scenarios up to 0.6 in the
+	// Code-Red-scale run (10M hosts in a /8), where two draws in five
+	// are rejected. A batch is never larger than the number of hosts
+	// still missing and every draw places at most one, so batching
+	// draws exactly the values one-at-a-time sampling would; duplicates
+	// inside a batch are caught because insertion stays sequential, in
+	// draw order.
+	var ips [popBatch]IP
+	var home [popBatch]uint32
 	for len(p.addrs) < v {
-		ip := base + IP(rng.Uint64n(src, size))
-		h := hashIP(ip) & p.mask
-		for {
-			if p.vals[h] < 0 {
-				p.keys[h] = ip
-				p.vals[h] = int32(len(p.addrs))
-				p.addrs = append(p.addrs, ip)
-				break
-			}
-			if p.keys[h] == ip {
-				break // duplicate draw: redraw, consuming no extra state
-			}
-			h = (h + 1) & p.mask
+		n := min(popBatch, v-len(p.addrs))
+		for i := 0; i < n; i++ {
+			ips[i] = base + IP(rng.Uint64n(src, size))
+			home[i] = hashIP(ips[i]) & p.mask
+		}
+		touchHomes(p.table, home[:n])
+		for i := 0; i < n; i++ {
+			p.insert(ips[i], home[i]) // false: duplicate draw, consuming no extra state
 		}
 	}
 	return nil
@@ -127,41 +184,31 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 
 // RestoreAddrs rebuilds the population in place from an explicit
 // address list in host-index order — the checkpoint-restore path. The
-// same buffers Repopulate reuses are reused here; no randomness is
-// consumed. A duplicate address is rejected: it cannot have come from
-// a valid draw, so it marks a corrupt checkpoint.
+// same buffers Repopulate reuses are reused here, with the same
+// batching; no randomness is consumed. A duplicate address is rejected:
+// it cannot have come from a valid draw, so it marks a corrupt
+// checkpoint. The population is then partly built and must be rebuilt
+// (by Repopulate or RestoreAddrs) before use.
 func (p *Population) RestoreAddrs(addrs []IP) error {
-	v := len(addrs)
-	if v < 1 {
+	if len(addrs) < 1 {
 		return fmt.Errorf("addr: restore of empty population")
 	}
-	if v > 1<<31-1 {
-		return fmt.Errorf("addr: population %d exceeds index capacity", v)
+	if err := p.reset(len(addrs)); err != nil {
+		return err
 	}
-	if cap(p.addrs) < v {
-		p.addrs = make([]IP, 0, v)
-	} else {
-		p.addrs = p.addrs[:0]
-	}
-	if n := tableSize(v); len(p.keys) < n {
-		p.keys = make([]IP, n)
-		p.vals = make([]int32, n)
-		p.mask = uint32(n - 1)
-	}
-	for i := range p.vals {
-		p.vals[i] = -1
-	}
-	for _, ip := range addrs {
-		h := hashIP(ip) & p.mask
-		for p.vals[h] >= 0 {
-			if p.keys[h] == ip {
+	var home [popBatch]uint32
+	for len(addrs) > 0 {
+		batch := addrs[:min(popBatch, len(addrs))]
+		addrs = addrs[len(batch):]
+		for i, ip := range batch {
+			home[i] = hashIP(ip) & p.mask
+		}
+		touchHomes(p.table, home[:len(batch)])
+		for i, ip := range batch {
+			if !p.insert(ip, home[i]) {
 				return fmt.Errorf("addr: restore with duplicate address %v", ip)
 			}
-			h = (h + 1) & p.mask
 		}
-		p.keys[h] = ip
-		p.vals[h] = int32(len(p.addrs))
-		p.addrs = append(p.addrs, ip)
 	}
 	return nil
 }
@@ -184,20 +231,21 @@ func (p *Population) Addr(i int) IP { return p.addrs[i] }
 
 // Lookup reports whether ip belongs to a vulnerable host and returns its
 // index. This is the simulator's per-scan hit test: one hash, then a
-// linear probe that at ≤2/3 load inspects ~1.5 slots on average —
-// typically a single cache line, since eight table entries share one.
+// linear probe that at ≤2/3 load inspects ~1.5 slots on a hit and ~2.5
+// on a miss — usually within the home slot's cache line, since eight
+// slots share one.
 func (p *Population) Lookup(ip IP) (int, bool) {
-	if len(p.vals) == 0 {
+	if len(p.table) == 0 {
 		return 0, false
 	}
 	h := hashIP(ip) & p.mask
 	for {
-		v := p.vals[h]
-		if v < 0 {
+		s := p.table[h]
+		if s.val < 0 {
 			return 0, false
 		}
-		if p.keys[h] == ip {
-			return int(v), true
+		if s.key == ip {
+			return int(s.val), true
 		}
 		h = (h + 1) & p.mask
 	}
@@ -220,7 +268,7 @@ func (p *Population) AppendAddrs(dst []IP) []IP {
 // Memory returns the structure's approximate resident size in bytes
 // (address slab plus hash table), for capacity planning output.
 func (p *Population) Memory() uint64 {
-	return uint64(cap(p.addrs))*4 + uint64(len(p.keys))*8
+	return uint64(cap(p.addrs))*4 + uint64(len(p.table))*8
 }
 
 // EstimateMemory predicts Memory() for a freshly built population of v

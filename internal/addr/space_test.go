@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"fmt"
 	"testing"
 
 	"wormcontain/internal/rng"
@@ -111,20 +112,33 @@ func TestPopulationDeterministic(t *testing.T) {
 
 // TestPopulationDrawSequenceMatchesMapReference pins the Repopulate
 // contract the golden fingerprints depend on: the open-addressing
-// table must consume the RNG stream exactly like the original
-// map-based implementation — duplicate draws redraw without extra
-// randomness, membership tests consume none — so the drawn address
-// sequence is byte-identical. A dense prefix forces many duplicate
-// draws, exercising the redraw path hard.
+// table, built in batches, must consume the RNG stream exactly like the
+// original one-draw-at-a-time map-based implementation — duplicate
+// draws redraw without extra randomness, membership tests consume none,
+// no batch draws past the last host — so the drawn address sequence and
+// the generator state after it are identical. The cases cover the
+// paper's density (1e-4), the Code-Red-scale run's (0.6, two draws in
+// five rejected) and a full prefix, population sizes on both sides of
+// the batch width, and each of them again on a Population that keeps
+// the oversize table and mask of a larger earlier draw.
 func TestPopulationDrawSequenceMatchesMapReference(t *testing.T) {
-	cases := []struct {
+	type drawCase struct {
 		name string
 		v    int
 		pfx  string
-	}{
+	}
+	cases := []drawCase{
 		{"sparse-internet", 2000, ""},
+		{"density-1e-4", 1678, "10.0.0.0/8"},
+		{"density-0.6", 39322, "10.0.0.0/16"},
 		{"dense-prefix", 900, "10.0.0.0/22"}, // 900 of 1024: heavy rejection
 		{"full-prefix", 256, "10.0.0.0/24"},
+		{"full-prefix-4096", 4096, "10.0.0.0/20"},
+	}
+	for _, v := range []int{1, popBatch - 1, popBatch, popBatch + 1, 3*popBatch + 7} {
+		cases = append(cases,
+			drawCase{fmt.Sprintf("v=%d-internet", v), v, ""},
+			drawCase{fmt.Sprintf("v=%d-of-128", v), v, "10.0.0.0/25"})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,25 +164,43 @@ func TestPopulationDrawSequenceMatchesMapReference(t *testing.T) {
 				seen[ip] = len(ref)
 				ref = append(ref, ip)
 			}
-			refTail := src.Uint64() // stream position after the draw
+			refState := src.State() // stream position after the draw
 
-			src = rng.NewPCG64(1905, 7)
-			pop, err := NewPopulation(c.v, pfx, src)
+			larger, err := NewPopulation(50000, nil, rng.NewPCG64(3, 3))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, want := range ref {
-				if pop.Addr(i) != want {
-					t.Fatalf("host %d: addr %v, reference %v", i, pop.Addr(i), want)
+			for _, reuse := range []struct {
+				name string
+				pop  *Population
+			}{{"fresh", &Population{}}, {"reused", larger}} {
+				pop := reuse.pop
+				src := rng.NewPCG64(1905, 7)
+				if err := pop.Repopulate(c.v, pfx, src); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got := src.Uint64(); got != refTail {
-				t.Fatalf("RNG stream position diverged: %x != %x", got, refTail)
-			}
-			for i := 0; i < pop.Size(); i++ {
-				if got, ok := pop.Lookup(pop.Addr(i)); !ok || got != i {
-					t.Fatalf("lookup(%v) = (%d, %v), want (%d, true)",
-						pop.Addr(i), got, ok, i)
+				if pop.Size() != c.v {
+					t.Fatalf("%s: size %d, want %d", reuse.name, pop.Size(), c.v)
+				}
+				for i, want := range ref {
+					if pop.Addr(i) != want {
+						t.Fatalf("%s: host %d: addr %v, reference %v", reuse.name, i, pop.Addr(i), want)
+					}
+				}
+				if got := src.State(); got != refState {
+					t.Fatalf("%s: RNG stream position diverged: %+v != %+v", reuse.name, got, refState)
+				}
+				for i := 0; i < pop.Size(); i++ {
+					if got, ok := pop.Lookup(pop.Addr(i)); !ok || got != i {
+						t.Fatalf("%s: lookup(%v) = (%d, %v), want (%d, true)",
+							reuse.name, pop.Addr(i), got, ok, i)
+					}
+				}
+				for probe := base; probe < base+4096; probe++ {
+					_, want := seen[probe]
+					if _, ok := pop.Lookup(probe); ok != want {
+						t.Fatalf("%s: lookup(%v) hit = %v, reference %v", reuse.name, probe, ok, want)
+					}
 				}
 			}
 		})

@@ -1,5 +1,6 @@
 // Package binio is the little-endian byte codec the limiter snapshots
-// (internal/core) and the defense snapshots (internal/defense) share:
+// (internal/core), the defense snapshots (internal/defense) and the
+// simulation checkpoints (internal/sim) share:
 // append helpers for the encoders and a bounds-checked, sticky-error
 // Reader for the decoders. Both decode untrusted bytes, so the rules
 // live once: every read verifies the remaining length first, a length
@@ -16,6 +17,9 @@ import (
 
 // AppendU8 appends one byte.
 func AppendU8(b []byte, v uint8) []byte { return append(b, v) }
+
+// AppendU16 appends v little-endian.
+func AppendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 
 // AppendU32 appends v little-endian.
 func AppendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
@@ -92,6 +96,15 @@ func (r *Reader) U8(what string) uint8 {
 		return 0
 	}
 	return v[0]
+}
+
+// U16 reads a little-endian uint16.
+func (r *Reader) U16(what string) uint16 {
+	v := r.Bytes(2, what)
+	if v == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(v)
 }
 
 // U32 reads a little-endian uint32.

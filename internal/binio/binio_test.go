@@ -9,6 +9,7 @@ import (
 func TestRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendU8(b, 0xab)
+	b = AppendU16(b, 0xcafe)
 	b = AppendU32(b, 0xdeadbeef)
 	b = AppendU64(b, 0x0123456789abcdef)
 	b = AppendF64(b, math.Pi)
@@ -16,16 +17,22 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendBool(b, false)
 	b = AppendU32(b, 2) // count of 3-byte elements
 	b = append(b, 1, 2, 3, 4, 5, 6)
-	if want := 1 + 4 + 8 + 8 + 1 + 1 + 4 + 6; len(b) != want {
+	if want := 1 + 2 + 4 + 8 + 8 + 1 + 1 + 4 + 6; len(b) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(b), want)
 	}
-	if b[1] != 0xef || b[4] != 0xde {
-		t.Fatalf("u32 not little-endian: % x", b[1:5])
+	if b[1] != 0xfe || b[2] != 0xca {
+		t.Fatalf("u16 not little-endian: % x", b[1:3])
+	}
+	if b[3] != 0xef || b[6] != 0xde {
+		t.Fatalf("u32 not little-endian: % x", b[3:7])
 	}
 
 	r := NewReader(b, "test: payload")
 	if v := r.U8("a"); v != 0xab {
 		t.Errorf("U8 = %#x", v)
+	}
+	if v := r.U16("b"); v != 0xcafe {
+		t.Errorf("U16 = %#x", v)
 	}
 	if v := r.U32("c"); v != 0xdeadbeef {
 		t.Errorf("U32 = %#x", v)
@@ -68,7 +75,7 @@ func TestErrorsStickAndNameTheFormat(t *testing.T) {
 		t.Fatalf("Err = %v", err)
 	}
 	// Later reads and failures neither succeed nor replace the first error.
-	if r.U8("third") != 0 || r.Bytes(1, "third") != nil || r.F64("third") != 0 || r.Bool("third") || r.Count(1, "third") != 0 {
+	if r.U8("third") != 0 || r.U16("third") != 0 || r.Bytes(1, "third") != nil || r.F64("third") != 0 || r.Bool("third") || r.Count(1, "third") != 0 {
 		t.Error("read succeeded after an error")
 	}
 	if r.Failf("something else") != err || r.Done() != err {

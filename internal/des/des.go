@@ -267,13 +267,18 @@ type Simulator struct {
 // instruments are atomic, so a scraper on another goroutine reads them
 // safely even though the Simulator itself is single-threaded.
 type kernelMetrics struct {
-	events *telemetry.Counter
-	depth  *telemetry.Gauge
+	events   *telemetry.Counter
+	depth    *telemetry.Gauge
+	cascades *telemetry.Counter
 }
 
 // Instrument registers the kernel's metric families into reg and
 // enables per-event updates: des_events_executed_total counts fired
-// events and des_queue_depth tracks the pending-event count. Without
+// events, des_queue_depth tracks the pending-event count, and
+// des_wheel_cascades_total counts the records the timing wheel re-filed
+// on their way down its levels (added once per drained chunk; always 0
+// on the heap backend) — cascades per executed event is how many extra
+// times the wheel touches an event between filing and firing. Without
 // Instrument the kernel touches no instruments at all, so simulations
 // that don't scrape pay only a nil check per event. A nil reg removes
 // previously installed instruments (for Simulators reused across runs
@@ -288,6 +293,8 @@ func (s *Simulator) Instrument(reg *telemetry.Registry) {
 			"Discrete events executed by the simulation kernel."),
 		depth: reg.Gauge("des_queue_depth",
 			"Events pending in the kernel's priority queue."),
+		cascades: reg.Counter("des_wheel_cascades_total",
+			"Records the timing wheel re-filed from a higher level to a lower one."),
 	}
 	s.metrics.depth.Set(float64(s.Pending()))
 }
@@ -332,7 +339,7 @@ func (s *Simulator) Configure(cfg Config) {
 		s.tickShift = log2floor(uint64(tick))
 		s.wheel.cur = uint64(s.now) >> s.tickShift
 		if s.wheel.slots == nil {
-			s.wheel.slots = make([]*wheelChunk, wheelLevels*wheelSlots)
+			s.wheel.slots = make([]wheelSlot, wheelLevels*wheelSlots)
 		}
 	}
 }

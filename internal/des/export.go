@@ -80,9 +80,9 @@ func (s *Simulator) ExportPending() ([]ExportedEvent, error) {
 				return nil, err
 			}
 		}
-		for _, c := range w.slots {
-			for ; c != nil; c = c.next {
-				for i := int32(0); i < c.n; i++ {
+		for _, sl := range w.slots {
+			for c, n := sl.head, sl.n; c != nil; c, n = c.next, wheelChunkCap {
+				for i := int32(0); i < n; i++ {
 					if err := entry(c.evs[i]); err != nil {
 						return nil, err
 					}

@@ -58,8 +58,20 @@ func seedExportWorkload(sim *Simulator, r *exportRecorder, n int) {
 		}
 		batch = append(batch, BatchEvent{At: at, Fn: r.fn, Arg: i})
 	}
+	// Two buckets loaded past two chunk boundaries with a part-filled
+	// head (130 = 50 + 50 + 30), so an export walks whole chunks and a
+	// cursor-bounded one: at the default 16.4µs tick, tick 200 (one
+	// level-0 bucket, past the 2 ms the random events above fill) and
+	// level-1 slot 2 (ticks 8192..12287).
+	for i := 0; i < exportBucketLoad; i++ {
+		batch = append(batch,
+			BatchEvent{At: time.Duration(200<<14 + i*97%(1<<14)), Fn: r.fn, Arg: n + i},
+			BatchEvent{At: time.Duration(2<<26 + i*104_729%(1<<26)), Fn: r.fn, Arg: n + exportBucketLoad + i})
+	}
 	sim.ScheduleBatch(batch)
 }
+
+const exportBucketLoad = 2*wheelChunkCap + 30
 
 func exportKernelConfigs() map[string]Config {
 	return map[string]Config{
@@ -87,6 +99,14 @@ func TestExportRestoreKernelEquivalence(t *testing.T) {
 			partRec := newExportRecorder(part, 1905)
 			seedExportWorkload(part, partRec, 300)
 			for i := 0; i < cut && part.Step(); i++ {
+			}
+			if srcName == "wheel" && cut == 0 {
+				for level, slot := range []uint64{200, 2} {
+					if chunks, headN := bucketShape(part, level, slot); chunks != 3 || headN != 30 {
+						t.Fatalf("level %d slot %d: %d chunk(s), head holds %d; the export is meant to cross a part-filled head and two full chunks",
+							level, slot, chunks, headN)
+					}
+				}
 			}
 			pending, err := part.ExportPending()
 			if err != nil {

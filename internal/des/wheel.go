@@ -13,9 +13,17 @@ import (
 // years at the 16µs default tick) before the overflow heap takes over.
 // Wide levels are deliberate: with deep pending sets (10M+ events) the
 // dominant cost is cold cache lines, and every cascade hop re-touches
-// an event. At 12 bits per level a typical event (thousands to
-// millions of ticks out) sits one level up and cascades once; 6-bit
-// levels would touch it three or four times.
+// an event. An event descends one level per hop, so the hops it takes
+// are the level it is filed at, and that is set by how many ticks out
+// it is: under 4096 none, under 16.7M (level 1) one, and so on. At the
+// default tick a delay up to 67 ms never cascades and one up to 4.6 min
+// cascades once. The sim engine derives a finer tick from V and the
+// scan rate (2 ns at V=10M, 10 scans/s: level 1 ends at 33 ms), which
+// files most scan events at level 2 and re-files them twice — the
+// V=10M benchmark run (BenchmarkSimRun10M) counts 6.80M re-filings for
+// 3.74M executed events, 1.82 each (des_wheel_cascades_total over
+// des_events_executed_total). 6-bit levels would double the hops at
+// either tick.
 //
 // Buckets are chunked arrays of compact (at, seq, node) records, not
 // intrusive node lists. The distinction is what the memory system
@@ -154,12 +162,25 @@ func (h *entryHeap) pop() wheelEntry {
 }
 
 // wheelChunk is one segment of a bucket: a fixed record array plus the
-// link to the bucket's older chunks. Chunks recycle through the
-// wheel's free list (threaded through the same next field).
+// link to the bucket's older chunks. It carries no fill count: only a
+// bucket's head chunk is ever partly filled, and that count lives in
+// the bucket's wheelSlot; every chunk behind the head is full. Chunks
+// recycle through the wheel's free list (threaded through the same next
+// field).
 type wheelChunk struct {
 	next *wheelChunk
-	n    int32
 	evs  [wheelChunkCap]wheelEntry
+}
+
+// wheelSlot is one bucket head: the newest chunk and how many records
+// it holds (1..wheelChunkCap; 0 only with head == nil). Keeping the
+// cursor here instead of in the chunk means filing a record reads the
+// slot array — 256 KB for all four levels, cache-resident under load —
+// and writes one line of the chunk, never the chunk's header; with
+// millions of events pending the chunks themselves are cold.
+type wheelSlot struct {
+	head *wheelChunk
+	n    int32
 }
 
 // wheelState is the per-Simulator wheel storage: a flat bucket-head
@@ -170,9 +191,9 @@ type wheelState struct {
 	cur     uint64 // current tick (absolute, at >> tickShift)
 	summary [wheelLevels]uint64
 	bitmap  [wheelLevels][wheelBitWords]uint64
-	// slots holds the bucket chunk heads, level-major:
+	// slots holds the bucket heads, level-major:
 	// slots[level*wheelSlots+slot].
-	slots      []*wheelChunk
+	slots      []wheelSlot
 	due        entryHeap // events with tick <= cur, ordered (at, seq)
 	overflow   entryHeap // events beyond the 48-bit tick horizon
 	count      int       // total queued events (due + slots + overflow)
@@ -204,7 +225,6 @@ func (s *Simulator) chunkAlloc() *wheelChunk {
 // are overwritten on reuse.
 func (s *Simulator) chunkFree(c *wheelChunk) {
 	w := &s.wheel
-	c.n = 0
 	c.next = w.freeChunks
 	w.freeChunks = c
 }
@@ -232,15 +252,14 @@ func (s *Simulator) wheelPlace(e wheelEntry) {
 	}
 	slot := (tick >> (uint(level) * wheelLevelBits)) & wheelSlotMask
 	idx := level*wheelSlots + int(slot)
-	c := w.slots[idx]
-	if c == nil || c.n == wheelChunkCap {
+	sl := &w.slots[idx]
+	if sl.head == nil || sl.n == wheelChunkCap {
 		nc := s.chunkAlloc()
-		nc.next = c
-		w.slots[idx] = nc
-		c = nc
+		nc.next = sl.head
+		sl.head, sl.n = nc, 0
 	}
-	c.evs[c.n] = e
-	c.n++
+	sl.head.evs[sl.n] = e
+	sl.n++
 	w.bitmap[level][slot>>6] |= 1 << (slot & 63)
 	w.summary[level] |= 1 << (slot >> 6)
 }
@@ -271,8 +290,8 @@ func (s *Simulator) wheelAdvance() bool {
 		// cur forward.
 		w.cur = w.cur&^(uint64(1)<<(shift+wheelLevelBits)-1) | slot<<shift
 		idx := level*wheelSlots + int(slot)
-		head := w.slots[idx]
-		w.slots[idx] = nil
+		sl := w.slots[idx]
+		w.slots[idx] = wheelSlot{}
 		if bw &^= 1 << (slot & 63); bw == 0 {
 			w.summary[level] &^= 1 << word
 		}
@@ -283,8 +302,8 @@ func (s *Simulator) wheelAdvance() bool {
 		if level == 0 {
 			// A level-0 bucket holds exactly one tick, now == cur:
 			// everything in it is due.
-			for c := head; c != nil; {
-				for i := int32(0); i < c.n; i++ {
+			for c, n := sl.head, sl.n; c != nil; n = wheelChunkCap {
+				for i := int32(0); i < n; i++ {
 					w.due.push(c.evs[i])
 				}
 				next := c.next
@@ -292,13 +311,18 @@ func (s *Simulator) wheelAdvance() bool {
 				c = next
 			}
 		} else {
-			for c := head; c != nil; {
-				for i := int32(0); i < c.n; i++ {
+			var refiled uint64
+			for c, n := sl.head, sl.n; c != nil; n = wheelChunkCap {
+				for i := int32(0); i < n; i++ {
 					s.wheelPlace(c.evs[i]) // a strictly lower level (or due)
 				}
+				refiled += uint64(n)
 				next := c.next
 				s.chunkFree(c)
 				c = next
+			}
+			if m := s.metrics; m != nil {
+				m.cascades.Add(refiled)
 			}
 		}
 		return true
@@ -373,8 +397,8 @@ func (s *Simulator) wheelReset() {
 					slot := uint64(word)<<6 + uint64(bits.TrailingZeros64(bw))
 					bw &= bw - 1
 					idx := level*wheelSlots + int(slot)
-					for c := w.slots[idx]; c != nil; {
-						for i := int32(0); i < c.n; i++ {
+					for c, n := w.slots[idx].head, w.slots[idx].n; c != nil; n = wheelChunkCap {
+						for i := int32(0); i < n; i++ {
 							if t := c.evs[i].t; t != nil {
 								s.recycle(t)
 							}
@@ -383,7 +407,7 @@ func (s *Simulator) wheelReset() {
 						s.chunkFree(c)
 						c = next
 					}
-					w.slots[idx] = nil
+					w.slots[idx] = wheelSlot{}
 				}
 				w.bitmap[level][word] = 0
 				w.summary[level] &^= 1 << word

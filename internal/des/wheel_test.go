@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"wormcontain/internal/telemetry"
 )
 
 // newWheel returns a wheel-backed simulator with a deliberately coarse
@@ -390,5 +392,132 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 					seed, i, heapFires[i], wheelFires[i])
 			}
 		}
+	}
+}
+
+// bucketShape reports how one wheel bucket is stored: the number of
+// chunks in its chain and the head chunk's fill count.
+func bucketShape(s *Simulator, level int, slot uint64) (chunks int, headN int32) {
+	sl := s.wheel.slots[level*wheelSlots+int(slot)]
+	for c := sl.head; c != nil; c = c.next {
+		chunks++
+	}
+	return chunks, sl.n
+}
+
+// oneBucketTimes returns n scrambled timestamps, with exact ties, whose
+// ticks (at a 1024 ns tick, from cur = 0) all file into slot 3 of the
+// given level, every lower tick group nonzero — so a level-L record is
+// re-filed exactly L times on its way to the due heap.
+func oneBucketTimes(level, n int) []time.Duration {
+	const shift = 10
+	at := make([]time.Duration, n)
+	for i := range at {
+		tick := uint64(3) << (uint(level) * wheelLevelBits)
+		for l := 0; l < level; l++ {
+			tick |= uint64(1+(i*37+l*11)%(wheelSlots-1)) << (uint(l) * wheelLevelBits)
+		}
+		at[i] = time.Duration(tick<<shift | uint64(i*389%1024))
+		if i%5 == 4 {
+			at[i] = at[i-1] // exact tie: seq decides
+		}
+	}
+	return at
+}
+
+// TestWheelChunkBoundaryMatchesHeap fills a single bucket to one below,
+// exactly at and one above a chunk boundary (and the next boundary), at
+// each level that holds events in practice, and requires the heap's
+// fire sequence. The bucket's fill cursor lives in the slot array, not
+// in the chunk: these are the counts where a wrong cursor hand-over
+// between head and full chunks would drop, duplicate or reorder
+// records. The cascade counter must read exactly level × events.
+func TestWheelChunkBoundaryMatchesHeap(t *testing.T) {
+	type fire struct {
+		at  time.Duration
+		arg int
+	}
+	for level := 0; level <= 2; level++ {
+		for _, n := range []int{wheelChunkCap - 1, wheelChunkCap, wheelChunkCap + 1, 2 * wheelChunkCap, 2*wheelChunkCap + 1} {
+			times := oneBucketTimes(level, n)
+			run := func(kind Kind) ([]fire, float64) {
+				s := NewWithConfig(Config{Kernel: kind, WheelTick: 1024})
+				reg := telemetry.NewRegistry()
+				s.Instrument(reg)
+				var fires []fire
+				fn := func(arg int) { fires = append(fires, fire{s.Now(), arg}) }
+				for i, at := range times {
+					if i%3 == 0 {
+						s.ScheduleArgAt(at, fn, i)
+					} else {
+						s.EmitAt(at, fn, i)
+					}
+				}
+				if kind == KernelWheel {
+					wantChunks := (n + wheelChunkCap - 1) / wheelChunkCap
+					wantHead := int32(n - (wantChunks-1)*wheelChunkCap)
+					if chunks, headN := bucketShape(s, level, 3); chunks != wantChunks || headN != wantHead {
+						t.Fatalf("level %d n %d: bucket is %d chunk(s), head holds %d; want %d, %d",
+							level, n, chunks, headN, wantChunks, wantHead)
+					}
+				}
+				s.Run()
+				cascades, _ := reg.Snapshot().Value("des_wheel_cascades_total")
+				return fires, cascades
+			}
+			heapFires, heapCascades := run(KernelHeap)
+			wheelFires, wheelCascades := run(KernelWheel)
+			if len(heapFires) != n || len(wheelFires) != n {
+				t.Fatalf("level %d n %d: heap fired %d, wheel fired %d", level, n, len(heapFires), len(wheelFires))
+			}
+			for i := range heapFires {
+				if heapFires[i] != wheelFires[i] {
+					t.Fatalf("level %d n %d: divergence at event %d: heap %v wheel %v",
+						level, n, i, heapFires[i], wheelFires[i])
+				}
+			}
+			if heapCascades != 0 || wheelCascades != float64(level*n) {
+				t.Fatalf("level %d n %d: cascades heap %v wheel %v, want 0 and %d",
+					level, n, heapCascades, wheelCascades, level*n)
+			}
+		}
+	}
+}
+
+// TestWheelResetHalfFilledHeadThenRefill resets a bucket whose chain is
+// a full chunk behind a half-filled head, then refills the same bucket
+// past two boundaries from the recycled chunks: the slot's cursor must
+// restart at zero, and the run must match the heap's.
+func TestWheelResetHalfFilledHeadThenRefill(t *testing.T) {
+	run := func(kind Kind) []int {
+		s := NewWithConfig(Config{Kernel: kind, WheelTick: 1024})
+		var fires []int
+		fn := func(arg int) { fires = append(fires, arg) }
+		for i, at := range oneBucketTimes(1, wheelChunkCap+wheelChunkCap/2) {
+			s.EmitAt(at, fn, -1-i) // must never fire
+		}
+		s.Reset()
+		if kind == KernelWheel {
+			if chunks, headN := bucketShape(s, 1, 3); chunks != 0 || headN != 0 {
+				t.Fatalf("Reset left %d chunk(s), cursor %d in the bucket", chunks, headN)
+			}
+		}
+		const refill = 2*wheelChunkCap + 7
+		for i, at := range oneBucketTimes(1, refill) {
+			s.EmitAt(at, fn, i)
+		}
+		if kind == KernelWheel {
+			if chunks, headN := bucketShape(s, 1, 3); chunks != 3 || headN != 7 {
+				t.Fatalf("refilled bucket is %d chunk(s), head holds %d; want 3, 7", chunks, headN)
+			}
+		}
+		s.Run()
+		if len(fires) != refill {
+			t.Fatalf("%v: fired %d events after refill, want %d", kind, len(fires), refill)
+		}
+		return fires
+	}
+	if heap, wheel := run(KernelHeap), run(KernelWheel); fmt.Sprint(heap) != fmt.Sprint(wheel) {
+		t.Fatalf("fire order after Reset and refill differs:\nheap  %v\nwheel %v", heap, wheel)
 	}
 }

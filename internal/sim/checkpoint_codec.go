@@ -1,12 +1,11 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"wormcontain/internal/addr"
+	"wormcontain/internal/binio"
 	"wormcontain/internal/des"
 )
 
@@ -34,96 +33,96 @@ func EncodeCheckpoint(ck *Checkpoint) []byte {
 // reuse one buffer.
 func AppendEncodeCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = append(b, checkpointMagic...)
-	b = le16(b, checkpointVersion)
+	b = binio.AppendU16(b, checkpointVersion)
 
 	// Identity header.
-	b = le64(b, uint64(ck.V))
-	b = le64(b, uint64(ck.I0))
-	b = leF64(b, ck.ScanRate)
-	b = le64(b, ck.Seed)
-	b = le64(b, ck.Stream)
-	b = leF64(b, ck.PatchRate)
-	b = leF64(b, ck.ImmunizeRate)
-	b = leBool(b, ck.EdgeScanRate)
-	b = le64(b, ck.TopoFingerprint)
-	b = le32(b, uint32(len(ck.DefenseName)))
+	b = binio.AppendU64(b, uint64(ck.V))
+	b = binio.AppendU64(b, uint64(ck.I0))
+	b = binio.AppendF64(b, ck.ScanRate)
+	b = binio.AppendU64(b, ck.Seed)
+	b = binio.AppendU64(b, ck.Stream)
+	b = binio.AppendF64(b, ck.PatchRate)
+	b = binio.AppendF64(b, ck.ImmunizeRate)
+	b = binio.AppendBool(b, ck.EdgeScanRate)
+	b = binio.AppendU64(b, ck.TopoFingerprint)
+	b = binio.AppendU32(b, uint32(len(ck.DefenseName)))
 	b = append(b, ck.DefenseName...)
-	b = leBool(b, ck.HasCluster)
-	b = le32(b, uint32(ck.ClusterNet))
+	b = binio.AppendBool(b, ck.HasCluster)
+	b = binio.AppendU32(b, uint32(ck.ClusterNet))
 	b = append(b, ck.ClusterBits)
-	b = leBool(b, ck.HasDuty)
-	b = le64(b, uint64(ck.DutyOn))
-	b = le64(b, uint64(ck.DutyOff))
-	b = leBool(b, ck.RecordPaths)
-	b = leBool(b, ck.RecordTree)
+	b = binio.AppendBool(b, ck.HasDuty)
+	b = binio.AppendU64(b, uint64(ck.DutyOn))
+	b = binio.AppendU64(b, uint64(ck.DutyOff))
+	b = binio.AppendBool(b, ck.RecordPaths)
+	b = binio.AppendBool(b, ck.RecordTree)
 	b = append(b, uint8(ck.Kernel))
 
 	// Dynamic state.
-	b = le64(b, uint64(ck.Now))
-	b = le64(b, ck.Fired)
-	b = le64(b, ck.RNG.Hi)
-	b = le64(b, ck.RNG.Lo)
-	b = le64(b, ck.RNG.IncHi)
-	b = le64(b, ck.RNG.IncLo)
-	b = le32(b, uint32(len(ck.Addrs)))
+	b = binio.AppendU64(b, uint64(ck.Now))
+	b = binio.AppendU64(b, ck.Fired)
+	b = binio.AppendU64(b, ck.RNG.Hi)
+	b = binio.AppendU64(b, ck.RNG.Lo)
+	b = binio.AppendU64(b, ck.RNG.IncHi)
+	b = binio.AppendU64(b, ck.RNG.IncLo)
+	b = binio.AppendU32(b, uint32(len(ck.Addrs)))
 	for _, ip := range ck.Addrs {
-		b = le32(b, uint32(ip))
+		b = binio.AppendU32(b, uint32(ip))
 	}
-	b = le32(b, uint32(len(ck.Infected)))
+	b = binio.AppendU32(b, uint32(len(ck.Infected)))
 	for _, w := range ck.Infected {
-		b = le64(b, w)
+		b = binio.AppendU64(b, w)
 	}
-	b = le32(b, uint32(len(ck.Removed)))
+	b = binio.AppendU32(b, uint32(len(ck.Removed)))
 	for _, w := range ck.Removed {
-		b = le64(b, w)
+		b = binio.AppendU64(b, w)
 	}
-	b = le32(b, uint32(len(ck.Gen)))
+	b = binio.AppendU32(b, uint32(len(ck.Gen)))
 	for _, g := range ck.Gen {
-		b = le32(b, uint32(g))
+		b = binio.AppendU32(b, uint32(g))
 	}
-	b = le32(b, uint32(len(ck.InfectedAt)))
+	b = binio.AppendU32(b, uint32(len(ck.InfectedAt)))
 	for _, t := range ck.InfectedAt {
-		b = le64(b, uint64(t))
+		b = binio.AppendU64(b, uint64(t))
 	}
-	b = le32(b, uint32(len(ck.Deliv)))
+	b = binio.AppendU32(b, uint32(len(ck.Deliv)))
 	for _, d := range ck.Deliv {
-		b = le32(b, uint32(d.Src))
-		b = le32(b, uint32(d.Dst))
-		b = le32(b, uint32(d.Parent))
+		b = binio.AppendU32(b, uint32(d.Src))
+		b = binio.AppendU32(b, uint32(d.Dst))
+		b = binio.AppendU32(b, uint32(d.Parent))
 	}
-	b = le32(b, uint32(len(ck.FreeDeliv)))
+	b = binio.AppendU32(b, uint32(len(ck.FreeDeliv)))
 	for _, s := range ck.FreeDeliv {
-		b = le32(b, uint32(s))
+		b = binio.AppendU32(b, uint32(s))
 	}
-	b = le32(b, uint32(len(ck.Pending)))
+	b = binio.AppendU32(b, uint32(len(ck.Pending)))
 	for _, ev := range ck.Pending {
-		b = le64(b, uint64(ev.At))
+		b = binio.AppendU64(b, uint64(ev.At))
 		b = append(b, ev.Kind)
-		b = le32(b, uint32(ev.Arg))
+		b = binio.AppendU32(b, uint32(ev.Arg))
 	}
-	b = le32(b, uint32(len(ck.Defense)))
+	b = binio.AppendU32(b, uint32(len(ck.Defense)))
 	b = append(b, ck.Defense...)
 
 	// Result so far.
-	b = le64(b, uint64(ck.TotalInfected))
-	b = le64(b, uint64(ck.TotalRemoved))
-	b = le64(b, uint64(ck.PeakActive))
-	b = leBool(b, ck.Truncated)
-	b = le32(b, uint32(len(ck.Generations)))
+	b = binio.AppendU64(b, uint64(ck.TotalInfected))
+	b = binio.AppendU64(b, uint64(ck.TotalRemoved))
+	b = binio.AppendU64(b, uint64(ck.PeakActive))
+	b = binio.AppendBool(b, ck.Truncated)
+	b = binio.AppendU32(b, uint32(len(ck.Generations)))
 	for _, n := range ck.Generations {
-		b = le64(b, uint64(n))
+		b = binio.AppendU64(b, uint64(n))
 	}
-	b = le64(b, ck.TotalScans)
-	b = le64(b, ck.Delivered)
-	b = le64(b, ck.Delayed)
-	b = le64(b, ck.Dropped)
-	b = le64(b, uint64(ck.Patched))
-	b = le64(b, uint64(ck.Immunized))
-	b = le32(b, uint32(len(ck.Tree)))
+	b = binio.AppendU64(b, ck.TotalScans)
+	b = binio.AppendU64(b, ck.Delivered)
+	b = binio.AppendU64(b, ck.Delayed)
+	b = binio.AppendU64(b, ck.Dropped)
+	b = binio.AppendU64(b, uint64(ck.Patched))
+	b = binio.AppendU64(b, uint64(ck.Immunized))
+	b = binio.AppendU32(b, uint32(len(ck.Tree)))
 	for _, e := range ck.Tree {
-		b = le32(b, uint32(e.Parent))
-		b = le32(b, uint32(e.Child))
-		b = le64(b, uint64(e.At))
+		b = binio.AppendU32(b, uint32(e.Parent))
+		b = binio.AppendU32(b, uint32(e.Child))
+		b = binio.AppendU64(b, uint64(e.At))
 	}
 	b = appendSeries(b, ck.InfectedPts)
 	b = appendSeries(b, ck.RemovedPts)
@@ -131,115 +130,13 @@ func AppendEncodeCheckpoint(b []byte, ck *Checkpoint) []byte {
 	return b
 }
 
-func le16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func le64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func leF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func leBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendSeries(b []byte, p SeriesPoints) []byte {
-	b = le32(b, uint32(len(p.Times)))
+	b = binio.AppendU32(b, uint32(len(p.Times)))
 	for i, t := range p.Times {
-		b = le64(b, uint64(t))
-		b = leF64(b, p.Values[i])
+		b = binio.AppendU64(b, uint64(t))
+		b = binio.AppendF64(b, p.Values[i])
 	}
 	return b
-}
-
-// ckReader is the bounds-checked decoder cursor: every read verifies
-// the remaining length first, and length-prefixed sections verify the
-// prefix against the bytes actually present before allocating, so a
-// hostile length field cannot force a huge allocation or an over-read.
-type ckReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("sim: checkpoint truncated reading %s (%d bytes left)", what, len(r.b))
-	}
-}
-
-func (r *ckReader) bytes(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b) < n {
-		r.fail(what)
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *ckReader) u8(what string) uint8 {
-	v := r.bytes(1, what)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *ckReader) u16(what string) uint16 {
-	v := r.bytes(2, what)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(v)
-}
-
-func (r *ckReader) u32(what string) uint32 {
-	v := r.bytes(4, what)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(v)
-}
-
-func (r *ckReader) u64(what string) uint64 {
-	v := r.bytes(8, what)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
-}
-
-func (r *ckReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-func (r *ckReader) dur(what string) time.Duration { return time.Duration(r.u64(what)) }
-
-// boolean decodes a bool strictly: only 0 and 1 are valid, preserving
-// the decode∘encode identity.
-func (r *ckReader) boolean(what string) bool {
-	v := r.u8(what)
-	if r.err == nil && v > 1 {
-		r.err = fmt.Errorf("sim: checkpoint %s byte %d is not a boolean", what, v)
-	}
-	return v == 1
-}
-
-// length decodes a u32 element count and pre-verifies that elemSize
-// bytes per element are actually present.
-func (r *ckReader) length(elemSize int, what string) int {
-	n := r.u32(what)
-	if r.err != nil {
-		return 0
-	}
-	if int64(n)*int64(elemSize) > int64(len(r.b)) {
-		r.fail(what)
-		return 0
-	}
-	return int(n)
 }
 
 // DecodeCheckpoint parses a checkpoint payload, rejecting truncated,
@@ -248,146 +145,146 @@ func (r *ckReader) length(elemSize int, what string) int {
 // happens at restore time (validateCheckpointState); the decoder
 // guarantees structure plus the re-encode identity.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	r := &ckReader{b: data}
-	if magic := r.bytes(4, "magic"); r.err == nil && string(magic) != checkpointMagic {
+	r := binio.NewReader(data, "sim: checkpoint")
+	if magic := r.Bytes(4, "magic"); r.Err() == nil && string(magic) != checkpointMagic {
 		return nil, fmt.Errorf("sim: not a checkpoint (magic %q)", magic)
 	}
-	if v := r.u16("version"); r.err == nil && v != checkpointVersion {
+	if v := r.U16("version"); r.Err() == nil && v != checkpointVersion {
 		return nil, fmt.Errorf("sim: checkpoint version %d, want %d", v, checkpointVersion)
 	}
 	ck := &Checkpoint{}
 
 	// Identity header.
-	vHosts := r.u64("V")
-	if r.err == nil && (vHosts < 1 || vHosts > 1<<31-1) {
+	vHosts := r.U64("V")
+	if r.Err() == nil && (vHosts < 1 || vHosts > 1<<31-1) {
 		return nil, fmt.Errorf("sim: checkpoint V %d out of range", vHosts)
 	}
 	ck.V = int(vHosts)
-	i0 := r.u64("I0")
-	if r.err == nil && (i0 < 1 || i0 > vHosts) {
+	i0 := r.U64("I0")
+	if r.Err() == nil && (i0 < 1 || i0 > vHosts) {
 		return nil, fmt.Errorf("sim: checkpoint I0 %d out of [1, V=%d]", i0, vHosts)
 	}
 	ck.I0 = int(i0)
-	ck.ScanRate = r.f64("scan rate")
-	ck.Seed = r.u64("seed")
-	ck.Stream = r.u64("stream")
-	ck.PatchRate = r.f64("patch rate")
-	ck.ImmunizeRate = r.f64("immunize rate")
-	ck.EdgeScanRate = r.boolean("edge-scan-rate")
-	ck.TopoFingerprint = r.u64("topology fingerprint")
-	ck.DefenseName = string(r.bytes(r.length(1, "defense name"), "defense name"))
-	ck.HasCluster = r.boolean("cluster flag")
-	ck.ClusterNet = addr.IP(r.u32("cluster net"))
-	ck.ClusterBits = r.u8("cluster bits")
-	if r.err == nil && ck.ClusterBits > 32 {
+	ck.ScanRate = r.F64("scan rate")
+	ck.Seed = r.U64("seed")
+	ck.Stream = r.U64("stream")
+	ck.PatchRate = r.F64("patch rate")
+	ck.ImmunizeRate = r.F64("immunize rate")
+	ck.EdgeScanRate = r.Bool("edge-scan-rate")
+	ck.TopoFingerprint = r.U64("topology fingerprint")
+	ck.DefenseName = string(r.Bytes(r.Count(1, "defense name"), "defense name"))
+	ck.HasCluster = r.Bool("cluster flag")
+	ck.ClusterNet = addr.IP(r.U32("cluster net"))
+	ck.ClusterBits = r.U8("cluster bits")
+	if r.Err() == nil && ck.ClusterBits > 32 {
 		return nil, fmt.Errorf("sim: checkpoint cluster bits %d out of [0, 32]", ck.ClusterBits)
 	}
-	ck.HasDuty = r.boolean("duty flag")
-	ck.DutyOn = r.dur("duty on")
-	ck.DutyOff = r.dur("duty off")
-	ck.RecordPaths = r.boolean("record-paths")
-	ck.RecordTree = r.boolean("record-tree")
-	kernel := r.u8("kernel")
-	if r.err == nil && kernel > uint8(des.KernelWheel) {
+	ck.HasDuty = r.Bool("duty flag")
+	ck.DutyOn = readDur(r, "duty on")
+	ck.DutyOff = readDur(r, "duty off")
+	ck.RecordPaths = r.Bool("record-paths")
+	ck.RecordTree = r.Bool("record-tree")
+	kernel := r.U8("kernel")
+	if r.Err() == nil && kernel > uint8(des.KernelWheel) {
 		return nil, fmt.Errorf("sim: checkpoint kernel %d unknown", kernel)
 	}
 	ck.Kernel = des.Kind(kernel)
 
 	// Dynamic state.
-	ck.Now = r.dur("clock")
-	ck.Fired = r.u64("fired")
-	ck.RNG.Hi = r.u64("rng hi")
-	ck.RNG.Lo = r.u64("rng lo")
-	ck.RNG.IncHi = r.u64("rng inc hi")
-	ck.RNG.IncLo = r.u64("rng inc lo")
-	if r.err == nil && ck.RNG.IncLo&1 == 0 {
+	ck.Now = readDur(r, "clock")
+	ck.Fired = r.U64("fired")
+	ck.RNG.Hi = r.U64("rng hi")
+	ck.RNG.Lo = r.U64("rng lo")
+	ck.RNG.IncHi = r.U64("rng inc hi")
+	ck.RNG.IncLo = r.U64("rng inc lo")
+	if r.Err() == nil && ck.RNG.IncLo&1 == 0 {
 		return nil, fmt.Errorf("sim: checkpoint RNG increment is even")
 	}
-	if n := r.length(4, "addresses"); r.err == nil {
+	if n := r.Count(4, "addresses"); r.Err() == nil {
 		ck.Addrs = make([]addr.IP, n)
 		for i := range ck.Addrs {
-			ck.Addrs[i] = addr.IP(r.u32("address"))
+			ck.Addrs[i] = addr.IP(r.U32("address"))
 		}
 	}
-	if n := r.length(8, "infected bitset"); r.err == nil {
+	if n := r.Count(8, "infected bitset"); r.Err() == nil {
 		ck.Infected = make([]uint64, n)
 		for i := range ck.Infected {
-			ck.Infected[i] = r.u64("infected word")
+			ck.Infected[i] = r.U64("infected word")
 		}
 	}
-	if n := r.length(8, "removed bitset"); r.err == nil {
+	if n := r.Count(8, "removed bitset"); r.Err() == nil {
 		ck.Removed = make([]uint64, n)
 		for i := range ck.Removed {
-			ck.Removed[i] = r.u64("removed word")
+			ck.Removed[i] = r.U64("removed word")
 		}
 	}
-	if n := r.length(4, "generations table"); r.err == nil {
+	if n := r.Count(4, "generations table"); r.Err() == nil {
 		ck.Gen = make([]int32, n)
 		for i := range ck.Gen {
-			ck.Gen[i] = int32(r.u32("generation"))
+			ck.Gen[i] = int32(r.U32("generation"))
 		}
 	}
-	if n := r.length(8, "infection instants"); r.err == nil {
+	if n := r.Count(8, "infection instants"); r.Err() == nil {
 		ck.InfectedAt = make([]time.Duration, n)
 		for i := range ck.InfectedAt {
-			ck.InfectedAt[i] = r.dur("infection instant")
+			ck.InfectedAt[i] = readDur(r, "infection instant")
 		}
 	}
-	if n := r.length(12, "deliveries"); r.err == nil {
+	if n := r.Count(12, "deliveries"); r.Err() == nil {
 		ck.Deliv = make([]PendingDelivery, n)
 		for i := range ck.Deliv {
 			ck.Deliv[i] = PendingDelivery{
-				Src:    addr.IP(r.u32("delivery src")),
-				Dst:    addr.IP(r.u32("delivery dst")),
-				Parent: int32(r.u32("delivery parent")),
+				Src:    addr.IP(r.U32("delivery src")),
+				Dst:    addr.IP(r.U32("delivery dst")),
+				Parent: int32(r.U32("delivery parent")),
 			}
 		}
 	}
-	if n := r.length(4, "free delivery slots"); r.err == nil {
+	if n := r.Count(4, "free delivery slots"); r.Err() == nil {
 		ck.FreeDeliv = make([]int32, n)
 		for i := range ck.FreeDeliv {
-			ck.FreeDeliv[i] = int32(r.u32("free slot"))
+			ck.FreeDeliv[i] = int32(r.U32("free slot"))
 		}
 	}
-	if n := r.length(13, "pending events"); r.err == nil {
+	if n := r.Count(13, "pending events"); r.Err() == nil {
 		ck.Pending = make([]PendingEvent, n)
 		for i := range ck.Pending {
 			ck.Pending[i] = PendingEvent{
-				At:   r.dur("event time"),
-				Kind: r.u8("event kind"),
-				Arg:  int32(r.u32("event arg")),
+				At:   readDur(r, "event time"),
+				Kind: r.U8("event kind"),
+				Arg:  int32(r.U32("event arg")),
 			}
 		}
 	}
-	ck.Defense = append([]byte(nil), r.bytes(r.length(1, "defense state"), "defense state")...)
+	ck.Defense = append([]byte(nil), r.Bytes(r.Count(1, "defense state"), "defense state")...)
 	if len(ck.Defense) == 0 {
 		ck.Defense = nil
 	}
 
 	// Result so far.
-	ck.TotalInfected = int(int64(r.u64("total infected")))
-	ck.TotalRemoved = int(int64(r.u64("total removed")))
-	ck.PeakActive = int(int64(r.u64("peak active")))
-	ck.Truncated = r.boolean("truncated")
-	if n := r.length(8, "generation histogram"); r.err == nil {
+	ck.TotalInfected = int(int64(r.U64("total infected")))
+	ck.TotalRemoved = int(int64(r.U64("total removed")))
+	ck.PeakActive = int(int64(r.U64("peak active")))
+	ck.Truncated = r.Bool("truncated")
+	if n := r.Count(8, "generation histogram"); r.Err() == nil {
 		ck.Generations = make([]int, n)
 		for i := range ck.Generations {
-			ck.Generations[i] = int(int64(r.u64("generation count")))
+			ck.Generations[i] = int(int64(r.U64("generation count")))
 		}
 	}
-	ck.TotalScans = r.u64("total scans")
-	ck.Delivered = r.u64("delivered")
-	ck.Delayed = r.u64("delayed")
-	ck.Dropped = r.u64("dropped")
-	ck.Patched = int(int64(r.u64("patched")))
-	ck.Immunized = int(int64(r.u64("immunized")))
-	if n := r.length(16, "infection tree"); r.err == nil {
+	ck.TotalScans = r.U64("total scans")
+	ck.Delivered = r.U64("delivered")
+	ck.Delayed = r.U64("delayed")
+	ck.Dropped = r.U64("dropped")
+	ck.Patched = int(int64(r.U64("patched")))
+	ck.Immunized = int(int64(r.U64("immunized")))
+	if n := r.Count(16, "infection tree"); r.Err() == nil {
 		ck.Tree = make([]InfectionEdge, n)
 		for i := range ck.Tree {
 			ck.Tree[i] = InfectionEdge{
-				Parent: int(int32(r.u32("edge parent"))),
-				Child:  int(int32(r.u32("edge child"))),
-				At:     r.dur("edge time"),
+				Parent: int(int32(r.U32("edge parent"))),
+				Child:  int(int32(r.U32("edge child"))),
+				At:     readDur(r, "edge time"),
 			}
 		}
 	}
@@ -401,11 +298,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if ck.ActivePts, err = decodeSeries(r, "active series"); err != nil {
 		return nil, err
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("sim: checkpoint has %d trailing bytes", len(r.b))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	// Counters that flow into lengths elsewhere must fit their types on
 	// 32-bit hosts too; reject sign-flipped values outright.
@@ -423,9 +317,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-func decodeSeries(r *ckReader, what string) (SeriesPoints, error) {
-	n := r.length(16, what)
-	if r.err != nil || n == 0 {
+func readDur(r *binio.Reader, what string) time.Duration { return time.Duration(r.U64(what)) }
+
+func decodeSeries(r *binio.Reader, what string) (SeriesPoints, error) {
+	n := r.Count(16, what)
+	if r.Err() != nil || n == 0 {
 		return SeriesPoints{}, nil
 	}
 	p := SeriesPoints{
@@ -433,8 +329,8 @@ func decodeSeries(r *ckReader, what string) (SeriesPoints, error) {
 		Values: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		p.Times[i] = r.dur(what)
-		p.Values[i] = r.f64(what)
+		p.Times[i] = readDur(r, what)
+		p.Values[i] = r.F64(what)
 	}
 	return p, nil
 }
