@@ -21,9 +21,12 @@ benchmark-module:
 # engine (internal/parallel) and every fan-out built on it. The
 # experiments package re-runs whole artifact suites under the detector
 # and sits near go test's default 10-minute per-package timeout, so the
-# limit is raised explicitly.
+# limit is raised explicitly. The striped limiter and the journal lanes
+# are shared by every deciding goroutine; their concurrent tests run ten
+# times over, since one pass sees one interleaving.
 race:
 	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -count=10 -timeout 10m -run 'Concurrent|Parallel|UnderTraffic' ./internal/core ./internal/durable
 
 # One iteration per benchmark: a smoke run that keeps bench_test.go
 # compiling and completing, matching the CI bench-smoke job. Full
@@ -35,13 +38,15 @@ bench:
 # deep-churn EventKernelChurn matrix, the internet-scale SimRun10M and
 # the checkpoint encoder's Checkpoint10M) and the 10M-host population
 # layer (Repopulate10M, RestoreAddrs10M, LookupDense10M) alongside the
+# limiter and journal suites (ObserveParallel: the decision path from
+# 1/2/4/8 goroutines, bare and through a durable.Store) and the
 # telemetry, gateway, fleet and topology suites, records name → ns/op,
 # B/op, allocs/op in BENCH_PR10.json, and gates the steady-state
 # zero-allocation contract: SimRun10M, Repopulate10M and the wheel
 # churn benchmarks must record 0 allocs/op.
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -benchtime 1s \
-		./internal/des ./internal/sim ./internal/addr \
+		./internal/des ./internal/sim ./internal/addr ./internal/core ./internal/durable \
 		./internal/telemetry ./internal/gateway ./internal/fleet ./internal/topo
 	$(GO) run ./cmd/benchjson gate \
 		-pattern 'BenchmarkSimRun10M|BenchmarkRepopulate10M|BenchmarkEventKernelChurn/kernel=wheel' \
@@ -82,14 +87,17 @@ chaos:
 # enforcing and re-serving every alert it had acknowledged
 # (internal/fleet), and the checkpoint directory/journal layer crashed
 # at every filesystem operation must recover exactly the last
-# acknowledged generation or record prefix (internal/simstate). Seeds
+# acknowledged generation or record prefix (internal/simstate). The
+# pattern also takes the journal-ordering tests (cycle rolls and
+# snapshot cuts under concurrent observers, gap-free drains, the
+# degraded store). Seeds
 # match the CI matrix; override with CRASH_SEEDS="42" for a single
 # seed.
 CRASH_SEEDS ?= 1 7 1905
 crash:
 	@for s in $(CRASH_SEEDS); do \
 		echo "crash seed $$s"; \
-		WORMGATE_CRASH_SEED=$$s $(GO) test -race -run 'Crash' -count=1 ./internal/durable ./internal/fleet ./internal/simstate || exit 1; \
+		WORMGATE_CRASH_SEED=$$s $(GO) test -race -run 'Crash|UnderTraffic|DrainGapFree|Degraded' -count=1 ./internal/durable ./internal/fleet ./internal/simstate || exit 1; \
 	done
 
 # The resume-equivalence suite: checkpointed runs, kernel-crossing

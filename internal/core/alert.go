@@ -42,7 +42,8 @@ type AlertID struct {
 func (a Alert) ID() AlertID { return AlertID{Origin: a.Origin, Seq: a.Seq} }
 
 // alertBook is the per-limiter alert ledger, shared by both backends
-// and manipulated only under the owning limiter's mutex. The ledger is
+// and manipulated only with the owning limiter's world stopped (its
+// mutex, or every stripe of the exact limiter). The ledger is
 // cumulative across containment cycles: a cycle roll reinstates removed
 // hosts (paper step 4) but must NOT forget which alerts were already
 // applied, or stale gossip would re-remove every host each cycle.
@@ -66,7 +67,7 @@ func (b *alertBook) apply(a Alert) bool {
 }
 
 // unsorted copies the ledger out in map order — the cheap half of a
-// snapshot, done under the limiter mutex; sortAlerts runs after it.
+// snapshot, done with the limiter locked; sortAlerts runs after it.
 func (b *alertBook) unsorted() []Alert {
 	out := make([]Alert, 0, len(b.alerts))
 	for _, a := range b.alerts {
@@ -113,12 +114,21 @@ func (b *alertBook) restore(alerts []Alert, removals int) {
 // is new, it is journaled, the containment cycle is rolled to contain
 // the alert time, and the host is removed for the current cycle. It
 // reports whether the alert was new — false means a duplicate, which
-// changes nothing (the dedup that makes gossip idempotent). Like every
-// state-changing input it is journaled under the limiter mutex, so WAL
-// order equals apply order.
+// changes nothing (the dedup that makes gossip idempotent). A fresh
+// alert writes the ledger and may roll the cycle, so it is journaled and
+// applied with every stripe held: every other record falls strictly
+// before or after it, and WAL order equals apply order. A duplicate —
+// the common case under gossip — is turned away under one stripe.
 func (l *Limiter) ApplyAlert(a Alert) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	s := l.stripeOf(a.Src)
+	s.mu.Lock()
+	_, dup := l.alerts.alerts[a.ID()]
+	s.mu.Unlock()
+	if dup {
+		return false
+	}
+	l.lockAll()
+	defer l.unlockAll()
 	if _, dup := l.alerts.alerts[a.ID()]; dup {
 		return false
 	}
@@ -127,12 +137,7 @@ func (l *Limiter) ApplyAlert(a Alert) bool {
 	}
 	l.rollCycleLocked(time.UnixMilli(a.UnixMs).UTC())
 	l.alerts.apply(a)
-	h := l.hosts[a.Src]
-	if h == nil {
-		h = &hostState{}
-		l.hosts[a.Src] = h
-	}
-	if !h.removed {
+	if h := s.host(a.Src, 0); !h.removed {
 		h.removed = true
 		l.alerts.removals++
 	}
@@ -143,9 +148,12 @@ func (l *Limiter) ApplyAlert(a Alert) bool {
 // (Origin, Seq) order — the immunization set a recovering fleet node
 // reloads into its gossip state.
 func (l *Limiter) Alerts() []Alert {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.alerts.sorted()
+	s := &l.stripes[0] // the ledger is readable under any one stripe
+	s.mu.Lock()
+	out := l.alerts.unsorted()
+	s.mu.Unlock()
+	sortAlerts(out)
+	return out
 }
 
 // ApplyAlert applies one fleet alert to the sketch limiter; semantics

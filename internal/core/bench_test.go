@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -135,5 +138,66 @@ func BenchmarkLimiterSnapshot(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// parallelMixObs is observation i of the mix the repository benchmark's
+// decide-stream workload feeds the limiter (benchmark/stream.go), as a
+// pure function of i so that any number of goroutines can draw from it:
+// 100 000 legitimate sources revisiting an 8-destination working set —
+// repeat contacts, the fast path — and, when skewed, one observation in
+// ten from one of 200 scanners picked with a u² skew and sending to a
+// fresh destination: inserts, spilled sets, and for the hottest
+// scanners removal and denials. A scanner slot gets a new source every
+// 700 000 observations of its goroutine, about when the hottest reaches
+// M = 5000.
+func parallelMixObs(i uint64, skewed bool) (src, dst uint32) {
+	x := (i + 1) * 0x9e3779b97f4a7c15
+	x ^= x >> 32
+	x *= 0xd6e8feb86659fd93
+	x ^= x >> 32
+	if skewed && x%100 < 10 {
+		u := float64(x>>11) / (1 << 53)
+		slot := uint32(200 * u * u)
+		return 0xAC100000 + slot + 200*uint32(i/700_000), uint32(x >> 7)
+	}
+	host := uint32(x>>8) % 100_000
+	return 0x0A000000 + host, 0xC0000000 + host*8 + uint32(x>>40)%8
+}
+
+// BenchmarkObserveParallel is the multicore row of the decision path:
+// Observe from 1, 2, 4 and 8 goroutines on the uniform and the skewed
+// mix. The goroutine count is set inside the benchmark, so one plain
+// `go test -bench` (and make bench-json) records the whole matrix; ns/op
+// is wall time over all goroutines' observations, so perfect scaling
+// halves it per doubling up to the core count. (backend=exact tells
+// these rows from internal/durable's in one bench-json record.)
+func BenchmarkObserveParallel(b *testing.B) {
+	for _, mix := range []string{"uniform", "skewed"} {
+		b.Run("backend=exact,mix="+mix, func(b *testing.B) {
+			l, err := NewLimiter(LimiterConfig{M: 5000, Cycle: 365 * 24 * time.Hour, CheckFraction: 0.9}, t0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := uint64(0); i < 1_600_000; i++ { // every working set seen: steady state
+				src, dst := parallelMixObs(i, false)
+				l.Observe(src, dst, t0)
+			}
+			var stretch atomic.Uint64 // gives every goroutine of every run its own stretch of the mix
+			for _, g := range []int{1, 2, 4, 8} {
+				b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(g))
+					b.ReportAllocs()
+					b.RunParallel(func(pb *testing.PB) {
+						i := stretch.Add(1) << 36
+						for pb.Next() {
+							src, dst := parallelMixObs(i, mix == "skewed")
+							l.Observe(src, dst, t0)
+							i++
+						}
+					})
+				})
+			}
+		})
 	}
 }

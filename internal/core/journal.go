@@ -1,11 +1,19 @@
 package core
 
 // Journal receives the limiter's logical input stream for write-ahead
-// logging. Both methods are invoked while the limiter's mutex is held,
-// so implementations must be fast and non-blocking — append the encoded
-// record to an in-memory buffer and flush elsewhere. In exchange the
-// journal order is exactly the order in which inputs were applied,
-// which is what makes replay deterministic: every derived transition
+// logging. Every method is invoked with the limiter locked — the sketch
+// limiter's mutex; for the exact limiter the *source's stripe*, or every
+// stripe for an input that touches shared state (an alert, an
+// observation that rolls the cycle) — so implementations must be fast
+// and non-blocking: append the encoded record to an in-memory buffer and
+// flush elsewhere. Calls for different sources therefore arrive
+// concurrently, and the journal must put them in one sequence itself.
+// Any sequence it assigns inside the call is a valid linearization of
+// the input stream: records of one source share a stripe, so their
+// sequence is the order they were applied in; records of different
+// stripes touch disjoint state and commute; and a roll or alert holds
+// every stripe, so each other record is strictly before or after it.
+// That is what makes replay deterministic: every derived transition
 // (removal, flag, cycle roll, deny) is a pure function of the input
 // prefix, so none of them need journaling.
 type Journal interface {
@@ -38,9 +46,9 @@ type Journal interface {
 // SetJournal attaches (or, with nil, detaches) a journal receiving all
 // subsequent state-changing inputs. Attach before the limiter starts
 // observing traffic; the switch itself is ordered with in-flight calls
-// by the limiter mutex.
+// by stopping the world.
 func (l *Limiter) SetJournal(j Journal) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.lockAll()
+	defer l.unlockAll()
 	l.journal = j
 }

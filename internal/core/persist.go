@@ -210,7 +210,7 @@ func readAlerts(r *binio.Reader, n, removals int, book *alertBook) error {
 }
 
 // hostCopy locates one exact-backend host inside the destination arena
-// CheckpointState copies out under the lock.
+// CheckpointState copies out with the world stopped.
 type hostCopy struct {
 	off, n           int
 	removed, flagged bool
@@ -223,41 +223,52 @@ type hostCopy struct {
 func (l *Limiter) MarshalState() ([]byte, error) { return l.CheckpointState(nil) }
 
 // CheckpointState marshals the state like MarshalState and invokes cut
-// while holding the limiter mutex. A journal (see journal.go) uses cut
-// to mark its cut point: journal appends and the copy-out of the state
-// run under the same lock, so every input record lands strictly before
-// or strictly after the cut — the returned snapshot plus the post-cut
-// journal suffix is exactly the live state, with no record
-// double-applied or lost. Only the copy-out and cut hold the lock;
-// sorting and encoding run after it is released, so a periodic
-// snapshot stalls Observe for a copy, not for the whole marshal.
+// with the world stopped (every stripe held). A journal (see journal.go)
+// uses cut to mark its cut point: no input can be journaled or applied
+// while the state is copied out and cut runs, so every input record
+// lands strictly before or strictly after the cut — the returned
+// snapshot plus the post-cut journal suffix is exactly the live state,
+// with no record double-applied or lost. Only the copy-out and cut stop
+// the world; sorting and encoding run after it resumes, so a periodic
+// snapshot stalls Observe for a copy, not for the whole marshal. The
+// bytes do not depend on the striping: hosts are sorted by source after
+// the copy-out and the counters summed.
 func (l *Limiter) CheckpointState(cut func()) ([]byte, error) {
-	l.mu.Lock()
+	l.lockAll()
 	c := snapshotCommon{
 		cfg: l.cfg, epoch: l.epoch, cycleIndex: l.cycleIndex,
-		observed: l.totalObserved, removals: l.totalRemovals, flags: l.totalFlags,
-		denied: l.totalDenied, alertRemovals: l.alerts.removals,
+		alertRemovals: l.alerts.removals,
+	}
+	active, total, largest := 0, 0, 0
+	for i := range l.stripes {
+		s := &l.stripes[i]
+		c.observed += s.observed
+		c.removals += s.removals
+		c.flags += s.flags
+		c.denied += s.denied
+		active += len(s.hosts)
+		for _, h := range s.hosts {
+			total += h.count()
+			largest = max(largest, h.count())
+		}
 	}
 	// keys pack (src, index into hosts) so that sorting plain integers
 	// orders the hosts by source.
-	keys := make([]uint64, 0, len(l.hosts))
-	hosts := make([]hostCopy, 0, len(l.hosts))
-	total, largest := 0, 0
-	for _, h := range l.hosts {
-		total += h.count()
-		largest = max(largest, h.count())
-	}
+	keys := make([]uint64, 0, active)
+	hosts := make([]hostCopy, 0, active)
 	dsts := make([]uint32, 0, total)
-	for src, h := range l.hosts {
-		keys = append(keys, uint64(src)<<32|uint64(len(hosts)))
-		hosts = append(hosts, hostCopy{off: len(dsts), n: h.count(), removed: h.removed, flagged: h.flagged})
-		dsts = h.destinations(dsts)
+	for i := range l.stripes {
+		for src, h := range l.stripes[i].hosts {
+			keys = append(keys, uint64(src)<<32|uint64(len(hosts)))
+			hosts = append(hosts, hostCopy{off: len(dsts), n: h.count(), removed: h.removed, flagged: h.flagged})
+			dsts = h.destinations(dsts)
+		}
 	}
 	alerts := l.alerts.unsorted()
 	if cut != nil {
 		cut()
 	}
-	l.mu.Unlock()
+	l.unlockAll()
 
 	slices.Sort(keys)
 	b := make([]byte, 0, snapshotCommonLen+(hostHeaderLen+4)*len(hosts)+4*len(dsts)+alertRecordLen*len(alerts))
@@ -324,9 +335,13 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 	// the header's counts: every claimed host must be present, and those
 	// at or under smallSetMax will keep their destinations in one shared
 	// arena (the rest spill to maps exactly as a live limiter's would).
+	// It also counts the hosts of each stripe, so every stripe's map is
+	// made once at its final size.
 	probe, arenaLen := *r, 0
+	var perStripe [stripeCount]int
 	for i := 0; i < h.Hosts && probe.Err() == nil; i++ {
-		probe.Bytes(hostHeaderLen, "host")
+		perStripe[stripeIndex(probe.U32("host src"))]++
+		probe.Bytes(hostHeaderLen-4, "host")
 		n := probe.Count(4, "host destinations")
 		probe.Bytes(4*n, "host destinations")
 		if n <= smallSetMax {
@@ -337,16 +352,16 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 		return nil, err
 	}
 
-	l := &Limiter{
-		cfg:           c.cfg,
-		epoch:         c.epoch,
-		cycleIndex:    c.cycleIndex,
-		hosts:         make(map[uint32]*hostState, h.Hosts),
-		totalObserved: c.observed,
-		totalRemovals: c.removals,
-		totalFlags:    c.flags,
-		totalDenied:   c.denied,
+	l := &Limiter{cfg: c.cfg, epoch: c.epoch, cycleIndex: c.cycleIndex}
+	for i, n := range perStripe {
+		if n > 0 {
+			l.stripes[i].hosts = make(map[uint32]*hostState, n)
+		}
 	}
+	// The snapshot sums the counters over the stripes, and any split
+	// sums back to it.
+	first := &l.stripes[0]
+	first.observed, first.removals, first.flags, first.denied = c.observed, c.removals, c.flags, c.denied
 	states := make([]hostState, h.Hosts)
 	arena := make([]uint32, arenaLen)
 	var prevSrc uint32
@@ -386,7 +401,7 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 				hs.small = append(hs.small, d)
 			}
 		}
-		l.hosts[src] = hs
+		l.stripeOf(src).hosts[src] = hs
 	}
 	if err := readAlerts(r, h.Alerts, c.alertRemovals, &l.alerts); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,8 +144,8 @@ func TestLimiterSnapshotRoundTripRandomHistories(t *testing.T) {
 func epochOf(l ContainmentLimiter) time.Time {
 	switch l := l.(type) {
 	case *Limiter:
-		l.mu.Lock()
-		defer l.mu.Unlock()
+		l.stripes[0].mu.Lock()
+		defer l.stripes[0].mu.Unlock()
 		return l.epoch
 	case *SketchLimiter:
 		l.mu.Lock()
@@ -158,7 +159,8 @@ func epochOf(l ContainmentLimiter) time.Time {
 // property: limiters that reach the same state along different paths —
 // sources interleaved in a different order, alerts applied in a
 // different order, hence different map layouts and sketch slot
-// assignments — marshal to identical bytes.
+// assignments, or fed from eight goroutines at once — marshal to
+// identical bytes.
 func TestLimiterSnapshotCanonical(t *testing.T) {
 	type event struct {
 		src, dst uint32
@@ -203,9 +205,29 @@ func TestLimiterSnapshotCanonical(t *testing.T) {
 				}
 			}
 		}
+		// The same inputs from eight goroutines: source s belongs to
+		// goroutine s mod 8, the alerts to a ninth.
+		concurrent := func(apply func(event), alert func(Alert)) {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for s := g; s < sources; s += 8 {
+						for _, e := range perSource[s] {
+							apply(e)
+						}
+					}
+				}(g)
+			}
+			for _, a := range alerts {
+				alert(a)
+			}
+			wg.Wait()
+		}
 		for _, backend := range []string{"exact", "sketch"} {
 			var states [][]byte
-			for _, order := range []func(func(event), func(Alert)){forward, interleaved} {
+			for _, order := range []func(func(event), func(Alert)){forward, interleaved, concurrent} {
 				var l ContainmentLimiter
 				cfg := LimiterConfig{M: 90, Cycle: time.Hour, CheckFraction: 0.5}
 				if backend == "sketch" {
@@ -223,6 +245,9 @@ func TestLimiterSnapshotCanonical(t *testing.T) {
 			}
 			if !bytes.Equal(states[0], states[1]) {
 				t.Errorf("seed %d %s: the same state reached along two paths marshals differently", seed, backend)
+			}
+			if !bytes.Equal(states[0], states[2]) {
+				t.Errorf("seed %d %s: the same inputs fed from 1 and from 8 goroutines marshal differently", seed, backend)
 			}
 		}
 	}

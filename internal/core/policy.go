@@ -147,29 +147,83 @@ func (h *hostState) reset() {
 	h.flagged = false
 }
 
+// stripeCount is the number of independently locked partitions of the
+// per-source state. The scheme's state is strictly per-source, so any
+// source-stable partition preserves its semantics exactly; 64 keeps two
+// goroutines on distinct sources apart 63 times in 64 and costs a
+// stop-the-world operation (cycle roll, alert, snapshot cut) 64
+// uncontended lock hand-offs, about a microsecond.
+const (
+	stripeBits  = 6
+	stripeCount = 1 << stripeBits
+)
+
+// SourceHash spreads source addresses (sequential ones included) over
+// 32 bits; the top bits pick the limiter stripe. internal/durable picks
+// its journal lane from the same hash, so two sources on different
+// stripes never meet on a lane either.
+func SourceHash(src uint32) uint32 { return src * 0x9e3779b9 }
+
+// stripe is one partition of the limiter: the hosts whose SourceHash
+// lands here and the cumulative counters their decisions bump. The
+// fields take 48 bytes and the padding makes the stride 128, so two
+// stripes' fields are 80 bytes apart and cannot share a 64-byte cache
+// line wherever the allocator puts the Limiter (it guarantees 8-byte
+// alignment, no more).
+type stripe struct {
+	mu    sync.Mutex
+	hosts map[uint32]*hostState // nil until the stripe's first host
+
+	// cumulative statistics across all cycles; Snapshot sums the stripes
+	observed int
+	removals int
+	flags    int
+	denied   int
+
+	_ [128 - 48]byte
+}
+
+// host returns src's state, creating it (and the stripe's map) on first
+// contact with room for small destinations.
+func (s *stripe) host(src uint32, small int) *hostState {
+	h := s.hosts[src]
+	if h == nil {
+		h = &hostState{}
+		if small > 0 {
+			h.small = make([]uint32, 0, small)
+		}
+		if s.hosts == nil {
+			s.hosts = make(map[uint32]*hostState)
+		}
+		s.hosts[src] = h
+	}
+	return h
+}
+
 // Limiter is the runtime containment engine: it watches (source,
 // destination) pairs with timestamps, counts distinct destinations per
 // source per containment cycle, flags sources near the limit and removes
-// sources at the limit. It is safe for concurrent use.
+// sources at the limit. It is safe for concurrent use, and decisions on
+// sources in different stripes run in parallel.
 //
 // Time is supplied by the caller on every observation, so the limiter
 // works identically under the discrete-event simulator's virtual clock
 // and under wall-clock deployment.
+//
+// Locking. A per-source input (Observe, Reinstate, Removed,
+// DistinctCount) takes only its source's stripe. Everything that touches
+// state shared by all sources — a cycle roll, ApplyAlert, SetJournal, a
+// snapshot's copy-out and cut, Snapshot, TopCounts — takes every stripe,
+// in index order. journal, epoch, cycleIndex and alerts are therefore
+// written only with every stripe held and may be read under any one.
 type Limiter struct {
-	cfg LimiterConfig
+	cfg     LimiterConfig
+	stripes [stripeCount]stripe
 
-	mu         sync.Mutex
-	journal    Journal   // optional WAL hook, called under mu; see journal.go
+	journal    Journal   // optional WAL hook; see journal.go
 	epoch      time.Time // start of the current containment cycle
 	cycleIndex uint64
-	hosts      map[uint32]*hostState
 	alerts     alertBook // fleet immunization ledger; see alert.go
-
-	// cumulative statistics across all cycles
-	totalObserved int
-	totalRemovals int
-	totalFlags    int
-	totalDenied   int
 }
 
 // NewLimiter returns a limiter whose first containment cycle starts at
@@ -178,15 +232,29 @@ func NewLimiter(cfg LimiterConfig, start time.Time) (*Limiter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Limiter{
-		cfg:   cfg,
-		epoch: start,
-		hosts: make(map[uint32]*hostState),
-	}, nil
+	return &Limiter{cfg: cfg, epoch: start}, nil
 }
 
 // Config returns the limiter's configuration.
 func (l *Limiter) Config() LimiterConfig { return l.cfg }
+
+// stripeIndex is the stripe src's state lives in.
+func stripeIndex(src uint32) int { return int(SourceHash(src) >> (32 - stripeBits)) }
+
+func (l *Limiter) stripeOf(src uint32) *stripe { return &l.stripes[stripeIndex(src)] }
+
+// lockAll stops the world: it takes every stripe in index order.
+func (l *Limiter) lockAll() {
+	for i := range l.stripes {
+		l.stripes[i].mu.Lock()
+	}
+}
+
+func (l *Limiter) unlockAll() {
+	for i := range l.stripes {
+		l.stripes[i].mu.Unlock()
+	}
+}
 
 // Observe records that host src attempted to contact destination dst at
 // time t and returns the containment decision. Repeat contacts to an
@@ -197,27 +265,51 @@ func (l *Limiter) Config() LimiterConfig { return l.cfg }
 // resetting all counters and reinstating removed hosts (step 4: hosts
 // are checked at cycle end and their counters reset).
 func (l *Limiter) Observe(src, dst uint32, t time.Time) Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	// The one boundary test on the fast path; the epoch cannot move
+	// while any stripe is held.
+	if t.Sub(l.epoch) >= l.cfg.Cycle {
+		s.mu.Unlock()
+		return l.observeRolling(s, src, dst, t)
+	}
 	if l.journal != nil {
-		// Journaled before applying, in lock order: the WAL is the exact
-		// input sequence, and replaying it regenerates every derived
+		// Journaled before applying, under the stripe lock: the journal's
+		// sequence is a linearization of the input stream (see
+		// journal.go), and replaying it regenerates every derived
 		// transition below.
 		l.journal.RecordObserve(src, dst, t.UnixMilli())
 	}
+	d := l.decideLocked(s, src, dst)
+	s.mu.Unlock()
+	return d
+}
+
+// observeRolling is Observe for an observation past the cycle boundary:
+// the roll resets every stripe, so the whole input — journal record,
+// roll, decision — runs with the world stopped and every other record
+// falls strictly before or after it. Another goroutine may have rolled
+// in between; rollCycleLocked tests again.
+func (l *Limiter) observeRolling(s *stripe, src, dst uint32, t time.Time) Decision {
+	l.lockAll()
+	defer l.unlockAll()
+	if l.journal != nil {
+		l.journal.RecordObserve(src, dst, t.UnixMilli())
+	}
 	l.rollCycleLocked(t)
+	return l.decideLocked(s, src, dst)
+}
+
+// decideLocked applies one observation to src's stripe, which is held.
+func (l *Limiter) decideLocked(s *stripe, src, dst uint32) Decision {
 	// Counted while the lock is already held, so enforcement points get
 	// an exact observation total at zero marginal cost: every decision
 	// counter a gateway needs derives from totals maintained here.
-	l.totalObserved++
+	s.observed++
 
-	h := l.hosts[src]
-	if h == nil {
-		h = &hostState{small: make([]uint32, 0, min(l.cfg.M, smallSetMax))}
-		l.hosts[src] = h
-	}
+	h := s.host(src, min(l.cfg.M, smallSetMax))
 	if h.removed {
-		l.totalDenied++
+		s.denied++
 		return Deny
 	}
 	if h.seen(dst) {
@@ -226,8 +318,8 @@ func (l *Limiter) Observe(src, dst uint32, t time.Time) Decision {
 	if h.count() >= l.cfg.M {
 		// Budget exhausted: the new-destination attempt removes the host.
 		h.removed = true
-		l.totalRemovals++
-		l.totalDenied++
+		s.removals++
+		s.denied++
 		return Deny
 	}
 	h.add(dst)
@@ -235,7 +327,7 @@ func (l *Limiter) Observe(src, dst uint32, t time.Time) Decision {
 	if f := l.cfg.CheckFraction; f > 0 && !h.flagged &&
 		float64(h.count()) >= f*float64(l.cfg.M) {
 		h.flagged = true
-		l.totalFlags++
+		s.flags++
 		return AllowAndCheck
 	}
 	return Allow
@@ -244,7 +336,7 @@ func (l *Limiter) Observe(src, dst uint32, t time.Time) Decision {
 // rollCycleLocked advances the containment cycle to contain t, resetting
 // all per-host state once per boundary crossed. Counters clear and
 // removed hosts re-enter with a zero counter, mirroring steps 3–4 of the
-// paper's scheme.
+// paper's scheme. Every stripe is held.
 func (l *Limiter) rollCycleLocked(t time.Time) {
 	elapsed := t.Sub(l.epoch)
 	if elapsed < l.cfg.Cycle {
@@ -253,7 +345,9 @@ func (l *Limiter) rollCycleLocked(t time.Time) {
 	steps := uint64(elapsed / l.cfg.Cycle)
 	l.cycleIndex += steps
 	l.epoch = l.epoch.Add(time.Duration(steps) * l.cfg.Cycle)
-	l.hosts = make(map[uint32]*hostState)
+	for i := range l.stripes {
+		l.stripes[i].hosts = nil
+	}
 }
 
 // Reinstate puts a removed host back into service with a fresh counter,
@@ -261,9 +355,10 @@ func (l *Limiter) rollCycleLocked(t time.Time) {
 // before the cycle ends. Reinstating an unknown or non-removed host is a
 // no-op; it reports whether the host was actually reinstated.
 func (l *Limiter) Reinstate(src uint32) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h := l.hosts[src]
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.hosts[src]
 	if h == nil || !h.removed {
 		return false
 	}
@@ -276,18 +371,20 @@ func (l *Limiter) Reinstate(src uint32) bool {
 
 // Removed reports whether the host is currently removed.
 func (l *Limiter) Removed(src uint32) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h := l.hosts[src]
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.hosts[src]
 	return h != nil && h.removed
 }
 
 // DistinctCount returns the number of unique destinations the host has
 // contacted in the current cycle.
 func (l *Limiter) DistinctCount(src uint32) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h := l.hosts[src]
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.hosts[src]
 	if h == nil {
 		return 0
 	}
@@ -297,8 +394,9 @@ func (l *Limiter) DistinctCount(src uint32) int {
 // CycleIndex returns the zero-based index of the current containment
 // cycle.
 func (l *Limiter) CycleIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	s := &l.stripes[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return l.cycleIndex
 }
 
@@ -336,40 +434,49 @@ type Stats struct {
 	AlertRemovals int
 }
 
-// Snapshot returns the current statistics.
+// Snapshot returns the current statistics, consistent across stripes.
 func (l *Limiter) Snapshot() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := Stats{
-		ActiveHosts:   len(l.hosts),
-		TotalObserved: l.totalObserved,
-		TotalRemovals: l.totalRemovals,
-		TotalFlags:    l.totalFlags,
-		TotalDenied:   l.totalDenied,
+	l.lockAll()
+	defer l.unlockAll()
+	st := Stats{
 		TotalAlerts:   l.alerts.applied,
 		AlertRemovals: l.alerts.removals,
 	}
-	for _, h := range l.hosts {
-		if h.removed {
-			s.RemovedHosts++
-		}
-		if h.flagged {
-			s.FlaggedHosts++
+	for i := range l.stripes {
+		s := &l.stripes[i]
+		st.ActiveHosts += len(s.hosts)
+		st.TotalObserved += s.observed
+		st.TotalRemovals += s.removals
+		st.TotalFlags += s.flags
+		st.TotalDenied += s.denied
+		for _, h := range s.hosts {
+			if h.removed {
+				st.RemovedHosts++
+			}
+			if h.flagged {
+				st.FlaggedHosts++
+			}
 		}
 	}
-	return s
+	return st
 }
 
 // TopCounts returns the n largest distinct-destination counts in the
 // current cycle, descending — the quantity plotted for the six most
 // active LBL hosts in Fig. 6.
 func (l *Limiter) TopCounts(n int) []int {
-	l.mu.Lock()
-	counts := make([]int, 0, len(l.hosts))
-	for _, h := range l.hosts {
-		counts = append(counts, h.count())
+	l.lockAll()
+	hosts := 0
+	for i := range l.stripes {
+		hosts += len(l.stripes[i].hosts)
 	}
-	l.mu.Unlock()
+	counts := make([]int, 0, hosts)
+	for i := range l.stripes {
+		for _, h := range l.stripes[i].hosts {
+			counts = append(counts, h.count())
+		}
+	}
+	l.unlockAll()
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	if n < len(counts) {
 		counts = counts[:n]

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,17 +54,48 @@ type Options struct {
 	Now func() time.Time
 }
 
+// laneCount is the number of independently locked journal buffers. It
+// matches core's stripe count, and a record's lane comes from the same
+// core.SourceHash, so observers on different limiter stripes never meet
+// on a lane.
+const (
+	laneBits  = 6
+	laneCount = 1 << laneBits
+)
+
+// lane is one journal buffer: encoded frames, each preceded by the
+// 8-byte sequence number it took from Store.appended. Padded like
+// core's stripes: the fields of two lanes are more than a cache line
+// apart at any alignment.
+type lane struct {
+	mu  sync.Mutex
+	buf []byte
+	_   [128 - 32]byte
+}
+
 // Store journals a limiter's inputs to a WAL and checkpoints it with
 // atomic snapshots. It implements core.Journal; attach-detach is
 // managed internally — callers interact with the limiter as usual and
 // with Sync/WriteSnapshot/Close here.
 //
-// Locking: Store.RecordObserve/RecordReinstate run under the limiter
-// mutex and only take bufMu for an in-memory append — no I/O ever
-// happens on the decision path. ioMu serializes flushes, snapshots and
-// rotation; lock order is limiter.mu → bufMu, and ioMu is never held
-// while taking the limiter mutex except via CheckpointState (which
-// takes limiter.mu → bufMu inside the cut, preserving the order).
+// Locking: the Record methods run with the limiter locked (the source's
+// stripe, every stripe, or the sketch's mutex) and take only the
+// source's lane for an in-memory append — no I/O and no shared lock on
+// the decision path. ioMu serializes flushes, snapshots and rotation and
+// is outermost; under it Sync takes every lane (index order), and a
+// snapshot cut takes every stripe and then every lane via
+// CheckpointState. The order is ioMu → stripe(s) → lane(s) throughout.
+//
+// WAL order. Each record takes the next value of appended inside its
+// lane's critical section, itself inside the limiter's, and a drain
+// writes the records out by that number. With every lane held the
+// numbers handed out so far are all in the lanes, so a drain is
+// gap-free; and the sequence is a valid linearization of the inputs —
+// one source's records share a stripe, so their numbers rise in apply
+// order; records of different stripes commute; a roll or alert holds
+// every stripe, so every other record is wholly before or after it.
+// Replaying the WAL therefore reproduces the live state, and one
+// goroutine's records are written in call order.
 type Store struct {
 	fs      faultfs.FS
 	limiter core.ContainmentLimiter
@@ -71,17 +103,21 @@ type Store struct {
 	now     func() time.Time
 	info    RecoveryInfo
 
-	bufMu       sync.Mutex
-	pending     []byte // encoded frames awaiting flush
-	spare       []byte // recycled flush buffer
-	pendingRecs int
-	appended    uint64 // records journaled since Open
-	acked       uint64 // records durably on disk (WAL fsync or snapshot)
+	lanes    [laneCount]lane
+	appended atomic.Uint64 // records journaled since Open; the next record's sequence number
+	acked    atomic.Uint64 // records durably on disk (WAL fsync or snapshot); written under ioMu
 
-	ioMu   sync.Mutex
-	seg    faultfs.File // open WAL segment (nil after rotation failure)
-	seq    uint64       // current generation
-	broken error        // sticky WAL failure; healed by a successful snapshot
+	ioMu    sync.Mutex
+	seg     faultfs.File // open WAL segment (nil after rotation failure)
+	seq     uint64       // current generation
+	broken  error        // sticky WAL failure; healed by a successful snapshot
+	drained uint64       // records swapped out of the lanes so far
+	// Recycled between drains: the buffers last swapped out of the lanes
+	// (they go back in at the next swap), each record's offset in the
+	// segment write, and the write itself.
+	swapped [laneCount][]byte
+	offs    []int
+	out     []byte
 
 	// metrics (atomics: read by telemetry func-series at scrape time)
 	walAppends  atomic.Uint64 // records written to the WAL file
@@ -89,7 +125,7 @@ type Store struct {
 	walBytes    atomic.Uint64
 	snapWrites  atomic.Uint64
 	lastSnapMs  atomic.Int64
-	walDegraded atomic.Uint64 // flushes skipped while broken
+	walDegraded atomic.Uint64 // flushes dropped while broken
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -212,59 +248,52 @@ func (s *Store) Limiter() core.ContainmentLimiter { return s.limiter }
 // Recovery reports what startup recovery found.
 func (s *Store) Recovery() RecoveryInfo { return s.info }
 
-// RecordObserve implements core.Journal: encode and buffer, nothing
-// else — this runs on the decision hot path under the limiter mutex.
-func (s *Store) RecordObserve(src, dst uint32, unixMs int64) {
-	s.bufMu.Lock()
-	s.pending = appendObserve(s.pending, src, dst, unixMs)
-	s.pendingRecs++
-	s.appended++
-	s.bufMu.Unlock()
+// beginRecord starts one journal record: it locks src's lane and appends the
+// next sequence number to it. The caller appends the frame and unlocks
+// the lane. This is the decision hot path, run with the limiter locked —
+// encode and buffer, nothing else.
+func (s *Store) beginRecord(src uint32) *lane {
+	ln := &s.lanes[core.SourceHash(src)>>(32-laneBits)]
+	ln.mu.Lock()
+	ln.buf = binary.LittleEndian.AppendUint64(ln.buf, s.appended.Add(1)-1)
+	return ln
 }
 
-// RecordFailure implements core.Journal: same hot-path discipline and
-// byte cost as RecordObserve.
+// RecordObserve implements core.Journal.
+func (s *Store) RecordObserve(src, dst uint32, unixMs int64) {
+	ln := s.beginRecord(src)
+	ln.buf = appendObserve(ln.buf, src, dst, unixMs)
+	ln.mu.Unlock()
+}
+
+// RecordFailure implements core.Journal: same byte cost as
+// RecordObserve.
 func (s *Store) RecordFailure(src, dst uint32, unixMs int64) {
-	s.bufMu.Lock()
-	s.pending = appendFailure(s.pending, src, dst, unixMs)
-	s.pendingRecs++
-	s.appended++
-	s.bufMu.Unlock()
+	ln := s.beginRecord(src)
+	ln.buf = appendFailure(ln.buf, src, dst, unixMs)
+	ln.mu.Unlock()
 }
 
 // RecordReinstate implements core.Journal.
 func (s *Store) RecordReinstate(src uint32) {
-	s.bufMu.Lock()
-	s.pending = appendReinstate(s.pending, src)
-	s.pendingRecs++
-	s.appended++
-	s.bufMu.Unlock()
+	ln := s.beginRecord(src)
+	ln.buf = appendReinstate(ln.buf, src)
+	ln.mu.Unlock()
 }
 
-// RecordAlert implements core.Journal: fleet alerts buffer with the
-// same hot-path discipline as observations.
+// RecordAlert implements core.Journal.
 func (s *Store) RecordAlert(a core.Alert) {
-	s.bufMu.Lock()
-	s.pending = appendAlert(s.pending, a)
-	s.pendingRecs++
-	s.appended++
-	s.bufMu.Unlock()
+	ln := s.beginRecord(a.Src)
+	ln.buf = appendAlert(ln.buf, a)
+	ln.mu.Unlock()
 }
 
 // Appended returns the number of records journaled since Open.
-func (s *Store) Appended() uint64 {
-	s.bufMu.Lock()
-	defer s.bufMu.Unlock()
-	return s.appended
-}
+func (s *Store) Appended() uint64 { return s.appended.Load() }
 
 // Acked returns the number of journaled records guaranteed durable: a
 // crash after Acked()==n recovers at least the first n inputs.
-func (s *Store) Acked() uint64 {
-	s.bufMu.Lock()
-	defer s.bufMu.Unlock()
-	return s.acked
-}
+func (s *Store) Acked() uint64 { return s.acked.Load() }
 
 // Sync flushes buffered records to the WAL segment and fsyncs it — one
 // group commit.
@@ -274,37 +303,92 @@ func (s *Store) Sync() error {
 	return s.flushLocked()
 }
 
-// flushLocked drains the pending buffer into the segment. On failure
-// the store goes into degraded mode: the segment may now end in a torn
-// frame, so further appends to it would be unreachable after recovery —
-// records keep accumulating in memory and the next successful snapshot
-// (which captures the full state) restores durability.
+// swapLanes takes every lane, swaps each buffer for the emptied one of
+// the previous drain, and returns the half-open range of sequence
+// numbers now in s.swapped — all of them, because a number is taken and
+// its record appended inside one lane hold. It is the only part of a
+// drain that stops journaling, and it copies nothing.
+func (s *Store) swapLanes() (from, to uint64) {
+	for i := range s.lanes {
+		s.lanes[i].mu.Lock()
+	}
+	from, to = s.drained, s.appended.Load()
+	for i := range s.lanes {
+		ln := &s.lanes[i]
+		ln.buf, s.swapped[i] = s.swapped[i][:0], ln.buf
+	}
+	for i := range s.lanes {
+		s.lanes[i].mu.Unlock()
+	}
+	s.drained = to
+	return from, to
+}
+
+// gather lays the swapped-out frames of records [from, to) out in
+// sequence order, in two passes over the lanes: the first notes every
+// frame's length at its sequence number and a running sum turns lengths
+// into offsets, the second copies each frame to its offset.
+func (s *Store) gather(from, to uint64) []byte {
+	n := int(to - from)
+	if cap(s.offs) < n+1 {
+		s.offs = make([]int, n+1)
+	}
+	offs := s.offs[:n+1]
+	offs[0] = 0
+	s.eachSwapped(func(seq uint64, frame []byte) { offs[seq-from+1] = len(frame) })
+	for i := 0; i < n; i++ {
+		offs[i+1] += offs[i]
+	}
+	if cap(s.out) < offs[n] {
+		s.out = make([]byte, offs[n])
+	}
+	out := s.out[:offs[n]]
+	s.eachSwapped(func(seq uint64, frame []byte) { copy(out[offs[seq-from]:], frame) })
+	return out
+}
+
+// eachSwapped calls fn for every record in the swapped-out buffers.
+func (s *Store) eachSwapped(fn func(seq uint64, frame []byte)) {
+	for _, b := range s.swapped {
+		for len(b) > 0 {
+			end := 8 + frameHeader + int(binary.LittleEndian.Uint32(b[8:]))
+			fn(binary.LittleEndian.Uint64(b), b[8:end])
+			b = b[end:]
+		}
+	}
+}
+
+// flushLocked drains the lanes into the segment. On failure the store
+// goes into degraded mode: the segment may now end in a torn frame, so
+// further appends to it would be unreachable after recovery. From then
+// on a flush drains the lanes and drops what it drained — holding the
+// records would buy nothing, the next successful snapshot carries the
+// full state and restores durability — and Acked stays where it was
+// until that snapshot.
 func (s *Store) flushLocked() error {
+	from, to := s.swapLanes()
 	if s.broken != nil {
 		s.walDegraded.Add(1)
 		return s.broken
 	}
-	s.bufMu.Lock()
-	if s.pendingRecs == 0 {
-		s.bufMu.Unlock()
+	if from == to {
 		return nil
 	}
-	buf, n := s.pending, s.pendingRecs
-	s.pending, s.spare = s.spare[:0], nil
-	s.pendingRecs = 0
-	s.bufMu.Unlock()
+	return s.writeRecords(from, to)
+}
 
+// writeRecords writes the swapped-out records [from, to) to the segment
+// and acknowledges them; a failure degrades the WAL.
+func (s *Store) writeRecords(from, to uint64) error {
+	buf := s.gather(from, to)
 	if err := s.writeSeg(buf); err != nil {
 		s.setBroken(err)
 		return err
 	}
-	s.bufMu.Lock()
-	s.acked += uint64(n)
-	s.bufMu.Unlock()
-	s.walAppends.Add(uint64(n))
+	s.acked.Store(to)
+	s.walAppends.Add(to - from)
 	s.walFsyncs.Add(1)
 	s.walBytes.Add(uint64(len(buf)))
-	s.spare = buf[:0]
 	return nil
 }
 
@@ -326,7 +410,7 @@ func (s *Store) writeSeg(buf []byte) error {
 func (s *Store) setBroken(err error) {
 	if s.broken == nil {
 		s.broken = err
-		s.logf("durable: WAL degraded (buffering in memory until next snapshot): %v", err)
+		s.logf("durable: WAL degraded (records not logged until next snapshot): %v", err)
 	}
 }
 
@@ -342,19 +426,11 @@ func (s *Store) WriteSnapshot() error {
 }
 
 func (s *Store) snapshotLocked() error {
-	// Cut point: the state is copied out and the journal cut under one
-	// hold of the limiter mutex, so the snapshot equals base + exactly
-	// the records before the cut.
-	var tail []byte
-	var tailRecs int
-	var cutTotal uint64
-	data, err := s.limiter.CheckpointState(func() {
-		s.bufMu.Lock()
-		tail, tailRecs = s.pending, s.pendingRecs
-		s.pending, s.pendingRecs = nil, 0
-		cutTotal = s.appended
-		s.bufMu.Unlock()
-	})
+	// Cut point: the state is copied out and the lanes swapped with the
+	// limiter's world stopped, so the snapshot equals base + exactly the
+	// records before the cut.
+	var from, to uint64
+	data, err := s.limiter.CheckpointState(func() { from, to = s.swapLanes() })
 	if err != nil {
 		return err
 	}
@@ -363,17 +439,8 @@ func (s *Store) snapshotLocked() error {
 	// interrupted, recovery falls back to the previous snapshot plus
 	// this now-complete segment. A degraded segment is left alone — its
 	// tail is torn and the snapshot itself carries these records.
-	if s.broken == nil && s.seg != nil && len(tail) > 0 {
-		if err := s.writeSeg(tail); err != nil {
-			s.setBroken(err)
-		} else {
-			s.bufMu.Lock()
-			s.acked += uint64(tailRecs)
-			s.bufMu.Unlock()
-			s.walAppends.Add(uint64(tailRecs))
-			s.walFsyncs.Add(1)
-			s.walBytes.Add(uint64(len(tail)))
-		}
+	if s.broken == nil && from != to {
+		_ = s.writeRecords(from, to) // a failure degrades the WAL; the snapshot goes ahead
 	}
 
 	newSeq := s.seq + 1
@@ -388,11 +455,7 @@ func (s *Store) snapshotLocked() error {
 
 	// The snapshot is durable: everything before the cut is safe even
 	// if it never reached the WAL.
-	s.bufMu.Lock()
-	if cutTotal > s.acked {
-		s.acked = cutTotal
-	}
-	s.bufMu.Unlock()
+	s.acked.Store(to)
 	s.snapWrites.Add(1)
 	s.lastSnapMs.Store(s.now().UnixMilli())
 
@@ -531,6 +594,17 @@ func (s *Store) register(reg *telemetry.Registry) {
 	reg.CounterFunc("wormgate_wal_bytes_total",
 		"Bytes written to the WAL.",
 		func() float64 { return float64(s.walBytes.Load()) })
+	reg.CounterFunc("wormgate_wal_degraded_total",
+		"Group commits dropped because the WAL is degraded (healed by the next snapshot).",
+		func() float64 { return float64(s.walDegraded.Load()) })
+	reg.GaugeFunc("wormgate_wal_pending_records",
+		"Journaled records not yet durable (appended minus acknowledged): a backlog forming.",
+		func() float64 {
+			// Acked first: it never passes Appended, so the difference
+			// cannot go negative between the two loads.
+			acked := s.acked.Load()
+			return float64(s.appended.Load() - acked)
+		})
 	reg.CounterFunc("wormgate_snapshot_writes_total",
 		"Full limiter snapshots published.",
 		func() float64 { return float64(s.snapWrites.Load()) })

@@ -53,21 +53,32 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame appends one framed payload to b.
 func appendFrame(b, payload []byte) []byte {
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
+	b = append(b, make([]byte, frameHeader)...)
+	return sealFrame(append(b, payload...), len(payload))
+}
+
+// Records are encoded straight into the buffer they are journaled in —
+// an empty header, then the payload — and sealed where they lie: the
+// checksum routine makes the bytes it reads escape, so a payload built
+// on the stack first would cost one heap allocation per record.
+
+// openFrame appends an empty frame header and the record kind to b.
+func openFrame(b []byte, kind byte) []byte {
+	return append(b, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+}
+
+// sealFrame fills in the header of the frame whose n-byte payload ends b.
+func sealFrame(b []byte, n int) []byte {
+	payload := b[len(b)-n:]
+	h := b[len(b)-n-frameHeader:]
+	binary.LittleEndian.PutUint32(h[0:4], uint32(n))
 	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, castagnoli))
-	b = append(b, h[:]...)
-	return append(b, payload...)
+	return b
 }
 
 // appendObserve appends one framed Observe record to b.
 func appendObserve(b []byte, src, dst uint32, unixMs int64) []byte {
-	var p [17]byte
-	p[0] = recObserve
-	binary.LittleEndian.PutUint32(p[1:5], src)
-	binary.LittleEndian.PutUint32(p[5:9], dst)
-	binary.LittleEndian.PutUint64(p[9:17], uint64(unixMs))
-	return appendFrame(b, p[:])
+	return appendContact(b, recObserve, src, dst, unixMs)
 }
 
 // appendFailure appends one framed ObserveFailure record to b. The
@@ -75,20 +86,22 @@ func appendObserve(b []byte, src, dst uint32, unixMs int64) []byte {
 // like the exact limiter, so a failure observation journals as compactly
 // as a contact observation: 17 bytes, no register deltas.
 func appendFailure(b []byte, src, dst uint32, unixMs int64) []byte {
-	var p [17]byte
-	p[0] = recFailure
-	binary.LittleEndian.PutUint32(p[1:5], src)
-	binary.LittleEndian.PutUint32(p[5:9], dst)
-	binary.LittleEndian.PutUint64(p[9:17], uint64(unixMs))
-	return appendFrame(b, p[:])
+	return appendContact(b, recFailure, src, dst, unixMs)
+}
+
+func appendContact(b []byte, kind byte, src, dst uint32, unixMs int64) []byte {
+	b = openFrame(b, kind)
+	b = binary.LittleEndian.AppendUint32(b, src)
+	b = binary.LittleEndian.AppendUint32(b, dst)
+	b = binary.LittleEndian.AppendUint64(b, uint64(unixMs))
+	return sealFrame(b, 17)
 }
 
 // appendReinstate appends one framed Reinstate record to b.
 func appendReinstate(b []byte, src uint32) []byte {
-	var p [5]byte
-	p[0] = recReinstate
-	binary.LittleEndian.PutUint32(p[1:5], src)
-	return appendFrame(b, p[:])
+	b = openFrame(b, recReinstate)
+	b = binary.LittleEndian.AppendUint32(b, src)
+	return sealFrame(b, 5)
 }
 
 // appendAlert appends one framed fleet-alert record to b. Alerts are
@@ -96,13 +109,12 @@ func appendReinstate(b []byte, src uint32) []byte {
 // time) tuple is enough for replay to rebuild both the removal mark
 // and the dedup ledger a recovering fleet node re-serves to peers.
 func appendAlert(b []byte, a core.Alert) []byte {
-	var p [29]byte
-	p[0] = recAlert
-	binary.LittleEndian.PutUint32(p[1:5], a.Src)
-	binary.LittleEndian.PutUint64(p[5:13], a.Origin)
-	binary.LittleEndian.PutUint64(p[13:21], a.Seq)
-	binary.LittleEndian.PutUint64(p[21:29], uint64(a.UnixMs))
-	return appendFrame(b, p[:])
+	b = openFrame(b, recAlert)
+	b = binary.LittleEndian.AppendUint32(b, a.Src)
+	b = binary.LittleEndian.AppendUint64(b, a.Origin)
+	b = binary.LittleEndian.AppendUint64(b, a.Seq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.UnixMs))
+	return sealFrame(b, 29)
 }
 
 // walRecord is one decoded WAL record.
