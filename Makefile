@@ -85,10 +85,11 @@ chaos:
 # an acknowledged prefix of the limiter's history (internal/durable),
 # a fleet peer killed mid-gossip must restart from its WAL still
 # enforcing and re-serving every alert it had acknowledged
-# (internal/fleet), and the checkpoint directory/journal layer crashed
-# at every filesystem operation must recover exactly the last
-# acknowledged generation or record prefix (internal/simstate). The
-# pattern also takes the journal-ordering tests (cycle rolls and
+# (internal/fleet), and the shared storage layer crashed at every
+# filesystem operation must recover exactly the last published content
+# or an acknowledged record prefix (internal/crashsafe: publish and
+# append log; internal/simstate: checkpoint generations). The pattern
+# also takes the journal-ordering tests (cycle rolls and
 # snapshot cuts under concurrent observers, gap-free drains, the
 # degraded store). Seeds
 # match the CI matrix; override with CRASH_SEEDS="42" for a single
@@ -97,19 +98,19 @@ CRASH_SEEDS ?= 1 7 1905
 crash:
 	@for s in $(CRASH_SEEDS); do \
 		echo "crash seed $$s"; \
-		WORMGATE_CRASH_SEED=$$s $(GO) test -race -run 'Crash|UnderTraffic|DrainGapFree|Degraded' -count=1 ./internal/durable ./internal/fleet ./internal/simstate || exit 1; \
+		WORMGATE_CRASH_SEED=$$s $(GO) test -race -run 'Crash|UnderTraffic|DrainGapFree|Degraded' -count=1 ./internal/crashsafe ./internal/durable ./internal/fleet ./internal/simstate || exit 1; \
 	done
 
 # The resume-equivalence suite: checkpointed runs, kernel-crossing
 # resumes and the sim-layer seed sweep (goldenSeeds 1/7/1905 × both
-# kernels live inside the tests), the simstate directory/journal
-# contracts, the Monte-Carlo progress journal, and the wormsim CLI
+# kernels live inside the tests), the simstate directory and crashsafe
+# append-log contracts, the Monte-Carlo progress journal, and the wormsim CLI
 # end-to-end resume — swept across extra trajectory seeds to match the
 # CI resume matrix. Override with RESUME_SEEDS="42" for a single seed.
 RESUME_SEEDS ?= 1 7 1905
 resume:
-	$(GO) test -run 'Checkpoint|Resume|Journal|Dir' -count=1 \
-		./internal/sim ./internal/simstate ./internal/experiments
+	$(GO) test -run 'Checkpoint|Resume|Journal|Log|Dir' -count=1 \
+		./internal/sim ./internal/crashsafe ./internal/simstate ./internal/experiments
 	@for s in $(RESUME_SEEDS); do \
 		echo "resume seed $$s"; \
 		WORMSIM_RESUME_SEED=$$s $(GO) test -run 'RunCheckpoint' -count=1 ./cmd/wormsim || exit 1; \
@@ -155,38 +156,29 @@ topo-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrometheusWriter -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzReportLine -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/crashsafe
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzAdjacencyParser -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzLimiterSnapshotDecode -fuzztime 10s ./internal/core
 
-# Coverage floors: the deployable network path (internal/gateway), the
-# durability layer (internal/durable), the containment policy plus
-# sketch estimator (internal/core) and the graph topology layer
-# (internal/topo). CI fails below 88.8% / 85% / 94% / 90%. Profiles are
-# written into the gitignored coverage/ dir, never the repo root.
+# Coverage floors, one "package:floor%" pair per row: the deployable
+# network path, the crash-safe storage layer and the durability layer on
+# top of it, the containment policy plus sketch estimator, and the graph
+# topology layer. .github/workflows/ci.yml carries the same table.
+# Profiles are written into the gitignored coverage/ dir, never the repo
+# root.
+COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:85 core:94 topo:90
 cover:
 	@mkdir -p coverage
-	$(GO) test -count=1 -coverprofile=coverage/cover.out ./internal/gateway
-	@total=$$($(GO) tool cover -func=coverage/cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/gateway coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t+0 >= 88.8) ? 0 : 1 }' || \
-		{ echo "coverage $$total% is below the 88.8% floor" >&2; exit 1; }
-	$(GO) test -count=1 -coverprofile=coverage/cover-durable.out ./internal/durable
-	@total=$$($(GO) tool cover -func=coverage/cover-durable.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/durable coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t+0 >= 85.0) ? 0 : 1 }' || \
-		{ echo "coverage $$total% is below the 85% floor" >&2; exit 1; }
-	$(GO) test -count=1 -coverprofile=coverage/cover-core.out ./internal/core
-	@total=$$($(GO) tool cover -func=coverage/cover-core.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/core coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t+0 >= 94.0) ? 0 : 1 }' || \
-		{ echo "coverage $$total% is below the 94% floor" >&2; exit 1; }
-	$(GO) test -count=1 -coverprofile=coverage/cover-topo.out ./internal/topo
-	@total=$$($(GO) tool cover -func=coverage/cover-topo.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/topo coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t+0 >= 90.0) ? 0 : 1 }' || \
-		{ echo "coverage $$total% is below the 90% floor" >&2; exit 1; }
+	@for row in $(COVER_FLOORS); do \
+		pkg=$${row%%:*}; floor=$${row##*:}; \
+		$(GO) test -count=1 -coverprofile=coverage/cover-$$pkg.out ./internal/$$pkg || exit 1; \
+		total=$$($(GO) tool cover -func=coverage/cover-$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+		echo "internal/$$pkg coverage: $$total% (floor $$floor%)"; \
+		awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
+			{ echo "internal/$$pkg coverage $$total% is below the $$floor% floor" >&2; exit 1; }; \
+	done
 
 lint:
 	@out=$$(gofmt -l .); \

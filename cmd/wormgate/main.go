@@ -22,6 +22,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -29,7 +30,9 @@ import (
 
 	"wormcontain/internal/addr"
 	"wormcontain/internal/core"
+	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/durable"
+	"wormcontain/internal/faultfs"
 	"wormcontain/internal/faultnet"
 	"wormcontain/internal/fleet"
 	"wormcontain/internal/gateway"
@@ -444,32 +447,16 @@ func loadOrCreateLimiter(path string, newLimiter func(time.Time) (core.Containme
 	return newLimiter(time.Now().UTC())
 }
 
-// saveLimiter writes the limiter snapshot atomically: temp file, fsync,
-// rename. Without the fsync an ill-timed power loss could publish an
-// empty file under the final name — the bug class internal/durable
-// exists to kill.
+// saveLimiter publishes the limiter snapshot (the bare MarshalState
+// payload) atomically under path: a power loss leaves the previous file
+// or the new one, never an empty or torn one. The OS literal, not NewOS:
+// a missing parent directory stays an error, it is not created.
 func saveLimiter(l core.ContainmentLimiter, path string) error {
 	data, err := l.MarshalState()
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return crashsafe.Publish(&faultfs.OS{Dir: filepath.Dir(path)}, filepath.Base(path), data)
 }
 
 // runCollect starts a collector and prints the fleet aggregate

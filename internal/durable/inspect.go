@@ -69,7 +69,7 @@ func Inspect(fsys faultfs.FS) (Report, error) {
 			return rep, err
 		}
 		rep.Snapshots = append(rep.Snapshots, FileCheck{
-			Name: snapName(seq), Seq: seq, Bytes: f.bytes, Valid: f.corrupt == nil, Header: f.header,
+			Name: snapSeries.Name(seq), Seq: seq, Bytes: f.bytes, Valid: f.corrupt == nil, Header: f.header,
 		})
 		if f.corrupt != nil {
 			rec.info.CorruptSnapshots++
@@ -79,11 +79,11 @@ func Inspect(fsys faultfs.FS) (Report, error) {
 		rec.info.CorruptSnapshots = 0
 	}
 	for _, seq := range sc.segs {
-		raw, err := fsys.ReadFile(walName(seq))
+		raw, err := fsys.ReadFile(walSeries.Name(seq))
 		if err != nil {
 			return rep, err
 		}
-		fc := FileCheck{Name: walName(seq), Seq: seq, Bytes: len(raw)}
+		fc := FileCheck{Name: walSeries.Name(seq), Seq: seq, Bytes: len(raw)}
 		fc.ValidBytes, fc.Records = decodeWAL(raw, nil)
 		fc.Valid = fc.ValidBytes == len(raw)
 		rep.Segments = append(rep.Segments, fc)

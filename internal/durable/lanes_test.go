@@ -41,11 +41,11 @@ func TestCrashScriptWALGolden(t *testing.T) {
 	driveScript(s, crashScript())
 	var got strings.Builder
 	for _, seq := range []uint64{1, 2} { // Open's generation, and the script's rotation after input 12
-		data, err := m.ReadFile(walName(seq))
+		data, err := m.ReadFile(walSeries.Name(seq))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "%s %s\n", walName(seq), hex.EncodeToString(data))
+		fmt.Fprintf(&got, "%s %s\n", walSeries.Name(seq), hex.EncodeToString(data))
 	}
 	if *updateWALGolden {
 		if err := os.WriteFile(walGoldenPath, []byte(got.String()), 0o644); err != nil {
@@ -208,18 +208,18 @@ func TestConcurrentDrainGapFree(t *testing.T) {
 	last := map[uint32]uint32{}
 	total := 0
 	for seq := uint64(1); seq <= snapshots+1; seq++ {
-		data, err := m.ReadFile(walName(seq))
+		data, err := m.ReadFile(walSeries.Name(seq))
 		if err != nil {
 			t.Fatal(err)
 		}
 		valid, n := decodeWAL(data, func(r walRecord) {
 			if prev, seen := last[r.src]; seen && r.dst <= prev {
-				t.Errorf("%s: source %#x sent %d after %d", walName(seq), r.src, r.dst, prev)
+				t.Errorf("%s: source %#x sent %d after %d", walSeries.Name(seq), r.src, r.dst, prev)
 			}
 			last[r.src] = r.dst
 		})
 		if valid != len(data) {
-			t.Fatalf("%s: %d of %d bytes decode", walName(seq), valid, len(data))
+			t.Fatalf("%s: %d of %d bytes decode", walSeries.Name(seq), valid, len(data))
 		}
 		total += n
 	}

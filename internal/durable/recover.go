@@ -3,10 +3,10 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"wormcontain/internal/core"
+	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/faultfs"
 )
 
@@ -14,14 +14,10 @@ import (
 // segment wal-N: the segment holds exactly the inputs applied since
 // that snapshot was cut. Recovery therefore loads the newest valid
 // snapshot S and replays segments S, S+1, … in order.
-const (
-	snapPattern = "snap-%016d.snap"
-	walPattern  = "wal-%016d.log"
-	tmpSuffix   = ".tmp"
+var (
+	snapSeries = crashsafe.Series{Prefix: "snap-", Suffix: ".snap"}
+	walSeries  = crashsafe.Series{Prefix: "wal-", Suffix: ".log"}
 )
-
-func snapName(seq uint64) string { return fmt.Sprintf(snapPattern, seq) }
-func walName(seq uint64) string  { return fmt.Sprintf(walPattern, seq) }
 
 // RecoveryInfo reports what startup recovery (and wormgate fsck, which
 // runs the identical code path read-only) found in a state directory.
@@ -49,7 +45,7 @@ type RecoveryInfo struct {
 	TruncatedAtRecord int
 }
 
-// scanDir classifies the state directory's files.
+// dirScan is the state directory's files, classified.
 type dirScan struct {
 	snaps  []uint64 // ascending
 	segs   []uint64 // ascending
@@ -58,49 +54,17 @@ type dirScan struct {
 }
 
 func scanDir(fsys faultfs.FS) (*dirScan, error) {
-	names, err := fsys.List()
+	gens, tmps, err := crashsafe.ScanDir(fsys, snapSeries, walSeries)
 	if err != nil {
-		return nil, fmt.Errorf("durable: list state dir: %w", err)
+		return nil, err
 	}
-	sc := &dirScan{}
-	for _, name := range names {
-		var seq uint64
-		switch {
-		case matchSeq(name, snapPattern, &seq):
-			sc.snaps = append(sc.snaps, seq)
-		case matchSeq(name, walPattern, &seq):
-			sc.segs = append(sc.segs, seq)
-		case len(name) > len(tmpSuffix) && name[len(name)-len(tmpSuffix):] == tmpSuffix:
-			sc.tmps = append(sc.tmps, name)
-			continue
-		default:
-			continue
-		}
-		if seq > sc.maxSeq {
-			sc.maxSeq = seq
+	sc := &dirScan{snaps: gens[0], segs: gens[1], tmps: tmps}
+	for _, g := range gens {
+		if len(g) > 0 && g[len(g)-1] > sc.maxSeq {
+			sc.maxSeq = g[len(g)-1]
 		}
 	}
-	sort.Slice(sc.snaps, func(i, j int) bool { return sc.snaps[i] < sc.snaps[j] })
-	sort.Slice(sc.segs, func(i, j int) bool { return sc.segs[i] < sc.segs[j] })
 	return sc, nil
-}
-
-// matchSeq parses names of the exact generated form (fixed width, so
-// lexical file order equals generation order).
-func matchSeq(name, pattern string, seq *uint64) bool {
-	var s uint64
-	var tail string
-	n, err := fmt.Sscanf(name, pattern, &s)
-	if err != nil || n != 1 {
-		return false
-	}
-	// Sscanf tolerates prefixes; require exact round-trip.
-	tail = fmt.Sprintf(pattern, s)
-	if tail != name {
-		return false
-	}
-	*seq = s
-	return true
 }
 
 // recovered is the outcome of recoverState.
@@ -136,12 +100,12 @@ type snapshotFile struct {
 // the latter is intact state this build cannot read, and skipping it
 // would start fresh and refund every host's budget.
 func loadSnapshot(fsys faultfs.FS, seq uint64) (snapshotFile, error) {
-	raw, err := fsys.ReadFile(snapName(seq))
+	raw, err := fsys.ReadFile(snapSeries.Name(seq))
 	if err != nil {
-		return snapshotFile{}, fmt.Errorf("durable: read %s: %w", snapName(seq), err)
+		return snapshotFile{}, fmt.Errorf("durable: read %s: %w", snapSeries.Name(seq), err)
 	}
 	f := snapshotFile{bytes: len(raw)}
-	payload, err := decodeSnapshot(raw)
+	payload, err := crashsafe.DecodeFile(raw)
 	if err == nil {
 		f.header, err = core.ReadSnapshotHeader(payload)
 	}
@@ -149,7 +113,7 @@ func loadSnapshot(fsys faultfs.FS, seq uint64) (snapshotFile, error) {
 		f.limiter, err = core.RestoreAnyLimiter(payload)
 	}
 	if errors.Is(err, core.ErrLegacySnapshot) {
-		return f, fmt.Errorf("durable: %s: %w", snapName(seq), err)
+		return f, fmt.Errorf("durable: %s: %w", snapSeries.Name(seq), err)
 	}
 	f.corrupt = err
 	return f, nil
@@ -178,7 +142,7 @@ func recoverState(fsys faultfs.FS, logf func(string, ...any)) (recovered, error)
 		}
 		if f.corrupt != nil {
 			rec.info.CorruptSnapshots++
-			logf("durable: skipping corrupt snapshot %s: %v", snapName(seq), f.corrupt)
+			logf("durable: skipping corrupt snapshot %s: %v", snapSeries.Name(seq), f.corrupt)
 			continue
 		}
 		rec.base(f.limiter, seq)
@@ -250,7 +214,7 @@ func replaySegments(fsys faultfs.FS, limiter core.ContainmentLimiter, sc *dirSca
 		if seq < baseSeq {
 			continue
 		}
-		name := walName(seq)
+		name := walSeries.Name(seq)
 		data, err := fsys.ReadFile(name)
 		if err != nil {
 			return fmt.Errorf("durable: read %s: %w", name, err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wormcontain/internal/core"
+	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/faultfs"
 )
 
@@ -105,8 +106,8 @@ func TestLegacySnapshotIsFatal(t *testing.T) {
 	if err := s.Close(); err != nil { // generations 1 and 2, both binary
 		t.Fatal(err)
 	}
-	legacy := encodeSnapshot([]byte(`{"version":1,"m":4,"cycleMillis":60000,"checkFraction":0.5,"hosts":[]}`))
-	f, err := m.Create(snapName(3))
+	legacy := crashsafe.AppendFrame(nil, []byte(`{"version":1,"m":4,"cycleMillis":60000,"checkFraction":0.5,"hosts":[]}`))
+	f, err := m.Create(snapSeries.Name(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +117,8 @@ func TestLegacySnapshotIsFatal(t *testing.T) {
 	before, _ := m.List()
 
 	_, err = Open(Options{FS: m}, testCfg, testStart)
-	if !errors.Is(err, core.ErrLegacySnapshot) || !strings.Contains(err.Error(), snapName(3)) {
-		t.Fatalf("Open err = %v, want ErrLegacySnapshot naming %s", err, snapName(3))
+	if !errors.Is(err, core.ErrLegacySnapshot) || !strings.Contains(err.Error(), snapSeries.Name(3)) {
+		t.Fatalf("Open err = %v, want ErrLegacySnapshot naming %s", err, snapSeries.Name(3))
 	}
 	if _, err := Inspect(m); !errors.Is(err, core.ErrLegacySnapshot) {
 		t.Fatalf("Inspect err = %v, want ErrLegacySnapshot", err)
@@ -129,7 +130,7 @@ func TestLegacySnapshotIsFatal(t *testing.T) {
 	// The same bytes with a broken checksum are a torn write, not a
 	// legacy file: skipped like any other corrupt snapshot.
 	legacy[len(legacy)-1] ^= 1
-	f, _ = m.Create(snapName(3))
+	f, _ = m.Create(snapSeries.Name(3))
 	f.Write(legacy)
 	f.Sync()
 	f.Close()

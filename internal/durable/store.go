@@ -2,12 +2,14 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wormcontain/internal/core"
+	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/faultfs"
 	"wormcontain/internal/telemetry"
 )
@@ -351,7 +353,7 @@ func (s *Store) gather(from, to uint64) []byte {
 func (s *Store) eachSwapped(fn func(seq uint64, frame []byte)) {
 	for _, b := range s.swapped {
 		for len(b) > 0 {
-			end := 8 + frameHeader + int(binary.LittleEndian.Uint32(b[8:]))
+			end := 8 + crashsafe.FrameHeader + int(binary.LittleEndian.Uint32(b[8:]))
 			fn(binary.LittleEndian.Uint64(b), b[8:end])
 			b = b[end:]
 		}
@@ -377,11 +379,17 @@ func (s *Store) flushLocked() error {
 	return s.writeRecords(from, to)
 }
 
-// writeRecords writes the swapped-out records [from, to) to the segment
-// and acknowledges them; a failure degrades the WAL.
+var errNoSegment = errors.New("durable: no open WAL segment")
+
+// writeRecords writes the swapped-out records [from, to) to the segment,
+// fsyncs and acknowledges them; a failure degrades the WAL.
 func (s *Store) writeRecords(from, to uint64) error {
 	buf := s.gather(from, to)
-	if err := s.writeSeg(buf); err != nil {
+	err := errNoSegment
+	if s.seg != nil {
+		err = crashsafe.WriteSync(s.seg, buf)
+	}
+	if err != nil {
 		s.setBroken(err)
 		return err
 	}
@@ -390,21 +398,6 @@ func (s *Store) writeRecords(from, to uint64) error {
 	s.walFsyncs.Add(1)
 	s.walBytes.Add(uint64(len(buf)))
 	return nil
-}
-
-// writeSeg writes buf to the open segment and fsyncs it.
-func (s *Store) writeSeg(buf []byte) error {
-	if s.seg == nil {
-		return fmt.Errorf("durable: no open WAL segment")
-	}
-	for len(buf) > 0 {
-		n, err := s.seg.Write(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[n:]
-	}
-	return s.seg.Sync()
 }
 
 func (s *Store) setBroken(err error) {
@@ -444,13 +437,8 @@ func (s *Store) snapshotLocked() error {
 	}
 
 	newSeq := s.seq + 1
-	tmp := snapName(newSeq) + tmpSuffix
-	if err := s.writeFileSync(tmp, encodeSnapshot(data)); err != nil {
-		_ = s.fs.Remove(tmp) // best effort; Open GCs stray tmps too
-		return err
-	}
-	if err := s.fs.Rename(tmp, snapName(newSeq)); err != nil {
-		return err
+	if err := crashsafe.Publish(s.fs, snapSeries.Name(newSeq), crashsafe.AppendFrame(nil, data)); err != nil {
+		return err // a stray tmp left by a crash is reclaimed by the next GC
 	}
 
 	// The snapshot is durable: everything before the cut is safe even
@@ -463,7 +451,7 @@ func (s *Store) snapshotLocked() error {
 	// ack anything further to the OLD segment — recovery ignores
 	// segments older than the new snapshot — so it degrades the WAL.
 	old := s.seg
-	seg, err := s.fs.Append(walName(newSeq))
+	seg, err := s.fs.Append(walSeries.Name(newSeq))
 	if err != nil {
 		s.seg = nil
 		s.seq = newSeq
@@ -476,57 +464,9 @@ func (s *Store) snapshotLocked() error {
 	if old != nil {
 		_ = old.Close() // contents already fsynced; close errors are moot
 	}
-	s.gcLocked()
+	// Keep the previous generation as a fallback.
+	crashsafe.Reclaim(s.fs, s.seq-1, snapSeries, walSeries)
 	return nil
-}
-
-// writeFileSync creates name, writes data fully and fsyncs + closes.
-func (s *Store) writeFileSync(name string, data []byte) error {
-	f, err := s.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	for len(data) > 0 {
-		n, werr := f.Write(data)
-		if werr != nil {
-			f.Close()
-			return werr
-		}
-		data = data[n:]
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// gcLocked removes generations older than the previous one, plus stray
-// temp files. Best-effort: GC failures only delay reclamation.
-func (s *Store) gcLocked() {
-	sc, err := scanDir(s.fs)
-	if err != nil {
-		return
-	}
-	keep := uint64(0)
-	if s.seq > 0 {
-		keep = s.seq - 1
-	}
-	for _, seq := range sc.snaps {
-		if seq < keep {
-			_ = s.fs.Remove(snapName(seq))
-		}
-	}
-	for _, seq := range sc.segs {
-		if seq < keep {
-			_ = s.fs.Remove(walName(seq))
-		}
-	}
-	for _, name := range sc.tmps {
-		if name != snapName(s.seq+1)+tmpSuffix { // never our own in-flight tmp
-			_ = s.fs.Remove(name)
-		}
-	}
 }
 
 // flushLoop is the group-commit ticker.

@@ -105,8 +105,8 @@ func TestStoreSnapshotRotationAndGC(t *testing.T) {
 	}
 	// Open wrote generation 1; five snapshots later we're at 6 and GC
 	// keeps only generations 5 and 6.
-	want := []string{walName(5), walName(6), snapName(5), snapName(6)}
-	if fmt.Sprint(names) != fmt.Sprint([]string{snapName(5), snapName(6), walName(5), walName(6)}) {
+	want := []string{walSeries.Name(5), walSeries.Name(6), snapSeries.Name(5), snapSeries.Name(6)}
+	if fmt.Sprint(names) != fmt.Sprint([]string{snapSeries.Name(5), snapSeries.Name(6), walSeries.Name(5), walSeries.Name(6)}) {
 		// List is sorted lexically: snap-* before wal-*.
 		t.Fatalf("files after GC = %v, want %v", names, want)
 	}
@@ -125,7 +125,7 @@ func TestStoreRecoversFromTornTail(t *testing.T) {
 
 	// Corrupt the live segment's tail out-of-band: a durable torn frame,
 	// as left by a crash mid-group-commit.
-	f, err := m.Append(walName(1))
+	f, err := m.Append(walSeries.Name(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +186,12 @@ func TestStoreCorruptSnapshotFallsBack(t *testing.T) {
 
 	// Flip a byte inside the newest snapshot: recovery must fall back to
 	// generation 1 and replay both WAL segments.
-	raw, err := m.ReadFile(snapName(2))
+	raw, err := m.ReadFile(snapSeries.Name(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x10
-	f, _ := m.Create(snapName(2))
+	f, _ := m.Create(snapSeries.Name(2))
 	f.Write(raw)
 	f.Sync()
 	f.Close()
@@ -312,7 +312,7 @@ func TestInspectMatchesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Torn tail, durable.
-	f, _ := m.Append(walName(1))
+	f, _ := m.Append(walSeries.Name(1))
 	f.Write([]byte{1, 2, 3})
 	f.Sync()
 	f.Close()

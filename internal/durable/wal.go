@@ -1,12 +1,12 @@
 // Package durable makes the limiter's containment state survive
 // crashes: an append-only write-ahead log of the limiter's logical
 // inputs (Observe and Reinstate calls — every derived transition
-// replays from those), plus periodic full snapshots published with the
-// temp-file + fsync + atomic-rename idiom. Startup recovery loads the
-// newest valid snapshot and replays the WAL tail, truncating at the
-// first torn or corrupt record instead of refusing to start. All file
-// I/O goes through faultfs.FS, so the crash-injection suite can kill
-// the store at every write, sync and rename point and prove the
+// replays from those), plus periodic full snapshots. Startup recovery
+// loads the newest valid snapshot and replays the WAL tail, truncating
+// at the first torn or corrupt record instead of refusing to start.
+// Framing, fsync and atomic publication are internal/crashsafe's; all
+// file I/O goes through faultfs.FS, so the crash-injection suite can
+// kill the store at every write, sync and rename point and prove the
 // recovery invariant: the recovered state equals the pre-crash state
 // with a suffix of acknowledged inputs applied — no invented scans, no
 // refunded budgets.
@@ -14,30 +14,15 @@ package durable
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 
 	"wormcontain/internal/core"
+	"wormcontain/internal/crashsafe"
 )
-
-// Every WAL record and every snapshot is framed the same way:
-//
-//	[u32 LE payload length][u32 LE CRC32-C of payload][payload]
-//
-// The CRC is Castagnoli (hardware-accelerated on amd64/arm64), the
-// polynomial every modern storage system uses for exactly this job. A
-// torn write leaves either a short frame (length runs past the data)
-// or a checksum mismatch; both read as "end of valid prefix".
-const frameHeader = 8
 
 // maxRecordLen bounds a WAL record's payload so a corrupt length field
 // cannot make the reader skip megabytes of log in one hop: anything
 // larger than the biggest real record is corruption by definition.
 const maxRecordLen = 64
-
-// maxSnapshotLen bounds a snapshot payload (1 GiB — far above any real
-// limiter state, small enough to reject garbage lengths outright).
-const maxSnapshotLen = 1 << 30
 
 // Record kinds. The WAL stores limiter *inputs*: removals, flags,
 // denials and cycle rolls are all pure functions of the input prefix,
@@ -49,31 +34,11 @@ const (
 	recAlert     byte = 4 // [kind u8][src u32][origin u64][seq u64][unixMs u64] = 29 bytes
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame appends one framed payload to b.
-func appendFrame(b, payload []byte) []byte {
-	b = append(b, make([]byte, frameHeader)...)
-	return sealFrame(append(b, payload...), len(payload))
-}
-
-// Records are encoded straight into the buffer they are journaled in —
-// an empty header, then the payload — and sealed where they lie: the
-// checksum routine makes the bytes it reads escape, so a payload built
-// on the stack first would cost one heap allocation per record.
-
-// openFrame appends an empty frame header and the record kind to b.
+// openFrame appends an empty frame header and the record kind to b:
+// records are encoded straight into the buffer they are journaled in and
+// sealed where they lie (crashsafe.OpenFrame has why).
 func openFrame(b []byte, kind byte) []byte {
-	return append(b, 0, 0, 0, 0, 0, 0, 0, 0, kind)
-}
-
-// sealFrame fills in the header of the frame whose n-byte payload ends b.
-func sealFrame(b []byte, n int) []byte {
-	payload := b[len(b)-n:]
-	h := b[len(b)-n-frameHeader:]
-	binary.LittleEndian.PutUint32(h[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, castagnoli))
-	return b
+	return append(crashsafe.OpenFrame(b), kind)
 }
 
 // appendObserve appends one framed Observe record to b.
@@ -94,14 +59,14 @@ func appendContact(b []byte, kind byte, src, dst uint32, unixMs int64) []byte {
 	b = binary.LittleEndian.AppendUint32(b, src)
 	b = binary.LittleEndian.AppendUint32(b, dst)
 	b = binary.LittleEndian.AppendUint64(b, uint64(unixMs))
-	return sealFrame(b, 17)
+	return crashsafe.SealFrame(b, 17)
 }
 
 // appendReinstate appends one framed Reinstate record to b.
 func appendReinstate(b []byte, src uint32) []byte {
 	b = openFrame(b, recReinstate)
 	b = binary.LittleEndian.AppendUint32(b, src)
-	return sealFrame(b, 5)
+	return crashsafe.SealFrame(b, 5)
 }
 
 // appendAlert appends one framed fleet-alert record to b. Alerts are
@@ -114,7 +79,7 @@ func appendAlert(b []byte, a core.Alert) []byte {
 	b = binary.LittleEndian.AppendUint64(b, a.Origin)
 	b = binary.LittleEndian.AppendUint64(b, a.Seq)
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.UnixMs))
-	return sealFrame(b, 29)
+	return crashsafe.SealFrame(b, 29)
 }
 
 // walRecord is one decoded WAL record.
@@ -167,57 +132,15 @@ func parseRecord(p []byte) (walRecord, bool) {
 
 // decodeWAL scans data front to back, invoking fn (when non-nil) for
 // each intact record, and returns the byte length of the valid prefix
-// plus the record count. It never panics and never reads past the
-// first invalid frame: a torn tail, flipped bit, truncated header or
-// absurd length all terminate the scan at a clean record boundary —
-// the truncation point recovery uses.
+// plus the record count. The scan ends at the first frame crashsafe.Scan
+// rejects or whose payload is not a record — the truncation point
+// recovery uses.
 func decodeWAL(data []byte, fn func(walRecord)) (validBytes, records int) {
-	off := 0
-	for {
-		rest := len(data) - off
-		if rest < frameHeader {
-			return off, records
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		if n == 0 || n > maxRecordLen || int(n) > rest-frameHeader {
-			return off, records
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(n)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
-			return off, records
-		}
+	return crashsafe.Scan(data, maxRecordLen, func(payload []byte) bool {
 		rec, ok := parseRecord(payload)
-		if !ok {
-			return off, records
-		}
-		if fn != nil {
+		if ok && fn != nil {
 			fn(rec)
 		}
-		off += frameHeader + int(n)
-		records++
-	}
-}
-
-// encodeSnapshot frames a limiter snapshot payload.
-func encodeSnapshot(payload []byte) []byte {
-	return appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
-}
-
-// decodeSnapshot validates a snapshot file and returns its payload.
-// Snapshots are fsynced before the rename that publishes them, so a
-// valid file is exactly one frame; anything else is corruption.
-func decodeSnapshot(data []byte) ([]byte, error) {
-	if len(data) < frameHeader {
-		return nil, fmt.Errorf("durable: snapshot truncated: %d bytes", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	if n == 0 || n > maxSnapshotLen || int(n) != len(data)-frameHeader {
-		return nil, fmt.Errorf("durable: snapshot length field %d does not match file size %d",
-			n, len(data))
-	}
-	payload := data[frameHeader:]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[4:8]); got != want {
-		return nil, fmt.Errorf("durable: snapshot checksum mismatch: %08x != %08x", got, want)
-	}
-	return payload, nil
+		return ok
+	})
 }

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 
+	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/faultfs"
 	"wormcontain/internal/sim"
-	"wormcontain/internal/simstate"
 )
 
 // The Monte-Carlo progress journal holds one header record binding the
@@ -96,7 +96,7 @@ func runMonteCarlo(id string, cfg sim.FastConfig, opts Options) (*sim.MonteCarlo
 // runMonteCarloFS is runMonteCarlo over an explicit filesystem (tests
 // inject faultfs.Mem to exercise crash recovery deterministically).
 func runMonteCarloFS(fsys faultfs.FS, id string, cfg sim.FastConfig, opts Options) (*sim.MonteCarlo, error) {
-	j, records, err := simstate.OpenJournal(fsys, mcJournalName(id))
+	j, records, err := crashsafe.OpenLog(fsys, mcJournalName(id))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: open progress journal: %w", err)
 	}

@@ -1,10 +1,11 @@
 // Package faultfs extends the faultnet philosophy from the network to
-// the filesystem: the durable state machinery (internal/durable) talks
-// to storage only through the small FS interface below, so tests can
-// substitute a deterministic in-memory filesystem that crashes at any
-// chosen write/sync/rename point, tears unsynced tails, delivers short
-// writes and flips bits — while production uses the real OS with the
-// fsync discipline (file fsync before rename, directory fsync after
+// the filesystem: crash-safe storage (internal/crashsafe, and through
+// it the limiter's WAL and snapshots, simulation checkpoints and
+// experiment progress logs) talks to disk only through the small FS
+// interface below, so tests can substitute a deterministic in-memory
+// filesystem that crashes at any chosen write/sync/rename point, tears
+// unsynced tails, delivers short writes and flips bits — while
+// production uses the real OS with the fsync discipline (file fsync before rename, directory fsync after
 // namespace changes) that crash-safe storage requires.
 //
 // Fault schedules follow the faultnet contract: every injectable
@@ -21,11 +22,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
-// FS is the filesystem surface the durable layer uses: a single flat
-// state directory holding snapshot and WAL files. Implementations must
-// be safe for concurrent use.
+// FS is the filesystem surface crash-safe storage uses: a single flat
+// state directory of whole files — snapshots and WAL segments,
+// checkpoint generations, progress logs. Implementations must be safe
+// for concurrent use.
 type FS interface {
 	// List returns the base names of the files in the state directory,
 	// sorted ascending.
@@ -33,10 +36,10 @@ type FS interface {
 	// ReadFile returns the full contents of name.
 	ReadFile(name string) ([]byte, error)
 	// Create opens name for writing, truncating any existing content —
-	// the temp-file side of the snapshot write path.
+	// the temp-file side of an atomic publish.
 	Create(name string) (File, error)
-	// Append opens name for appending, creating it when absent — the
-	// WAL segment write path.
+	// Append opens name for appending, creating it (durably: a namespace
+	// change like Rename) when absent — the WAL segment and log write path.
 	Append(name string) (File, error)
 	// Rename atomically replaces newname with oldname and makes the
 	// namespace change durable (directory fsync on real filesystems).
@@ -45,8 +48,8 @@ type FS interface {
 	Remove(name string) error
 }
 
-// File is an open handle for writing (and nothing else: the durable
-// layer reads whole files through FS.ReadFile).
+// File is an open handle for writing (and nothing else: readers take
+// whole files through FS.ReadFile).
 type File interface {
 	// Write appends/writes p and returns the bytes accepted.
 	Write(p []byte) (int, error)
@@ -59,12 +62,14 @@ type File interface {
 }
 
 // OS is the production FS: a real directory on the local filesystem.
-// Rename and Remove fsync the directory afterwards so namespace
-// changes are as durable as the file contents the durable layer
-// fsyncs explicitly.
+// Rename, Remove and an Append that creates its file fsync the
+// directory afterwards so namespace changes are as durable as the file
+// contents callers fsync explicitly.
 type OS struct {
 	// Dir is the state directory. All names are base names inside it.
 	Dir string
+
+	dirSyncs atomic.Uint64 // directory fsyncs issued; tests read it
 }
 
 // NewOS returns an OS filesystem rooted at dir, creating the directory
@@ -114,27 +119,37 @@ func (o *OS) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(p)
 }
 
-// Create implements FS.
-func (o *OS) Create(name string) (File, error) {
+// open opens name write-only with the given extra flags.
+func (o *OS) open(name string, flag int) (File, error) {
 	p, err := o.path(name)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
+	f, err := os.OpenFile(p, flag|os.O_WRONLY, 0o600)
 	if err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// Append implements FS.
+// Create implements FS.
+func (o *OS) Create(name string) (File, error) {
+	return o.open(name, os.O_CREATE|os.O_TRUNC)
+}
+
+// Append implements FS. Creating the file is a namespace change: without
+// the directory fsync, records fsynced to a fresh WAL segment could lose
+// their directory entry to a power loss. A reopen owes none.
 func (o *OS) Append(name string) (File, error) {
-	p, err := o.path(name)
-	if err != nil {
+	f, err := o.open(name, os.O_APPEND)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	if f, err = o.open(name, os.O_CREATE|os.O_APPEND); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o600)
-	if err != nil {
+	if err := o.syncDir(); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return f, nil
@@ -174,6 +189,7 @@ func (o *OS) Remove(name string) error {
 // mounts) surface fs.ErrInvalid here; that is reported, not swallowed —
 // the operator should know the durability contract is weaker.
 func (o *OS) syncDir() error {
+	o.dirSyncs.Add(1)
 	d, err := os.Open(o.Dir)
 	if err != nil {
 		return err

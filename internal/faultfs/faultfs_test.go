@@ -200,6 +200,55 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOSAppendSyncsDirOnlyOnCreate: an Append that creates its file is
+// a namespace change and owes the directory fsync Rename and Remove
+// pay; reopening an existing file owes none (the WAL reopens nothing on
+// the hot path, but a progress log is reopened at every resume).
+func TestOSAppendSyncsDirOnlyOnCreate(t *testing.T) {
+	o, err := NewOS(t.TempDir())
+	if err != nil {
+		t.Fatalf("NewOS: %v", err)
+	}
+	for _, step := range []struct {
+		what      string
+		wantSyncs uint64
+	}{
+		{"create", 1},
+		{"reopen", 0},
+		{"reopen again", 0},
+	} {
+		before := o.dirSyncs.Load()
+		f, err := o.Append("wal")
+		if err != nil {
+			t.Fatalf("%s: Append: %v", step.what, err)
+		}
+		if got := o.dirSyncs.Load() - before; got != step.wantSyncs {
+			t.Errorf("%s: %d directory fsync(s), want %d", step.what, got, step.wantSyncs)
+		}
+		if _, err := f.Write([]byte("x")); err != nil {
+			t.Fatalf("%s: Write: %v", step.what, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", step.what, err)
+		}
+	}
+	// Both branches open in append mode: nothing was truncated.
+	if got, err := o.ReadFile("wal"); err != nil || string(got) != "xxx" {
+		t.Fatalf("ReadFile = (%q, %v), want xxx", got, err)
+	}
+	// The namespace changes that always owed one still pay it.
+	before := o.dirSyncs.Load()
+	if err := o.Rename("wal", "wal2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Remove("wal2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.dirSyncs.Load() - before; got != 2 {
+		t.Errorf("rename + remove: %d directory fsync(s), want 2", got)
+	}
+}
+
 func TestOSRejectsEscapingNames(t *testing.T) {
 	o, err := NewOS(t.TempDir())
 	if err != nil {

@@ -1,100 +1,32 @@
-// Package simstate persists simulation checkpoints and experiment
-// progress across process restarts. A Dir stores encoded sim
-// checkpoints as numbered generations, each published with the
-// temp-file + fsync + atomic-rename idiom and framed with a CRC32-C
-// checksum; Load returns the newest generation that validates, so a
-// crash at any write, sync or rename point — including the torn tails
-// and bit flips faultfs injects — degrades at worst to the previous
-// generation, never to an unrecoverable directory. A Journal is the
-// append-log counterpart for replicated experiments: one CRC-framed
-// record per completed replication, with torn tails truncated at a
-// clean record boundary on open.
-//
-// All I/O goes through faultfs.FS, so the crash-injection suite can
-// kill the store at every operation and prove the recovery invariant.
+// Package simstate persists simulation checkpoints across process
+// restarts. A Dir stores encoded sim checkpoints as numbered
+// generations, each one CRC frame published atomically by
+// internal/crashsafe; Load returns the newest generation that validates,
+// so a crash at any write, sync or rename point — including the torn
+// tails and bit flips faultfs injects — degrades at worst to the
+// previous generation, never to an unrecoverable directory.
 package simstate
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
+	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/faultfs"
 )
 
-// Checkpoint files are ckpt-<generation>.ckpt with a fixed-width
-// generation number, so lexical file order equals generation order.
-// In-flight writes carry the .tmp suffix and are invisible to Load.
-const (
-	ckptPattern = "ckpt-%016d.ckpt"
-	tmpSuffix   = ".tmp"
-)
-
-// Every stored payload — checkpoint file or journal record — is framed
-//
-//	[u32 LE payload length][u32 LE CRC32-C of payload][payload]
-//
-// matching the framing internal/durable uses: a torn write leaves a
-// short frame or a checksum mismatch, and both read as "invalid".
-const frameHeader = 8
-
-// maxCheckpointLen bounds a checkpoint payload (1 GiB — far above any
-// real simulation state, small enough to reject garbage lengths).
-const maxCheckpointLen = 1 << 30
+// Checkpoint files are ckpt-<generation>.ckpt.
+var ckptSeries = crashsafe.Series{Prefix: "ckpt-", Suffix: ".ckpt"}
 
 // keepGenerations is how many published generations Save retains: the
 // new one plus one fallback, the same budget durable's snapshot GC
 // uses.
 const keepGenerations = 2
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrNoCheckpoint is returned by Load when the directory holds no
 // valid checkpoint — empty, fresh, or every generation corrupt.
 var ErrNoCheckpoint = errors.New("simstate: no valid checkpoint")
-
-func ckptName(gen uint64) string { return fmt.Sprintf(ckptPattern, gen) }
-
-// matchGen parses names of the exact generated form (Sscanf tolerates
-// prefixes, so require the exact round-trip like durable.matchSeq).
-func matchGen(name string, gen *uint64) bool {
-	var g uint64
-	n, err := fmt.Sscanf(name, ckptPattern, &g)
-	if err != nil || n != 1 || ckptName(g) != name {
-		return false
-	}
-	*gen = g
-	return true
-}
-
-// appendFrame appends one framed payload to b.
-func appendFrame(b, payload []byte) []byte {
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, castagnoli))
-	b = append(b, h[:]...)
-	return append(b, payload...)
-}
-
-// decodeFrame validates a whole-file frame and returns its payload. A
-// published checkpoint is fsynced before the rename, so a valid file
-// is exactly one frame; anything else is corruption.
-func decodeFrame(data []byte, maxLen int) ([]byte, error) {
-	if len(data) < frameHeader {
-		return nil, fmt.Errorf("simstate: file truncated: %d bytes", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	if n == 0 || int64(n) > int64(maxLen) || int(n) != len(data)-frameHeader {
-		return nil, fmt.Errorf("simstate: length field %d does not match file size %d", n, len(data))
-	}
-	payload := data[frameHeader:]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(data[4:8]); got != want {
-		return nil, fmt.Errorf("simstate: checksum mismatch: %08x != %08x", got, want)
-	}
-	return payload, nil
-}
 
 // Dir is a checkpoint directory: Save publishes each payload as a new
 // generation, Load returns the newest valid one. It implements
@@ -120,44 +52,33 @@ func OpenPath(path string) (*Dir, error) {
 }
 
 // scan returns the published generations in ascending order.
-func (d *Dir) scan() (gens []uint64, tmps []string, err error) {
-	names, err := d.fs.List()
+func (d *Dir) scan() ([]uint64, error) {
+	gens, _, err := crashsafe.ScanDir(d.fs, ckptSeries)
 	if err != nil {
-		return nil, nil, fmt.Errorf("simstate: list checkpoint dir: %w", err)
+		return nil, err
 	}
-	for _, name := range names {
-		var g uint64
-		switch {
-		case matchGen(name, &g):
-			gens = append(gens, g) // List is sorted and names are fixed-width
-		case len(name) > len(tmpSuffix) && name[len(name)-len(tmpSuffix):] == tmpSuffix:
-			tmps = append(tmps, name)
-		}
-	}
-	return gens, tmps, nil
+	return gens[0], nil
 }
 
 // Generations returns the published generation numbers, ascending.
 func (d *Dir) Generations() ([]uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gens, _, err := d.scan()
-	return gens, err
+	return d.scan()
 }
 
-// Save implements sim.CheckpointSink: the payload becomes generation
-// max+1, written to a temp file, fsynced, and atomically renamed into
-// place. Only after the rename succeeds is the checkpoint published —
-// a crash anywhere before it leaves the previous generation untouched.
-// On success older generations beyond the keep budget are
-// garbage-collected (best effort: GC failures only delay reclamation).
+// Save implements sim.CheckpointSink: the payload is published as
+// generation max+1 — a crash anywhere before the publish completes
+// leaves the previous generation untouched. On success older
+// generations beyond the keep budget are garbage-collected (best
+// effort: GC failures only delay reclamation).
 func (d *Dir) Save(payload []byte) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("simstate: refusing to save an empty checkpoint")
 	}
-	gens, tmps, err := d.scan()
+	gens, err := d.scan()
 	if err != nil {
 		return 0, err
 	}
@@ -165,25 +86,12 @@ func (d *Dir) Save(payload []byte) (uint64, error) {
 	if len(gens) > 0 {
 		gen = gens[len(gens)-1] + 1
 	}
-	tmp := ckptName(gen) + tmpSuffix
-	if err := writeFileSync(d.fs, tmp, appendFrame(nil, payload)); err != nil {
-		_ = d.fs.Remove(tmp) // best effort; the next Save's GC clears strays
-		return 0, fmt.Errorf("simstate: write %s: %w", tmp, err)
-	}
-	if err := d.fs.Rename(tmp, ckptName(gen)); err != nil {
-		_ = d.fs.Remove(tmp)
-		return 0, fmt.Errorf("simstate: publish generation %d: %w", gen, err)
+	if err := crashsafe.Publish(d.fs, ckptSeries.Name(gen), crashsafe.AppendFrame(nil, payload)); err != nil {
+		return 0, err
 	}
 	// The new generation is durable; reclaim everything beyond the keep
 	// budget plus temp files from interrupted earlier writes.
-	for _, g := range gens {
-		if g+keepGenerations <= gen {
-			_ = d.fs.Remove(ckptName(g))
-		}
-	}
-	for _, name := range tmps {
-		_ = d.fs.Remove(name)
-	}
+	crashsafe.Reclaim(d.fs, gen+1-keepGenerations, ckptSeries)
 	return gen, nil
 }
 
@@ -195,43 +103,21 @@ func (d *Dir) Save(payload []byte) (uint64, error) {
 func (d *Dir) Load() ([]byte, uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gens, _, err := d.scan()
+	gens, err := d.scan()
 	if err != nil {
 		return nil, 0, err
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
 		gen := gens[i]
-		data, err := d.fs.ReadFile(ckptName(gen))
+		data, err := d.fs.ReadFile(ckptSeries.Name(gen))
 		if err != nil {
-			return nil, 0, fmt.Errorf("simstate: read %s: %w", ckptName(gen), err)
+			return nil, 0, fmt.Errorf("simstate: read %s: %w", ckptSeries.Name(gen), err)
 		}
-		payload, derr := decodeFrame(data, maxCheckpointLen)
+		payload, derr := crashsafe.DecodeFile(data)
 		if derr != nil {
 			continue // skip for an older generation
 		}
 		return payload, gen, nil
 	}
 	return nil, 0, ErrNoCheckpoint
-}
-
-// writeFileSync creates name, writes data fully and fsyncs before
-// closing — the content half of the atomic-publish idiom.
-func writeFileSync(fsys faultfs.FS, name string, data []byte) error {
-	f, err := fsys.Create(name)
-	if err != nil {
-		return err
-	}
-	for len(data) > 0 {
-		n, werr := f.Write(data)
-		if werr != nil {
-			f.Close()
-			return werr
-		}
-		data = data[n:]
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -72,7 +72,7 @@ func TestDirSkipsCorruptGeneration(t *testing.T) {
 	}
 
 	corrupt := func(gen uint64, mutate func([]byte) []byte) {
-		name := filepath.Join(dir, ckptName(gen))
+		name := filepath.Join(dir, ckptSeries.Name(gen))
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -135,152 +135,60 @@ func TestDirIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
-func recordN(i int) []byte { return []byte(fmt.Sprintf("record-%05d", i)) }
+// ckptGolden is ckpt-0000000000000001.ckpt as the pre-crashsafe Dir.Save
+// wrote it for the payload "sim-state", spelled by hand: the checkpoint
+// file format is these bytes, not whatever the current encoder emits.
+var ckptGolden = []byte{
+	0x09, 0x00, 0x00, 0x00, // payload length, u32 LE
+	0xab, 0xe2, 0x2f, 0xaf, // CRC32-C of the payload, u32 LE
+	's', 'i', 'm', '-', 's', 't', 'a', 't', 'e',
+}
 
-func TestJournalAppendReplay(t *testing.T) {
+func TestCheckpointBytesGolden(t *testing.T) {
 	mem := faultfs.NewMem(nil)
-	j, recs, err := OpenJournal(mem, "mc.journal")
-	if err != nil {
+	if _, err := Open(mem).Save([]byte("sim-state")); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(recs))
+	names, _ := mem.List()
+	if len(names) != 1 || names[0] != "ckpt-0000000000000001.ckpt" {
+		t.Fatalf("directory after one Save: %v", names)
 	}
-	for i := 0; i < 10; i++ {
-		if err := j.Append(recordN(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if j.Appended() != 10 || j.Synced() != 0 {
-		t.Fatalf("appended %d synced %d, want 10/0", j.Appended(), j.Synced())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Synced() != 10 {
-		t.Fatalf("synced after close: %d", j.Synced())
-	}
-
-	j2, recs, err := OpenJournal(mem, "mc.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 10 {
-		t.Fatalf("replayed %d records, want 10", len(recs))
-	}
-	for i, rec := range recs {
-		if !bytes.Equal(rec, recordN(i)) {
-			t.Fatalf("record %d: %q", i, rec)
-		}
-	}
-	if j2.Appended() != 10 {
-		t.Fatalf("reopened journal appended %d", j2.Appended())
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
+	if got, _ := mem.Content(names[0]); !bytes.Equal(got, ckptGolden) {
+		t.Fatalf("checkpoint bytes\n got % x\nwant % x", got, ckptGolden)
 	}
 }
 
-func TestJournalTruncatesTornTail(t *testing.T) {
-	mem := faultfs.NewMem(nil)
-	j, _, err := OpenJournal(mem, "mc.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := j.Append(recordN(i)); err != nil {
+// TestLoadsParentLayout opens a directory laid out byte for byte as the
+// pre-crashsafe code left it — two generations, the newest torn, and a
+// temp file from an interrupted save — and requires the same answers
+// that code gave: the older generation loads, the next save is
+// generation 3 and reclaims the stray.
+func TestLoadsParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"ckpt-0000000000000001.ckpt":     ckptGolden,
+		"ckpt-0000000000000002.ckpt":     ckptGolden[:len(ckptGolden)-3],
+		"ckpt-0000000000000003.ckpt.tmp": ckptGolden[:5],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A torn frame lands after the valid records: half a header, then
-	// garbage.
-	f, err := mem.Append("mc.journal")
+	d, err := OpenPath(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x40, 0x00, 0x00}); err != nil {
-		t.Fatal(err)
+	got, gen, err := d.Load()
+	if err != nil || gen != 1 || string(got) != "sim-state" {
+		t.Fatalf("Load = (%q, %d, %v), want (sim-state, 1, nil)", got, gen, err)
 	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
+	if gen, err := d.Save([]byte("next")); err != nil || gen != 3 {
+		t.Fatalf("Save = (%d, %v), want generation 3", gen, err)
 	}
-	f.Close()
-
-	j2, recs, err := OpenJournal(mem, "mc.journal")
-	if err != nil {
-		t.Fatal(err)
+	if gens, _ := d.Generations(); len(gens) != 2 || gens[0] != 2 || gens[1] != 3 {
+		t.Fatalf("generations after save: %v, want [2 3]", gens)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("replayed %d records past a torn tail, want 4", len(recs))
-	}
-	// The rewrite removed the tail: append + reopen yields 5 clean records.
-	if err := j2.Append(recordN(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, err = OpenJournal(mem, "mc.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 || !bytes.Equal(recs[4], recordN(4)) {
-		t.Fatalf("after tail truncation and append: %d records", len(recs))
-	}
-}
-
-func TestJournalReset(t *testing.T) {
-	mem := faultfs.NewMem(nil)
-	j, _, err := OpenJournal(mem, "mc.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(recordN(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Appended() != 0 {
-		t.Fatalf("appended after reset: %d", j.Appended())
-	}
-	if err := j.Append([]byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, err := OpenJournal(mem, "mc.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || string(recs[0]) != "fresh" {
-		t.Fatalf("after reset: %q", recs)
-	}
-}
-
-func TestJournalRejectsBadRecords(t *testing.T) {
-	j, _, err := OpenJournal(faultfs.NewMem(nil), "mc.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(nil); err == nil {
-		t.Error("Append(nil) succeeded")
-	}
-	if err := j.Append(make([]byte, maxJournalRecord+1)); err == nil {
-		t.Error("oversized Append succeeded")
-	}
-	// Size-limit rejections are not sticky failures.
-	if err := j.Append([]byte("ok")); err != nil {
-		t.Errorf("Append after rejected record: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "ckpt-0000000000000003.ckpt.tmp")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stray tmp not collected: %v", err)
 	}
 }
