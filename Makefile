@@ -42,14 +42,16 @@ bench:
 # 1/2/4/8 goroutines, bare and through a durable.Store) and the
 # telemetry, gateway, fleet and topology suites, records name → ns/op,
 # B/op, allocs/op in BENCH_PR10.json, and gates the steady-state
-# zero-allocation contract: SimRun10M, Repopulate10M and the wheel
-# churn benchmarks must record 0 allocs/op.
+# zero-allocation contract: SimRun10M, Repopulate10M, the wheel churn
+# benchmarks and the exact limiter's uniform ObserveParallel rows (every
+# host known, every set inline or spilled already) must record
+# 0 allocs/op.
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -benchtime 1s \
 		./internal/des ./internal/sim ./internal/addr ./internal/core ./internal/durable \
 		./internal/telemetry ./internal/gateway ./internal/fleet ./internal/topo
 	$(GO) run ./cmd/benchjson gate \
-		-pattern 'BenchmarkSimRun10M|BenchmarkRepopulate10M|BenchmarkEventKernelChurn/kernel=wheel' \
+		-pattern 'BenchmarkSimRun10M|BenchmarkRepopulate10M|BenchmarkEventKernelChurn/kernel=wheel|BenchmarkObserveParallel/backend=exact,mix=uniform' \
 		-max-allocs 0 BENCH_PR10.json
 
 # bench-compare re-measures the perf-critical benchmark suites (event

@@ -137,8 +137,8 @@ func (l *Limiter) ApplyAlert(a Alert) bool {
 	}
 	l.rollCycleLocked(time.UnixMilli(a.UnixMs).UTC())
 	l.alerts.apply(a)
-	if h := s.host(a.Src, 0); !h.removed {
-		h.removed = true
+	if h := s.hosts.slot(a.Src); !h.removed() {
+		s.hosts.remove(h)
 		l.alerts.removals++
 	}
 	return true
@@ -175,6 +175,7 @@ func (l *SketchLimiter) ApplyAlert(a Alert) bool {
 	}
 	if !l.meta[slot].removed {
 		l.meta[slot].removed = true
+		l.removedHosts++
 		l.alerts.removals++
 	}
 	return true

@@ -107,7 +107,11 @@ func snapshotBenchLimiter(b *testing.B, backend string, hosts int) ContainmentLi
 
 // BenchmarkLimiterSnapshot measures the snapshot codec at fleet scale:
 // marshal and restore time per snapshot and the payload size
-// (snapshot-bytes), both backends, 100k and 1M tracked hosts.
+// (snapshot-bytes), both backends, 100k and 1M tracked hosts. Its set-up
+// also records what the state costs resident: B/host is the heap the
+// loaded limiter holds (live bytes after a collection, scanners' sets
+// included) over its tracked hosts — the figure a capacity plan for the
+// exact backend at V=10M starts from.
 func BenchmarkLimiterSnapshot(b *testing.B) {
 	for _, backend := range []string{"exact", "sketch"} {
 		for _, size := range []struct {
@@ -115,12 +119,19 @@ func BenchmarkLimiterSnapshot(b *testing.B) {
 			hosts int
 		}{{"100k", 100_000}, {"1M", 1_000_000}} {
 			b.Run(backend+"/hosts="+size.name, func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
 				l := snapshotBenchLimiter(b, backend, size.hosts)
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				perHost := float64(after.HeapAlloc-before.HeapAlloc) / float64(l.Snapshot().ActiveHosts)
 				data, err := l.MarshalState()
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.Run("marshal", func(b *testing.B) {
+					b.ReportMetric(perHost, "B/host")
 					b.ReportMetric(float64(len(data)), "snapshot-bytes")
 					for i := 0; i < b.N; i++ {
 						if _, err := l.MarshalState(); err != nil {

@@ -19,6 +19,9 @@ func FuzzLimiterSnapshotDecode(f *testing.F) {
 	empty := exactSpec()
 	empty.hostCount, empty.hosts, empty.alertCount, empty.alerts = 0, nil, 0, nil
 	f.Add(empty.encode())
+	for _, n := range spillBoundaryCounts { // 150 to 360 bytes each
+		f.Add(spillBoundarySnapshot(f, n))
+	}
 	f.Add([]byte{})
 	f.Add([]byte(`{"version":1}`))
 

@@ -246,11 +246,8 @@ func (l *Limiter) CheckpointState(cut func()) ([]byte, error) {
 		c.removals += s.removals
 		c.flags += s.flags
 		c.denied += s.denied
-		active += len(s.hosts)
-		for _, h := range s.hosts {
-			total += h.count()
-			largest = max(largest, h.count())
-		}
+		active += s.hosts.live
+		total += s.hosts.dsts
 	}
 	// keys pack (src, index into hosts) so that sorting plain integers
 	// orders the hosts by source.
@@ -258,10 +255,17 @@ func (l *Limiter) CheckpointState(cut func()) ([]byte, error) {
 	hosts := make([]hostCopy, 0, active)
 	dsts := make([]uint32, 0, total)
 	for i := range l.stripes {
-		for src, h := range l.stripes[i].hosts {
-			keys = append(keys, uint64(src)<<32|uint64(len(hosts)))
-			hosts = append(hosts, hostCopy{off: len(dsts), n: h.count(), removed: h.removed, flagged: h.flagged})
-			dsts = h.destinations(dsts)
+		t := &l.stripes[i].hosts
+		for j := range t.slots {
+			h := &t.slots[j]
+			if !h.live() {
+				continue
+			}
+			n := t.count(h)
+			largest = max(largest, n)
+			keys = append(keys, uint64(h.src)<<32|uint64(len(hosts)))
+			hosts = append(hosts, hostCopy{off: len(dsts), n: n, removed: h.removed(), flagged: h.flagged()})
+			dsts = t.destinations(h, dsts)
 		}
 	}
 	alerts := l.alerts.unsorted()
@@ -332,47 +336,45 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 	}
 
 	// Sizing pass on a forked cursor, before anything is allocated by
-	// the header's counts: every claimed host must be present, and those
-	// at or under smallSetMax will keep their destinations in one shared
-	// arena (the rest spill to maps exactly as a live limiter's would).
-	// It also counts the hosts of each stripe, so every stripe's map is
-	// made once at its final size.
-	probe, arenaLen := *r, 0
-	var perStripe [stripeCount]int
+	// the header's counts: every claimed host must be present. It counts
+	// the hosts of each stripe and how many of them are past the inline
+	// capacity, so every stripe's table and list of spilled sets is made
+	// once at its final size (and each spilled set below, from its
+	// host's own count).
+	probe := *r
+	var perStripe, spilled [stripeCount]int
 	for i := 0; i < h.Hosts && probe.Err() == nil; i++ {
-		perStripe[stripeIndex(probe.U32("host src"))]++
+		si := stripeIndex(probe.U32("host src"))
+		perStripe[si]++
 		probe.Bytes(hostHeaderLen-4, "host")
 		n := probe.Count(4, "host destinations")
 		probe.Bytes(4*n, "host destinations")
-		if n <= smallSetMax {
-			arenaLen += n
+		if n > inlineDsts {
+			spilled[si]++
 		}
 	}
 	if err := probe.Err(); err != nil {
 		return nil, err
 	}
 
-	l := &Limiter{cfg: c.cfg, epoch: c.epoch, cycleIndex: c.cycleIndex}
+	l := &Limiter{cfg: c.cfg, flagAt: flagThreshold(c.cfg), epoch: c.epoch, cycleIndex: c.cycleIndex}
 	for i, n := range perStripe {
 		if n > 0 {
-			l.stripes[i].hosts = make(map[uint32]*hostState, n)
+			l.stripes[i].hosts = newHostTable(n, spilled[i])
 		}
 	}
 	// The snapshot sums the counters over the stripes, and any split
 	// sums back to it.
 	first := &l.stripes[0]
 	first.observed, first.removals, first.flags, first.denied = c.observed, c.removals, c.flags, c.denied
-	states := make([]hostState, h.Hosts)
-	arena := make([]uint32, arenaLen)
 	var prevSrc uint32
-	for i := range states {
+	for i := 0; i < h.Hosts; i++ {
 		src := r.U32("host src")
 		if i > 0 && src <= prevSrc {
 			return nil, r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
 		}
 		prevSrc = src
-		hs := &states[i]
-		hs.removed, hs.flagged = r.Bool("host removed mark"), r.Bool("host flagged mark")
+		removed, flagged := r.Bool("host removed mark"), r.Bool("host flagged mark")
 		n := r.Count(4, "host destinations")
 		if n > c.cfg.M {
 			return nil, r.Failf("host %d has %d distinct > M=%d", src, n, c.cfg.M)
@@ -381,12 +383,16 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if n <= smallSetMax {
-			// Full slice expression: a later append reallocates instead
-			// of growing into the next host's destinations.
-			hs.small, arena = arena[:0:n], arena[n:]
-		} else {
-			hs.distinct = make(map[uint32]struct{}, n)
+		t := &l.stripeOf(src).hosts
+		hs := t.slot(src) // sized above: the table does not move
+		if removed {
+			t.remove(hs)
+		}
+		if flagged {
+			t.flag(hs)
+		}
+		if n > inlineDsts {
+			t.spill(hs, n)
 		}
 		var prev uint32
 		for j := 0; j < n; j++ {
@@ -395,13 +401,8 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 				return nil, r.Failf("host %d destination %d is not after %d (duplicate or unsorted)", src, d, prev)
 			}
 			prev = d
-			if hs.distinct != nil {
-				hs.distinct[d] = struct{}{}
-			} else {
-				hs.small = append(hs.small, d)
-			}
+			t.add(hs, d)
 		}
-		l.stripeOf(src).hosts[src] = hs
 	}
 	if err := readAlerts(r, h.Alerts, c.alertRemovals, &l.alerts); err != nil {
 		return nil, err

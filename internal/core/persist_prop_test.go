@@ -18,7 +18,7 @@ func randomExactHistory(t testing.TB, seed uint64) *Limiter {
 	t.Helper()
 	r := rng.NewPCG64(seed, 42)
 	cfg := LimiterConfig{
-		M:             int(3 + r.Uint64()%100), // crosses smallSetMax=64 spill
+		M:             int(3 + r.Uint64()%100), // crosses the inline capacity: spilled sets
 		Cycle:         time.Duration(1+r.Uint64()%30) * time.Second,
 		CheckFraction: float64(r.Uint64()%11) / 10, // includes 0 (disabled) and 1
 	}
@@ -135,6 +135,119 @@ func TestLimiterSnapshotRoundTripRandomHistories(t *testing.T) {
 			}
 			if !bytes.Equal(mustMarshal(t, l), mustMarshal(t, restored)) {
 				t.Fatalf("seed %d %s: states diverged after identical traffic", seed, name)
+			}
+		}
+	}
+}
+
+// walkStats counts a limiter's tracked, removed and flagged hosts (and an
+// exact limiter's destinations) the slow way, from the per-host state
+// Snapshot no longer reads.
+func walkStats(l ContainmentLimiter) (active, removed, flagged, dsts int) {
+	switch l := l.(type) {
+	case *Limiter:
+		l.lockAll()
+		defer l.unlockAll()
+		for i := range l.stripes {
+			tab := &l.stripes[i].hosts
+			for j := range tab.slots {
+				h := &tab.slots[j]
+				if !h.live() {
+					continue
+				}
+				active++
+				dsts += len(tab.destinations(h, nil))
+				if h.removed() {
+					removed++
+				}
+				if h.flagged() {
+					flagged++
+				}
+			}
+		}
+	case *SketchLimiter:
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for _, m := range l.meta[:l.used] {
+			active++
+			if m.removed {
+				removed++
+			}
+			if m.flagged {
+				flagged++
+			}
+		}
+	}
+	return
+}
+
+// TestSnapshotCountersEqualWalk: Snapshot's ActiveHosts, RemovedHosts and
+// FlaggedHosts are counters kept where the marks change — budget
+// removal, failure removal, flag, Reinstate, alert removal, cycle roll,
+// restore — and they equal a walk of the per-host state after every
+// stretch of a random history, across a restore and after it, on both
+// backends. So do the exact stripes' destination totals, which size a
+// snapshot's copy-out.
+func TestSnapshotCountersEqualWalk(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 1905} {
+		cfg := LimiterConfig{M: 20, Cycle: 40 * time.Second, CheckFraction: 0.5}
+		exact := newTestLimiter(t, cfg)
+		sketch := newTestSketch(t, SketchConfig{LimiterConfig: cfg, FailureM: 6})
+		for name, l := range map[string]ContainmentLimiter{"exact": exact, "sketch": sketch} {
+			check := func(when string) {
+				t.Helper()
+				active, removed, flagged, dsts := walkStats(l)
+				st := l.Snapshot()
+				if st.ActiveHosts != active || st.RemovedHosts != removed || st.FlaggedHosts != flagged {
+					t.Fatalf("seed %d %s %s: Snapshot counts %d active, %d removed, %d flagged; a walk finds %d, %d, %d",
+						seed, name, when, st.ActiveHosts, st.RemovedHosts, st.FlaggedHosts, active, removed, flagged)
+				}
+				if ex, ok := l.(*Limiter); ok {
+					total := 0
+					for i := range ex.stripes {
+						total += ex.stripes[i].hosts.dsts
+					}
+					if total != dsts {
+						t.Fatalf("seed %d %s %s: stripes count %d destinations, a walk finds %d", seed, name, when, total, dsts)
+					}
+				}
+			}
+			r := rng.NewPCG64(seed, 49)
+			now := sketchStart
+			reinstates := 0
+			for step := 0; step < 12000; step++ {
+				now = now.Add(time.Duration(r.Uint64()%20) * time.Millisecond) // a roll every 4000 steps or so
+				src, dst := uint32(r.Uint64()%40), uint32(r.Uint64()%64)
+				l.Observe(src, dst, now)
+				switch r.Uint64() % 50 {
+				case 0:
+					if l.Reinstate(src) {
+						reinstates++
+					}
+				case 1:
+					l.ApplyAlert(Alert{Origin: seed, Seq: uint64(step), Src: uint32(r.Uint64() % 60), UnixMs: now.UnixMilli()})
+				case 2, 3, 4, 5, 6, 7, 8, 9:
+					if fo, ok := l.(FailureObserver); ok {
+						fo.ObserveFailure(src, dst, now)
+					}
+				}
+				if step%500 == 499 {
+					check("live")
+				}
+				if step == 7000 {
+					restored, err := RestoreAnyLimiter(mustMarshal(t, l))
+					if err != nil {
+						t.Fatalf("seed %d %s: restore: %v", seed, name, err)
+					}
+					l = restored
+					check("restored")
+				}
+			}
+			// Every kind of transition must have happened.
+			st := l.Snapshot()
+			if l.CycleIndex() < 2 || st.TotalRemovals == 0 || st.AlertRemovals == 0 || st.TotalFlags == 0 || reinstates == 0 ||
+				name == "sketch" && st.FailureRemovals == 0 {
+				t.Fatalf("seed %d %s: history too thin: cycle %d, %d reinstates, %+v", seed, name, l.CycleIndex(), reinstates, st)
 			}
 		}
 	}

@@ -73,80 +73,6 @@ func (c LimiterConfig) Validate() error {
 	return nil
 }
 
-// smallSetMax is the distinct-destination count up to which a host's
-// set is stored as a linearly scanned slice. Legitimate hosts sit far
-// below any sensible M (the paper's Fig. 6 LBL hosts peak well under
-// one hundred distinct destinations per month), so almost every host
-// stays in the slice regime: one cache line beats a map both in lookup
-// time and in per-insert allocations on the simulator's hot path.
-const smallSetMax = 64
-
-// hostState tracks one host within the current containment cycle. The
-// distinct-destination set lives in small until it outgrows smallSetMax,
-// then spills to the map; exactly one of the two representations is
-// active at a time.
-type hostState struct {
-	small    []uint32            // destinations while count <= smallSetMax
-	distinct map[uint32]struct{} // spill storage, nil until small overflows
-	removed  bool                // hit M and awaits heavy-duty check
-	flagged  bool                // crossed f·M this cycle
-}
-
-// seen reports whether dst is in the host's distinct set.
-func (h *hostState) seen(dst uint32) bool {
-	for _, d := range h.small {
-		if d == dst {
-			return true
-		}
-	}
-	if h.distinct != nil {
-		_, ok := h.distinct[dst]
-		return ok
-	}
-	return false
-}
-
-// add inserts a destination known to be absent from the set.
-func (h *hostState) add(dst uint32) {
-	if h.distinct == nil {
-		if len(h.small) < smallSetMax {
-			h.small = append(h.small, dst)
-			return
-		}
-		h.distinct = make(map[uint32]struct{}, 2*smallSetMax)
-		for _, d := range h.small {
-			h.distinct[d] = struct{}{}
-		}
-		h.small = nil
-	}
-	h.distinct[dst] = struct{}{}
-}
-
-// count returns the number of distinct destinations this cycle.
-func (h *hostState) count() int {
-	if h.distinct != nil {
-		return len(h.distinct)
-	}
-	return len(h.small)
-}
-
-// destinations appends the set's members to dst and returns it.
-func (h *hostState) destinations(dst []uint32) []uint32 {
-	dst = append(dst, h.small...)
-	for d := range h.distinct {
-		dst = append(dst, d)
-	}
-	return dst
-}
-
-// reset empties the set and clears the removal and flag marks.
-func (h *hostState) reset() {
-	h.small = h.small[:0]
-	h.distinct = nil
-	h.removed = false
-	h.flagged = false
-}
-
 // stripeCount is the number of independently locked partitions of the
 // per-source state. The scheme's state is strictly per-source, so any
 // source-stable partition preserves its semantics exactly; 64 keeps two
@@ -165,14 +91,14 @@ const (
 func SourceHash(src uint32) uint32 { return src * 0x9e3779b9 }
 
 // stripe is one partition of the limiter: the hosts whose SourceHash
-// lands here and the cumulative counters their decisions bump. The
-// fields take 48 bytes and the padding makes the stride 128, so two
-// stripes' fields are 80 bytes apart and cannot share a 64-byte cache
-// line wherever the allocator puts the Limiter (it guarantees 8-byte
-// alignment, no more).
+// lands here (hosttable.go) and the cumulative counters their decisions
+// bump. The fields take 152 bytes and the padding makes the stride 256,
+// so two stripes' fields are 104 bytes apart and cannot share a 64-byte
+// cache line wherever the allocator puts the Limiter (it guarantees
+// 8-byte alignment, no more). What every decision touches — the mutex,
+// the counters, the table's slice header — comes first, within 72 bytes.
 type stripe struct {
-	mu    sync.Mutex
-	hosts map[uint32]*hostState // nil until the stripe's first host
+	mu sync.Mutex
 
 	// cumulative statistics across all cycles; Snapshot sums the stripes
 	observed int
@@ -180,24 +106,9 @@ type stripe struct {
 	flags    int
 	denied   int
 
-	_ [128 - 48]byte
-}
+	hosts hostTable // the current cycle's per-host state
 
-// host returns src's state, creating it (and the stripe's map) on first
-// contact with room for small destinations.
-func (s *stripe) host(src uint32, small int) *hostState {
-	h := s.hosts[src]
-	if h == nil {
-		h = &hostState{}
-		if small > 0 {
-			h.small = make([]uint32, 0, small)
-		}
-		if s.hosts == nil {
-			s.hosts = make(map[uint32]*hostState)
-		}
-		s.hosts[src] = h
-	}
-	return h
+	_ [256 - 152]byte
 }
 
 // Limiter is the runtime containment engine: it watches (source,
@@ -218,6 +129,7 @@ func (s *stripe) host(src uint32, small int) *hostState {
 // written only with every stripe held and may be read under any one.
 type Limiter struct {
 	cfg     LimiterConfig
+	flagAt  int // distinct count at which a host is flagged; 0 = never
 	stripes [stripeCount]stripe
 
 	journal    Journal   // optional WAL hook; see journal.go
@@ -232,7 +144,20 @@ func NewLimiter(cfg LimiterConfig, start time.Time) (*Limiter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Limiter{cfg: cfg, epoch: start}, nil
+	return &Limiter{cfg: cfg, flagAt: flagThreshold(cfg), epoch: start}, nil
+}
+
+// flagThreshold is the smallest distinct count n with n ≥ f·M in
+// float64 arithmetic — the comparison the scheme is specified by — or 0
+// when flagging is off. float64(n) is monotone in n and M itself passes
+// (f ≤ 1), so a binary search over [0, M] finds it; decisions then
+// compare integers.
+func flagThreshold(cfg LimiterConfig) int {
+	if !(cfg.CheckFraction > 0) { // 0 is off; so was a NaN, which Validate lets through
+		return 0
+	}
+	at := cfg.CheckFraction * float64(cfg.M)
+	return sort.Search(cfg.M, func(n int) bool { return float64(n) >= at })
 }
 
 // Config returns the limiter's configuration.
@@ -307,26 +232,26 @@ func (l *Limiter) decideLocked(s *stripe, src, dst uint32) Decision {
 	// counter a gateway needs derives from totals maintained here.
 	s.observed++
 
-	h := s.host(src, min(l.cfg.M, smallSetMax))
-	if h.removed {
+	h := s.hosts.slot(src)
+	if h.removed() {
 		s.denied++
 		return Deny
 	}
-	if h.seen(dst) {
+	if s.hosts.seen(h, dst) {
 		return Allow
 	}
-	if h.count() >= l.cfg.M {
+	n := s.hosts.count(h)
+	if n >= l.cfg.M {
 		// Budget exhausted: the new-destination attempt removes the host.
-		h.removed = true
+		s.hosts.remove(h)
 		s.removals++
 		s.denied++
 		return Deny
 	}
-	h.add(dst)
+	s.hosts.add(h, dst)
 
-	if f := l.cfg.CheckFraction; f > 0 && !h.flagged &&
-		float64(h.count()) >= f*float64(l.cfg.M) {
-		h.flagged = true
+	if l.flagAt > 0 && !h.flagged() && n+1 >= l.flagAt {
+		s.hosts.flag(h)
 		s.flags++
 		return AllowAndCheck
 	}
@@ -346,7 +271,7 @@ func (l *Limiter) rollCycleLocked(t time.Time) {
 	l.cycleIndex += steps
 	l.epoch = l.epoch.Add(time.Duration(steps) * l.cfg.Cycle)
 	for i := range l.stripes {
-		l.stripes[i].hosts = nil
+		l.stripes[i].hosts = hostTable{}
 	}
 }
 
@@ -358,14 +283,14 @@ func (l *Limiter) Reinstate(src uint32) bool {
 	s := l.stripeOf(src)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.hosts[src]
-	if h == nil || !h.removed {
+	h := s.hosts.find(src)
+	if h == nil || !h.removed() {
 		return false
 	}
 	if l.journal != nil {
 		l.journal.RecordReinstate(src)
 	}
-	h.reset()
+	s.hosts.reset(h)
 	return true
 }
 
@@ -374,8 +299,8 @@ func (l *Limiter) Removed(src uint32) bool {
 	s := l.stripeOf(src)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.hosts[src]
-	return h != nil && h.removed
+	h := s.hosts.find(src)
+	return h != nil && h.removed()
 }
 
 // DistinctCount returns the number of unique destinations the host has
@@ -384,11 +309,11 @@ func (l *Limiter) DistinctCount(src uint32) int {
 	s := l.stripeOf(src)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.hosts[src]
+	h := s.hosts.find(src)
 	if h == nil {
 		return 0
 	}
-	return h.count()
+	return s.hosts.count(h)
 }
 
 // CycleIndex returns the zero-based index of the current containment
@@ -434,7 +359,8 @@ type Stats struct {
 	AlertRemovals int
 }
 
-// Snapshot returns the current statistics, consistent across stripes.
+// Snapshot returns the current statistics, consistent across stripes. It
+// sums the stripes' counters and reads no per-host state.
 func (l *Limiter) Snapshot() Stats {
 	l.lockAll()
 	defer l.unlockAll()
@@ -444,19 +370,13 @@ func (l *Limiter) Snapshot() Stats {
 	}
 	for i := range l.stripes {
 		s := &l.stripes[i]
-		st.ActiveHosts += len(s.hosts)
+		st.ActiveHosts += s.hosts.live
+		st.RemovedHosts += s.hosts.removed
+		st.FlaggedHosts += s.hosts.flagged
 		st.TotalObserved += s.observed
 		st.TotalRemovals += s.removals
 		st.TotalFlags += s.flags
 		st.TotalDenied += s.denied
-		for _, h := range s.hosts {
-			if h.removed {
-				st.RemovedHosts++
-			}
-			if h.flagged {
-				st.FlaggedHosts++
-			}
-		}
 	}
 	return st
 }
@@ -468,12 +388,15 @@ func (l *Limiter) TopCounts(n int) []int {
 	l.lockAll()
 	hosts := 0
 	for i := range l.stripes {
-		hosts += len(l.stripes[i].hosts)
+		hosts += l.stripes[i].hosts.live
 	}
 	counts := make([]int, 0, hosts)
 	for i := range l.stripes {
-		for _, h := range l.stripes[i].hosts {
-			counts = append(counts, h.count())
+		t := &l.stripes[i].hosts
+		for j := range t.slots {
+			if h := &t.slots[j]; h.live() {
+				counts = append(counts, t.count(h))
+			}
 		}
 	}
 	l.unlockAll()

@@ -266,12 +266,12 @@ func TestQuickLimiterDenyOnlyBeyondM(t *testing.T) {
 	}
 }
 
-// TestLimiterSmallSetSpill drives one host far past smallSetMax so the
-// distinct set crosses from the linear-scan slice into the spill map,
-// and checks that membership, counting, the M boundary, and reinstation
+// TestLimiterSmallSetSpill drives one host far past inlineDsts so the
+// distinct set crosses from the host's slot into a spilled set, and
+// checks that membership, counting, the M boundary, and reinstation
 // all behave identically on both sides of the transition.
 func TestLimiterSmallSetSpill(t *testing.T) {
-	m := 3 * smallSetMax
+	m := 3 * inlineDsts
 	l := newTestLimiter(t, LimiterConfig{M: m, Cycle: time.Hour})
 
 	for d := 0; d < m; d++ {
@@ -283,7 +283,7 @@ func TestLimiterSmallSetSpill(t *testing.T) {
 		}
 	}
 	// Repeats stay free in both representations.
-	for _, d := range []uint32{0, smallSetMax - 1, smallSetMax, uint32(m - 1)} {
+	for _, d := range []uint32{0, inlineDsts - 1, inlineDsts, uint32(m - 1)} {
 		if dec := l.Observe(1, d, t0); dec != Allow {
 			t.Fatalf("repeat contact to %d: decision %v, want allow", d, dec)
 		}
@@ -305,10 +305,32 @@ func TestLimiterSmallSetSpill(t *testing.T) {
 	}
 }
 
-// TestLimiterSnapshotRoundTripSpilled checks that a spilled host's set
-// survives MarshalState/RestoreLimiter byte-for-byte.
+// spillBoundaryCounts are the set sizes on either side of the inline
+// capacity, and of 64, where the representation this one replaced
+// spilled.
+var spillBoundaryCounts = []int{inlineDsts - 1, inlineDsts, inlineDsts + 1, 64, 65}
+
+// spillBoundarySnapshot is the snapshot of a limiter whose one host holds
+// n destinations, 0 and the all-ones address among them.
+func spillBoundarySnapshot(t testing.TB, n int) []byte {
+	t.Helper()
+	l, err := NewLimiter(LimiterConfig{M: 100, Cycle: time.Hour}, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Observe(1, 1<<32-1, t0)
+	for d := 0; d < n-1; d++ {
+		l.Observe(1, uint32(d)*0x01000193, t0)
+	}
+	return mustMarshal(t, l)
+}
+
+// TestLimiterSnapshotRoundTripSpilled checks that a host's set survives
+// MarshalState/RestoreLimiter byte-for-byte — spilled, inline, and at
+// every size where the representation changes or once changed — and that
+// the restored set is the same set.
 func TestLimiterSnapshotRoundTripSpilled(t *testing.T) {
-	m := 2 * smallSetMax
+	m := 2 * inlineDsts
 	l := newTestLimiter(t, LimiterConfig{M: m, Cycle: time.Hour})
 	for d := 0; d < m; d++ {
 		l.Observe(1, uint32(d), t0)
@@ -330,5 +352,31 @@ func TestLimiterSnapshotRoundTripSpilled(t *testing.T) {
 	}
 	if string(data) != string(data2) {
 		t.Fatal("snapshot not stable across restore")
+	}
+
+	for _, n := range spillBoundaryCounts {
+		data := spillBoundarySnapshot(t, n)
+		restored, err := RestoreLimiter(data)
+		if err != nil {
+			t.Fatalf("%d destinations: %v", n, err)
+		}
+		if got := restored.DistinctCount(1); got != n {
+			t.Fatalf("%d destinations: restored count = %d", n, got)
+		}
+		if h := restored.stripeOf(1).hosts.find(1); (h.spill != 0) != (n > inlineDsts) {
+			t.Fatalf("%d destinations: restored slot %+v in the wrong representation", n, *h)
+		}
+		if string(mustMarshal(t, restored)) != string(data) {
+			t.Fatalf("%d destinations: snapshot not stable across restore", n)
+		}
+		// Members are members, and the next address is new.
+		for _, d := range []uint32{1<<32 - 1, 0, uint32(n-2) * 0x01000193} {
+			if dec := restored.Observe(1, d, t0); dec != Allow || restored.DistinctCount(1) != n {
+				t.Fatalf("%d destinations: repeat of %d: %v, count %d", n, d, dec, restored.DistinctCount(1))
+			}
+		}
+		if restored.Observe(1, 12345, t0); restored.DistinctCount(1) != n+1 {
+			t.Fatalf("%d destinations: a new address left the count at %d", n, restored.DistinctCount(1))
+		}
 	}
 }

@@ -215,6 +215,11 @@ type SketchLimiter struct {
 	used       uint32            // slots handed out this cycle
 	alerts     alertBook         // fleet immunization ledger; see alert.go
 
+	// hosts of the current cycle carrying each mark, kept where the marks
+	// change so that Snapshot reads no per-host state
+	removedHosts int
+	flaggedHosts int
+
 	totalObserved   int
 	totalRemovals   int
 	totalFlags      int
@@ -308,6 +313,7 @@ func (l *SketchLimiter) rollCycleLocked(t time.Time) {
 	clear(l.slots)
 	l.meta = l.meta[:0]
 	l.used = 0
+	l.removedHosts, l.flaggedHosts = 0, 0
 }
 
 // Observe records that host src attempted to contact destination dst at
@@ -344,6 +350,7 @@ func (l *SketchLimiter) Observe(src, dst uint32, t time.Time) Decision {
 	if int(m.set) >= l.denyBits {
 		// Estimate at M: the new-destination attempt removes the host.
 		m.removed = true
+		l.removedHosts++
 		l.totalRemovals++
 		l.totalDenied++
 		return Deny
@@ -352,6 +359,7 @@ func (l *SketchLimiter) Observe(src, dst uint32, t time.Time) Decision {
 	m.set++
 	if l.flagBits > 0 && !m.flagged && int(m.set) >= l.flagBits {
 		m.flagged = true
+		l.flaggedHosts++
 		l.totalFlags++
 		return AllowAndCheck
 	}
@@ -391,6 +399,7 @@ func (l *SketchLimiter) ObserveFailure(src, dst uint32, t time.Time) Decision {
 	}
 	if int(m.fset) >= l.failDenyBits {
 		m.removed = true
+		l.removedHosts++
 		l.totalRemovals++
 		l.failureRemovals++
 		return Deny
@@ -415,6 +424,10 @@ func (l *SketchLimiter) Reinstate(src uint32) bool {
 	regs := l.regs(slot)
 	for i := range regs {
 		regs[i] = 0
+	}
+	l.removedHosts--
+	if l.meta[slot].flagged {
+		l.flaggedHosts--
 	}
 	l.meta[slot] = sketchMeta{}
 	return true
@@ -460,12 +473,15 @@ func (l *SketchLimiter) CycleIndex() uint64 {
 	return l.cycleIndex
 }
 
-// Snapshot returns the cumulative decision counters.
+// Snapshot returns the cumulative decision counters. It reads no
+// per-host state.
 func (l *SketchLimiter) Snapshot() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := Stats{
+	return Stats{
 		ActiveHosts:     int(l.used),
+		RemovedHosts:    l.removedHosts,
+		FlaggedHosts:    l.flaggedHosts,
 		TotalObserved:   l.totalObserved,
 		TotalRemovals:   l.totalRemovals,
 		TotalFlags:      l.totalFlags,
@@ -475,15 +491,6 @@ func (l *SketchLimiter) Snapshot() Stats {
 		TotalAlerts:     l.alerts.applied,
 		AlertRemovals:   l.alerts.removals,
 	}
-	for i := uint32(0); i < l.used; i++ {
-		if l.meta[i].removed {
-			s.RemovedHosts++
-		}
-		if l.meta[i].flagged {
-			s.FlaggedHosts++
-		}
-	}
-	return s
 }
 
 // SketchMemory reports the estimator's register footprint — the number

@@ -130,6 +130,12 @@ func RestoreSketchLimiter(data []byte) (*SketchLimiter, error) {
 		prevSrc = src
 		m := &l.meta[slot]
 		m.removed, m.flagged = r.Bool("host removed mark"), r.Bool("host flagged mark")
+		if m.removed {
+			l.removedHosts++
+		}
+		if m.flagged {
+			l.flaggedHosts++
+		}
 		raw := r.Bytes(8*l.stride, "host registers")
 		if r.Err() != nil {
 			return nil, r.Err()

@@ -138,8 +138,10 @@ func newMetricSet(reg *telemetry.Registry, limiter core.ContainmentLimiter, degr
 }
 
 // limiterStatsCache memoizes core.Limiter.Snapshot for a scrape's
-// duration: the limiter-derived series all read through here, and the
-// snapshot walks the whole host table.
+// duration: the limiter-derived series all read through here, so one
+// scrape reports one consistent view (allow = observed − denied − flags
+// holds within it) and stops the limiter's stripes once, not once per
+// series. The snapshot itself is a sum over the stripes' counters.
 type limiterStatsCache struct {
 	limiter core.ContainmentLimiter
 
