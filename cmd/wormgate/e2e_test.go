@@ -309,6 +309,39 @@ func TestE2EGracefulShutdownContinuesCycle(t *testing.T) {
 	_ = p.cmd.Process.Kill()
 }
 
+// TestE2ESketchGaugesBehindFleetNode serves with the sketch backend as
+// a fleet member, so the gateway's limiter is the fleet node and not
+// the backend: the estimator's gauges must be on /metrics all the same,
+// and count the host the probe went through.
+func TestE2ESketchGaugesBehindFleetNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess e2e test")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := ln.Addr().String()
+	ln.Close()
+	p := startServe(t, "serve",
+		"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
+		"-limiter", "sketch", "-m", "100", "-check-fraction", "0",
+		"-peers", self, "-peer-listen", self,
+		"-dial-retries", "1", "-dial-backoff", "1ms")
+	if got := probe(t, p.gwAddr, "10.2.2.2", "127.0.0.2"); got != "upstream-unreachable" {
+		t.Fatalf("probe: reason %q, want upstream-unreachable", got)
+	}
+	text := fetchMetrics(t, p.adminAddr)
+	if got := metricFromText(t, text, "wormgate_sketch_tracked_hosts"); got != 1 {
+		t.Errorf("wormgate_sketch_tracked_hosts = %v behind a fleet node, want 1", got)
+	}
+	for _, name := range []string{"wormgate_sketch_register_bytes", "wormgate_sketch_bytes_per_host", "wormgate_sketch_expected_relative_error"} {
+		if metricFromText(t, text, name) <= 0 {
+			t.Errorf("%s is not positive behind a fleet node", name)
+		}
+	}
+}
+
 func waitExit(t *testing.T, p *serveProc, timeout time.Duration) {
 	t.Helper()
 	deadline := time.After(timeout)

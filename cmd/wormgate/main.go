@@ -111,6 +111,11 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	if len(fleetPeers) > 0 && (*failLimit != 0 || *failBits != 0) {
+		// WFP/1 carries no failure frame, and a source's failures belong
+		// at its ring owner, not at whichever member relayed it.
+		return fmt.Errorf("-fail-threshold and -fail-bits cannot be combined with -peers: connection failures are not counted across a fleet")
+	}
 	if *statePath != "" && *stateDir != "" {
 		return fmt.Errorf("-state and -state-dir are mutually exclusive")
 	}
@@ -133,13 +138,13 @@ func runServe(args []string) error {
 
 	// Build the limiter factory once; both the durable and the
 	// in-memory paths use it so flag validation happens up front.
-	var newLimiter func(start time.Time) (core.ContainmentLimiter, error)
+	var newLimiter func(start time.Time) (core.Backend, error)
 	switch *limiterKind {
 	case "exact":
 		if *sketchBits != 0 || *failLimit != 0 || *failBits != 0 {
 			return fmt.Errorf("-sketch-bits, -fail-threshold and -fail-bits need -limiter=sketch")
 		}
-		newLimiter = func(start time.Time) (core.ContainmentLimiter, error) {
+		newLimiter = func(start time.Time) (core.Backend, error) {
 			return core.NewLimiter(cfg, start)
 		}
 	case "sketch":
@@ -149,7 +154,7 @@ func runServe(args []string) error {
 			FailureM:      *failLimit,
 			FailureBits:   *failBits,
 		}
-		newLimiter = func(start time.Time) (core.ContainmentLimiter, error) {
+		newLimiter = func(start time.Time) (core.Backend, error) {
 			return core.NewSketchLimiter(scfg, start)
 		}
 	default:
@@ -195,7 +200,10 @@ func runServe(args []string) error {
 		fmt.Printf("admin endpoint on http://%s (%s)\n", admin.Addr(), routes)
 	}
 
-	var limiter core.ContainmentLimiter
+	// backend is the limiter this process owns and persists; decider is
+	// what the gateway asks, the backend itself or a fleet node in front
+	// of it.
+	var backend core.Backend
 	var store *durable.Store
 	if *stateDir != "" {
 		store, err = durable.Open(durable.Options{
@@ -212,16 +220,16 @@ func runServe(args []string) error {
 			}
 			return err
 		}
-		limiter = store.Limiter()
+		backend = store.Limiter()
 		ri := store.Recovery()
 		if ri.Fresh {
 			fmt.Printf("durable state: fresh start in %s\n", *stateDir)
 		} else {
 			fmt.Printf("durable state: recovered snapshot %d + %d WAL record(s) from %s (cycle %d, truncated %d byte(s))\n",
-				ri.SnapshotSeq, ri.ReplayedRecords, *stateDir, limiter.CycleIndex(), ri.TruncatedBytes)
+				ri.SnapshotSeq, ri.ReplayedRecords, *stateDir, backend.CycleIndex(), ri.TruncatedBytes)
 		}
 	} else {
-		limiter, err = loadOrCreateLimiter(*statePath, newLimiter)
+		backend, err = loadOrCreateLimiter(*statePath, newLimiter)
 		if err != nil {
 			if admin != nil {
 				admin.Shutdown()
@@ -229,11 +237,13 @@ func runServe(args []string) error {
 			return err
 		}
 	}
+	registerSketchMetrics(reg, backend)
 
-	// With -peers the gateway's limiter is a fleet node wrapping the
+	// With -peers the gateway's limiter is a fleet node in front of the
 	// local one: observations route to each source's ring owner, and
 	// removals gossip back as alerts, so the decision path is unchanged
 	// for the relay — it still just calls Observe.
+	var decider core.Decider = backend
 	var fleetNode *fleet.Node
 	var fleetSrv *fleet.Server
 	var fleetTr *fleet.TCPTransport
@@ -255,7 +265,7 @@ func runServe(args []string) error {
 			Peers:     fleetPeers,
 			Vnodes:    *ringVnodes,
 			Fanout:    *alertFanout,
-			Local:     limiter,
+			Local:     backend,
 			Transport: fleetTr,
 			Seed:      uint64(time.Now().UnixNano()),
 			Metrics:   reg,
@@ -275,13 +285,13 @@ func runServe(args []string) error {
 		}
 		go func() { _ = fleetSrv.Serve() }()
 		fleetNode.Start(*gossipEvery, *gossipEvery)
-		limiter = fleetNode
+		decider = fleetNode
 		fmt.Printf("fleet member %s: %d peers, %d vnodes, fanout %d, gossip every %v\n",
 			*peerListen, len(fleetPeers)-1, *ringVnodes, *alertFanout, *gossipEvery)
 	}
 
 	gw, err := gateway.New(gateway.Config{
-		Limiter:   limiter,
+		Limiter:   decider,
 		Metrics:   reg,
 		FailMode:  failMode,
 		DialRetry: faultnet.RetryConfig{MaxAttempts: *dialRetries, BaseDelay: *dialBackoff},
@@ -352,10 +362,10 @@ func runServe(args []string) error {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
 		fmt.Printf("durable state flushed to %s (cycle %d, %d record(s) acknowledged)\n",
-			*stateDir, limiter.CycleIndex(), store.Acked())
+			*stateDir, backend.CycleIndex(), store.Acked())
 	}
 	if *statePath != "" {
-		if err := saveLimiter(limiter, *statePath); err != nil {
+		if err := saveLimiter(backend, *statePath); err != nil {
 			return err
 		}
 		fmt.Printf("limiter state saved to %s\n", *statePath)
@@ -427,7 +437,7 @@ func parseFleetPeers(peers, self string, vnodes, fanout int, gossip time.Duratio
 // loadOrCreateLimiter restores a snapshot when present — whichever
 // backend wrote it — and otherwise builds a fresh limiter via the
 // factory the flags selected.
-func loadOrCreateLimiter(path string, newLimiter func(time.Time) (core.ContainmentLimiter, error)) (core.ContainmentLimiter, error) {
+func loadOrCreateLimiter(path string, newLimiter func(time.Time) (core.Backend, error)) (core.Backend, error) {
 	if path != "" {
 		data, err := os.ReadFile(path)
 		switch {
@@ -447,11 +457,34 @@ func loadOrCreateLimiter(path string, newLimiter func(time.Time) (core.Containme
 	return newLimiter(time.Now().UTC())
 }
 
+// registerSketchMetrics exposes the estimator's memory footprint and
+// analytic accuracy, the two numbers an operator sizing -sketch-bits
+// watches. It asks the backend this process built or recovered, not the
+// gateway's limiter, which may be a fleet node in front of it.
+func registerSketchMetrics(reg *telemetry.Registry, backend core.Backend) {
+	sk, ok := backend.(*core.SketchLimiter)
+	if !ok {
+		return
+	}
+	reg.GaugeFunc("wormgate_sketch_register_bytes",
+		"Register-slab memory held by the sketch limiter (capacity, including recycled slabs).",
+		func() float64 { return float64(sk.Memory().RegisterBytes) })
+	reg.GaugeFunc("wormgate_sketch_tracked_hosts",
+		"Hosts with sketch state in the current containment cycle.",
+		func() float64 { return float64(sk.Memory().TrackedHosts) })
+	reg.GaugeFunc("wormgate_sketch_bytes_per_host",
+		"Fixed per-host register cost of the configured sketch widths.",
+		func() float64 { return float64(sk.Memory().BytesPerHost) })
+	reg.GaugeFunc("wormgate_sketch_expected_relative_error",
+		"Analytic standard relative error of the cardinality estimate at the removal threshold M.",
+		func() float64 { return sk.ExpectedRelativeError() })
+}
+
 // saveLimiter publishes the limiter snapshot (the bare MarshalState
 // payload) atomically under path: a power loss leaves the previous file
 // or the new one, never an empty or torn one. The OS literal, not NewOS:
 // a missing parent directory stays an error, it is not created.
-func saveLimiter(l core.ContainmentLimiter, path string) error {
+func saveLimiter(l core.Backend, path string) error {
 	data, err := l.MarshalState()
 	if err != nil {
 		return err

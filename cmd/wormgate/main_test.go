@@ -90,8 +90,8 @@ func TestProbeErrors(t *testing.T) {
 
 // exactFactory builds the default factory runServe would assemble for
 // -limiter=exact with the given config.
-func exactFactory(cfg core.LimiterConfig) func(time.Time) (core.ContainmentLimiter, error) {
-	return func(start time.Time) (core.ContainmentLimiter, error) {
+func exactFactory(cfg core.LimiterConfig) func(time.Time) (core.Backend, error) {
+	return func(start time.Time) (core.Backend, error) {
 		return core.NewLimiter(cfg, start)
 	}
 }
@@ -115,7 +115,7 @@ func TestLimiterStatePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.DistinctCount(7); got != 2 {
+	if got := restored.(*core.Limiter).DistinctCount(7); got != 2 {
 		t.Errorf("restored count = %d, want 2", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestSketchStatePersistence(t *testing.T) {
 		LimiterConfig: core.LimiterConfig{M: 100, Cycle: time.Hour},
 		Bits:          128,
 	}
-	fresh, err := loadOrCreateLimiter(path, func(start time.Time) (core.ContainmentLimiter, error) {
+	fresh, err := loadOrCreateLimiter(path, func(start time.Time) (core.Backend, error) {
 		return core.NewSketchLimiter(scfg, start)
 	})
 	if err != nil {
@@ -204,6 +204,10 @@ func TestServeFlagValidation(t *testing.T) {
 			"-peers", "127.0.0.1:9001,127.0.0.1:9001"}, "duplicate member"},
 		{"self not in membership", []string{"serve", "-peer-listen", "127.0.0.1:9009",
 			"-peers", "127.0.0.1:9001,127.0.0.1:9002"}, "must appear in -peers"},
+		{"fail threshold with peers", []string{"serve", "-limiter", "sketch", "-fail-threshold", "50",
+			"-peer-listen", "a:1", "-peers", "a:1,b:2"}, "-fail-threshold and -fail-bits cannot be combined with -peers"},
+		{"fail bits with peers", []string{"serve", "-limiter", "sketch", "-fail-bits", "64",
+			"-peer-listen", "a:1", "-peers", "a:1,b:2"}, "-fail-threshold and -fail-bits cannot be combined with -peers"},
 		{"zero gossip interval", []string{"serve", "-peer-listen", "127.0.0.1:9001",
 			"-peers", "127.0.0.1:9001,127.0.0.1:9002", "-gossip-interval", "0s"}, "-gossip-interval"},
 	}

@@ -2,13 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"wormcontain/internal/topo"
 )
 
 // captureRun executes run(args) with stdout captured, returning the
@@ -192,12 +191,13 @@ func TestTopoRunGeneratedTopologies(t *testing.T) {
 }
 
 func TestTopoRunAdjacencyFile(t *testing.T) {
-	g, err := topo.Tree{N: 40, Branching: 2}.Generate(1)
-	if err != nil {
-		t.Fatal(err)
+	// A 40-vertex binary tree: vertex i hangs off (i-1)/2.
+	adj := "wormtopo v1 40 39\n"
+	for i := 1; i < 40; i++ {
+		adj += fmt.Sprintf("%d %d\n", (i-1)/2, i)
 	}
 	file := filepath.Join(t.TempDir(), "net.topo")
-	if err := os.WriteFile(file, topo.WriteAdjacency(g), 0o644); err != nil {
+	if err := os.WriteFile(file, []byte(adj), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// -v is overridden by the file's vertex count.

@@ -75,8 +75,8 @@ type Prefix struct {
 	Bits int // mask length in [0, 32]
 }
 
-// NewPrefix validates and canonicalizes a prefix (host bits are zeroed).
-func NewPrefix(network IP, bits int) (Prefix, error) {
+// newPrefix validates and canonicalizes a prefix (host bits are zeroed).
+func newPrefix(network IP, bits int) (Prefix, error) {
 	if bits < 0 || bits > 32 {
 		return Prefix{}, fmt.Errorf("addr: prefix length %d out of [0, 32]", bits)
 	}
@@ -97,7 +97,7 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, fmt.Errorf("addr: %q has invalid prefix length", s)
 	}
-	return NewPrefix(ip, bits)
+	return newPrefix(ip, bits)
 }
 
 // mask returns the netmask for a prefix length.
@@ -108,11 +108,6 @@ func mask(bits int) IP {
 	return IP(^uint32(0) << (32 - bits))
 }
 
-// Contains reports whether the address lies inside the prefix.
-func (p Prefix) Contains(ip IP) bool {
-	return ip&mask(p.Bits) == p.Net
-}
-
 // Size returns the number of addresses covered by the prefix.
 func (p Prefix) Size() uint64 {
 	return 1 << (32 - p.Bits)
@@ -121,16 +116,4 @@ func (p Prefix) Size() uint64 {
 // String renders CIDR notation.
 func (p Prefix) String() string {
 	return p.Net.String() + "/" + strconv.Itoa(p.Bits)
-}
-
-// SameSubnet reports whether two addresses share the leading bits-long
-// prefix; subnet-preference scanners use it with bits = 8 and 16.
-func SameSubnet(a, b IP, bits int) bool {
-	if bits <= 0 {
-		return true
-	}
-	if bits >= 32 {
-		return a == b
-	}
-	return a&mask(bits) == b&mask(bits)
 }

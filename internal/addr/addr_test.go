@@ -65,7 +65,7 @@ func TestPrefixBasics(t *testing.T) {
 
 func TestNewPrefixCanonicalizes(t *testing.T) {
 	ip, _ := ParseIP("10.1.2.3")
-	p, err := NewPrefix(ip, 8)
+	p, err := newPrefix(ip, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestNewPrefixCanonicalizes(t *testing.T) {
 }
 
 func TestNewPrefixValidation(t *testing.T) {
-	if _, err := NewPrefix(0, -1); err == nil {
+	if _, err := newPrefix(0, -1); err == nil {
 		t.Error("expected error for negative bits")
 	}
-	if _, err := NewPrefix(0, 33); err == nil {
+	if _, err := newPrefix(0, 33); err == nil {
 		t.Error("expected error for bits > 32")
 	}
 }
@@ -93,14 +93,14 @@ func TestParsePrefixErrors(t *testing.T) {
 }
 
 func TestPrefixEdgeLengths(t *testing.T) {
-	all, _ := NewPrefix(0, 0)
+	all, _ := newPrefix(0, 0)
 	if all.Size() != SpaceSize {
 		t.Errorf("/0 size = %d", all.Size())
 	}
 	if !all.Contains(0xdeadbeef) {
 		t.Error("/0 must contain everything")
 	}
-	host, _ := NewPrefix(42, 32)
+	host, _ := newPrefix(42, 32)
 	if host.Size() != 1 || !host.Contains(42) || host.Contains(43) {
 		t.Error("/32 must contain exactly its own address")
 	}
@@ -142,7 +142,7 @@ func TestQuickIPRoundTrip(t *testing.T) {
 func TestQuickPrefixContainsCount(t *testing.T) {
 	f := func(raw uint32, bitsRaw uint8) bool {
 		bits := 24 + int(bitsRaw%9) // /24../32: enumerable
-		p, err := NewPrefix(IP(raw), bits)
+		p, err := newPrefix(IP(raw), bits)
 		if err != nil {
 			return false
 		}
@@ -157,4 +157,21 @@ func TestQuickPrefixContainsCount(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Contains reports whether the address lies inside the prefix.
+func (p Prefix) Contains(ip IP) bool {
+	return ip&mask(p.Bits) == p.Net
+}
+
+// SameSubnet reports whether two addresses share the leading bits-long
+// prefix; subnet-preference scanners use it with bits = 8 and 16.
+func SameSubnet(a, b IP, bits int) bool {
+	if bits <= 0 {
+		return true
+	}
+	if bits >= 32 {
+		return a == b
+	}
+	return a&mask(bits) == b&mask(bits)
 }

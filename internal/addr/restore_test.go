@@ -27,10 +27,10 @@ func TestRestorePopulationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if restored.Size() != orig.Size() {
-			t.Fatalf("size %d != %d", restored.Size(), orig.Size())
+		if len(restored.addrs) != len(orig.addrs) {
+			t.Fatalf("size %d != %d", len(restored.addrs), len(orig.addrs))
 		}
-		for i := 0; i < orig.Size(); i++ {
+		for i := 0; i < len(orig.addrs); i++ {
 			ip := orig.Addr(i)
 			if got := restored.Addr(i); got != ip {
 				t.Fatalf("host %d: addr %v != %v", i, got, ip)
@@ -66,8 +66,8 @@ func TestRestoreAddrsReuse(t *testing.T) {
 	if err := p.RestoreAddrs(small); err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != len(small) {
-		t.Fatalf("size = %d, want %d", p.Size(), len(small))
+	if len(p.addrs) != len(small) {
+		t.Fatalf("size = %d, want %d", len(p.addrs), len(small))
 	}
 	for i, ip := range small {
 		if idx, ok := p.Lookup(ip); !ok || idx != i {
@@ -119,8 +119,8 @@ func TestRestoreAddrsDuplicatePositions(t *testing.T) {
 			if err := p.RestoreAddrs(clean); err != nil {
 				t.Fatalf("restore after a rejected one: %v", err)
 			}
-			if p.Size() != n {
-				t.Fatalf("size %d, want %d", p.Size(), n)
+			if len(p.addrs) != n {
+				t.Fatalf("size %d, want %d", len(p.addrs), n)
 			}
 			for i, ip := range clean {
 				if idx, ok := p.Lookup(ip); !ok || idx != i || p.Addr(i) != ip {

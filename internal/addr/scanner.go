@@ -62,40 +62,40 @@ func (s SubnetPreference) Next(src rng.Source, self IP) IP {
 	}
 }
 
-// HitList scans a precomputed list of likely-vulnerable addresses first
+// hitList scans a precomputed list of likely-vulnerable addresses first
 // (Staniford et al.'s "hit-list" acceleration), then falls back to the
-// wrapped scanner once the list is exhausted. A HitList is stateful and
+// wrapped scanner once the list is exhausted. A hitList is stateful and
 // must not be shared between simulated hosts; use Clone to give each
 // host its own cursor.
-type HitList struct {
+type hitList struct {
 	list     []IP
 	pos      int
 	fallback Scanner
 }
 
-var _ Scanner = (*HitList)(nil)
+var _ Scanner = (*hitList)(nil)
 
-// NewHitList builds a hit-list scanner over a copy of list.
-func NewHitList(list []IP, fallback Scanner) (*HitList, error) {
+// newHitList builds a hit-list scanner over a copy of list.
+func newHitList(list []IP, fallback Scanner) (*hitList, error) {
 	if fallback == nil {
 		return nil, fmt.Errorf("addr: hit list needs a fallback scanner")
 	}
 	cp := make([]IP, len(list))
 	copy(cp, list)
-	return &HitList{list: cp, fallback: fallback}, nil
+	return &hitList{list: cp, fallback: fallback}, nil
 }
 
 // Clone returns an independent scanner sharing the (immutable) list but
 // with its own position cursor.
-func (h *HitList) Clone() *HitList {
-	return &HitList{list: h.list, fallback: h.fallback}
+func (h *hitList) Clone() *hitList {
+	return &hitList{list: h.list, fallback: h.fallback}
 }
 
 // Remaining returns how many unvisited hit-list entries are left.
-func (h *HitList) Remaining() int { return len(h.list) - h.pos }
+func (h *hitList) Remaining() int { return len(h.list) - h.pos }
 
 // Next consumes the hit list in order, then delegates to the fallback.
-func (h *HitList) Next(src rng.Source, self IP) IP {
+func (h *hitList) Next(src rng.Source, self IP) IP {
 	if h.pos < len(h.list) {
 		ip := h.list[h.pos]
 		h.pos++
@@ -133,9 +133,6 @@ func NewRoutable(prefixes []Prefix) (*Routable, error) {
 	}
 	return r, nil
 }
-
-// TotalAddresses returns the number of addresses the scanner covers.
-func (r *Routable) TotalAddresses() uint64 { return r.total }
 
 // Next picks a prefix weighted by size, then a uniform address inside it.
 func (r *Routable) Next(src rng.Source, _ IP) IP {

@@ -86,7 +86,7 @@ func TestSubnetPreferenceZeroIsUniform(t *testing.T) {
 func TestHitListOrderThenFallback(t *testing.T) {
 	src := rng.NewPCG64(13, 0)
 	list := []IP{100, 200, 300}
-	h, err := NewHitList(list, Uniform{})
+	h, err := newHitList(list, Uniform{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestHitListOrderThenFallback(t *testing.T) {
 }
 
 func TestHitListClone(t *testing.T) {
-	h, _ := NewHitList([]IP{1, 2}, Uniform{})
+	h, _ := newHitList([]IP{1, 2}, Uniform{})
 	src := rng.NewPCG64(14, 0)
 	h.Next(src, 0)
 	c := h.Clone()
@@ -123,14 +123,14 @@ func TestHitListClone(t *testing.T) {
 }
 
 func TestHitListValidation(t *testing.T) {
-	if _, err := NewHitList([]IP{1}, nil); err == nil {
+	if _, err := newHitList([]IP{1}, nil); err == nil {
 		t.Error("expected error for nil fallback")
 	}
 }
 
 func TestHitListCopiesInput(t *testing.T) {
 	list := []IP{7}
-	h, _ := NewHitList(list, Uniform{})
+	h, _ := newHitList(list, Uniform{})
 	list[0] = 99
 	src := rng.NewPCG64(15, 0)
 	if got := h.Next(src, 0); got != 7 {
@@ -152,8 +152,8 @@ func TestRoutableStaysInside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.TotalAddresses() != p1.Size()+p2.Size() {
-		t.Errorf("total = %d", r.TotalAddresses())
+	if r.total != p1.Size()+p2.Size() {
+		t.Errorf("total = %d", r.total)
 	}
 	in1, in2 := 0, 0
 	const draws = 100000

@@ -223,9 +223,6 @@ func RestorePopulation(addrs []IP) (*Population, error) {
 	return p, nil
 }
 
-// Size returns the number of vulnerable hosts.
-func (p *Population) Size() int { return len(p.addrs) }
-
 // Addr returns the address of host i.
 func (p *Population) Addr(i int) IP { return p.addrs[i] }
 
@@ -251,16 +248,9 @@ func (p *Population) Lookup(ip IP) (int, bool) {
 	}
 }
 
-// Addrs returns a copy of all host addresses (index order).
-func (p *Population) Addrs() []IP {
-	out := make([]IP, len(p.addrs))
-	copy(out, p.addrs)
-	return out
-}
-
 // AppendAddrs appends every host address in index order to dst and
-// returns the extended slice — the allocation-free snapshot form of
-// Addrs for callers that reuse a buffer across checkpoints.
+// returns the extended slice, so a caller can reuse one buffer across
+// checkpoints.
 func (p *Population) AppendAddrs(dst []IP) []IP {
 	return append(dst, p.addrs...)
 }

@@ -13,11 +13,11 @@ func TestNewPopulationDistinctAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pop.Size() != 10000 {
-		t.Fatalf("size = %d", pop.Size())
+	if len(pop.addrs) != 10000 {
+		t.Fatalf("size = %d", len(pop.addrs))
 	}
 	seen := make(map[IP]bool, 10000)
-	for i := 0; i < pop.Size(); i++ {
+	for i := 0; i < len(pop.addrs); i++ {
 		ip := pop.Addr(i)
 		if seen[ip] {
 			t.Fatalf("duplicate address %v", ip)
@@ -32,7 +32,7 @@ func TestPopulationLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < pop.Size(); i++ {
+	for i := 0; i < len(pop.addrs); i++ {
 		got, ok := pop.Lookup(pop.Addr(i))
 		if !ok || got != i {
 			t.Fatalf("lookup(%v) = (%d, %v), want (%d, true)", pop.Addr(i), got, ok, i)
@@ -56,7 +56,7 @@ func TestNewPopulationValidation(t *testing.T) {
 	if _, err := NewPopulation(0, nil, src); err == nil {
 		t.Error("expected error for v = 0")
 	}
-	tiny, _ := NewPrefix(0, 30) // 4 addresses
+	tiny, _ := newPrefix(0, 30) // 4 addresses
 	if _, err := NewPopulation(5, &tiny, src); err == nil {
 		t.Error("expected error when v exceeds prefix capacity")
 	}
@@ -69,7 +69,7 @@ func TestNewPopulationClustered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < pop.Size(); i++ {
+	for i := 0; i < len(pop.addrs); i++ {
 		if !pfx.Contains(pop.Addr(i)) {
 			t.Fatalf("host %d at %v escapes %v", i, pop.Addr(i), pfx)
 		}
@@ -79,13 +79,13 @@ func TestNewPopulationClustered(t *testing.T) {
 func TestNewPopulationFullPrefix(t *testing.T) {
 	// Exactly filling a small prefix must terminate (every address used).
 	src := rng.NewPCG64(5, 0)
-	pfx, _ := NewPrefix(0x0a000000, 28) // 16 addresses
+	pfx, _ := newPrefix(0x0a000000, 28) // 16 addresses
 	pop, err := NewPopulation(16, &pfx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pop.Size() != 16 {
-		t.Fatalf("size = %d", pop.Size())
+	if len(pop.addrs) != 16 {
+		t.Fatalf("size = %d", len(pop.addrs))
 	}
 }
 
@@ -179,8 +179,8 @@ func TestPopulationDrawSequenceMatchesMapReference(t *testing.T) {
 				if err := pop.Repopulate(c.v, pfx, src); err != nil {
 					t.Fatal(err)
 				}
-				if pop.Size() != c.v {
-					t.Fatalf("%s: size %d, want %d", reuse.name, pop.Size(), c.v)
+				if len(pop.addrs) != c.v {
+					t.Fatalf("%s: size %d, want %d", reuse.name, len(pop.addrs), c.v)
 				}
 				for i, want := range ref {
 					if pop.Addr(i) != want {
@@ -190,7 +190,7 @@ func TestPopulationDrawSequenceMatchesMapReference(t *testing.T) {
 				if got := src.State(); got != refState {
 					t.Fatalf("%s: RNG stream position diverged: %+v != %+v", reuse.name, got, refState)
 				}
-				for i := 0; i < pop.Size(); i++ {
+				for i := 0; i < len(pop.addrs); i++ {
 					if got, ok := pop.Lookup(pop.Addr(i)); !ok || got != i {
 						t.Fatalf("%s: lookup(%v) = (%d, %v), want (%d, true)",
 							reuse.name, pop.Addr(i), got, ok, i)
@@ -220,8 +220,8 @@ func TestPopulationRepopulateReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pop.Size() != fresh.Size() {
-			t.Fatalf("v=%d: size %d != %d", v, pop.Size(), fresh.Size())
+		if len(pop.addrs) != len(fresh.addrs) {
+			t.Fatalf("v=%d: size %d != %d", v, len(pop.addrs), len(fresh.addrs))
 		}
 		for i := 0; i < v; i++ {
 			if pop.Addr(i) != fresh.Addr(i) {
@@ -262,4 +262,11 @@ func TestPopulationMemory(t *testing.T) {
 	if _, ok := empty.Lookup(IP(1)); ok {
 		t.Fatal("zero-value Population must miss")
 	}
+}
+
+// Addrs returns a copy of all host addresses (index order).
+func (p *Population) Addrs() []IP {
+	out := make([]IP, len(p.addrs))
+	copy(out, p.addrs)
+	return out
 }

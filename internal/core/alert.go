@@ -32,14 +32,14 @@ type Alert struct {
 	UnixMs int64
 }
 
-// AlertID is an alert's global identity, the dedup key.
-type AlertID struct {
+// alertID is an alert's global identity, the dedup key.
+type alertID struct {
 	Origin uint64
 	Seq    uint64
 }
 
-// ID returns the alert's global identity.
-func (a Alert) ID() AlertID { return AlertID{Origin: a.Origin, Seq: a.Seq} }
+// id returns the alert's global identity.
+func (a Alert) id() alertID { return alertID{Origin: a.Origin, Seq: a.Seq} }
 
 // alertBook is the per-limiter alert ledger, shared by both backends
 // and manipulated only with the owning limiter's world stopped (its
@@ -48,20 +48,20 @@ func (a Alert) ID() AlertID { return AlertID{Origin: a.Origin, Seq: a.Seq} }
 // hosts (paper step 4) but must NOT forget which alerts were already
 // applied, or stale gossip would re-remove every host each cycle.
 type alertBook struct {
-	alerts   map[AlertID]Alert
+	alerts   map[alertID]Alert
 	applied  int // == len(alerts); mirrors into Stats.TotalAlerts
 	removals int // alert applications that newly removed a host
 }
 
 // apply records the alert if it is new, reporting whether it was.
 func (b *alertBook) apply(a Alert) bool {
-	if _, dup := b.alerts[a.ID()]; dup {
+	if _, dup := b.alerts[a.id()]; dup {
 		return false
 	}
 	if b.alerts == nil {
-		b.alerts = make(map[AlertID]Alert)
+		b.alerts = make(map[alertID]Alert)
 	}
-	b.alerts[a.ID()] = a
+	b.alerts[a.id()] = a
 	b.applied++
 	return true
 }
@@ -101,10 +101,10 @@ func (b *alertBook) sorted() []Alert {
 // decoder has already checked to be distinct.
 func (b *alertBook) restore(alerts []Alert, removals int) {
 	if len(alerts) > 0 {
-		b.alerts = make(map[AlertID]Alert, len(alerts))
+		b.alerts = make(map[alertID]Alert, len(alerts))
 	}
 	for _, a := range alerts {
-		b.alerts[a.ID()] = a
+		b.alerts[a.id()] = a
 	}
 	b.applied = len(alerts)
 	b.removals = removals
@@ -122,14 +122,14 @@ func (b *alertBook) restore(alerts []Alert, removals int) {
 func (l *Limiter) ApplyAlert(a Alert) bool {
 	s := l.stripeOf(a.Src)
 	s.mu.Lock()
-	_, dup := l.alerts.alerts[a.ID()]
+	_, dup := l.alerts.alerts[a.id()]
 	s.mu.Unlock()
 	if dup {
 		return false
 	}
 	l.lockAll()
 	defer l.unlockAll()
-	if _, dup := l.alerts.alerts[a.ID()]; dup {
+	if _, dup := l.alerts.alerts[a.id()]; dup {
 		return false
 	}
 	if l.journal != nil {
@@ -161,7 +161,7 @@ func (l *Limiter) Alerts() []Alert {
 func (l *SketchLimiter) ApplyAlert(a Alert) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, dup := l.alerts.alerts[a.ID()]; dup {
+	if _, dup := l.alerts.alerts[a.id()]; dup {
 		return false
 	}
 	if l.journal != nil {

@@ -21,7 +21,7 @@ func TestApplyAlertRemovesAndDedups(t *testing.T) {
 	start := msAligned(time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC))
 	for _, backend := range []string{"exact", "sketch"} {
 		t.Run(backend, func(t *testing.T) {
-			var l ContainmentLimiter
+			var l Backend
 			if backend == "exact" {
 				l = alertTestLimiter(t, start)
 			} else {
@@ -166,7 +166,7 @@ func TestSketchAlertSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSketchLimiter(data)
+	restored, err := restoreSketchLimiter(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,9 @@ func BenchmarkLimiterMarshalState(b *testing.B) {
 // decide-stream workload snapshots: `hosts` legitimate sources with an
 // 8-destination working set each, plus one scanner per 500 of them that
 // has run its M=5000 budget out and been removed.
-func snapshotBenchLimiter(b *testing.B, backend string, hosts int) ContainmentLimiter {
+func snapshotBenchLimiter(b *testing.B, backend string, hosts int) Backend {
 	cfg := LimiterConfig{M: 5000, Cycle: 365 * 24 * time.Hour, CheckFraction: 0.9}
-	var l ContainmentLimiter
+	var l Backend
 	var err error
 	if backend == "sketch" {
 		l, err = NewSketchLimiter(SketchConfig{LimiterConfig: cfg, FailureM: 100}, t0)
@@ -179,10 +179,10 @@ func parallelMixObs(i uint64, skewed bool) (src, dst uint32) {
 // BenchmarkObserveParallel is the multicore row of the decision path:
 // Observe from 1, 2, 4 and 8 goroutines on the uniform and the skewed
 // mix. The goroutine count is set inside the benchmark, so one plain
-// `go test -bench` (and make bench-json) records the whole matrix; ns/op
-// is wall time over all goroutines' observations, so perfect scaling
-// halves it per doubling up to the core count. (backend=exact tells
-// these rows from internal/durable's in one bench-json record.)
+// `go test -bench` records the whole matrix; ns/op is wall time over all
+// goroutines' observations, so perfect scaling halves it per doubling
+// up to the core count. make bench-allocs holds the uniform rows at 0
+// allocs/op. (backend=exact tells these rows from internal/durable's.)
 func BenchmarkObserveParallel(b *testing.B) {
 	for _, mix := range []string{"uniform", "skewed"} {
 		b.Run("backend=exact,mix="+mix, func(b *testing.B) {

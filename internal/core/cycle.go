@@ -34,8 +34,8 @@ type CyclePlanner struct {
 	Tolerance float64
 }
 
-// Validate reports whether the planner parameters are usable.
-func (c CyclePlanner) Validate() error {
+// validate reports whether the planner parameters are usable.
+func (c CyclePlanner) validate() error {
 	switch {
 	case c.M < 1:
 		return fmt.Errorf("core: planner M = %d, must be >= 1", c.M)
@@ -56,7 +56,7 @@ func (c CyclePlanner) Validate() error {
 // The result is floored at minCycle and capped at maxCycle, the
 // operational bounds (the paper suggests "weeks or even months").
 func (c CyclePlanner) Recommend(ratesPerHour []float64, minCycle, maxCycle time.Duration) (time.Duration, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return 0, err
 	}
 	if len(ratesPerHour) == 0 {
@@ -103,7 +103,7 @@ func (c CyclePlanner) Recommend(ratesPerHour []float64, minCycle, maxCycle time.
 	return cycle, nil
 }
 
-// Adapt performs one step of the runtime adaptation rule: given the
+// adapt performs one step of the runtime adaptation rule: given the
 // fraction of the scan budget the most active *clean* host consumed in
 // the cycle that just ended, it lengthens the cycle when there is
 // headroom and shortens it when the budget got tight. The returned cycle
@@ -112,8 +112,8 @@ func (c CyclePlanner) Recommend(ratesPerHour []float64, minCycle, maxCycle time.
 //   - observedPeakFraction < 0.5 ⇒ ample headroom ⇒ grow cycle by 25 %.
 //   - observedPeakFraction > 0.9 ⇒ too tight ⇒ shrink cycle by 25 %.
 //   - otherwise keep the current cycle.
-func (c CyclePlanner) Adapt(current time.Duration, observedPeakFraction float64, minCycle, maxCycle time.Duration) (time.Duration, error) {
-	if err := c.Validate(); err != nil {
+func (c CyclePlanner) adapt(current time.Duration, observedPeakFraction float64, minCycle, maxCycle time.Duration) (time.Duration, error) {
+	if err := c.validate(); err != nil {
 		return 0, err
 	}
 	if observedPeakFraction < 0 || math.IsNaN(observedPeakFraction) {

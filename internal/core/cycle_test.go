@@ -19,7 +19,7 @@ func TestCyclePlannerValidation(t *testing.T) {
 		{CyclePlanner{M: 10, CheckFraction: 0.5, Tolerance: -0.1}, true},
 	}
 	for _, c := range cases {
-		if err := c.p.Validate(); (err != nil) != c.wantErr {
+		if err := c.p.validate(); (err != nil) != c.wantErr {
 			t.Errorf("%+v: err = %v, wantErr = %v", c.p, err, c.wantErr)
 		}
 	}
@@ -119,21 +119,21 @@ func TestAdaptRules(t *testing.T) {
 	cur := 100 * time.Hour
 	minC, maxC := 10*time.Hour, 1000*time.Hour
 
-	grown, err := p.Adapt(cur, 0.2, minC, maxC)
+	grown, err := p.adapt(cur, 0.2, minC, maxC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if grown != 125*time.Hour {
 		t.Errorf("headroom: %v, want 125h", grown)
 	}
-	shrunk, err := p.Adapt(cur, 0.95, minC, maxC)
+	shrunk, err := p.adapt(cur, 0.95, minC, maxC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shrunk != 75*time.Hour {
 		t.Errorf("tight: %v, want 75h", shrunk)
 	}
-	same, err := p.Adapt(cur, 0.7, minC, maxC)
+	same, err := p.adapt(cur, 0.7, minC, maxC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestAdaptRules(t *testing.T) {
 
 func TestAdaptClamps(t *testing.T) {
 	p := CyclePlanner{M: 5000, CheckFraction: 0.9, Tolerance: 0.01}
-	got, err := p.Adapt(1000*time.Hour, 0.1, time.Hour, 1100*time.Hour)
+	got, err := p.adapt(1000*time.Hour, 0.1, time.Hour, 1100*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 1100*time.Hour {
 		t.Errorf("growth not clamped to max: %v", got)
 	}
-	got, err = p.Adapt(time.Hour, 0.99, time.Hour, 1100*time.Hour)
+	got, err = p.adapt(time.Hour, 0.99, time.Hour, 1100*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestAdaptClamps(t *testing.T) {
 
 func TestAdaptRejectsBadInput(t *testing.T) {
 	p := CyclePlanner{M: 5000, CheckFraction: 0.9, Tolerance: 0.01}
-	if _, err := p.Adapt(time.Hour, -1, time.Hour, 2*time.Hour); err == nil {
+	if _, err := p.adapt(time.Hour, -1, time.Hour, 2*time.Hour); err == nil {
 		t.Error("expected error for negative fraction")
 	}
-	if _, err := p.Adapt(time.Hour, math.NaN(), time.Hour, 2*time.Hour); err == nil {
+	if _, err := p.adapt(time.Hour, math.NaN(), time.Hour, 2*time.Hour); err == nil {
 		t.Error("expected error for NaN fraction")
 	}
 }

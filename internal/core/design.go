@@ -21,8 +21,8 @@ type ContainmentTarget struct {
 	Confidence float64
 }
 
-// Validate reports whether the target is well-formed.
-func (t ContainmentTarget) Validate() error {
+// validate reports whether the target is well-formed.
+func (t ContainmentTarget) validate() error {
 	if t.MaxTotalInfected < 1 {
 		return fmt.Errorf("core: target ceiling %d, must be >= 1", t.MaxTotalInfected)
 	}
@@ -46,10 +46,10 @@ func (t ContainmentTarget) Validate() error {
 // It returns an error if the target is infeasible even at M = 0, i.e.
 // the ceiling is below I0 (the seeds alone exceed it).
 func DesignM(w WormModel, target ContainmentTarget) (int, error) {
-	if err := w.Validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return 0, err
 	}
-	if err := target.Validate(); err != nil {
+	if err := target.validate(); err != nil {
 		return 0, err
 	}
 	if target.MaxTotalInfected < w.I0 {
@@ -122,7 +122,7 @@ type Report struct {
 
 // Analyze produces a Report for the scenario.
 func Analyze(w WormModel) (Report, error) {
-	if err := w.Validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return Report{}, err
 	}
 	r := Report{

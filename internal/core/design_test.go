@@ -17,7 +17,7 @@ func TestContainmentTargetValidation(t *testing.T) {
 		{ContainmentTarget{MaxTotalInfected: 100, Confidence: 1}, true},
 	}
 	for _, c := range cases {
-		if err := c.target.Validate(); (err != nil) != c.wantErr {
+		if err := c.target.validate(); (err != nil) != c.wantErr {
 			t.Errorf("%+v: err = %v, wantErr = %v", c.target, err, c.wantErr)
 		}
 	}

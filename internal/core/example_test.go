@@ -72,23 +72,3 @@ func ExampleLimiter() {
 	// deny
 	// removed: true
 }
-
-// ExampleScanMixture extends Proposition 1 to a preference-scanning worm
-// (the paper's future-work direction): the generalized threshold is
-// 1/p_effective.
-func ExampleScanMixture() {
-	// 5000 vulnerable hosts, all inside the scanner's /8; Code Red II
-	// scan weights.
-	mix := core.ScanMixture{Regions: []core.ScanRegion{
-		{Name: "own /8", Weight: 0.875, SpaceSize: 1 << 24, Vulnerable: 5000},
-		{Name: "uniform", Weight: 0.125, SpaceSize: 1 << 32, Vulnerable: 5000},
-	}}
-	th, err := mix.GeneralizedThreshold()
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("preference-scan threshold = %.0f scans per cycle\n", th)
-	// Output:
-	// preference-scan threshold = 3833 scans per cycle
-}

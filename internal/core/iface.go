@@ -2,48 +2,70 @@ package core
 
 import "time"
 
-// ContainmentLimiter is the decision interface the enforcement layers
-// (gateway, durable store, wormgate serve) program against. Two
-// backends implement it:
+// Two backends decide the paper's Section IV question — has this source
+// reached M distinct destinations this containment cycle? — flag at f·M,
+// remove at M and reset every cycle:
 //
-//   - *Limiter — the exact backend: per-host distinct-destination sets
-//     (slice ≤ 64 + map spill). Exact verdicts, O(distinct) memory per
-//     host.
-//   - *SketchLimiter — the hyper-compact estimator backend: per-host
-//     cardinality bitmaps carved out of shared register slabs, a few
-//     bytes per host at fleet scale, verdicts correct up to the
-//     estimator's quantified error (see the sketch-accuracy artifact).
+//   - *Limiter, the exact backend: each of its 64 source-hashed stripes
+//     keeps its hosts in one open-addressing table whose 64-byte slot is
+//     the host (13 destinations inline, a flat set beyond). Exact
+//     verdicts, memory proportional to the distinct destinations seen.
+//   - *SketchLimiter, the estimator backend: per-host cardinality
+//     bitmaps carved out of shared register slabs, a fixed few hundred
+//     bytes per host, verdicts correct up to the estimator's quantified
+//     error (see the sketch-accuracy artifact).
 //
-// The contract is the paper's Section IV scheme either way: count
-// distinct destinations per source per containment cycle, flag at f·M,
-// remove at M, reset every cycle. Both backends journal their logical
-// inputs through the same Journal hook and serialize deterministic
-// snapshots, so internal/durable persists either one without caring
-// which it is — RestoreAnyLimiter dispatches on the snapshot header's
-// backend byte.
-type ContainmentLimiter interface {
+// Both journal their logical inputs through the same Journal hook and
+// serialize canonical snapshots. The layers above hold a backend through
+// the interface that lists what that layer calls, and nothing else:
+//
+//	holder                            interface     methods it calls
+//	gateway.Config.Limiter            Decider       Observe, Snapshot
+//	fleet.Config.Local                AlertDecider  Decider + Removed, CycleIndex, ApplyAlert, Alerts
+//	durable.Options.NewLimiter,       Backend       Observe, Snapshot, CycleIndex, ApplyAlert,
+//	durable.Store.Limiter,                          Reinstate, Config, SetJournal, CheckpointState
+//	RestoreAnyLimiter, cmd/wormgate                 (durable); CycleIndex, MarshalState (wormgate)
+//
+// Backend embeds AlertDecider because wormgate hands the limiter a
+// durable store recovered to the fleet node as its local limiter.
+// *fleet.Node is itself a Decider and nothing more: a gateway decides
+// through it, state is persisted from the backend behind it.
+// defense.MLimit constructs and keeps a concrete *Limiter.
+
+// Decider is the connection path's view of a limiter.
+type Decider interface {
 	// Observe records one connection attempt and returns the verdict.
 	Observe(src, dst uint32, t time.Time) Decision
-	// Reinstate returns a removed host to service with a fresh counter.
-	Reinstate(src uint32) bool
-	// Removed reports whether the host is currently removed.
-	Removed(src uint32) bool
-	// DistinctCount reports the host's distinct-destination count this
-	// cycle — exact for *Limiter, the estimator's point estimate for
-	// *SketchLimiter.
-	DistinctCount(src uint32) int
-	// CycleIndex returns the zero-based containment-cycle index.
-	CycleIndex() uint64
-	// Config returns the shared containment parameters (M, cycle, f).
-	Config() LimiterConfig
 	// Snapshot returns the cumulative decision counters.
 	Snapshot() Stats
+}
+
+// AlertDecider is a fleet node's view of its local limiter: decisions
+// plus the alert ledger.
+type AlertDecider interface {
+	Decider
+	// Removed reports whether the host is currently removed.
+	Removed(src uint32) bool
+	// CycleIndex returns the zero-based containment-cycle index.
+	CycleIndex() uint64
 	// ApplyAlert applies one fleet removal alert, reporting whether it
 	// was new; duplicates are no-ops (gossip idempotence).
 	ApplyAlert(a Alert) bool
 	// Alerts returns every applied alert in canonical (Origin, Seq)
 	// order — the immunization set.
 	Alerts() []Alert
+}
+
+// Backend is a limiter as the code that persists it holds it:
+// internal/durable journals, snapshots and replays through it, and
+// RestoreAnyLimiter returns it because the snapshot header, not the
+// caller, says which backend it is.
+type Backend interface {
+	AlertDecider
+	// Reinstate returns a removed host to service with a fresh counter.
+	Reinstate(src uint32) bool
+	// Config returns the shared containment parameters (M, cycle, f).
+	Config() LimiterConfig
 	// SetJournal attaches (or detaches) the WAL hook.
 	SetJournal(Journal)
 	// CheckpointState marshals the state and marks the journal cut
@@ -74,7 +96,7 @@ type FailureObserver interface {
 
 // Interface conformance is pinned at compile time.
 var (
-	_ ContainmentLimiter = (*Limiter)(nil)
-	_ ContainmentLimiter = (*SketchLimiter)(nil)
-	_ FailureObserver    = (*SketchLimiter)(nil)
+	_ Backend         = (*Limiter)(nil)
+	_ Backend         = (*SketchLimiter)(nil)
+	_ FailureObserver = (*SketchLimiter)(nil)
 )

@@ -57,14 +57,14 @@ type WormModel struct {
 // NewWormModel validates and returns a model.
 func NewWormModel(name string, v int, spaceSize float64, m, i0 int) (WormModel, error) {
 	w := WormModel{Name: name, V: v, SpaceSize: spaceSize, M: m, I0: i0}
-	if err := w.Validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return WormModel{}, err
 	}
 	return w, nil
 }
 
-// Validate reports whether the model parameters are usable.
-func (w WormModel) Validate() error {
+// validate reports whether the model parameters are usable.
+func (w WormModel) validate() error {
 	switch {
 	case w.V < 1:
 		return fmt.Errorf("core: vulnerable population V = %d, must be >= 1", w.V)
@@ -91,15 +91,15 @@ func (w WormModel) Lambda() float64 {
 	return float64(w.M) * w.Density()
 }
 
-// Offspring returns the exact offspring distribution ξ ~ Binomial(M, p)
+// offspring returns the exact offspring distribution ξ ~ Binomial(M, p)
 // of Eq. (2).
-func (w WormModel) Offspring() dist.Binomial {
+func (w WormModel) offspring() dist.Binomial {
 	return dist.Binomial{N: w.M, P: w.Density()}
 }
 
-// OffspringPoisson returns the Poisson(λ = M·p) approximation of the
+// offspringPoisson returns the Poisson(λ = M·p) approximation of the
 // offspring law used throughout Section III-C.
-func (w WormModel) OffspringPoisson() dist.Poisson {
+func (w WormModel) offspringPoisson() dist.Poisson {
 	return dist.Poisson{Lambda: w.Lambda()}
 }
 
@@ -120,14 +120,14 @@ func (w WormModel) GuaranteedExtinction() bool {
 // configured M and I0. It is exactly 1 in the guaranteed regime and the
 // I0-th power of the smallest PGF fixed point otherwise.
 func (w WormModel) ExtinctionProbability() float64 {
-	return dist.ExtinctionProbabilityN(w.Offspring(), w.I0)
+	return dist.ExtinctionProbabilityN(w.offspring(), w.I0)
 }
 
 // ExtinctionByGeneration returns P_n = P{I_n = 0} for n = 0..gens, the
 // per-generation extinction probabilities plotted in Fig. 3, computed by
 // iterating the binomial PGF φ(s) = (p·s + 1 − p)^M.
 func (w WormModel) ExtinctionByGeneration(gens int) ([]float64, error) {
-	return dist.ExtinctionByGeneration(w.Offspring(), w.I0, gens)
+	return dist.ExtinctionByGeneration(w.offspring(), w.I0, gens)
 }
 
 // TotalInfections returns the Borel–Tanner distribution of the total

@@ -138,11 +138,11 @@ func TestTotalInfectionsUncontainedRegime(t *testing.T) {
 
 func TestOffspringDistributions(t *testing.T) {
 	cr := CodeRed(10000, 10)
-	b := cr.Offspring()
+	b := cr.offspring()
 	if b.N != 10000 || math.Abs(b.P-cr.Density()) > 1e-15 {
 		t.Errorf("offspring params (%d, %v) mismatch", b.N, b.P)
 	}
-	po := cr.OffspringPoisson()
+	po := cr.offspringPoisson()
 	if math.Abs(po.Lambda-cr.Lambda()) > 1e-15 {
 		t.Errorf("poisson offspring λ = %v, want %v", po.Lambda, cr.Lambda())
 	}

@@ -47,13 +47,13 @@ const (
 type SnapshotBackend uint8
 
 const (
-	// BackendExact is *Limiter.
-	BackendExact SnapshotBackend = 1
-	// BackendSketch is *SketchLimiter.
-	BackendSketch SnapshotBackend = 2
+	// backendExact is *Limiter.
+	backendExact SnapshotBackend = 1
+	// backendSketch is *SketchLimiter.
+	backendSketch SnapshotBackend = 2
 )
 
-var backendNames = map[SnapshotBackend]string{BackendExact: "exact", BackendSketch: "sketch"}
+var backendNames = map[SnapshotBackend]string{backendExact: "exact", backendSketch: "sketch"}
 
 // String implements fmt.Stringer.
 func (k SnapshotBackend) String() string { return backendNames[k] }
@@ -276,7 +276,7 @@ func (l *Limiter) CheckpointState(cut func()) ([]byte, error) {
 
 	slices.Sort(keys)
 	b := make([]byte, 0, snapshotCommonLen+(hostHeaderLen+4)*len(hosts)+4*len(dsts)+alertRecordLen*len(alerts))
-	b = appendSnapshotCommon(b, SnapshotHeader{Backend: BackendExact, Hosts: len(hosts), Alerts: len(alerts)}, c)
+	b = appendSnapshotCommon(b, SnapshotHeader{Backend: backendExact, Hosts: len(hosts), Alerts: len(alerts)}, c)
 	scratch := make([]uint32, largest)
 	for _, k := range keys {
 		h := hosts[uint32(k)]
@@ -327,7 +327,7 @@ func sortDestinations(d, scratch []uint32) {
 // counters and alert ledger all carry over. Anything but a canonical
 // payload of a valid state is an error.
 func RestoreLimiter(data []byte) (*Limiter, error) {
-	h, c, r, err := readSnapshotCommon(data, BackendExact)
+	h, c, r, err := readSnapshotCommon(data, backendExact)
 	if err != nil {
 		return nil, err
 	}
@@ -414,13 +414,13 @@ func RestoreLimiter(data []byte) (*Limiter, error) {
 // snapshot, dispatching on the header's backend byte. This is the entry
 // point internal/durable uses, which is what lets one state directory
 // carry either backend.
-func RestoreAnyLimiter(data []byte) (ContainmentLimiter, error) {
+func RestoreAnyLimiter(data []byte) (Backend, error) {
 	h, err := ReadSnapshotHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if h.Backend == BackendSketch {
-		return RestoreSketchLimiter(data)
+	if h.Backend == backendSketch {
+		return restoreSketchLimiter(data)
 	}
 	return RestoreLimiter(data)
 }

@@ -92,7 +92,7 @@ func randomSketchHistory(t testing.TB, seed uint64) *SketchLimiter {
 	l.Observe(201, 1, now)
 	l.ObserveFailure(201, 1, now)
 	l.ApplyAlert(Alert{Origin: 9, Seq: 1, Src: 202, UnixMs: now.UnixMilli()})
-	if s := l.Snapshot(); s.RemovedHosts < 2 || l.FailureCount(201) == 0 || s.FlaggedHosts == 0 && cfg.CheckFraction > 0 {
+	if s := l.Snapshot(); s.RemovedHosts < 2 || l.failureCount(201) == 0 || s.FlaggedHosts == 0 && cfg.CheckFraction > 0 {
 		t.Fatalf("seed %d: history left no removed, flagged or failing host behind: %+v", seed, s)
 	}
 	return l
@@ -104,7 +104,7 @@ func randomSketchHistory(t testing.TB, seed uint64) *SketchLimiter {
 // restored limiter decides the next observation like the live one.
 func TestLimiterSnapshotRoundTripRandomHistories(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1905} {
-		for name, l := range map[string]ContainmentLimiter{
+		for name, l := range map[string]Backend{
 			"exact":  randomExactHistory(t, seed),
 			"sketch": randomSketchHistory(t, seed),
 		} {
@@ -143,7 +143,7 @@ func TestLimiterSnapshotRoundTripRandomHistories(t *testing.T) {
 // walkStats counts a limiter's tracked, removed and flagged hosts (and an
 // exact limiter's destinations) the slow way, from the per-host state
 // Snapshot no longer reads.
-func walkStats(l ContainmentLimiter) (active, removed, flagged, dsts int) {
+func walkStats(l Backend) (active, removed, flagged, dsts int) {
 	switch l := l.(type) {
 	case *Limiter:
 		l.lockAll()
@@ -193,7 +193,7 @@ func TestSnapshotCountersEqualWalk(t *testing.T) {
 		cfg := LimiterConfig{M: 20, Cycle: 40 * time.Second, CheckFraction: 0.5}
 		exact := newTestLimiter(t, cfg)
 		sketch := newTestSketch(t, SketchConfig{LimiterConfig: cfg, FailureM: 6})
-		for name, l := range map[string]ContainmentLimiter{"exact": exact, "sketch": sketch} {
+		for name, l := range map[string]Backend{"exact": exact, "sketch": sketch} {
 			check := func(when string) {
 				t.Helper()
 				active, removed, flagged, dsts := walkStats(l)
@@ -254,7 +254,7 @@ func TestSnapshotCountersEqualWalk(t *testing.T) {
 }
 
 // epochOf reads the current cycle's start.
-func epochOf(l ContainmentLimiter) time.Time {
+func epochOf(l Backend) time.Time {
 	switch l := l.(type) {
 	case *Limiter:
 		l.stripes[0].mu.Lock()
@@ -341,7 +341,7 @@ func TestLimiterSnapshotCanonical(t *testing.T) {
 		for _, backend := range []string{"exact", "sketch"} {
 			var states [][]byte
 			for _, order := range []func(func(event), func(Alert)){forward, interleaved, concurrent} {
-				var l ContainmentLimiter
+				var l Backend
 				cfg := LimiterConfig{M: 90, Cycle: time.Hour, CheckFraction: 0.5}
 				if backend == "sketch" {
 					l = newTestSketch(t, SketchConfig{LimiterConfig: cfg, FailureM: 20})

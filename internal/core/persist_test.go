@@ -255,9 +255,9 @@ func TestSnapshotLayout(t *testing.T) {
 			t.Errorf("%s: header = %+v, %v", name, hdr, err)
 		}
 	}
-	if sk, err := RestoreSketchLimiter(sketchSpecValid().encode()); err != nil {
+	if sk, err := restoreSketchLimiter(sketchSpecValid().encode()); err != nil {
 		t.Fatal(err)
-	} else if sk.DistinctCount(4) == 0 || sk.FailureCount(4) == 0 || !sk.Removed(8) || sk.Snapshot().TotalFailures != 3 {
+	} else if sk.distinctCount(4) == 0 || sk.failureCount(4) == 0 || !sk.Removed(8) || sk.Snapshot().TotalFailures != 3 {
 		t.Errorf("sketch restore lost state: %+v", sk.Snapshot())
 	}
 }
@@ -352,7 +352,7 @@ func rejectEverywhere(t *testing.T, name string, data []byte) {
 	if l, err := RestoreLimiter(data); err == nil {
 		t.Errorf("%s: RestoreLimiter accepted (%+v)", name, l.Snapshot())
 	}
-	if l, err := RestoreSketchLimiter(data); err == nil {
+	if l, err := restoreSketchLimiter(data); err == nil {
 		t.Errorf("%s: RestoreSketchLimiter accepted (%+v)", name, l.Snapshot())
 	}
 	if l, err := RestoreAnyLimiter(data); err == nil {
@@ -367,7 +367,7 @@ func rejectEverywhere(t *testing.T, name string, data []byte) {
 // TestRestoreRejectsEveryTruncation cuts a rich snapshot of each backend
 // at every byte offset: each prefix is an error, none panics.
 func TestRestoreRejectsEveryTruncation(t *testing.T) {
-	for name, l := range map[string]ContainmentLimiter{
+	for name, l := range map[string]Backend{
 		"exact":  randomExactHistory(t, 1905),
 		"sketch": randomSketchHistory(t, 1905),
 	} {

@@ -124,7 +124,7 @@ type stripe struct {
 // Locking. A per-source input (Observe, Reinstate, Removed,
 // DistinctCount) takes only its source's stripe. Everything that touches
 // state shared by all sources — a cycle roll, ApplyAlert, SetJournal, a
-// snapshot's copy-out and cut, Snapshot, TopCounts — takes every stripe,
+// snapshot's copy-out and cut, Snapshot — takes every stripe,
 // in index order. journal, epoch, cycleIndex and alerts are therefore
 // written only with every stripe held and may be read under any one.
 type Limiter struct {
@@ -381,10 +381,10 @@ func (l *Limiter) Snapshot() Stats {
 	return st
 }
 
-// TopCounts returns the n largest distinct-destination counts in the
+// topCounts returns the n largest distinct-destination counts in the
 // current cycle, descending — the quantity plotted for the six most
 // active LBL hosts in Fig. 6.
-func (l *Limiter) TopCounts(n int) []int {
+func (l *Limiter) topCounts(n int) []int {
 	l.lockAll()
 	hosts := 0
 	for i := range l.stripes {

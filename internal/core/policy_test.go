@@ -186,11 +186,11 @@ func TestLimiterTopCounts(t *testing.T) {
 		l.Observe(2, dst, t0)
 	}
 	l.Observe(3, 0, t0)
-	top := l.TopCounts(2)
+	top := l.topCounts(2)
 	if len(top) != 2 || top[0] != 7 || top[1] != 3 {
 		t.Errorf("TopCounts = %v, want [7 3]", top)
 	}
-	all := l.TopCounts(10)
+	all := l.topCounts(10)
 	if len(all) != 3 {
 		t.Errorf("TopCounts(10) returned %d entries, want 3", len(all))
 	}

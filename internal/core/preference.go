@@ -18,8 +18,8 @@ import (
 // — Proposition 1's threshold 1/p_eff, the PGF extinction curves, the
 // Borel–Tanner outbreak law — carries over with p replaced by p_eff.
 
-// ScanRegion is one component of a preference scanner's target mixture.
-type ScanRegion struct {
+// scanRegion is one component of a preference scanner's target mixture.
+type scanRegion struct {
 	// Name labels the region in reports (e.g. "own /8").
 	Name string
 	// Weight is the fraction of scans aimed at this region; the weights
@@ -32,7 +32,7 @@ type ScanRegion struct {
 }
 
 // validate checks a single region.
-func (r ScanRegion) validate() error {
+func (r scanRegion) validate() error {
 	switch {
 	case r.Weight < 0 || r.Weight > 1 || math.IsNaN(r.Weight):
 		return fmt.Errorf("core: region %q weight %v outside [0, 1]", r.Name, r.Weight)
@@ -47,13 +47,13 @@ func (r ScanRegion) validate() error {
 	return nil
 }
 
-// ScanMixture is a preference scanner's full target distribution.
-type ScanMixture struct {
-	Regions []ScanRegion
+// scanMixture is a preference scanner's full target distribution.
+type scanMixture struct {
+	Regions []scanRegion
 }
 
-// Validate checks all regions and that the weights sum to one.
-func (m ScanMixture) Validate() error {
+// validate checks all regions and that the weights sum to one.
+func (m scanMixture) validate() error {
 	if len(m.Regions) == 0 {
 		return fmt.Errorf("core: scan mixture needs at least one region")
 	}
@@ -70,10 +70,10 @@ func (m ScanMixture) Validate() error {
 	return nil
 }
 
-// HitDensity returns p_eff = Σ w_i·V_i/Ω_i, the probability that one
+// hitDensity returns p_eff = Σ w_i·V_i/Ω_i, the probability that one
 // scan of the mixture hits a vulnerable host.
-func (m ScanMixture) HitDensity() (float64, error) {
-	if err := m.Validate(); err != nil {
+func (m scanMixture) hitDensity() (float64, error) {
+	if err := m.validate(); err != nil {
 		return 0, err
 	}
 	p := 0.0
@@ -83,13 +83,13 @@ func (m ScanMixture) HitDensity() (float64, error) {
 	return p, nil
 }
 
-// GeneralizedThreshold returns 1/p_eff, the largest M for which
+// generalizedThreshold returns 1/p_eff, the largest M for which
 // Proposition 1 still guarantees extinction against this scanning
 // strategy. For any preference toward vulnerable-dense regions it is
 // strictly smaller than the uniform threshold — the operational lesson
 // of the A3 ablation.
-func (m ScanMixture) GeneralizedThreshold() (float64, error) {
-	p, err := m.HitDensity()
+func (m scanMixture) generalizedThreshold() (float64, error) {
+	p, err := m.hitDensity()
 	if err != nil {
 		return 0, err
 	}
@@ -99,15 +99,15 @@ func (m ScanMixture) GeneralizedThreshold() (float64, error) {
 	return 1 / p, nil
 }
 
-// PreferenceWormModel builds a WormModel whose density equals the
+// preferenceWormModel builds a WormModel whose density equals the
 // mixture's effective hit density, so all of Section III's machinery
 // (extinction curves, Borel–Tanner law, DesignM) applies to the
 // preference-scanning worm unchanged.
 //
 // The returned model uses a synthetic (V, SpaceSize) = (1, 1/p_eff)
 // parameterization; its Density() is exactly p_eff.
-func PreferenceWormModel(name string, mixture ScanMixture, m, i0 int) (WormModel, error) {
-	p, err := mixture.HitDensity()
+func preferenceWormModel(name string, mixture scanMixture, m, i0 int) (WormModel, error) {
+	p, err := mixture.hitDensity()
 	if err != nil {
 		return WormModel{}, err
 	}
@@ -117,13 +117,13 @@ func PreferenceWormModel(name string, mixture ScanMixture, m, i0 int) (WormModel
 	return NewWormModel(name, 1, 1/p, m, i0)
 }
 
-// CodeRedIIMixture models a Code Red II-style scanner attacking a
+// codeRedIIMixture models a Code Red II-style scanner attacking a
 // population of vulnerable hosts clustered in the scanner's own /8:
 // weight 0.5 on the /8, 0.375 on the own /16, the rest uniform. v8 and
 // v16 are the vulnerable counts inside the /8 and /16; vTotal is the
 // global count.
-func CodeRedIIMixture(v8, v16, vTotal int) ScanMixture {
-	return ScanMixture{Regions: []ScanRegion{
+func codeRedIIMixture(v8, v16, vTotal int) scanMixture {
+	return scanMixture{Regions: []scanRegion{
 		{Name: "own /8", Weight: 0.5, SpaceSize: 1 << 24, Vulnerable: v8},
 		{Name: "own /16", Weight: 0.375, SpaceSize: 1 << 16, Vulnerable: v16},
 		{Name: "uniform", Weight: 0.125, SpaceSize: IPv4SpaceSize, Vulnerable: vTotal},

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 func TestScanRegionValidation(t *testing.T) {
-	bad := []ScanRegion{
+	bad := []scanRegion{
 		{Weight: -0.1, SpaceSize: 10, Vulnerable: 1},
 		{Weight: 1.1, SpaceSize: 10, Vulnerable: 1},
 		{Weight: 0.5, SpaceSize: 0, Vulnerable: 1},
@@ -15,32 +16,32 @@ func TestScanRegionValidation(t *testing.T) {
 		{Weight: math.NaN(), SpaceSize: 10, Vulnerable: 1},
 	}
 	for i, r := range bad {
-		m := ScanMixture{Regions: []ScanRegion{r}}
-		if err := m.Validate(); err == nil {
+		m := scanMixture{Regions: []scanRegion{r}}
+		if err := m.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
 }
 
 func TestScanMixtureWeightSum(t *testing.T) {
-	m := ScanMixture{Regions: []ScanRegion{
+	m := scanMixture{Regions: []scanRegion{
 		{Weight: 0.5, SpaceSize: 100, Vulnerable: 1},
 		{Weight: 0.4, SpaceSize: 100, Vulnerable: 1},
 	}}
-	if err := m.Validate(); err == nil {
+	if err := m.validate(); err == nil {
 		t.Error("expected error for weights summing to 0.9")
 	}
-	if err := (ScanMixture{}).Validate(); err == nil {
+	if err := (scanMixture{}).validate(); err == nil {
 		t.Error("expected error for empty mixture")
 	}
 }
 
 func TestUniformMixtureMatchesWormModel(t *testing.T) {
 	// A single uniform region reproduces the plain model's density.
-	m := ScanMixture{Regions: []ScanRegion{
+	m := scanMixture{Regions: []scanRegion{
 		{Name: "uniform", Weight: 1, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
 	}}
-	p, err := m.HitDensity()
+	p, err := m.hitDensity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestUniformMixtureMatchesWormModel(t *testing.T) {
 	if math.Abs(p-want) > 1e-15 {
 		t.Errorf("density %v, want %v", p, want)
 	}
-	th, err := m.GeneralizedThreshold()
+	th, err := m.generalizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +61,13 @@ func TestUniformMixtureMatchesWormModel(t *testing.T) {
 func TestA3MixtureDensity(t *testing.T) {
 	// The A3 ablation scenario: 5000 vulnerable hosts all inside the
 	// scanner's /8, Code Red II weights, none specifically in the /16.
-	m := ScanMixture{Regions: []ScanRegion{
+	m := scanMixture{Regions: []scanRegion{
 		{Name: "own /8", Weight: 0.5, SpaceSize: 1 << 24, Vulnerable: 5000},
 		{Name: "own /16", Weight: 0.375, SpaceSize: 1 << 24, Vulnerable: 5000},
 		{Name: "uniform", Weight: 0.125, SpaceSize: 1 << 32, Vulnerable: 5000},
 	}}
 	// 0.875 · 5000/2^24 + 0.125 · 5000/2^32.
-	p, err := m.HitDensity()
+	p, err := m.hitDensity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,20 +82,20 @@ func TestA3MixtureDensity(t *testing.T) {
 }
 
 func TestGeneralizedThresholdShrinksUnderPreference(t *testing.T) {
-	uniform := ScanMixture{Regions: []ScanRegion{
+	uniform := scanMixture{Regions: []scanRegion{
 		{Weight: 1, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
 	}}
 	// Same global population, but 10% of it sits in the scanner's /8
 	// and the scanner favors that /8 heavily.
-	pref := ScanMixture{Regions: []ScanRegion{
+	pref := scanMixture{Regions: []scanRegion{
 		{Weight: 0.875, SpaceSize: 1 << 24, Vulnerable: 36000},
 		{Weight: 0.125, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
 	}}
-	thU, err := uniform.GeneralizedThreshold()
+	thU, err := uniform.generalizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
-	thP, err := pref.GeneralizedThreshold()
+	thP, err := pref.generalizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,10 @@ func TestGeneralizedThresholdShrinksUnderPreference(t *testing.T) {
 }
 
 func TestGeneralizedThresholdNoVulnerable(t *testing.T) {
-	m := ScanMixture{Regions: []ScanRegion{
+	m := scanMixture{Regions: []scanRegion{
 		{Weight: 1, SpaceSize: 1000, Vulnerable: 0},
 	}}
-	th, err := m.GeneralizedThreshold()
+	th, err := m.generalizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +122,12 @@ func TestGeneralizedThresholdNoVulnerable(t *testing.T) {
 
 func TestPreferenceWormModelPipeline(t *testing.T) {
 	// The full Section III pipeline applied to a preference worm.
-	mix := CodeRedIIMixture(5000, 200, 360000)
-	w, err := PreferenceWormModel("CRII-style", mix, 2000, 10)
+	mix := codeRedIIMixture(5000, 200, 360000)
+	w, err := preferenceWormModel("CRII-style", mix, 2000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := mix.HitDensity()
+	p, err := mix.hitDensity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +150,17 @@ func TestPreferenceWormModelPipeline(t *testing.T) {
 }
 
 func TestPreferenceWormModelRejectsZeroDensity(t *testing.T) {
-	mix := ScanMixture{Regions: []ScanRegion{
+	mix := scanMixture{Regions: []scanRegion{
 		{Weight: 1, SpaceSize: 100, Vulnerable: 0},
 	}}
-	if _, err := PreferenceWormModel("dud", mix, 100, 1); err == nil {
+	if _, err := preferenceWormModel("dud", mix, 100, 1); err == nil {
 		t.Error("expected error for zero hit density")
 	}
 }
 
 func TestCodeRedIIMixtureShape(t *testing.T) {
-	mix := CodeRedIIMixture(1000, 50, 360000)
-	if err := mix.Validate(); err != nil {
+	mix := codeRedIIMixture(1000, 50, 360000)
+	if err := mix.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(mix.Regions) != 3 {
@@ -172,4 +173,24 @@ func TestCodeRedIIMixtureShape(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("weights sum to %v", sum)
 	}
+}
+
+// Example_scanMixture extends Proposition 1 to a preference-scanning worm
+// (the paper's future-work direction): the generalized threshold is
+// 1/p_effective.
+func Example_scanMixture() {
+	// 5000 vulnerable hosts, all inside the scanner's /8; Code Red II
+	// scan weights.
+	mix := scanMixture{Regions: []scanRegion{
+		{Name: "own /8", Weight: 0.875, SpaceSize: 1 << 24, Vulnerable: 5000},
+		{Name: "uniform", Weight: 0.125, SpaceSize: 1 << 32, Vulnerable: 5000},
+	}}
+	th, err := mix.generalizedThreshold()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("preference-scan threshold = %.0f scans per cycle\n", th)
+	// Output:
+	// preference-scan threshold = 3833 scans per cycle
 }

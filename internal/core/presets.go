@@ -6,40 +6,40 @@ package core
 // applies to each unchanged. Population figures are order-of-magnitude
 // estimates from post-incident studies and are documented per preset.
 
-// CodeRedII returns the Code Red II scenario. It exploited the same IIS
+// codeRedII returns the Code Red II scenario. It exploited the same IIS
 // vulnerability as Code Red v2 (same ≈360 000-host population) but used
 // subnet-preference scanning — pair this preset with
-// addr.SubnetPreference or a core.ScanMixture for the effective-density
+// addr.SubnetPreference or a scanMixture for the effective-density
 // analysis.
-func CodeRedII(m, i0 int) WormModel {
+func codeRedII(m, i0 int) WormModel {
 	return WormModel{Name: "Code Red II", V: 360000, SpaceSize: IPv4SpaceSize, M: m, I0: i0}
 }
 
-// Nimda returns the Nimda scenario. Nimda spread through multiple
+// nimda returns the nimda scenario. nimda spread through multiple
 // vectors; its scanning component targeted IIS with an estimated
 // ≈450 000 susceptible servers.
-func Nimda(m, i0 int) WormModel {
+func nimda(m, i0 int) WormModel {
 	return WormModel{Name: "Nimda", V: 450000, SpaceSize: IPv4SpaceSize, M: m, I0: i0}
 }
 
-// Blaster returns the Blaster (MSBlast) scenario: the August 2003 RPC
+// blaster returns the blaster (MSBlast) scenario: the August 2003 RPC
 // DCOM worm. Post-incident studies estimated at least ≈500 000 infected
 // hosts.
-func Blaster(m, i0 int) WormModel {
+func blaster(m, i0 int) WormModel {
 	return WormModel{Name: "Blaster", V: 500000, SpaceSize: IPv4SpaceSize, M: m, I0: i0}
 }
 
-// Witty returns the Witty scenario: the March 2004 worm against ISS
+// witty returns the witty scenario: the March 2004 worm against ISS
 // security products, notable for its tiny vulnerable population
 // (≈12 000 hosts) — the sparsest of the presets, with a correspondingly
 // enormous extinction threshold 1/p ≈ 357 913.
-func Witty(m, i0 int) WormModel {
+func witty(m, i0 int) WormModel {
 	return WormModel{Name: "Witty", V: 12000, SpaceSize: IPv4SpaceSize, M: m, I0: i0}
 }
 
-// Sasser returns the Sasser scenario: the April 2004 LSASS worm, with
+// sasser returns the sasser scenario: the April 2004 LSASS worm, with
 // susceptible Windows populations estimated in the ≈1 000 000 range.
-func Sasser(m, i0 int) WormModel {
+func sasser(m, i0 int) WormModel {
 	return WormModel{Name: "Sasser", V: 1000000, SpaceSize: IPv4SpaceSize, M: m, I0: i0}
 }
 
@@ -49,11 +49,11 @@ func Presets(m, i0 int) []WormModel {
 	return []WormModel{
 		CodeRed(m, i0),
 		SQLSlammer(m, i0),
-		CodeRedII(m, i0),
-		Nimda(m, i0),
-		Blaster(m, i0),
-		Witty(m, i0),
-		Sasser(m, i0),
+		codeRedII(m, i0),
+		nimda(m, i0),
+		blaster(m, i0),
+		witty(m, i0),
+		sasser(m, i0),
 	}
 }
 
@@ -67,15 +67,15 @@ func PresetByName(name string, m, i0 int) (WormModel, bool) {
 	case "slammer":
 		return SQLSlammer(m, i0), true
 	case "codered2":
-		return CodeRedII(m, i0), true
+		return codeRedII(m, i0), true
 	case "nimda":
-		return Nimda(m, i0), true
+		return nimda(m, i0), true
 	case "blaster":
-		return Blaster(m, i0), true
+		return blaster(m, i0), true
 	case "witty":
-		return Witty(m, i0), true
+		return witty(m, i0), true
 	case "sasser":
-		return Sasser(m, i0), true
+		return sasser(m, i0), true
 	default:
 		return WormModel{}, false
 	}

@@ -12,7 +12,7 @@ func TestPresetsAllValid(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, w := range presets {
-		if err := w.Validate(); err != nil {
+		if err := w.validate(); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
 		}
 		if names[w.Name] {
@@ -28,11 +28,11 @@ func TestPresetsAllValid(t *testing.T) {
 func TestPresetThresholds(t *testing.T) {
 	// Sanity anchors: Witty's sparse population has the largest
 	// threshold; Sasser's the smallest.
-	witty := Witty(0, 1)
+	witty := witty(0, 1)
 	if th := witty.ExtinctionThreshold(); math.Abs(th-357913.9) > 1 {
 		t.Errorf("Witty 1/p = %v, want ≈357914", th)
 	}
-	sasser := Sasser(0, 1)
+	sasser := sasser(0, 1)
 	if th := sasser.ExtinctionThreshold(); math.Abs(th-4294.97) > 0.1 {
 		t.Errorf("Sasser 1/p = %v, want ≈4295", th)
 	}
@@ -60,7 +60,7 @@ func TestPresetByName(t *testing.T) {
 func TestSasserThresholdImplication(t *testing.T) {
 	// The denser the population, the tighter the admissible M: Sasser
 	// at M = 5000 is already supercritical.
-	w := Sasser(5000, 10)
+	w := sasser(5000, 10)
 	if w.GuaranteedExtinction() {
 		t.Error("Sasser at M=5000 has λ > 1; guarantee must not hold")
 	}

@@ -50,7 +50,7 @@ type SketchConfig struct {
 	LimiterConfig
 
 	// Bits is the per-host contact-bitmap width in bits (power of two,
-	// ≥ 64). Zero selects SketchBits(M), the smallest width whose
+	// ≥ 64). Zero selects sketchBits(M), the smallest width whose
 	// estimation range covers M. Memory cost is Bits/8 bytes per
 	// tracked host.
 	Bits int
@@ -65,7 +65,7 @@ type SketchConfig struct {
 	FailureM int
 
 	// FailureBits is the per-host failure-bitmap width (power of two,
-	// ≥ 64). Zero selects SketchBits(FailureM). Ignored when FailureM
+	// ≥ 64). Zero selects sketchBits(FailureM). Ignored when FailureM
 	// is zero.
 	FailureBits int
 }
@@ -73,10 +73,10 @@ type SketchConfig struct {
 // normalize fills the auto-sized widths.
 func (c SketchConfig) normalize() SketchConfig {
 	if c.Bits == 0 {
-		c.Bits = SketchBits(c.M)
+		c.Bits = sketchBits(c.M)
 	}
 	if c.FailureM > 0 && c.FailureBits == 0 {
-		c.FailureBits = SketchBits(c.FailureM)
+		c.FailureBits = sketchBits(c.FailureM)
 	}
 	if c.FailureM == 0 {
 		c.FailureBits = 0
@@ -84,12 +84,12 @@ func (c SketchConfig) normalize() SketchConfig {
 	return c
 }
 
-// Validate reports whether the configuration is usable. The capacity
+// validate reports whether the configuration is usable. The capacity
 // rule rejects widths whose removal threshold would sit inside the
 // saturated tail of the bitmap, where the estimator can no longer
 // distinguish cardinalities: Bits must satisfy
 // Bits·ln(Bits/8) ≥ M (and likewise FailureBits for FailureM).
-func (c SketchConfig) Validate() error {
+func (c SketchConfig) validate() error {
 	if err := c.LimiterConfig.Validate(); err != nil {
 		return err
 	}
@@ -116,17 +116,17 @@ func validateSketchWidth(name string, width, threshold int) error {
 			"(max ≈ %.0f); use at least %d bits",
 			name, width, threshold,
 			linearEstimate(width, width-sketchCapacitySlack),
-			SketchBits(threshold))
+			sketchBits(threshold))
 	}
 	return nil
 }
 
-// SketchBits returns the smallest power-of-two bitmap width whose
+// sketchBits returns the smallest power-of-two bitmap width whose
 // estimation range covers threshold m distinct destinations — the
 // width NewSketchLimiter auto-selects. Growth is roughly linear in the
 // threshold divided by its logarithm: 64 bits up to M≈133, 128 bits to
 // M≈355, 1024 bits to M≈4967.
-func SketchBits(m int) int {
+func sketchBits(m int) int {
 	for w := 64; w <= 1<<20; w <<= 1 {
 		if linearEstimate(w, w-sketchCapacitySlack) >= float64(m) {
 			return w
@@ -190,7 +190,7 @@ type sketchMeta struct {
 }
 
 // SketchLimiter is the estimator-backed containment engine. It
-// implements ContainmentLimiter (and FailureObserver when FailureM is
+// implements Backend (and FailureObserver when FailureM is
 // configured) with per-host memory fixed at Bits/8 (+ FailureBits/8)
 // register bytes plus ~16 bytes of slot metadata, regardless of how
 // many destinations a host contacts. It is safe for concurrent use.
@@ -230,10 +230,10 @@ type SketchLimiter struct {
 
 // NewSketchLimiter returns a sketch-backed limiter whose first
 // containment cycle starts at start. Zero Bits/FailureBits auto-size
-// from the thresholds via SketchBits.
+// from the thresholds via sketchBits.
 func NewSketchLimiter(cfg SketchConfig, start time.Time) (*SketchLimiter, error) {
 	cfg = cfg.normalize()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	l := &SketchLimiter{
@@ -258,10 +258,6 @@ func NewSketchLimiter(cfg SketchConfig, start time.Time) (*SketchLimiter, error)
 // Config returns the containment parameters shared with the exact
 // backend.
 func (l *SketchLimiter) Config() LimiterConfig { return l.cfg.LimiterConfig }
-
-// SketchConfig returns the full configuration including estimator
-// widths.
-func (l *SketchLimiter) SketchConfig() SketchConfig { return l.cfg }
 
 // SetJournal attaches (or, with nil, detaches) the WAL hook; see
 // (*Limiter).SetJournal.
@@ -441,10 +437,10 @@ func (l *SketchLimiter) Removed(src uint32) bool {
 	return ok && l.meta[slot].removed
 }
 
-// DistinctCount returns the linear-counting estimate of the host's
+// distinctCount returns the linear-counting estimate of the host's
 // distinct destinations this cycle, rounded to the nearest integer —
 // the estimator's stand-in for the exact backend's count.
-func (l *SketchLimiter) DistinctCount(src uint32) int {
+func (l *SketchLimiter) distinctCount(src uint32) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	slot, ok := l.slots[src]
@@ -454,9 +450,9 @@ func (l *SketchLimiter) DistinctCount(src uint32) int {
 	return int(linearEstimate(l.cfg.Bits, int(l.meta[slot].set)) + 0.5)
 }
 
-// FailureCount returns the estimated distinct failed destinations this
+// failureCount returns the estimated distinct failed destinations this
 // cycle.
-func (l *SketchLimiter) FailureCount(src uint32) int {
+func (l *SketchLimiter) failureCount(src uint32) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	slot, ok := l.slots[src]

@@ -56,7 +56,7 @@ func (l *SketchLimiter) CheckpointState(cut func()) ([]byte, error) {
 	slices.Sort(keys)
 	hostLen := hostHeaderLen + 8*l.stride
 	b := make([]byte, 0, snapshotCommonLen+sketchSectionLen+hostLen*len(keys)+alertRecordLen*len(alerts))
-	b = appendSnapshotCommon(b, SnapshotHeader{Backend: BackendSketch, Hosts: len(keys), Alerts: len(alerts)}, c)
+	b = appendSnapshotCommon(b, SnapshotHeader{Backend: backendSketch, Hosts: len(keys), Alerts: len(alerts)}, c)
 	b = binio.AppendU32(b, uint32(l.cfg.Bits))
 	b = binio.AppendU32(b, uint32(l.cfg.FailureBits))
 	b = binio.AppendU64(b, uint64(l.cfg.FailureM))
@@ -74,11 +74,11 @@ func (l *SketchLimiter) CheckpointState(cut func()) ([]byte, error) {
 	return appendAlerts(b, alerts), nil
 }
 
-// RestoreSketchLimiter rebuilds a sketch limiter from a MarshalState
+// restoreSketchLimiter rebuilds a sketch limiter from a MarshalState
 // snapshot. Anything but a canonical payload of a valid state is an
 // error.
-func RestoreSketchLimiter(data []byte) (*SketchLimiter, error) {
-	h, c, r, err := readSnapshotCommon(data, BackendSketch)
+func restoreSketchLimiter(data []byte) (*SketchLimiter, error) {
+	h, c, r, err := readSnapshotCommon(data, backendSketch)
 	if err != nil {
 		return nil, err
 	}

@@ -63,9 +63,10 @@ func TestSketchExactVerdictAgreementProperty(t *testing.T) {
 					}
 				}
 			}
-			rng.Shuffle(src, len(stream), func(i, j int) {
+			for i := len(stream) - 1; i > 0; i-- { // Fisher–Yates
+				j := rng.Intn(src, i+1)
 				stream[i], stream[j] = stream[j], stream[i]
-			})
+			}
 
 			at := start
 			for _, c := range stream {

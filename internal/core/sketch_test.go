@@ -50,7 +50,7 @@ func TestSketchConfigValidation(t *testing.T) {
 	// wait — validated against the capacity rule, SketchBits must
 	// return a width that itself validates.
 	for _, m := range []int{1, 10, 100, 355, 1000, 5000, 50000} {
-		w := SketchBits(m)
+		w := sketchBits(m)
 		cfg := SketchConfig{LimiterConfig: LimiterConfig{M: m, Cycle: time.Hour}, Bits: w}
 		if _, err := NewSketchLimiter(cfg, sketchStart); err != nil {
 			t.Errorf("SketchBits(%d) = %d does not validate: %v", m, w, err)
@@ -104,7 +104,7 @@ func TestSketchDecisionSemantics(t *testing.T) {
 	if firstDenyAt < 50 || firstDenyAt > 200 {
 		t.Errorf("removal at distinct count %d, want within [50, 200] for M=100", firstDenyAt)
 	}
-	est := l.DistinctCount(src)
+	est := l.distinctCount(src)
 	if est < 50 || est > 220 {
 		t.Errorf("estimate at removal = %d, want within [50, 220]", est)
 	}
@@ -118,7 +118,7 @@ func TestSketchDecisionSemantics(t *testing.T) {
 	if d := l.Observe(src, 5, sketchStart.Add(time.Second)); d != Allow {
 		t.Fatalf("post-reinstate observe = %v, want allow", d)
 	}
-	if got := l.DistinctCount(src); got != 1 {
+	if got := l.distinctCount(src); got != 1 {
 		t.Fatalf("post-reinstate estimate = %d, want 1", got)
 	}
 }
@@ -135,7 +135,7 @@ func TestSketchRepeatContactsFree(t *testing.T) {
 			t.Fatalf("repeat %d: %v", i, d)
 		}
 	}
-	if got := l.DistinctCount(7); got != 1 {
+	if got := l.distinctCount(7); got != 1 {
 		t.Fatalf("estimate after repeats = %d, want 1", got)
 	}
 }
@@ -205,11 +205,11 @@ func TestSketchFailureVariantRemovesScanner(t *testing.T) {
 		t.Error("TotalFailures not counted")
 	}
 	// Repeat failures to one destination are free.
-	before := l.FailureCount(1)
+	before := l.failureCount(1)
 	for i := 0; i < 1000; i++ {
 		l.ObserveFailure(1, 3, sketchStart)
 	}
-	if got := l.FailureCount(1); got != before {
+	if got := l.failureCount(1); got != before {
 		t.Errorf("repeat failures moved the estimate %d → %d", before, got)
 	}
 }
@@ -258,7 +258,7 @@ func TestSketchPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreSketchLimiter(data)
+	r, err := restoreSketchLimiter(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestSketchRestoreAnyDispatch(t *testing.T) {
 	}
 }
 
-func mustMarshal(t testing.TB, l ContainmentLimiter) []byte {
+func mustMarshal(t testing.TB, l Backend) []byte {
 	t.Helper()
 	data, err := l.MarshalState()
 	if err != nil {

@@ -343,7 +343,7 @@ func TestShardedSemanticsMatchSingle(t *testing.T) {
 			if got, want := l.Snapshot(), ref.stats(); got != want {
 				t.Errorf("%s seed %d: stats diverge:\n got %+v\nwant %+v", tc.name, seed, got, want)
 			}
-			if got, want := l.TopCounts(1<<30), ref.topCounts(); !slices.Equal(got, want) {
+			if got, want := l.topCounts(1<<30), ref.topCounts(); !slices.Equal(got, want) {
 				t.Errorf("%s seed %d: TopCounts diverge:\n got %v\nwant %v", tc.name, seed, got, want)
 			}
 			if tc.oneHome {
@@ -557,7 +557,7 @@ func TestConcurrentTableGrowth(t *testing.T) {
 			default:
 			}
 			st := l.Snapshot()
-			if top := l.TopCounts(3); len(top) > 0 && top[0] > cfg.M {
+			if top := l.topCounts(3); len(top) > 0 && top[0] > cfg.M {
 				t.Errorf("TopCounts %v past M=%d", top, cfg.M)
 				return
 			}

@@ -56,10 +56,10 @@ func TestMLimitDropsBeyondBudget(t *testing.T) {
 	if !d.Blocked(src, 2*time.Second) {
 		t.Error("host should be blocked after removal")
 	}
-	if got := d.DistinctCount(src); got != 3 {
+	if got := d.limiter.DistinctCount(uint32(src)); got != 3 {
 		t.Errorf("distinct count = %d, want 3", got)
 	}
-	if s := d.Stats(); s.TotalRemovals != 1 {
+	if s := d.limiter.Snapshot(); s.TotalRemovals != 1 {
 		t.Errorf("removals = %d, want 1", s.TotalRemovals)
 	}
 	if !strings.Contains(d.Name(), "M=3") {
@@ -103,7 +103,7 @@ func TestMLimitCycleReset(t *testing.T) {
 }
 
 func TestThrottleWorkingSetFree(t *testing.T) {
-	th, err := NewThrottle(2, 1)
+	th, err := newThrottle(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestThrottleDelaysFastNovelScans(t *testing.T) {
 				k, v.Action, v.Delay, wantDelay)
 		}
 	}
-	if got := th.QueueDelay(1, 0); got != 10*time.Second {
+	if got := th.perHost[1].nextFree; got != 10*time.Second {
 		t.Errorf("queue delay = %v, want 10s", got)
 	}
 }
@@ -186,10 +186,10 @@ func TestThrottlePerHostIsolation(t *testing.T) {
 }
 
 func TestThrottleValidation(t *testing.T) {
-	if _, err := NewThrottle(0, 1); err == nil {
+	if _, err := newThrottle(0, 1); err == nil {
 		t.Error("expected error for working set 0")
 	}
-	if _, err := NewThrottle(5, 0); err == nil {
+	if _, err := newThrottle(5, 0); err == nil {
 		t.Error("expected error for rate 0")
 	}
 }
@@ -227,8 +227,8 @@ func TestQuarantineCertainDetection(t *testing.T) {
 	if !q.Blocked(1, 30*time.Second) {
 		t.Error("host should be quarantined")
 	}
-	if q.Alarms() != 1 {
-		t.Errorf("alarms = %d", q.Alarms())
+	if q.alarms != 1 {
+		t.Errorf("alarms = %d", q.alarms)
 	}
 	// Released after the window.
 	if q.Blocked(1, 2*time.Minute) {
@@ -238,8 +238,8 @@ func TestQuarantineCertainDetection(t *testing.T) {
 	if v := q.OnScan(1, 3, 2*time.Minute); v.Action != Drop {
 		t.Errorf("re-detection failed: %v", v.Action)
 	}
-	if q.Alarms() != 2 {
-		t.Errorf("alarms = %d, want 2", q.Alarms())
+	if q.alarms != 2 {
+		t.Errorf("alarms = %d, want 2", q.alarms)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestQuarantineZeroDetectionPermitsAll(t *testing.T) {
 			t.Fatalf("scan %d: %v", i, v.Action)
 		}
 	}
-	if q.Alarms() != 0 {
-		t.Errorf("alarms = %d", q.Alarms())
+	if q.alarms != 0 {
+		t.Errorf("alarms = %d", q.alarms)
 	}
 }
 
@@ -280,11 +280,11 @@ func TestQuarantineAlarmRate(t *testing.T) {
 func TestQuarantineBlockedScansDropped(t *testing.T) {
 	q, _ := NewQuarantine(1, time.Hour, rng.NewPCG64(5, 0))
 	q.OnScan(1, 2, 0) // alarm
-	alarmsBefore := q.Alarms()
+	alarmsBefore := q.alarms
 	if v := q.OnScan(1, 3, time.Minute); v.Action != Drop {
 		t.Errorf("quarantined host scan: %v", v.Action)
 	}
-	if q.Alarms() != alarmsBefore {
+	if q.alarms != alarmsBefore {
 		t.Error("scans during quarantine must not raise new alarms")
 	}
 }

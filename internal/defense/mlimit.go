@@ -50,14 +50,6 @@ func (d *MLimit) Blocked(src addr.IP, _ time.Duration) bool {
 	return d.limiter.Removed(uint32(src))
 }
 
-// DistinctCount exposes the per-host counter for instrumentation.
-func (d *MLimit) DistinctCount(src addr.IP) int {
-	return d.limiter.DistinctCount(uint32(src))
-}
-
-// Stats exposes the limiter's counters.
-func (d *MLimit) Stats() core.Stats { return d.limiter.Snapshot() }
-
 // Name implements Defense.
 func (d *MLimit) Name() string {
 	return fmt.Sprintf("m-limit(M=%d)", d.limiter.Config().M)

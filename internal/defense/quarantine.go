@@ -70,9 +70,6 @@ func (q *Quarantine) Blocked(src addr.IP, t time.Duration) bool {
 	return ok && t < until
 }
 
-// Alarms returns the number of alarms raised so far.
-func (q *Quarantine) Alarms() int { return q.alarms }
-
 // ReleaseAt reports when src's current quarantine window expires; ok is
 // false when the host is not quarantined at t. It satisfies the
 // simulator's Releaser capability, which distinguishes expiring blocks

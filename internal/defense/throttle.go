@@ -32,9 +32,9 @@ type throttleState struct {
 
 var _ Defense = (*Throttle)(nil)
 
-// NewThrottle builds a throttle with the given working-set size and
+// newThrottle builds a throttle with the given working-set size and
 // service rate (new destinations per second).
-func NewThrottle(workingSet int, ratePerSec float64) (*Throttle, error) {
+func newThrottle(workingSet int, ratePerSec float64) (*Throttle, error) {
 	if workingSet < 1 {
 		return nil, fmt.Errorf("defense: throttle working set %d, must be >= 1", workingSet)
 	}
@@ -51,7 +51,7 @@ func NewThrottle(workingSet int, ratePerSec float64) (*Throttle, error) {
 // NewWilliamsonThrottle returns the canonical configuration from [17]:
 // working set 5, one new destination per second.
 func NewWilliamsonThrottle() *Throttle {
-	t, err := NewThrottle(5, 1)
+	t, err := newThrottle(5, 1)
 	if err != nil {
 		// Constants are valid by construction.
 		panic(err)
@@ -100,17 +100,6 @@ func (th *Throttle) OnScan(src, dst addr.IP, t time.Duration) Verdict {
 // Blocked always reports false: the throttle slows hosts but never
 // removes them, the limitation the paper's scheme addresses.
 func (th *Throttle) Blocked(_ addr.IP, _ time.Duration) bool { return false }
-
-// QueueDelay reports how far into the future the host's next novel
-// destination would be serviced if requested at time t (0 when idle),
-// an instrumentation hook for the ablation bench.
-func (th *Throttle) QueueDelay(src addr.IP, t time.Duration) time.Duration {
-	st := th.perHost[src]
-	if st == nil || st.nextFree <= t {
-		return 0
-	}
-	return st.nextFree - t
-}
 
 // Name implements Defense.
 func (th *Throttle) Name() string {

@@ -26,7 +26,7 @@
 // The kernel is engineered for zero steady-state allocation (DESIGN.md
 // §9): a free-list node pool with a reuse-generation counter so stale
 // Timer handles are always safe, lazy deletion of canceled timers at
-// pop time, an argument-passing handler form (ScheduleArg) that lets
+// pop time, an argument-passing handler form (ArgHandler) that lets
 // hot paths schedule events without allocating a closure per event, a
 // fire-and-forget form (Emit) that skips the pooled node entirely on
 // the wheel backend, and batched admission (ScheduleBatch) that seeds
@@ -48,7 +48,7 @@ type Handler func()
 // ArgHandler is the allocation-free handler form: one function value
 // (typically created once per simulation) shared by many events, each
 // carrying its own integer argument — a host index in the worm
-// simulator. Scheduling with ScheduleArg avoids the per-event closure
+// simulator. Scheduling an ArgHandler avoids the per-event closure
 // allocation the Handler form requires to capture state.
 type ArgHandler func(arg int)
 
@@ -133,15 +133,12 @@ type Timer struct {
 	at  time.Duration
 }
 
-// At returns the virtual time the timer was scheduled to fire.
-func (t Timer) At() time.Duration { return t.at }
-
-// Cancel prevents the event from firing. Canceling an already-fired,
+// cancel prevents the event from firing. Canceling an already-fired,
 // already-canceled or zero-value timer is a no-op; it reports whether
 // the call actually canceled a pending event. The canceled node stays
 // queued (heap or wheel bucket) and is discarded lazily when it
-// surfaces (lazy deletion), so Cancel is O(1) on both backends.
-func (t Timer) Cancel() bool {
+// surfaces (lazy deletion), so cancel is O(1) on both backends.
+func (t Timer) cancel() bool {
 	n := t.n
 	if n == nil || n.gen != t.gen || n.canceled {
 		return false
@@ -344,12 +341,9 @@ func (s *Simulator) Configure(cfg Config) {
 	}
 }
 
-// Kernel returns the active backend.
-func (s *Simulator) Kernel() Kind { return s.kind }
-
-// WheelTick returns the wheel backend's effective (power-of-two)
+// wheelTick returns the wheel backend's effective (power-of-two)
 // bucket width, or zero under the heap backend.
-func (s *Simulator) WheelTick() time.Duration {
+func (s *Simulator) wheelTick() time.Duration {
 	if s.kind != KernelWheel {
 		return 0
 	}
@@ -418,16 +412,6 @@ func (s *Simulator) recycle(t *timer) {
 	s.free = append(s.free, t)
 }
 
-// Schedule enqueues fn to run after delay of virtual time. A negative
-// delay is a programming error and panics; a zero delay fires at the
-// current instant, after already-queued events at that instant.
-func (s *Simulator) Schedule(delay time.Duration, fn Handler) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.ScheduleAt(s.now+delay, fn)
-}
-
 // ScheduleAt enqueues fn to run at absolute virtual time at, which must
 // not be in the past.
 func (s *Simulator) ScheduleAt(at time.Duration, fn Handler) Timer {
@@ -437,20 +421,9 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn Handler) Timer {
 	return s.schedule(at, fn, nil, 0)
 }
 
-// ScheduleArg enqueues fn(arg) to run after delay of virtual time. The
-// function value is typically shared across all events of a simulation
-// (a method value stored once), so scheduling allocates nothing beyond
-// the pooled node.
-func (s *Simulator) ScheduleArg(delay time.Duration, fn ArgHandler, arg int) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.ScheduleArgAt(s.now+delay, fn, arg)
-}
-
-// ScheduleArgAt enqueues fn(arg) to run at absolute virtual time at,
+// scheduleArgAt enqueues fn(arg) to run at absolute virtual time at,
 // which must not be in the past.
-func (s *Simulator) ScheduleArgAt(at time.Duration, fn ArgHandler, arg int) Timer {
+func (s *Simulator) scheduleArgAt(at time.Duration, fn ArgHandler, arg int) Timer {
 	if fn == nil {
 		panic("des: nil handler")
 	}
@@ -463,8 +436,8 @@ func (s *Simulator) ScheduleArgAt(at time.Duration, fn ArgHandler, arg int) Time
 // inline — no pooled node, no fire-time pointer chase — which makes
 // this the preferred form for high-rate event streams that never
 // cancel (the worm simulator's scan events). On the heap backend Emit
-// costs exactly what ScheduleArg does. Delivery order is identical to
-// ScheduleArg on both backends.
+// costs exactly what a pooled-node event does. Delivery order is
+// identical to it on both backends.
 func (s *Simulator) Emit(delay time.Duration, fn ArgHandler, arg int) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
@@ -529,7 +502,7 @@ type BatchEvent struct {
 
 // ScheduleBatch enqueues every event of evs, assigning sequence numbers
 // in slice order — the fire order is byte-identical to calling
-// ScheduleArgAt in a loop over evs. The batch pays the admission cost
+// scheduleArgAt in a loop over evs. The batch pays the admission cost
 // once: the heap backend bulk-loads and heapifies in O(k + n) instead
 // of n sift-ups, and the wheel backend's O(1) inserts skip the
 // per-call validation. This is how the sim engine seeds an outbreak's

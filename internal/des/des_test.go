@@ -1,10 +1,33 @@
 package des
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
+
+// Schedule and ScheduleArg are the relative-delay, cancelable forms
+// these tests drive the kernel with; the simulator proper schedules at
+// absolute times (ScheduleAt) or fire-and-forget (Emit).
+
+// Schedule enqueues fn to run after delay of virtual time. A negative
+// delay panics; a zero delay fires at the current instant, after
+// already-queued events at that instant.
+func (s *Simulator) Schedule(delay time.Duration, fn Handler) Timer {
+	if delay < 0 {
+		panic(fmt.Sprintf("des: negative delay %v", delay))
+	}
+	return s.ScheduleAt(s.now+delay, fn)
+}
+
+// ScheduleArg enqueues fn(arg) to run after delay of virtual time.
+func (s *Simulator) ScheduleArg(delay time.Duration, fn ArgHandler, arg int) Timer {
+	if delay < 0 {
+		panic(fmt.Sprintf("des: negative delay %v", delay))
+	}
+	return s.scheduleArgAt(s.now+delay, fn, arg)
+}
 
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := New()
@@ -113,10 +136,10 @@ func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
 	timer := s.Schedule(time.Second, func() { fired = true })
-	if !timer.Cancel() {
+	if !timer.cancel() {
 		t.Error("first cancel should report true")
 	}
-	if timer.Cancel() {
+	if timer.cancel() {
 		t.Error("second cancel should report false")
 	}
 	s.Run()
@@ -132,7 +155,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := New()
 	timer := s.Schedule(time.Second, func() {})
 	s.Run()
-	if timer.Cancel() {
+	if timer.cancel() {
 		t.Error("cancel after fire should report false")
 	}
 }
@@ -196,7 +219,7 @@ func TestPeekSkipsCanceled(t *testing.T) {
 	early := s.Schedule(1*time.Second, func() {})
 	fired := false
 	s.Schedule(5*time.Second, func() { fired = true })
-	early.Cancel()
+	early.cancel()
 	s.RunUntil(10 * time.Second)
 	if !fired {
 		t.Error("later event should fire despite canceled earlier event")
@@ -206,8 +229,8 @@ func TestPeekSkipsCanceled(t *testing.T) {
 func TestTimerAt(t *testing.T) {
 	s := New()
 	timer := s.Schedule(90*time.Minute, func() {})
-	if timer.At() != 90*time.Minute {
-		t.Errorf("At = %v", timer.At())
+	if timer.at != 90*time.Minute {
+		t.Errorf("At = %v", timer.at)
 	}
 }
 
@@ -284,7 +307,7 @@ func TestCancelAfterFireOnRecycledNodeIsInert(t *testing.T) {
 	// reuses it.
 	fired := false
 	fresh := s.Schedule(time.Second, func() { fired = true })
-	if stale.Cancel() {
+	if stale.cancel() {
 		t.Error("stale handle canceled something")
 	}
 	s.Run()
@@ -302,7 +325,7 @@ func TestCancelInsideOwnHandlerIsNoop(t *testing.T) {
 	var timer Timer
 	canceled := true
 	timer = s.Schedule(time.Second, func() {
-		canceled = timer.Cancel()
+		canceled = timer.cancel()
 	})
 	s.Run()
 	if canceled {
@@ -313,10 +336,10 @@ func TestCancelInsideOwnHandlerIsNoop(t *testing.T) {
 func TestDoubleCancelAcrossReuse(t *testing.T) {
 	s := New()
 	timer := s.Schedule(time.Second, func() {})
-	if !timer.Cancel() {
+	if !timer.cancel() {
 		t.Fatal("first cancel should succeed")
 	}
-	if timer.Cancel() {
+	if timer.cancel() {
 		t.Fatal("second cancel should be a no-op")
 	}
 	// Drain: the canceled node is lazily discarded and recycled.
@@ -327,7 +350,7 @@ func TestDoubleCancelAcrossReuse(t *testing.T) {
 	// The recycled node backs a new event; the old handle stays inert.
 	fired := false
 	s.Schedule(time.Second, func() { fired = true })
-	if timer.Cancel() {
+	if timer.cancel() {
 		t.Error("stale handle canceled the recycled node's event")
 	}
 	s.Run()
@@ -338,7 +361,7 @@ func TestDoubleCancelAcrossReuse(t *testing.T) {
 
 func TestZeroTimerCancelIsSafe(t *testing.T) {
 	var timer Timer
-	if timer.Cancel() {
+	if timer.cancel() {
 		t.Error("zero-value timer canceled something")
 	}
 }
@@ -352,7 +375,7 @@ func TestLazyDeletionRecyclesCanceledNodes(t *testing.T) {
 		timers = append(timers, s.Schedule(time.Duration(i)*time.Second, func() {}))
 	}
 	for _, tm := range timers[:50] {
-		tm.Cancel()
+		tm.cancel()
 	}
 	if s.Pending() != 100 {
 		t.Fatalf("pending = %d, want 100 (lazy deletion keeps canceled nodes queued)", s.Pending())
@@ -375,7 +398,7 @@ func TestResetReusesPool(t *testing.T) {
 		t.Fatalf("after Reset: now=%v fired=%d pending=%d, want zeros",
 			s.Now(), s.Fired(), s.Pending())
 	}
-	if pendingTimer.Cancel() {
+	if pendingTimer.cancel() {
 		t.Error("handle from before Reset canceled something")
 	}
 	// The simulator is fully usable again and replays identically.
@@ -440,7 +463,7 @@ func TestHeapStressWithRandomCancels(t *testing.T) {
 		}))
 		if rand(3) == 0 {
 			victim := rand(uint64(len(live)))
-			if live[victim].Cancel() {
+			if live[victim].cancel() {
 				canceled++
 			}
 		}

@@ -24,7 +24,7 @@ import (
 // checkpoint restores onto a wheel (and vice versa) bit-identically.
 
 // ExportedEvent is one pending event in canonical exported form.
-// Only argument-form events (ScheduleArg/Emit/ScheduleBatch) are
+// Only argument-form events (Emit/EmitAt/ScheduleBatch) are
 // exportable: the Fn value must be mapped to a serializable identity
 // by the caller, which owns the (small, fixed) set of handler
 // functions it schedules with.
@@ -34,16 +34,15 @@ type ExportedEvent struct {
 	Arg int
 }
 
-// ErrUnexportable reports a pending closure-form event (the Schedule/
-// ScheduleAt family): a captured closure has no serializable identity,
+// errUnexportable reports a pending closure-form event (ScheduleAt): a captured closure has no serializable identity,
 // so a simulation that wants checkpointing must schedule exclusively
 // through the argument forms.
-var ErrUnexportable = errors.New("des: pending closure-form event cannot be exported")
+var errUnexportable = errors.New("des: pending closure-form event cannot be exported")
 
 // ExportPending returns every live pending event in (at, seq) fire
 // order — the canonical kernel-neutral checkpoint of the queue.
 // Canceled events are skipped (they would never fire); a pending
-// closure-form event returns ErrUnexportable.
+// closure-form event returns an error.
 func (s *Simulator) ExportPending() ([]ExportedEvent, error) {
 	type keyed struct {
 		at  time.Duration
@@ -54,7 +53,7 @@ func (s *Simulator) ExportPending() ([]ExportedEvent, error) {
 	evs := make([]keyed, 0, s.Pending())
 	add := func(at time.Duration, seq uint64, fn Handler, argFn ArgHandler, arg int) error {
 		if fn != nil {
-			return fmt.Errorf("%w (at %v)", ErrUnexportable, at)
+			return fmt.Errorf("%w (at %v)", errUnexportable, at)
 		}
 		evs = append(evs, keyed{at: at, seq: seq, fn: argFn, arg: arg})
 		return nil

@@ -163,7 +163,7 @@ func TestExportPendingSkipsCanceled(t *testing.T) {
 		cancel := sim.ScheduleArg(20*time.Millisecond, noop, 2)
 		sim.ScheduleArg(time.Hour, noop, 3) // overflow placement on fine ticks
 		_ = keep
-		if !cancel.Cancel() {
+		if !cancel.cancel() {
 			t.Fatalf("%s: cancel failed", name)
 		}
 		evs, err := sim.ExportPending()
@@ -182,7 +182,7 @@ func TestExportPendingRejectsClosures(t *testing.T) {
 	for name, cfg := range exportKernelConfigs() {
 		sim := NewWithConfig(cfg)
 		sim.Schedule(time.Second, func() {})
-		if _, err := sim.ExportPending(); !errors.Is(err, ErrUnexportable) {
+		if _, err := sim.ExportPending(); !errors.Is(err, errUnexportable) {
 			t.Fatalf("%s: err = %v, want ErrUnexportable", name, err)
 		}
 	}

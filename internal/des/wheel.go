@@ -89,7 +89,7 @@ const (
 // and the payload in one of two forms. Fire-and-forget events
 // (Emit/EmitAt/ScheduleBatch) carry their handler inline with t == nil
 // — no node exists and firing touches nothing but the record itself.
-// Cancellable events (the Schedule family, which returns a Timer) set
+// Cancellable events (ScheduleAt, which returns a Timer) set
 // t, dereferenced exactly once, at fire time.
 type wheelEntry struct {
 	at    time.Duration

@@ -53,13 +53,13 @@ func TestConfigureRejectsPendingEvents(t *testing.T) {
 
 func TestWheelTickRoundsDownToPowerOfTwo(t *testing.T) {
 	s := newWheel(3 * time.Microsecond) // 3000ns -> 2048ns
-	if got := s.WheelTick(); got != 2048 {
+	if got := s.wheelTick(); got != 2048 {
 		t.Fatalf("WheelTick = %v, want 2048ns", got)
 	}
-	if New().WheelTick() != 0 {
+	if New().wheelTick() != 0 {
 		t.Fatal("heap backend should report zero wheel tick")
 	}
-	if d := NewWithConfig(Config{Kernel: KernelWheel}).WheelTick(); d != DefaultWheelTick {
+	if d := NewWithConfig(Config{Kernel: KernelWheel}).wheelTick(); d != DefaultWheelTick {
 		t.Fatalf("default wheel tick = %v, want %v", d, DefaultWheelTick)
 	}
 }
@@ -111,17 +111,17 @@ func TestWheelCancelLazyDeletion(t *testing.T) {
 	keep := s.Schedule(5*time.Millisecond, func() { fired["keep"] = true })
 	bucket := s.Schedule(5*time.Millisecond+200*time.Nanosecond, func() { fired["bucket"] = true })
 	over := s.ScheduleAt(MaxTime/2, func() { fired["overflow"] = true })
-	if !bucket.Cancel() || !over.Cancel() {
+	if !bucket.cancel() || !over.cancel() {
 		t.Fatal("cancel of pending events reported false")
 	}
-	if bucket.Cancel() {
+	if bucket.cancel() {
 		t.Fatal("double cancel reported true")
 	}
 	s.RunUntil(6 * time.Millisecond)
 	if !fired["keep"] || fired["bucket"] {
 		t.Fatalf("fired = %v", fired)
 	}
-	if keep.Cancel() {
+	if keep.cancel() {
 		t.Fatal("cancel after fire reported true")
 	}
 	s.Run()
@@ -211,7 +211,7 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 					func() {})
 			}
 			for _, ev := range seqEvs {
-				seq.ScheduleArgAt(ev.At, ev.Fn, ev.Arg)
+				seq.scheduleArgAt(ev.At, ev.Fn, ev.Arg)
 			}
 			seq.Run()
 
@@ -358,12 +358,12 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 				if next(4) == 0 {
 					s.EmitAt(at, fn, base+i)
 				} else {
-					timers = append(timers, s.ScheduleArgAt(at, fn, base+i))
+					timers = append(timers, s.scheduleArgAt(at, fn, base+i))
 				}
 			}
 			// Cancel a random third, including already-fired handles.
 			for i := 0; i < len(timers)/3; i++ {
-				timers[next(uint64(len(timers)))].Cancel()
+				timers[next(uint64(len(timers)))].cancel()
 			}
 		}
 		inject(0)
@@ -448,7 +448,7 @@ func TestWheelChunkBoundaryMatchesHeap(t *testing.T) {
 				fn := func(arg int) { fires = append(fires, fire{s.Now(), arg}) }
 				for i, at := range times {
 					if i%3 == 0 {
-						s.ScheduleArgAt(at, fn, i)
+						s.scheduleArgAt(at, fn, i)
 					} else {
 						s.EmitAt(at, fn, i)
 					}

@@ -36,9 +36,6 @@ type Detector interface {
 	// alarmed.
 	Observe(o Observation) bool
 
-	// Alarmed reports whether the alarm has fired.
-	Alarmed() bool
-
 	// Name identifies the detector in experiment output.
 	Name() string
 }
@@ -72,14 +69,6 @@ func (d *ThresholdDetector) Observe(o Observation) bool {
 		d.at = o.Time
 	}
 	return d.alarmed
-}
-
-// Alarmed implements Detector.
-func (d *ThresholdDetector) Alarmed() bool { return d.alarmed }
-
-// AlarmTime returns when the alarm fired; ok is false if it has not.
-func (d *ThresholdDetector) AlarmTime() (float64, bool) {
-	return d.at, d.alarmed
 }
 
 // Name implements Detector.
@@ -133,9 +122,6 @@ func NewKalmanTrendDetector(minRate float64, consecutive int) (*KalmanTrendDetec
 	}, nil
 }
 
-// Rate returns the current growth-rate estimate.
-func (d *KalmanTrendDetector) Rate() float64 { return d.rate }
-
 // Observe implements Detector. Each interval's measurement is the
 // relative growth (count − prev) / max(prev, 1); the Kalman filter
 // smooths it into a rate estimate.
@@ -172,14 +158,6 @@ func (d *KalmanTrendDetector) Observe(o Observation) bool {
 		d.streak = 0
 	}
 	return d.alarmed
-}
-
-// Alarmed implements Detector.
-func (d *KalmanTrendDetector) Alarmed() bool { return d.alarmed }
-
-// AlarmTime returns when the alarm fired; ok is false if it has not.
-func (d *KalmanTrendDetector) AlarmTime() (float64, bool) {
-	return d.at, d.alarmed
 }
 
 // Name implements Detector.
@@ -240,14 +218,6 @@ func (d *EWMADetector) Observe(o Observation) bool {
 	d.mean += d.Alpha * diff
 	d.variance = (1 - d.Alpha) * (d.variance + d.Alpha*diff*diff)
 	return false
-}
-
-// Alarmed implements Detector.
-func (d *EWMADetector) Alarmed() bool { return d.alarmed }
-
-// AlarmTime returns when the alarm fired; ok is false if it has not.
-func (d *EWMADetector) AlarmTime() (float64, bool) {
-	return d.at, d.alarmed
 }
 
 // Name implements Detector.

@@ -65,7 +65,7 @@ func TestThresholdDetectorFiresAtThreshold(t *testing.T) {
 	if !d.Observe(Observation{Time: 2, Count: 100}) {
 		t.Fatal("did not fire at threshold")
 	}
-	at, ok := d.AlarmTime()
+	at, ok := d.at, d.alarmed
 	if !ok || at != 2 {
 		t.Errorf("alarm time = (%v, %v)", at, ok)
 	}
@@ -77,10 +77,7 @@ func TestThresholdDetectorFiresAtThreshold(t *testing.T) {
 
 func TestThresholdDetectorNoAlarmTime(t *testing.T) {
 	d, _ := NewThresholdDetector(100)
-	if _, ok := d.AlarmTime(); ok {
-		t.Error("alarm time before alarm")
-	}
-	if d.Alarmed() {
+	if d.alarmed {
 		t.Error("alarmed before any observation")
 	}
 }
@@ -138,8 +135,8 @@ func TestKalmanRateEstimateTracksGrowth(t *testing.T) {
 	for _, o := range obs {
 		d.Observe(o)
 	}
-	if math.Abs(d.Rate()-0.10) > 0.02 {
-		t.Errorf("rate estimate %v, want ≈0.10", d.Rate())
+	if math.Abs(d.rate-0.10) > 0.02 {
+		t.Errorf("rate estimate %v, want ≈0.10", d.rate)
 	}
 }
 

@@ -14,23 +14,23 @@ import (
 // these appear in the paper's analytical model; they exist to build a
 // realistic background-traffic substrate.
 
-// Normal is the N(Mu, Sigma²) distribution, sampled with the Marsaglia
+// normal is the N(Mu, Sigma²) distribution, sampled with the Marsaglia
 // polar method (no trig, deterministic given a Source).
-type Normal struct {
+type normal struct {
 	Mu    float64
 	Sigma float64
 }
 
-// NewNormal validates sigma >= 0.
-func NewNormal(mu, sigma float64) (Normal, error) {
+// newNormal validates sigma >= 0.
+func newNormal(mu, sigma float64) (normal, error) {
 	if sigma < 0 || math.IsNaN(sigma) {
-		return Normal{}, fmt.Errorf("dist: normal sigma = %v, must be >= 0", sigma)
+		return normal{}, fmt.Errorf("dist: normal sigma = %v, must be >= 0", sigma)
 	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
+	return normal{Mu: mu, Sigma: sigma}, nil
 }
 
-// Sample draws one variate.
-func (n Normal) Sample(src rng.Source) float64 {
+// sample draws one variate.
+func (n normal) sample(src rng.Source) float64 {
 	if n.Sigma == 0 {
 		return n.Mu
 	}
@@ -53,29 +53,21 @@ type Lognormal struct {
 	Sigma float64
 }
 
-// NewLognormal validates sigma >= 0.
-func NewLognormal(mu, sigma float64) (Lognormal, error) {
-	if sigma < 0 || math.IsNaN(sigma) {
-		return Lognormal{}, fmt.Errorf("dist: lognormal sigma = %v, must be >= 0", sigma)
-	}
-	return Lognormal{Mu: mu, Sigma: sigma}, nil
-}
-
-// Mean returns E = exp(Mu + Sigma²/2).
-func (l Lognormal) Mean() float64 {
+// mean returns E = exp(Mu + Sigma²/2).
+func (l Lognormal) mean() float64 {
 	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
 }
 
 // Sample draws one variate.
 func (l Lognormal) Sample(src rng.Source) float64 {
-	return math.Exp(Normal{Mu: l.Mu, Sigma: l.Sigma}.Sample(src))
+	return math.Exp(normal{Mu: l.Mu, Sigma: l.Sigma}.sample(src))
 }
 
-// Quantile returns the q-quantile using the logistic approximation to the
+// quantile returns the q-quantile using the logistic approximation to the
 // normal quantile (Bowling et al. 2009), accurate to ~1e-2 in probit
 // units — sufficient for trace calibration, where quantiles seed
 // heuristic activity classes.
-func (l Lognormal) Quantile(q float64) float64 {
+func (l Lognormal) quantile(q float64) float64 {
 	if q <= 0 || q >= 1 {
 		panic("dist: Lognormal quantile requires q in (0, 1)")
 	}
@@ -83,33 +75,33 @@ func (l Lognormal) Quantile(q float64) float64 {
 	return math.Exp(l.Mu + l.Sigma*z)
 }
 
-// Pareto is the (type I) Pareto distribution with scale Xm > 0 and shape
+// pareto is the (type I) pareto distribution with scale Xm > 0 and shape
 // Alpha > 0: P{X > x} = (Xm/x)^Alpha for x >= Xm. It models the heavy
 // upper tail of per-host activity.
-type Pareto struct {
+type pareto struct {
 	Xm    float64
 	Alpha float64
 }
 
-// NewPareto validates parameters.
-func NewPareto(xm, alpha float64) (Pareto, error) {
+// newPareto validates parameters.
+func newPareto(xm, alpha float64) (pareto, error) {
 	if xm <= 0 || math.IsNaN(xm) {
-		return Pareto{}, fmt.Errorf("dist: pareto xm = %v, must be > 0", xm)
+		return pareto{}, fmt.Errorf("dist: pareto xm = %v, must be > 0", xm)
 	}
 	if alpha <= 0 || math.IsNaN(alpha) {
-		return Pareto{}, fmt.Errorf("dist: pareto alpha = %v, must be > 0", alpha)
+		return pareto{}, fmt.Errorf("dist: pareto alpha = %v, must be > 0", alpha)
 	}
-	return Pareto{Xm: xm, Alpha: alpha}, nil
+	return pareto{Xm: xm, Alpha: alpha}, nil
 }
 
-// Sample draws one variate by inversion.
-func (p Pareto) Sample(src rng.Source) float64 {
+// sample draws one variate by inversion.
+func (p pareto) sample(src rng.Source) float64 {
 	// 1-U in (0,1] avoids division by zero.
 	return p.Xm / math.Pow(1-src.Float64(), 1/p.Alpha)
 }
 
-// CDF returns P{X <= x}.
-func (p Pareto) CDF(x float64) float64 {
+// cdf returns P{X <= x}.
+func (p pareto) cdf(x float64) float64 {
 	if x < p.Xm {
 		return 0
 	}

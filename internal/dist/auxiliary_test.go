@@ -8,21 +8,21 @@ import (
 )
 
 func TestNewNormalValidation(t *testing.T) {
-	if _, err := NewNormal(0, -1); err == nil {
+	if _, err := newNormal(0, -1); err == nil {
 		t.Error("expected error for sigma < 0")
 	}
-	if _, err := NewNormal(5, 2); err != nil {
+	if _, err := newNormal(5, 2); err != nil {
 		t.Errorf("unexpected error: %v", err)
 	}
 }
 
 func TestNormalSampleMoments(t *testing.T) {
 	src := rng.NewPCG64(401, 0)
-	n := Normal{Mu: 3, Sigma: 2}
+	n := normal{Mu: 3, Sigma: 2}
 	const draws = 100000
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < draws; i++ {
-		v := n.Sample(src)
+		v := n.sample(src)
 		sum += v
 		sumSq += v * v
 	}
@@ -38,8 +38,8 @@ func TestNormalSampleMoments(t *testing.T) {
 
 func TestNormalZeroSigma(t *testing.T) {
 	src := rng.NewPCG64(403, 0)
-	n := Normal{Mu: 7, Sigma: 0}
-	if v := n.Sample(src); v != 7 {
+	n := normal{Mu: 7, Sigma: 0}
+	if v := n.sample(src); v != 7 {
 		t.Errorf("degenerate normal sample %v, want 7", v)
 	}
 }
@@ -53,8 +53,8 @@ func TestLognormalMean(t *testing.T) {
 		sum += l.Sample(src)
 	}
 	mean := sum / draws
-	if math.Abs(mean-l.Mean()) > 0.03*l.Mean() {
-		t.Errorf("sample mean %v, analytic %v", mean, l.Mean())
+	if math.Abs(mean-l.mean()) > 0.03*l.mean() {
+		t.Errorf("sample mean %v, analytic %v", mean, l.mean())
 	}
 }
 
@@ -62,58 +62,58 @@ func TestLognormalQuantileMonotone(t *testing.T) {
 	l := Lognormal{Mu: 2, Sigma: 1}
 	prev := 0.0
 	for _, q := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
-		v := l.Quantile(q)
+		v := l.quantile(q)
 		if v <= prev {
 			t.Fatalf("quantile not increasing at q = %v", q)
 		}
 		prev = v
 	}
 	// Median of a lognormal is e^mu.
-	if med := l.Quantile(0.5); math.Abs(med-math.Exp(2)) > 0.05*math.Exp(2) {
+	if med := l.quantile(0.5); math.Abs(med-math.Exp(2)) > 0.05*math.Exp(2) {
 		t.Errorf("median %v, want ~%v", med, math.Exp(2))
 	}
 }
 
 func TestParetoValidation(t *testing.T) {
-	if _, err := NewPareto(0, 1); err == nil {
+	if _, err := newPareto(0, 1); err == nil {
 		t.Error("expected error for xm = 0")
 	}
-	if _, err := NewPareto(1, 0); err == nil {
+	if _, err := newPareto(1, 0); err == nil {
 		t.Error("expected error for alpha = 0")
 	}
 }
 
 func TestParetoSampleAboveScale(t *testing.T) {
 	src := rng.NewPCG64(407, 0)
-	p := Pareto{Xm: 100, Alpha: 1.5}
+	p := pareto{Xm: 100, Alpha: 1.5}
 	for i := 0; i < 10000; i++ {
-		if v := p.Sample(src); v < p.Xm {
+		if v := p.sample(src); v < p.Xm {
 			t.Fatalf("sample %v below scale %v", v, p.Xm)
 		}
 	}
 }
 
 func TestParetoCDF(t *testing.T) {
-	p := Pareto{Xm: 1, Alpha: 2}
-	if got := p.CDF(0.5); got != 0 {
+	p := pareto{Xm: 1, Alpha: 2}
+	if got := p.cdf(0.5); got != 0 {
 		t.Errorf("CDF below xm = %v, want 0", got)
 	}
-	if got := p.CDF(1); got != 0 {
+	if got := p.cdf(1); got != 0 {
 		t.Errorf("CDF(xm) = %v, want 0", got)
 	}
 	// P{X <= 2} = 1 - (1/2)^2 = 0.75.
-	if got := p.CDF(2); math.Abs(got-0.75) > 1e-12 {
+	if got := p.cdf(2); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("CDF(2) = %v, want 0.75", got)
 	}
 }
 
 func TestParetoSampleMatchesCDF(t *testing.T) {
 	src := rng.NewPCG64(409, 0)
-	p := Pareto{Xm: 1, Alpha: 2}
+	p := pareto{Xm: 1, Alpha: 2}
 	const draws = 100000
 	below2 := 0
 	for i := 0; i < draws; i++ {
-		if p.Sample(src) <= 2 {
+		if p.sample(src) <= 2 {
 			below2++
 		}
 	}

@@ -12,14 +12,14 @@ import (
 
 func BenchmarkLogGamma(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = LogGamma(float64(i%1000) + 0.5)
+		_ = logGamma(float64(i%1000) + 0.5)
 	}
 }
 
 func BenchmarkBinomialPMF(b *testing.B) {
 	bin := Binomial{N: 10000, P: 8.38e-5}
 	for i := 0; i < b.N; i++ {
-		_ = bin.PMF(i % 30)
+		_ = bin.pmf(i % 30)
 	}
 }
 
@@ -28,7 +28,7 @@ func BenchmarkBinomialSampleWormRegime(b *testing.B) {
 	src := rng.NewPCG64(1, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = bin.Sample(src)
+		_ = bin.sample(src)
 	}
 }
 
@@ -36,14 +36,14 @@ func BenchmarkPoissonSample(b *testing.B) {
 	p := Poisson{Lambda: 0.84}
 	src := rng.NewPCG64(1, 0)
 	for i := 0; i < b.N; i++ {
-		_ = p.Sample(src)
+		_ = p.sample(src)
 	}
 }
 
 func BenchmarkBorelTannerPMF(b *testing.B) {
 	bt := BorelTanner{Lambda: 0.8382, I0: 10}
 	for i := 0; i < b.N; i++ {
-		_ = bt.PMF(10 + i%400)
+		_ = bt.pmf(10 + i%400)
 	}
 }
 
@@ -86,6 +86,6 @@ func BenchmarkPoissonSampleLarge(b *testing.B) {
 	src := rng.NewPCG64(1, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = p.Sample(src)
+		_ = p.sample(src)
 	}
 }

@@ -17,8 +17,8 @@ type Binomial struct {
 	P float64 // per-trial success probability (vulnerability density p)
 }
 
-// NewBinomial validates the parameters and returns the distribution.
-func NewBinomial(n int, p float64) (Binomial, error) {
+// newBinomial validates the parameters and returns the distribution.
+func newBinomial(n int, p float64) (Binomial, error) {
 	if n < 0 {
 		return Binomial{}, fmt.Errorf("dist: binomial trials n = %d, must be >= 0", n)
 	}
@@ -28,15 +28,15 @@ func NewBinomial(n int, p float64) (Binomial, error) {
 	return Binomial{N: n, P: p}, nil
 }
 
-// Mean returns E[ξ] = N·P, the basic reproduction number of the worm when
+// mean returns E[ξ] = N·P, the basic reproduction number of the worm when
 // ξ is the offspring law.
-func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
+func (b Binomial) mean() float64 { return float64(b.N) * b.P }
 
-// Var returns Var[ξ] = N·P·(1−P).
-func (b Binomial) Var() float64 { return float64(b.N) * b.P * (1 - b.P) }
+// variance returns var[ξ] = N·P·(1−P).
+func (b Binomial) variance() float64 { return float64(b.N) * b.P * (1 - b.P) }
 
-// LogPMF returns ln P{ξ = k}. Values outside [0, N] give -Inf.
-func (b Binomial) LogPMF(k int) float64 {
+// logPMF returns ln P{ξ = k}. Values outside [0, N] give -Inf.
+func (b Binomial) logPMF(k int) float64 {
 	if k < 0 || k > b.N {
 		return math.Inf(-1)
 	}
@@ -52,18 +52,18 @@ func (b Binomial) LogPMF(k int) float64 {
 		}
 		return math.Inf(-1)
 	}
-	return LogChoose(b.N, k) +
+	return logChoose(b.N, k) +
 		float64(k)*math.Log(b.P) +
 		float64(b.N-k)*math.Log1p(-b.P)
 }
 
-// PMF returns P{ξ = k}.
-func (b Binomial) PMF(k int) float64 { return math.Exp(b.LogPMF(k)) }
+// pmf returns P{ξ = k}.
+func (b Binomial) pmf(k int) float64 { return math.Exp(b.logPMF(k)) }
 
-// CDF returns P{ξ <= k} by direct summation. The paper regime always has
+// cdf returns P{ξ <= k} by direct summation. The paper regime always has
 // negligible mass beyond a few hundred, so summation is cheap; for large k
 // the tail sum is truncated once terms underflow.
-func (b Binomial) CDF(k int) float64 {
+func (b Binomial) cdf(k int) float64 {
 	if k < 0 {
 		return 0
 	}
@@ -72,7 +72,7 @@ func (b Binomial) CDF(k int) float64 {
 	}
 	sum := 0.0
 	for i := 0; i <= k; i++ {
-		sum += b.PMF(i)
+		sum += b.pmf(i)
 	}
 	if sum > 1 {
 		sum = 1
@@ -80,21 +80,21 @@ func (b Binomial) CDF(k int) float64 {
 	return sum
 }
 
-// PGF evaluates the probability generating function
+// pgf evaluates the probability generating function
 // φ(s) = E[s^ξ] = (P·s + (1−P))^N of Section III-B.
-func (b Binomial) PGF(s float64) float64 {
+func (b Binomial) pgf(s float64) float64 {
 	return math.Pow(b.P*s+(1-b.P), float64(b.N))
 }
 
-// Sample draws one variate. For the worm regime (N large, N·P moderate)
+// sample draws one variate. For the worm regime (N large, N·P moderate)
 // it uses the BTPE-free "first waiting time" geometric-skip method, which
 // runs in O(N·P) expected time instead of O(N); for small N it falls back
 // to direct Bernoulli summation.
 //
-// Sample recomputes the geometric-skip constant on every call; loops
+// sample recomputes the geometric-skip constant on every call; loops
 // drawing many variates from one distribution should hoist a Sampler
 // instead, which draws the identical sequence.
-func (b Binomial) Sample(src rng.Source) int {
+func (b Binomial) sample(src rng.Source) int {
 	return b.Sampler().Sample(src)
 }
 
@@ -151,10 +151,10 @@ func (s BinomialSampler) Sample(src rng.Source) int {
 	}
 }
 
-// PoissonApprox returns the Poisson distribution with matched mean
+// poissonApprox returns the Poisson distribution with matched mean
 // λ = N·P. Section III-C of the paper uses this approximation ("since p
 // is typically small, ξ can be accurately approximated by a Poisson
 // random variable with mean λ = Mp").
-func (b Binomial) PoissonApprox() Poisson {
-	return Poisson{Lambda: b.Mean()}
+func (b Binomial) poissonApprox() Poisson {
+	return Poisson{Lambda: b.mean()}
 }

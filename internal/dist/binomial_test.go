@@ -18,19 +18,19 @@ const (
 func codeRedP() float64 { return codeRedV / ipv4 }
 
 func TestNewBinomialValidation(t *testing.T) {
-	if _, err := NewBinomial(-1, 0.5); err == nil {
+	if _, err := newBinomial(-1, 0.5); err == nil {
 		t.Error("expected error for negative n")
 	}
-	if _, err := NewBinomial(10, -0.1); err == nil {
+	if _, err := newBinomial(10, -0.1); err == nil {
 		t.Error("expected error for p < 0")
 	}
-	if _, err := NewBinomial(10, 1.1); err == nil {
+	if _, err := newBinomial(10, 1.1); err == nil {
 		t.Error("expected error for p > 1")
 	}
-	if _, err := NewBinomial(10, math.NaN()); err == nil {
+	if _, err := newBinomial(10, math.NaN()); err == nil {
 		t.Error("expected error for NaN p")
 	}
-	if _, err := NewBinomial(10000, codeRedP()); err != nil {
+	if _, err := newBinomial(10000, codeRedP()); err != nil {
 		t.Errorf("unexpected error for paper parameters: %v", err)
 	}
 }
@@ -39,11 +39,11 @@ func TestBinomialMomentsPaperRegime(t *testing.T) {
 	// Code Red with M = 10000: E[ξ] = Mp ≈ 0.838.
 	b := Binomial{N: 10000, P: codeRedP()}
 	wantMean := 10000 * codeRedP()
-	if math.Abs(b.Mean()-wantMean) > 1e-12 {
-		t.Errorf("mean = %v, want %v", b.Mean(), wantMean)
+	if math.Abs(b.mean()-wantMean) > 1e-12 {
+		t.Errorf("mean = %v, want %v", b.mean(), wantMean)
 	}
-	if b.Var() >= b.Mean() {
-		t.Errorf("binomial variance %v must be < mean %v", b.Var(), b.Mean())
+	if b.variance() >= b.mean() {
+		t.Errorf("binomial variance %v must be < mean %v", b.variance(), b.mean())
 	}
 }
 
@@ -57,9 +57,9 @@ func TestBinomialPMFSumsToOne(t *testing.T) {
 	for _, b := range cases {
 		sum := 0.0
 		for k := 0; k <= b.N; k++ {
-			pk := b.PMF(k)
+			pk := b.pmf(k)
 			sum += pk
-			if pk < 1e-18 && float64(k) > b.Mean() {
+			if pk < 1e-18 && float64(k) > b.mean() {
 				break // negligible tail
 			}
 		}
@@ -74,7 +74,7 @@ func TestBinomialPMFSmallExact(t *testing.T) {
 	b := Binomial{N: 3, P: 0.5}
 	want := []float64{0.125, 0.375, 0.375, 0.125}
 	for k, w := range want {
-		if got := b.PMF(k); math.Abs(got-w) > 1e-12 {
+		if got := b.pmf(k); math.Abs(got-w) > 1e-12 {
 			t.Errorf("PMF(%d) = %v, want %v", k, got, w)
 		}
 	}
@@ -82,24 +82,24 @@ func TestBinomialPMFSmallExact(t *testing.T) {
 
 func TestBinomialDegenerateCases(t *testing.T) {
 	b0 := Binomial{N: 5, P: 0}
-	if b0.PMF(0) != 1 || b0.PMF(1) != 0 {
+	if b0.pmf(0) != 1 || b0.pmf(1) != 0 {
 		t.Error("p = 0 should put all mass at k = 0")
 	}
 	b1 := Binomial{N: 5, P: 1}
-	if b1.PMF(5) != 1 || b1.PMF(4) != 0 {
+	if b1.pmf(5) != 1 || b1.pmf(4) != 0 {
 		t.Error("p = 1 should put all mass at k = N")
 	}
 }
 
 func TestBinomialCDFBounds(t *testing.T) {
 	b := Binomial{N: 100, P: 0.1}
-	if got := b.CDF(-1); got != 0 {
+	if got := b.cdf(-1); got != 0 {
 		t.Errorf("CDF(-1) = %v, want 0", got)
 	}
-	if got := b.CDF(100); got != 1 {
+	if got := b.cdf(100); got != 1 {
 		t.Errorf("CDF(N) = %v, want 1", got)
 	}
-	if got := b.CDF(1000); got != 1 {
+	if got := b.cdf(1000); got != 1 {
 		t.Errorf("CDF(>N) = %v, want 1", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestBinomialCDFMonotone(t *testing.T) {
 	b := Binomial{N: 50, P: 0.25}
 	prev := -1.0
 	for k := 0; k <= 50; k++ {
-		c := b.CDF(k)
+		c := b.cdf(k)
 		if c < prev {
 			t.Fatalf("CDF not monotone at k = %d: %v < %v", k, c, prev)
 		}
@@ -119,10 +119,10 @@ func TestBinomialCDFMonotone(t *testing.T) {
 func TestBinomialPGFAtBoundaries(t *testing.T) {
 	b := Binomial{N: 10000, P: codeRedP()}
 	// φ(1) = 1 always; φ(0) = P{ξ = 0}.
-	if got := b.PGF(1); math.Abs(got-1) > 1e-12 {
+	if got := b.pgf(1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("PGF(1) = %v, want 1", got)
 	}
-	if got, want := b.PGF(0), b.PMF(0); math.Abs(got-want) > 1e-12 {
+	if got, want := b.pgf(0), b.pmf(0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("PGF(0) = %v, want PMF(0) = %v", got, want)
 	}
 }
@@ -131,9 +131,9 @@ func TestBinomialPGFDerivativeIsMean(t *testing.T) {
 	// φ'(1) = E[ξ]; check by central difference.
 	b := Binomial{N: 5000, P: codeRedP()}
 	const h = 1e-6
-	deriv := (b.PGF(1+h) - b.PGF(1-h)) / (2 * h)
-	if math.Abs(deriv-b.Mean()) > 1e-4*(1+b.Mean()) {
-		t.Errorf("PGF'(1) = %v, want mean %v", deriv, b.Mean())
+	deriv := (b.pgf(1+h) - b.pgf(1-h)) / (2 * h)
+	if math.Abs(deriv-b.mean()) > 1e-4*(1+b.mean()) {
+		t.Errorf("PGF'(1) = %v, want mean %v", deriv, b.mean())
 	}
 }
 
@@ -148,17 +148,17 @@ func TestBinomialSampleMoments(t *testing.T) {
 		const n = 50000
 		sum, sumSq := 0.0, 0.0
 		for i := 0; i < n; i++ {
-			v := float64(b.Sample(src))
+			v := float64(b.sample(src))
 			sum += v
 			sumSq += v * v
 		}
 		mean := sum / n
 		variance := sumSq/n - mean*mean
-		if math.Abs(mean-b.Mean()) > 0.05*(1+b.Mean()) {
-			t.Errorf("N=%d p=%v: sample mean %v, want %v", b.N, b.P, mean, b.Mean())
+		if math.Abs(mean-b.mean()) > 0.05*(1+b.mean()) {
+			t.Errorf("N=%d p=%v: sample mean %v, want %v", b.N, b.P, mean, b.mean())
 		}
-		if math.Abs(variance-b.Var()) > 0.1*(1+b.Var()) {
-			t.Errorf("N=%d p=%v: sample var %v, want %v", b.N, b.P, variance, b.Var())
+		if math.Abs(variance-b.variance()) > 0.1*(1+b.variance()) {
+			t.Errorf("N=%d p=%v: sample var %v, want %v", b.N, b.P, variance, b.variance())
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestBinomialSampleRange(t *testing.T) {
 	src := rng.NewPCG64(103, 0)
 	b := Binomial{N: 100, P: 0.03}
 	for i := 0; i < 10000; i++ {
-		k := b.Sample(src)
+		k := b.sample(src)
 		if k < 0 || k > b.N {
 			t.Fatalf("sample %d out of [0, %d]", k, b.N)
 		}
@@ -178,10 +178,10 @@ func TestBinomialPoissonApproxClose(t *testing.T) {
 	// Section III-C: for p ≈ 8.4e-5 the Poisson approximation is
 	// accurate. Check total-variation distance of the PMFs is tiny.
 	b := Binomial{N: 10000, P: codeRedP()}
-	po := b.PoissonApprox()
+	po := b.poissonApprox()
 	tv := 0.0
 	for k := 0; k <= 30; k++ {
-		tv += math.Abs(b.PMF(k) - po.PMF(k))
+		tv += math.Abs(b.pmf(k) - po.pmf(k))
 	}
 	tv /= 2
 	if tv > 1e-4 {
@@ -196,8 +196,8 @@ func TestQuickBinomialCDFConsistent(t *testing.T) {
 		p := float64(pRaw) / math.MaxUint16
 		k := int(kRaw) % (n + 1)
 		b := Binomial{N: n, P: p}
-		diff := b.CDF(k) - b.CDF(k-1)
-		return b.PMF(k) >= 0 && math.Abs(diff-b.PMF(k)) <= 1e-9
+		diff := b.cdf(k) - b.cdf(k-1)
+		return b.pmf(k) >= 0 && math.Abs(diff-b.pmf(k)) <= 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -212,7 +212,7 @@ func TestQuickBinomialSampleInRange(t *testing.T) {
 		b := Binomial{N: n, P: p}
 		src := rng.NewSplitMix64(seed)
 		for i := 0; i < 20; i++ {
-			k := b.Sample(src)
+			k := b.sample(src)
 			if k < 0 || k > n {
 				return false
 			}
@@ -242,7 +242,7 @@ func TestBinomialSamplerIdenticalSequence(t *testing.T) {
 		c := rng.NewPCG64(42, 9)
 		s := b.Sampler()
 		for i := 0; i < 2000; i++ {
-			want := b.Sample(a)
+			want := b.sample(a)
 			got := s.Sample(c)
 			if got != want {
 				t.Fatalf("N=%d P=%v draw %d: Sampler %d != Sample %d",
@@ -264,7 +264,7 @@ func TestBinomialSamplerMoments(t *testing.T) {
 		sum += float64(s.Sample(src))
 	}
 	mean := sum / n
-	if math.Abs(mean-b.Mean()) > 0.02*b.Mean() {
-		t.Errorf("sampler mean %v, want ≈ %v", mean, b.Mean())
+	if math.Abs(mean-b.mean()) > 0.02*b.mean() {
+		t.Errorf("sampler mean %v, want ≈ %v", mean, b.mean())
 	}
 }

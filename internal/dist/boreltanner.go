@@ -56,8 +56,8 @@ func (bt BorelTanner) VarPaper() float64 {
 	return float64(bt.I0) / (d * d * d)
 }
 
-// LogPMF returns ln P{I = k}; k < I0 yields -Inf.
-func (bt BorelTanner) LogPMF(k int) float64 {
+// logPMF returns ln P{I = k}; k < I0 yields -Inf.
+func (bt BorelTanner) logPMF(k int) float64 {
 	if k < bt.I0 {
 		return math.Inf(-1)
 	}
@@ -72,11 +72,11 @@ func (bt BorelTanner) LogPMF(k int) float64 {
 	m := k - bt.I0
 	return math.Log(float64(bt.I0)) - math.Log(kf) +
 		float64(m)*math.Log(kf*bt.Lambda) - kf*bt.Lambda -
-		LogFactorial(m)
+		logFactorial(m)
 }
 
-// PMF returns P{I = k}.
-func (bt BorelTanner) PMF(k int) float64 { return math.Exp(bt.LogPMF(k)) }
+// pmf returns P{I = k}.
+func (bt BorelTanner) pmf(k int) float64 { return math.Exp(bt.logPMF(k)) }
 
 // CDF returns P{I <= k} by summation from k = I0. The sum terminates
 // early once the remaining tail is provably negligible (terms past the
@@ -89,7 +89,7 @@ func (bt BorelTanner) CDF(k int) float64 {
 	meanCeil := int(bt.Mean()) + 1
 	sum := 0.0
 	for i := bt.I0; i <= k; i++ {
-		p := bt.PMF(i)
+		p := bt.pmf(i)
 		sum += p
 		if i > meanCeil && p < 1e-18 {
 			break
@@ -119,7 +119,7 @@ func (bt BorelTanner) Quantile(q float64) int {
 	k := bt.I0 - 1
 	for sum < q {
 		k++
-		sum += bt.PMF(k)
+		sum += bt.pmf(k)
 		if k > bt.I0+100_000_000 {
 			// Defensive: unreachable for λ < 1, but guards against an
 			// infinite loop if floating-point mass fails to accumulate.
@@ -129,17 +129,17 @@ func (bt BorelTanner) Quantile(q float64) int {
 	return k
 }
 
-// Sample draws one total-progeny variate by directly simulating the
+// sample draws one total-progeny variate by directly simulating the
 // Poisson(λ) Galton–Watson process: it is exact, needs no inversion
 // tables, and terminates with probability one since λ < 1.
-func (bt BorelTanner) Sample(src rng.Source) int {
+func (bt BorelTanner) sample(src rng.Source) int {
 	off := Poisson{Lambda: bt.Lambda}
 	total := bt.I0
 	active := bt.I0
 	for active > 0 {
 		next := 0
 		for i := 0; i < active; i++ {
-			next += off.Sample(src)
+			next += off.sample(src)
 		}
 		total += next
 		active = next
@@ -153,7 +153,7 @@ func (bt BorelTanner) Sample(src rng.Source) int {
 func (bt BorelTanner) PMFSeries(kMax int) []float64 {
 	out := make([]float64, kMax+1)
 	for k := bt.I0; k <= kMax; k++ {
-		out[k] = bt.PMF(k)
+		out[k] = bt.pmf(k)
 	}
 	return out
 }
@@ -165,7 +165,7 @@ func (bt BorelTanner) CDFSeries(kMax int) []float64 {
 	sum := 0.0
 	for k := 0; k <= kMax; k++ {
 		if k >= bt.I0 {
-			sum += bt.PMF(k)
+			sum += bt.pmf(k)
 		}
 		if sum > 1 {
 			sum = 1

@@ -33,7 +33,7 @@ func TestBorelTannerPMFSumsToOne(t *testing.T) {
 		sum := 0.0
 		// At λ=0.83 the tail is long; sum far out.
 		for k := bt.I0; k <= 5000; k++ {
-			sum += bt.PMF(k)
+			sum += bt.pmf(k)
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			t.Errorf("lambda=%v i0=%d: PMF sums to %v", bt.Lambda, bt.I0, sum)
@@ -61,7 +61,7 @@ func TestBorelTannerMeanMatchesPMF(t *testing.T) {
 	bt := BorelTanner{Lambda: 0.6, I0: 3}
 	mean := 0.0
 	for k := bt.I0; k <= 3000; k++ {
-		mean += float64(k) * bt.PMF(k)
+		mean += float64(k) * bt.pmf(k)
 	}
 	if math.Abs(mean-bt.Mean()) > 1e-4*(1+bt.Mean()) {
 		t.Errorf("PMF mean %v, analytic %v", mean, bt.Mean())
@@ -74,7 +74,7 @@ func TestBorelTannerVarMatchesPMF(t *testing.T) {
 	bt := BorelTanner{Lambda: 0.6, I0: 3}
 	mean, m2 := 0.0, 0.0
 	for k := bt.I0; k <= 5000; k++ {
-		p := bt.PMF(k)
+		p := bt.pmf(k)
 		mean += float64(k) * p
 		m2 += float64(k) * float64(k) * p
 	}
@@ -87,11 +87,11 @@ func TestBorelTannerVarMatchesPMF(t *testing.T) {
 
 func TestBorelTannerDegenerateLambdaZero(t *testing.T) {
 	bt := BorelTanner{Lambda: 0, I0: 4}
-	if bt.PMF(4) != 1 {
-		t.Errorf("PMF(I0) = %v, want 1 at lambda = 0", bt.PMF(4))
+	if bt.pmf(4) != 1 {
+		t.Errorf("PMF(I0) = %v, want 1 at lambda = 0", bt.pmf(4))
 	}
-	if bt.PMF(5) != 0 {
-		t.Errorf("PMF(I0+1) = %v, want 0 at lambda = 0", bt.PMF(5))
+	if bt.pmf(5) != 0 {
+		t.Errorf("PMF(I0+1) = %v, want 0 at lambda = 0", bt.pmf(5))
 	}
 	if bt.Mean() != 4 {
 		t.Errorf("Mean = %v, want 4", bt.Mean())
@@ -100,7 +100,7 @@ func TestBorelTannerDegenerateLambdaZero(t *testing.T) {
 
 func TestBorelTannerBelowSupport(t *testing.T) {
 	bt := BorelTanner{Lambda: 0.5, I0: 10}
-	if bt.PMF(9) != 0 || bt.CDF(9) != 0 {
+	if bt.pmf(9) != 0 || bt.CDF(9) != 0 {
 		t.Error("mass below I0 must be zero")
 	}
 }
@@ -112,8 +112,8 @@ func TestBorelTannerSingleAncestorBorel(t *testing.T) {
 	for k := 1; k <= 20; k++ {
 		want := math.Exp(-float64(k)*0.4) *
 			math.Pow(float64(k)*0.4, float64(k-1)) /
-			math.Exp(LogFactorial(k))
-		if got := bt.PMF(k); math.Abs(got-want) > 1e-12*(1+want) {
+			math.Exp(logFactorial(k))
+		if got := bt.pmf(k); math.Abs(got-want) > 1e-12*(1+want) {
 			t.Errorf("Borel PMF(%d) = %v, want %v", k, got, want)
 		}
 	}
@@ -166,7 +166,7 @@ func TestBorelTannerSampleMatchesMean(t *testing.T) {
 	const n = 20000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += float64(bt.Sample(src))
+		sum += float64(bt.sample(src))
 	}
 	mean := sum / n
 	if math.Abs(mean-bt.Mean()) > 0.05*bt.Mean() {
@@ -182,11 +182,11 @@ func TestBorelTannerSampleMatchesPMF(t *testing.T) {
 	const n = 100000
 	counts := map[int]int{}
 	for i := 0; i < n; i++ {
-		counts[bt.Sample(src)]++
+		counts[bt.sample(src)]++
 	}
 	for k := 2; k <= 10; k++ {
 		got := float64(counts[k]) / n
-		want := bt.PMF(k)
+		want := bt.pmf(k)
 		if math.Abs(got-want) > 4*math.Sqrt(want*(1-want)/n)+1e-4 {
 			t.Errorf("k=%d: freq %v, PMF %v", k, got, want)
 		}
@@ -222,7 +222,7 @@ func TestQuickBorelTannerCDF(t *testing.T) {
 		k := int(kRaw)
 		bt := BorelTanner{Lambda: lambda, I0: i0}
 		c1, c2 := bt.CDF(k), bt.CDF(k+1)
-		return bt.PMF(k) >= 0 && c1 >= 0 && c2 <= 1+1e-9 && c2 >= c1-1e-12
+		return bt.pmf(k) >= 0 && c1 >= 0 && c2 <= 1+1e-9 && c2 >= c1-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -237,7 +237,7 @@ func TestQuickBorelTannerSampleSupport(t *testing.T) {
 		bt := BorelTanner{Lambda: lambda, I0: i0}
 		src := rng.NewSplitMix64(seed)
 		for i := 0; i < 5; i++ {
-			if bt.Sample(src) < i0 {
+			if bt.sample(src) < i0 {
 				return false
 			}
 		}

@@ -44,13 +44,13 @@ func ExampleExtinctionByGeneration() {
 	// P_5 = 0.991
 }
 
-// ExampleExtinctionProbability evaluates Proposition 1 on both sides of
-// the threshold.
-func ExampleExtinctionProbability() {
+// ExampleExtinctionProbabilityN evaluates Proposition 1 on both sides of
+// the threshold, from one initial infection.
+func ExampleExtinctionProbabilityN() {
 	subcritical := dist.Poisson{Lambda: 0.9}
 	supercritical := dist.Poisson{Lambda: 3}
-	fmt.Printf("λ=0.9: π = %.3f\n", dist.ExtinctionProbability(subcritical))
-	fmt.Printf("λ=3.0: π = %.3f\n", dist.ExtinctionProbability(supercritical))
+	fmt.Printf("λ=0.9: π = %.3f\n", dist.ExtinctionProbabilityN(subcritical, 1))
+	fmt.Printf("λ=3.0: π = %.3f\n", dist.ExtinctionProbabilityN(supercritical, 1))
 	// Output:
 	// λ=0.9: π = 1.000
 	// λ=3.0: π = 0.060

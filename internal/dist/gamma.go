@@ -31,17 +31,17 @@ var lanczosCoef = [9]float64{
 	1.5056327351493116e-7,
 }
 
-// LogGamma returns ln Γ(x) for x > 0. It panics for x <= 0: the library
+// logGamma returns ln Γ(x) for x > 0. It panics for x <= 0: the library
 // only ever needs the log-gamma of positive arguments (factorials and
 // binomial coefficients), so a negative or zero argument is a programming
 // error, not a data condition.
-func LogGamma(x float64) float64 {
+func logGamma(x float64) float64 {
 	if x <= 0 {
 		panic("dist: LogGamma requires x > 0")
 	}
 	if x < 0.5 {
 		// Reflection formula: Γ(x)Γ(1−x) = π / sin(πx).
-		return math.Log(math.Pi/math.Sin(math.Pi*x)) - LogGamma(1-x)
+		return math.Log(math.Pi/math.Sin(math.Pi*x)) - logGamma(1-x)
 	}
 	x--
 	a := lanczosCoef[0]
@@ -52,17 +52,17 @@ func LogGamma(x float64) float64 {
 	return 0.5*math.Log(2*math.Pi) + (x+0.5)*math.Log(t) - t + math.Log(a)
 }
 
-// LogFactorial returns ln(n!) for n >= 0. Values up to n = 170 come from
+// logFactorial returns ln(n!) for n >= 0. Values up to n = 170 come from
 // a precomputed table (exact to float64 precision); larger n uses
-// LogGamma(n+1).
-func LogFactorial(n int) float64 {
+// logGamma(n+1).
+func logFactorial(n int) float64 {
 	if n < 0 {
 		panic("dist: LogFactorial requires n >= 0")
 	}
 	if n < len(logFactTable) {
 		return logFactTable[n]
 	}
-	return LogGamma(float64(n) + 1)
+	return logGamma(float64(n) + 1)
 }
 
 // logFactTable caches ln(n!) for small n. Built once at package load from
@@ -77,11 +77,11 @@ func buildLogFactTable() [171]float64 {
 	return t
 }
 
-// LogChoose returns ln C(n, k), the log binomial coefficient, for
+// logChoose returns ln C(n, k), the log binomial coefficient, for
 // 0 <= k <= n. Out-of-range k yields -Inf (the coefficient is zero).
-func LogChoose(n, k int) float64 {
+func logChoose(n, k int) float64 {
 	if k < 0 || k > n {
 		return math.Inf(-1)
 	}
-	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
+	return logFactorial(n) - logFactorial(k) - logFactorial(n-k)
 }

@@ -19,7 +19,7 @@ func TestLogGammaKnownValues(t *testing.T) {
 		{11, math.Log(3628800)},             // Γ(11) = 10!
 	}
 	for _, c := range cases {
-		got := LogGamma(c.x)
+		got := logGamma(c.x)
 		if math.Abs(got-c.want) > 1e-12*(1+math.Abs(c.want)) {
 			t.Errorf("LogGamma(%v) = %v, want %v", c.x, got, c.want)
 		}
@@ -29,8 +29,8 @@ func TestLogGammaKnownValues(t *testing.T) {
 func TestLogGammaRecurrence(t *testing.T) {
 	// Γ(x+1) = x·Γ(x) ⇒ LogGamma(x+1) = LogGamma(x) + ln x.
 	for _, x := range []float64{0.25, 0.9, 1.5, 3.7, 42.1, 170.3, 1e6} {
-		lhs := LogGamma(x + 1)
-		rhs := LogGamma(x) + math.Log(x)
+		lhs := logGamma(x + 1)
+		rhs := logGamma(x) + math.Log(x)
 		if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
 			t.Errorf("recurrence broken at x = %v: %v vs %v", x, lhs, rhs)
 		}
@@ -45,7 +45,7 @@ func TestLogGammaPanicsOnNonPositive(t *testing.T) {
 					t.Errorf("expected panic for x = %v", x)
 				}
 			}()
-			LogGamma(x)
+			logGamma(x)
 		}()
 	}
 }
@@ -53,7 +53,7 @@ func TestLogGammaPanicsOnNonPositive(t *testing.T) {
 func TestLogFactorialSmall(t *testing.T) {
 	want := []float64{1, 1, 2, 6, 24, 120, 720, 5040}
 	for n, w := range want {
-		got := LogFactorial(n)
+		got := logFactorial(n)
 		if math.Abs(got-math.Log(w)) > 1e-12*(1+math.Abs(got)) {
 			t.Errorf("LogFactorial(%d) = %v, want ln %v", n, got, w)
 		}
@@ -64,8 +64,8 @@ func TestLogFactorialTableGammaAgreement(t *testing.T) {
 	// Table values (exact running sums) and LogGamma must agree at the
 	// table boundary and beyond.
 	for _, n := range []int{150, 170, 171, 200, 10000} {
-		got := LogFactorial(n)
-		want := LogGamma(float64(n) + 1)
+		got := logFactorial(n)
+		want := logGamma(float64(n) + 1)
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("LogFactorial(%d) = %v, LogGamma = %v", n, got, want)
 		}
@@ -78,7 +78,7 @@ func TestLogFactorialPanicsOnNegative(t *testing.T) {
 			t.Fatal("expected panic for n < 0")
 		}
 	}()
-	LogFactorial(-1)
+	logFactorial(-1)
 }
 
 func TestLogChooseKnownValues(t *testing.T) {
@@ -93,7 +93,7 @@ func TestLogChooseKnownValues(t *testing.T) {
 		{52, 5, 2598960},
 	}
 	for _, c := range cases {
-		got := LogChoose(c.n, c.k)
+		got := logChoose(c.n, c.k)
 		if math.Abs(got-math.Log(c.want)) > 1e-10*(1+math.Abs(got)) {
 			t.Errorf("LogChoose(%d, %d) = %v, want ln %v", c.n, c.k, got, c.want)
 		}
@@ -102,7 +102,7 @@ func TestLogChooseKnownValues(t *testing.T) {
 
 func TestLogChooseOutOfRange(t *testing.T) {
 	for _, c := range [][2]int{{5, -1}, {5, 6}, {0, 1}} {
-		if got := LogChoose(c[0], c[1]); !math.IsInf(got, -1) {
+		if got := logChoose(c[0], c[1]); !math.IsInf(got, -1) {
 			t.Errorf("LogChoose(%d, %d) = %v, want -Inf", c[0], c[1], got)
 		}
 	}
@@ -115,7 +115,7 @@ func TestQuickLogChooseSymmetry(t *testing.T) {
 		if kk > nn {
 			nn, kk = kk, nn
 		}
-		a, b := LogChoose(nn, kk), LogChoose(nn, nn-kk)
+		a, b := logChoose(nn, kk), logChoose(nn, nn-kk)
 		return math.Abs(a-b) <= 1e-9*(1+math.Abs(a))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -133,8 +133,8 @@ func TestQuickPascalRule(t *testing.T) {
 				return true
 			}
 		}
-		lhs := math.Exp(LogChoose(nn+1, kk))
-		rhs := math.Exp(LogChoose(nn, kk)) + math.Exp(LogChoose(nn, kk-1))
+		lhs := math.Exp(logChoose(nn+1, kk))
+		rhs := math.Exp(logChoose(nn, kk)) + math.Exp(logChoose(nn, kk-1))
 		return math.Abs(lhs-rhs) <= 1e-6*(1+rhs)
 	}
 	if err := quick.Check(f, nil); err != nil {

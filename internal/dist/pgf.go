@@ -10,14 +10,14 @@ import (
 // needs. Both Binomial (the exact worm offspring law of Eq. (2)) and
 // Poisson (its small-p approximation) implement it.
 type Offspring interface {
-	// Mean returns E[ξ], the expected number of offspring. By the
+	// mean returns E[ξ], the expected number of offspring. By the
 	// classical branching-process theorem (and Proposition 1 of the
-	// paper) extinction is certain iff Mean() <= 1.
-	Mean() float64
+	// paper) extinction is certain iff mean() <= 1.
+	mean() float64
 
-	// PGF evaluates the probability generating function
+	// pgf evaluates the probability generating function
 	// φ(s) = E[s^ξ] at s in [0, 1].
-	PGF(s float64) float64
+	pgf(s float64) float64
 }
 
 var (
@@ -47,13 +47,13 @@ func ExtinctionByGeneration(off Offspring, i0, gens int) ([]float64, error) {
 	s := 0.0
 	out[0] = math.Pow(s, float64(i0)) // 0 for i0 >= 1
 	for n := 1; n <= gens; n++ {
-		s = off.PGF(s)
+		s = off.pgf(s)
 		out[n] = math.Pow(s, float64(i0))
 	}
 	return out, nil
 }
 
-// ExtinctionProbability returns π = P{worm dies out eventually} for a
+// extinctionProbability returns π = P{worm dies out eventually} for a
 // single initial lineage: the smallest non-negative fixed point of the
 // offspring PGF. For Mean() <= 1 this is exactly 1 (Proposition 1); for
 // Mean() > 1 it is the unique root in [0, 1), located here by fixed-point
@@ -61,8 +61,8 @@ func ExtinctionByGeneration(off Offspring, i0, gens int) ([]float64, error) {
 //
 // For i0 initial hosts the overall extinction probability is π^i0; use
 // ExtinctionProbabilityN for that.
-func ExtinctionProbability(off Offspring) float64 {
-	if off.Mean() <= 1 {
+func extinctionProbability(off Offspring) float64 {
+	if off.mean() <= 1 {
 		return 1
 	}
 	const (
@@ -71,7 +71,7 @@ func ExtinctionProbability(off Offspring) float64 {
 	)
 	s := 0.0
 	for i := 0; i < maxIter; i++ {
-		next := off.PGF(s)
+		next := off.pgf(s)
 		if math.Abs(next-s) < tol {
 			return next
 		}
@@ -86,14 +86,14 @@ func ExtinctionProbabilityN(off Offspring, i0 int) float64 {
 	if i0 < 1 {
 		panic("dist: ExtinctionProbabilityN requires i0 >= 1")
 	}
-	return math.Pow(ExtinctionProbability(off), float64(i0))
+	return math.Pow(extinctionProbability(off), float64(i0))
 }
 
-// GenerationsToExtinction returns the smallest generation n with
+// generationsToExtinction returns the smallest generation n with
 // P_n >= prob, or (0, false) if not reached within maxGens. It answers
 // design questions such as "how many generations until the worm is dead
 // with probability 0.99 at this M?" — the operational reading of Fig. 3.
-func GenerationsToExtinction(off Offspring, i0 int, prob float64, maxGens int) (int, bool) {
+func generationsToExtinction(off Offspring, i0 int, prob float64, maxGens int) (int, bool) {
 	if prob < 0 || prob > 1 {
 		panic("dist: GenerationsToExtinction requires prob in [0, 1]")
 	}

@@ -85,18 +85,18 @@ func TestExtinctionProbabilityProposition1(t *testing.T) {
 	threshold := int(1 / p) // 11930 for Code Red
 
 	sub := Binomial{N: threshold, P: p}
-	if pi := ExtinctionProbability(sub); pi != 1 {
+	if pi := extinctionProbability(sub); pi != 1 {
 		t.Errorf("M = 1/p: π = %v, want exactly 1", pi)
 	}
 	super := Binomial{N: 3 * threshold, P: p} // λ ≈ 3
-	pi := ExtinctionProbability(super)
+	pi := extinctionProbability(super)
 	if pi >= 1 || pi <= 0 {
 		t.Errorf("supercritical π = %v, want in (0, 1)", pi)
 	}
 	// For Poisson offspring with λ = 3 the extinction probability solves
 	// π = e^{3(π−1)}; the root is ≈ 0.059520.
 	po := Poisson{Lambda: 3}
-	piPo := ExtinctionProbability(po)
+	piPo := extinctionProbability(po)
 	if math.Abs(piPo-0.0595201) > 1e-4 {
 		t.Errorf("Poisson(3) extinction = %v, want ≈0.05952", piPo)
 	}
@@ -106,16 +106,16 @@ func TestExtinctionProbabilityFixedPoint(t *testing.T) {
 	// π must satisfy π = φ(π) for supercritical processes.
 	for _, lambda := range []float64{1.2, 2, 5} {
 		po := Poisson{Lambda: lambda}
-		pi := ExtinctionProbability(po)
-		if math.Abs(po.PGF(pi)-pi) > 1e-10 {
-			t.Errorf("lambda %v: PGF(π) = %v ≠ π = %v", lambda, po.PGF(pi), pi)
+		pi := extinctionProbability(po)
+		if math.Abs(po.pgf(pi)-pi) > 1e-10 {
+			t.Errorf("lambda %v: PGF(π) = %v ≠ π = %v", lambda, po.pgf(pi), pi)
 		}
 	}
 }
 
 func TestExtinctionProbabilityN(t *testing.T) {
 	po := Poisson{Lambda: 2}
-	pi := ExtinctionProbability(po)
+	pi := extinctionProbability(po)
 	if got, want := ExtinctionProbabilityN(po, 3), math.Pow(pi, 3); math.Abs(got-want) > 1e-12 {
 		t.Errorf("π^3 = %v, want %v", got, want)
 	}
@@ -129,7 +129,7 @@ func TestExtinctionProbabilityN(t *testing.T) {
 
 func TestGenerationsToExtinction(t *testing.T) {
 	b := Binomial{N: 5000, P: codeRedP()}
-	n, ok := GenerationsToExtinction(b, 1, 0.99, 100)
+	n, ok := generationsToExtinction(b, 1, 0.99, 100)
 	if !ok {
 		t.Fatal("subcritical process should reach 0.99 extinction")
 	}
@@ -144,7 +144,7 @@ func TestGenerationsToExtinction(t *testing.T) {
 	}
 	// Supercritical never reaches high extinction probability.
 	super := Poisson{Lambda: 3}
-	if _, ok := GenerationsToExtinction(super, 1, 0.5, 200); ok {
+	if _, ok := generationsToExtinction(super, 1, 0.5, 200); ok {
 		t.Error("Poisson(3) should not reach 0.5 extinction probability")
 	}
 }
@@ -153,7 +153,7 @@ func TestBinomialAndPoissonExtinctionAgree(t *testing.T) {
 	// The Poisson approximation should track the exact binomial PGF
 	// closely in the paper regime.
 	b := Binomial{N: 10000, P: codeRedP()}
-	po := b.PoissonApprox()
+	po := b.poissonApprox()
 	pb, _ := ExtinctionByGeneration(b, 1, 20)
 	pp, _ := ExtinctionByGeneration(po, 1, 20)
 	for n := range pb {
@@ -192,7 +192,7 @@ func TestQuickExtinctionMonotone(t *testing.T) {
 func TestQuickProposition1Poisson(t *testing.T) {
 	f := func(lRaw uint16) bool {
 		lambda := float64(lRaw) / 8192 // up to ~8
-		pi := ExtinctionProbability(Poisson{Lambda: lambda})
+		pi := extinctionProbability(Poisson{Lambda: lambda})
 		if lambda <= 1 {
 			return pi == 1
 		}

@@ -16,23 +16,20 @@ type Poisson struct {
 	Lambda float64
 }
 
-// NewPoisson validates λ and returns the distribution. λ = 0 is legal and
+// newPoisson validates λ and returns the distribution. λ = 0 is legal and
 // denotes the point mass at zero.
-func NewPoisson(lambda float64) (Poisson, error) {
+func newPoisson(lambda float64) (Poisson, error) {
 	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return Poisson{}, fmt.Errorf("dist: poisson lambda = %v, must be finite and >= 0", lambda)
 	}
 	return Poisson{Lambda: lambda}, nil
 }
 
-// Mean returns E[ξ] = λ.
-func (p Poisson) Mean() float64 { return p.Lambda }
+// mean returns E[ξ] = λ.
+func (p Poisson) mean() float64 { return p.Lambda }
 
-// Var returns Var[ξ] = λ.
-func (p Poisson) Var() float64 { return p.Lambda }
-
-// LogPMF returns ln P{ξ = k} = k·ln λ − λ − ln k!.
-func (p Poisson) LogPMF(k int) float64 {
+// logPMF returns ln P{ξ = k} = k·ln λ − λ − ln k!.
+func (p Poisson) logPMF(k int) float64 {
 	if k < 0 {
 		return math.Inf(-1)
 	}
@@ -42,14 +39,14 @@ func (p Poisson) LogPMF(k int) float64 {
 		}
 		return math.Inf(-1)
 	}
-	return float64(k)*math.Log(p.Lambda) - p.Lambda - LogFactorial(k)
+	return float64(k)*math.Log(p.Lambda) - p.Lambda - logFactorial(k)
 }
 
-// PMF returns P{ξ = k}.
-func (p Poisson) PMF(k int) float64 { return math.Exp(p.LogPMF(k)) }
+// pmf returns P{ξ = k}.
+func (p Poisson) pmf(k int) float64 { return math.Exp(p.logPMF(k)) }
 
-// CDF returns P{ξ <= k} by stable forward recursion on the PMF terms.
-func (p Poisson) CDF(k int) float64 {
+// cdf returns P{ξ <= k} by stable forward recursion on the PMF terms.
+func (p Poisson) cdf(k int) float64 {
 	if k < 0 {
 		return 0
 	}
@@ -65,16 +62,16 @@ func (p Poisson) CDF(k int) float64 {
 	return sum
 }
 
-// PGF evaluates φ(s) = E[s^ξ] = exp(λ(s − 1)).
-func (p Poisson) PGF(s float64) float64 {
+// pgf evaluates φ(s) = E[s^ξ] = exp(λ(s − 1)).
+func (p Poisson) pgf(s float64) float64 {
 	return math.Exp(p.Lambda * (s - 1))
 }
 
-// Sample draws one variate. Small λ uses Knuth's product method; large λ
+// sample draws one variate. Small λ uses Knuth's product method; large λ
 // (>= 30) uses table-free inversion by sequential search started at the
 // mode, which stays exact, consumes exactly one uniform per variate, and
 // is fast enough for λ in the hundreds that this library ever uses.
-func (p Poisson) Sample(src rng.Source) int {
+func (p Poisson) sample(src rng.Source) int {
 	if p.Lambda == 0 {
 		return 0
 	}
@@ -97,7 +94,7 @@ func (p Poisson) Sample(src rng.Source) int {
 	// from the recurrences P(k+1) = P(k)·λ/(k+1), P(k−1) = P(k)·k/λ.
 	u := src.Float64()
 	mode := int(p.Lambda)
-	pm := math.Exp(p.LogPMF(mode))
+	pm := math.Exp(p.logPMF(mode))
 	acc := pm
 	if u < acc {
 		return mode
@@ -133,8 +130,8 @@ func (p Poisson) Sample(src rng.Source) int {
 	}
 }
 
-// Quantile returns the smallest k with CDF(k) >= q, for q in [0, 1).
-func (p Poisson) Quantile(q float64) int {
+// quantile returns the smallest k with CDF(k) >= q, for q in [0, 1).
+func (p Poisson) quantile(q float64) int {
 	if q < 0 || q >= 1 {
 		panic("dist: Poisson quantile requires q in [0, 1)")
 	}

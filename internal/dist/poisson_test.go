@@ -10,11 +10,11 @@ import (
 
 func TestNewPoissonValidation(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := NewPoisson(bad); err == nil {
+		if _, err := newPoisson(bad); err == nil {
 			t.Errorf("expected error for lambda = %v", bad)
 		}
 	}
-	if _, err := NewPoisson(0); err != nil {
+	if _, err := newPoisson(0); err != nil {
 		t.Errorf("lambda = 0 should be valid: %v", err)
 	}
 }
@@ -23,16 +23,16 @@ func TestPoissonPMFKnownValues(t *testing.T) {
 	// Poisson(1): P{0} = P{1} = e^-1.
 	p := Poisson{Lambda: 1}
 	e := math.Exp(-1)
-	if got := p.PMF(0); math.Abs(got-e) > 1e-12 {
+	if got := p.pmf(0); math.Abs(got-e) > 1e-12 {
 		t.Errorf("PMF(0) = %v, want %v", got, e)
 	}
-	if got := p.PMF(1); math.Abs(got-e) > 1e-12 {
+	if got := p.pmf(1); math.Abs(got-e) > 1e-12 {
 		t.Errorf("PMF(1) = %v, want %v", got, e)
 	}
-	if got := p.PMF(2); math.Abs(got-e/2) > 1e-12 {
+	if got := p.pmf(2); math.Abs(got-e/2) > 1e-12 {
 		t.Errorf("PMF(2) = %v, want %v", got, e/2)
 	}
-	if got := p.PMF(-1); got != 0 {
+	if got := p.pmf(-1); got != 0 {
 		t.Errorf("PMF(-1) = %v, want 0", got)
 	}
 }
@@ -42,7 +42,7 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 		p := Poisson{Lambda: lambda}
 		sum := 0.0
 		for k := 0; k <= int(lambda)+200; k++ {
-			sum += p.PMF(k)
+			sum += p.pmf(k)
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("lambda %v: PMF sums to %v", lambda, sum)
@@ -52,14 +52,14 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 
 func TestPoissonZeroLambda(t *testing.T) {
 	p := Poisson{Lambda: 0}
-	if p.PMF(0) != 1 || p.PMF(1) != 0 {
+	if p.pmf(0) != 1 || p.pmf(1) != 0 {
 		t.Error("Poisson(0) should be a point mass at 0")
 	}
-	if p.CDF(0) != 1 {
+	if p.cdf(0) != 1 {
 		t.Error("Poisson(0) CDF(0) should be 1")
 	}
 	src := rng.NewSplitMix64(1)
-	if p.Sample(src) != 0 {
+	if p.sample(src) != 0 {
 		t.Error("Poisson(0) sample should be 0")
 	}
 }
@@ -68,8 +68,8 @@ func TestPoissonCDFMatchesPMFSum(t *testing.T) {
 	p := Poisson{Lambda: 0.83} // Code Red λ at M = 10000
 	sum := 0.0
 	for k := 0; k <= 10; k++ {
-		sum += p.PMF(k)
-		if got := p.CDF(k); math.Abs(got-sum) > 1e-12 {
+		sum += p.pmf(k)
+		if got := p.cdf(k); math.Abs(got-sum) > 1e-12 {
 			t.Errorf("CDF(%d) = %v, want %v", k, got, sum)
 		}
 	}
@@ -77,10 +77,10 @@ func TestPoissonCDFMatchesPMFSum(t *testing.T) {
 
 func TestPoissonPGF(t *testing.T) {
 	p := Poisson{Lambda: 0.83}
-	if got := p.PGF(1); math.Abs(got-1) > 1e-12 {
+	if got := p.pgf(1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("PGF(1) = %v, want 1", got)
 	}
-	if got, want := p.PGF(0), math.Exp(-0.83); math.Abs(got-want) > 1e-12 {
+	if got, want := p.pgf(0), math.Exp(-0.83); math.Abs(got-want) > 1e-12 {
 		t.Errorf("PGF(0) = %v, want %v", got, want)
 	}
 }
@@ -92,7 +92,7 @@ func TestPoissonSampleMoments(t *testing.T) {
 		const n = 50000
 		sum, sumSq := 0.0, 0.0
 		for i := 0; i < n; i++ {
-			v := float64(p.Sample(src))
+			v := float64(p.sample(src))
 			sum += v
 			sumSq += v * v
 		}
@@ -111,11 +111,11 @@ func TestPoissonQuantile(t *testing.T) {
 	p := Poisson{Lambda: 0.83}
 	// Quantile must be the smallest k with CDF(k) >= q.
 	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999} {
-		k := p.Quantile(q)
-		if p.CDF(k) < q {
-			t.Errorf("q=%v: CDF(Quantile) = %v < q", q, p.CDF(k))
+		k := p.quantile(q)
+		if p.cdf(k) < q {
+			t.Errorf("q=%v: CDF(Quantile) = %v < q", q, p.cdf(k))
 		}
-		if k > 0 && p.CDF(k-1) >= q {
+		if k > 0 && p.cdf(k-1) >= q {
 			t.Errorf("q=%v: Quantile %d not minimal", q, k)
 		}
 	}
@@ -127,7 +127,7 @@ func TestPoissonQuantilePanics(t *testing.T) {
 			t.Fatal("expected panic for q >= 1")
 		}
 	}()
-	Poisson{Lambda: 1}.Quantile(1)
+	Poisson{Lambda: 1}.quantile(1)
 }
 
 // Property: CDF is within [0,1] and monotone in k.
@@ -136,7 +136,7 @@ func TestQuickPoissonCDFMonotone(t *testing.T) {
 		lambda := float64(lRaw) / 1000 // up to ~65
 		p := Poisson{Lambda: lambda}
 		k := int(kRaw % 100)
-		a, b := p.CDF(k), p.CDF(k+1)
+		a, b := p.cdf(k), p.cdf(k+1)
 		return a >= 0 && b <= 1+1e-12 && b >= a
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -149,8 +149,8 @@ func TestQuickPoissonSampleDeterministic(t *testing.T) {
 	f := func(seed uint64, lRaw uint16) bool {
 		lambda := float64(lRaw) / 500
 		p := Poisson{Lambda: lambda}
-		a := p.Sample(rng.NewSplitMix64(seed))
-		b := p.Sample(rng.NewSplitMix64(seed))
+		a := p.sample(rng.NewSplitMix64(seed))
+		b := p.sample(rng.NewSplitMix64(seed))
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -185,7 +185,7 @@ func TestPoissonLargeLambdaOneDrawPerVariate(t *testing.T) {
 		cs := &countingSource{src: rng.NewPCG64(7, 0)}
 		const n = 1000
 		for i := 0; i < n; i++ {
-			p.Sample(cs)
+			p.sample(cs)
 		}
 		if cs.draws != n {
 			t.Errorf("lambda %v: %d draws for %d variates, want exactly %d",
@@ -201,7 +201,7 @@ func TestPoissonSmallLambdaDrawsScaleWithLambda(t *testing.T) {
 	cs := &countingSource{src: rng.NewPCG64(7, 0)}
 	const n = 5000
 	for i := 0; i < n; i++ {
-		p.Sample(cs)
+		p.sample(cs)
 	}
 	perVariate := float64(cs.draws) / n
 	if perVariate < 10 || perVariate > 12.5 {
@@ -230,7 +230,7 @@ func TestPoissonLargeLambdaChiSquare(t *testing.T) {
 		hi := int(lambda + 8*sigma)
 		counts := make([]float64, hi-lo+2) // [0] = left tail, [last] = right tail
 		for i := 0; i < n; i++ {
-			k := p.Sample(src)
+			k := p.sample(src)
 			switch {
 			case k < lo:
 				counts[0]++
@@ -241,10 +241,10 @@ func TestPoissonLargeLambdaChiSquare(t *testing.T) {
 			}
 		}
 		expected := make([]float64, len(counts))
-		expected[0] = n * p.CDF(lo-1)
-		expected[len(expected)-1] = n * (1 - p.CDF(hi))
+		expected[0] = n * p.cdf(lo-1)
+		expected[len(expected)-1] = n * (1 - p.cdf(hi))
 		for k := lo; k <= hi; k++ {
-			expected[k-lo+1] = n * p.PMF(k)
+			expected[k-lo+1] = n * p.pmf(k)
 		}
 
 		// Merge bins with expected < 5 left to right so every cell
@@ -290,7 +290,7 @@ func TestPoissonLargeLambdaRange(t *testing.T) {
 	p := Poisson{Lambda: 64}
 	src := rng.NewPCG64(11, 0)
 	for i := 0; i < 20000; i++ {
-		k := p.Sample(src)
+		k := p.sample(src)
 		if k < 0 {
 			t.Fatalf("negative sample %d", k)
 		}

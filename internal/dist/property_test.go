@@ -41,7 +41,7 @@ func TestPropertyBorelTannerMoments(t *testing.T) {
 		src := rng.NewPCG64(seed, uint64(stream))
 		var sum, sumSq float64
 		for n := 0; n < samples; n++ {
-			x := float64(bt.Sample(src))
+			x := float64(bt.sample(src))
 			sum += x
 			sumSq += x * x
 		}
@@ -100,35 +100,35 @@ func TestPropertyExtinctionIteratesMonotone(t *testing.T) {
 			t.Fatal(err)
 		}
 		if probs[0] != 0 {
-			t.Errorf("mean=%v i0=%d: P_0 = %v, want 0", g.off.Mean(), g.i0, probs[0])
+			t.Errorf("mean=%v i0=%d: P_0 = %v, want 0", g.off.mean(), g.i0, probs[0])
 		}
 		for n := 1; n < len(probs); n++ {
 			if probs[n] < probs[n-1] {
 				t.Errorf("mean=%v i0=%d: P_%d = %v < P_%d = %v (iterates must be nondecreasing)",
-					g.off.Mean(), g.i0, n, probs[n], n-1, probs[n-1])
+					g.off.mean(), g.i0, n, probs[n], n-1, probs[n-1])
 				break
 			}
 			if probs[n] < 0 || probs[n] > 1 {
-				t.Errorf("mean=%v i0=%d: P_%d = %v outside [0, 1]", g.off.Mean(), g.i0, n, probs[n])
+				t.Errorf("mean=%v i0=%d: P_%d = %v outside [0, 1]", g.off.mean(), g.i0, n, probs[n])
 				break
 			}
 		}
 		limit := ExtinctionProbabilityN(g.off, g.i0)
 		last := probs[len(probs)-1]
 		if last > limit+1e-12 {
-			t.Errorf("mean=%v i0=%d: iterate %v overshot fixed point %v", g.off.Mean(), g.i0, last, limit)
+			t.Errorf("mean=%v i0=%d: iterate %v overshot fixed point %v", g.off.mean(), g.i0, last, limit)
 		}
 		// Criticality (mean exactly 1) converges like 1/n, so only the
 		// strictly sub/supercritical cases are checked for arrival.
-		if math.Abs(g.off.Mean()-1) > 1e-9 && math.Abs(last-limit) > 1e-6 {
+		if math.Abs(g.off.mean()-1) > 1e-9 && math.Abs(last-limit) > 1e-6 {
 			t.Errorf("mean=%v i0=%d: iterate %v did not reach fixed point %v after %d generations",
-				g.off.Mean(), g.i0, last, limit, gens)
+				g.off.mean(), g.i0, last, limit, gens)
 		}
-		if g.off.Mean() <= 1 && limit != 1 {
-			t.Errorf("mean=%v: Proposition 1 violated, extinction probability %v != 1", g.off.Mean(), limit)
+		if g.off.mean() <= 1 && limit != 1 {
+			t.Errorf("mean=%v: Proposition 1 violated, extinction probability %v != 1", g.off.mean(), limit)
 		}
-		if g.off.Mean() > 1 && limit >= 1 {
-			t.Errorf("mean=%v: supercritical extinction probability %v, want < 1", g.off.Mean(), limit)
+		if g.off.mean() > 1 && limit >= 1 {
+			t.Errorf("mean=%v: supercritical extinction probability %v, want < 1", g.off.mean(), limit)
 		}
 	}
 }

@@ -30,7 +30,7 @@ type FileCheck struct {
 
 // Report is a read-only audit of a state directory — what wormgate
 // fsck prints. The embedded RecoveryInfo is produced by the very same
-// recoverState/replaySegments code the serving path runs, so fsck's
+// planReplay/replay code the serving path runs, so fsck's
 // accounting and a subsequent startup's accounting always agree.
 type Report struct {
 	RecoveryInfo
@@ -92,13 +92,8 @@ func Inspect(fsys faultfs.FS) (Report, error) {
 	// Replay exactly as recovery would.
 	nolog := func(string, ...any) {}
 	rec.planReplay(nolog)
-	if rec.replayable {
-		if err := replaySegments(fsys, rec.limiter, rec.scan, rec.baseSeq, &rec.info, nolog); err != nil {
-			return rep, err
-		}
-	}
-	if rec.info.ReplayedRecords > 0 {
-		rec.info.Fresh = false
+	if err := rec.replay(fsys, rec.limiter, nolog); err != nil {
+		return rep, err
 	}
 	rep.RecoveryInfo = rec.info
 	if rec.limiter != nil {

@@ -72,7 +72,7 @@ type recovered struct {
 	// limiter is the snapshot-restored limiter (exact or sketch,
 	// whichever backend the snapshot's header names), nil when
 	// info.Fresh (the caller constructs the base limiter, then replays).
-	limiter core.ContainmentLimiter
+	limiter core.Backend
 	info    RecoveryInfo
 	scan    *dirScan
 	// baseSeq is the generation replay starts from; replay is only
@@ -91,7 +91,7 @@ type snapshotFile struct {
 	// follow.
 	corrupt error
 	header  core.SnapshotHeader
-	limiter core.ContainmentLimiter
+	limiter core.Backend
 }
 
 // loadSnapshot reads, verifies and restores one snapshot generation.
@@ -152,7 +152,7 @@ func recoverState(fsys faultfs.FS, logf func(string, ...any)) (recovered, error)
 }
 
 // base records the snapshot recovery starts from.
-func (rec *recovered) base(limiter core.ContainmentLimiter, seq uint64) {
+func (rec *recovered) base(limiter core.Backend, seq uint64) {
 	rec.limiter = limiter
 	rec.info.Fresh = false
 	rec.info.SnapshotSeq = seq
@@ -173,11 +173,27 @@ func (rec *recovered) planReplay(logf func(string, ...any)) {
 	}
 }
 
+// replay applies the WAL planReplay found reachable to limiter — the
+// base snapshot's, or the fresh one Open built when there was none
+// (Inspect passes nil and only counts) — and settles info. Open and
+// Inspect both end recovery here, so fsck reports exactly the
+// accounting a restart would.
+func (rec *recovered) replay(fsys faultfs.FS, limiter core.Backend, logf func(string, ...any)) error {
+	if rec.replayable {
+		if err := replaySegments(fsys, limiter, rec.scan, rec.baseSeq, &rec.info, logf); err != nil {
+			return err
+		}
+	}
+	if rec.info.ReplayedRecords > 0 {
+		rec.info.Fresh = false
+	}
+	return nil
+}
+
 // replaySegments applies WAL segments baseSeq, baseSeq+1, … to limiter,
 // stopping at the first torn/corrupt record or sequence gap. It
-// mutates info in place and is shared verbatim by Open and Inspect so
-// fsck reports exactly the accounting recovery used.
-func replaySegments(fsys faultfs.FS, limiter core.ContainmentLimiter, sc *dirScan, baseSeq uint64,
+// mutates info in place.
+func replaySegments(fsys faultfs.FS, limiter core.Backend, sc *dirScan, baseSeq uint64,
 	info *RecoveryInfo, logf func(string, ...any)) error {
 
 	// A recFailure record replays only into a backend that observes

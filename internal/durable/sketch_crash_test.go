@@ -22,7 +22,7 @@ var sketchCrashCfg = core.SketchConfig{
 	FailureBits:   64,
 }
 
-func newSketchCrashLimiter(start time.Time) (core.ContainmentLimiter, error) {
+func newSketchCrashLimiter(start time.Time) (core.Backend, error) {
 	return core.NewSketchLimiter(sketchCrashCfg, start)
 }
 
@@ -250,10 +250,11 @@ func TestSketchRecoveredStateKeepsDeciding(t *testing.T) {
 	if j < 0 {
 		t.Fatal("recovered state matches no prefix")
 	}
-	shadow, err := core.RestoreSketchLimiter(states[j])
+	restored, err := core.RestoreAnyLimiter(states[j])
 	if err != nil {
 		t.Fatal(err)
 	}
+	shadow := restored.(*core.SketchLimiter)
 	lim := r.Limiter().(*core.SketchLimiter)
 	at := crashStart.Add(2 * time.Second)
 	for i := 0; i < 200; i++ {

@@ -24,9 +24,9 @@ import (
 // with the live hosts.
 func TestSnapshotCutUnderTraffic(t *testing.T) {
 	cfg := core.LimiterConfig{M: 40, Cycle: time.Hour, CheckFraction: 0.5}
-	backends := map[string]func(time.Time) (core.ContainmentLimiter, error){
+	backends := map[string]func(time.Time) (core.Backend, error){
 		"exact": nil,
-		"sketch": func(start time.Time) (core.ContainmentLimiter, error) {
+		"sketch": func(start time.Time) (core.Backend, error) {
 			return core.NewSketchLimiter(core.SketchConfig{LimiterConfig: cfg, FailureM: 10}, start)
 		},
 	}
@@ -179,7 +179,7 @@ func TestInspectReportsHeadersAndReadsOnce(t *testing.T) {
 		}
 	}
 	if len(rep.Snapshots) != 2 || rep.Snapshots[1].Header.Hosts != 3 ||
-		rep.Snapshots[1].Header.Backend != core.BackendExact || rep.Snapshots[1].Header.Format != 1 {
+		rep.Snapshots[1].Header.Backend.String() != "exact" || rep.Snapshots[1].Header.Format != 1 {
 		t.Fatalf("snapshot checks = %+v, want generation 2 as a format-1 exact snapshot of 3 hosts", rep.Snapshots)
 	}
 	if rep.SnapshotSeq != 2 || rep.ReplayedRecords != 1 || rep.Stats.ActiveHosts != 4 {

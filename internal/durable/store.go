@@ -43,7 +43,7 @@ type Options struct {
 	// the exact core.NewLimiter from the cfg passed to Open. When a
 	// snapshot IS recovered, its embedded backend and configuration win
 	// regardless of this factory: state continuity beats flags.
-	NewLimiter func(start time.Time) (core.ContainmentLimiter, error)
+	NewLimiter func(start time.Time) (core.Backend, error)
 
 	// Metrics, when non-nil, receives the wormgate_wal_*,
 	// wormgate_snapshot_* and wormgate_recovery_* series.
@@ -100,7 +100,7 @@ type lane struct {
 // goroutine's records are written in call order.
 type Store struct {
 	fs      faultfs.FS
-	limiter core.ContainmentLimiter
+	limiter core.Backend
 	logf    func(string, ...any)
 	now     func() time.Time
 	info    RecoveryInfo
@@ -194,13 +194,8 @@ func Open(opts Options, cfg core.LimiterConfig, start time.Time) (*Store, error)
 	} else if limiter.Config() != cfg {
 		logf("durable: state dir config %+v overrides requested %+v", limiter.Config(), cfg)
 	}
-	if rec.replayable {
-		if err := replaySegments(fsys, limiter, rec.scan, rec.baseSeq, &rec.info, logf); err != nil {
-			return nil, err
-		}
-	}
-	if rec.info.ReplayedRecords > 0 {
-		rec.info.Fresh = false
+	if err := rec.replay(fsys, limiter, logf); err != nil {
+		return nil, err
 	}
 
 	s := &Store{
@@ -233,19 +228,22 @@ func Open(opts Options, cfg core.LimiterConfig, start time.Time) (*Store, error)
 		s.register(opts.Metrics)
 	}
 	if opts.FsyncInterval > 0 {
-		s.wg.Add(1)
-		go s.flushLoop(opts.FsyncInterval)
+		// The group commit; degradation is sticky-logged in flushLocked.
+		s.every(opts.FsyncInterval, func() { _ = s.Sync() })
 	}
 	if opts.SnapshotInterval > 0 {
-		s.wg.Add(1)
-		go s.snapshotLoop(opts.SnapshotInterval)
+		s.every(opts.SnapshotInterval, func() {
+			if err := s.WriteSnapshot(); err != nil {
+				s.logf("durable: periodic snapshot failed: %v", err)
+			}
+		})
 	}
 	return s, nil
 }
 
 // Limiter returns the recovered (and now journaled) limiter — whichever
 // backend the state directory held, or the one Options.NewLimiter built.
-func (s *Store) Limiter() core.ContainmentLimiter { return s.limiter }
+func (s *Store) Limiter() core.Backend { return s.limiter }
 
 // Recovery reports what startup recovery found.
 func (s *Store) Recovery() RecoveryInfo { return s.info }
@@ -469,36 +467,22 @@ func (s *Store) snapshotLocked() error {
 	return nil
 }
 
-// flushLoop is the group-commit ticker.
-func (s *Store) flushLoop(every time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			_ = s.Sync() // degradation is sticky-logged in flushLocked
-		}
-	}
-}
-
-// snapshotLoop takes periodic checkpoints.
-func (s *Store) snapshotLoop(every time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			if err := s.WriteSnapshot(); err != nil {
-				s.logf("durable: periodic snapshot failed: %v", err)
+// every starts a goroutine that calls tick once a period until Close.
+func (s *Store) every(period time.Duration, tick func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-t.C:
+				tick()
 			}
 		}
-	}
+	}()
 }
 
 // Close detaches the journal, stops the background loops and writes a

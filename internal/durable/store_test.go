@@ -27,7 +27,7 @@ func openMem(t *testing.T, m *faultfs.Mem, opts Options) *Store {
 	return s
 }
 
-func mustState(t *testing.T, l core.ContainmentLimiter) []byte {
+func mustState(t *testing.T, l core.Backend) []byte {
 	t.Helper()
 	b, err := l.MarshalState()
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 func TestRK4ExponentialDecay(t *testing.T) {
 	// dy/dt = −y, y(0) = 1 ⇒ y(t) = e^{−t}.
 	f := func(_ float64, y, dst []float64) { dst[0] = -y[0] }
-	y, err := RK4(f, []float64{1}, 0, 5, 0.01)
+	y, err := rk4(f, []float64{1}, 0, 5, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestRK4HarmonicOscillator(t *testing.T) {
 		dst[0] = y[1]
 		dst[1] = -y[0]
 	}
-	y, err := RK4(f, []float64{1, 0}, 0, 2*math.Pi, 0.001)
+	y, err := rk4(f, []float64{1, 0}, 0, 2*math.Pi, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRK4PartialFinalStep(t *testing.T) {
 	// Integrating to a horizon that is not a multiple of h must land
 	// exactly on the horizon.
 	f := func(_ float64, y, dst []float64) { dst[0] = 1 } // y = t
-	y, err := RK4(f, []float64{0}, 0, 1.05, 0.1)
+	y, err := rk4(f, []float64{0}, 0, 1.05, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +48,17 @@ func TestRK4PartialFinalStep(t *testing.T) {
 
 func TestRK4Errors(t *testing.T) {
 	f := func(_ float64, y, dst []float64) { dst[0] = 0 }
-	if _, err := RK4(f, []float64{0}, 0, 1, 0); err == nil {
+	if _, err := rk4(f, []float64{0}, 0, 1, 0); err == nil {
 		t.Error("expected error for h = 0")
 	}
-	if _, err := RK4(f, []float64{0}, 1, 0, 0.1); err == nil {
+	if _, err := rk4(f, []float64{0}, 1, 0, 0.1); err == nil {
 		t.Error("expected error for t1 < t0")
 	}
 }
 
 func TestIntegrateSampling(t *testing.T) {
 	f := func(_ float64, y, dst []float64) { dst[0] = 2 }
-	tr, err := Integrate(f, []float64{0}, 0, 10, 0.01, 5)
+	tr, err := integrate(f, []float64{0}, 0, 10, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestIntegrateSampling(t *testing.T) {
 			t.Errorf("state at t=%v: %v, want %v", at, tr.States[i][0], want)
 		}
 	}
-	comp := tr.Component(0)
+	comp := tr.component(0)
 	if len(comp) != 6 || math.Abs(comp[5]-20) > 1e-9 {
 		t.Errorf("component = %v", comp)
 	}
@@ -79,7 +79,7 @@ func TestIntegrateSampling(t *testing.T) {
 
 func TestIntegrateValidation(t *testing.T) {
 	f := func(_ float64, y, dst []float64) { dst[0] = 0 }
-	if _, err := Integrate(f, []float64{0}, 0, 1, 0.1, 0); err == nil {
+	if _, err := integrate(f, []float64{0}, 0, 1, 0.1, 0); err == nil {
 		t.Error("expected error for samples = 0")
 	}
 }
@@ -87,7 +87,7 @@ func TestIntegrateValidation(t *testing.T) {
 func TestRCSMatchesAnalytic(t *testing.T) {
 	// Code Red-like parameters: 360k vulnerable, 6 scans/s.
 	m := RCS{Beta: BetaFromScanRate(6), V: 360000, I0: 10}
-	tr, err := m.Integrate(4*3600, 1, 16)
+	tr, err := m.integrate(4*3600, 1, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,15 @@ func TestRCSValidation(t *testing.T) {
 		{Beta: math.NaN(), V: 100, I0: 1},
 	}
 	for i, m := range bad {
-		if err := m.Validate(); err == nil {
+		if err := m.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
 }
 
 func TestSIRConservation(t *testing.T) {
-	m := SIR{Beta: BetaFromScanRate(6), Gamma: 1e-4, V: 360000, I0: 10}
-	tr, err := m.Integrate(6*3600, 1, 12)
+	m := sir{Beta: BetaFromScanRate(6), Gamma: 1e-4, V: 360000, I0: 10}
+	tr, err := m.integrate(6*3600, 1, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestSIRConservation(t *testing.T) {
 func TestSIRInfectionPeaksAndDeclines(t *testing.T) {
 	// With a substantial removal rate the infectious curve must rise
 	// then fall.
-	m := SIR{Beta: BetaFromScanRate(20), Gamma: 5e-4, V: 360000, I0: 10}
-	tr, err := m.Integrate(12*3600, 1, 200)
+	m := sir{Beta: BetaFromScanRate(20), Gamma: 5e-4, V: 360000, I0: 10}
+	tr, err := m.integrate(12*3600, 1, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infectious := tr.Component(1)
+	infectious := tr.component(1)
 	peakIdx := 0
 	for i, v := range infectious {
 		if v > infectious[peakIdx] {
@@ -180,9 +180,9 @@ func TestSIRInfectionPeaksAndDeclines(t *testing.T) {
 }
 
 func TestSIRGammaZeroMatchesRCS(t *testing.T) {
-	sir := SIR{Beta: BetaFromScanRate(6), Gamma: 0, V: 360000, I0: 10}
+	sir := sir{Beta: BetaFromScanRate(6), Gamma: 0, V: 360000, I0: 10}
 	rcs := RCS{Beta: BetaFromScanRate(6), V: 360000, I0: 10}
-	tr, err := sir.Integrate(4*3600, 1, 8)
+	tr, err := sir.integrate(4*3600, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSIRGammaZeroMatchesRCS(t *testing.T) {
 }
 
 func TestSIRValidation(t *testing.T) {
-	if err := (SIR{Beta: 1, Gamma: -1, V: 10, I0: 1}).Validate(); err == nil {
+	if err := (sir{Beta: 1, Gamma: -1, V: 10, I0: 1}).validate(); err == nil {
 		t.Error("expected error for negative gamma")
 	}
 }
@@ -233,8 +233,8 @@ func TestTwoFactorCountermeasuresSlowSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iBase := trBase.Component(0)
-	iDamped := trDamped.Component(0)
+	iBase := trBase.component(0)
+	iDamped := trDamped.component(0)
 	if iDamped[4] >= iBase[4] {
 		t.Errorf("countermeasures did not slow the worm: %v vs %v", iDamped[4], iBase[4])
 	}
@@ -266,7 +266,7 @@ func TestTwoFactorStateSanity(t *testing.T) {
 }
 
 func TestTwoFactorValidation(t *testing.T) {
-	if err := (TwoFactor{Beta0: 1, Eta: -1, V: 10, I0: 1}).Validate(); err == nil {
+	if err := (TwoFactor{Beta0: 1, Eta: -1, V: 10, I0: 1}).validate(); err == nil {
 		t.Error("expected error for negative eta")
 	}
 }

@@ -10,12 +10,12 @@ import (
 // monitoring systems of Section II observe I(t) and need β (equivalently
 // the scan rate) to predict the outbreak and calibrate countermeasures.
 
-// GrowthRate estimates the exponential growth rate r of an early-phase
+// growthRate estimates the exponential growth rate r of an early-phase
 // epidemic from samples of I(t), by least-squares regression of ln I(t)
 // on t. In the early phase I(t) ≈ I0·e^{rt} with r = β·V, so the
 // returned rate divided by V recovers β. Samples with non-positive
 // counts are skipped; at least two usable samples are required.
-func GrowthRate(times, counts []float64) (rate, lnI0 float64, err error) {
+func growthRate(times, counts []float64) (rate, lnI0 float64, err error) {
 	if len(times) != len(counts) {
 		return 0, 0, fmt.Errorf("epidemic: %d times vs %d counts", len(times), len(counts))
 	}
@@ -44,7 +44,7 @@ func GrowthRate(times, counts []float64) (rate, lnI0 float64, err error) {
 	return rate, lnI0, nil
 }
 
-// FitRCS recovers the RCS model parameters (β, I0) from observed I(t)
+// fitRCS recovers the RCS model parameters (β, I0) from observed I(t)
 // samples, given the vulnerable population size V. It uses the exact
 // logit linearization of the logistic solution:
 //
@@ -53,7 +53,7 @@ func GrowthRate(times, counts []float64) (rate, lnI0 float64, err error) {
 // which is linear in t, so ordinary least squares gives β·V (slope) and
 // I0 (from the intercept) without iteration. Samples outside (0, V) are
 // skipped.
-func FitRCS(v float64, times, counts []float64) (RCS, error) {
+func fitRCS(v float64, times, counts []float64) (RCS, error) {
 	if v <= 0 || math.IsNaN(v) {
 		return RCS{}, fmt.Errorf("epidemic: population %v invalid", v)
 	}
@@ -88,16 +88,16 @@ func FitRCS(v float64, times, counts []float64) (RCS, error) {
 	// intercept = ln(I0/(V−I0)) ⇒ I0 = V / (1 + e^{−intercept}).
 	i0 := v / (1 + math.Exp(-intercept))
 	m := RCS{Beta: slope / v, V: v, I0: i0}
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return RCS{}, fmt.Errorf("epidemic: fitted model invalid: %w", err)
 	}
 	return m, nil
 }
 
-// ImpliedScanRate converts a fitted pairwise infection rate β back into
+// impliedScanRate converts a fitted pairwise infection rate β back into
 // the worm's uniform scan rate over the IPv4 space (the inverse of
 // BetaFromScanRate) — the quantity an analyst reports ("this worm scans
 // at N addresses per second").
-func ImpliedScanRate(beta float64) float64 {
+func impliedScanRate(beta float64) float64 {
 	return beta * (1 << 32)
 }

@@ -17,7 +17,7 @@ func TestGrowthRateExactExponential(t *testing.T) {
 		times[i] = float64(i) * 10
 		counts[i] = i0 * math.Exp(r*times[i])
 	}
-	rate, lnI0, err := GrowthRate(times, counts)
+	rate, lnI0, err := growthRate(times, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestGrowthRateNoisyRecovery(t *testing.T) {
 		noise := 1 + 0.1*(2*src.Float64()-1)
 		counts[i] = 5 * math.Exp(r*times[i]) * noise
 	}
-	rate, _, err := GrowthRate(times, counts)
+	rate, _, err := growthRate(times, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestGrowthRateNoisyRecovery(t *testing.T) {
 }
 
 func TestGrowthRateErrors(t *testing.T) {
-	if _, _, err := GrowthRate([]float64{1}, []float64{2, 3}); err == nil {
+	if _, _, err := growthRate([]float64{1}, []float64{2, 3}); err == nil {
 		t.Error("expected length-mismatch error")
 	}
-	if _, _, err := GrowthRate([]float64{1, 2}, []float64{0, -1}); err == nil {
+	if _, _, err := growthRate([]float64{1, 2}, []float64{0, -1}); err == nil {
 		t.Error("expected error for no positive samples")
 	}
-	if _, _, err := GrowthRate([]float64{5, 5}, []float64{1, 2}); err == nil {
+	if _, _, err := growthRate([]float64{5, 5}, []float64{1, 2}); err == nil {
 		t.Error("expected degenerate-time error")
 	}
 }
@@ -69,7 +69,7 @@ func TestFitRCSRecoversParameters(t *testing.T) {
 		times[i] = float64(i) * 600 // ten-minute samples over 5 hours
 		counts[i] = truth.Analytic(times[i])
 	}
-	fit, err := FitRCS(truth.V, times, counts)
+	fit, err := fitRCS(truth.V, times, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFitRCSRecoversParameters(t *testing.T) {
 		t.Errorf("I0 = %v, want %v", fit.I0, truth.I0)
 	}
 	// The analyst-facing number: implied scan rate ≈ 6/s.
-	if rate := ImpliedScanRate(fit.Beta); math.Abs(rate-6) > 1e-6 {
+	if rate := impliedScanRate(fit.Beta); math.Abs(rate-6) > 1e-6 {
 		t.Errorf("implied scan rate = %v, want 6", rate)
 	}
 }
@@ -107,36 +107,36 @@ func TestFitRCSFromStochasticRun(t *testing.T) {
 		times = append(times, float64(m)*60)
 		counts = append(counts, out.InfectedSeries.At(time.Duration(m)*time.Minute))
 	}
-	fit, err := FitRCS(360000, times, counts)
+	fit, err := fitRCS(360000, times, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ImpliedScanRate(fit.Beta)
+	got := impliedScanRate(fit.Beta)
 	if got < 3 || got > 9 {
 		t.Errorf("implied scan rate %v, want ≈6 (single-run noise allowed)", got)
 	}
 }
 
 func TestFitRCSErrors(t *testing.T) {
-	if _, err := FitRCS(0, []float64{1, 2}, []float64{1, 2}); err == nil {
+	if _, err := fitRCS(0, []float64{1, 2}, []float64{1, 2}); err == nil {
 		t.Error("expected error for V = 0")
 	}
-	if _, err := FitRCS(100, []float64{1}, []float64{1, 2}); err == nil {
+	if _, err := fitRCS(100, []float64{1}, []float64{1, 2}); err == nil {
 		t.Error("expected length-mismatch error")
 	}
 	// Decaying counts: no epidemic.
-	if _, err := FitRCS(100, []float64{0, 1, 2}, []float64{50, 20, 5}); err == nil {
+	if _, err := fitRCS(100, []float64{0, 1, 2}, []float64{50, 20, 5}); err == nil {
 		t.Error("expected error for negative growth")
 	}
 	// All samples at the boundary.
-	if _, err := FitRCS(100, []float64{0, 1}, []float64{0, 100}); err == nil {
+	if _, err := fitRCS(100, []float64{0, 1}, []float64{0, 100}); err == nil {
 		t.Error("expected error for no interior samples")
 	}
 }
 
 func TestImpliedScanRateInverse(t *testing.T) {
 	for _, rate := range []float64{0.5, 6, 4000} {
-		got := ImpliedScanRate(BetaFromScanRate(rate))
+		got := impliedScanRate(BetaFromScanRate(rate))
 		if math.Abs(got-rate) > 1e-9*rate {
 			t.Errorf("round trip %v -> %v", rate, got)
 		}

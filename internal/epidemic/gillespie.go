@@ -7,7 +7,7 @@ import (
 	"wormcontain/internal/rng"
 )
 
-// StochasticSIR is the "general stochastic epidemic model" the paper's
+// stochasticSIR is the "general stochastic epidemic model" the paper's
 // related work builds on ([10]: "They found the stochastic epidemic
 // model is useful for modeling the early stage of the worm spread"): a
 // continuous-time Markov chain with
@@ -19,15 +19,15 @@ import (
 // algorithm. Unlike the deterministic SIR it exhibits early-phase
 // variance and genuine extinction, which is precisely why the paper
 // models the early phase stochastically.
-type StochasticSIR struct {
+type stochasticSIR struct {
 	Beta  float64 // pairwise infection rate
 	Gamma float64 // removal rate per infectious host
 	V     int     // total population
 	I0    int     // initially infectious
 }
 
-// Validate reports whether the parameters are usable.
-func (m StochasticSIR) Validate() error {
+// validate reports whether the parameters are usable.
+func (m stochasticSIR) validate() error {
 	switch {
 	case m.Beta < 0 || math.IsNaN(m.Beta):
 		return fmt.Errorf("epidemic: stochastic SIR beta %v invalid", m.Beta)
@@ -41,16 +41,16 @@ func (m StochasticSIR) Validate() error {
 	return nil
 }
 
-// R0 returns the basic reproduction number β·V/γ (infinite for γ = 0).
-func (m StochasticSIR) R0() float64 {
+// r0 returns the basic reproduction number β·V/γ (infinite for γ = 0).
+func (m stochasticSIR) r0() float64 {
 	if m.Gamma == 0 {
 		return math.Inf(1)
 	}
 	return m.Beta * float64(m.V) / m.Gamma
 }
 
-// SIRPath is one exact sample path: state just after each event.
-type SIRPath struct {
+// sirPath is one exact sample path: state just after each event.
+type sirPath struct {
 	Times   []float64
 	S, I, R []int
 	// Extinct reports the epidemic ended with I = 0 (rather than
@@ -58,21 +58,21 @@ type SIRPath struct {
 	Extinct bool
 }
 
-// Final returns the last recorded state.
-func (p SIRPath) Final() (t float64, s, i, r int) {
+// final returns the last recorded state.
+func (p sirPath) final() (t float64, s, i, r int) {
 	n := len(p.Times) - 1
 	return p.Times[n], p.S[n], p.I[n], p.R[n]
 }
 
-// Simulate runs the Gillespie algorithm from t = 0 until the epidemic
+// simulate runs the Gillespie algorithm from t = 0 until the epidemic
 // dies out (I = 0), tMax elapses, or maxEvents fire — whichever comes
 // first. maxEvents <= 0 selects a generous default.
-func (m StochasticSIR) Simulate(src rng.Source, tMax float64, maxEvents int) (SIRPath, error) {
-	if err := m.Validate(); err != nil {
-		return SIRPath{}, err
+func (m stochasticSIR) simulate(src rng.Source, tMax float64, maxEvents int) (sirPath, error) {
+	if err := m.validate(); err != nil {
+		return sirPath{}, err
 	}
 	if tMax <= 0 || math.IsNaN(tMax) {
-		return SIRPath{}, fmt.Errorf("epidemic: horizon %v, must be > 0", tMax)
+		return sirPath{}, fmt.Errorf("epidemic: horizon %v, must be > 0", tMax)
 	}
 	if maxEvents <= 0 {
 		maxEvents = 10_000_000
@@ -80,7 +80,7 @@ func (m StochasticSIR) Simulate(src rng.Source, tMax float64, maxEvents int) (SI
 
 	s, i, r := m.V-m.I0, m.I0, 0
 	t := 0.0
-	path := SIRPath{
+	path := sirPath{
 		Times: []float64{0},
 		S:     []int{s},
 		I:     []int{i},
@@ -124,8 +124,8 @@ func (m StochasticSIR) Simulate(src rng.Source, tMax float64, maxEvents int) (SI
 	return path, nil
 }
 
-// InfectedAt returns I(t) on the path by step interpolation.
-func (p SIRPath) InfectedAt(t float64) int {
+// infectedAt returns I(t) on the path by step interpolation.
+func (p sirPath) infectedAt(t float64) int {
 	// Binary search for the last event time <= t.
 	lo, hi := 0, len(p.Times)-1
 	for lo < hi {
@@ -139,27 +139,27 @@ func (p SIRPath) InfectedAt(t float64) int {
 	return p.I[lo]
 }
 
-// FinalSize runs one epidemic to extinction and returns the total number
+// finalSize runs one epidemic to extinction and returns the total number
 // of ever-infected hosts (I0 + final R + any frozen I). It requires
 // γ > 0, without which the epidemic cannot end.
-func (m StochasticSIR) FinalSize(src rng.Source, maxEvents int) (int, error) {
+func (m stochasticSIR) finalSize(src rng.Source, maxEvents int) (int, error) {
 	if m.Gamma <= 0 {
 		return 0, fmt.Errorf("epidemic: final size needs gamma > 0")
 	}
-	path, err := m.Simulate(src, math.MaxFloat64/4, maxEvents)
+	path, err := m.simulate(src, math.MaxFloat64/4, maxEvents)
 	if err != nil {
 		return 0, err
 	}
-	_, _, i, r := path.Final()
+	_, _, i, r := path.final()
 	return i + r, nil
 }
 
-// ExtinctionProbEstimate estimates P{minor outbreak} by Monte-Carlo:
+// extinctionProbEstimate estimates P{minor outbreak} by Monte-Carlo:
 // the fraction of runs that die out before infecting more than
 // minorCutoff hosts. For the early phase the branching approximation
 // predicts (γ/(β·S0))^I0 when R0 > 1.
-func (m StochasticSIR) ExtinctionProbEstimate(seed uint64, runs, minorCutoff int) (float64, error) {
-	if err := m.Validate(); err != nil {
+func (m stochasticSIR) extinctionProbEstimate(seed uint64, runs, minorCutoff int) (float64, error) {
+	if err := m.validate(); err != nil {
 		return 0, err
 	}
 	if runs < 1 {
@@ -171,7 +171,7 @@ func (m StochasticSIR) ExtinctionProbEstimate(seed uint64, runs, minorCutoff int
 	minor := 0
 	for run := 0; run < runs; run++ {
 		src := rng.NewPCG64(seed, uint64(run))
-		size, err := m.FinalSize(src, 0)
+		size, err := m.finalSize(src, 0)
 		if err != nil {
 			return 0, err
 		}

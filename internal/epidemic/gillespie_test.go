@@ -8,7 +8,7 @@ import (
 )
 
 func TestStochasticSIRValidation(t *testing.T) {
-	bad := []StochasticSIR{
+	bad := []stochasticSIR{
 		{Beta: -1, Gamma: 1, V: 10, I0: 1},
 		{Beta: 1, Gamma: -1, V: 10, I0: 1},
 		{Beta: 1, Gamma: 1, V: 0, I0: 1},
@@ -17,24 +17,24 @@ func TestStochasticSIRValidation(t *testing.T) {
 		{Beta: math.NaN(), Gamma: 1, V: 10, I0: 1},
 	}
 	for i, m := range bad {
-		if err := m.Validate(); err == nil {
+		if err := m.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
 }
 
 func TestStochasticSIRSimulateErrors(t *testing.T) {
-	m := StochasticSIR{Beta: 1e-4, Gamma: 0.1, V: 100, I0: 1}
+	m := stochasticSIR{Beta: 1e-4, Gamma: 0.1, V: 100, I0: 1}
 	src := rng.NewPCG64(1, 0)
-	if _, err := m.Simulate(src, 0, 0); err == nil {
+	if _, err := m.simulate(src, 0, 0); err == nil {
 		t.Error("expected error for zero horizon")
 	}
 }
 
 func TestStochasticSIRConservation(t *testing.T) {
-	m := StochasticSIR{Beta: 2e-3, Gamma: 0.5, V: 500, I0: 5}
+	m := stochasticSIR{Beta: 2e-3, Gamma: 0.5, V: 500, I0: 5}
 	src := rng.NewPCG64(2, 0)
-	path, err := m.Simulate(src, 1000, 0)
+	path, err := m.simulate(src, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestStochasticSIRConservation(t *testing.T) {
 
 func TestStochasticSIREventuallyExtinct(t *testing.T) {
 	// With γ > 0 and finite population every epidemic dies out.
-	m := StochasticSIR{Beta: 1e-3, Gamma: 0.2, V: 300, I0: 3}
+	m := stochasticSIR{Beta: 1e-3, Gamma: 0.2, V: 300, I0: 3}
 	for run := uint64(0); run < 20; run++ {
 		src := rng.NewPCG64(3, run)
-		size, err := m.FinalSize(src, 0)
+		size, err := m.finalSize(src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +72,8 @@ func TestStochasticSIREventuallyExtinct(t *testing.T) {
 }
 
 func TestStochasticSIRFinalSizeNeedsGamma(t *testing.T) {
-	m := StochasticSIR{Beta: 1e-3, Gamma: 0, V: 100, I0: 1}
-	if _, err := m.FinalSize(rng.NewPCG64(4, 0), 0); err == nil {
+	m := stochasticSIR{Beta: 1e-3, Gamma: 0, V: 100, I0: 1}
+	if _, err := m.finalSize(rng.NewPCG64(4, 0), 0); err == nil {
 		t.Error("expected error for gamma = 0")
 	}
 }
@@ -81,7 +81,7 @@ func TestStochasticSIRFinalSizeNeedsGamma(t *testing.T) {
 func TestStochasticSIRMeanTracksODE(t *testing.T) {
 	// The CTMC mean should track the deterministic SIR in a moderately
 	// large population over a short horizon.
-	m := StochasticSIR{Beta: 5e-4, Gamma: 0.05, V: 2000, I0: 20}
+	m := stochasticSIR{Beta: 5e-4, Gamma: 0.05, V: 2000, I0: 20}
 	const (
 		horizon = 10.0
 		runs    = 200
@@ -89,16 +89,16 @@ func TestStochasticSIRMeanTracksODE(t *testing.T) {
 	sum := 0.0
 	for run := uint64(0); run < runs; run++ {
 		src := rng.NewPCG64(5, run)
-		path, err := m.Simulate(src, horizon, 0)
+		path, err := m.simulate(src, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += float64(path.InfectedAt(horizon))
+		sum += float64(path.infectedAt(horizon))
 	}
 	mcMean := sum / runs
 
-	ode := SIR{Beta: m.Beta, Gamma: m.Gamma, V: float64(m.V), I0: float64(m.I0)}
-	tr, err := ode.Integrate(horizon, 0.001, 1)
+	ode := sir{Beta: m.Beta, Gamma: m.Gamma, V: float64(m.V), I0: float64(m.I0)}
+	tr, err := ode.integrate(horizon, 0.001, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,24 +111,24 @@ func TestStochasticSIRMeanTracksODE(t *testing.T) {
 func TestStochasticSIRExtinctionMatchesBranching(t *testing.T) {
 	// Early-phase branching approximation: starting from I0 = 1 with
 	// R0 = β·V/γ > 1, the minor-outbreak probability is ≈ 1/R0.
-	m := StochasticSIR{Beta: 2e-3, Gamma: 1, V: 1000, I0: 1} // R0 = 2
-	got, err := m.ExtinctionProbEstimate(6, 2000, 50)
+	m := stochasticSIR{Beta: 2e-3, Gamma: 1, V: 1000, I0: 1} // R0 = 2
+	got, err := m.extinctionProbEstimate(6, 2000, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1 / m.R0()
+	want := 1 / m.r0()
 	if math.Abs(got-want) > 0.06 {
 		t.Errorf("minor-outbreak fraction %v, branching predicts %v", got, want)
 	}
 }
 
 func TestStochasticSIRDeterministicPerSeed(t *testing.T) {
-	m := StochasticSIR{Beta: 1e-3, Gamma: 0.3, V: 400, I0: 4}
-	a, err := m.Simulate(rng.NewPCG64(7, 0), 100, 0)
+	m := stochasticSIR{Beta: 1e-3, Gamma: 0.3, V: 400, I0: 4}
+	a, err := m.simulate(rng.NewPCG64(7, 0), 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Simulate(rng.NewPCG64(7, 0), 100, 0)
+	b, err := m.simulate(rng.NewPCG64(7, 0), 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,25 +143,25 @@ func TestStochasticSIRDeterministicPerSeed(t *testing.T) {
 }
 
 func TestStochasticSIRR0(t *testing.T) {
-	m := StochasticSIR{Beta: 2e-3, Gamma: 1, V: 1000, I0: 1}
-	if got := m.R0(); math.Abs(got-2) > 1e-12 {
+	m := stochasticSIR{Beta: 2e-3, Gamma: 1, V: 1000, I0: 1}
+	if got := m.r0(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("R0 = %v, want 2", got)
 	}
 	m.Gamma = 0
-	if !math.IsInf(m.R0(), 1) {
-		t.Errorf("R0 with gamma 0 = %v, want +Inf", m.R0())
+	if !math.IsInf(m.r0(), 1) {
+		t.Errorf("R0 with gamma 0 = %v, want +Inf", m.r0())
 	}
 }
 
 func TestStochasticSIRFrozenWithoutRemoval(t *testing.T) {
 	// γ = 0 and all susceptibles infected: absorbing state with I > 0;
 	// Simulate must terminate at the horizon, not spin.
-	m := StochasticSIR{Beta: 1, Gamma: 0, V: 5, I0: 1}
-	path, err := m.Simulate(rng.NewPCG64(8, 0), 100, 0)
+	m := stochasticSIR{Beta: 1, Gamma: 0, V: 5, I0: 1}
+	path, err := m.simulate(rng.NewPCG64(8, 0), 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, s, i, _ := path.Final()
+	_, s, i, _ := path.final()
 	if s != 0 || i != 5 {
 		t.Errorf("final state S=%d I=%d, want full infection", s, i)
 	}
@@ -171,7 +171,7 @@ func TestStochasticSIRFrozenWithoutRemoval(t *testing.T) {
 }
 
 func TestInfectedAtStepSemantics(t *testing.T) {
-	p := SIRPath{
+	p := sirPath{
 		Times: []float64{0, 1, 2},
 		S:     []int{9, 8, 7},
 		I:     []int{1, 2, 3},
@@ -182,7 +182,7 @@ func TestInfectedAtStepSemantics(t *testing.T) {
 		want int
 	}{{0, 1}, {0.5, 1}, {1, 2}, {1.9, 2}, {2, 3}, {99, 3}}
 	for _, c := range cases {
-		if got := p.InfectedAt(c.t); got != c.want {
+		if got := p.infectedAt(c.t); got != c.want {
 			t.Errorf("InfectedAt(%v) = %d, want %d", c.t, got, c.want)
 		}
 	}

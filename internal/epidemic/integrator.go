@@ -14,14 +14,14 @@ package epidemic
 
 import "fmt"
 
-// Derivatives computes dy/dt for state y at time t, writing into dst
+// derivatives computes dy/dt for state y at time t, writing into dst
 // (same length as y). Implementations must not retain the slices.
-type Derivatives func(t float64, y, dst []float64)
+type derivatives func(t float64, y, dst []float64)
 
-// RK4 integrates dy/dt = f from t0 to t1 with fixed step h, starting
+// rk4 integrates dy/dt = f from t0 to t1 with fixed step h, starting
 // from y0. It returns the state at t1. The final step is shortened to
 // land exactly on t1.
-func RK4(f Derivatives, y0 []float64, t0, t1, h float64) ([]float64, error) {
+func rk4(f derivatives, y0 []float64, t0, t1, h float64) ([]float64, error) {
 	if h <= 0 {
 		return nil, fmt.Errorf("epidemic: step size %v, must be > 0", h)
 	}
@@ -70,8 +70,8 @@ type Trajectory struct {
 	States [][]float64
 }
 
-// Component extracts one state component as a flat series.
-func (tr Trajectory) Component(idx int) []float64 {
+// component extracts one state component as a flat series.
+func (tr Trajectory) component(idx int) []float64 {
 	out := make([]float64, len(tr.States))
 	for i, s := range tr.States {
 		out[i] = s[idx]
@@ -79,9 +79,9 @@ func (tr Trajectory) Component(idx int) []float64 {
 	return out
 }
 
-// Integrate runs RK4 from t0 to t1 and records the state at samples+1
+// integrate runs RK4 from t0 to t1 and records the state at samples+1
 // evenly spaced instants (including both endpoints).
-func Integrate(f Derivatives, y0 []float64, t0, t1, h float64, samples int) (Trajectory, error) {
+func integrate(f derivatives, y0 []float64, t0, t1, h float64, samples int) (Trajectory, error) {
 	if samples < 1 {
 		return Trajectory{}, fmt.Errorf("epidemic: samples = %d, must be >= 1", samples)
 	}
@@ -93,7 +93,7 @@ func Integrate(f Derivatives, y0 []float64, t0, t1, h float64, samples int) (Tra
 	prev := t0
 	for i := 0; i <= samples; i++ {
 		target := t0 + (t1-t0)*float64(i)/float64(samples)
-		next, err := RK4(f, y, prev, target, h)
+		next, err := rk4(f, y, prev, target, h)
 		if err != nil {
 			return Trajectory{}, err
 		}

@@ -19,8 +19,8 @@ type RCS struct {
 	I0   float64 // initially infected
 }
 
-// Validate reports whether the parameters are usable.
-func (m RCS) Validate() error {
+// validate reports whether the parameters are usable.
+func (m RCS) validate() error {
 	switch {
 	case m.Beta < 0 || math.IsNaN(m.Beta):
 		return fmt.Errorf("epidemic: RCS beta %v invalid", m.Beta)
@@ -32,8 +32,8 @@ func (m RCS) Validate() error {
 	return nil
 }
 
-// Derivatives implements the one-dimensional ODE (state = [I]).
-func (m RCS) Derivatives(_ float64, y, dst []float64) {
+// derivatives implements the one-dimensional ODE (state = [I]).
+func (m RCS) derivatives(_ float64, y, dst []float64) {
 	dst[0] = m.Beta * y[0] * (m.V - y[0])
 }
 
@@ -48,16 +48,16 @@ func (m RCS) Analytic(t float64) float64 {
 	return m.I0 * m.V * e / (m.V + m.I0*(e-1))
 }
 
-// Integrate solves the model on [0, t1] with step h, sampling samples+1
+// integrate solves the model on [0, t1] with step h, sampling samples+1
 // points of I(t).
-func (m RCS) Integrate(t1, h float64, samples int) (Trajectory, error) {
-	if err := m.Validate(); err != nil {
+func (m RCS) integrate(t1, h float64, samples int) (Trajectory, error) {
+	if err := m.validate(); err != nil {
 		return Trajectory{}, err
 	}
-	return Integrate(m.Derivatives, []float64{m.I0}, 0, t1, h, samples)
+	return integrate(m.derivatives, []float64{m.I0}, 0, t1, h, samples)
 }
 
-// SIR is the classical Kermack–McKendrick compartment model with states
+// sir is the classical Kermack–McKendrick compartment model with states
 // [S, I, R]:
 //
 //	dS/dt = −β·S·I
@@ -66,15 +66,15 @@ func (m RCS) Integrate(t1, h float64, samples int) (Trajectory, error) {
 //
 // γ is the removal (patch/clean-up) rate; with γ = 0 it degenerates to
 // RCS.
-type SIR struct {
+type sir struct {
 	Beta  float64
 	Gamma float64
 	V     float64 // total population S+I+R
 	I0    float64
 }
 
-// Validate reports whether the parameters are usable.
-func (m SIR) Validate() error {
+// validate reports whether the parameters are usable.
+func (m sir) validate() error {
 	switch {
 	case m.Beta < 0 || math.IsNaN(m.Beta):
 		return fmt.Errorf("epidemic: SIR beta %v invalid", m.Beta)
@@ -88,8 +88,8 @@ func (m SIR) Validate() error {
 	return nil
 }
 
-// Derivatives implements the three-dimensional ODE (state = [S, I, R]).
-func (m SIR) Derivatives(_ float64, y, dst []float64) {
+// derivatives implements the three-dimensional ODE (state = [S, I, R]).
+func (m sir) derivatives(_ float64, y, dst []float64) {
 	s, i := y[0], y[1]
 	inf := m.Beta * s * i
 	dst[0] = -inf
@@ -97,13 +97,13 @@ func (m SIR) Derivatives(_ float64, y, dst []float64) {
 	dst[2] = m.Gamma * i
 }
 
-// Integrate solves the model on [0, t1] with step h.
-func (m SIR) Integrate(t1, h float64, samples int) (Trajectory, error) {
-	if err := m.Validate(); err != nil {
+// integrate solves the model on [0, t1] with step h.
+func (m sir) integrate(t1, h float64, samples int) (Trajectory, error) {
+	if err := m.validate(); err != nil {
 		return Trajectory{}, err
 	}
 	y0 := []float64{m.V - m.I0, m.I0, 0}
-	return Integrate(m.Derivatives, y0, 0, t1, h, samples)
+	return integrate(m.derivatives, y0, 0, t1, h, samples)
 }
 
 // TwoFactor is the two-factor worm model of Zou, Gong and Towsley [19],
@@ -126,8 +126,8 @@ type TwoFactor struct {
 	I0    float64
 }
 
-// Validate reports whether the parameters are usable.
-func (m TwoFactor) Validate() error {
+// validate reports whether the parameters are usable.
+func (m TwoFactor) validate() error {
 	switch {
 	case m.Beta0 < 0 || math.IsNaN(m.Beta0):
 		return fmt.Errorf("epidemic: two-factor beta0 %v invalid", m.Beta0)
@@ -142,8 +142,8 @@ func (m TwoFactor) Validate() error {
 	return nil
 }
 
-// Derivatives implements the four-dimensional ODE (state = [I, R, Q, J]).
-func (m TwoFactor) Derivatives(_ float64, y, dst []float64) {
+// derivatives implements the four-dimensional ODE (state = [I, R, Q, J]).
+func (m TwoFactor) derivatives(_ float64, y, dst []float64) {
 	i, r, q, j := y[0], y[1], y[2], y[3]
 	s := m.V - i - r - q
 	if s < 0 {
@@ -163,11 +163,11 @@ func (m TwoFactor) Derivatives(_ float64, y, dst []float64) {
 
 // Integrate solves the model on [0, t1] with step h.
 func (m TwoFactor) Integrate(t1, h float64, samples int) (Trajectory, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return Trajectory{}, err
 	}
 	y0 := []float64{m.I0, 0, 0, m.I0}
-	return Integrate(m.Derivatives, y0, 0, t1, h, samples)
+	return integrate(m.derivatives, y0, 0, t1, h, samples)
 }
 
 // BetaFromScanRate converts a uniform scan rate (scans/second against

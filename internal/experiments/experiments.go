@@ -103,16 +103,16 @@ type Result struct {
 	Notes []string
 }
 
-// Runner produces one artifact.
-type Runner func(Options) (*Result, error)
+// runner produces one artifact.
+type runner func(Options) (*Result, error)
 
 // registry maps artifact IDs to runners. Populated by the runner files'
 // register calls at package initialization; the map itself is written
 // once and read-only afterwards.
-var registry = map[string]Runner{}
+var registry = map[string]runner{}
 
 // register adds a runner; duplicate IDs are a programming error.
-func register(id string, r Runner) {
+func register(id string, r runner) {
 	if _, dup := registry[id]; dup {
 		panic(fmt.Sprintf("experiments: duplicate runner %q", id))
 	}

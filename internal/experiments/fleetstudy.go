@@ -183,7 +183,7 @@ func runFleetReplication(seed uint64, r int) (fleetTally, error) {
 			t.propSamples[si] = 1
 		}
 
-		solo := make([]core.ContainmentLimiter, n)
+		solo := make([]*core.Limiter, n)
 		for i := range solo {
 			if solo[i], err = core.NewLimiter(fleetStudyCfg, start); err != nil {
 				return t, err

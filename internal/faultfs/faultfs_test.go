@@ -159,7 +159,7 @@ func TestShortWriteInjection(t *testing.T) {
 	p := []byte("0123456789")
 	n, err := w.Write(p)
 	var ie *InjectedError
-	if !errors.As(err, &ie) || ie.Fault != FaultShortWrite {
+	if !errors.As(err, &ie) || ie.Fault != faultShortWrite {
 		t.Fatalf("Write err = %v, want InjectedError{shortwrite}", err)
 	}
 	if n <= 0 || n >= len(p) {

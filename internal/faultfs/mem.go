@@ -15,20 +15,20 @@ import (
 type Op int
 
 const (
-	// OpCreate is FS.Create.
-	OpCreate Op = iota
-	// OpAppend is FS.Append.
-	OpAppend
-	// OpWrite is one File.Write call.
-	OpWrite
-	// OpSync is one File.Sync call.
-	OpSync
-	// OpClose is one File.Close call.
-	OpClose
-	// OpRename is FS.Rename.
-	OpRename
-	// OpRemove is FS.Remove.
-	OpRemove
+	// opCreate is FS.Create.
+	opCreate Op = iota
+	// opAppend is FS.Append.
+	opAppend
+	// opWrite is one File.Write call.
+	opWrite
+	// opSync is one File.Sync call.
+	opSync
+	// opClose is one File.Close call.
+	opClose
+	// opRename is FS.Rename.
+	opRename
+	// opRemove is FS.Remove.
+	opRemove
 
 	numOps
 )
@@ -37,19 +37,19 @@ const (
 // crash traces tests compare byte-for-byte).
 func (o Op) String() string {
 	switch o {
-	case OpCreate:
+	case opCreate:
 		return "create"
-	case OpAppend:
+	case opAppend:
 		return "append"
-	case OpWrite:
+	case opWrite:
 		return "write"
-	case OpSync:
+	case opSync:
 		return "sync"
-	case OpClose:
+	case opClose:
 		return "close"
-	case OpRename:
+	case opRename:
 		return "rename"
-	case OpRemove:
+	case opRemove:
 		return "remove"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
@@ -60,26 +60,26 @@ func (o Op) String() string {
 type Fault int
 
 const (
-	// FaultNone means the operation proceeds untouched.
-	FaultNone Fault = iota
-	// FaultCrash kills the filesystem at this operation: the op's
+	// faultNone means the operation proceeds untouched.
+	faultNone Fault = iota
+	// faultCrash kills the filesystem at this operation: the op's
 	// effect is applied at most partially (a Write keeps only a
 	// deterministic prefix) and every subsequent operation fails with
 	// ErrCrashed until Reopen.
-	FaultCrash
-	// FaultShortWrite persists only a prefix of the buffer and returns
+	faultCrash
+	// faultShortWrite persists only a prefix of the buffer and returns
 	// an error without crashing — a full disk or interrupted write.
-	FaultShortWrite
+	faultShortWrite
 )
 
 // String implements fmt.Stringer.
 func (f Fault) String() string {
 	switch f {
-	case FaultNone:
+	case faultNone:
 		return "none"
-	case FaultCrash:
+	case faultCrash:
 		return "crash"
-	case FaultShortWrite:
+	case faultShortWrite:
 		return "shortwrite"
 	default:
 		return fmt.Sprintf("Fault(%d)", int(f))
@@ -119,7 +119,7 @@ type Event struct {
 	Seq uint64
 	// Op is the operation the decision applies to.
 	Op Op
-	// Fault is the injected fault (FaultNone for a clean pass).
+	// Fault is the injected fault (faultNone for a clean pass).
 	Fault Fault
 	// Aux parameterizes the fault (torn-prefix and corruption draws);
 	// always drawn so the stream advances a fixed amount per op.
@@ -145,7 +145,7 @@ type Injector struct {
 	profile Profile
 	src     *rng.PCG64
 	seq     uint64
-	crashAt uint64 // fire FaultCrash on this Seq; 0 = never
+	crashAt uint64 // fire faultCrash on this Seq; 0 = never
 	trace   []Event
 	counts  [numOps]uint64
 }
@@ -159,7 +159,7 @@ func NewInjector(profile Profile, seed uint64) *Injector {
 	}
 }
 
-// SetCrashAt schedules FaultCrash on the n-th injectable operation
+// SetCrashAt schedules faultCrash on the n-th injectable operation
 // (1-based); 0 disables crashing. The crash-injection suite first runs
 // a campaign with 0 to count operations, then sweeps n across all of
 // them.
@@ -188,9 +188,9 @@ func (in *Injector) decide(op Op) Event {
 	e.Aux = in.src.Uint64()
 	switch {
 	case in.crashAt != 0 && in.seq == in.crashAt:
-		e.Fault = FaultCrash
-	case op == OpWrite && u < in.profile.ShortWrite:
-		e.Fault = FaultShortWrite
+		e.Fault = faultCrash
+	case op == opWrite && u < in.profile.ShortWrite:
+		e.Fault = faultShortWrite
 	}
 	if len(in.trace) < maxTrace {
 		in.trace = append(in.trace, e)
@@ -251,6 +251,8 @@ type Mem struct {
 	crashed bool
 }
 
+var _ FS = (*Mem)(nil)
+
 // NewMem returns an empty in-memory filesystem. inj may be nil for a
 // fault-free memfs.
 func NewMem(inj *Injector) *Mem {
@@ -267,7 +269,7 @@ func (m *Mem) decide(op Op) (Event, error) {
 		return Event{}, nil
 	}
 	e := m.inj.decide(op)
-	if e.Fault == FaultCrash {
+	if e.Fault == faultCrash {
 		m.crashed = true
 	}
 	return e, nil
@@ -349,7 +351,7 @@ func (m *Mem) ReadFile(name string) ([]byte, error) {
 func (m *Mem) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.decide(OpCreate); err != nil {
+	if _, err := m.decide(opCreate); err != nil {
 		return nil, err
 	}
 	if m.crashed {
@@ -365,7 +367,7 @@ func (m *Mem) Create(name string) (File, error) {
 func (m *Mem) Append(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.decide(OpAppend); err != nil {
+	if _, err := m.decide(opAppend); err != nil {
 		return nil, err
 	}
 	if m.crashed {
@@ -383,7 +385,7 @@ func (m *Mem) Append(name string) (File, error) {
 func (m *Mem) Rename(oldname, newname string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.decide(OpRename); err != nil {
+	if _, err := m.decide(opRename); err != nil {
 		return err
 	}
 	if m.crashed {
@@ -402,7 +404,7 @@ func (m *Mem) Rename(oldname, newname string) error {
 func (m *Mem) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.decide(OpRemove); err != nil {
+	if _, err := m.decide(opRemove); err != nil {
 		return err
 	}
 	if m.crashed {
@@ -435,7 +437,7 @@ func (h *memHandle) file() *memFile {
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	e, err := h.m.decide(OpWrite)
+	e, err := h.m.decide(opWrite)
 	if err != nil {
 		return 0, err
 	}
@@ -444,15 +446,15 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		return 0, &fs.PathError{Op: "write", Path: h.name, Err: fs.ErrNotExist}
 	}
 	switch e.Fault {
-	case FaultCrash:
+	case faultCrash:
 		keep := int(e.Aux % uint64(len(p)+1))
 		f.cur = append(f.cur, p[:keep]...)
 		return keep, ErrCrashed
-	case FaultShortWrite:
+	case faultShortWrite:
 		if len(p) > 1 {
 			keep := 1 + int(e.Aux%uint64(len(p)-1))
 			f.cur = append(f.cur, p[:keep]...)
-			return keep, &InjectedError{Fault: FaultShortWrite, Op: OpWrite}
+			return keep, &InjectedError{Fault: faultShortWrite, Op: opWrite}
 		}
 	}
 	f.cur = append(f.cur, p...)
@@ -466,7 +468,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 func (h *memHandle) Sync() error {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	if _, err := h.m.decide(OpSync); err != nil {
+	if _, err := h.m.decide(opSync); err != nil {
 		return err
 	}
 	if h.m.crashed {
@@ -484,7 +486,7 @@ func (h *memHandle) Sync() error {
 func (h *memHandle) Close() error {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	if _, err := h.m.decide(OpClose); err != nil {
+	if _, err := h.m.decide(opClose); err != nil {
 		return err
 	}
 	if h.m.crashed {

@@ -34,24 +34,24 @@ import (
 type Fault int
 
 const (
-	// FaultNone means the operation proceeds untouched.
-	FaultNone Fault = iota
-	// FaultDialFail makes a dial return an error without connecting.
-	FaultDialFail
-	// FaultReset closes the underlying connection and surfaces an error,
+	// faultNone means the operation proceeds untouched.
+	faultNone Fault = iota
+	// faultDialFail makes a dial return an error without connecting.
+	faultDialFail
+	// faultReset closes the underlying connection and surfaces an error,
 	// imitating a peer RST mid-conversation.
-	FaultReset
-	// FaultLatency delays the operation by a duration drawn from
+	faultReset
+	// faultLatency delays the operation by a duration drawn from
 	// [LatencyLow, LatencyHigh].
-	FaultLatency
-	// FaultStall blocks the operation for StallFor before proceeding —
+	faultLatency
+	// faultStall blocks the operation for StallFor before proceeding —
 	// long enough to trip deadlines, unlike ordinary latency.
-	FaultStall
-	// FaultShortWrite delivers only a prefix of the buffer and returns
+	faultStall
+	// faultShortWrite delivers only a prefix of the buffer and returns
 	// an error, the partial-write behavior of a congested socket.
-	FaultShortWrite
-	// FaultCorrupt flips one byte of a completed read.
-	FaultCorrupt
+	faultShortWrite
+	// faultCorrupt flips one byte of a completed read.
+	faultCorrupt
 
 	numFaults
 )
@@ -60,19 +60,19 @@ const (
 // traces that tests compare byte-for-byte).
 func (f Fault) String() string {
 	switch f {
-	case FaultNone:
+	case faultNone:
 		return "none"
-	case FaultDialFail:
+	case faultDialFail:
 		return "dialfail"
-	case FaultReset:
+	case faultReset:
 		return "reset"
-	case FaultLatency:
+	case faultLatency:
 		return "latency"
-	case FaultStall:
+	case faultStall:
 		return "stall"
-	case FaultShortWrite:
+	case faultShortWrite:
 		return "shortwrite"
-	case FaultCorrupt:
+	case faultCorrupt:
 		return "corrupt"
 	default:
 		return fmt.Sprintf("Fault(%d)", int(f))
@@ -83,22 +83,22 @@ func (f Fault) String() string {
 type Op int
 
 const (
-	// OpDial is a connection-establishment attempt.
-	OpDial Op = iota
-	// OpRead is one Read call on a wrapped connection.
-	OpRead
-	// OpWrite is one Write call on a wrapped connection.
-	OpWrite
+	// opDial is a connection-establishment attempt.
+	opDial Op = iota
+	// opRead is one Read call on a wrapped connection.
+	opRead
+	// opWrite is one Write call on a wrapped connection.
+	opWrite
 )
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
 	switch o {
-	case OpDial:
+	case opDial:
 		return "dial"
-	case OpRead:
+	case opRead:
 		return "read"
-	case OpWrite:
+	case opWrite:
 		return "write"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
@@ -108,7 +108,7 @@ func (o Op) String() string {
 // Profile sets the per-operation probability of each fault and the
 // magnitude of the time-based ones. The zero Profile injects nothing.
 type Profile struct {
-	// DialFail is P(a dial attempt errors out) per OpDial.
+	// DialFail is P(a dial attempt errors out) per opDial.
 	DialFail float64
 	// Reset is P(injected connection reset) per Read/Write.
 	Reset float64
@@ -232,7 +232,7 @@ type Event struct {
 	Seq uint64
 	// Op is the operation the decision applies to.
 	Op Op
-	// Fault is the injected fault (FaultNone for a clean pass).
+	// Fault is the injected fault (faultNone for a clean pass).
 	Fault Fault
 	// Delay is the injected latency/stall duration (zero otherwise).
 	Delay time.Duration
@@ -320,11 +320,11 @@ func (in *Injector) decide(op Op) Event {
 	in.seq++
 	e := Event{Seq: in.seq, Op: op}
 	switch op {
-	case OpDial:
+	case opDial:
 		if in.src.Float64() < in.profile.DialFail {
-			e.Fault = FaultDialFail
+			e.Fault = faultDialFail
 		}
-	case OpRead, OpWrite:
+	case opRead, opWrite:
 		uReset := in.src.Float64()
 		uStall := in.src.Float64()
 		uLat := in.src.Float64()
@@ -333,18 +333,18 @@ func (in *Injector) decide(op Op) Event {
 		aux := in.src.Uint64()
 		switch {
 		case uReset < in.profile.Reset:
-			e.Fault = FaultReset
-		case op == OpRead && uKind < in.profile.Corrupt:
-			e.Fault = FaultCorrupt
+			e.Fault = faultReset
+		case op == opRead && uKind < in.profile.Corrupt:
+			e.Fault = faultCorrupt
 			e.Aux = aux
-		case op == OpWrite && uKind < in.profile.ShortWrite:
-			e.Fault = FaultShortWrite
+		case op == opWrite && uKind < in.profile.ShortWrite:
+			e.Fault = faultShortWrite
 			e.Aux = aux
 		case uStall < in.profile.Stall:
-			e.Fault = FaultStall
+			e.Fault = faultStall
 			e.Delay = in.profile.StallFor
 		case uLat < in.profile.Latency:
-			e.Fault = FaultLatency
+			e.Fault = faultLatency
 			span := in.profile.LatencyHigh - in.profile.LatencyLow
 			e.Delay = in.profile.LatencyLow + time.Duration(durU*float64(span))
 		}
@@ -356,13 +356,13 @@ func (in *Injector) decide(op Op) Event {
 	return e
 }
 
-// Counts returns how many times each fault fired (FaultNone counts
+// countsByName returns how many times each fault fired (faultNone counts
 // clean passes), keyed by Fault name.
-func (in *Injector) Counts() map[string]uint64 {
+func (in *Injector) countsByName() map[string]uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	out := make(map[string]uint64, int(numFaults))
-	for f := FaultNone; f < numFaults; f++ {
+	for f := faultNone; f < numFaults; f++ {
 		if in.counts[f] > 0 {
 			out[f.String()] = in.counts[f]
 		}
@@ -370,10 +370,10 @@ func (in *Injector) Counts() map[string]uint64 {
 	return out
 }
 
-// CountsString renders Counts as "k=v k=v" in sorted key order — the
+// CountsString renders countsByName as "k=v k=v" in sorted key order — the
 // human-readable campaign summary.
 func (in *Injector) CountsString() string {
-	counts := in.Counts()
+	counts := in.countsByName()
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
@@ -415,14 +415,14 @@ type DialFunc func(network, address string) (net.Conn, error)
 // successful connection is fault-wrapped.
 func (in *Injector) Dial(next DialFunc) DialFunc {
 	return func(network, address string) (net.Conn, error) {
-		if e := in.decide(OpDial); e.Fault == FaultDialFail {
-			return nil, &InjectedError{Fault: FaultDialFail}
+		if e := in.decide(opDial); e.Fault == faultDialFail {
+			return nil, &InjectedError{Fault: faultDialFail}
 		}
 		conn, err := next(network, address)
 		if err != nil {
 			return nil, err
 		}
-		return in.Conn(conn), nil
+		return in.conn(conn), nil
 	}
 }
 
@@ -434,22 +434,22 @@ func (in *Injector) Dial(next DialFunc) DialFunc {
 // the draw order run-dependent.
 func (in *Injector) DialOnly(next DialFunc) DialFunc {
 	return func(network, address string) (net.Conn, error) {
-		if e := in.decide(OpDial); e.Fault == FaultDialFail {
-			return nil, &InjectedError{Fault: FaultDialFail}
+		if e := in.decide(opDial); e.Fault == faultDialFail {
+			return nil, &InjectedError{Fault: faultDialFail}
 		}
 		return next(network, address)
 	}
 }
 
-// Conn wraps an established connection with the injector's fault
+// conn wraps an established connection with the injector's fault
 // schedule.
-func (in *Injector) Conn(conn net.Conn) net.Conn {
+func (in *Injector) conn(conn net.Conn) net.Conn {
 	return &faultConn{Conn: conn, in: in}
 }
 
-// Listener wraps a listener so every accepted connection is
+// listener wraps a listener so every accepted connection is
 // fault-wrapped.
-func (in *Injector) Listener(ln net.Listener) net.Listener {
+func (in *Injector) listener(ln net.Listener) net.Listener {
 	return &faultListener{Listener: ln, in: in}
 }
 
@@ -465,7 +465,7 @@ func (l *faultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.in.Conn(conn), nil
+	return l.in.conn(conn), nil
 }
 
 // faultConn applies per-operation fault decisions to an underlying
@@ -478,16 +478,16 @@ type faultConn struct {
 // Read applies the schedule: reset aborts, stall/latency delay, corrupt
 // flips one byte of a successful read.
 func (c *faultConn) Read(p []byte) (int, error) {
-	e := c.in.decide(OpRead)
+	e := c.in.decide(opRead)
 	switch e.Fault {
-	case FaultReset:
+	case faultReset:
 		_ = c.Conn.Close()
-		return 0, &InjectedError{Fault: FaultReset}
-	case FaultStall, FaultLatency:
+		return 0, &InjectedError{Fault: faultReset}
+	case faultStall, faultLatency:
 		c.in.sleep(e.Delay)
 	}
 	n, err := c.Conn.Read(p)
-	if e.Fault == FaultCorrupt && n > 0 {
+	if e.Fault == faultCorrupt && n > 0 {
 		// Aux picks the position and (always non-zero) flip pattern.
 		p[int(e.Aux%uint64(n))] ^= byte(e.Aux>>8) | 1
 	}
@@ -497,20 +497,20 @@ func (c *faultConn) Read(p []byte) (int, error) {
 // Write applies the schedule: reset aborts, stall/latency delay, short
 // write delivers only a prefix and reports the failure.
 func (c *faultConn) Write(p []byte) (int, error) {
-	e := c.in.decide(OpWrite)
+	e := c.in.decide(opWrite)
 	switch e.Fault {
-	case FaultReset:
+	case faultReset:
 		_ = c.Conn.Close()
-		return 0, &InjectedError{Fault: FaultReset}
-	case FaultStall, FaultLatency:
+		return 0, &InjectedError{Fault: faultReset}
+	case faultStall, faultLatency:
 		c.in.sleep(e.Delay)
-	case FaultShortWrite:
+	case faultShortWrite:
 		if len(p) > 1 {
 			n, err := c.Conn.Write(p[:1+int(e.Aux%uint64(len(p)-1))])
 			if err != nil {
 				return n, err
 			}
-			return n, &InjectedError{Fault: FaultShortWrite}
+			return n, &InjectedError{Fault: faultShortWrite}
 		}
 	}
 	return c.Conn.Write(p)

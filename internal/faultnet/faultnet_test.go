@@ -14,7 +14,7 @@ import (
 // returns the resulting schedule. It exercises decide directly so the
 // replay assertion is about the schedule itself, not socket behavior.
 func scriptOps(in *Injector, n int) string {
-	ops := []Op{OpDial, OpRead, OpWrite}
+	ops := []Op{opDial, opRead, opWrite}
 	for i := 0; i < n; i++ {
 		in.decide(ops[i%len(ops)])
 	}
@@ -61,13 +61,13 @@ func TestDecideDrawCountIndependence(t *testing.T) {
 	mk := func(p Profile) *Injector { return New(p, 42) }
 	a, b := mk(chaosProfile()), mk(Profile{})
 	for i := 0; i < 50; i++ {
-		a.decide(OpRead)
-		b.decide(OpRead)
+		a.decide(opRead)
+		b.decide(opRead)
 	}
 	// After identical op counts, the underlying streams are aligned:
 	// the next decision under a shared profile must match.
-	ea := a.decide(OpWrite)
-	eb := b.decide(OpWrite)
+	ea := a.decide(opWrite)
+	eb := b.decide(opWrite)
 	if ea.Seq != eb.Seq {
 		t.Fatalf("streams misaligned: seq %d vs %d", ea.Seq, eb.Seq)
 	}
@@ -108,13 +108,13 @@ func TestParseProfileErrors(t *testing.T) {
 func TestZeroProfileInjectsNothing(t *testing.T) {
 	in := New(Profile{}, 7)
 	for i := 0; i < 500; i++ {
-		for _, op := range []Op{OpDial, OpRead, OpWrite} {
-			if e := in.decide(op); e.Fault != FaultNone {
+		for _, op := range []Op{opDial, opRead, opWrite} {
+			if e := in.decide(op); e.Fault != faultNone {
 				t.Fatalf("zero profile injected %v on %v", e.Fault, op)
 			}
 		}
 	}
-	if got := in.Counts()["none"]; got != 1500 {
+	if got := in.countsByName()["none"]; got != 1500 {
 		t.Errorf("clean passes = %d, want 1500", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestDialFailAndWrapping(t *testing.T) {
 		conn, err := dial("tcp", ln.Addr().String())
 		if err != nil {
 			var inj *InjectedError
-			if !errors.As(err, &inj) || inj.Fault != FaultDialFail {
+			if !errors.As(err, &inj) || inj.Fault != faultDialFail {
 				t.Fatalf("unexpected dial error: %v", err)
 			}
 			if inj.Timeout() || !inj.Temporary() {
@@ -170,8 +170,8 @@ func TestDialFailAndWrapping(t *testing.T) {
 	if failed == 0 || succeeded == 0 {
 		t.Errorf("failed=%d succeeded=%d, want both > 0", failed, succeeded)
 	}
-	if in.Counts()["dialfail"] != uint64(failed) {
-		t.Errorf("counts = %v, want dialfail=%d", in.Counts(), failed)
+	if in.countsByName()["dialfail"] != uint64(failed) {
+		t.Errorf("counts = %v, want dialfail=%d", in.countsByName(), failed)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestConnFaults(t *testing.T) {
 	var sawReset, sawShort, sawCorrupt bool
 	for i := 0; i < 200 && !(sawReset && sawShort && sawCorrupt); i++ {
 		client, server := net.Pipe()
-		fc := in.Conn(client)
+		fc := in.conn(client)
 		go func() {
 			buf := make([]byte, len(msg))
 			n, err := server.Read(buf)
@@ -205,11 +205,11 @@ func TestConnFaults(t *testing.T) {
 		n, err := fc.Write(msg)
 		var inj *InjectedError
 		switch {
-		case errors.As(err, &inj) && inj.Fault == FaultReset:
+		case errors.As(err, &inj) && inj.Fault == faultReset:
 			sawReset = true
 			fc.Close()
 			continue
-		case errors.As(err, &inj) && inj.Fault == FaultShortWrite:
+		case errors.As(err, &inj) && inj.Fault == faultShortWrite:
 			if n <= 0 || n >= len(msg) {
 				t.Fatalf("short write wrote %d of %d", n, len(msg))
 			}
@@ -238,7 +238,7 @@ func TestLatencyAndStallSleep(t *testing.T) {
 	in.SetSleep(func(d time.Duration) { slept = append(slept, d) })
 	client, server := net.Pipe()
 	defer server.Close()
-	fc := in.Conn(client)
+	fc := in.conn(client)
 	go func() { _, _ = io.Copy(io.Discard, server) }()
 	if _, err := fc.Write([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestLatencyAndStallSleep(t *testing.T) {
 	st.SetSleep(func(d time.Duration) { stalls = append(stalls, d) })
 	c2, s2 := net.Pipe()
 	defer s2.Close()
-	fc2 := st.Conn(c2)
+	fc2 := st.conn(c2)
 	go func() { _, _ = s2.Write([]byte("y")) }()
 	if _, err := fc2.Read(make([]byte, 1)); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestListenerWrapsAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(Profile{Reset: 1}, 5) // every op resets
-	ln := in.Listener(inner)
+	ln := in.listener(inner)
 	defer ln.Close()
 
 	done := make(chan error, 1)
@@ -292,7 +292,7 @@ func TestListenerWrapsAccepted(t *testing.T) {
 	defer conn.Close()
 	_, _ = conn.Write([]byte("x"))
 	var inj *InjectedError
-	if err := <-done; !errors.As(err, &inj) || inj.Fault != FaultReset {
+	if err := <-done; !errors.As(err, &inj) || inj.Fault != faultReset {
 		t.Errorf("accepted conn read error = %v, want injected reset", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestListenerWrapsAccepted(t *testing.T) {
 func TestTraceBounded(t *testing.T) {
 	in := New(Profile{}, 1)
 	for i := 0; i < maxTrace+100; i++ {
-		in.decide(OpRead)
+		in.decide(opRead)
 	}
 	if got := len(in.Trace()); got != maxTrace {
 		t.Errorf("trace length = %d, want capped at %d", got, maxTrace)
@@ -309,8 +309,8 @@ func TestTraceBounded(t *testing.T) {
 
 func TestCountsString(t *testing.T) {
 	in := New(Profile{DialFail: 1}, 9)
-	in.decide(OpDial)
-	in.decide(OpRead)
+	in.decide(opDial)
+	in.decide(opRead)
 	if got := in.CountsString(); got != "dialfail=1 none=1" {
 		t.Errorf("CountsString = %q", got)
 	}
@@ -328,7 +328,7 @@ func TestDialOnlyLeavesConnUnwrapped(t *testing.T) {
 		conn, err := dial("tcp", "unused:1")
 		if err != nil {
 			var inj *InjectedError
-			if !errors.As(err, &inj) || inj.Fault != FaultDialFail {
+			if !errors.As(err, &inj) || inj.Fault != faultDialFail {
 				t.Fatalf("unexpected error %v", err)
 			}
 			fails++

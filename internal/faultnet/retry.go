@@ -103,10 +103,6 @@ func (b *Backoff) Next() (delay time.Duration, ok bool) {
 	return delay, true
 }
 
-// Attempts returns how many failures Next has recorded since the last
-// Reset.
-func (b *Backoff) Attempts() int { return b.attempts }
-
 // Reset starts a fresh episode after a success: the attempt budget and
 // the delay curve start over (the jitter stream continues, keeping the
 // whole sequence deterministic).
@@ -115,12 +111,12 @@ func (b *Backoff) Reset() {
 	b.delay = 0
 }
 
-// Do runs op until it succeeds or the attempt budget is spent,
+// doRetry runs op until it succeeds or the attempt budget is spent,
 // sleeping the backoff delay between attempts. sleep is injectable for
 // tests; nil means time.Sleep. The zero config runs op exactly once.
-// With MaxAttempts <= 0 Do retries forever — reserve that for loops
+// With MaxAttempts <= 0 doRetry retries forever — reserve that for loops
 // with their own cancellation.
-func Do(cfg RetryConfig, sleep func(time.Duration), op func() error) error {
+func doRetry(cfg RetryConfig, sleep func(time.Duration), op func() error) error {
 	if sleep == nil {
 		sleep = time.Sleep
 	}

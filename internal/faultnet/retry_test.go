@@ -84,8 +84,8 @@ func TestBackoffReset(t *testing.T) {
 		t.Fatal("second retry should be allowed")
 	}
 	b.Reset()
-	if b.Attempts() != 0 {
-		t.Errorf("attempts after reset = %d", b.Attempts())
+	if b.attempts != 0 {
+		t.Errorf("attempts after reset = %d", b.attempts)
 	}
 	d, ok := b.Next()
 	if !ok || d != time.Millisecond {
@@ -96,7 +96,7 @@ func TestBackoffReset(t *testing.T) {
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	var slept []time.Duration
 	calls := 0
-	err := Do(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: -1},
+	err := doRetry(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: -1},
 		func(d time.Duration) { slept = append(slept, d) },
 		func() error {
 			calls++
@@ -113,7 +113,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 func TestDoExhaustsBudget(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("down")
-	err := Do(RetryConfig{MaxAttempts: 4, BaseDelay: time.Microsecond},
+	err := doRetry(RetryConfig{MaxAttempts: 4, BaseDelay: time.Microsecond},
 		func(time.Duration) {},
 		func() error { calls++; return sentinel })
 	if !errors.Is(err, sentinel) || calls != 4 {
@@ -123,7 +123,7 @@ func TestDoExhaustsBudget(t *testing.T) {
 
 func TestDoZeroConfigSingleAttempt(t *testing.T) {
 	calls := 0
-	err := Do(RetryConfig{}, func(time.Duration) {}, func() error {
+	err := doRetry(RetryConfig{}, func(time.Duration) {}, func() error {
 		calls++
 		return errors.New("nope")
 	})

@@ -55,7 +55,7 @@ func benchFleetPair(b *testing.B) []*Node {
 func BenchmarkFleetForwardHotPath(b *testing.B) {
 	nodes := benchFleetPair(b)
 	owner, entry := nodes[0], nodes[1]
-	src := srcOwnedBy(owner.Ring(), owner.Self(), 0)
+	src := srcOwnedBy(owner.Ring(), owner.self(), 0)
 	const dst = 77_777
 	now := fleetTestStart.UnixMilli()
 

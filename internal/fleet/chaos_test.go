@@ -94,7 +94,7 @@ func newChaosFleet(t *testing.T, n int, seed uint64, profile faultnet.Profile) *
 		gated := func(network, address string) (net.Conn, error) {
 			g := f.groups.Load().(map[string]int)
 			if len(g) > 0 && g[self] != g[address] {
-				return nil, &faultnet.InjectedError{Fault: faultnet.FaultDialFail}
+				return nil, errPartitioned
 			}
 			return base(network, address)
 		}
@@ -162,17 +162,17 @@ func TestChaosFleetPartitionHealsToIdenticalLedgers(t *testing.T) {
 	// 4·M distinct destinations: whichever shard accumulated them, at
 	// least one crosses M and originates.
 	driveRemoval := func(entry *Node, src, base uint32) {
-		m := uint32(entry.Config().M)
+		m := uint32(fleetTestCfg.M)
 		for d := uint32(0); d < 4*m; d++ {
 			entry.Observe(src, base+d, fleetTestStart)
 		}
 	}
 	ownerA := f.nodes[0]
-	srcA := srcOwnedBy(ownerA.Ring(), ownerA.Self(), 0)
+	srcA := srcOwnedBy(ownerA.Ring(), ownerA.self(), 0)
 	driveRemoval(f.nodes[1], srcA, 20_000)
 
 	ownerB := f.nodes[2]
-	srcB := srcOwnedBy(ownerB.Ring(), ownerB.Self(), 10_000)
+	srcB := srcOwnedBy(ownerB.Ring(), ownerB.self(), 10_000)
 	driveRemoval(f.nodes[3], srcB, 30_000)
 
 	// Gossip under partition: alerts may cross same-side links (with
@@ -184,7 +184,7 @@ func TestChaosFleetPartitionHealsToIdenticalLedgers(t *testing.T) {
 	}
 	for _, node := range f.nodes[:2] {
 		if node.Removed(srcB) {
-			t.Fatalf("%s learned a cross-partition alert", node.Self())
+			t.Fatalf("%s learned a cross-partition alert", node.self())
 		}
 	}
 
@@ -197,7 +197,7 @@ func TestChaosFleetPartitionHealsToIdenticalLedgers(t *testing.T) {
 	for r := 0; r < deadline && !f.converged(t); r++ {
 		for _, node := range f.nodes {
 			node.PushTick()
-			node.SyncTick()
+			node.syncTick()
 		}
 	}
 	if !f.converged(t) {
@@ -234,18 +234,17 @@ func TestChaosFleetForwardFallbackKeepsContaining(t *testing.T) {
 
 	entry := f.nodes[1]
 	owner := f.nodes[0]
-	src := srcOwnedBy(owner.Ring(), owner.Self(), 0)
+	src := srcOwnedBy(owner.Ring(), owner.self(), 0)
 	// Drive 4·M distinct destinations from the non-owner. Every
 	// observation lands on exactly one counter (owner on forward,
 	// entry on fallback), so by pigeonhole one shard crosses M and
 	// removes the source — whatever the fault schedule did.
-	m := uint32(entry.Config().M)
+	m := uint32(fleetTestCfg.M)
 	for d := uint32(0); d < 4*m; d++ {
 		entry.Observe(src, 10_000+d, fleetTestStart)
 	}
 	if !owner.Removed(src) && !entry.Removed(src) {
-		t.Fatalf("no shard removed the source (owner count %d, entry count %d)",
-			owner.DistinctCount(src), entry.DistinctCount(src))
+		t.Fatal("no shard removed the source")
 	}
 	// The removal's alert rides gossip over the same faulty links;
 	// once it lands, the entry node denies locally.

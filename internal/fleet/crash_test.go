@@ -41,7 +41,7 @@ func TestCrashFleetPeerRestartsFromWALAndReservesAlerts(t *testing.T) {
 	a, b, c := members[0], members[1], members[2]
 	tr := NewMemTransport()
 
-	newMemNode := func(self string, lim core.ContainmentLimiter) *Node {
+	newMemNode := func(self string, lim core.AlertDecider) *Node {
 		t.Helper()
 		node, err := NewNode(Config{
 			Self: self, Peers: members, Local: lim,
@@ -77,7 +77,7 @@ func TestCrashFleetPeerRestartsFromWALAndReservesAlerts(t *testing.T) {
 
 	// Partition C away so the gossip is genuinely mid-flight when B
 	// dies: A originates, B hears it, C does not.
-	tr.Partition([]string{a, b}, []string{c})
+	tr.partition([]string{a, b}, []string{c})
 	src := srcOwnedBy(nodeA.Ring(), a, 0)
 	removeVia(nodeA, src, fleetTestStart)
 	for r := 0; r < 10 && !nodeB.Removed(src); r++ {
@@ -112,7 +112,7 @@ func TestCrashFleetPeerRestartsFromWALAndReservesAlerts(t *testing.T) {
 	}
 	// Restored alerts must not re-enter the push outbox (digest sync
 	// re-serves them) and must still dedup.
-	if got := nodeB2.PendingPushes(); got != 0 {
+	if got := nodeB2.pendingPushes(); got != 0 {
 		t.Fatalf("restored ledger queued %d pushes, want 0", got)
 	}
 	alerts := nodeB2.Alerts()
@@ -120,7 +120,7 @@ func TestCrashFleetPeerRestartsFromWALAndReservesAlerts(t *testing.T) {
 		t.Fatalf("restarted ledger has %d alerts, want 1", len(alerts))
 	}
 	before := store2.Limiter().Snapshot().AlertRemovals
-	if nodeB2.ApplyAlert(alerts[0]) {
+	if nodeB2.applyAlert(alerts[0]) {
 		t.Fatal("restarted B accepted a duplicate alert")
 	}
 	if after := store2.Limiter().Snapshot().AlertRemovals; after != before {
@@ -129,9 +129,9 @@ func TestCrashFleetPeerRestartsFromWALAndReservesAlerts(t *testing.T) {
 
 	// Heal only B<->C: the restarted peer is C's sole reachable source
 	// of the alert, so convergence proves B2 re-serves from the WAL.
-	tr.Partition([]string{b, c}, []string{a})
+	tr.partition([]string{b, c}, []string{a})
 	for r := 0; r < 6 && !nodeC.Removed(src); r++ {
-		nodeC.SyncTick()
+		nodeC.syncTick()
 	}
 	if !nodeC.Removed(src) {
 		t.Fatal("late peer never caught up from the restarted peer's ledger")

@@ -7,15 +7,15 @@ import (
 	"wormcontain/internal/core"
 )
 
-// ErrPartitioned is returned by the in-memory transport for any
+// errPartitioned is returned by the in-memory transport for any
 // exchange crossing a partition boundary.
-var ErrPartitioned = fmt.Errorf("fleet: link partitioned")
+var errPartitioned = fmt.Errorf("fleet: link partitioned")
 
 // MemTransport wires fleet nodes together in-process: exchanges are
 // synchronous method calls, so a single-goroutine driver (the
 // convergence experiments, the chaos tests) is fully deterministic.
 // Partitions are explicit — Partition splits the membership into
-// groups and every cross-group exchange fails with ErrPartitioned
+// groups and every cross-group exchange fails with errPartitioned
 // until Heal.
 type MemTransport struct {
 	mu      sync.Mutex
@@ -34,7 +34,7 @@ func NewMemTransport() *MemTransport {
 // Attach registers a node under its member name.
 func (t *MemTransport) Attach(n *Node) {
 	t.mu.Lock()
-	t.nodes[n.Self()] = n
+	t.nodes[n.self()] = n
 	t.mu.Unlock()
 }
 
@@ -44,10 +44,10 @@ func (t *MemTransport) For(from string) Transport {
 	return &memLink{t: t, from: from}
 }
 
-// Partition splits the fleet into the given groups; members absent
+// partition splits the fleet into the given groups; members absent
 // from every group form an implicit final group. Any exchange between
 // different groups fails until Heal.
-func (t *MemTransport) Partition(groups ...[]string) {
+func (t *MemTransport) partition(groups ...[]string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.groupOf = make(map[string]int)
@@ -58,8 +58,8 @@ func (t *MemTransport) Partition(groups ...[]string) {
 	}
 }
 
-// Heal removes all partition boundaries.
-func (t *MemTransport) Heal() {
+// heal removes all partition boundaries.
+func (t *MemTransport) heal() {
 	t.mu.Lock()
 	t.groupOf = make(map[string]int)
 	t.mu.Unlock()
@@ -74,7 +74,7 @@ func (t *MemTransport) lookup(from, to string) (*Node, error) {
 		return nil, fmt.Errorf("fleet: unknown peer %q", to)
 	}
 	if len(t.groupOf) > 0 && t.groupOf[from] != t.groupOf[to] {
-		return nil, ErrPartitioned
+		return nil, errPartitioned
 	}
 	return n, nil
 }
@@ -85,29 +85,29 @@ type memLink struct {
 	from string
 }
 
-// Observe implements Transport.
-func (l *memLink) Observe(peer string, src, dst uint32, unixMs int64) (core.Decision, error) {
+// observe implements Transport.
+func (l *memLink) observe(peer string, src, dst uint32, unixMs int64) (core.Decision, error) {
 	n, err := l.t.lookup(l.from, peer)
 	if err != nil {
 		return 0, err
 	}
-	return n.HandleObserve(src, dst, unixMs), nil
+	return n.handleObserve(src, dst, unixMs), nil
 }
 
-// SendAlerts implements Transport.
-func (l *memLink) SendAlerts(peer string, alerts []core.Alert) (int, error) {
+// sendAlerts implements Transport.
+func (l *memLink) sendAlerts(peer string, alerts []core.Alert) (int, error) {
 	n, err := l.t.lookup(l.from, peer)
 	if err != nil {
 		return 0, err
 	}
-	return n.HandleAlerts(alerts), nil
+	return n.handleAlerts(alerts), nil
 }
 
-// SyncDigest implements Transport.
-func (l *memLink) SyncDigest(peer string, digest []OriginMax) ([]core.Alert, error) {
+// syncDigest implements Transport.
+func (l *memLink) syncDigest(peer string, digest []OriginMax) ([]core.Alert, error) {
 	n, err := l.t.lookup(l.from, peer)
 	if err != nil {
 		return nil, err
 	}
-	return n.HandleDigest(digest), nil
+	return n.handleDigest(digest), nil
 }

@@ -13,16 +13,17 @@ import (
 
 // Transport carries the three WFP/1 exchanges to a named peer. The TCP
 // transport implements it for deployment; the in-memory transport
-// implements it for deterministic simulation and tests.
+// implements it for deterministic simulation and tests. Both live in
+// this package and only Node calls them, so the methods are unexported.
 type Transport interface {
-	// Observe forwards one observation to peer and returns its verdict.
-	Observe(peer string, src, dst uint32, unixMs int64) (core.Decision, error)
-	// SendAlerts pushes an alert batch to peer and returns how many
+	// observe forwards one observation to peer and returns its verdict.
+	observe(peer string, src, dst uint32, unixMs int64) (core.Decision, error)
+	// sendAlerts pushes an alert batch to peer and returns how many
 	// were new to it.
-	SendAlerts(peer string, alerts []core.Alert) (int, error)
-	// SyncDigest sends this node's per-origin contiguous-max digest to
+	sendAlerts(peer string, alerts []core.Alert) (int, error)
+	// syncDigest sends this node's per-origin contiguous-max digest to
 	// peer and returns the alerts peer holds beyond it.
-	SyncDigest(peer string, digest []OriginMax) ([]core.Alert, error)
+	syncDigest(peer string, digest []OriginMax) ([]core.Alert, error)
 }
 
 // Config parameterizes a fleet node.
@@ -42,7 +43,7 @@ type Config struct {
 	// Local is the node's own containment limiter; required. A durable
 	// store's limiter works unchanged — alerts journal through the
 	// same WAL as observations.
-	Local core.ContainmentLimiter
+	Local core.AlertDecider
 	// Transport carries peer exchanges; required for fleets larger
 	// than one (a singleton fleet never forwards or gossips).
 	Transport Transport
@@ -73,18 +74,19 @@ type originState struct {
 	pending   map[uint64]bool
 }
 
-// Node is one member of the wormgate fleet. It implements
-// core.ContainmentLimiter, so a gateway (or durable store) plugs a
-// fleet node in exactly where it would plug a bare limiter; the node
-// routes each observation to the source's ring owner, serves
-// observations for sources it owns, and disseminates removal alerts.
+// Node is one member of the wormgate fleet. It is a core.Decider, so a
+// gateway plugs a fleet node in exactly where it would plug a bare
+// limiter; the node routes each observation to the source's ring owner,
+// serves observations for sources it owns, and disseminates removal
+// alerts. It is not a backend: the state to persist is the local
+// limiter's, and whoever built that limiter persists it.
 type Node struct {
 	cfg    Config
 	ring   *Ring
 	selfIx int    // index into sorted membership
 	origin uint64 // this node's alert origin ID (sorted index + 1)
 	peers  []string
-	local  core.ContainmentLimiter
+	local  core.AlertDecider
 	now    func() time.Time
 
 	mu         sync.Mutex
@@ -153,7 +155,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if len(members) > 1 && cfg.Transport == nil {
 		return nil, fmt.Errorf("fleet: a %d-member fleet needs a transport", len(members))
 	}
-	ring, err := NewRing(members, cfg.Vnodes)
+	ring, err := newRing(members, cfg.Vnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -193,14 +195,11 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Origin returns this node's alert origin ID.
-func (n *Node) Origin() uint64 { return n.origin }
-
 // Ring returns the node's ownership ring.
 func (n *Node) Ring() *Ring { return n.ring }
 
-// Self returns the node's member name.
-func (n *Node) Self() string { return n.cfg.Self }
+// self returns the node's member name.
+func (n *Node) self() string { return n.cfg.Self }
 
 // noteAlertLocked updates the per-origin frontier, coverage set and
 // own-sequence allocator for one applied alert. Caller holds n.mu (or
@@ -226,8 +225,8 @@ func (n *Node) noteAlertLocked(a core.Alert) {
 	}
 }
 
-// Observe implements core.ContainmentLimiter: the fleet's sharded hot
-// path. Three cases, cheapest first:
+// Observe implements core.Decider: the fleet's sharded hot path. Three
+// cases, cheapest first:
 //
 //  1. The source is alert-covered → Deny locally, no network. This is
 //     the immunization payoff: one shard's removal denies everywhere.
@@ -244,7 +243,7 @@ func (n *Node) Observe(src, dst uint32, t time.Time) core.Decision {
 	if owner == n.cfg.Self {
 		return n.observeLocal(src, dst, t)
 	}
-	d, err := n.cfg.Transport.Observe(owner, src, dst, t.UnixMilli())
+	d, err := n.cfg.Transport.observe(owner, src, dst, t.UnixMilli())
 	if err != nil {
 		n.setPeerUp(owner, false)
 		if n.metrics != nil {
@@ -304,11 +303,11 @@ func (n *Node) maybeOriginate(src uint32, t time.Time) {
 	n.mu.Unlock()
 }
 
-// ApplyAlert implements core.ContainmentLimiter. Fresh alerts enter
+// applyAlert applies one alert from a peer. Fresh alerts enter
 // the local ledger, remove the source, and join the push outbox so
 // this node relays them onward (epidemic dissemination); duplicates
 // are counted and dropped.
-func (n *Node) ApplyAlert(a core.Alert) bool {
+func (n *Node) applyAlert(a core.Alert) bool {
 	if !n.local.ApplyAlert(a) {
 		if n.metrics != nil {
 			n.metrics.alertsDup.Inc()
@@ -327,31 +326,31 @@ func (n *Node) ApplyAlert(a core.Alert) bool {
 	return true
 }
 
-// HandleObserve serves a forwarded observation for a source this node
+// handleObserve serves a forwarded observation for a source this node
 // owns — the server side of case 3 in Observe.
-func (n *Node) HandleObserve(src, dst uint32, unixMs int64) core.Decision {
+func (n *Node) handleObserve(src, dst uint32, unixMs int64) core.Decision {
 	if n.isCovered(src) {
 		return core.Deny
 	}
 	return n.observeLocal(src, dst, time.UnixMilli(unixMs).UTC())
 }
 
-// HandleAlerts applies a pushed alert batch and returns how many were
+// handleAlerts applies a pushed alert batch and returns how many were
 // fresh.
-func (n *Node) HandleAlerts(alerts []core.Alert) int {
+func (n *Node) handleAlerts(alerts []core.Alert) int {
 	fresh := 0
 	for _, a := range alerts {
-		if n.ApplyAlert(a) {
+		if n.applyAlert(a) {
 			fresh++
 		}
 	}
 	return fresh
 }
 
-// HandleDigest returns the alerts this node holds beyond the remote
+// handleDigest returns the alerts this node holds beyond the remote
 // digest's per-origin frontier, bounded to one wire frame. The
 // receiver dedups, so over-sending across a gap is safe.
-func (n *Node) HandleDigest(digest []OriginMax) []core.Alert {
+func (n *Node) handleDigest(digest []OriginMax) []core.Alert {
 	remote := make(map[uint64]uint64, len(digest))
 	for _, d := range digest {
 		remote[d.Origin] = d.MaxSeq
@@ -368,9 +367,9 @@ func (n *Node) HandleDigest(digest []OriginMax) []core.Alert {
 	return out
 }
 
-// Digest returns this node's per-origin contiguous-max frontier in
+// digest returns this node's per-origin contiguous-max frontier in
 // ascending origin order.
-func (n *Node) Digest() []OriginMax {
+func (n *Node) digest() []OriginMax {
 	n.mu.Lock()
 	out := make([]OriginMax, 0, len(n.perOrigin))
 	for origin, os := range n.perOrigin {
@@ -407,7 +406,7 @@ func (n *Node) PushTick() {
 	for _, peer := range targets {
 		// The receiver counts its own duplicates; the sender only
 		// tracks volume and reachability.
-		_, err := n.cfg.Transport.SendAlerts(peer, batch)
+		_, err := n.cfg.Transport.sendAlerts(peer, batch)
 		n.setPeerUp(peer, err == nil)
 		if err != nil {
 			continue
@@ -432,11 +431,11 @@ func (n *Node) PushTick() {
 	n.mu.Unlock()
 }
 
-// SyncTick runs one anti-entropy round against the next peer in
+// syncTick runs one anti-entropy round against the next peer in
 // rotation: send our digest, apply whatever the peer holds beyond it.
 // Push gossip wins races; this path guarantees convergence after
 // partitions outlive every push budget.
-func (n *Node) SyncTick() {
+func (n *Node) syncTick() {
 	n.mu.Lock()
 	if len(n.peers) == 0 {
 		n.mu.Unlock()
@@ -446,12 +445,12 @@ func (n *Node) SyncTick() {
 	n.syncCursor++
 	n.mu.Unlock()
 
-	missing, err := n.cfg.Transport.SyncDigest(peer, n.Digest())
+	missing, err := n.cfg.Transport.syncDigest(peer, n.digest())
 	n.setPeerUp(peer, err == nil)
 	if err != nil {
 		return
 	}
-	n.HandleAlerts(missing)
+	n.handleAlerts(missing)
 }
 
 // pickPeersLocked selects up to k distinct peers by seeded partial
@@ -495,8 +494,8 @@ func (n *Node) PeersUp() int {
 	return up
 }
 
-// PendingPushes reports the outbox depth (alerts still being pushed).
-func (n *Node) PendingPushes() int {
+// pendingPushes reports the outbox depth (alerts still being pushed).
+func (n *Node) pendingPushes() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.outbox)
@@ -525,7 +524,7 @@ func (n *Node) Start(pushEvery, syncEvery time.Duration) {
 	}
 	if syncEvery > 0 {
 		n.wg.Add(1)
-		go loop(syncEvery, n.SyncTick)
+		go loop(syncEvery, n.syncTick)
 	}
 }
 
@@ -536,46 +535,22 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// The remaining ContainmentLimiter methods delegate to the local
-// limiter: they describe this shard's state (its owned sources plus
-// the fleet-wide immunization ledger), which is exactly what the
-// gateway's metrics, admin surface and durable snapshots should see.
-
-// Reinstate implements core.ContainmentLimiter on the local shard.
-func (n *Node) Reinstate(src uint32) bool { return n.local.Reinstate(src) }
-
-// Removed implements core.ContainmentLimiter.
+// Removed reports whether src is removed here: covered by a fleet
+// alert, or removed by the local limiter.
 func (n *Node) Removed(src uint32) bool {
 	return n.isCovered(src) || n.local.Removed(src)
 }
 
-// DistinctCount implements core.ContainmentLimiter (this shard's count
-// for src; the owner holds the authoritative one).
-func (n *Node) DistinctCount(src uint32) int { return n.local.DistinctCount(src) }
-
-// CycleIndex implements core.ContainmentLimiter.
-func (n *Node) CycleIndex() uint64 { return n.local.CycleIndex() }
-
-// Config implements core.ContainmentLimiter.
-func (n *Node) Config() core.LimiterConfig { return n.local.Config() }
-
-// Snapshot implements core.ContainmentLimiter.
+// Snapshot implements core.Decider with the local limiter's counters:
+// this shard's owned sources plus the fleet-wide immunization ledger,
+// which is what the gateway's statistics and metrics should show.
 func (n *Node) Snapshot() core.Stats { return n.local.Snapshot() }
 
-// Alerts implements core.ContainmentLimiter.
+// Alerts returns the local limiter's alert ledger.
 func (n *Node) Alerts() []core.Alert { return n.local.Alerts() }
 
-// SetJournal implements core.ContainmentLimiter.
-func (n *Node) SetJournal(j core.Journal) { n.local.SetJournal(j) }
-
-// CheckpointState implements core.ContainmentLimiter.
-func (n *Node) CheckpointState(cut func()) ([]byte, error) { return n.local.CheckpointState(cut) }
-
-// MarshalState implements core.ContainmentLimiter.
-func (n *Node) MarshalState() ([]byte, error) { return n.local.MarshalState() }
-
 // Interface conformance is pinned at compile time.
-var _ core.ContainmentLimiter = (*Node)(nil)
+var _ core.Decider = (*Node)(nil)
 
 // fleetMetrics is the node's wiring into a telemetry.Registry.
 type fleetMetrics struct {
@@ -605,6 +580,6 @@ func newFleetMetrics(reg *telemetry.Registry, n *Node) *fleetMetrics {
 		func() float64 { return float64(n.PeersUp()) })
 	reg.GaugeFunc("wormgate_fleet_pending_pushes",
 		"Alerts still inside their push-gossip budget.",
-		func() float64 { return float64(n.PendingPushes()) })
+		func() float64 { return float64(n.pendingPushes()) })
 	return m
 }

@@ -45,12 +45,18 @@ func memFleet(t *testing.T, n int, seed uint64) ([]*Node, *MemTransport) {
 func nodeFor(t *testing.T, nodes []*Node, name string) *Node {
 	t.Helper()
 	for _, n := range nodes {
-		if n.Self() == name {
+		if n.self() == name {
 			return n
 		}
 	}
 	t.Fatalf("no node named %q", name)
 	return nil
+}
+
+// distinct is src's distinct-destination count on n's local limiter,
+// which every fleet in these tests builds as the exact backend.
+func distinct(n *Node, src uint32) int {
+	return n.local.(*core.Limiter).DistinctCount(src)
 }
 
 // srcOwnedBy finds a source the given member owns, scanning up from
@@ -66,7 +72,7 @@ func srcOwnedBy(r *Ring, member string, from uint32) uint32 {
 // removeVia drives src past its scan budget through entry, which routes
 // every observation to the ring owner.
 func removeVia(entry *Node, src uint32, at time.Time) {
-	m := uint32(entry.Config().M)
+	m := uint32(fleetTestCfg.M)
 	for d := uint32(0); d <= m; d++ {
 		entry.Observe(src, 100_000+d, at)
 	}
@@ -103,16 +109,16 @@ func TestNodeOwnershipRouting(t *testing.T) {
 	nodes, _ := memFleet(t, 2, 1)
 	owner := nodes[0]
 	other := nodes[1]
-	src := srcOwnedBy(owner.Ring(), owner.Self(), 0)
+	src := srcOwnedBy(owner.Ring(), owner.self(), 0)
 
 	// Observing through the non-owner must count on the owner's shard.
 	if got := other.Observe(src, 1, fleetTestStart); got != core.Allow {
 		t.Fatalf("forwarded observe = %v, want Allow", got)
 	}
-	if got := owner.DistinctCount(src); got != 1 {
+	if got := distinct(owner, src); got != 1 {
 		t.Fatalf("owner distinct count = %d, want 1", got)
 	}
-	if got := other.DistinctCount(src); got != 0 {
+	if got := distinct(other, src); got != 0 {
 		t.Fatalf("non-owner counted a forwarded observation locally: %d", got)
 	}
 	// Budget semantics span entry points: two more distinct dsts via
@@ -129,7 +135,7 @@ func TestNodeRemovalOriginatesAndPropagates(t *testing.T) {
 	const n = 8
 	nodes, _ := memFleet(t, n, 7)
 	owner := nodes[3]
-	src := srcOwnedBy(owner.Ring(), owner.Self(), 500)
+	src := srcOwnedBy(owner.Ring(), owner.self(), 500)
 
 	// Drive the removal through a different entry node: forward path +
 	// origination at the owner.
@@ -138,7 +144,7 @@ func TestNodeRemovalOriginatesAndPropagates(t *testing.T) {
 	if !owner.Removed(src) {
 		t.Fatal("owner did not remove the over-budget source")
 	}
-	if owner.PendingPushes() == 0 {
+	if owner.pendingPushes() == 0 {
 		t.Fatal("owner originated no alert")
 	}
 
@@ -183,21 +189,21 @@ func TestNodeRemovalOriginatesAndPropagates(t *testing.T) {
 func TestNodeForwardFallbackOnError(t *testing.T) {
 	nodes, tr := memFleet(t, 2, 1)
 	owner, other := nodes[0], nodes[1]
-	src := srcOwnedBy(owner.Ring(), owner.Self(), 0)
+	src := srcOwnedBy(owner.Ring(), owner.self(), 0)
 
-	tr.Partition([]string{owner.Self()}, []string{other.Self()})
+	tr.partition([]string{owner.self()}, []string{other.self()})
 	// Forward fails → the non-owner counts locally so containment
 	// continues, fragmented, exactly like the pre-fleet deployment.
 	for d := uint32(0); d <= 3; d++ {
 		other.Observe(src, d, fleetTestStart)
 	}
-	if got := other.DistinctCount(src); got != 3 {
+	if got := distinct(other, src); got != 3 {
 		t.Fatalf("fallback distinct count = %d, want 3 (the over-budget dst is denied, not counted)", got)
 	}
 	if !other.Removed(src) {
 		t.Fatal("fallback counting did not remove the source")
 	}
-	if owner.DistinctCount(src) != 0 {
+	if distinct(owner, src) != 0 {
 		t.Fatal("partitioned owner saw forwarded observations")
 	}
 	if other.PeersUp() != 0 {
@@ -213,12 +219,12 @@ func TestNodeDigestSyncConverges(t *testing.T) {
 	isolated := nodes[0]
 	rest := make([]string, 0, n-1)
 	for _, node := range nodes[1:] {
-		rest = append(rest, node.Self())
+		rest = append(rest, node.self())
 	}
-	tr.Partition([]string{isolated.Self()}, rest)
+	tr.partition([]string{isolated.self()}, rest)
 
 	owner := nodes[1]
-	src := srcOwnedBy(owner.Ring(), owner.Self(), 0)
+	src := srcOwnedBy(owner.Ring(), owner.self(), 0)
 	removeVia(owner, src, fleetTestStart)
 	for r := 0; r < 2*pushRounds(n); r++ {
 		for _, node := range nodes {
@@ -230,14 +236,14 @@ func TestNodeDigestSyncConverges(t *testing.T) {
 	}
 	for _, node := range nodes[1:] {
 		if !node.Removed(src) {
-			t.Fatalf("majority-side node %s missed the alert", node.Self())
+			t.Fatalf("majority-side node %s missed the alert", node.self())
 		}
 	}
 
 	// Heal. Push budgets are spent; only anti-entropy can repair.
-	tr.Heal()
+	tr.heal()
 	for r := 0; r < n && !isolated.Removed(src); r++ {
-		isolated.SyncTick()
+		isolated.syncTick()
 	}
 	if !isolated.Removed(src) {
 		t.Fatal("digest sync did not deliver the missed alert after heal")
@@ -264,10 +270,10 @@ func TestNodeAlertDedupAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := core.Alert{Origin: 2, Seq: 1, Src: 77, UnixMs: fleetTestStart.UnixMilli()}
-	if !node.ApplyAlert(a) {
+	if !node.applyAlert(a) {
 		t.Fatal("fresh alert rejected")
 	}
-	if node.ApplyAlert(a) {
+	if node.applyAlert(a) {
 		t.Fatal("duplicate alert accepted")
 	}
 	snap := reg.Snapshot()
@@ -290,7 +296,7 @@ func TestNodeRestoredLedgerResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(l core.ContainmentLimiter) *Node {
+	mk := func(l core.AlertDecider) *Node {
 		n, err := NewNode(Config{
 			Self: "a", Peers: members, Local: l,
 			Transport: tr.For("a"), Seed: 9,
@@ -324,7 +330,7 @@ func TestNodeRestoredLedgerResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2 := mk(lim2)
-	if n2.PendingPushes() != 0 {
+	if n2.pendingPushes() != 0 {
 		t.Fatal("restored alerts re-entered the push outbox (they re-serve via digest)")
 	}
 	s3 := srcOwnedBy(n2.Ring(), "a", s2+1)
@@ -334,12 +340,12 @@ func TestNodeRestoredLedgerResumesSequence(t *testing.T) {
 		t.Fatalf("post-restore ledger = %d entries, want 3", len(alerts))
 	}
 	last := alerts[len(alerts)-1]
-	if last.Origin != n2.Origin() || last.Seq != 3 {
-		t.Fatalf("post-restore alert = (%d,%d), want (%d,3)", last.Origin, last.Seq, n2.Origin())
+	if last.Origin != n2.origin || last.Seq != 3 {
+		t.Fatalf("post-restore alert = (%d,%d), want (%d,3)", last.Origin, last.Seq, n2.origin)
 	}
 
 	// The restored ledger re-serves in full against an empty digest.
-	if got := n2.HandleDigest(nil); len(got) != 3 {
+	if got := n2.handleDigest(nil); len(got) != 3 {
 		t.Fatalf("HandleDigest re-served %d alerts, want 3", len(got))
 	}
 }
@@ -362,15 +368,15 @@ func TestNodeOutOfOrderAlertsAndDigestFrontier(t *testing.T) {
 	// Seq 1 and 3 arrive; 2 is lost in flight. The digest must
 	// advertise only the contiguous prefix, so anti-entropy re-fetches
 	// the gap instead of permanently skipping it.
-	node.ApplyAlert(core.Alert{Origin: 9, Seq: 1, Src: 1, UnixMs: fleetTestStart.UnixMilli()})
-	node.ApplyAlert(core.Alert{Origin: 9, Seq: 3, Src: 3, UnixMs: fleetTestStart.UnixMilli()})
-	d := node.Digest()
+	node.applyAlert(core.Alert{Origin: 9, Seq: 1, Src: 1, UnixMs: fleetTestStart.UnixMilli()})
+	node.applyAlert(core.Alert{Origin: 9, Seq: 3, Src: 3, UnixMs: fleetTestStart.UnixMilli()})
+	d := node.digest()
 	if len(d) != 1 || d[0] != (OriginMax{Origin: 9, MaxSeq: 1}) {
 		t.Fatalf("digest = %+v, want origin 9 frontier 1", d)
 	}
 	// The gap fills: frontier jumps over the absorbed pending alert.
-	node.ApplyAlert(core.Alert{Origin: 9, Seq: 2, Src: 2, UnixMs: fleetTestStart.UnixMilli()})
-	d = node.Digest()
+	node.applyAlert(core.Alert{Origin: 9, Seq: 2, Src: 2, UnixMs: fleetTestStart.UnixMilli()})
+	d = node.digest()
 	if len(d) != 1 || d[0] != (OriginMax{Origin: 9, MaxSeq: 3}) {
 		t.Fatalf("digest after gap fill = %+v, want frontier 3", d)
 	}
@@ -383,7 +389,7 @@ func TestNodeGossipDeterministicForSeed(t *testing.T) {
 	run := func() []string {
 		nodes, _ := memFleet(t, 8, 42)
 		owner := nodes[2]
-		src := srcOwnedBy(owner.Ring(), owner.Self(), 0)
+		src := srcOwnedBy(owner.Ring(), owner.self(), 0)
 		removeVia(nodes[5], src, fleetTestStart)
 		var trace []string
 		for r := 0; r < pushRounds(8); r++ {
@@ -451,7 +457,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	if got := nodes[1].Observe(src, 1, fleetTestStart); got != core.Allow {
 		t.Fatalf("TCP forwarded observe = %v, want Allow", got)
 	}
-	if nodes[0].DistinctCount(src) != 1 {
+	if distinct(nodes[0], src) != 1 {
 		t.Fatal("TCP forward did not reach the owner")
 	}
 
@@ -465,7 +471,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	}
 
 	// Digest sync over TCP: an empty digest pulls the full ledger.
-	missing, err := trs[1].SyncDigest(members[0], nil)
+	missing, err := trs[1].syncDigest(members[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

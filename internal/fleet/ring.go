@@ -68,9 +68,9 @@ type Ring struct {
 	points  []ringPoint
 }
 
-// NewRing builds a ring over members with vnodes points per member.
+// newRing builds a ring over members with vnodes points per member.
 // Member names must be unique and non-empty.
-func NewRing(members []string, vnodes int) (*Ring, error) {
+func newRing(members []string, vnodes int) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one member")
 	}
@@ -109,11 +109,8 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Members returns the member names in construction order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
-// OwnerIndex returns the index (into Members) of the member owning src.
-func (r *Ring) OwnerIndex(src uint32) int {
+// ownerIndex returns the index (into the member list) of the member owning src.
+func (r *Ring) ownerIndex(src uint32) int {
 	h := splitmix64(uint64(src))
 	// First point with hash >= h, wrapping to points[0].
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -124,4 +121,4 @@ func (r *Ring) OwnerIndex(src uint32) int {
 }
 
 // Owner returns the name of the member owning src.
-func (r *Ring) Owner(src uint32) string { return r.members[r.OwnerIndex(src)] }
+func (r *Ring) Owner(src uint32) string { return r.members[r.ownerIndex(src)] }

@@ -14,16 +14,16 @@ func ringMembers(n int) []string {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 64); err == nil {
+	if _, err := newRing(nil, 64); err == nil {
 		t.Fatal("empty membership accepted")
 	}
-	if _, err := NewRing([]string{"a"}, 0); err == nil {
+	if _, err := newRing([]string{"a"}, 0); err == nil {
 		t.Fatal("zero vnodes accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 4); err == nil {
+	if _, err := newRing([]string{"a", "a"}, 4); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 4); err == nil {
+	if _, err := newRing([]string{"a", ""}, 4); err == nil {
 		t.Fatal("empty member accepted")
 	}
 }
@@ -35,11 +35,11 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 	// the ring itself must be order-sensitive-free for sorted input and
 	// deterministic run to run.
 	members := ringMembers(8)
-	a, err := NewRing(members, 64)
+	a, err := newRing(members, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(members, 64)
+	b, err := newRing(members, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRingBalance(t *testing.T) {
 	// no member owns more than ~2.5x its fair share of a uniform
 	// source population.
 	members := ringMembers(8)
-	r, err := NewRing(members, 64)
+	r, err := newRing(members, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestRingStabilityUnderMembershipChange(t *testing.T) {
 	// with the same shard. This is the property that justifies
 	// consistent hashing over modulo assignment.
 	members := ringMembers(8)
-	full, err := NewRing(members, 64)
+	full, err := newRing(members, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := NewRing(members[:7], 64)
+	shrunk, err := newRing(members[:7], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRingStabilityUnderMembershipChange(t *testing.T) {
 }
 
 func TestRingSingleMember(t *testing.T) {
-	r, err := NewRing([]string{"solo"}, 8)
+	r, err := newRing([]string{"solo"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

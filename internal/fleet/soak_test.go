@@ -57,7 +57,7 @@ func runFleetSoak(t *testing.T, seed uint64, size int) []byte {
 	nodes, tr := memFleet(t, size, seed)
 	members := make([]string, size)
 	for i, n := range nodes {
-		members[i] = n.Self()
+		members[i] = n.self()
 	}
 	r := rng.NewPCG64(seed, 0x50a43)
 	now := fleetTestStart
@@ -73,9 +73,9 @@ func runFleetSoak(t *testing.T, seed uint64, size int) []byte {
 					perm[i], perm[j] = perm[j], perm[i]
 				}
 				cut := 1 + rng.Intn(r, size-1)
-				tr.Partition(perm[:cut], perm[cut:])
+				tr.partition(perm[:cut], perm[cut:])
 			case 1:
-				tr.Heal()
+				tr.heal()
 			}
 		}
 		for i := 0; i < 50; i++ {
@@ -87,16 +87,16 @@ func runFleetSoak(t *testing.T, seed uint64, size int) []byte {
 		now = now.Add(time.Second)
 		for _, n := range nodes {
 			n.PushTick()
-			n.SyncTick()
+			n.syncTick()
 		}
 	}
 
-	tr.Heal()
+	tr.heal()
 	bound := 50 * size
 	for rds := 0; rds < bound && !fleetConverged(t, nodes); rds++ {
 		for _, n := range nodes {
 			n.PushTick()
-			n.SyncTick()
+			n.syncTick()
 		}
 	}
 	if !fleetConverged(t, nodes) {

@@ -42,9 +42,6 @@ func NewServerWith(node *Node, ln net.Listener) *Server {
 	return &Server{node: node, ln: ln, conns: make(map[net.Conn]bool)}
 }
 
-// Addr returns the server's listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
 // Serve accepts peer connections until Shutdown. Always returns a
 // non-nil error; net.ErrClosed after Shutdown.
 func (s *Server) Serve() error {
@@ -116,19 +113,19 @@ func (s *Server) handle(conn net.Conn) {
 			if perr != nil {
 				return
 			}
-			out = appendVerdictFrame(out, s.node.HandleObserve(src, dst, unixMs))
+			out = appendVerdictFrame(out, s.node.handleObserve(src, dst, unixMs))
 		case mAlerts:
 			alerts, err = parseAlerts(payload, alerts[:0])
 			if err != nil {
 				return
 			}
-			out = appendFreshFrame(out, s.node.HandleAlerts(alerts))
+			out = appendFreshFrame(out, s.node.handleAlerts(alerts))
 		case mDigest:
 			digest, err = parseDigest(payload, digest[:0])
 			if err != nil {
 				return
 			}
-			alerts = append(alerts[:0], s.node.HandleDigest(digest)...)
+			alerts = append(alerts[:0], s.node.handleDigest(digest)...)
 			out = appendAlertsFrame(out, alerts)
 		default:
 			return // unknown type: protocol error, drop the connection
@@ -246,8 +243,8 @@ func (t *TCPTransport) exchange(peer string, pc *peerConn) ([]byte, error) {
 	return payload, nil
 }
 
-// Observe implements Transport — the forward hot path.
-func (t *TCPTransport) Observe(peer string, src, dst uint32, unixMs int64) (core.Decision, error) {
+// observe implements Transport — the forward hot path.
+func (t *TCPTransport) observe(peer string, src, dst uint32, unixMs int64) (core.Decision, error) {
 	pc := t.get(peer)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -259,8 +256,8 @@ func (t *TCPTransport) Observe(peer string, src, dst uint32, unixMs int64) (core
 	return parseVerdict(payload)
 }
 
-// SendAlerts implements Transport.
-func (t *TCPTransport) SendAlerts(peer string, alerts []core.Alert) (int, error) {
+// sendAlerts implements Transport.
+func (t *TCPTransport) sendAlerts(peer string, alerts []core.Alert) (int, error) {
 	if len(alerts) > maxAlertsPerFrame {
 		alerts = alerts[:maxAlertsPerFrame]
 	}
@@ -275,8 +272,8 @@ func (t *TCPTransport) SendAlerts(peer string, alerts []core.Alert) (int, error)
 	return parseFresh(payload)
 }
 
-// SyncDigest implements Transport.
-func (t *TCPTransport) SyncDigest(peer string, digest []OriginMax) ([]core.Alert, error) {
+// syncDigest implements Transport.
+func (t *TCPTransport) syncDigest(peer string, digest []OriginMax) ([]core.Alert, error) {
 	if len(digest) > maxOriginsPerFrame {
 		digest = digest[:maxOriginsPerFrame]
 	}

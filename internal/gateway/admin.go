@@ -101,15 +101,6 @@ func NewAdmin(cfg AdminConfig, listenAddr string) (*AdminServer, error) {
 	return a, nil
 }
 
-// NewAdminServer builds the legacy stats-only admin endpoint for the
-// given source (typically Gateway.Stats), listening on listenAddr.
-func NewAdminServer(source func() GatewayStats, listenAddr string) (*AdminServer, error) {
-	if source == nil {
-		return nil, errors.New("gateway: admin server needs a stats source")
-	}
-	return NewAdmin(AdminConfig{Stats: func() any { return source() }}, listenAddr)
-}
-
 // Addr returns the admin endpoint's listen address.
 func (a *AdminServer) Addr() string { return a.ln.Addr().String() }
 

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -134,4 +135,13 @@ func TestAdminShutdownUnblocksServe(t *testing.T) {
 	if _, err := client.Get(fmt.Sprintf("http://%s/healthz", a.Addr())); err == nil {
 		t.Error("request after shutdown should fail")
 	}
+}
+
+// NewAdminServer builds a stats-only admin endpoint for these tests
+// over the given source, listening on listenAddr.
+func NewAdminServer(source func() GatewayStats, listenAddr string) (*AdminServer, error) {
+	if source == nil {
+		return nil, errors.New("gateway: admin server needs a stats source")
+	}
+	return NewAdmin(AdminConfig{Stats: func() any { return source() }}, listenAddr)
 }

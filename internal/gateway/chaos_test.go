@@ -196,7 +196,7 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 	}
 	gw, err := New(Config{
 		Limiter:  lim,
-		FailMode: FailClosed,
+		FailMode: failClosed,
 		Dial: func(network, address string) (net.Conn, error) {
 			return net.DialTimeout(network, upstream.ln.Addr().String(), 5*time.Second)
 		},
@@ -275,7 +275,7 @@ func TestParseFailMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want FailMode
-	}{{"open", FailOpen}, {"closed", FailClosed}} {
+	}{{"open", failOpen}, {"closed", failClosed}} {
 		got, err := ParseFailMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseFailMode(%q) = %v, %v", tc.in, got, err)

@@ -13,9 +13,9 @@ import (
 	"wormcontain/internal/telemetry"
 )
 
-// Report is one gateway's periodic counter snapshot, serialized as one
+// report is one gateway's periodic counter snapshot, serialized as one
 // JSON object per line on the collector connection.
-type Report struct {
+type report struct {
 	// GatewayID names the reporting enforcement point.
 	GatewayID string `json:"gatewayId"`
 	// SentAtUnixMillis timestamps the snapshot at the sender.
@@ -32,7 +32,7 @@ type Collector struct {
 	reg      *telemetry.Registry
 
 	mu       sync.Mutex
-	latest   map[string]Report
+	latest   map[string]report
 	latestAt map[string]time.Time // receive time of each latest report
 	total    int
 	closed   bool
@@ -51,7 +51,7 @@ func NewCollector(listenAddr string) (*Collector, error) {
 	c := &Collector{
 		listener: ln,
 		reg:      telemetry.NewRegistry(),
-		latest:   make(map[string]Report),
+		latest:   make(map[string]report),
 		latestAt: make(map[string]time.Time),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -73,7 +73,7 @@ func (c *Collector) registerMetrics() {
 		func() float64 { return float64(c.ReportsReceived()) })
 	c.reg.CounterFunc("wormgate_collector_bad_lines_total",
 		"Malformed report lines seen.",
-		func() float64 { return float64(c.BadLines()) })
+		func() float64 { return float64(c.badLines()) })
 	c.reg.GaugeFunc("wormgate_collector_gateways",
 		"Gateways with at least one report.",
 		func() float64 {
@@ -83,7 +83,7 @@ func (c *Collector) registerMetrics() {
 		})
 	c.reg.GaugeFunc("wormgate_collector_report_staleness_seconds",
 		"Age of the stalest gateway's most recent report.",
-		func() float64 { return c.Staleness().Seconds() })
+		func() float64 { return c.staleness().Seconds() })
 	c.reg.CounterFunc("wormgate_fleet_relayed_total",
 		"Relayed connections summed over the fleet's latest reports.",
 		func() float64 { return float64(c.Aggregate().Relayed) })
@@ -98,10 +98,10 @@ func (c *Collector) registerMetrics() {
 		func() float64 { return float64(c.Aggregate().TotalRemovals) })
 }
 
-// Staleness returns the age of the stalest gateway's most recent
+// staleness returns the age of the stalest gateway's most recent
 // report (zero when no gateway has reported yet) — the fleet-health
 // gauge: a growing value means a gateway stopped reporting.
-func (c *Collector) Staleness() time.Duration {
+func (c *Collector) staleness() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var oldest time.Time
@@ -180,19 +180,19 @@ const (
 // collector's entire wire-format parser, split out so the fuzz target
 // can hammer it: it must never panic and never accept a report whose
 // retained state (the gateway id key) exceeds the wire bounds.
-func parseReportLine(line []byte) (Report, error) {
+func parseReportLine(line []byte) (report, error) {
 	if len(line) > maxReportLine {
-		return Report{}, fmt.Errorf("gateway: report line %d bytes exceeds %d", len(line), maxReportLine)
+		return report{}, fmt.Errorf("gateway: report line %d bytes exceeds %d", len(line), maxReportLine)
 	}
-	var r Report
+	var r report
 	if err := json.Unmarshal(line, &r); err != nil {
-		return Report{}, fmt.Errorf("gateway: bad report line: %w", err)
+		return report{}, fmt.Errorf("gateway: bad report line: %w", err)
 	}
 	if r.GatewayID == "" {
-		return Report{}, errors.New("gateway: report missing gatewayId")
+		return report{}, errors.New("gateway: report missing gatewayId")
 	}
 	if len(r.GatewayID) > maxGatewayID {
-		return Report{}, fmt.Errorf("gateway: gatewayId %d bytes exceeds %d", len(r.GatewayID), maxGatewayID)
+		return report{}, fmt.Errorf("gateway: gatewayId %d bytes exceeds %d", len(r.GatewayID), maxGatewayID)
 	}
 	return r, nil
 }
@@ -230,22 +230,11 @@ func (c *Collector) ReportsReceived() int {
 	return c.total
 }
 
-// BadLines returns the number of malformed report lines seen.
-func (c *Collector) BadLines() int {
+// badLines returns the number of malformed report lines seen.
+func (c *Collector) badLines() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.badLine
-}
-
-// Latest returns a copy of the most recent report per gateway.
-func (c *Collector) Latest() map[string]Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]Report, len(c.latest))
-	for k, v := range c.latest {
-		out[k] = v
-	}
-	return out
 }
 
 // FleetStats is the aggregate across all reporting gateways.
@@ -406,7 +395,7 @@ func (r *Reporter) Run() error {
 	defer close(r.done)
 
 	var (
-		spool      = make([]Report, 0, spoolSize)
+		spool      = make([]report, 0, spoolSize)
 		conn       net.Conn
 		enc        *json.Encoder
 		backoff    = r.Retry.NewBackoff()
@@ -431,7 +420,7 @@ func (r *Reporter) Run() error {
 
 	// The spool itself is touched only by this goroutine; r.mu guards
 	// just the stats ledger that Stats() reads concurrently.
-	enqueue := func(rep Report) {
+	enqueue := func(rep report) {
 		var droppedTotal uint64
 		if overflow := len(spool) >= spoolSize; overflow {
 			copy(spool, spool[1:])
@@ -521,7 +510,7 @@ func (r *Reporter) Run() error {
 	}
 
 	tick := func() {
-		enqueue(Report{
+		enqueue(report{
 			GatewayID:        r.GatewayID,
 			SentAtUnixMillis: r.Now().UnixMilli(),
 			Stats:            r.Source(),

@@ -44,7 +44,7 @@ func TestCollectorReceivesReports(t *testing.T) {
 	defer conn.Close()
 	enc := json.NewEncoder(conn)
 	for i := 0; i < 3; i++ {
-		if err := enc.Encode(Report{
+		if err := enc.Encode(report{
 			GatewayID:        "gw-1",
 			SentAtUnixMillis: int64(i),
 			Stats:            GatewayStats{Relayed: uint64(i + 1)},
@@ -66,7 +66,7 @@ func TestCollectorAggregatesFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = json.NewEncoder(conn).Encode(Report{
+		err = json.NewEncoder(conn).Encode(report{
 			GatewayID: fmt.Sprintf("gw-%d", g),
 			Stats: GatewayStats{
 				Relayed: 10,
@@ -94,12 +94,12 @@ func TestCollectorRejectsGarbage(t *testing.T) {
 	}
 	fmt.Fprintf(conn, "this is not json\n")
 	fmt.Fprintf(conn, "{\"stats\":{}}\n") // valid JSON, missing gateway id
-	if err := json.NewEncoder(conn).Encode(Report{GatewayID: "ok"}); err != nil {
+	if err := json.NewEncoder(conn).Encode(report{GatewayID: "ok"}); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
 	waitFor(t, "1 good + 2 bad lines", func() bool {
-		return c.ReportsReceived() == 1 && c.BadLines() == 2
+		return c.ReportsReceived() == 1 && c.badLines() == 2
 	})
 }
 
@@ -119,7 +119,7 @@ func TestCollectorShutdownClosesOpenConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(Report{GatewayID: "held"}); err != nil {
+	if err := json.NewEncoder(conn).Encode(report{GatewayID: "held"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "report consumed", func() bool { return c.ReportsReceived() == 1 })
@@ -232,4 +232,15 @@ func TestEndToEndFleet(t *testing.T) {
 		f := collector.Aggregate()
 		return f.Gateways == 2 && f.TotalRemovals == 1 && f.Denied >= 1
 	})
+}
+
+// Latest returns a copy of the most recent report per gateway.
+func (c *Collector) Latest() map[string]report {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]report, len(c.latest))
+	for k, v := range c.latest {
+		out[k] = v
+	}
+	return out
 }

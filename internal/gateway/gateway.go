@@ -59,22 +59,22 @@ var (
 type FailMode int
 
 const (
-	// FailOpen (the default) keeps relaying while degraded: containment
+	// failOpen (the default) keeps relaying while degraded: containment
 	// still runs locally, only fleet visibility is lost. This preserves
 	// service during monitoring outages.
-	FailOpen FailMode = iota
-	// FailClosed denies new connections while degraded: the
+	failOpen FailMode = iota
+	// failClosed denies new connections while degraded: the
 	// conservative containment posture for deployments where an
 	// unmonitored gateway during an outbreak is worse than an outage.
-	FailClosed
+	failClosed
 )
 
 // String implements fmt.Stringer.
 func (m FailMode) String() string {
 	switch m {
-	case FailOpen:
+	case failOpen:
 		return "open"
-	case FailClosed:
+	case failClosed:
 		return "closed"
 	default:
 		return fmt.Sprintf("FailMode(%d)", int(m))
@@ -85,9 +85,9 @@ func (m FailMode) String() string {
 func ParseFailMode(s string) (FailMode, error) {
 	switch s {
 	case "open":
-		return FailOpen, nil
+		return failOpen, nil
 	case "closed":
-		return FailClosed, nil
+		return failClosed, nil
 	default:
 		return 0, fmt.Errorf("gateway: fail mode %q (want open or closed)", s)
 	}
@@ -100,13 +100,15 @@ type Dialer func(network, address string) (net.Conn, error)
 
 // Config parameterizes a Gateway.
 type Config struct {
-	// Limiter is the containment engine; required. Either backend works:
-	// the exact core.Limiter or the sketch-based core.SketchLimiter.
+	// Limiter is the containment engine; required. Either backend works
+	// (the exact core.Limiter or the sketch-based core.SketchLimiter),
+	// bare, behind a durable store or behind a fleet node: the gateway
+	// calls Observe per connection and Snapshot for its statistics.
 	// When the limiter additionally implements core.FailureObserver
 	// (the sketch with a failure threshold configured), the gateway
 	// feeds upstream dial failures into it — the connection-failure
 	// containment signal.
-	Limiter core.ContainmentLimiter
+	Limiter core.Decider
 	// Dial opens upstream connections; nil means net.DialTimeout with
 	// DialTimeout.
 	Dial Dialer
@@ -129,7 +131,7 @@ type Config struct {
 	DialRetry faultnet.RetryConfig
 	// FailMode selects the degradation policy applied while
 	// SetDegraded(true) is in effect (typically wired to the reporter's
-	// OnStateChange). Default FailOpen.
+	// OnStateChange). The zero value is fail-open; ParseFailMode names both.
 	FailMode FailMode
 	// Sleep realizes dial-retry backoff delays; nil means time.Sleep.
 	// Injectable so chaos tests run fast.
@@ -367,11 +369,11 @@ func (g *Gateway) handle(client net.Conn) {
 		return
 	}
 
-	// Fail-closed degradation: with fleet reporting down, a FailClosed
+	// Fail-closed degradation: with fleet reporting down, a fail-closed
 	// gateway refuses new work before the limiter ever sees it — the
 	// denial is a policy outcome, not a containment decision, so it must
 	// not consume the source's scan budget.
-	if g.cfg.FailMode == FailClosed && g.degraded.Load() {
+	if g.cfg.FailMode == failClosed && g.degraded.Load() {
 		g.metrics.degradedDenied.Inc()
 		_, _ = client.Write(respDenyDegraded)
 		return

@@ -44,7 +44,7 @@ type metricSet struct {
 // costs one Snapshot (which walks the host table) instead of nine.
 // degraded is the gateway's live degradation flag, exported as a 0/1
 // gauge so dashboards see a gateway that lost its collector.
-func newMetricSet(reg *telemetry.Registry, limiter core.ContainmentLimiter, degraded *atomic.Bool) *metricSet {
+func newMetricSet(reg *telemetry.Registry, limiter core.Decider, degraded *atomic.Bool) *metricSet {
 	bytes := reg.CounterVec("wormgate_relay_bytes_total",
 		"Bytes relayed through established connections.", "direction")
 	m := &metricSet{
@@ -117,23 +117,6 @@ func newMetricSet(reg *telemetry.Registry, limiter core.ContainmentLimiter, degr
 			"Host removals triggered by the connection-failure threshold.",
 			func() float64 { return float64(cache.get().FailureRemovals) })
 	}
-
-	// Estimator-specific series: memory footprint and analytic accuracy,
-	// the two numbers an operator sizing Bits watches.
-	if sk, ok := limiter.(*core.SketchLimiter); ok {
-		reg.GaugeFunc("wormgate_sketch_register_bytes",
-			"Register-slab memory held by the sketch limiter (capacity, including recycled slabs).",
-			func() float64 { return float64(sk.Memory().RegisterBytes) })
-		reg.GaugeFunc("wormgate_sketch_tracked_hosts",
-			"Hosts with sketch state in the current containment cycle.",
-			func() float64 { return float64(sk.Memory().TrackedHosts) })
-		reg.GaugeFunc("wormgate_sketch_bytes_per_host",
-			"Fixed per-host register cost of the configured sketch widths.",
-			func() float64 { return float64(sk.Memory().BytesPerHost) })
-		reg.GaugeFunc("wormgate_sketch_expected_relative_error",
-			"Analytic standard relative error of the cardinality estimate at the removal threshold M.",
-			func() float64 { return sk.ExpectedRelativeError() })
-	}
 	return m
 }
 
@@ -143,7 +126,7 @@ func newMetricSet(reg *telemetry.Registry, limiter core.ContainmentLimiter, degr
 // holds within it) and stops the limiter's stripes once, not once per
 // series. The snapshot itself is a sum over the stripes' counters.
 type limiterStatsCache struct {
-	limiter core.ContainmentLimiter
+	limiter core.Decider
 
 	mu    sync.Mutex
 	at    time.Time

@@ -245,8 +245,8 @@ func TestCollectorScrapeWhileReporting(t *testing.T) {
 	if !strings.Contains(body, "wormgate_collector_reports_total") {
 		t.Errorf("collector metrics missing reports family:\n%s", body)
 	}
-	if coll.Staleness() < 0 || coll.Staleness() > time.Minute {
-		t.Errorf("staleness = %v, want small and non-negative", coll.Staleness())
+	if coll.staleness() < 0 || coll.staleness() > time.Minute {
+		t.Errorf("staleness = %v, want small and non-negative", coll.staleness())
 	}
 	select {
 	case err := <-repDone:

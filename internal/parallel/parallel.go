@@ -48,21 +48,21 @@ type SlotFunc[T any] func(r, slot int) (T, error)
 // may mutate the accumulator freely without synchronization.
 type MergeFunc[T, A any] func(acc A, r int, v T) (A, error)
 
-// ProgressFunc observes completed replications. It is called on the
+// progressFunc observes completed replications. It is called on the
 // caller's goroutine after each in-order merge with done = 1, 2, ...,
 // total — the sequence is identical for every worker count.
-type ProgressFunc func(done, total int)
+type progressFunc func(done, total int)
 
 // Option tunes a Map or Reduce call.
 type Option func(*config)
 
 type config struct {
-	progress ProgressFunc
+	progress progressFunc
 	metrics  *engineMetrics
 }
 
-// WithProgress installs a progress callback.
-func WithProgress(p ProgressFunc) Option {
+// withProgress installs a progress callback.
+func withProgress(p progressFunc) Option {
 	return func(c *config) { c.progress = p }
 }
 
@@ -73,7 +73,7 @@ type engineMetrics struct {
 	active    *telemetry.Gauge
 }
 
-// WithTelemetry wires the run into a telemetry registry:
+// withTelemetry wires the run into a telemetry registry:
 // parallel_replications_completed_total counts in-order merges,
 // parallel_worker_busy_nanoseconds_total accumulates time spent inside
 // replication functions (utilization = busy nanos / (workers × wall
@@ -81,7 +81,7 @@ type engineMetrics struct {
 // The two clock reads per replication are noise next to a replication's
 // own cost (a whole simulation run), and determinism is untouched —
 // instruments never feed back into scheduling.
-func WithTelemetry(reg *telemetry.Registry) Option {
+func withTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) {
 		c.metrics = &engineMetrics{
 			completed: reg.Counter("parallel_replications_completed_total",

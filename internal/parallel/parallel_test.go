@@ -161,7 +161,7 @@ func TestProgressSequenceIdenticalAcrossWorkers(t *testing.T) {
 	sequence := func(workers int) []int {
 		var seq []int
 		_, err := Map(25, workers, func(r int) (int, error) { return r, nil },
-			WithProgress(func(done, total int) {
+			withProgress(func(done, total int) {
 				if total != 25 {
 					t.Fatalf("total = %d", total)
 				}

@@ -17,7 +17,7 @@ func TestWithTelemetryCountsReplications(t *testing.T) {
 				return r, nil
 			},
 			func(acc, r, v int) (int, error) { return acc + v, nil },
-			WithTelemetry(reg))
+			withTelemetry(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestWithTelemetryPreservesDeterminism(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	base := run(1)
-	instrumented := run(8, WithTelemetry(reg))
+	instrumented := run(8, withTelemetry(reg))
 	for i := range base {
 		if base[i] != instrumented[i] {
 			t.Fatalf("out[%d] = %d instrumented vs %d serial", i, instrumented[i], base[i])

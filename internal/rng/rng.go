@@ -66,15 +66,6 @@ func (s *SplitMix64) Float64() float64 {
 	return float64FromBits(s.Uint64())
 }
 
-// State exports the generator's complete internal state. Together with
-// SetState it lets a checkpoint capture a generator mid-stream and a
-// restore continue the exact draw sequence.
-func (s *SplitMix64) State() uint64 { return s.state }
-
-// SetState restores a state previously obtained from State. Any uint64
-// is a valid SplitMix64 state.
-func (s *SplitMix64) SetState(state uint64) { s.state = state }
-
 // PCG64 is the pcg64_xsl_rr_128_64 generator of O'Neill (2014): a 128-bit
 // linear congruential generator with an xor-shift-low/random-rotation
 // output permutation. It is the workhorse Source for all simulations: it
@@ -205,11 +196,11 @@ func (p *PCG64) SetState(st PCG64State) {
 	p.incHi, p.incLo = st.IncHi, st.IncLo|1
 }
 
-// Split derives a new, statistically independent PCG64 stream from the
+// split derives a new, statistically independent PCG64 stream from the
 // current generator. It consumes two values from the parent. Use it to
 // hand each Monte-Carlo replication or each simulated host its own
 // generator without coordinating stream ids manually.
-func (p *PCG64) Split() *PCG64 {
+func (p *PCG64) split() *PCG64 {
 	return NewPCG64(p.Uint64(), p.Uint64())
 }
 
@@ -255,8 +246,8 @@ func Exponential(src Source, rate float64) float64 {
 	return -math.Log1p(-src.Float64()) / rate
 }
 
-// Perm fills a permutation of [0, n) using the Fisher–Yates shuffle.
-func Perm(src Source, n int) []int {
+// perm fills a permutation of [0, n) using the Fisher–Yates shuffle.
+func perm(src Source, n int) []int {
 	p := make([]int, n)
 	for i := 1; i < n; i++ {
 		j := Intn(src, i+1)
@@ -266,9 +257,9 @@ func Perm(src Source, n int) []int {
 	return p
 }
 
-// Shuffle randomizes the order of n elements using the provided swap
-// function, as in math/rand.Shuffle, but driven by a deterministic Source.
-func Shuffle(src Source, n int, swap func(i, j int)) {
+// shuffle randomizes the order of n elements using the provided swap
+// function, as in math/rand.shuffle, but driven by a deterministic Source.
+func shuffle(src Source, n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := Intn(src, i+1)
 		swap(i, j)

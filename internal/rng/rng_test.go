@@ -68,7 +68,7 @@ func TestPCG64StreamsIndependent(t *testing.T) {
 
 func TestPCG64SplitIndependence(t *testing.T) {
 	parent := NewPCG64(99, 0)
-	child := parent.Split()
+	child := parent.split()
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if parent.Uint64() == child.Uint64() {
@@ -195,7 +195,7 @@ func TestExponentialPanicsOnBadRate(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	src := NewPCG64(31, 0)
 	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := Perm(src, n)
+		p := perm(src, n)
 		if len(p) != n {
 			t.Fatalf("Perm(%d) has length %d", n, len(p))
 		}
@@ -216,7 +216,7 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	for _, x := range xs {
 		sum += x
 	}
-	Shuffle(src, len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	shuffle(src, len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 	got := 0
 	for _, x := range xs {
 		got += x

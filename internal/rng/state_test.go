@@ -88,7 +88,7 @@ func TestSplitMix64StateRoundTrip(t *testing.T) {
 			s.Uint64()
 		}
 		restored := NewSplitMix64(0)
-		restored.SetState(s.State())
+		restored.state = s.state
 		for i := 0; i < 128; i++ {
 			if got, want := restored.Uint64(), s.Uint64(); got != want {
 				t.Fatalf("seed %#x: draw %d: restored %#x != original %#x", seed, i, got, want)

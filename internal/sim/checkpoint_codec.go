@@ -25,13 +25,13 @@ const (
 
 // EncodeCheckpoint serializes ck.
 func EncodeCheckpoint(ck *Checkpoint) []byte {
-	return AppendEncodeCheckpoint(nil, ck)
+	return appendEncodeCheckpoint(nil, ck)
 }
 
-// AppendEncodeCheckpoint serializes ck onto b and returns the extended
+// appendEncodeCheckpoint serializes ck onto b and returns the extended
 // slice — the allocation-free form for periodic checkpoint loops that
 // reuse one buffer.
-func AppendEncodeCheckpoint(b []byte, ck *Checkpoint) []byte {
+func appendEncodeCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = append(b, checkpointMagic...)
 	b = binio.AppendU16(b, checkpointVersion)
 

@@ -13,15 +13,6 @@ type CheckpointSink interface {
 	Save(payload []byte) (gen uint64, err error)
 }
 
-// CheckpointSource loads the newest valid checkpoint payload, returning
-// its generation number. Implementations return an error satisfying
-// errors.Is(err, fs.ErrNotExist) semantics of their own choosing when
-// no checkpoint exists; callers decide whether that means "start
-// fresh".
-type CheckpointSource interface {
-	Load() (payload []byte, gen uint64, err error)
-}
-
 // ErrStopRequested is returned by RunCheckpointed/ResumeCheckpointed
 // when CheckpointOptions.Stop asked the run to halt: a final checkpoint
 // has been written (when a sink is configured) and the run can be
@@ -95,14 +86,6 @@ func RunCheckpointed(cfg Config, scratch *Scratch, res *Result, opts CheckpointO
 	return e.runCheckpointLoop(background, &opts)
 }
 
-// ResumeFromCheckpoint rebuilds the run at ck's cut and completes it
-// without further checkpointing. The continuation is bit-identical to
-// the uninterrupted run — across kernel backends: cfg.Kernel picks the
-// backend to resume on regardless of which one wrote the checkpoint.
-func ResumeFromCheckpoint(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) error {
-	return ResumeCheckpointed(cfg, scratch, res, ck, CheckpointOptions{})
-}
-
 // ResumeCheckpointed rebuilds the run at ck's cut and completes it with
 // periodic checkpointing, exactly like RunCheckpointed from that point.
 func ResumeCheckpointed(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint, opts CheckpointOptions) error {
@@ -125,7 +108,7 @@ func (e *engine) writeCheckpoint(ck *Checkpoint, buf []byte, opts *CheckpointOpt
 	if err := e.snapshot(ck); err != nil {
 		return buf, err
 	}
-	buf = AppendEncodeCheckpoint(buf[:0], ck)
+	buf = appendEncodeCheckpoint(buf[:0], ck)
 	gen, err := opts.Sink.Save(buf)
 	if err != nil {
 		return buf, fmt.Errorf("sim: checkpoint write at %v: %w", e.sim.Now(), err)

@@ -126,7 +126,7 @@ func checkpointedRun(t *testing.T, name string, seed uint64, kernel des.Kind) (s
 	t.Helper()
 	cfg := checkpointScenario(t, name, seed)
 	cfg.Kernel = kernel
-	cfg.Invariants = NewInvariantChecker()
+	cfg.Invariants = &InvariantChecker{}
 	sink := &memSink{}
 	var stats CheckpointStats
 	var res Result
@@ -136,7 +136,7 @@ func checkpointedRun(t *testing.T, name string, seed uint64, kernel des.Kind) (s
 	if err != nil {
 		t.Fatalf("%s seed %d %v: %v", name, seed, kernel, err)
 	}
-	if cfg.Invariants.Cuts() == 0 {
+	if cfg.Invariants.cuts == 0 {
 		t.Fatalf("%s seed %d: invariant checker never audited a cut", name, seed)
 	}
 	return fingerprintResult(&res), sink.payloads, stats
@@ -406,31 +406,31 @@ func TestCheckpointRejects(t *testing.T) {
 // caught at the next cut.
 func TestInvariantChecker(t *testing.T) {
 	cfg := checkpointScenario(t, "uncontained-countermeasures", 1905)
-	cfg.Invariants = NewInvariantChecker()
+	cfg.Invariants = &InvariantChecker{}
 	scratch := NewScratch()
 	var res Result
 	if err := RunInto(cfg, scratch, &res); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Invariants.Cuts() != 1 || len(cfg.Invariants.Violations()) != 0 {
+	if cfg.Invariants.cuts != 1 || len(cfg.Invariants.violations) != 0 {
 		t.Fatalf("clean run: cuts=%d violations=%v",
-			cfg.Invariants.Cuts(), cfg.Invariants.Violations())
+			cfg.Invariants.cuts, cfg.Invariants.violations)
 	}
 
 	// Corrupt the engine that run left behind and audit it again.
 	e := &scratch.eng
 	e.res = &res
 	check := func(name string, mutate, undo func()) {
-		ic := NewInvariantChecker()
+		ic := &InvariantChecker{}
 		mutate()
 		ic.checkCut(e)
 		undo()
-		if ic.Err() == nil {
+		if ic.err() == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
-		ic.Reset()
+		*ic = InvariantChecker{}
 		ic.checkCut(e)
-		if err := ic.Err(); err != nil {
+		if err := ic.err(); err != nil {
 			t.Errorf("%s: clean state flagged after undo: %v", name, err)
 		}
 	}
@@ -447,7 +447,7 @@ func TestInvariantChecker(t *testing.T) {
 	// exact corruption the disjointness audit exists for).
 	overlap := -1
 	for i := 0; i < cfg.V; i++ {
-		if e.state.status(i) == Removed {
+		if e.state.status(i) == removed {
 			overlap = i
 			break
 		}
@@ -471,13 +471,13 @@ func TestInvariantChecker(t *testing.T) {
 		})
 
 	// Clock regression and the removed-host scan probe.
-	ic := NewInvariantChecker()
+	ic := &InvariantChecker{}
 	ic.observeEvent(5 * time.Second)
 	ic.observeEvent(3 * time.Second)
-	if ic.Err() == nil {
+	if ic.err() == nil {
 		t.Error("clock regression not detected")
 	}
-	ic = NewInvariantChecker()
+	ic = &InvariantChecker{}
 	victim := -1
 	for i := 0; i < cfg.V; i++ {
 		if e.state.isInfected(i) {
@@ -489,7 +489,7 @@ func TestInvariantChecker(t *testing.T) {
 		e.state.removed[victim>>6] |= 1 << (uint(victim) & 63)
 		ic.observeScan(e, victim)
 		e.state.removed[victim>>6] &^= 1 << (uint(victim) & 63)
-		if ic.Err() == nil {
+		if ic.err() == nil {
 			t.Error("removed-host scan not detected")
 		}
 	}
@@ -502,7 +502,7 @@ func TestInvariantChecker(t *testing.T) {
 func TestInvariantCheckerSurfacesError(t *testing.T) {
 	cfg := checkpointScenario(t, "enterprise-mlimit", 1)
 	scratch := NewScratch()
-	cfg.Invariants = NewInvariantChecker()
+	cfg.Invariants = &InvariantChecker{}
 	broke := false
 	cfg.ScanObserver = func(src, dst addr.IP, at time.Duration) {
 		if !broke {
@@ -580,6 +580,14 @@ func BenchmarkCheckpoint10M(b *testing.B) {
 		if err := e.snapshot(&ck); err != nil {
 			b.Fatal(err)
 		}
-		buf = AppendEncodeCheckpoint(buf[:0], &ck)
+		buf = appendEncodeCheckpoint(buf[:0], &ck)
 	}
+}
+
+// ResumeFromCheckpoint rebuilds the run at ck's cut and completes it
+// without further checkpointing. The continuation is bit-identical to
+// the uninterrupted run — across kernel backends: cfg.Kernel picks the
+// backend to resume on regardless of which one wrote the checkpoint.
+func ResumeFromCheckpoint(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) error {
+	return ResumeCheckpointed(cfg, scratch, res, ck, CheckpointOptions{})
 }

@@ -35,23 +35,23 @@ import (
 type Status uint8
 
 const (
-	// Susceptible hosts can be infected by a successful scan.
-	Susceptible Status = iota + 1
-	// Infected hosts actively scan.
-	Infected
-	// Removed hosts have been taken out by the defense and neither scan
+	// susceptible hosts can be infected by a successful scan.
+	susceptible Status = iota + 1
+	// infected hosts actively scan.
+	infected
+	// removed hosts have been taken out by the defense and neither scan
 	// nor accept infection ("a host is removed if it has sent M scans").
-	Removed
+	removed
 )
 
 // String implements fmt.Stringer.
 func (s Status) String() string {
 	switch s {
-	case Susceptible:
+	case susceptible:
 		return "susceptible"
-	case Infected:
+	case infected:
 		return "infected"
-	case Removed:
+	case removed:
 		return "removed"
 	default:
 		return "Status(?)"
@@ -513,7 +513,7 @@ func (e *engine) finishRun(background *backgroundDriver) error {
 	var err error
 	if ic := e.cfg.Invariants; ic != nil {
 		ic.checkCut(e)
-		err = ic.Err()
+		err = ic.err()
 	}
 	e.res = nil // never retain the caller's Result across runs
 	return err

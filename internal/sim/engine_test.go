@@ -161,8 +161,8 @@ func TestRunSamplePaths(t *testing.T) {
 		prevInf, prevRem = inf, rem
 	}
 	// Final values match the scalar result.
-	if _, v, _ := res.InfectedSeries.Last(); int(v) != res.TotalInfected {
-		t.Errorf("final infected series %v != %d", v, res.TotalInfected)
+	if _, vs := res.InfectedSeries.Points(); int(vs[len(vs)-1]) != res.TotalInfected {
+		t.Errorf("final infected series %v != %d", vs[len(vs)-1], res.TotalInfected)
 	}
 }
 
@@ -264,28 +264,36 @@ func TestRunQuarantineResumesAfterRelease(t *testing.T) {
 		t.Errorf("quarantine removals = %d, want 0 (blocks expire)", res.TotalRemoved)
 	}
 	if res.Dropped == 0 {
-		t.Error("certain detector should have dropped scans")
-	}
-	if q.Alarms() == 0 {
-		t.Error("expected alarms")
+		t.Error("certain detector should have dropped scans") // only an alarmed host's scans drop
 	}
 }
 
+// listScanner sweeps a fixed address list in order, then scans
+// uniformly: a scanner with per-host state.
+type listScanner struct {
+	list []addr.IP
+	pos  int
+}
+
+func (l *listScanner) Next(src rng.Source, self addr.IP) addr.IP {
+	if l.pos < len(l.list) {
+		l.pos++
+		return l.list[l.pos-1]
+	}
+	return addr.Uniform{}.Next(src, self)
+}
+
 func TestRunScannerFactoryPerHost(t *testing.T) {
-	// A hit-list scanner is stateful; the factory must give each host
-	// its own cursor. The hit list contains every vulnerable address,
-	// so host 0's first scans sweep the list in order.
+	// A list scanner is stateful; the factory must give each host its
+	// own cursor. The list contains every vulnerable address, so host
+	// 0's first scans sweep the list in order.
 	pfx, _ := addr.ParsePrefix("10.2.0.0/24")
 	popSrc := rng.NewPCG64(13, 0)
 	pop, err := addr.NewPopulation(50, &pfx, popSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := pop.Addrs()
-	proto, err := addr.NewHitList(list, addr.Uniform{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	list := pop.AppendAddrs(nil)
 	d, err := defense.NewMLimit(100, 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +302,7 @@ func TestRunScannerFactoryPerHost(t *testing.T) {
 		V:              1000,
 		I0:             1,
 		ScanRate:       100,
-		ScannerFactory: func() addr.Scanner { return proto.Clone() },
+		ScannerFactory: func() addr.Scanner { return &listScanner{list: list} },
 		Defense:        d,
 		Horizon:        10 * time.Second,
 		Seed:           14,
@@ -303,7 +311,7 @@ func TestRunScannerFactoryPerHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The seed host's hit list covers 50 addresses of OTHER population
+	// The seed host's list covers 50 addresses of OTHER population
 	// hosts only by chance; what we verify is the mechanism ran and the
 	// factory path did not panic or share cursors (progress was made).
 	if res.TotalScans == 0 {
@@ -313,9 +321,9 @@ func TestRunScannerFactoryPerHost(t *testing.T) {
 
 func TestStatusString(t *testing.T) {
 	cases := map[Status]string{
-		Susceptible: "susceptible",
-		Infected:    "infected",
-		Removed:     "removed",
+		susceptible: "susceptible",
+		infected:    "infected",
+		removed:     "removed",
 		Status(0):   "Status(?)",
 	}
 	for s, want := range cases {

@@ -41,35 +41,18 @@ func (c FastConfig) validate() error {
 	return nil
 }
 
-// FastTotal simulates one outbreak generation by generation and returns
-// the total number of hosts ever infected.
-//
-// Statistical equivalence to the full event simulation: with uniform
-// scanning, each of a host's M scans independently lands on any given
-// address with probability 1/SpaceSize, so the number of scans that hit
-// the vulnerable set is Binomial(M, V/SpaceSize), and each hit strikes a
-// uniformly random vulnerable host. The M-limit makes every infected
-// host perform exactly M scans before removal, and the distribution of
-// the total infection count I does not depend on *when* scans happen —
-// only on which hosts they hit. Hits on already-infected or removed
-// hosts are wasted, which reproduces the finite-population saturation
-// the Borel–Tanner approximation ignores.
-func FastTotal(cfg FastConfig, src rng.Source) (int, error) {
-	return FastTotalScratch(cfg, src, new(FastScratch))
-}
-
-// FastScratch is the reusable arena for FastTotalScratch: the
+// fastScratch is the reusable arena for fastTotalScratch: the
 // infected-host bitset, sized for the largest population seen so far.
 // One replication's writes are fully overwritten by the next
 // replication's reset, so reusing an arena changes no results — it only
 // removes the V-sized allocation (360 KB as a []bool for the Code Red
 // population, 45 KB as a bitset) from every replication.
-type FastScratch struct {
+type fastScratch struct {
 	infected []uint64 // bitset over host indices 0..V-1
 }
 
 // bitset returns the infected bitset cleared and sized for v hosts.
-func (s *FastScratch) bitset(v int) []uint64 {
+func (s *fastScratch) bitset(v int) []uint64 {
 	words := (v + 63) / 64
 	if cap(s.infected) < words {
 		s.infected = make([]uint64, words)
@@ -80,10 +63,10 @@ func (s *FastScratch) bitset(v int) []uint64 {
 	return s.infected
 }
 
-// FastTotalScratch is FastTotal drawing its working memory from scratch,
-// for Monte-Carlo loops that run many replications per worker. The RNG
-// draw sequence is identical to FastTotal's.
-func FastTotalScratch(cfg FastConfig, src rng.Source, scratch *FastScratch) (int, error) {
+// fastTotalScratch simulates one outbreak generation by generation and
+// returns its total infection count, drawing its working memory from
+// scratch: Monte-Carlo loops run many replications per worker.
+func fastTotalScratch(cfg FastConfig, src rng.Source, scratch *fastScratch) (int, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
@@ -131,7 +114,8 @@ func (m *MonteCarlo) Summary() (stats.Summary, error) {
 	return stats.SummarizeInts(m.Totals)
 }
 
-// RunFastMonteCarlo performs runs independent replications of FastTotal,
+// RunFastMonteCarlo performs runs independent replications of
+// fastTotalScratch,
 // replication r drawing from stream r of cfg.Seed. This is the engine
 // behind the paper's "we ran this simulation with M = 10,000 for a 1000
 // times and collected the values of I" (Section V). Replications are
@@ -192,7 +176,7 @@ func RunFastMonteCarloResume(cfg FastConfig, runs, workers int, prior []int,
 	// sequence; Reseed pins replication r to stream r exactly as a
 	// fresh NewPCG64 would, so reuse changes no draw.
 	type slotState struct {
-		scratch FastScratch
+		scratch fastScratch
 		src     rng.PCG64
 	}
 	pool := parallel.NewScratchPool(parallel.ClampWorkers(workers, remaining),
@@ -201,7 +185,7 @@ func RunFastMonteCarloResume(cfg FastConfig, runs, workers int, prior []int,
 		func(r, slot int) (int, error) {
 			s := pool.Get(slot)
 			s.src.Reseed(cfg.Seed, uint64(offset+r))
-			return FastTotalScratch(cfg, &s.src, &s.scratch)
+			return fastTotalScratch(cfg, &s.src, &s.scratch)
 		},
 		func(mc *MonteCarlo, r int, total int) (*MonteCarlo, error) {
 			mc.Totals = append(mc.Totals, total)

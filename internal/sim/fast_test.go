@@ -160,10 +160,12 @@ func TestFastMonteCarloWorkerCountInvariant(t *testing.T) {
 		if glo != lo || ghi != hi {
 			t.Fatalf("workers=%d: histogram range [%d,%d], want [%d,%d]", workers, glo, ghi, lo, hi)
 		}
+		// Both histograms hold the same number of runs, so equal
+		// frequencies are equal counts.
+		gf, rf := got.Hist.RelFreq(hi), ref.Hist.RelFreq(hi)
 		for v := lo; v <= hi; v++ {
-			if got.Hist.Count(v) != ref.Hist.Count(v) {
-				t.Fatalf("workers=%d: hist[%d] = %d, want %d",
-					workers, v, got.Hist.Count(v), ref.Hist.Count(v))
+			if gf[v] != rf[v] {
+				t.Fatalf("workers=%d: hist[%d] = %v of the runs, want %v", workers, v, gf[v], rf[v])
 			}
 		}
 	}
@@ -233,4 +235,21 @@ func BenchmarkFastTotalCodeRed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FastTotal simulates one outbreak generation by generation and returns
+// the total number of hosts ever infected.
+//
+// Statistical equivalence to the full event simulation: with uniform
+// scanning, each of a host's M scans independently lands on any given
+// address with probability 1/SpaceSize, so the number of scans that hit
+// the vulnerable set is Binomial(M, V/SpaceSize), and each hit strikes a
+// uniformly random vulnerable host. The M-limit makes every infected
+// host perform exactly M scans before removal, and the distribution of
+// the total infection count I does not depend on *when* scans happen —
+// only on which hosts they hit. Hits on already-infected or removed
+// hosts are wasted, which reproduces the finite-population saturation
+// the Borel–Tanner approximation ignores.
+func FastTotal(cfg FastConfig, src rng.Source) (int, error) {
+	return fastTotalScratch(cfg, src, new(fastScratch))
 }

@@ -259,7 +259,7 @@ func TestGoldenFastScratchReuse(t *testing.T) {
 		t.Skip("scratch sweep verifies the recorded fingerprints; nothing to update")
 	}
 	want := loadGolden(t)
-	scratch := new(FastScratch)
+	scratch := new(fastScratch)
 	for _, seed := range goldenSeeds {
 		key := fmt.Sprintf("mc/codered/seed=%d", seed)
 		w, ok := want[key]
@@ -270,7 +270,7 @@ func TestGoldenFastScratchReuse(t *testing.T) {
 		totals := make([]int, 0, 200)
 		for r := 0; r < 200; r++ {
 			src := rng.NewPCG64(cfg.Seed, uint64(r))
-			total, err := FastTotalScratch(cfg, src, scratch)
+			total, err := fastTotalScratch(cfg, src, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,9 +20,9 @@ const maxViolations = 32
 //
 // The checker consumes no randomness and schedules no events, so
 // enabling it never changes a trajectory; violations accumulate and are
-// surfaced as one error when the run finishes (finishRun calls Err).
-// A checker instance belongs to one run at a time; Reset it (or use a
-// fresh one) per run.
+// surfaced as one error when the run finishes (finishRun calls err).
+// A checker instance belongs to one run at a time; the zero value is
+// ready to attach to Config.Invariants.
 type InvariantChecker struct {
 	last       time.Duration
 	observed   bool
@@ -31,35 +31,9 @@ type InvariantChecker struct {
 	violations []string
 }
 
-// NewInvariantChecker returns a checker ready to attach to
-// Config.Invariants.
-func NewInvariantChecker() *InvariantChecker {
-	return &InvariantChecker{}
-}
-
-// Reset clears recorded violations and the clock watermark so the
-// checker can audit another run.
-func (ic *InvariantChecker) Reset() {
-	ic.last = 0
-	ic.observed = false
-	ic.cuts = 0
-	ic.total = 0
-	ic.violations = ic.violations[:0]
-}
-
-// Cuts returns the number of checkpoint-cut audits performed (including
-// the end-of-run audit).
-func (ic *InvariantChecker) Cuts() int { return ic.cuts }
-
-// Violations returns the recorded violation messages (capped at
-// maxViolations; the error from Err reports the full count).
-func (ic *InvariantChecker) Violations() []string {
-	return append([]string(nil), ic.violations...)
-}
-
-// Err returns nil when no invariant was violated, otherwise one error
+// err returns nil when no invariant was violated, otherwise one error
 // summarizing every recorded violation.
-func (ic *InvariantChecker) Err() error {
+func (ic *InvariantChecker) err() error {
 	if ic.total == 0 {
 		return nil
 	}

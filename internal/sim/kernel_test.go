@@ -137,8 +137,8 @@ func TestHostStateShardCounts(t *testing.T) {
 	// The tri-state view must agree with the predicates.
 	for _, i := range []int{0, 1, 63, 64, 65, 199999} {
 		s := st.status(i)
-		if st.isInfected(i) != (s == Infected) ||
-			st.isSusceptible(i) != (s == Susceptible) {
+		if st.isInfected(i) != (s == infected) ||
+			st.isSusceptible(i) != (s == susceptible) {
 			t.Fatalf("host %d: status %v disagrees with predicates", i, s)
 		}
 	}
@@ -177,7 +177,8 @@ func sim10MConfig() Config {
 
 // BenchmarkSimRun10M is the internet-scale gate: one full V=10M run
 // per iteration on the wheel kernel, with the Scratch arena and Result
-// recycled — steady-state allocs/op must be 0 (benchjson gates it).
+// recycled — steady-state allocs/op must be 0 (make bench-allocs holds
+// it).
 func BenchmarkSimRun10M(b *testing.B) {
 	cfg := sim10MConfig()
 	scratch := NewScratch()

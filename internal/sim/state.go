@@ -42,11 +42,11 @@ func (h *hostState) status(i int) Status {
 	w, b := i>>6, uint(i&63)
 	switch {
 	case h.infected[w]>>b&1 != 0:
-		return Infected
+		return infected
 	case h.removed[w]>>b&1 != 0:
-		return Removed
+		return removed
 	default:
-		return Susceptible
+		return susceptible
 	}
 }
 

@@ -175,7 +175,7 @@ func TestTopoInfectionTreeArtifacts(t *testing.T) {
 				if m.MaxChildren > agg.maxChildren {
 					agg.maxChildren = m.MaxChildren
 				}
-				agg.tailAt4 += m.TailFraction(4)
+				agg.tailAt4 += tailFraction(m, 4)
 			}
 		}
 	}
@@ -194,6 +194,19 @@ func TestTopoInfectionTreeArtifacts(t *testing.T) {
 		t.Errorf("scale-free tail fraction %.4f not above tree's %.4f (degree >= 4)",
 			sf.tailAt4, tree.tailAt4)
 	}
+}
+
+// tailFraction is the fraction of infected hosts whose infection-tree
+// degree is at least d.
+func tailFraction(m *topo.TreeMetrics, d int) float64 {
+	if m.Total == 0 {
+		return 0
+	}
+	count := 0
+	for deg := d; deg < len(m.DegreeHistogram); deg++ {
+		count += m.DegreeHistogram[deg]
+	}
+	return float64(count) / float64(m.Total)
 }
 
 // TestTopoRunDeterminism replays a topology run: same seed and stream

@@ -104,7 +104,7 @@ func dirCrashSweep(t *testing.T, seed uint64) {
 		if err != nil || !bytes.Equal(got, payloads[len(payloads)-1]) {
 			t.Fatalf("crash at op %d: final Load %q, %v", n, got, err)
 		}
-		gens, err := d.Generations()
+		gens, err := d.scan()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,8 +30,7 @@ var ErrNoCheckpoint = errors.New("simstate: no valid checkpoint")
 
 // Dir is a checkpoint directory: Save publishes each payload as a new
 // generation, Load returns the newest valid one. It implements
-// sim.CheckpointSink and sim.CheckpointSource. Safe for concurrent
-// use, though the checkpoint loop is single-writer by construction.
+// sim.CheckpointSink. Safe for concurrent use, though the checkpoint loop is single-writer by construction.
 type Dir struct {
 	mu sync.Mutex
 	fs faultfs.FS
@@ -58,13 +57,6 @@ func (d *Dir) scan() ([]uint64, error) {
 		return nil, err
 	}
 	return gens[0], nil
-}
-
-// Generations returns the published generation numbers, ascending.
-func (d *Dir) Generations() ([]uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.scan()
 }
 
 // Save implements sim.CheckpointSink: the payload is published as
@@ -95,7 +87,7 @@ func (d *Dir) Save(payload []byte) (uint64, error) {
 	return gen, nil
 }
 
-// Load implements sim.CheckpointSource: newest valid generation wins.
+// Load returns the newest valid generation.
 // Corrupt generations (torn tails published by a crash-prone kernel,
 // flipped bits) are skipped for the next older one; they are never
 // fatal and never deleted here — Load is strictly read-only, exactly

@@ -39,7 +39,7 @@ func TestDirSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// GC keeps exactly the newest keepGenerations.
-	gens, err := d.Generations()
+	gens, err := d.scan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestLoadsParentLayout(t *testing.T) {
 	if gen, err := d.Save([]byte("next")); err != nil || gen != 3 {
 		t.Fatalf("Save = (%d, %v), want generation 3", gen, err)
 	}
-	if gens, _ := d.Generations(); len(gens) != 2 || gens[0] != 2 || gens[1] != 3 {
+	if gens, _ := d.scan(); len(gens) != 2 || gens[0] != 2 || gens[1] != 3 {
 		t.Fatalf("generations after save: %v, want [2 3]", gens)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ckpt-0000000000000003.ckpt.tmp")); !errors.Is(err, os.ErrNotExist) {

@@ -45,10 +45,10 @@ func (a *Accumulator) Add(x float64) {
 // AddInt folds one integer observation into the accumulator.
 func (a *Accumulator) AddInt(v int) { a.Add(float64(v)) }
 
-// Merge folds another accumulator's statistics into a, as if every
+// merge folds another accumulator's statistics into a, as if every
 // observation b saw had been Added to a. b is not modified. Merging is
 // commutative and associative up to floating-point rounding.
-func (a *Accumulator) Merge(b *Accumulator) {
+func (a *Accumulator) merge(b *Accumulator) {
 	if b.n == 0 {
 		return
 	}
@@ -69,12 +69,6 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	a.m2 += b.m2 + delta*delta*na*nb/n
 	a.n += b.n
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the sample mean (0 when empty).
-func (a *Accumulator) Mean() float64 { return a.mean }
 
 // Summary converts the accumulated moments to the same Summary that
 // Summarize computes from a retained sample. An empty accumulator is an

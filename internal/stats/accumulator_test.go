@@ -15,7 +15,7 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 		xs[i] = 100*src.Float64() - 50
 		acc.Add(xs[i])
 	}
-	want, err := Summarize(xs)
+	want, err := summarize(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestAccumulatorEmpty(t *testing.T) {
 	if _, err := acc.Summary(); err == nil {
 		t.Error("expected error for empty accumulator")
 	}
-	if acc.N() != 0 || acc.Mean() != 0 {
-		t.Errorf("empty accumulator N=%d Mean=%v", acc.N(), acc.Mean())
+	if acc.n != 0 || acc.mean != 0 {
+		t.Errorf("empty accumulator N=%d Mean=%v", acc.n, acc.mean)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestAccumulatorMergeEqualsSerial(t *testing.T) {
 	}
 	var merged Accumulator
 	for i := range parts {
-		merged.Merge(&parts[i])
+		merged.merge(&parts[i])
 	}
 	ws, err := serial.Summary()
 	if err != nil {
@@ -105,7 +105,7 @@ func TestAccumulatorMergeEmptyCases(t *testing.T) {
 	var a, b Accumulator
 	b.Add(3)
 	b.Add(5)
-	a.Merge(&b) // empty <- nonempty adopts b wholesale
+	a.merge(&b) // empty <- nonempty adopts b wholesale
 	s, err := a.Summary()
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestAccumulatorMergeEmptyCases(t *testing.T) {
 		t.Errorf("adopted summary %+v", s)
 	}
 	var empty Accumulator
-	a.Merge(&empty) // nonempty <- empty is a no-op
+	a.merge(&empty) // nonempty <- empty is a no-op
 	s2, _ := a.Summary()
 	if s2 != s {
 		t.Errorf("merge with empty changed %+v to %+v", s, s2)

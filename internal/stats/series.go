@@ -39,9 +39,6 @@ func (ts *TimeSeries) Record(t time.Duration, v float64) {
 	ts.values = append(ts.values, v)
 }
 
-// Len returns the number of recorded steps.
-func (ts *TimeSeries) Len() int { return len(ts.times) }
-
 // At returns the series value at time t (the last recorded value with
 // timestamp <= t). Before the first record the series is 0.
 func (ts *TimeSeries) At(t time.Duration) float64 {
@@ -52,8 +49,8 @@ func (ts *TimeSeries) At(t time.Duration) float64 {
 	return ts.values[idx-1]
 }
 
-// Last returns the final timestamp and value; ok is false when empty.
-func (ts *TimeSeries) Last() (time.Duration, float64, bool) {
+// last returns the final timestamp and value; ok is false when empty.
+func (ts *TimeSeries) last() (time.Duration, float64, bool) {
 	if len(ts.times) == 0 {
 		return 0, 0, false
 	}
@@ -61,8 +58,8 @@ func (ts *TimeSeries) Last() (time.Duration, float64, bool) {
 	return ts.times[n], ts.values[n], true
 }
 
-// Max returns the largest recorded value (0 for an empty series).
-func (ts *TimeSeries) Max() float64 {
+// max returns the largest recorded value (0 for an empty series).
+func (ts *TimeSeries) max() float64 {
 	m := 0.0
 	for _, v := range ts.values {
 		if v > m {

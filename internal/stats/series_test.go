@@ -31,8 +31,8 @@ func TestTimeSeriesSameInstantOverwrites(t *testing.T) {
 	ts.Record(time.Second, 1)
 	ts.Record(time.Second, 2)
 	ts.Record(time.Second, 3)
-	if ts.Len() != 1 {
-		t.Errorf("len = %d, want 1", ts.Len())
+	if len(ts.times) != 1 {
+		t.Errorf("len = %d, want 1", len(ts.times))
 	}
 	if got := ts.At(time.Second); got != 3 {
 		t.Errorf("At = %v, want final value 3", got)
@@ -52,21 +52,21 @@ func TestTimeSeriesRegressionPanics(t *testing.T) {
 
 func TestTimeSeriesLastAndMax(t *testing.T) {
 	ts := NewTimeSeries()
-	if _, _, ok := ts.Last(); ok {
+	if _, _, ok := ts.last(); ok {
 		t.Error("empty series should have no last point")
 	}
-	if ts.Max() != 0 {
+	if ts.max() != 0 {
 		t.Error("empty series max should be 0")
 	}
 	ts.Record(1*time.Second, 5)
 	ts.Record(2*time.Second, 9)
 	ts.Record(3*time.Second, 4)
-	at, v, ok := ts.Last()
+	at, v, ok := ts.last()
 	if !ok || at != 3*time.Second || v != 4 {
 		t.Errorf("Last = (%v, %v, %v)", at, v, ok)
 	}
-	if ts.Max() != 9 {
-		t.Errorf("Max = %v, want 9", ts.Max())
+	if ts.max() != 9 {
+		t.Errorf("Max = %v, want 9", ts.max())
 	}
 }
 

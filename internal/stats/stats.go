@@ -22,9 +22,9 @@ type Summary struct {
 	Max      float64
 }
 
-// Summarize computes a Summary. An empty sample yields an error rather
+// summarize computes a Summary. An empty sample yields an error rather
 // than NaN soup.
-func Summarize(xs []float64) (Summary, error) {
+func summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, fmt.Errorf("stats: cannot summarize an empty sample")
 	}
@@ -58,12 +58,12 @@ func SummarizeInts(xs []int) (Summary, error) {
 	for i, x := range xs {
 		fs[i] = float64(x)
 	}
-	return Summarize(fs)
+	return summarize(fs)
 }
 
-// Quantile returns the q-quantile (nearest-rank method) of the sample,
+// quantile returns the q-quantile (nearest-rank method) of the sample,
 // q in [0, 1]. The input need not be sorted; it is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
+func quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: quantile of an empty sample")
 	}
@@ -112,12 +112,6 @@ func (h *IntHistogram) Add(v int) {
 	h.total++
 }
 
-// Total returns the number of observations.
-func (h *IntHistogram) Total() int { return h.total }
-
-// Count returns how many observations equal v.
-func (h *IntHistogram) Count(v int) int { return h.counts[v] }
-
 // Range returns the smallest and largest observed values; ok is false
 // for an empty histogram.
 func (h *IntHistogram) Range() (lo, hi int, ok bool) {
@@ -157,11 +151,11 @@ func (h *IntHistogram) CumFreq(kMax int) []float64 {
 	return rel
 }
 
-// TotalVariation returns half the L1 distance between two discrete
+// totalVariation returns half the L1 distance between two discrete
 // distributions given as dense probability slices over the same support
 // range. Slices of different lengths are compared over the longer
 // support with missing entries treated as zero.
-func TotalVariation(p, q []float64) float64 {
+func totalVariation(p, q []float64) float64 {
 	n := len(p)
 	if len(q) > n {
 		n = len(q)
@@ -180,31 +174,31 @@ func TotalVariation(p, q []float64) float64 {
 	return sum / 2
 }
 
-// ECDF is an empirical cumulative distribution function over float64
+// ecdf is an empirical cumulative distribution function over float64
 // samples.
-type ECDF struct {
+type ecdf struct {
 	sorted []float64
 }
 
-// NewECDF copies and sorts the sample. An empty sample is an error.
-func NewECDF(xs []float64) (*ECDF, error) {
+// newECDF copies and sorts the sample. An empty sample is an error.
+func newECDF(xs []float64) (*ecdf, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("stats: ECDF of an empty sample")
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
+	return &ecdf{sorted: sorted}, nil
 }
 
 // At returns the fraction of samples <= x.
-func (e *ECDF) At(x float64) float64 {
+func (e *ecdf) At(x float64) float64 {
 	// First index with value > x.
 	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(e.sorted))
 }
 
 // N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
+func (e *ecdf) N() int { return len(e.sorted) }
 
 // KolmogorovSmirnov returns the Kolmogorov–Smirnov statistic
 // sup_k |F(k) − G(k)| between two CDFs given as dense slices over the

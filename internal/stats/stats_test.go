@@ -7,7 +7,7 @@ import (
 )
 
 func TestSummarizeBasic(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	s, err := summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestSummarizeBasic(t *testing.T) {
 }
 
 func TestSummarizeSingleton(t *testing.T) {
-	s, err := Summarize([]float64{3.5})
+	s, err := summarize([]float64{3.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSummarizeSingleton(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err == nil {
+	if _, err := summarize(nil); err == nil {
 		t.Error("expected error for empty sample")
 	}
 }
@@ -58,7 +58,7 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {0.1, 1}, {0.5, 5}, {0.9, 9}, {1, 10},
 	}
 	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
+		got, err := quantile(xs, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
+	if _, err := quantile(nil, 0.5); err == nil {
 		t.Error("expected error for empty sample")
 	}
 	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := Quantile([]float64{1}, q); err == nil {
+		if _, err := quantile([]float64{1}, q); err == nil {
 			t.Errorf("expected error for q = %v", q)
 		}
 	}
@@ -91,8 +91,8 @@ func TestIntHistogramBasics(t *testing.T) {
 	for _, v := range []int{3, 3, 5, 7, 3} {
 		h.Add(v)
 	}
-	if h.Total() != 5 || h.Count(3) != 3 || h.Count(4) != 0 {
-		t.Errorf("counts wrong: total=%d", h.Total())
+	if h.total != 5 || h.counts[3] != 3 || h.counts[4] != 0 {
+		t.Errorf("counts wrong: total=%d", h.total)
 	}
 	lo, hi, ok := h.Range()
 	if !ok || lo != 3 || hi != 7 {
@@ -146,20 +146,20 @@ func TestRelFreqEmpty(t *testing.T) {
 func TestTotalVariation(t *testing.T) {
 	p := []float64{0.5, 0.5}
 	q := []float64{1, 0}
-	if got := TotalVariation(p, q); math.Abs(got-0.5) > 1e-12 {
+	if got := totalVariation(p, q); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("TV = %v, want 0.5", got)
 	}
-	if got := TotalVariation(p, p); got != 0 {
+	if got := totalVariation(p, p); got != 0 {
 		t.Errorf("TV(p, p) = %v, want 0", got)
 	}
 	// Mismatched lengths: missing entries are zeros.
-	if got := TotalVariation([]float64{1}, []float64{0.5, 0.5}); math.Abs(got-0.5) > 1e-12 {
+	if got := totalVariation([]float64{1}, []float64{0.5, 0.5}); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("TV mismatched = %v, want 0.5", got)
 	}
 }
 
 func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
+	e, err := newECDF([]float64{1, 2, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestECDF(t *testing.T) {
 	if e.N() != 4 {
 		t.Errorf("N = %d", e.N())
 	}
-	if _, err := NewECDF(nil); err == nil {
+	if _, err := newECDF(nil); err == nil {
 		t.Error("expected error for empty sample")
 	}
 }
@@ -206,7 +206,7 @@ func TestQuickTotalVariationSymmetric(t *testing.T) {
 			return out
 		}
 		p, q := norm(a), norm(b)
-		tv, vt := TotalVariation(p, q), TotalVariation(q, p)
+		tv, vt := totalVariation(p, q), totalVariation(q, p)
 		return math.Abs(tv-vt) < 1e-12 && tv >= 0 && tv <= 1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

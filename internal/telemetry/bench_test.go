@@ -1,8 +1,7 @@
 package telemetry
 
-// Microbenchmarks for the hot-path primitives, run by `make bench-json`
-// into BENCH_PR2.json. The mutex-counter baseline quantifies what the
-// sharded design buys under parallel load.
+// Microbenchmarks for the hot-path primitives. The mutex-counter
+// baseline quantifies what the sharded design buys under parallel load.
 
 import (
 	"sync"

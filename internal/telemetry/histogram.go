@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// NumBuckets is the number of log₂ histogram buckets. Bucket 0 counts
+// numBuckets is the number of log₂ histogram buckets. Bucket 0 counts
 // zero-duration observations; bucket k (k >= 1) counts durations in
 // [2^(k-1), 2^k) nanoseconds. Bucket 63 additionally absorbs anything
 // larger (durations beyond ~146 years do not occur in practice).
-const NumBuckets = 64
+const numBuckets = 64
 
 // histShard is one stripe of a histogram: a full bucket array plus the
 // nanosecond sum, padded so adjacent shards never share a line.
 type histShard struct {
-	buckets [NumBuckets]atomic.Uint64
+	buckets [numBuckets]atomic.Uint64
 	sum     atomic.Uint64 // total observed nanoseconds
 	_       pad
 }
@@ -36,8 +36,8 @@ func newHistogram() *Histogram {
 // bucketIndex maps a nanosecond value to its log₂ bucket.
 func bucketIndex(ns uint64) int {
 	b := bits.Len64(ns)
-	if b >= NumBuckets {
-		b = NumBuckets - 1
+	if b >= numBuckets {
+		b = numBuckets - 1
 	}
 	return b
 }
@@ -58,7 +58,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	var out HistogramSnapshot
 	for i := range h.shards {
 		s := &h.shards[i]
-		for b := 0; b < NumBuckets; b++ {
+		for b := 0; b < numBuckets; b++ {
 			out.Counts[b] += s.buckets[b].Load()
 		}
 		out.SumNanos += s.sum.Load()
@@ -72,7 +72,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // HistogramSnapshot is a point-in-time copy of a histogram's buckets.
 type HistogramSnapshot struct {
 	// Counts[k] is the number of observations in bucket k.
-	Counts [NumBuckets]uint64
+	Counts [numBuckets]uint64
 	// Count is the total number of observations.
 	Count uint64
 	// SumNanos is the sum of all observed durations in nanoseconds.
@@ -108,7 +108,7 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 		rank = 1
 	}
 	var cum uint64
-	for k := 0; k < NumBuckets; k++ {
+	for k := 0; k < numBuckets; k++ {
 		c := s.Counts[k]
 		if c == 0 {
 			continue
@@ -132,12 +132,12 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(s.SumNanos / s.Count)
 }
 
-// Sub returns the histogram delta s - prev: the observations recorded
+// sub returns the histogram delta s - prev: the observations recorded
 // between the two snapshots. Counts that would go negative (prev not
 // actually an ancestor) clamp to zero.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
+func (s HistogramSnapshot) sub(prev HistogramSnapshot) HistogramSnapshot {
 	var out HistogramSnapshot
-	for k := 0; k < NumBuckets; k++ {
+	for k := 0; k < numBuckets; k++ {
 		if s.Counts[k] > prev.Counts[k] {
 			out.Counts[k] = s.Counts[k] - prev.Counts[k]
 			out.Count += out.Counts[k]

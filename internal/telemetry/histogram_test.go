@@ -94,7 +94,7 @@ func TestHistogramSub(t *testing.T) {
 	before := h.Snapshot()
 	h.Observe(time.Millisecond)
 	h.Observe(time.Millisecond)
-	delta := h.Snapshot().Sub(before)
+	delta := h.Snapshot().sub(before)
 	if delta.Count != 2 {
 		t.Errorf("delta Count = %d, want 2", delta.Count)
 	}

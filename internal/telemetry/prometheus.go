@@ -55,8 +55,8 @@ func labelString(names, values []string, extraName, extraValue string) string {
 	return b.String()
 }
 
-// WritePrometheus renders the snapshot in the text exposition format.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
+// writePrometheus renders the snapshot in the text exposition format.
+func (s Snapshot) writePrometheus(w io.Writer) error {
 	for _, f := range s.Families {
 		if f.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, escapeHelp(f.Help)); err != nil {
@@ -67,7 +67,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, ss := range f.Series {
-			if f.Kind == KindHistogram && ss.Histogram != nil {
+			if f.Kind == kindHistogram && ss.Histogram != nil {
 				if err := writeHistogram(w, f, ss); err != nil {
 					return err
 				}
@@ -89,7 +89,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 func writeHistogram(w io.Writer, f FamilySnapshot, ss SeriesSnapshot) error {
 	h := ss.Histogram
 	highest := -1
-	for k := 0; k < NumBuckets; k++ {
+	for k := 0; k < numBuckets; k++ {
 		if h.Counts[k] != 0 {
 			highest = k
 		}
@@ -119,17 +119,17 @@ func writeHistogram(w io.Writer, f FamilySnapshot, ss SeriesSnapshot) error {
 // WritePrometheus takes a snapshot and renders it — the scrape entry
 // point.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
+	return r.Snapshot().writePrometheus(w)
 }
 
-// ContentType is the exposition format's HTTP content type.
-const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+// contentType is the exposition format's HTTP content type.
+const contentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Handler returns an http.Handler serving the registry as a Prometheus
 // scrape target (mounted at /metrics by convention).
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
+		w.Header().Set("Content-Type", contentType)
 		if err := r.WritePrometheus(w); err != nil {
 			// Headers are already out; the scraper sees a short body and
 			// retries on its own schedule.

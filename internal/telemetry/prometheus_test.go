@@ -90,8 +90,8 @@ func TestHandlerServesExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != ContentType {
-		t.Errorf("Content-Type = %q, want %q", got, ContentType)
+	if got := resp.Header.Get("Content-Type"); got != contentType {
+		t.Errorf("Content-Type = %q, want %q", got, contentType)
 	}
 	buf := make([]byte, 4096)
 	n, _ := resp.Body.Read(buf)

@@ -11,22 +11,22 @@ import (
 type Kind int
 
 const (
-	// KindCounter is a monotonically increasing total.
-	KindCounter Kind = iota + 1
-	// KindGauge is an instantaneous value that can go up and down.
-	KindGauge
-	// KindHistogram is a log₂-bucketed latency distribution.
-	KindHistogram
+	// kindCounter is a monotonically increasing total.
+	kindCounter Kind = iota + 1
+	// kindGauge is an instantaneous value that can go up and down.
+	kindGauge
+	// kindHistogram is a log₂-bucketed latency distribution.
+	kindHistogram
 )
 
 // String implements fmt.Stringer using Prometheus TYPE names.
 func (k Kind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
@@ -158,7 +158,7 @@ func (f *family) get(values []string, mk func() *series) *series {
 // Counter returns the unlabeled counter of the named family, creating
 // the family on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.getFamily(name, help, KindCounter, nil)
+	f := r.getFamily(name, help, kindCounter, nil)
 	return f.get(nil, func() *series { return &series{counter: newCounter()} }).counter
 }
 
@@ -168,7 +168,7 @@ type CounterVec struct{ f *family }
 // CounterVec returns the labeled counter family, creating it on first
 // use.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) CounterVec {
-	return CounterVec{f: r.getFamily(name, help, KindCounter, labelNames)}
+	return CounterVec{f: r.getFamily(name, help, kindCounter, labelNames)}
 }
 
 // With returns the counter for the given label values, creating it on
@@ -190,21 +190,8 @@ func (v CounterVec) WithFunc(fn func() float64, labelValues ...string) {
 
 // Gauge returns the unlabeled gauge of the named family.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.getFamily(name, help, KindGauge, nil)
+	f := r.getFamily(name, help, kindGauge, nil)
 	return f.get(nil, func() *series { return &series{gauge: newGauge()} }).gauge
-}
-
-// GaugeVec declares a gauge family with label dimensions.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) GaugeVec {
-	return GaugeVec{f: r.getFamily(name, help, KindGauge, labelNames)}
-}
-
-// With returns the gauge for the given label values.
-func (v GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.get(labelValues, func() *series { return &series{gauge: newGauge()} }).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
@@ -212,7 +199,7 @@ func (v GaugeVec) With(labelValues ...string) *Gauge {
 // source of truth (limiter statistics, fleet aggregates, runtime info).
 // fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.getFamily(name, help, KindGauge, nil)
+	f := r.getFamily(name, help, kindGauge, nil)
 	f.get(nil, func() *series { return &series{fn: fn} })
 }
 
@@ -220,13 +207,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // fn at snapshot time. fn must be monotone and safe to call from any
 // goroutine.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.getFamily(name, help, KindCounter, nil)
+	f := r.getFamily(name, help, kindCounter, nil)
 	f.get(nil, func() *series { return &series{fn: fn} })
 }
 
 // Histogram returns the unlabeled histogram of the named family.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	f := r.getFamily(name, help, KindHistogram, nil)
+	f := r.getFamily(name, help, kindHistogram, nil)
 	return f.get(nil, func() *series { return &series{hist: newHistogram()} }).hist
 }
 
@@ -331,17 +318,17 @@ func (s Snapshot) Value(name string, labelValues ...string) (float64, bool) {
 	return 0, false
 }
 
-// Sub returns the windowed delta s - prev: counters and histograms are
+// sub returns the windowed delta s - prev: counters and histograms are
 // subtracted series-by-series (clamping at zero), gauges keep their
 // current value. Families or series absent from prev pass through
-// unchanged, so Sub composes with registries that grow over time.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
+// unchanged, so sub composes with registries that grow over time.
+func (s Snapshot) sub(prev Snapshot) Snapshot {
 	out := Snapshot{Families: make([]FamilySnapshot, len(s.Families))}
 	for i, f := range s.Families {
 		nf := f
 		nf.Series = append([]SeriesSnapshot(nil), f.Series...)
 		pf := prev.Family(f.Name)
-		if pf != nil && f.Kind != KindGauge {
+		if pf != nil && f.Kind != kindGauge {
 			for j := range nf.Series {
 				key := seriesKey(nf.Series[j].LabelValues)
 				for _, ps := range pf.Series {
@@ -349,7 +336,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 						continue
 					}
 					if nf.Series[j].Histogram != nil && ps.Histogram != nil {
-						d := nf.Series[j].Histogram.Sub(*ps.Histogram)
+						d := nf.Series[j].Histogram.sub(*ps.Histogram)
 						nf.Series[j].Histogram = &d
 					} else if nf.Series[j].Value > ps.Value {
 						nf.Series[j].Value -= ps.Value

@@ -115,7 +115,7 @@ func TestSnapshotSubWindows(t *testing.T) {
 	g.Set(2)
 	h.Observe(time.Millisecond)
 	h.Observe(time.Millisecond)
-	delta := r.Snapshot().Sub(before)
+	delta := r.Snapshot().sub(before)
 
 	if got, _ := delta.Value("work_total"); got != 7 {
 		t.Errorf("counter delta = %v, want 7", got)
@@ -137,7 +137,7 @@ func TestSnapshotSubNewSeriesPassThrough(t *testing.T) {
 	r := NewRegistry()
 	before := r.Snapshot()
 	r.Counter("late_total", "").Add(3)
-	delta := r.Snapshot().Sub(before)
+	delta := r.Snapshot().sub(before)
 	if got, ok := delta.Value("late_total"); !ok || got != 3 {
 		t.Errorf("new family in delta = %v (ok=%v), want 3", got, ok)
 	}

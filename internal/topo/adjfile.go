@@ -16,7 +16,7 @@ import (
 // The parser is strict where it matters for safety — endpoints must
 // lie in [0, n), self-loops and duplicate edges are rejected, the edge
 // count must match the header — and lenient about whitespace and
-// comments. WriteAdjacency emits the canonical rendering (each edge
+// comments. writeAdjacency emits the canonical rendering (each edge
 // once with u < v, in CSR row order), so Write∘Parse∘Write is the
 // identity on bytes: the round-trip duality the fuzz target pins.
 
@@ -83,15 +83,15 @@ func ParseAdjacency(data []byte) (*Graph, error) {
 	return build("file", int(n), edges)
 }
 
-// WriteAdjacency renders the graph in the canonical version-1 format:
+// writeAdjacency renders the graph in the canonical version-1 format:
 // header, then every edge exactly once as "<u> <v>" with u < v, in CSR
 // row order. Because the CSR layout is itself canonical, the output is
 // a pure function of the edge set.
-func WriteAdjacency(g *Graph) []byte {
+func writeAdjacency(g *Graph) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %d %d\n", adjHeader, g.N(), g.EdgeCount())
 	for u, n := 0, g.N(); u < n; u++ {
-		for _, v := range g.Neighbors(u) {
+		for _, v := range g.neighbors(u) {
 			if int32(u) < v {
 				fmt.Fprintf(&b, "%d %d\n", u, v)
 			}

@@ -15,7 +15,7 @@ func TestTopoAdjacencyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := WriteAdjacency(g)
+		data := writeAdjacency(g)
 		back, err := ParseAdjacency(data)
 		if err != nil {
 			t.Fatalf("%s: reparse: %v", gen.Name(), err)
@@ -24,7 +24,7 @@ func TestTopoAdjacencyRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip changed shape: %d/%d -> %d/%d",
 				gen.Name(), g.N(), g.EdgeCount(), back.N(), back.EdgeCount())
 		}
-		if !bytes.Equal(WriteAdjacency(back), data) {
+		if !bytes.Equal(writeAdjacency(back), data) {
 			t.Errorf("%s: Write∘Parse is not the identity on canonical bytes", gen.Name())
 		}
 	}
@@ -41,7 +41,7 @@ func TestTopoAdjacencyParseLenient(t *testing.T) {
 	if g.N() != 4 || g.EdgeCount() != 3 {
 		t.Fatalf("parsed %d/%d, want 4/3", g.N(), g.EdgeCount())
 	}
-	canonical, err := ParseAdjacency(WriteAdjacency(g))
+	canonical, err := ParseAdjacency(writeAdjacency(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTopoAdjacencyEdgeless(t *testing.T) {
 	if g.N() != 3 || g.EdgeCount() != 0 || g.MaxDegree() != 0 {
 		t.Fatalf("edgeless graph parsed as %d/%d", g.N(), g.EdgeCount())
 	}
-	if !bytes.Equal(WriteAdjacency(g), []byte("wormtopo v1 3 0\n")) {
+	if !bytes.Equal(writeAdjacency(g), []byte("wormtopo v1 3 0\n")) {
 		t.Fatal("edgeless canonical form drifted")
 	}
 }

@@ -9,8 +9,8 @@ import (
 // BenchmarkGraphScanHotPath measures the graph-mode scan target
 // sampler exactly as the sim engine drives it: a uniform neighbor draw
 // from the CSR slab for a churning set of source vertices. The
-// recorded allocs/op must be 0 — this is the 0-alloc acceptance gate
-// exported to BENCH_PR8.json.
+// recorded allocs/op must be 0 (TestTopoSampleZeroAllocs holds
+// it).
 func BenchmarkGraphScanHotPath(b *testing.B) {
 	g, err := ScaleFree{N: 100_000, Attach: 3}.Generate(1)
 	if err != nil {

@@ -33,7 +33,7 @@ func FuzzAdjacencyParser(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(WriteAdjacency(g))
+		f.Add(writeAdjacency(g))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -45,7 +45,7 @@ func FuzzAdjacencyParser(f *testing.F) {
 		seen := map[uint64]bool{}
 		for u := int32(0); u < n; u++ {
 			prev := int32(-1)
-			for _, v := range g.Neighbors(int(u)) {
+			for _, v := range g.neighbors(int(u)) {
 				if v < 0 || v >= n {
 					t.Fatalf("accepted graph has dangling endpoint %d (n=%d)", v, n)
 				}
@@ -65,7 +65,7 @@ func FuzzAdjacencyParser(f *testing.F) {
 			t.Fatalf("edge count %d, distinct edges %d", g.EdgeCount(), len(seen))
 		}
 
-		canonical := WriteAdjacency(g)
+		canonical := writeAdjacency(g)
 		back, err := ParseAdjacency(canonical)
 		if err != nil {
 			t.Fatalf("canonical rendering rejected: %v", err)
@@ -73,7 +73,7 @@ func FuzzAdjacencyParser(f *testing.F) {
 		if back.Fingerprint() != g.Fingerprint() {
 			t.Fatal("canonical reparse changed the graph")
 		}
-		if !bytes.Equal(WriteAdjacency(back), canonical) {
+		if !bytes.Equal(writeAdjacency(back), canonical) {
 			t.Fatal("Write∘Parse is not the identity on canonical bytes")
 		}
 	})

@@ -99,9 +99,6 @@ func build(name string, n int, edges []edge) (*Graph, error) {
 	return g, nil
 }
 
-// Name identifies the generator (or file) the graph came from.
-func (g *Graph) Name() string { return g.name }
-
 // N returns the vertex count.
 func (g *Graph) N() int { return len(g.offsets) - 1 }
 
@@ -113,10 +110,10 @@ func (g *Graph) Degree(i int) int {
 	return int(g.offsets[i+1] - g.offsets[i])
 }
 
-// Neighbors returns vertex i's sorted neighbor row. The slice aliases
+// neighbors returns vertex i's sorted neighbor row. The slice aliases
 // the CSR slab — callers must not modify it — and costs no allocation,
 // which is what the simulator's scan hot path relies on.
-func (g *Graph) Neighbors(i int) []int32 {
+func (g *Graph) neighbors(i int) []int32 {
 	return g.targets[g.offsets[i]:g.offsets[i+1]]
 }
 

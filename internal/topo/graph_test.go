@@ -18,7 +18,7 @@ func TestTopoGraphBuild(t *testing.T) {
 	}
 	want := [][]int32{{1, 2}, {0, 2, 3}, {0, 1}, {1}, {}}
 	for i, row := range want {
-		got := g.Neighbors(i)
+		got := g.neighbors(i)
 		if len(got) != len(row) {
 			t.Fatalf("vertex %d: neighbors %v, want %v", i, got, row)
 		}

@@ -83,3 +83,17 @@ func TestTopoInfectionTreeErrors(t *testing.T) {
 		}
 	}
 }
+
+// TailFraction returns the fraction of infected hosts whose infection-
+// tree degree is at least d — the heavy-tail probe the property tests
+// compare across topologies.
+func (m *TreeMetrics) TailFraction(d int) float64 {
+	if m.Total == 0 {
+		return 0
+	}
+	count := 0
+	for deg := d; deg < len(m.DegreeHistogram); deg++ {
+		count += m.DegreeHistogram[deg]
+	}
+	return float64(count) / float64(m.Total)
+}

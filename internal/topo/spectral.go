@@ -46,7 +46,7 @@ func (g *Graph) SpectralRadius() (lambda1 float64, iters int) {
 		// y = (A+I)x, one pass over the CSR slabs.
 		for i := 0; i < n; i++ {
 			s := x[i]
-			for _, j := range g.Neighbors(i) {
+			for _, j := range g.neighbors(i) {
 				s += x[j]
 			}
 			y[i] = s

@@ -61,8 +61,8 @@ func DefaultGeneratorConfig(seed uint64) GeneratorConfig {
 	}
 }
 
-// Validate reports whether the configuration is usable.
-func (c GeneratorConfig) Validate() error {
+// validate reports whether the configuration is usable.
+func (c GeneratorConfig) validate() error {
 	switch {
 	case c.Hosts < 1:
 		return fmt.Errorf("trace: hosts = %d, must be >= 1", c.Hosts)
@@ -104,7 +104,7 @@ var protoMix = []string{"smtp", "nntp", "telnet", "ftp-data", "http", "finger", 
 // Remote destination identifiers are globally unique per (host, index)
 // so the distinct count per host is exactly D(h).
 func Generate(cfg GeneratorConfig) ([]Record, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	src := rng.NewPCG64(cfg.Seed, 0)

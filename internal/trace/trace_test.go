@@ -99,7 +99,7 @@ func TestGeneratorValidation(t *testing.T) {
 			HeavyTargets: []int{0}},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
