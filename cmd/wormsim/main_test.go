@@ -66,11 +66,18 @@ func TestRunNoneNeedsBound(t *testing.T) {
 }
 
 func TestRunStealthAndCountermeasures(t *testing.T) {
-	args := []string{"-v", "1000", "-i0", "2", "-m", "8", "-rate", "30",
-		"-duty-on", "1s", "-duty-off", "3s", "-patch-rate", "0.1",
-		"-immunize-rate", "0.01", "-horizon", "5s", "-seed", "9"}
-	if err := run(args); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{
+		{"-v", "1000", "-i0", "2", "-m", "8", "-rate", "30",
+			"-duty-on", "1s", "-duty-off", "3s", "-patch-rate", "0.1",
+			"-immunize-rate", "0.01", "-horizon", "5s", "-seed", "9"},
+		// Rates whose draws pass des.MaxTime (~292 years): those events
+		// are never scheduled, and the run completes.
+		{"-v", "1000", "-i0", "3", "-rate", "10", "-patch-rate", "1e-12",
+			"-immunize-rate", "1e-9", "-defense", "mlimit", "-m", "100", "-seed", "1"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
 	}
 }
 

@@ -1,32 +1,26 @@
 package des
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// Schedule and ScheduleArg are the relative-delay, cancelable forms
-// these tests drive the kernel with; the simulator proper schedules at
-// absolute times (ScheduleAt) or fire-and-forget (Emit).
-
-// Schedule enqueues fn to run after delay of virtual time. A negative
-// delay panics; a zero delay fires at the current instant, after
-// already-queued events at that instant.
-func (s *Simulator) Schedule(delay time.Duration, fn Handler) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.ScheduleAt(s.now+delay, fn)
+// Schedule is the closure form these tests drive the kernel with: fn
+// runs after delay of virtual time, emitted through closure. The
+// wrapper allocates per call, so the allocation tests emit an
+// ArgHandler bound once instead.
+func (s *Simulator) Schedule(delay time.Duration, fn func()) {
+	s.Emit(delay, closure(fn), 0)
 }
 
-// ScheduleArg enqueues fn(arg) to run after delay of virtual time.
-func (s *Simulator) ScheduleArg(delay time.Duration, fn ArgHandler, arg int) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
+// closure adapts fn to an ArgHandler that ignores its argument; nil
+// stays nil, so the kernel's nil-handler check still sees it.
+func closure(fn func()) ArgHandler {
+	if fn == nil {
+		return nil
 	}
-	return s.scheduleArgAt(s.now+delay, fn, arg)
+	return func(int) { fn() }
 }
 
 func TestScheduleAndRunOrder(t *testing.T) {
@@ -68,7 +62,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestHandlersScheduleMoreEvents(t *testing.T) {
 	s := New()
 	count := 0
-	var tick Handler
+	var tick func()
 	tick = func() {
 		count++
 		if count < 5 {
@@ -120,7 +114,7 @@ func TestScheduleAtPastPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.ScheduleAt(500*time.Millisecond, func() {})
+	s.EmitAt(500*time.Millisecond, closure(func() {}), 0)
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -130,34 +124,6 @@ func TestNilHandlerPanics(t *testing.T) {
 		}
 	}()
 	New().Schedule(time.Second, nil)
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	timer := s.Schedule(time.Second, func() { fired = true })
-	if !timer.cancel() {
-		t.Error("first cancel should report true")
-	}
-	if timer.cancel() {
-		t.Error("second cancel should report false")
-	}
-	s.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if s.Fired() != 0 {
-		t.Errorf("fired = %d, want 0", s.Fired())
-	}
-}
-
-func TestCancelAfterFireIsNoop(t *testing.T) {
-	s := New()
-	timer := s.Schedule(time.Second, func() {})
-	s.Run()
-	if timer.cancel() {
-		t.Error("cancel after fire should report false")
-	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -214,26 +180,6 @@ func TestStepOnEmpty(t *testing.T) {
 	}
 }
 
-func TestPeekSkipsCanceled(t *testing.T) {
-	s := New()
-	early := s.Schedule(1*time.Second, func() {})
-	fired := false
-	s.Schedule(5*time.Second, func() { fired = true })
-	early.cancel()
-	s.RunUntil(10 * time.Second)
-	if !fired {
-		t.Error("later event should fire despite canceled earlier event")
-	}
-}
-
-func TestTimerAt(t *testing.T) {
-	s := New()
-	timer := s.Schedule(90*time.Minute, func() {})
-	if timer.at != 90*time.Minute {
-		t.Errorf("At = %v", timer.at)
-	}
-}
-
 func TestManyEventsHeapStress(t *testing.T) {
 	s := New()
 	const n = 20000
@@ -262,9 +208,9 @@ func TestScheduleArgOrderAndValues(t *testing.T) {
 	s := New()
 	var got []int
 	record := func(arg int) { got = append(got, arg) }
-	s.ScheduleArg(3*time.Second, record, 3)
-	s.ScheduleArg(1*time.Second, record, 1)
-	s.ScheduleArg(2*time.Second, record, 2)
+	s.Emit(3*time.Second, record, 3)
+	s.Emit(1*time.Second, record, 1)
+	s.Emit(2*time.Second, record, 2)
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -279,7 +225,7 @@ func TestScheduleArgInterleavesWithClosures(t *testing.T) {
 	s := New()
 	var got []string
 	s.Schedule(time.Second, func() { got = append(got, "closure") })
-	s.ScheduleArg(time.Second, func(int) { got = append(got, "arg") }, 0)
+	s.Emit(time.Second, func(int) { got = append(got, "arg") }, 0)
 	s.Run()
 	if len(got) != 2 || got[0] != "closure" || got[1] != "arg" {
 		t.Fatalf("order = %v, want [closure arg]", got)
@@ -292,103 +238,12 @@ func TestScheduleArgNilHandlerPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New().ScheduleArg(time.Second, nil, 0)
-}
-
-func TestCancelAfterFireOnRecycledNodeIsInert(t *testing.T) {
-	// The reuse-generation contract: after a timer fires, its node goes
-	// back to the pool and may be handed to a brand-new event. A Cancel
-	// through the stale handle must not touch the new event.
-	s := New()
-	stale := s.Schedule(time.Second, func() {})
-	s.Run()
-
-	// The pool now holds exactly the fired node; the next Schedule
-	// reuses it.
-	fired := false
-	fresh := s.Schedule(time.Second, func() { fired = true })
-	if stale.cancel() {
-		t.Error("stale handle canceled something")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed the recycled node's new event")
-	}
-	_ = fresh
-}
-
-func TestCancelInsideOwnHandlerIsNoop(t *testing.T) {
-	// Cancel-after-fire from within the handler itself: by the time the
-	// handler runs, the node's generation has advanced, so the handle is
-	// stale.
-	s := New()
-	var timer Timer
-	canceled := true
-	timer = s.Schedule(time.Second, func() {
-		canceled = timer.cancel()
-	})
-	s.Run()
-	if canceled {
-		t.Error("Cancel inside own handler reported true")
-	}
-}
-
-func TestDoubleCancelAcrossReuse(t *testing.T) {
-	s := New()
-	timer := s.Schedule(time.Second, func() {})
-	if !timer.cancel() {
-		t.Fatal("first cancel should succeed")
-	}
-	if timer.cancel() {
-		t.Fatal("second cancel should be a no-op")
-	}
-	// Drain: the canceled node is lazily discarded and recycled.
-	s.Run()
-	if s.Fired() != 0 {
-		t.Fatalf("fired = %d, want 0", s.Fired())
-	}
-	// The recycled node backs a new event; the old handle stays inert.
-	fired := false
-	s.Schedule(time.Second, func() { fired = true })
-	if timer.cancel() {
-		t.Error("stale handle canceled the recycled node's event")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
-func TestZeroTimerCancelIsSafe(t *testing.T) {
-	var timer Timer
-	if timer.cancel() {
-		t.Error("zero-value timer canceled something")
-	}
-}
-
-func TestLazyDeletionRecyclesCanceledNodes(t *testing.T) {
-	// Canceled timers stay queued (Pending counts them) until they
-	// surface at the heap top, then get recycled instead of fired.
-	s := New()
-	var timers []Timer
-	for i := 0; i < 100; i++ {
-		timers = append(timers, s.Schedule(time.Duration(i)*time.Second, func() {}))
-	}
-	for _, tm := range timers[:50] {
-		tm.cancel()
-	}
-	if s.Pending() != 100 {
-		t.Fatalf("pending = %d, want 100 (lazy deletion keeps canceled nodes queued)", s.Pending())
-	}
-	s.Run()
-	if s.Fired() != 50 {
-		t.Fatalf("fired = %d, want 50", s.Fired())
-	}
+	New().Emit(time.Second, nil, 0)
 }
 
 func TestResetReusesPool(t *testing.T) {
 	s := New()
-	pendingTimer := s.Schedule(time.Hour, func() {})
+	s.Schedule(time.Hour, func() {})
 	s.Schedule(time.Second, func() {})
 	s.Run()
 	s.Stop()
@@ -398,13 +253,10 @@ func TestResetReusesPool(t *testing.T) {
 		t.Fatalf("after Reset: now=%v fired=%d pending=%d, want zeros",
 			s.Now(), s.Fired(), s.Pending())
 	}
-	if pendingTimer.cancel() {
-		t.Error("handle from before Reset canceled something")
-	}
 	// The simulator is fully usable again and replays identically.
 	var got []int
-	s.ScheduleArg(2*time.Second, func(a int) { got = append(got, a) }, 2)
-	s.ScheduleArg(1*time.Second, func(a int) { got = append(got, a) }, 1)
+	s.Emit(2*time.Second, func(a int) { got = append(got, a) }, 2)
+	s.Emit(1*time.Second, func(a int) { got = append(got, a) }, 1)
 	s.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("after Reset run order = %v, want [1 2]", got)
@@ -415,20 +267,20 @@ func TestResetReusesPool(t *testing.T) {
 }
 
 func TestSteadyStateChurnDoesNotAllocate(t *testing.T) {
-	// The zero-allocation claim, pinned: once the pool is primed, the
-	// schedule→fire cycle with the ArgHandler form performs no heap
-	// allocation at all.
+	// The zero-allocation claim, pinned: once the heap's backing array
+	// has grown, the schedule→fire cycle with an ArgHandler bound once
+	// performs no heap allocation at all.
 	s := New()
 	tick := func(int) {}
 	var reschedule ArgHandler
 	reschedule = func(arg int) {
 		tick(arg)
-		s.ScheduleArg(time.Millisecond, reschedule, arg)
+		s.Emit(time.Millisecond, reschedule, arg)
 	}
 	for i := 0; i < 8; i++ {
-		s.ScheduleArg(time.Duration(i)*time.Microsecond, reschedule, i)
+		s.Emit(time.Duration(i)*time.Microsecond, reschedule, i)
 	}
-	// Prime the pool and the heap slab.
+	// Prime the heap's backing array.
 	for i := 0; i < 1024; i++ {
 		s.Step()
 	}
@@ -440,48 +292,12 @@ func TestSteadyStateChurnDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestHeapStressWithRandomCancels(t *testing.T) {
-	// Deterministic stress mixing schedules, cancels and fires; checks
-	// the hand-rolled heap preserves (time, seq) order throughout.
-	s := New()
-	state := uint64(99)
-	rand := func(n uint64) uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return (state >> 33) % n
-	}
-	var fired, canceled int
-	lastTime := time.Duration(-1)
-	var live []Timer
-	for i := 0; i < 5000; i++ {
-		delay := time.Duration(rand(uint64(10 * time.Second)))
-		live = append(live, s.Schedule(delay, func() {
-			if s.Now() < lastTime {
-				t.Error("clock went backwards")
-			}
-			lastTime = s.Now()
-			fired++
-		}))
-		if rand(3) == 0 {
-			victim := rand(uint64(len(live)))
-			if live[victim].cancel() {
-				canceled++
-			}
-		}
-		if rand(7) == 0 {
-			s.Step()
-		}
-	}
-	s.Run()
-	if fired+canceled != 5000 {
-		t.Fatalf("fired %d + canceled %d = %d, want 5000", fired, canceled, fired+canceled)
-	}
-}
-
 func BenchmarkScheduleRun(b *testing.B) {
+	noop := func(int) {}
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for j := 0; j < 1000; j++ {
-			s.Schedule(time.Duration(j)*time.Millisecond, func() {})
+			s.Emit(time.Duration(j)*time.Millisecond, noop, j)
 		}
 		s.Run()
 	}
@@ -538,10 +354,10 @@ func benchChurn(b *testing.B, kind Kind, pending int) {
 		}
 		s.ScheduleBatch(evs)
 	}
-	// Warm the node pool and the wheel's due heap to steady state, then
-	// let the GC finish marking the node arena so the measured loop
-	// (which allocates nothing) isn't sharing the core with a
-	// concurrent mark of 10M nodes triggered by the seeding phase.
+	// Warm the queues to steady state, then let the GC finish marking
+	// the seeded records so the measured loop (which allocates nothing)
+	// isn't sharing the core with a concurrent mark of 10M records
+	// triggered by the seeding phase.
 	for i := 0; i < 10_000; i++ {
 		if !s.Step() {
 			b.Fatal("queue drained during warm-up")

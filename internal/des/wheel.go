@@ -1,9 +1,6 @@
 package des
 
-import (
-	"math/bits"
-	"time"
-)
+import "math/bits"
 
 // Hierarchical timing wheel backend (DESIGN.md §14).
 //
@@ -25,16 +22,15 @@ import (
 // des_events_executed_total). 6-bit levels would double the hops at
 // either tick.
 //
-// Buckets are chunked arrays of compact (at, seq, node) records, not
-// intrusive node lists. The distinction is what the memory system
-// sees: draining a linked list is one dependent cache-miss load per
-// event — each next pointer lives in the node it points from, so the
-// misses serialize — while draining a record array is a sequential
-// stream the hardware prefetcher pipelines. Carrying (at, seq) in the
-// record means a cascade re-files an event without touching its node
-// at all; the node is dereferenced exactly once, at fire time. Chunks
-// come from a per-simulator free list, so the steady state allocates
-// nothing.
+// Buckets are chunked arrays of the kernel's (at, seq, fn, arg)
+// records, not intrusive node lists. The distinction is what the memory
+// system sees: draining a linked list is one dependent cache-miss load
+// per event — each next pointer lives in the node it points from, so
+// the misses serialize — while draining a record array is a sequential
+// stream the hardware prefetcher pipelines. The record is the whole
+// event, so a cascade re-files it and a fire runs it without touching
+// any other memory. Chunks come from a per-simulator free list, so the
+// steady state allocates nothing.
 //
 // Placement is the XOR variant: a pending tick T with current tick cur
 // lives at level (bits.Len64(T^cur)-1)/12 — the level of the highest
@@ -78,88 +74,11 @@ const (
 	wheelSlotMask  = wheelSlots - 1
 	wheelLevels    = 4
 	wheelBitWords  = wheelSlots / 64
-	// wheelChunkCap sizes a bucket chunk: 50 records keep a chunk at
-	// ~2KB — big enough that drains stream long runs, small enough
-	// that a mostly-empty bucket wastes little.
+	// wheelChunkCap sizes a bucket chunk: 50 32-byte records keep a
+	// chunk at ~1.6KB — big enough that drains stream long runs, small
+	// enough that a mostly-empty bucket wastes little.
 	wheelChunkCap = 50
 )
-
-// wheelEntry is one queued event as the wheel files it: the ordering
-// key inline (so cascades and heap sifts never dereference a node),
-// and the payload in one of two forms. Fire-and-forget events
-// (Emit/EmitAt/ScheduleBatch) carry their handler inline with t == nil
-// — no node exists and firing touches nothing but the record itself.
-// Cancellable events (ScheduleAt, which returns a Timer) set
-// t, dereferenced exactly once, at fire time.
-type wheelEntry struct {
-	at    time.Duration
-	seq   uint64
-	argFn ArgHandler // inline payload (t == nil)
-	arg   int
-	t     *timer // cancellable / closure-form events
-}
-
-// entryLess orders records by (at, seq) — the same strict total order
-// the reference heap uses (see less).
-func entryLess(a, b wheelEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// entryHeap is a binary min-heap of records ordered by (at, seq). The
-// sift paths compare inline keys — no node dereference — so heap
-// operations never miss on cold timer nodes.
-type entryHeap []wheelEntry
-
-// push appends e and restores the heap invariant (sift-up).
-func (h *entryHeap) push(e wheelEntry) {
-	s := *h
-	i := len(s)
-	s = append(s, e)
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entryLess(e, s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = e
-	*h = s
-}
-
-// pop removes and returns the heap's minimum record (sift-down).
-func (h *entryHeap) pop() wheelEntry {
-	s := *h
-	root := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = wheelEntry{} // drop the node reference
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		i := 0
-		for {
-			left := 2*i + 1
-			if left >= n {
-				break
-			}
-			child := left
-			if right := left + 1; right < n && entryLess(s[right], s[left]) {
-				child = right
-			}
-			if !entryLess(s[child], last) {
-				break
-			}
-			s[i] = s[child]
-			i = child
-		}
-		s[i] = last
-	}
-	return root
-}
 
 // wheelChunk is one segment of a bucket: a fixed record array plus the
 // link to the bucket's older chunks. It carries no fill count: only a
@@ -169,7 +88,7 @@ func (h *entryHeap) pop() wheelEntry {
 // field).
 type wheelChunk struct {
 	next *wheelChunk
-	evs  [wheelChunkCap]wheelEntry
+	evs  [wheelChunkCap]entry
 }
 
 // wheelSlot is one bucket head: the newest chunk and how many records
@@ -221,24 +140,18 @@ func (s *Simulator) chunkAlloc() *wheelChunk {
 }
 
 // chunkFree recycles a drained chunk. Its records are left in place —
-// they only reference pooled nodes the simulator retains anyway — and
-// are overwritten on reuse.
+// they only reference the handful of handlers the simulation binds
+// once — and are overwritten on reuse.
 func (s *Simulator) chunkFree(c *wheelChunk) {
 	w := &s.wheel
 	c.next = w.freeChunks
 	w.freeChunks = c
 }
 
-// wheelInsert admits a freshly scheduled node.
-func (s *Simulator) wheelInsert(t *timer) {
-	s.wheel.count++
-	s.wheelPlace(wheelEntry{at: t.at, seq: t.seq, t: t})
-}
-
 // wheelPlace files a record by its tick distance from cur: due heap
 // for the present, a wheel bucket inside the horizon, overflow heap
 // beyond it. Count-neutral, so the advance cascade reuses it.
-func (s *Simulator) wheelPlace(e wheelEntry) {
+func (s *Simulator) wheelPlace(e entry) {
 	w := &s.wheel
 	tick := uint64(e.at) >> s.tickShift
 	if tick <= w.cur {
@@ -344,48 +257,8 @@ func (s *Simulator) wheelAdvance() bool {
 	return true
 }
 
-// wheelNext pops the earliest live event's record, recycling canceled
-// nodes lazily; ok is false when nothing live remains.
-func (s *Simulator) wheelNext() (e wheelEntry, ok bool) {
-	w := &s.wheel
-	for {
-		for len(w.due) > 0 {
-			e := w.due.pop()
-			w.count--
-			if e.t != nil && e.t.canceled {
-				s.recycle(e.t)
-				continue
-			}
-			return e, true
-		}
-		if !s.wheelAdvance() {
-			return wheelEntry{}, false
-		}
-	}
-}
-
-// wheelPeek reports the earliest live event's timestamp, discarding
-// canceled nodes that surface and cascading buckets as needed.
-func (s *Simulator) wheelPeek() (time.Duration, bool) {
-	w := &s.wheel
-	for {
-		for len(w.due) > 0 {
-			e := w.due[0]
-			if e.t == nil || !e.t.canceled {
-				return e.at, true
-			}
-			w.due.pop()
-			w.count--
-			s.recycle(e.t)
-		}
-		if !s.wheelAdvance() {
-			return 0, false
-		}
-	}
-}
-
-// wheelReset drains every wheel structure back into the node and chunk
-// pools and rewinds the clock window, keeping capacities for reuse.
+// wheelReset returns every occupied bucket's chunks to the chunk pool
+// and rewinds the clock window, keeping capacities for reuse.
 func (s *Simulator) wheelReset() {
 	w := &s.wheel
 	if w.count > 0 {
@@ -397,12 +270,7 @@ func (s *Simulator) wheelReset() {
 					slot := uint64(word)<<6 + uint64(bits.TrailingZeros64(bw))
 					bw &= bw - 1
 					idx := level*wheelSlots + int(slot)
-					for c, n := w.slots[idx].head, w.slots[idx].n; c != nil; n = wheelChunkCap {
-						for i := int32(0); i < n; i++ {
-							if t := c.evs[i].t; t != nil {
-								s.recycle(t)
-							}
-						}
+					for c := w.slots[idx].head; c != nil; {
 						next := c.next
 						s.chunkFree(c)
 						c = next
@@ -411,16 +279,6 @@ func (s *Simulator) wheelReset() {
 				}
 				w.bitmap[level][word] = 0
 				w.summary[level] &^= 1 << word
-			}
-		}
-		for _, e := range w.due {
-			if e.t != nil {
-				s.recycle(e.t)
-			}
-		}
-		for _, e := range w.overflow {
-			if e.t != nil {
-				s.recycle(e.t)
 			}
 		}
 	}

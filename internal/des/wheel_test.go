@@ -90,9 +90,9 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	s := newWheel(time.Nanosecond) // shift 0: 2^48 ns horizon ≈ 3.2 days
 	far := 10 * 24 * time.Hour     // well past the horizon
 	var got []string
-	s.ScheduleAt(far+time.Hour, func() { got = append(got, "far+1h") })
-	s.ScheduleAt(time.Second, func() { got = append(got, "near") })
-	s.ScheduleAt(far, func() { got = append(got, "far") })
+	s.EmitAt(far+time.Hour, closure(func() { got = append(got, "far+1h") }), 0)
+	s.EmitAt(time.Second, closure(func() { got = append(got, "near") }), 0)
+	s.EmitAt(far, closure(func() { got = append(got, "far") }), 0)
 	s.Run()
 	if fmt.Sprint(got) != "[near far far+1h]" {
 		t.Fatalf("fire order = %v", got)
@@ -102,46 +102,15 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	}
 }
 
-// TestWheelCancelLazyDeletion cancels events resident in buckets, the
-// due heap, and the overflow heap; none may fire, and stale handles
-// must stay inert after node reuse.
-func TestWheelCancelLazyDeletion(t *testing.T) {
-	s := newWheel(time.Microsecond)
-	fired := map[string]bool{}
-	keep := s.Schedule(5*time.Millisecond, func() { fired["keep"] = true })
-	bucket := s.Schedule(5*time.Millisecond+200*time.Nanosecond, func() { fired["bucket"] = true })
-	over := s.ScheduleAt(MaxTime/2, func() { fired["overflow"] = true })
-	if !bucket.cancel() || !over.cancel() {
-		t.Fatal("cancel of pending events reported false")
-	}
-	if bucket.cancel() {
-		t.Fatal("double cancel reported true")
-	}
-	s.RunUntil(6 * time.Millisecond)
-	if !fired["keep"] || fired["bucket"] {
-		t.Fatalf("fired = %v", fired)
-	}
-	if keep.cancel() {
-		t.Fatal("cancel after fire reported true")
-	}
-	s.Run()
-	if fired["overflow"] {
-		t.Fatal("canceled overflow event fired")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
-	}
-}
-
 // TestWheelResetRecyclesNodes loads every wheel structure, resets, and
-// verifies the simulator is reusable with the pool intact.
+// verifies the simulator is reusable with the chunk pool intact.
 func TestWheelResetRecyclesNodes(t *testing.T) {
 	s := newWheel(time.Microsecond)
 	for i := 0; i < 100; i++ {
 		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
-	s.ScheduleAt(MaxTime/2, func() {}) // overflow resident
-	s.Step()                           // populate the due heap mid-flight
+	s.EmitAt(MaxTime/2, closure(func() {}), 0) // overflow resident
+	s.Step()                                   // populate the due heap mid-flight
 	s.Reset()
 	if s.Pending() != 0 || s.Now() != 0 || s.Fired() != 0 {
 		t.Fatalf("Reset left pending=%d now=%v fired=%d", s.Pending(), s.Now(), s.Fired())
@@ -155,22 +124,23 @@ func TestWheelResetRecyclesNodes(t *testing.T) {
 }
 
 // TestWheelSteadyStateChurnDoesNotAllocate mirrors the heap's
-// zero-alloc guarantee: a self-rescheduling chain on the wheel backend
-// must run allocation-free once the pool and heaps are warm.
+// zero-alloc guarantee: a self-rescheduling chain on the wheel backend,
+// its ArgHandler bound once, must run allocation-free once the chunk
+// pool and heaps are warm.
 func TestWheelSteadyStateChurnDoesNotAllocate(t *testing.T) {
 	s := newWheel(time.Microsecond)
-	var chain func()
+	var chain ArgHandler
 	n := 0
-	chain = func() {
+	chain = func(int) {
 		if n++; n < 100 {
-			s.Schedule(37*time.Microsecond, chain)
+			s.Emit(37*time.Microsecond, chain, 0)
 		}
 	}
-	s.Schedule(time.Microsecond, chain)
-	s.Run() // warm the pool and due heap
+	s.Emit(time.Microsecond, chain, 0)
+	s.Run() // warm the chunk pool and due heap
 	allocs := testing.AllocsPerRun(50, func() {
 		n = 0
-		s.Schedule(time.Microsecond, chain)
+		s.Emit(time.Microsecond, chain, 0)
 		s.Run()
 	})
 	if allocs != 0 {
@@ -179,7 +149,7 @@ func TestWheelSteadyStateChurnDoesNotAllocate(t *testing.T) {
 }
 
 // TestScheduleBatchMatchesSequential verifies that batch admission
-// fires byte-identically to a loop of ScheduleArgAt on both backends,
+// fires byte-identically to a loop of EmitAt on both backends,
 // including bulk-heapify (batch larger than the standing queue) and
 // incremental (small top-up) paths.
 func TestScheduleBatchMatchesSequential(t *testing.T) {
@@ -200,6 +170,7 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 		}
 		return evs
 	}
+	noop := func(int) {}
 	for _, kind := range []Kind{KernelHeap, KernelWheel} {
 		for _, standing := range []int{0, 500} { // exercise both heap paths
 			lcg = 12345
@@ -207,11 +178,10 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 			seqEvs := mkEvents(200, &seqOrder)
 			seq := NewWithConfig(Config{Kernel: kind, WheelTick: time.Microsecond})
 			for i := 0; i < standing; i++ {
-				seq.ScheduleAt(time.Duration(next(1_000_000))*time.Microsecond,
-					func() {})
+				seq.EmitAt(time.Duration(next(1_000_000))*time.Microsecond, noop, 0)
 			}
 			for _, ev := range seqEvs {
-				seq.scheduleArgAt(ev.At, ev.Fn, ev.Arg)
+				seq.EmitAt(ev.At, ev.Fn, ev.Arg)
 			}
 			seq.Run()
 
@@ -219,8 +189,7 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 			batchEvs := mkEvents(200, &batchOrder)
 			bat := NewWithConfig(Config{Kernel: kind, WheelTick: time.Microsecond})
 			for i := 0; i < standing; i++ {
-				bat.ScheduleAt(time.Duration(next(1_000_000))*time.Microsecond,
-					func() {})
+				bat.EmitAt(time.Duration(next(1_000_000))*time.Microsecond, noop, 0)
 			}
 			bat.ScheduleBatch(batchEvs)
 			bat.Run()
@@ -256,16 +225,16 @@ func TestScheduleBatchValidates(t *testing.T) {
 }
 
 // TestEmitInterleavesWithSchedule pins Emit's ordering contract on
-// both backends: fire-and-forget events take sequence numbers from the
-// same counter as Schedule's, so ties at one instant fire in admission
-// order regardless of which form admitted them.
+// both backends: every admission takes its sequence number from one
+// counter, so ties at one instant fire in admission order regardless
+// of which handler or call site admitted them.
 func TestEmitInterleavesWithSchedule(t *testing.T) {
 	for _, kind := range []Kind{KernelHeap, KernelWheel} {
 		s := NewWithConfig(Config{Kernel: kind, WheelTick: time.Microsecond})
 		var order []int
 		fn := func(arg int) { order = append(order, arg) }
 		s.Emit(time.Millisecond, fn, 0)
-		s.ScheduleArg(time.Millisecond, fn, 1)
+		s.Emit(time.Millisecond, fn, 1)
 		s.Emit(time.Millisecond, fn, 2)
 		s.Schedule(time.Millisecond, func() { order = append(order, 3) })
 		s.Emit(0, fn, 4) // immediate, still after nothing queued at t=0
@@ -298,10 +267,9 @@ func TestEmitValidates(t *testing.T) {
 	}
 }
 
-// TestWheelEmitChurnDoesNotAllocate proves the inline fire-and-forget
-// path is node-free and allocation-free in steady state: after the
-// chunk pool warms, an Emit-per-fire churn loop performs zero
-// allocations.
+// TestWheelEmitChurnDoesNotAllocate proves the wheel's Emit path is
+// allocation-free in steady state: after the chunk pool warms, an
+// Emit-per-fire churn loop performs zero allocations.
 func TestWheelEmitChurnDoesNotAllocate(t *testing.T) {
 	s := NewWithConfig(Config{Kernel: KernelWheel, WheelTick: time.Microsecond})
 	var fn ArgHandler
@@ -324,10 +292,8 @@ func TestWheelEmitChurnDoesNotAllocate(t *testing.T) {
 
 // TestKernelEquivalenceRandomized drives both backends through an
 // identical randomized workload — mixed delays spanning bucket, wheel
-// and overflow ranges, exact-tie timestamps, a blend of cancellable
-// ScheduleArgAt and fire-and-forget EmitAt admissions, cancels (some
-// of events already past), RunUntil slices, and a Reset midway — and
-// requires the byte-identical fire sequence.
+// and overflow ranges, exact-tie timestamps, RunUntil slices, and a
+// Reset midway — and requires the byte-identical fire sequence.
 func TestKernelEquivalenceRandomized(t *testing.T) {
 	type fire struct {
 		at  time.Duration
@@ -341,7 +307,6 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 		}
 		s := NewWithConfig(Config{Kernel: kind, WheelTick: 4 * time.Microsecond})
 		var fires []fire
-		var timers []Timer
 		fn := func(arg int) { fires = append(fires, fire{s.Now(), arg}) }
 		inject := func(base int) {
 			for i := 0; i < 400; i++ {
@@ -355,15 +320,7 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 				default: // dense near-term
 					at = s.Now() + time.Duration(next(2_000_000))*time.Nanosecond
 				}
-				if next(4) == 0 {
-					s.EmitAt(at, fn, base+i)
-				} else {
-					timers = append(timers, s.scheduleArgAt(at, fn, base+i))
-				}
-			}
-			// Cancel a random third, including already-fired handles.
-			for i := 0; i < len(timers)/3; i++ {
-				timers[next(uint64(len(timers)))].cancel()
+				s.EmitAt(at, fn, base+i)
 			}
 		}
 		inject(0)
@@ -447,11 +404,7 @@ func TestWheelChunkBoundaryMatchesHeap(t *testing.T) {
 				var fires []fire
 				fn := func(arg int) { fires = append(fires, fire{s.Now(), arg}) }
 				for i, at := range times {
-					if i%3 == 0 {
-						s.scheduleArgAt(at, fn, i)
-					} else {
-						s.EmitAt(at, fn, i)
-					}
+					s.EmitAt(at, fn, i)
 				}
 				if kind == KernelWheel {
 					wantChunks := (n + wheelChunkCap - 1) / wheelChunkCap

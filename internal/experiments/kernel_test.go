@@ -15,12 +15,13 @@ import (
 //
 // The artifact set covers one runner per DES replication style: a
 // single contained outbreak (fig2), the serial full-path sampler
-// (fig9), and the parallel defense-comparison grid (ablation-defense).
+// (fig9), the parallel defense-comparison grid (ablation-defense), and
+// the one artifact that runs background traffic (ablation-intrusiveness).
 func TestKernelArtifactParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates several artifacts per seed and worker count")
 	}
-	artifacts := []string{"fig2", "fig9", "ablation-defense"}
+	artifacts := []string{"fig2", "fig9", "ablation-defense", "ablation-intrusiveness"}
 	for _, seed := range []uint64{1, 7, 1905} {
 		for _, id := range artifacts {
 			ref, err := Run(id, Options{

@@ -102,9 +102,9 @@ type SeriesPoints struct {
 }
 
 // checkpointableConfig rejects configurations whose state cannot be
-// captured: background traffic drives its own closures and RNG inside
-// the kernel, and per-host scanner factories may hold arbitrary
-// scanner state.
+// captured: background traffic draws from its own RNG stream and keeps
+// per-host destination pools that a checkpoint does not record, and
+// per-host scanner factories may hold arbitrary scanner state.
 func checkpointableConfig(cfg *Config) error {
 	if cfg.Background != nil {
 		return fmt.Errorf("sim: checkpointing does not support background traffic")
@@ -222,13 +222,9 @@ func (e *engine) snapshot(ck *Checkpoint) error {
 	}
 	ck.FreeDeliv = append(ck.FreeDeliv[:0], e.freeDeliv...)
 
-	evs, err := e.sim.ExportPending()
-	if err != nil {
-		return err
-	}
 	kinds := e.handlerKinds()
 	ck.Pending = ck.Pending[:0]
-	for _, ev := range evs {
+	for _, ev := range e.sim.ExportPending() {
 		kind, ok := kinds.kindOf(ev.Fn)
 		if !ok {
 			return fmt.Errorf("sim: pending event at %v has an unrecognized handler", ev.At)

@@ -108,6 +108,27 @@ func TestImmunizedHostsCannotBeInfected(t *testing.T) {
 	}
 }
 
+func TestCountermeasuresPastMaxTimeNeverFire(t *testing.T) {
+	// Rates this low draw delays past des.MaxTime (about 292 years),
+	// which a time.Duration cannot hold: converted, they go negative
+	// and the kernel panics. Such events are not scheduled: the run
+	// completes, and those hosts are never patched or immunized.
+	cfg := smallCfg(67)
+	cfg.PatchRate = 1e-12    // mean ~31 700 years: nearly every draw is past MaxTime
+	cfg.ImmunizeRate = 1e-11 // mean ~3 170 years: about one draw in eleven is not
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Extinct || res.Truncated {
+		t.Errorf("extinct %v, truncated %v: want a drained run", res.Extinct, res.Truncated)
+	}
+	if res.Immunized == 0 || res.TotalInfected+res.Immunized >= cfg.V {
+		t.Errorf("immunized %d, infected %d of V=%d: want the in-range draws to fire and the rest never",
+			res.Immunized, res.TotalInfected, cfg.V)
+	}
+}
+
 func TestScanObserverSeesDeliveredScans(t *testing.T) {
 	cfg := smallCfg(65)
 	var observed uint64

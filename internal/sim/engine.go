@@ -282,14 +282,14 @@ type engine struct {
 	// countermeasure start-up), scan/patch/immunize events accumulate
 	// in batch and are admitted through one des.ScheduleBatch call —
 	// sequence numbers are assigned in append order, so the fire order
-	// is byte-identical to individual Schedule calls.
+	// is byte-identical to individual EmitAt calls.
 	batching bool
 	batch    []des.BatchEvent
 
 	// Bound method values, created once per engine (not per event):
 	// scheduling a scan, patch or immunization passes one of these plus
-	// a host index through des.EmitAt — fire-and-forget, so no per-event
-	// closure and (on the wheel backend) no event node at all.
+	// a host index through des.EmitAt, so an event is one inline kernel
+	// record with no per-event closure.
 	scanFn     des.ArgHandler // scanAttempt
 	patchFn    des.ArgHandler // patchFire
 	immunizeFn des.ArgHandler // immunizeFire
@@ -298,7 +298,7 @@ type engine struct {
 	// In-flight delayed deliveries (the throttle's Delay verdict): the
 	// event carries a slot index into pendDeliv instead of capturing
 	// (src, dst, parent) in a closure, so delayed deliveries are
-	// argument-form events too — allocation-free on the wheel backend
+	// (handler, index) records like every other event — allocation-free
 	// and exportable by checkpoints. freeDeliv recycles fired slots;
 	// its order is part of the simulation state (it decides which slot
 	// the next delay occupies), so checkpoints capture both.
@@ -313,7 +313,7 @@ type pendingDelivery struct {
 	parent   int32
 }
 
-// Scratch is the reusable arena for RunWith: the event-kernel node pool,
+// Scratch is the reusable arena for RunWith: the event kernel's queues,
 // the population's address storage, and the per-host state slices, all
 // retained across runs so a replication loop allocates only the Result
 // it hands back. One Scratch serves one goroutine at a time; pair it
@@ -382,7 +382,7 @@ func Run(cfg Config) (*Result, error) {
 	return RunWith(cfg, nil)
 }
 
-// RunWith is Run drawing its working memory — event-kernel node pool,
+// RunWith is Run drawing its working memory — event-kernel queues,
 // population storage, per-host state — from scratch. A nil scratch
 // allocates a fresh arena (identical to Run). Results are bit-identical
 // with and without arena reuse: every buffer is fully reset before use
@@ -603,8 +603,9 @@ func (e *engine) startCountermeasures() {
 		if !e.state.isSusceptible(i) {
 			continue
 		}
-		delay := time.Duration(rng.Exponential(e.src, e.cfg.ImmunizeRate) * float64(time.Second))
-		e.emitAt(now+delay, e.immunizeFn, i)
+		if at, ok := expAt(e.src, e.cfg.ImmunizeRate, now); ok {
+			e.emitAt(at, e.immunizeFn, i)
+		}
 	}
 }
 
@@ -623,8 +624,9 @@ func (e *engine) schedulePatch(i int) {
 	if e.cfg.PatchRate <= 0 {
 		return
 	}
-	delay := time.Duration(rng.Exponential(e.src, e.cfg.PatchRate) * float64(time.Second))
-	e.emitAt(e.sim.Now()+delay, e.patchFn, i)
+	if at, ok := expAt(e.src, e.cfg.PatchRate, e.sim.Now()); ok {
+		e.emitAt(at, e.patchFn, i)
+	}
 }
 
 // patchFire is the patch (clean-up) event: a still-infected host is
@@ -689,12 +691,27 @@ func (e *engine) scheduleNextScan(i int) {
 	if rate <= 0 {
 		return
 	}
-	delay := time.Duration(rng.Exponential(e.src, rate) * float64(time.Second))
-	at := e.sim.Now() + delay
+	at, ok := expAt(e.src, rate, e.sim.Now())
+	if !ok {
+		return
+	}
 	if dc := e.cfg.DutyCycle; dc != nil {
 		at = dc.nextActive(e.infectedAt[i], at)
 	}
 	e.emitAt(at, e.scanFn, i)
+}
+
+// expAt returns base plus an exponential delay at rate (per second)
+// drawn from src. ok is false when that would pass des.MaxTime — a draw
+// beyond about 292 years, which a time.Duration cannot hold. The caller
+// then schedules nothing: an event that far out never fires. The draw
+// is consumed either way, so the random stream does not shift.
+func expAt(src *rng.PCG64, rate float64, base time.Duration) (at time.Duration, ok bool) {
+	d := rng.Exponential(src, rate) * float64(time.Second)
+	if d >= float64(des.MaxTime-base) {
+		return 0, false
+	}
+	return base + time.Duration(d), true
 }
 
 // guardEvents stops the run when the event budget is exhausted.
@@ -766,8 +783,9 @@ func (e *engine) scanAttempt(i int) {
 				if e.guardEvents() {
 					return
 				}
-				retry := at + time.Duration(rng.Exponential(e.src, e.scanRateFor(i))*float64(time.Second))
-				e.sim.EmitAt(retry, e.scanFn, i)
+				if retry, ok := expAt(e.src, e.scanRateFor(i), at); ok {
+					e.sim.EmitAt(retry, e.scanFn, i)
+				}
 				return
 			}
 		}
