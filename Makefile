@@ -36,14 +36,15 @@ bench:
 
 # bench-allocs holds the one contract the repository benchmark
 # (benchmark/README.md) cannot express: the internet-scale run, its
-# population rebuild, the wheel's deep-churn benchmarks and the heap's
-# shallow one recycle every arena, and the exact limiter decides a known
-# host from its table slot, so their steady state must record 0
-# allocs/op. One "package:pattern"
+# population draw and checkpoint rebuild, the wheel's deep-churn
+# benchmarks and the heap's shallow one recycle every arena, the
+# population hit test and the exact limiter decide from a table slot,
+# so their steady state must record 0 allocs/op. One "package:pattern"
 # pair per row (-bench splits its pattern at every slash, so the rows
 # cannot share one); a row that matches no benchmark fails too. Matches
 # the CI bench-smoke job's second step.
 ALLOC_FREE ?= sim:BenchmarkSimRun10M$$ addr:BenchmarkRepopulate10M$$ \
+	addr:BenchmarkRestoreAddrs10M$$ addr:BenchmarkLookup \
 	des:BenchmarkEventKernelChurn/kernel=wheel \
 	des:BenchmarkEventKernelChurn/kernel=heap/pending=1k$$ \
 	core:BenchmarkObserveParallel/backend=exact,mix=uniform

@@ -11,7 +11,8 @@ import (
 // address slab (40 MB) are far past every cache, so these measure the
 // memory system, which is what the build and the hit test cost at that
 // scale. All three recycle their Population; the steady state must not
-// allocate (benchjson gates BenchmarkRepopulate10M at 0 allocs/op).
+// allocate (make bench-allocs gates BenchmarkRepopulate10M,
+// BenchmarkRestoreAddrs10M and the Lookup rows at 0 allocs/op).
 
 const bench10MHosts = 10_000_000
 
@@ -79,5 +80,35 @@ func BenchmarkLookupDense10M(b *testing.B) {
 		if ratio := float64(hits) / float64(b.N); ratio < 0.55 || ratio > 0.65 {
 			b.Fatalf("hit ratio %.3f, want the population's density ~0.6", ratio)
 		}
+	}
+}
+
+// BenchmarkLookupSparse360k is the hit test in sim-mc's regime: the
+// paper's 360 000 Code Red hosts spread over the whole IPv4 space and
+// scanned uniformly, so about one probe in 12 000 hits (8.4e-5). The
+// table (8 MB) sits in the last-level cache or just past it, and the
+// hashed probe loop is what runs.
+func BenchmarkLookupSparse360k(b *testing.B) {
+	const hosts = 360_000
+	src := rng.NewPCG64(1905, 2)
+	pop, err := NewPopulation(hosts, nil, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	targets := make([]IP, 1<<20)
+	for i := range targets {
+		targets[i] = IP(rng.Uint64n(src, SpaceSize))
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := pop.Lookup(targets[i&(len(targets)-1)]); ok {
+			hits++
+		}
+	}
+	b.StopTimer()
+	if ratio := float64(hits) / float64(b.N); b.N >= len(targets) && ratio > 1e-3 {
+		b.Fatalf("hit ratio %.2g, want the population's density ~8e-5", ratio)
 	}
 }

@@ -13,10 +13,14 @@ import (
 func TestRestorePopulationRoundTrip(t *testing.T) {
 	pfx := mustParsePrefix(t, "10.20.0.0/16")
 	for _, tc := range []struct {
-		v       int
-		cluster *Prefix
+		v                           int
+		cluster                     *Prefix
+		drawnDirect, restoredDirect bool // which builds take the direct index
 	}{
-		{1, nil}, {100, nil}, {5000, &pfx},
+		{1, nil, false, true}, // one address spans nothing
+		{100, nil, false, false},
+		{5000, &pfx, false, false},
+		{30000, &pfx, true, true}, // density 0.46
 	} {
 		src := rng.NewPCG64(1905, 4)
 		orig, err := NewPopulation(tc.v, tc.cluster, src)
@@ -40,10 +44,17 @@ func TestRestorePopulationRoundTrip(t *testing.T) {
 				t.Fatalf("host %d: lookup %v -> %d %v", i, ip, idx, ok)
 			}
 		}
-		// Misses stay misses.
+		if orig.direct != tc.drawnDirect || restored.direct != tc.restoredDirect {
+			t.Fatalf("v=%d: direct = %v drawn, %v restored, want %v, %v",
+				tc.v, orig.direct, restored.direct, tc.drawnDirect, tc.restoredDirect)
+		}
+		// Misses stay misses, inside the prefix and out of it.
 		probe := rng.NewPCG64(3, 3)
-		for k := 0; k < 1000; k++ {
+		for k := 0; k < 2000; k++ {
 			ip := IP(rng.Uint64n(probe, SpaceSize))
+			if k%2 == 0 {
+				ip = pfx.Net + IP(rng.Uint64n(probe, pfx.Size()))
+			}
 			wantIdx, want := orig.Lookup(ip)
 			gotIdx, got := restored.Lookup(ip)
 			if want != got || (want && wantIdx != gotIdx) {
@@ -90,12 +101,26 @@ func TestRestoreAddrsReuse(t *testing.T) {
 // one batch, one on each side of a batch boundary, first and last
 // element of the list — and checks that each is still rejected with the
 // duplicate error, and that the same Population then restores the clean
-// list correctly.
+// list correctly. Each position is tried on a list spread wider than the
+// table (the hashed, batched build) and on a contiguous one (the direct
+// build, where a duplicate is a filled home slot).
 func TestRestoreAddrsDuplicatePositions(t *testing.T) {
 	const n = 3*popBatch + 7
-	clean := make([]IP, n)
-	for i := range clean {
-		clean[i] = IP(0x0a000000 + 977*i)
+	type list struct {
+		name   string
+		direct bool
+		clean  []IP
+	}
+	var lists []list
+	for _, l := range []struct {
+		name   string
+		stride int
+	}{{"hashed", 977}, {"direct", 1}} {
+		clean := make([]IP, n)
+		for i := range clean {
+			clean[i] = IP(0x0a000000 + l.stride*(n-1-i))
+		}
+		lists = append(lists, list{l.name, l.stride == 1, clean})
 	}
 	p := &Population{}
 	for _, c := range []struct {
@@ -110,24 +135,55 @@ func TestRestoreAddrsDuplicatePositions(t *testing.T) {
 		{"in-short-last-batch", 3 * popBatch, n - 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			bad := append([]IP(nil), clean...)
-			bad[c.dst] = bad[c.src]
-			err := p.RestoreAddrs(bad)
-			if err == nil || !strings.Contains(err.Error(), "duplicate address "+bad[c.src].String()) {
-				t.Fatalf("RestoreAddrs = %v, want the duplicate-address error for %v", err, bad[c.src])
-			}
-			if err := p.RestoreAddrs(clean); err != nil {
-				t.Fatalf("restore after a rejected one: %v", err)
-			}
-			if len(p.addrs) != n {
-				t.Fatalf("size %d, want %d", len(p.addrs), n)
-			}
-			for i, ip := range clean {
-				if idx, ok := p.Lookup(ip); !ok || idx != i || p.Addr(i) != ip {
-					t.Fatalf("host %d: lookup %v -> %d %v, addr %v", i, ip, idx, ok, p.Addr(i))
+			for _, l := range lists {
+				bad := append([]IP(nil), l.clean...)
+				bad[c.dst] = bad[c.src]
+				err := p.RestoreAddrs(bad)
+				if err == nil || !strings.Contains(err.Error(), "duplicate address "+bad[c.src].String()) {
+					t.Fatalf("%s: RestoreAddrs = %v, want the duplicate-address error for %v", l.name, err, bad[c.src])
+				}
+				if err := p.RestoreAddrs(l.clean); err != nil {
+					t.Fatalf("%s: restore after a rejected one: %v", l.name, err)
+				}
+				if len(p.addrs) != n || p.direct != l.direct {
+					t.Fatalf("%s: size %d, direct %v, want %d, %v", l.name, len(p.addrs), p.direct, n, l.direct)
+				}
+				for i, ip := range l.clean {
+					if idx, ok := p.Lookup(ip); !ok || idx != i || p.Addr(i) != ip {
+						t.Fatalf("%s: host %d: lookup %v -> %d %v, addr %v", l.name, i, ip, idx, ok, p.Addr(i))
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreAddrsSpanBoundary restores lists whose span sits on either
+// side of the direct-mode bound. Two addresses exactly len(table) apart
+// share their low bits, so a list spanning the table's size must take
+// the hashed build; one address less apart and it is direct.
+func TestRestoreAddrsSpanBoundary(t *testing.T) {
+	const v, slots = 16, 32 // tableSize(16)
+	for _, c := range []struct {
+		span   IP
+		direct bool
+	}{{slots - 1, true}, {slots, false}, {slots + 1, false}} {
+		addrs := []IP{0x0a000000 + c.span}
+		for i := IP(0); i < v-1; i++ {
+			addrs = append(addrs, 0x0a000000+i)
+		}
+		p, err := RestorePopulation(addrs)
+		if err != nil {
+			t.Fatalf("span %d: %v", c.span, err)
+		}
+		if len(p.table) != slots || p.direct != c.direct {
+			t.Fatalf("span %d: %d slots, direct %v, want %d, %v", c.span, len(p.table), p.direct, slots, c.direct)
+		}
+		for i, ip := range addrs {
+			if idx, ok := p.Lookup(ip); !ok || idx != i {
+				t.Fatalf("span %d: lookup %v -> %d %v, want %d", c.span, ip, idx, ok, i)
+			}
+		}
 	}
 }
 

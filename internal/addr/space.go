@@ -23,16 +23,26 @@ import (
 // what a probe costs is the cold lines it touches: key and index share
 // a slot, eight slots share a line, and a probe that ends within its
 // home line — the common case — is one miss.
+//
+// A population dense enough that all its hosts span fewer addresses
+// than the table has slots — the Code-Red-scale run's 10M hosts in a /8
+// span 2^24 addresses and get a 2^24-slot table — is indexed by the
+// address's low bits instead of by hash (see home): no two hosts then
+// share a home slot, so a build never probes and a lookup reads one
+// slot.
 type Population struct {
 	addrs []IP // host index -> address
 	// Open-addressing table. Capacity is a power of two so probes wrap
 	// with a mask; a table retained from a larger draw keeps its size.
 	table []popSlot
 	mask  uint32
+	// direct: the hosts span fewer addresses than len(table). Set by
+	// every build, never inherited from the previous one.
+	direct bool
 }
 
-// popSlot is one table entry: an address and its host index, or
-// val < 0 for an empty slot.
+// popSlot is one table entry: an address and its host index plus one,
+// so that the zero value is the empty slot.
 type popSlot struct {
 	key IP
 	val int32
@@ -96,11 +106,20 @@ func (p *Population) reset(v int) error {
 	if n := tableSize(v); len(p.table) < n {
 		p.table = make([]popSlot, n)
 		p.mask = uint32(n - 1)
-	}
-	for i := range p.table {
-		p.table[i] = popSlot{val: -1}
+	} else {
+		clear(p.table)
 	}
 	return nil
+}
+
+// home returns ip's home slot: in direct mode its low bits, which
+// differ between any two addresses less than len(table) apart, so
+// between any two hosts; else its hash.
+func (p *Population) home(ip IP) uint32 {
+	if p.direct {
+		return uint32(ip) & p.mask
+	}
+	return hashIP(ip) & p.mask
 }
 
 // touchHomes loads the home slot of every staged insertion. Nothing in
@@ -123,8 +142,8 @@ func touchHomes(table []popSlot, home []uint32) (sum int32) {
 func (p *Population) insert(ip IP, h uint32) bool {
 	for {
 		s := &p.table[h]
-		if s.val < 0 {
-			*s = popSlot{key: ip, val: int32(len(p.addrs))}
+		if s.val == 0 {
+			*s = popSlot{key: ip, val: int32(len(p.addrs) + 1)}
 			p.addrs = append(p.addrs, ip)
 			return true
 		}
@@ -157,6 +176,7 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 	if err := p.reset(v); err != nil {
 		return err
 	}
+	p.direct = size <= uint64(len(p.table))
 	// Rejection sampling of distinct addresses: a draw that is already
 	// placed is dropped and the loop draws again. Density v/size spans
 	// 1e-4 and below in the paper's scenarios up to 0.6 in the
@@ -172,7 +192,7 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 		n := min(popBatch, v-len(p.addrs))
 		for i := 0; i < n; i++ {
 			ips[i] = base + IP(rng.Uint64n(src, size))
-			home[i] = hashIP(ips[i]) & p.mask
+			home[i] = p.home(ips[i])
 		}
 		touchHomes(p.table, home[:n])
 		for i := 0; i < n; i++ {
@@ -184,11 +204,17 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 
 // RestoreAddrs rebuilds the population in place from an explicit
 // address list in host-index order — the checkpoint-restore path. The
-// same buffers Repopulate reuses are reused here, with the same
-// batching; no randomness is consumed. A duplicate address is rejected:
-// it cannot have come from a valid draw, so it marks a corrupt
-// checkpoint. The population is then partly built and must be rebuilt
-// (by Repopulate or RestoreAddrs) before use.
+// same buffers Repopulate reuses are reused here; no randomness is
+// consumed. A duplicate address is rejected: it cannot have come from a
+// valid draw, so it marks a corrupt checkpoint. The population is then
+// partly built and must be rebuilt (by Repopulate or RestoreAddrs)
+// before use.
+//
+// The list carries no prefix, so one pass finds its span: a list that
+// spans fewer addresses than the table has slots is restored in direct
+// mode, one store per host, since a home slot already filled can only
+// hold the same address. Any other is inserted with Repopulate's
+// batching.
 func (p *Population) RestoreAddrs(addrs []IP) error {
 	if len(addrs) < 1 {
 		return fmt.Errorf("addr: restore of empty population")
@@ -196,12 +222,28 @@ func (p *Population) RestoreAddrs(addrs []IP) error {
 	if err := p.reset(len(addrs)); err != nil {
 		return err
 	}
+	lo, hi := addrs[0], addrs[0]
+	for _, ip := range addrs {
+		lo, hi = min(lo, ip), max(hi, ip)
+	}
+	p.direct = uint64(hi-lo) < uint64(len(p.table))
+	if p.direct {
+		for i, ip := range addrs {
+			s := &p.table[p.home(ip)]
+			if s.val != 0 {
+				return fmt.Errorf("addr: restore with duplicate address %v", ip)
+			}
+			*s = popSlot{key: ip, val: int32(i + 1)}
+		}
+		p.addrs = append(p.addrs, addrs...)
+		return nil
+	}
 	var home [popBatch]uint32
 	for len(addrs) > 0 {
 		batch := addrs[:min(popBatch, len(addrs))]
 		addrs = addrs[len(batch):]
 		for i, ip := range batch {
-			home[i] = hashIP(ip) & p.mask
+			home[i] = p.home(ip)
 		}
 		touchHomes(p.table, home[:len(batch)])
 		for i, ip := range batch {
@@ -227,22 +269,30 @@ func RestorePopulation(addrs []IP) (*Population, error) {
 func (p *Population) Addr(i int) IP { return p.addrs[i] }
 
 // Lookup reports whether ip belongs to a vulnerable host and returns its
-// index. This is the simulator's per-scan hit test: one hash, then a
-// linear probe that at ≤2/3 load inspects ~1.5 slots on a hit and ~2.5
-// on a miss — usually within the home slot's cache line, since eight
-// slots share one.
+// index. This is the simulator's per-scan hit test. In direct mode it
+// reads ip's home slot and nothing else: a host at ip would be there,
+// so an empty slot, or one holding the host that an ip outside the
+// hosts' span aliases onto, is a miss. Otherwise it hashes, then probes linearly, which at
+// ≤2/3 load inspects ~1.5 slots on a hit and ~2.5 on a miss — usually
+// within the home slot's cache line, since eight slots share one.
 func (p *Population) Lookup(ip IP) (int, bool) {
+	if p.direct {
+		if s := p.table[p.home(ip)]; s.key == ip && s.val != 0 {
+			return int(s.val - 1), true
+		}
+		return 0, false
+	}
 	if len(p.table) == 0 {
 		return 0, false
 	}
 	h := hashIP(ip) & p.mask
 	for {
 		s := p.table[h]
-		if s.val < 0 {
+		if s.val == 0 {
 			return 0, false
 		}
 		if s.key == ip {
-			return int(s.val), true
+			return int(s.val - 1), true
 		}
 		h = (h + 1) & p.mask
 	}

@@ -120,7 +120,11 @@ func TestPopulationDeterministic(t *testing.T) {
 // paper's density (1e-4), the Code-Red-scale run's (0.6, two draws in
 // five rejected) and a full prefix, population sizes on both sides of
 // the batch width, and each of them again on a Population that keeps
-// the oversize table and mask of a larger earlier draw.
+// the oversize table and mask of a larger earlier draw. The dense
+// prefixes, and every prefix drawn into the larger table, take the
+// direct (offset-indexed) mode, so the probes also cover the addresses
+// below the prefix and past its end that alias onto occupied home slots
+// after masking.
 func TestPopulationDrawSequenceMatchesMapReference(t *testing.T) {
 	type drawCase struct {
 		name string
@@ -196,15 +200,83 @@ func TestPopulationDrawSequenceMatchesMapReference(t *testing.T) {
 							reuse.name, pop.Addr(i), got, ok, i)
 					}
 				}
-				for probe := base; probe < base+4096; probe++ {
-					_, want := seen[probe]
-					if _, ok := pop.Lookup(probe); ok != want {
-						t.Fatalf("%s: lookup(%v) hit = %v, reference %v", reuse.name, probe, ok, want)
+				if c.name == "density-0.6" && !pop.direct {
+					t.Fatalf("%s: the Code-Red density did not take the direct index", reuse.name)
+				}
+				probe := func(ip IP) {
+					wantIdx, want := seen[ip]
+					if idx, ok := pop.Lookup(ip); ok != want || (ok && idx != wantIdx) {
+						t.Fatalf("%s: lookup(%v) = (%d, %v), reference (%d, %v)",
+							reuse.name, ip, idx, ok, wantIdx, want)
 					}
+				}
+				for k := IP(0); k < 4096; k++ {
+					probe(base + k)
+					probe(base - 1 - k)              // below the prefix
+					probe(base + IP(size-1) + 1 + k) // past its end
+				}
+				n := IP(len(pop.table))
+				for _, ip := range ref[:min(len(ref), 4096)] {
+					probe(ip - n) // the same home slot as ip's after masking
+					probe(ip + n)
 				}
 			}
 		})
 	}
+}
+
+// TestPopulationModeFlip takes one Population through both indexes and
+// back on the same table — a direct draw in a dense prefix, a hashed
+// internet-wide draw, a direct restore of another range — and checks
+// after each build that the mode is the build's own and that every
+// lookup answers from the build's hosts alone: a direct flag carried
+// over from the previous build would misplace them.
+func TestPopulationModeFlip(t *testing.T) {
+	const v = 3000
+	dense := mustParsePrefix(t, "10.1.0.0/20") // 4096 addresses, 8192-slot table
+	pop := &Population{}
+	check := func(stage string, wantDirect bool) {
+		t.Helper()
+		if pop.direct != wantDirect {
+			t.Fatalf("%s: direct = %v, want %v", stage, pop.direct, wantDirect)
+		}
+		hosts := make(map[IP]int, len(pop.addrs))
+		for i, ip := range pop.addrs {
+			hosts[ip] = i
+		}
+		probe := func(ip IP) {
+			wantIdx, want := hosts[ip]
+			if idx, ok := pop.Lookup(ip); ok != want || (ok && idx != wantIdx) {
+				t.Fatalf("%s: lookup(%v) = (%d, %v), want (%d, %v)", stage, ip, idx, ok, wantIdx, want)
+			}
+		}
+		n := IP(len(pop.table))
+		for _, ip := range pop.Addrs() {
+			probe(ip)
+			probe(ip - n)
+			probe(ip + n)
+		}
+		for k := IP(0); k < 2*4096; k++ {
+			probe(dense.Net - 4096 + k*2) // around the first draw's prefix
+			probe(0xac100000 + k)         // the restore's range
+		}
+	}
+	if err := pop.Repopulate(v, &dense, rng.NewPCG64(9, 1)); err != nil {
+		t.Fatal(err)
+	}
+	check("direct draw", true)
+	if err := pop.Repopulate(v, nil, rng.NewPCG64(9, 2)); err != nil {
+		t.Fatal(err)
+	}
+	check("internet draw", false)
+	restore := make([]IP, v)
+	for i := range restore {
+		restore[i] = 0xac100000 + IP(2*((i*7)%v)) // 172.16.0.0 onward, shuffled, span 5998
+	}
+	if err := pop.RestoreAddrs(restore); err != nil {
+		t.Fatal(err)
+	}
+	check("direct restore", true)
 }
 
 // TestPopulationRepopulateReuse redraws through one Population at

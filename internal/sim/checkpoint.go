@@ -574,6 +574,16 @@ func validateCheckpointState(ck *Checkpoint) error {
 			return fmt.Errorf("sim: checkpoint generation %d has negative count %d", g, n)
 		}
 	}
+	// Infection indexes the histogram with the parent's generation plus
+	// one, so every host's generation must already be a histogram entry:
+	// a never-infected host has generation 0, and Generations[0] counts
+	// the seeds.
+	for i, g := range ck.Gen {
+		if g < 0 || int(g) >= len(ck.Generations) {
+			return fmt.Errorf("sim: checkpoint host %d has generation %d outside [0, %d)",
+				i, g, len(ck.Generations))
+		}
+	}
 	if len(ck.InfectedPts.Times) != len(ck.InfectedPts.Values) ||
 		len(ck.RemovedPts.Times) != len(ck.RemovedPts.Values) ||
 		len(ck.ActivePts.Times) != len(ck.ActivePts.Values) {

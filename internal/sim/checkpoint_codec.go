@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"wormcontain/internal/addr"
@@ -200,59 +202,43 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if r.Err() == nil && ck.RNG.IncLo&1 == 0 {
 		return nil, fmt.Errorf("sim: checkpoint RNG increment is even")
 	}
-	if n := r.Count(4, "addresses"); r.Err() == nil {
-		ck.Addrs = make([]addr.IP, n)
-		for i := range ck.Addrs {
-			ck.Addrs[i] = addr.IP(r.U32("address"))
-		}
+	if b := section(r, 4, "addresses"); r.Err() == nil {
+		ck.Addrs = u32s[addr.IP](b)
 	}
-	if n := r.Count(8, "infected bitset"); r.Err() == nil {
-		ck.Infected = make([]uint64, n)
-		for i := range ck.Infected {
-			ck.Infected[i] = r.U64("infected word")
-		}
+	if b := section(r, 8, "infected bitset"); r.Err() == nil {
+		ck.Infected = u64s[uint64](b)
 	}
-	if n := r.Count(8, "removed bitset"); r.Err() == nil {
-		ck.Removed = make([]uint64, n)
-		for i := range ck.Removed {
-			ck.Removed[i] = r.U64("removed word")
-		}
+	if b := section(r, 8, "removed bitset"); r.Err() == nil {
+		ck.Removed = u64s[uint64](b)
 	}
-	if n := r.Count(4, "generations table"); r.Err() == nil {
-		ck.Gen = make([]int32, n)
-		for i := range ck.Gen {
-			ck.Gen[i] = int32(r.U32("generation"))
-		}
+	if b := section(r, 4, "generations table"); r.Err() == nil {
+		ck.Gen = u32s[int32](b)
 	}
-	if n := r.Count(8, "infection instants"); r.Err() == nil {
-		ck.InfectedAt = make([]time.Duration, n)
-		for i := range ck.InfectedAt {
-			ck.InfectedAt[i] = readDur(r, "infection instant")
-		}
+	if b := section(r, 8, "infection instants"); r.Err() == nil {
+		ck.InfectedAt = u64s[time.Duration](b)
 	}
-	if n := r.Count(12, "deliveries"); r.Err() == nil {
-		ck.Deliv = make([]PendingDelivery, n)
+	if b := section(r, 12, "deliveries"); r.Err() == nil {
+		ck.Deliv = make([]PendingDelivery, len(b)/12)
 		for i := range ck.Deliv {
+			e := b[12*i : 12*i+12]
 			ck.Deliv[i] = PendingDelivery{
-				Src:    addr.IP(r.U32("delivery src")),
-				Dst:    addr.IP(r.U32("delivery dst")),
-				Parent: int32(r.U32("delivery parent")),
+				Src:    addr.IP(le.Uint32(e)),
+				Dst:    addr.IP(le.Uint32(e[4:])),
+				Parent: int32(le.Uint32(e[8:])),
 			}
 		}
 	}
-	if n := r.Count(4, "free delivery slots"); r.Err() == nil {
-		ck.FreeDeliv = make([]int32, n)
-		for i := range ck.FreeDeliv {
-			ck.FreeDeliv[i] = int32(r.U32("free slot"))
-		}
+	if b := section(r, 4, "free delivery slots"); r.Err() == nil {
+		ck.FreeDeliv = u32s[int32](b)
 	}
-	if n := r.Count(13, "pending events"); r.Err() == nil {
-		ck.Pending = make([]PendingEvent, n)
+	if b := section(r, 13, "pending events"); r.Err() == nil {
+		ck.Pending = make([]PendingEvent, len(b)/13)
 		for i := range ck.Pending {
+			e := b[13*i : 13*i+13]
 			ck.Pending[i] = PendingEvent{
-				At:   readDur(r, "event time"),
-				Kind: r.U8("event kind"),
-				Arg:  int32(r.U32("event arg")),
+				At:   time.Duration(le.Uint64(e)),
+				Kind: e[8],
+				Arg:  int32(le.Uint32(e[9:])),
 			}
 		}
 	}
@@ -266,11 +252,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.TotalRemoved = int(int64(r.U64("total removed")))
 	ck.PeakActive = int(int64(r.U64("peak active")))
 	ck.Truncated = r.Bool("truncated")
-	if n := r.Count(8, "generation histogram"); r.Err() == nil {
-		ck.Generations = make([]int, n)
-		for i := range ck.Generations {
-			ck.Generations[i] = int(int64(r.U64("generation count")))
-		}
+	if b := section(r, 8, "generation histogram"); r.Err() == nil {
+		ck.Generations = u64s[int](b)
 	}
 	ck.TotalScans = r.U64("total scans")
 	ck.Delivered = r.U64("delivered")
@@ -278,26 +261,20 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.Dropped = r.U64("dropped")
 	ck.Patched = int(int64(r.U64("patched")))
 	ck.Immunized = int(int64(r.U64("immunized")))
-	if n := r.Count(16, "infection tree"); r.Err() == nil {
-		ck.Tree = make([]InfectionEdge, n)
+	if b := section(r, 16, "infection tree"); r.Err() == nil {
+		ck.Tree = make([]InfectionEdge, len(b)/16)
 		for i := range ck.Tree {
+			e := b[16*i : 16*i+16]
 			ck.Tree[i] = InfectionEdge{
-				Parent: int(int32(r.U32("edge parent"))),
-				Child:  int(int32(r.U32("edge child"))),
-				At:     readDur(r, "edge time"),
+				Parent: int(int32(le.Uint32(e))),
+				Child:  int(int32(le.Uint32(e[4:]))),
+				At:     time.Duration(le.Uint64(e[8:])),
 			}
 		}
 	}
-	var err error
-	if ck.InfectedPts, err = decodeSeries(r, "infected series"); err != nil {
-		return nil, err
-	}
-	if ck.RemovedPts, err = decodeSeries(r, "removed series"); err != nil {
-		return nil, err
-	}
-	if ck.ActivePts, err = decodeSeries(r, "active series"); err != nil {
-		return nil, err
-	}
+	ck.InfectedPts = decodeSeries(r, "infected series")
+	ck.RemovedPts = decodeSeries(r, "removed series")
+	ck.ActivePts = decodeSeries(r, "active series")
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -319,18 +296,47 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 
 func readDur(r *binio.Reader, what string) time.Duration { return time.Duration(r.U64(what)) }
 
-func decodeSeries(r *binio.Reader, what string) (SeriesPoints, error) {
-	n := r.Count(16, what)
-	if r.Err() != nil || n == 0 {
-		return SeriesPoints{}, nil
+var le = binary.LittleEndian
+
+// section reads a length-prefixed section of fixed-size elements and
+// returns its bytes, taken in one bounds-checked read: r.Count has
+// verified that they are all present, so the element loops that decode
+// them need no per-element reader call. It returns nil after an error.
+func section(r *binio.Reader, size int, what string) []byte {
+	return r.Bytes(r.Count(size, what)*size, what)
+}
+
+// u32s decodes a section of little-endian 32-bit words.
+func u32s[T ~uint32 | ~int32](b []byte) []T {
+	out := make([]T, len(b)/4)
+	for i := range out {
+		out[i] = T(le.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+// u64s decodes a section of little-endian 64-bit words.
+func u64s[T ~uint64 | ~int64 | ~int](b []byte) []T {
+	out := make([]T, len(b)/8)
+	for i := range out {
+		out[i] = T(le.Uint64(b[8*i:]))
+	}
+	return out
+}
+
+func decodeSeries(r *binio.Reader, what string) SeriesPoints {
+	b := section(r, 16, what)
+	if len(b) == 0 {
+		return SeriesPoints{}
 	}
 	p := SeriesPoints{
-		Times:  make([]time.Duration, n),
-		Values: make([]float64, n),
+		Times:  make([]time.Duration, len(b)/16),
+		Values: make([]float64, len(b)/16),
 	}
-	for i := 0; i < n; i++ {
-		p.Times[i] = readDur(r, what)
-		p.Values[i] = r.F64(what)
+	for i := range p.Times {
+		e := b[16*i : 16*i+16]
+		p.Times[i] = time.Duration(le.Uint64(e))
+		p.Values[i] = math.Float64frombits(le.Uint64(e[8:]))
 	}
-	return p, nil
+	return p
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -401,6 +403,55 @@ func TestCheckpointRejects(t *testing.T) {
 	})
 }
 
+// TestResumeRejectsOutOfRangeGeneration feeds ResumeCheckpointed a
+// checkpoint whose per-host generations lie outside the generation
+// histogram. Infection indexes the histogram with the parent's
+// generation plus one, so a negative entry used to panic at the first
+// infection and a huge one to grow the histogram without bound; both
+// must be rejected as corrupt before the run starts.
+func TestResumeRejectsOutOfRangeGeneration(t *testing.T) {
+	pfx := mustPrefix(t, "10.0.0.0/20")
+	routable, err := addr.NewRoutable([]addr.Prefix{*pfx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		V: 2000, I0: 5, ScanRate: 50,
+		Scanner: routable, ClusterPrefix: pfx,
+		MaxInfected: 2000, Horizon: time.Minute,
+		Seed: 3,
+	}
+	sink := &memSink{}
+	polls := 0
+	var res Result
+	err = RunCheckpointed(cfg, nil, &res, CheckpointOptions{
+		Sink: sink, Interval: des.MaxTime / 2,
+		Stop: func() bool { polls++; return polls > 3 },
+	})
+	if !errors.Is(err, ErrStopRequested) {
+		t.Fatalf("err = %v, want ErrStopRequested", err)
+	}
+	payload := sink.payloads[len(sink.payloads)-1]
+	for _, g := range []int32{-7, -1, int32(len(res.Generations)), math.MaxInt32} {
+		t.Run(fmt.Sprint(g), func(t *testing.T) {
+			ck, err := DecodeCheckpoint(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ck.Gen {
+				ck.Gen[i] = g
+			}
+			if ck, err = DecodeCheckpoint(EncodeCheckpoint(ck)); err != nil {
+				t.Fatalf("decoder rejected the re-encoded payload: %v", err)
+			}
+			err = ResumeFromCheckpoint(cfg, nil, &res, ck)
+			if err == nil || !strings.Contains(err.Error(), "generation") {
+				t.Fatalf("resume = %v, want the out-of-range generation rejected", err)
+			}
+		})
+	}
+}
+
 // TestInvariantChecker covers the audit machinery directly: a clean run
 // records no violations, and each deliberately corrupted state is
 // caught at the next cut.
@@ -581,6 +632,42 @@ func BenchmarkCheckpoint10M(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = appendEncodeCheckpoint(buf[:0], &ck)
+	}
+}
+
+// BenchmarkResume10M measures what resuming a Code-Red-scale checkpoint
+// costs before the first event: DecodeCheckpoint of the payload, then
+// ResumeCheckpointed on a recycled Scratch up to its first Stop poll,
+// which halts it. It is the in-repo counterpart of the repository
+// benchmark's restore_s on sim-10m, less the storage load.
+func BenchmarkResume10M(b *testing.B) {
+	cfg := sim10MConfig()
+	scratch := NewScratch()
+	var res Result
+	sink := &memSink{}
+	// Cut the run about halfway through its ~3.7M events, so the
+	// checkpoint carries a half-grown epidemic and a live pending set.
+	polls := 0
+	err := RunCheckpointed(cfg, scratch, &res, CheckpointOptions{
+		Sink: sink, Interval: des.MaxTime / 2, // no periodic cut: only the final one
+		Stop: func() bool { polls++; return polls > 1_800_000 },
+	})
+	if !errors.Is(err, ErrStopRequested) {
+		b.Fatalf("cut: err = %v, want ErrStopRequested", err)
+	}
+	payload := sink.payloads[len(sink.payloads)-1]
+	sink.payloads = nil
+	halt := CheckpointOptions{Stop: func() bool { return true }}
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ck, err := DecodeCheckpoint(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ResumeCheckpointed(cfg, scratch, &res, ck, halt); !errors.Is(err, ErrStopRequested) {
+			b.Fatalf("resume: err = %v, want ErrStopRequested", err)
+		}
 	}
 }
 
