@@ -262,6 +262,70 @@ func TestSnapshotLayout(t *testing.T) {
 	}
 }
 
+// sketchLiveHistory drives a sketch limiter through every kind of
+// input the codec must carry: state in a cycle that a two-cycle roll
+// then discards, an alert from before the roll, repeat and new contacts,
+// a flag, a removal at the contact budget, a reinstate, a removal by
+// distinct failures, a failure and a contact after it, a failure short
+// of removal, and an alert on a source never seen.
+func sketchLiveHistory(t *testing.T) *SketchLimiter {
+	l := newTestSketch(t, SketchConfig{
+		LimiterConfig: LimiterConfig{M: 10, Cycle: time.Hour, CheckFraction: 0.5},
+		Bits:          64, FailureM: 4, FailureBits: 64,
+	})
+	for dst := uint32(1); dst <= 5; dst++ {
+		l.Observe(50, dst, sketchStart)
+	}
+	l.ApplyAlert(Alert{Origin: 7, Seq: 1, Src: 60, UnixMs: sketchStart.UnixMilli()})
+	at := sketchStart.Add(2*time.Hour + 30*time.Minute) // rolls two cycles
+	for _, dst := range []uint32{100, 101, 100} {
+		l.Observe(1, dst, at)
+	}
+	for dst := uint32(1); l.Observe(2, dst, at) != Deny; dst++ {
+	}
+	l.Reinstate(2)
+	l.Observe(2, 7, at)
+	for dst := uint32(1); l.Observe(5, dst, at) != AllowAndCheck; dst++ {
+	}
+	l.Observe(3, 1, at)
+	for dst := uint32(1); !l.Removed(3); dst++ {
+		l.ObserveFailure(3, dst, at)
+	}
+	l.ObserveFailure(3, 99, at) // counted, journaled, decides nothing
+	l.Observe(3, 2, at)         // denied
+	l.ObserveFailure(4, 9, at)
+	l.ApplyAlert(Alert{Origin: 5, Seq: 1, Src: 9, UnixMs: at.UnixMilli()})
+	return l
+}
+
+// TestSketchLiveLayout pins the bytes a live sketch limiter marshals
+// to, where TestSnapshotLayout's sketch half pins only restore → marshal:
+// the scripted history above must marshal to exactly this spec.
+func TestSketchLiveLayout(t *testing.T) {
+	want := snapSpec{
+		magic: "WCLS", format: 1, backend: 2, hostCount: 6, alertCount: 2,
+		m: 10, cycle: uint64(time.Hour), checkFraction: 0.5,
+		epochMs: uint64(sketchStart.Add(2 * time.Hour).UnixMilli()), cycleIndex: 2,
+		counters: [5]uint64{27, 2, 3, 2, 2},
+		sketch:   &sketchSpec{bits: 64, failureBits: 64, failureM: 4, failures: 7, failureRemovals: 1},
+		hosts: []hostSpec{
+			{src: 1, regs: []uint64{0x100004, 0}},
+			{src: 2, regs: []uint64{0x10000, 0}},
+			{src: 3, removed: 1, regs: []uint64{0x1, 0x2800001040000000}},
+			{src: 4, regs: []uint64{0, 0x4000000000000000}},
+			{src: 5, flagged: 1, regs: []uint64{0x40000020004014, 0}},
+			{src: 9, removed: 1, regs: []uint64{0, 0}},
+		},
+		alerts: []Alert{
+			{Origin: 5, Seq: 1, Src: 9, UnixMs: sketchStart.Add(2*time.Hour + 30*time.Minute).UnixMilli()},
+			{Origin: 7, Seq: 1, Src: 60, UnixMs: sketchStart.UnixMilli()},
+		},
+	}
+	if got := mustMarshal(t, sketchLiveHistory(t)); !bytes.Equal(got, want.encode()) {
+		t.Errorf("sketch live layout:\ngot  %x\nwant %x", got, want.encode())
+	}
+}
+
 // TestRestoreLimiterRejectsBadSnapshots is the corruption table: every
 // malformed, non-canonical or semantically invalid payload is an error
 // from all three restore entry points — never a panic, never a limiter.
