@@ -38,8 +38,8 @@ bench:
 # (benchmark/README.md) cannot express: the internet-scale run, its
 # population draw and checkpoint rebuild, the wheel's deep-churn
 # benchmarks and the heap's shallow one recycle every arena, the
-# population hit test and the exact limiter decide from a table slot,
-# so their steady state must record 0 allocs/op. One "package:pattern"
+# population hit test and both limiter backends decide from a table
+# slot, so their steady state must record 0 allocs/op. One "package:pattern"
 # pair per row (-bench splits its pattern at every slash, so the rows
 # cannot share one); a row that matches no benchmark fails too. Matches
 # the CI bench-smoke job's second step.
@@ -47,7 +47,8 @@ ALLOC_FREE ?= sim:BenchmarkSimRun10M$$ addr:BenchmarkRepopulate10M$$ \
 	addr:BenchmarkRestoreAddrs10M$$ addr:BenchmarkLookup \
 	des:BenchmarkEventKernelChurn/kernel=wheel \
 	des:BenchmarkEventKernelChurn/kernel=heap/pending=1k$$ \
-	core:BenchmarkObserveParallel/backend=exact,mix=uniform
+	core:BenchmarkObserveParallel/backend=exact,mix=uniform \
+	core:BenchmarkObserveParallel/backend=sketch,mix=uniform
 bench-allocs:
 	@for row in $(ALLOC_FREE); do \
 		$(GO) test -run '^$$' -bench "$${row#*:}" -benchmem ./internal/$${row%%:*} | awk ' \

@@ -41,9 +41,8 @@ type alertID struct {
 // id returns the alert's global identity.
 func (a Alert) id() alertID { return alertID{Origin: a.Origin, Seq: a.Seq} }
 
-// alertBook is the per-limiter alert ledger, shared by both backends
-// and manipulated only with the owning limiter's world stopped (its
-// mutex, or every stripe of the exact limiter). The ledger is
+// alertBook is the per-limiter alert ledger, written only with the
+// owning limiter's world stopped (every stripe held). The ledger is
 // cumulative across containment cycles: a cycle roll reinstates removed
 // hosts (paper step 4) but must NOT forget which alerts were already
 // applied, or stale gossip would re-remove every host each cycle.
@@ -90,13 +89,6 @@ func compareAlertIDs(a, b Alert) int {
 // this order instead.
 func sortAlerts(alerts []Alert) { slices.SortFunc(alerts, compareAlertIDs) }
 
-// sorted returns the ledger in canonical order.
-func (b *alertBook) sorted() []Alert {
-	out := b.unsorted()
-	sortAlerts(out)
-	return out
-}
-
 // restore rebuilds the ledger from a snapshot's alerts, whose IDs the
 // decoder has already checked to be distinct.
 func (b *alertBook) restore(alerts []Alert, removals int) {
@@ -110,16 +102,16 @@ func (b *alertBook) restore(alerts []Alert, removals int) {
 	b.removals = removals
 }
 
-// ApplyAlert applies one fleet alert to the exact limiter: if the alert
-// is new, it is journaled, the containment cycle is rolled to contain
-// the alert time, and the host is removed for the current cycle. It
-// reports whether the alert was new — false means a duplicate, which
-// changes nothing (the dedup that makes gossip idempotent). A fresh
-// alert writes the ledger and may roll the cycle, so it is journaled and
-// applied with every stripe held: every other record falls strictly
-// before or after it, and WAL order equals apply order. A duplicate —
-// the common case under gossip — is turned away under one stripe.
-func (l *Limiter) ApplyAlert(a Alert) bool {
+// ApplyAlert applies one fleet alert: if the alert is new, it is
+// journaled, the containment cycle is rolled to contain the alert time,
+// and the host is removed for the current cycle. It reports whether the
+// alert was new — false means a duplicate, which changes nothing (the
+// dedup that makes gossip idempotent). A fresh alert writes the ledger
+// and may roll the cycle, so it is journaled and applied with every
+// stripe held: every other record falls strictly before or after it,
+// and WAL order equals apply order. A duplicate — the common case under
+// gossip — is turned away under one stripe.
+func (l *limiter[T, P]) ApplyAlert(a Alert) bool {
 	s := l.stripeOf(a.Src)
 	s.mu.Lock()
 	_, dup := l.alerts.alerts[a.id()]
@@ -137,8 +129,7 @@ func (l *Limiter) ApplyAlert(a Alert) bool {
 	}
 	l.rollCycleLocked(time.UnixMilli(a.UnixMs).UTC())
 	l.alerts.apply(a)
-	if h := s.hosts.slot(a.Src); !h.removed() {
-		s.hosts.remove(h)
+	if P(&s.hosts).alert(a.Src) {
 		l.alerts.removals++
 	}
 	return true
@@ -147,44 +138,11 @@ func (l *Limiter) ApplyAlert(a Alert) bool {
 // Alerts returns every alert the limiter has applied, in canonical
 // (Origin, Seq) order — the immunization set a recovering fleet node
 // reloads into its gossip state.
-func (l *Limiter) Alerts() []Alert {
+func (l *limiter[T, P]) Alerts() []Alert {
 	s := &l.stripes[0] // the ledger is readable under any one stripe
 	s.mu.Lock()
 	out := l.alerts.unsorted()
 	s.mu.Unlock()
 	sortAlerts(out)
 	return out
-}
-
-// ApplyAlert applies one fleet alert to the sketch limiter; semantics
-// mirror (*Limiter).ApplyAlert exactly.
-func (l *SketchLimiter) ApplyAlert(a Alert) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, dup := l.alerts.alerts[a.id()]; dup {
-		return false
-	}
-	if l.journal != nil {
-		l.journal.RecordAlert(a)
-	}
-	l.rollCycleLocked(time.UnixMilli(a.UnixMs).UTC())
-	l.alerts.apply(a)
-	slot, ok := l.slots[a.Src]
-	if !ok {
-		slot = l.newSlotLocked(a.Src)
-	}
-	if !l.meta[slot].removed {
-		l.meta[slot].removed = true
-		l.removedHosts++
-		l.alerts.removals++
-	}
-	return true
-}
-
-// Alerts returns every applied alert in canonical order; see
-// (*Limiter).Alerts.
-func (l *SketchLimiter) Alerts() []Alert {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.alerts.sorted()
 }

@@ -178,37 +178,38 @@ func parallelMixObs(i uint64, skewed bool) (src, dst uint32) {
 
 // BenchmarkObserveParallel is the multicore row of the decision path:
 // Observe from 1, 2, 4 and 8 goroutines on the uniform and the skewed
-// mix. The goroutine count is set inside the benchmark, so one plain
-// `go test -bench` records the whole matrix; ns/op is wall time over all
-// goroutines' observations, so perfect scaling halves it per doubling
-// up to the core count. make bench-allocs holds the uniform rows at 0
-// allocs/op. (backend=exact tells these rows from internal/durable's.)
+// mix, on each backend. The goroutine count is set inside the
+// benchmark, so one plain `go test -bench` records the whole matrix;
+// ns/op is wall time over all goroutines' observations, so perfect
+// scaling halves it per doubling up to the core count. make
+// bench-allocs holds the uniform rows at 0 allocs/op. (The backend= key
+// tells these rows from internal/durable's.)
 func BenchmarkObserveParallel(b *testing.B) {
-	for _, mix := range []string{"uniform", "skewed"} {
-		b.Run("backend=exact,mix="+mix, func(b *testing.B) {
-			l, err := NewLimiter(LimiterConfig{M: 5000, Cycle: 365 * 24 * time.Hour, CheckFraction: 0.9}, t0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := uint64(0); i < 1_600_000; i++ { // every working set seen: steady state
-				src, dst := parallelMixObs(i, false)
-				l.Observe(src, dst, t0)
-			}
-			var stretch atomic.Uint64 // gives every goroutine of every run its own stretch of the mix
-			for _, g := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(g))
-					b.ReportAllocs()
-					b.RunParallel(func(pb *testing.PB) {
-						i := stretch.Add(1) << 36
-						for pb.Next() {
-							src, dst := parallelMixObs(i, mix == "skewed")
-							l.Observe(src, dst, t0)
-							i++
-						}
+	cfg := LimiterConfig{M: 5000, Cycle: 365 * 24 * time.Hour, CheckFraction: 0.9}
+	for _, backend := range []string{"exact", "sketch"} {
+		for _, mix := range []string{"uniform", "skewed"} {
+			b.Run("backend="+backend+",mix="+mix, func(b *testing.B) {
+				l := newBackend(b, backend, cfg)
+				for i := uint64(0); i < 1_600_000; i++ { // every working set seen: steady state
+					src, dst := parallelMixObs(i, false)
+					l.Observe(src, dst, t0)
+				}
+				var stretch atomic.Uint64 // gives every goroutine of every run its own stretch of the mix
+				for _, g := range []int{1, 2, 4, 8} {
+					b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(g))
+						b.ReportAllocs()
+						b.RunParallel(func(pb *testing.PB) {
+							i := stretch.Add(1) << 36
+							for pb.Next() {
+								src, dst := parallelMixObs(i, mix == "skewed")
+								l.Observe(src, dst, t0)
+								i++
+							}
+						})
 					})
-				})
-			}
-		})
+				}
+			})
+		}
 	}
 }

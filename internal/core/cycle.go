@@ -102,35 +102,3 @@ func (c CyclePlanner) Recommend(ratesPerHour []float64, minCycle, maxCycle time.
 	}
 	return cycle, nil
 }
-
-// adapt performs one step of the runtime adaptation rule: given the
-// fraction of the scan budget the most active *clean* host consumed in
-// the cycle that just ended, it lengthens the cycle when there is
-// headroom and shortens it when the budget got tight. The returned cycle
-// stays within [minCycle, maxCycle].
-//
-//   - observedPeakFraction < 0.5 ⇒ ample headroom ⇒ grow cycle by 25 %.
-//   - observedPeakFraction > 0.9 ⇒ too tight ⇒ shrink cycle by 25 %.
-//   - otherwise keep the current cycle.
-func (c CyclePlanner) adapt(current time.Duration, observedPeakFraction float64, minCycle, maxCycle time.Duration) (time.Duration, error) {
-	if err := c.validate(); err != nil {
-		return 0, err
-	}
-	if observedPeakFraction < 0 || math.IsNaN(observedPeakFraction) {
-		return 0, fmt.Errorf("core: observed peak fraction %v invalid", observedPeakFraction)
-	}
-	next := current
-	switch {
-	case observedPeakFraction < 0.5:
-		next = current + current/4
-	case observedPeakFraction > 0.9:
-		next = current - current/4
-	}
-	if next < minCycle {
-		next = minCycle
-	}
-	if next > maxCycle {
-		next = maxCycle
-	}
-	return next, nil
-}

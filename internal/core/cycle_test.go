@@ -113,59 +113,3 @@ func TestRecommendErrors(t *testing.T) {
 		t.Error("expected validation error")
 	}
 }
-
-func TestAdaptRules(t *testing.T) {
-	p := CyclePlanner{M: 5000, CheckFraction: 0.9, Tolerance: 0.01}
-	cur := 100 * time.Hour
-	minC, maxC := 10*time.Hour, 1000*time.Hour
-
-	grown, err := p.adapt(cur, 0.2, minC, maxC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown != 125*time.Hour {
-		t.Errorf("headroom: %v, want 125h", grown)
-	}
-	shrunk, err := p.adapt(cur, 0.95, minC, maxC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shrunk != 75*time.Hour {
-		t.Errorf("tight: %v, want 75h", shrunk)
-	}
-	same, err := p.adapt(cur, 0.7, minC, maxC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != cur {
-		t.Errorf("moderate: %v, want unchanged", same)
-	}
-}
-
-func TestAdaptClamps(t *testing.T) {
-	p := CyclePlanner{M: 5000, CheckFraction: 0.9, Tolerance: 0.01}
-	got, err := p.adapt(1000*time.Hour, 0.1, time.Hour, 1100*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1100*time.Hour {
-		t.Errorf("growth not clamped to max: %v", got)
-	}
-	got, err = p.adapt(time.Hour, 0.99, time.Hour, 1100*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != time.Hour {
-		t.Errorf("shrink not clamped to min: %v", got)
-	}
-}
-
-func TestAdaptRejectsBadInput(t *testing.T) {
-	p := CyclePlanner{M: 5000, CheckFraction: 0.9, Tolerance: 0.01}
-	if _, err := p.adapt(time.Hour, -1, time.Hour, 2*time.Hour); err == nil {
-		t.Error("expected error for negative fraction")
-	}
-	if _, err := p.adapt(time.Hour, math.NaN(), time.Hour, 2*time.Hour); err == nil {
-		t.Error("expected error for NaN fraction")
-	}
-}

@@ -28,7 +28,7 @@ func FuzzLimiterSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			// A sketch host's registers run to 256 KiB and its slab to
-			// a thousand times that; small inputs keep the fuzzer fast.
+			// 64 times that; small inputs keep the fuzzer fast.
 			return
 		}
 		l, err := RestoreAnyLimiter(data)

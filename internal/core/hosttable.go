@@ -2,67 +2,96 @@ package core
 
 import "math/bits"
 
-// inlineDsts is the number of destinations a host's slot holds beside
-// its 12-byte header: (64 − 12) / 4. It is what fills the cache line,
-// not a tuning knob. Legitimate hosts sit far below any sensible M (the
-// paper's Fig. 6 LBL hosts mostly contact a handful of distinct
-// destinations a month), so almost every host is decided from the one
-// line its slot occupies.
-const inlineDsts = 13
+// inlineDsts is the number of destinations an exact host's slot holds
+// beside its source, marks, count and spill index: (64 − 16) / 4. It is
+// what fills the cache line, not a tuning knob. Legitimate hosts sit far
+// below any sensible M (the paper's Fig. 6 LBL hosts mostly contact a
+// handful of distinct destinations a month), so almost every host is
+// decided from the one line its slot occupies.
+const inlineDsts = 12
 
-// hostSlot marks.
+// slotMarks is a host slot's state bits, in both backends' tables.
+type slotMarks uint8
+
 const (
-	slotLive    uint8 = 1 << iota // the slot holds a host; an empty slot is one without this mark, whatever its src
-	slotRemoved                   // hit M (or was alerted) and awaits heavy-duty check
-	slotFlagged                   // crossed f·M this cycle
+	slotLive    slotMarks = 1 << iota // the slot holds a host; an empty slot is one without this mark, whatever its src
+	slotRemoved                       // hit M (or was alerted) and awaits heavy-duty check
+	slotFlagged                       // crossed f·M this cycle
 )
 
-// hostSlot is one tracked host within the current containment cycle, and
-// one cell of its stripe's open-addressing table: exactly one 64-byte
-// cache line, and no pointers, so the collector never scans the table.
-// The distinct-destination set lives in dsts[:n] until it outgrows the
-// line, then moves to the stripe's spilled set number spill−1; exactly
-// one of the two representations is active at a time.
-type hostSlot struct {
-	src   uint32
-	marks uint8
-	n     uint8  // inline destinations; meaningless once spilled
-	spill uint32 // 1 + index into hostTable.spilled; 0 while inline
-	dsts  [inlineDsts]uint32
+func (m slotMarks) live() bool    { return m&slotLive != 0 }
+func (m slotMarks) removed() bool { return m&slotRemoved != 0 }
+func (m slotMarks) flagged() bool { return m&slotFlagged != 0 }
+
+// census is a host table's count of its hosts and of their removed and
+// flagged marks, kept where the marks change so that Snapshot and the
+// snapshot codec read no per-host state.
+type census struct {
+	live    int
+	removed int
+	flagged int
 }
 
-func (h *hostSlot) live() bool    { return h.marks&slotLive != 0 }
-func (h *hostSlot) removed() bool { return h.marks&slotRemoved != 0 }
-func (h *hostSlot) flagged() bool { return h.marks&slotFlagged != 0 }
+// remove and flag set a mark the host does not have yet.
+func (c *census) remove(m *slotMarks) { *m |= slotRemoved; c.removed++ }
+func (c *census) flag(m *slotMarks)   { *m |= slotFlagged; c.flagged++ }
 
-// hostTable is one stripe's per-host state for the current containment
-// cycle: a linear-probing table of hostSlots that doubles past three
-// quarters full, the spilled sets its slots refer to by index, and the
-// counts Snapshot and the snapshot codec would otherwise walk the table
-// for. The zero value is an empty table; a cycle roll assigns it.
+// restoreMarks sets the marks a snapshot gives a host just tracked.
+func (c *census) restoreMarks(m *slotMarks, removed, flagged bool) {
+	if removed {
+		c.remove(m)
+	}
+	if flagged {
+		c.flag(m)
+	}
+}
+
+// unmark clears a host's removed and flagged marks.
+func (c *census) unmark(m *slotMarks) {
+	if m.removed() {
+		c.removed--
+	}
+	if m.flagged() {
+		c.flagged--
+	}
+	*m = slotLive
+}
+
+func (c *census) addStats(st *Stats) {
+	st.ActiveHosts += c.live
+	st.RemovedHosts += c.removed
+	st.FlaggedHosts += c.flagged
+}
+
+// slot is one tracked host in the current containment cycle, and one
+// cell of its stripe's open-addressing table: the source, its marks and
+// the backend's record of the host, R. A slot holds no pointers, so the
+// collector never scans a table.
+type slot[R any] struct {
+	src uint32
+	slotMarks
+	rec R
+}
+
+// slotTable is one stripe's hosts: a linear-probing table of slots that
+// doubles past three quarters full, and the census of their marks. Each
+// backend's host table is one, over its own host record.
 //
-// Three quarters, not half: a slot is a whole line, so an empty one
-// costs what a host does, and a restart clears, fills and walks every
-// slot it allocates — at the repository benchmark's 90 000 gate-conn
-// hosts the half-full rule made that 16 MB where this makes 8, and
-// durable.Open slower and twice as unsteady as with the maps this table
-// replaced (CHANGES.md, PR 21). The price is a probe chain of 2.5 lines
-// instead of 1.5 in a table about to double: 5–10 % of a decision on
-// scattered sources.
+// Three quarters, not half: an exact slot is a whole line, so an empty
+// one costs what a host does, and a restart clears, fills and walks
+// every slot it allocates — at the repository benchmark's 90 000
+// gate-conn hosts the half-full rule made that 16 MB where this makes
+// 8, and durable.Open slower and twice as unsteady as with the maps this
+// table replaced (CHANGES.md, PR 21). The price is a probe chain of 2.5
+// lines instead of 1.5 in a table about to double: 5–10 % of a decision
+// on scattered sources.
 //
-// A *hostSlot is valid until the next call of slot, which may move the
+// A *slot is valid until the next call of track, which may move the
 // table.
-type hostTable struct {
-	slots []hostSlot // power-of-two length, nil until the first host
-	shift uint8      // 32 − log2(len(slots))
-
-	live    int // hosts
-	dsts    int // destinations, all hosts together
-	removed int // hosts marked removed
-	flagged int // hosts marked flagged
-
-	spilled []dstSet
-	free    []uint32 // indices of spilled sets released by reset
+type slotTable[R any] struct {
+	slots []slot[R] // power-of-two length, nil until the first host
+	shift uint8     // 32 − log2(len(slots))
+	census
 }
 
 const minHostSlots = 4
@@ -78,17 +107,9 @@ func hostSlotsFor(n int) int {
 	return c
 }
 
-// newHostTable returns an empty table with room for hosts hosts, spilled
-// of them spilled, so that a restore allocates each slice once.
-func newHostTable(hosts, spilled int) hostTable {
-	t := hostTable{spilled: make([]dstSet, 0, spilled)}
-	t.resize(hosts)
-	return t
-}
-
 // resize replaces the slots with empty ones sized for n hosts.
-func (t *hostTable) resize(n int) {
-	t.slots = make([]hostSlot, hostSlotsFor(n))
+func (t *slotTable[R]) resize(n int) {
+	t.slots = make([]slot[R], hostSlotsFor(n))
 	t.shift = uint8(32 - bits.TrailingZeros(uint(len(t.slots))))
 }
 
@@ -96,7 +117,7 @@ func (t *hostTable) resize(n int) {
 // slot its probe sequence ends at. The table must not be nil. The home
 // index comes from the hash bits below the stripeBits that chose the
 // stripe: the hosts of one stripe all agree on those.
-func (t *hostTable) probe(src uint32) *hostSlot {
+func (t *slotTable[R]) probe(src uint32) *slot[R] {
 	mask := uint32(len(t.slots) - 1)
 	for i := SourceHash(src) << stripeBits >> t.shift; ; i = (i + 1) & mask {
 		if h := &t.slots[i]; !h.live() || h.src == src {
@@ -106,7 +127,7 @@ func (t *hostTable) probe(src uint32) *hostSlot {
 }
 
 // find returns src's slot, or nil when the host is not tracked.
-func (t *hostTable) find(src uint32) *hostSlot {
+func (t *slotTable[R]) find(src uint32) *slot[R] {
 	if t.slots == nil {
 		return nil
 	}
@@ -116,25 +137,27 @@ func (t *hostTable) find(src uint32) *hostSlot {
 	return nil
 }
 
-// slot returns src's slot, starting to track the host on first contact.
-func (t *hostTable) slot(src uint32) *hostSlot {
+// track returns src's slot, starting to track the host on first contact
+// with a zero record; fresh reports that it did.
+func (t *slotTable[R]) track(src uint32) (h *slot[R], fresh bool) {
 	if 4*(t.live+1) > 3*len(t.slots) {
 		if h := t.find(src); h != nil {
-			return h
+			return h, false
 		}
 		t.grow()
 	}
-	h := t.probe(src)
-	if !h.live() {
-		*h = hostSlot{src: src, marks: slotLive}
-		t.live++
+	h = t.probe(src)
+	if h.live() {
+		return h, false
 	}
-	return h
+	*h = slot[R]{src: src, slotMarks: slotLive}
+	t.live++
+	return h, true
 }
 
 // grow doubles the table (it is three quarters full) and moves every
 // host to its new place.
-func (t *hostTable) grow() {
+func (t *slotTable[R]) grow() {
 	old := t.slots
 	t.resize(t.live + 1)
 	for i := range old {
@@ -144,12 +167,49 @@ func (t *hostTable) grow() {
 	}
 }
 
+func (t *slotTable[R]) isRemoved(src uint32) bool {
+	h := t.find(src)
+	return h != nil && h.removed()
+}
+
+// hostRec is an exact host's destination set: dsts[:n] until it
+// outgrows the slot's line, then the stripe's spilled set number
+// spill−1; exactly one of the two representations is active at a time.
+type hostRec struct {
+	n     uint8  // inline destinations; meaningless once spilled
+	spill uint32 // 1 + index into hostTable.spilled; 0 while inline
+	dsts  [inlineDsts]uint32
+}
+
+// hostSlot is an exact host: exactly one 64-byte cache line.
+type hostSlot = slot[hostRec]
+
+// hostTable is the exact backend's stripe table: the slots, the spilled
+// sets they refer to by index, and the limits a host is decided by.
+type hostTable struct {
+	slotTable[hostRec]
+	m      int // a new destination past m distinct removes the host
+	flagAt int // the smallest count at or past f·M; 0 never flags
+	dsts   int // destinations, all hosts together
+
+	spilled []dstSet
+	free    []uint32 // indices of spilled sets released by reinstate
+}
+
+func newHostTable(cfg LimiterConfig) hostTable {
+	return hostTable{m: cfg.M, flagAt: flagThreshold(cfg)}
+}
+
+// presize makes room in an empty table for hosts hosts, so that a
+// restore makes the slots once.
+func (t *hostTable) presize(hosts int) { t.resize(hosts) }
+
 // seen reports whether dst is in the host's distinct set.
 func (t *hostTable) seen(h *hostSlot, dst uint32) bool {
-	if h.spill != 0 {
-		return t.spilled[h.spill-1].has(dst)
+	if h.rec.spill != 0 {
+		return t.spilled[h.rec.spill-1].has(dst)
 	}
-	for _, d := range h.dsts[:h.n] {
+	for _, d := range h.rec.dsts[:h.rec.n] {
 		if d == dst {
 			return true
 		}
@@ -160,70 +220,107 @@ func (t *hostTable) seen(h *hostSlot, dst uint32) bool {
 // add inserts a destination known to be absent from the host's set.
 func (t *hostTable) add(h *hostSlot, dst uint32) {
 	t.dsts++
-	if h.spill == 0 {
-		if h.n < inlineDsts {
-			h.dsts[h.n] = dst
-			h.n++
+	r := &h.rec
+	if r.spill == 0 {
+		if r.n < inlineDsts {
+			r.dsts[r.n] = dst
+			r.n++
 			return
 		}
 		t.spill(h, inlineDsts+1)
 	}
-	t.spilled[h.spill-1].add(dst)
+	t.spilled[r.spill-1].add(dst)
 }
 
 // spill moves an inline host's destinations to a spilled set with room
 // for n members.
 func (t *hostTable) spill(h *hostSlot, n int) {
 	set := newDstSet(n)
-	for _, d := range h.dsts[:h.n] {
+	for _, d := range h.rec.dsts[:h.rec.n] {
 		set.add(d)
 	}
 	if k := len(t.free); k > 0 {
-		h.spill = t.free[k-1] + 1
+		h.rec.spill = t.free[k-1] + 1
 		t.free = t.free[:k-1]
-		t.spilled[h.spill-1] = set
+		t.spilled[h.rec.spill-1] = set
 	} else {
 		t.spilled = append(t.spilled, set)
-		h.spill = uint32(len(t.spilled))
+		h.rec.spill = uint32(len(t.spilled))
 	}
 }
 
 // count returns the host's number of distinct destinations this cycle.
 func (t *hostTable) count(h *hostSlot) int {
-	if h.spill != 0 {
-		return t.spilled[h.spill-1].n
+	if h.rec.spill != 0 {
+		return t.spilled[h.rec.spill-1].n
 	}
-	return int(h.n)
+	return int(h.rec.n)
 }
 
 // destinations appends the host's set to out, in no particular order.
 func (t *hostTable) destinations(h *hostSlot, out []uint32) []uint32 {
-	if h.spill != 0 {
-		return t.spilled[h.spill-1].appendTo(out)
+	if h.rec.spill != 0 {
+		return t.spilled[h.rec.spill-1].appendTo(out)
 	}
-	return append(out, h.dsts[:h.n]...)
+	return append(out, h.rec.dsts[:h.rec.n]...)
 }
 
-// remove and flag set a mark the host does not have yet.
-func (t *hostTable) remove(h *hostSlot) { h.marks |= slotRemoved; t.removed++ }
-func (t *hostTable) flag(h *hostSlot)   { h.marks |= slotFlagged; t.flagged++ }
-
-// reset empties the host's set and clears its removal and flag marks;
-// the host stays tracked. A spilled set is released.
-func (t *hostTable) reset(h *hostSlot) {
-	t.dsts -= t.count(h)
+// observe decides one observation: the rule of Section IV on an exact
+// distinct-destination set.
+func (t *hostTable) observe(src, dst uint32, n *tally) Decision {
+	h, _ := t.track(src)
 	if h.removed() {
-		t.removed--
+		n.denied++
+		return Deny
 	}
-	if h.flagged() {
-		t.flagged--
+	if t.seen(h, dst) {
+		return Allow
 	}
-	if h.spill != 0 {
-		t.spilled[h.spill-1] = dstSet{}
-		t.free = append(t.free, h.spill-1)
+	c := t.count(h)
+	if c >= t.m {
+		// Budget exhausted: the new-destination attempt removes the host.
+		t.remove(&h.slotMarks)
+		n.removals++
+		n.denied++
+		return Deny
 	}
-	*h = hostSlot{src: h.src, marks: slotLive}
+	t.add(h, dst)
+	if t.flagAt > 0 && !h.flagged() && c+1 >= t.flagAt {
+		t.flag(&h.slotMarks)
+		n.flags++
+		return AllowAndCheck
+	}
+	return Allow
 }
+
+// reinstate empties a removed host's set and clears its marks; the host
+// stays tracked. A spilled set is released.
+func (t *hostTable) reinstate(src uint32) bool {
+	h := t.find(src)
+	if h == nil || !h.removed() {
+		return false
+	}
+	t.dsts -= t.count(h)
+	if h.rec.spill != 0 {
+		t.spilled[h.rec.spill-1] = dstSet{}
+		t.free = append(t.free, h.rec.spill-1)
+	}
+	t.unmark(&h.slotMarks)
+	h.rec = hostRec{}
+	return true
+}
+
+func (t *hostTable) alert(src uint32) bool {
+	h, _ := t.track(src)
+	if h.removed() {
+		return false
+	}
+	t.remove(&h.slotMarks)
+	return true
+}
+
+// roll drops every host, and the slots with them.
+func (t *hostTable) roll() { *t = hostTable{m: t.m, flagAt: t.flagAt} }
 
 // dstSet is the distinct-destination set of a host that outgrew its
 // slot: a flat linear-probing set of uint32 that doubles past three

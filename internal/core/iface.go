@@ -4,20 +4,21 @@ import "time"
 
 // Two backends decide the paper's Section IV question — has this source
 // reached M distinct destinations this containment cycle? — flag at f·M,
-// remove at M and reset every cycle:
+// remove at M and reset every cycle. They share one frame (limiter in
+// policy.go): 64 source-hashed stripes, each a mutex, its counters and
+// an open-addressing table of hosts; the cycle, the Journal hook, the
+// alert ledger and the snapshot framing. Only the host table differs:
 //
-//   - *Limiter, the exact backend: each of its 64 source-hashed stripes
-//     keeps its hosts in one open-addressing table whose 64-byte slot is
-//     the host (13 destinations inline, a flat set beyond). Exact
-//     verdicts, memory proportional to the distinct destinations seen.
-//   - *SketchLimiter, the estimator backend: per-host cardinality
-//     bitmaps carved out of shared register slabs, a fixed few hundred
-//     bytes per host, verdicts correct up to the estimator's quantified
-//     error (see the sketch-accuracy artifact).
+//   - *Limiter, the exact backend: a 64-byte slot is the host (12
+//     destinations inline, a flat set beyond). Exact verdicts, memory
+//     proportional to the distinct destinations seen.
+//   - *SketchLimiter, the estimator backend: a 16-byte slot points at
+//     the host's cardinality bitmaps in its stripe's register slabs, a
+//     fixed few hundred bytes per host, verdicts correct up to the
+//     estimator's quantified error (see the sketch-accuracy artifact).
 //
-// Both journal their logical inputs through the same Journal hook and
-// serialize canonical snapshots. The layers above hold a backend through
-// the interface that lists what that layer calls, and nothing else:
+// The layers above hold a backend through the interface that lists
+// what that layer calls, and nothing else:
 //
 //	holder                            interface     methods it calls
 //	gateway.Config.Limiter            Decider       Observe, Snapshot

@@ -1,12 +1,11 @@
 package core
 
 // Journal receives the limiter's logical input stream for write-ahead
-// logging. Every method is invoked with the limiter locked — the sketch
-// limiter's mutex; for the exact limiter the *source's stripe*, or every
-// stripe for an input that touches shared state (an alert, an
-// observation that rolls the cycle) — so implementations must be fast
-// and non-blocking: append the encoded record to an in-memory buffer and
-// flush elsewhere. Calls for different sources therefore arrive
+// logging. Every method is invoked with the limiter locked — the
+// *source's stripe*, or every stripe for an input that touches shared
+// state (an alert, an input that rolls the cycle), in either backend —
+// so implementations must be fast and non-blocking: append the encoded
+// record to an in-memory buffer and flush elsewhere. Calls for different sources therefore arrive
 // concurrently, and the journal must put them in one sequence itself.
 // Any sequence it assigns inside the call is a valid linearization of
 // the input stream: records of one source share a stripe, so their
@@ -47,7 +46,7 @@ type Journal interface {
 // subsequent state-changing inputs. Attach before the limiter starts
 // observing traffic; the switch itself is ordered with in-flight calls
 // by stopping the world.
-func (l *Limiter) SetJournal(j Journal) {
+func (l *limiter[T, P]) SetJournal(j Journal) {
 	l.lockAll()
 	defer l.unlockAll()
 	l.journal = j

@@ -107,14 +107,10 @@ func readSnapshotHeader(data []byte) (SnapshotHeader, *binio.Reader, error) {
 
 // snapshotCommon is the part of the payload both backends carry.
 type snapshotCommon struct {
-	cfg           LimiterConfig
-	epoch         time.Time
-	cycleIndex    uint64
-	observed      int
-	removals      int
-	flags         int
-	denied        int
-	alertRemovals int
+	cfg        LimiterConfig
+	epoch      time.Time
+	cycleIndex uint64
+	totals     Stats // observed, removals, flags, denied and alert removals
 }
 
 // appendSnapshotCommon appends the snapshotCommonLen bytes every
@@ -130,7 +126,8 @@ func appendSnapshotCommon(b []byte, h SnapshotHeader, c snapshotCommon) []byte {
 	b = binio.AppendF64(b, c.cfg.CheckFraction)
 	b = binio.AppendU64(b, uint64(c.epoch.UnixMilli()))
 	b = binio.AppendU64(b, c.cycleIndex)
-	for _, n := range [...]int{c.observed, c.removals, c.flags, c.denied, c.alertRemovals} {
+	t := c.totals
+	for _, n := range [...]int{t.TotalObserved, t.TotalRemovals, t.TotalFlags, t.TotalDenied, t.AlertRemovals} {
 		b = binio.AppendU64(b, uint64(n))
 	}
 	return b
@@ -152,11 +149,11 @@ func readSnapshotCommon(data []byte, want SnapshotBackend) (SnapshotHeader, snap
 	c.cfg.CheckFraction = r.F64("check fraction")
 	c.epoch = time.UnixMilli(int64(r.U64("epoch"))).UTC()
 	c.cycleIndex = r.U64("cycle index")
-	c.observed = readInt(r, "observed total")
-	c.removals = readInt(r, "removal total")
-	c.flags = readInt(r, "flag total")
-	c.denied = readInt(r, "denied total")
-	c.alertRemovals = readInt(r, "alert removal total")
+	c.totals.TotalObserved = readInt(r, "observed total")
+	c.totals.TotalRemovals = readInt(r, "removal total")
+	c.totals.TotalFlags = readInt(r, "flag total")
+	c.totals.TotalDenied = readInt(r, "denied total")
+	c.totals.AlertRemovals = readInt(r, "alert removal total")
 	return h, c, r, r.Err()
 }
 
@@ -209,18 +206,30 @@ func readAlerts(r *binio.Reader, n, removals int, book *alertBook) error {
 	return nil
 }
 
-// hostCopy locates one exact-backend host inside the destination arena
-// CheckpointState copies out with the world stopped.
+// hostsCopy is what a snapshot copies out of the host tables with the
+// world stopped: per host its marks and its payload's words.
+type hostsCopy struct {
+	keys  []uint64 // src<<32 | index into hosts: sorting plain integers orders the hosts by source
+	hosts []hostCopy
+	words int // all hosts' together
+}
+
 type hostCopy struct {
-	off, n           int
+	words            []uint32 // exact: the destinations, unsorted; sketch: the registers, low half first
 	removed, flagged bool
 }
 
+func (c *hostsCopy) add(src uint32, m slotMarks, words []uint32) {
+	c.keys = append(c.keys, uint64(src)<<32|uint64(len(c.hosts)))
+	c.hosts = append(c.hosts, hostCopy{words: words, removed: m.removed(), flagged: m.flagged()})
+	c.words += len(words)
+}
+
 // MarshalState serializes the limiter's complete state (configuration,
-// cycle position, per-host counters, alert ledger) in the canonical
-// binary form described at the top of this file: identical states
-// produce identical bytes.
-func (l *Limiter) MarshalState() ([]byte, error) { return l.CheckpointState(nil) }
+// cycle position, per-host state, alert ledger) in the canonical binary
+// form described at the top of this file: identical states produce
+// identical bytes.
+func (l *limiter[T, P]) MarshalState() ([]byte, error) { return l.CheckpointState(nil) }
 
 // CheckpointState marshals the state like MarshalState and invokes cut
 // with the world stopped (every stripe held). A journal (see journal.go)
@@ -233,78 +242,153 @@ func (l *Limiter) MarshalState() ([]byte, error) { return l.CheckpointState(nil)
 // snapshot stalls Observe for a copy, not for the whole marshal. The
 // bytes do not depend on the striping: hosts are sorted by source after
 // the copy-out and the counters summed.
-func (l *Limiter) CheckpointState(cut func()) ([]byte, error) {
+func (l *limiter[T, P]) CheckpointState(cut func()) ([]byte, error) {
 	l.lockAll()
-	c := snapshotCommon{
-		cfg: l.cfg, epoch: l.epoch, cycleIndex: l.cycleIndex,
-		alertRemovals: l.alerts.removals,
-	}
-	active, total, largest := 0, 0, 0
+	st := l.statsLocked()
+	c := hostsCopy{keys: make([]uint64, 0, st.ActiveHosts), hosts: make([]hostCopy, 0, st.ActiveHosts)}
 	for i := range l.stripes {
-		s := &l.stripes[i]
-		c.observed += s.observed
-		c.removals += s.removals
-		c.flags += s.flags
-		c.denied += s.denied
-		active += s.hosts.live
-		total += s.hosts.dsts
+		P(&l.stripes[i].hosts).copyOut(&c)
 	}
-	// keys pack (src, index into hosts) so that sorting plain integers
-	// orders the hosts by source.
-	keys := make([]uint64, 0, active)
-	hosts := make([]hostCopy, 0, active)
-	dsts := make([]uint32, 0, total)
-	for i := range l.stripes {
-		t := &l.stripes[i].hosts
-		for j := range t.slots {
-			h := &t.slots[j]
-			if !h.live() {
-				continue
-			}
-			n := t.count(h)
-			largest = max(largest, n)
-			keys = append(keys, uint64(h.src)<<32|uint64(len(hosts)))
-			hosts = append(hosts, hostCopy{off: len(dsts), n: n, removed: h.removed(), flagged: h.flagged()})
-			dsts = t.destinations(h, dsts)
-		}
-	}
+	codec := l.stripes[0].hosts // its limits encode the backend's section
+	common := snapshotCommon{cfg: l.cfg, epoch: l.epoch, cycleIndex: l.cycleIndex, totals: st}
 	alerts := l.alerts.unsorted()
 	if cut != nil {
 		cut()
 	}
 	l.unlockAll()
 
-	slices.Sort(keys)
-	b := make([]byte, 0, snapshotCommonLen+(hostHeaderLen+4)*len(hosts)+4*len(dsts)+alertRecordLen*len(alerts))
-	b = appendSnapshotCommon(b, SnapshotHeader{Backend: backendExact, Hosts: len(hosts), Alerts: len(alerts)}, c)
-	scratch := make([]uint32, largest)
-	for _, k := range keys {
-		h := hosts[uint32(k)]
-		d := dsts[h.off : h.off+h.n]
-		sortDestinations(d, scratch)
+	slices.Sort(c.keys)
+	enc := P(&codec)
+	b := make([]byte, 0, snapshotCommonLen+sketchSectionLen+(hostHeaderLen+4)*len(c.hosts)+4*c.words+alertRecordLen*len(alerts))
+	b = appendSnapshotCommon(b, SnapshotHeader{Backend: enc.backend(), Hosts: len(c.hosts), Alerts: len(alerts)}, common)
+	b = enc.appendSection(b, st)
+	var scratch []uint32
+	for _, k := range c.keys {
+		h := c.hosts[uint32(k)]
 		b = binio.AppendU32(b, uint32(k>>32))
 		b = binio.AppendBool(b, h.removed)
 		b = binio.AppendBool(b, h.flagged)
-		b = binio.AppendU32(b, uint32(h.n))
-		for _, dst := range d {
-			b = binio.AppendU32(b, dst)
-		}
+		b = enc.appendHost(b, h.words, &scratch)
 	}
 	return appendAlerts(b, alerts), nil
 }
 
+// restore fills a zero limiter from a snapshot of the backend given.
+// section reads what the backend's section holds (the exact one has
+// none) and returns the empty table every stripe starts from. Anything
+// but a canonical payload of a valid state is an error.
+func (l *limiter[T, P]) restore(data []byte, backend SnapshotBackend, section func(*binio.Reader, LimiterConfig) (T, error)) error {
+	h, c, r, err := readSnapshotCommon(data, backend)
+	if err != nil {
+		return err
+	}
+	empty, err := section(r, c.cfg)
+	if err != nil {
+		return err
+	}
+
+	// Sizing pass on a forked cursor, before anything is allocated by
+	// the header's counts: every claimed host must be present. It counts
+	// the hosts of each stripe, so every stripe's table is made once at
+	// its final size.
+	probe := *r
+	var perStripe [stripeCount]int
+	for i := 0; i < h.Hosts && probe.Err() == nil; i++ {
+		perStripe[stripeIndex(probe.U32("host src"))]++
+		probe.Bytes(hostHeaderLen-4, "host")
+		P(&empty).skipHost(&probe)
+	}
+	if err := probe.Err(); err != nil {
+		return err
+	}
+
+	l.init(c.cfg, c.epoch, empty)
+	l.cycleIndex = c.cycleIndex
+	for i, n := range perStripe {
+		if n > 0 {
+			P(&l.stripes[i].hosts).presize(n)
+		}
+	}
+	// The snapshot sums the counters over the stripes, and any split
+	// sums back to it.
+	t := c.totals
+	l.stripes[0].tally = tally{observed: t.TotalObserved, removals: t.TotalRemovals, flags: t.TotalFlags, denied: t.TotalDenied}
+	var prevSrc uint32
+	for i := 0; i < h.Hosts; i++ {
+		src := r.U32("host src")
+		if i > 0 && src <= prevSrc {
+			return r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
+		}
+		prevSrc = src
+		removed, flagged := r.Bool("host removed mark"), r.Bool("host flagged mark")
+		if err := P(&l.stripeOf(src).hosts).readHost(r, src, removed, flagged); err != nil {
+			return err
+		}
+	}
+	return readAlerts(r, h.Alerts, t.AlertRemovals, &l.alerts)
+}
+
+// RestoreLimiter rebuilds a limiter from a MarshalState snapshot. The
+// restored limiter continues the same containment cycle: epoch, cycle
+// index, per-host distinct sets, removal/flag marks, cumulative
+// counters and alert ledger all carry over. Anything but a canonical
+// payload of a valid state is an error.
+func RestoreLimiter(data []byte) (*Limiter, error) {
+	l := new(Limiter)
+	err := l.restore(data, backendExact, func(_ *binio.Reader, cfg LimiterConfig) (hostTable, error) {
+		if err := cfg.Validate(); err != nil {
+			return hostTable{}, fmt.Errorf("core: limiter snapshot config: %w", err)
+		}
+		return newHostTable(cfg), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+func (*hostTable) backend() SnapshotBackend               { return backendExact }
+func (*hostTable) appendSection(b []byte, _ Stats) []byte { return b }
+
+// copyOut copies every host's destinations out, into one arena for the
+// table.
+func (t *hostTable) copyOut(c *hostsCopy) {
+	arena := make([]uint32, 0, t.dsts)
+	for j := range t.slots {
+		if h := &t.slots[j]; h.live() {
+			off := len(arena)
+			arena = t.destinations(h, arena)
+			c.add(h.src, h.slotMarks, arena[off:])
+		}
+	}
+}
+
+// appendHost appends a host's destination count and its destinations,
+// sorted.
+func (*hostTable) appendHost(b []byte, d []uint32, scratch *[]uint32) []byte {
+	sortDestinations(d, scratch)
+	b = binio.AppendU32(b, uint32(len(d)))
+	for _, dst := range d {
+		b = binio.AppendU32(b, dst)
+	}
+	return b
+}
+
 // sortDestinations sorts one host's copied-out destinations ascending,
-// with scratch (at least as long) as the second buffer. A scanner's set
-// is thousands of uniformly random addresses, where four counting
+// growing scratch as the second buffer when it needs one. A scanner's
+// set is thousands of uniformly random addresses, where four counting
 // passes beat a comparison sort severalfold — half of the whole marshal
 // at 200 spent scanners; a legitimate host's handful goes to the
 // library sort.
-func sortDestinations(d, scratch []uint32) {
+func sortDestinations(d []uint32, scratch *[]uint32) {
 	if len(d) < 256 {
 		slices.Sort(d)
 		return
 	}
-	scratch = scratch[:len(d)]
+	if len(*scratch) < len(d) {
+		*scratch = make([]uint32, len(d))
+	}
+	buf := (*scratch)[:len(d)]
 	for shift := 0; shift < 32; shift += 8 { // an even number of passes ends in d
 		var next [257]int // next[b] becomes where the next value with digit b goes
 		for _, v := range d {
@@ -314,100 +398,43 @@ func sortDestinations(d, scratch []uint32) {
 			next[b] += next[b-1]
 		}
 		for _, v := range d {
-			scratch[next[v>>shift&0xff]] = v
+			buf[next[v>>shift&0xff]] = v
 			next[v>>shift&0xff]++
 		}
-		d, scratch = scratch, d
+		d, buf = buf, d
 	}
 }
 
-// RestoreLimiter rebuilds a limiter from a MarshalState snapshot. The
-// restored limiter continues the same containment cycle: epoch, cycle
-// index, per-host distinct sets, removal/flag marks, cumulative
-// counters and alert ledger all carry over. Anything but a canonical
-// payload of a valid state is an error.
-func RestoreLimiter(data []byte) (*Limiter, error) {
-	h, c, r, err := readSnapshotCommon(data, backendExact)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: limiter snapshot config: %w", err)
-	}
+func (*hostTable) skipHost(r *binio.Reader) {
+	r.Bytes(4*r.Count(4, "host destinations"), "host destinations")
+}
 
-	// Sizing pass on a forked cursor, before anything is allocated by
-	// the header's counts: every claimed host must be present. It counts
-	// the hosts of each stripe and how many of them are past the inline
-	// capacity, so every stripe's table and list of spilled sets is made
-	// once at its final size (and each spilled set below, from its
-	// host's own count).
-	probe := *r
-	var perStripe, spilled [stripeCount]int
-	for i := 0; i < h.Hosts && probe.Err() == nil; i++ {
-		si := stripeIndex(probe.U32("host src"))
-		perStripe[si]++
-		probe.Bytes(hostHeaderLen-4, "host")
-		n := probe.Count(4, "host destinations")
-		probe.Bytes(4*n, "host destinations")
-		if n > inlineDsts {
-			spilled[si]++
-		}
+// readHost decodes a host's destinations and tracks it; the table is
+// presized, so it does not move.
+func (t *hostTable) readHost(r *binio.Reader, src uint32, removed, flagged bool) error {
+	n := r.Count(4, "host destinations")
+	if n > t.m {
+		return r.Failf("host %d has %d distinct > M=%d", src, n, t.m)
 	}
-	if err := probe.Err(); err != nil {
-		return nil, err
+	raw := r.Bytes(4*n, "host destinations")
+	if r.Err() != nil {
+		return r.Err()
 	}
-
-	l := &Limiter{cfg: c.cfg, flagAt: flagThreshold(c.cfg), epoch: c.epoch, cycleIndex: c.cycleIndex}
-	for i, n := range perStripe {
-		if n > 0 {
-			l.stripes[i].hosts = newHostTable(n, spilled[i])
-		}
+	h, _ := t.track(src)
+	t.restoreMarks(&h.slotMarks, removed, flagged)
+	if n > inlineDsts {
+		t.spill(h, n)
 	}
-	// The snapshot sums the counters over the stripes, and any split
-	// sums back to it.
-	first := &l.stripes[0]
-	first.observed, first.removals, first.flags, first.denied = c.observed, c.removals, c.flags, c.denied
-	var prevSrc uint32
-	for i := 0; i < h.Hosts; i++ {
-		src := r.U32("host src")
-		if i > 0 && src <= prevSrc {
-			return nil, r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
+	var prev uint32
+	for j := 0; j < n; j++ {
+		d := binary.LittleEndian.Uint32(raw[4*j:])
+		if j > 0 && d <= prev {
+			return r.Failf("host %d destination %d is not after %d (duplicate or unsorted)", src, d, prev)
 		}
-		prevSrc = src
-		removed, flagged := r.Bool("host removed mark"), r.Bool("host flagged mark")
-		n := r.Count(4, "host destinations")
-		if n > c.cfg.M {
-			return nil, r.Failf("host %d has %d distinct > M=%d", src, n, c.cfg.M)
-		}
-		raw := r.Bytes(4*n, "host destinations")
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		t := &l.stripeOf(src).hosts
-		hs := t.slot(src) // sized above: the table does not move
-		if removed {
-			t.remove(hs)
-		}
-		if flagged {
-			t.flag(hs)
-		}
-		if n > inlineDsts {
-			t.spill(hs, n)
-		}
-		var prev uint32
-		for j := 0; j < n; j++ {
-			d := binary.LittleEndian.Uint32(raw[4*j:])
-			if j > 0 && d <= prev {
-				return nil, r.Failf("host %d destination %d is not after %d (duplicate or unsorted)", src, d, prev)
-			}
-			prev = d
-			t.add(hs, d)
-		}
+		prev = d
+		t.add(h, d)
 	}
-	if err := readAlerts(r, h.Alerts, c.alertRemovals, &l.alerts); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return nil
 }
 
 // RestoreAnyLimiter rebuilds whichever limiter backend produced the

@@ -166,15 +166,20 @@ func walkStats(l Backend) (active, removed, flagged, dsts int) {
 			}
 		}
 	case *SketchLimiter:
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		for _, m := range l.meta[:l.used] {
-			active++
-			if m.removed {
-				removed++
-			}
-			if m.flagged {
-				flagged++
+		l.lockAll()
+		defer l.unlockAll()
+		for i := range l.stripes {
+			for _, h := range l.stripes[i].hosts.slots {
+				if !h.live() {
+					continue
+				}
+				active++
+				if h.removed() {
+					removed++
+				}
+				if h.flagged() {
+					flagged++
+				}
 			}
 		}
 	}
@@ -257,15 +262,17 @@ func TestSnapshotCountersEqualWalk(t *testing.T) {
 func epochOf(l Backend) time.Time {
 	switch l := l.(type) {
 	case *Limiter:
-		l.stripes[0].mu.Lock()
-		defer l.stripes[0].mu.Unlock()
-		return l.epoch
+		return l.epochNow()
 	case *SketchLimiter:
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.epoch
+		return l.epochNow()
 	}
 	panic("unknown backend")
+}
+
+func (l *limiter[T, P]) epochNow() time.Time {
+	l.stripes[0].mu.Lock()
+	defer l.stripes[0].mu.Unlock()
+	return l.epoch
 }
 
 // TestLimiterSnapshotCanonical is the one-state-one-byte-string
@@ -370,7 +377,8 @@ func TestLimiterSnapshotCanonical(t *testing.T) {
 // sort on both sides of its size cutoff.
 func TestSortDestinations(t *testing.T) {
 	r := rng.NewPCG64(1905, 45)
-	for _, n := range []int{0, 1, 255, 256, 257, 5000} {
+	var scratch []uint32 // grown by the calls that need it
+	for _, n := range []int{0, 1, 255, 256, 257, 5000, 300} {
 		d := make([]uint32, n)
 		for i := range d {
 			d[i] = uint32(r.Uint64())
@@ -380,7 +388,7 @@ func TestSortDestinations(t *testing.T) {
 		}
 		want := slices.Clone(d)
 		slices.Sort(want)
-		sortDestinations(d, make([]uint32, n))
+		sortDestinations(d, &scratch)
 		if !slices.Equal(d, want) {
 			t.Fatalf("n=%d: counting sort disagrees with slices.Sort", n)
 		}

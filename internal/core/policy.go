@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"wormcontain/internal/binio"
 )
 
 // Decision is the limiter's verdict on one observed connection attempt.
@@ -90,52 +92,110 @@ const (
 // stripes never meet on a lane either.
 func SourceHash(src uint32) uint32 { return src * 0x9e3779b9 }
 
-// stripe is one partition of the limiter: the hosts whose SourceHash
-// lands here (hosttable.go) and the cumulative counters their decisions
-// bump. The fields take 152 bytes and the padding makes the stride 256,
-// so two stripes' fields are 104 bytes apart and cannot share a 64-byte
-// cache line wherever the allocator puts the Limiter (it guarantees
-// 8-byte alignment, no more). What every decision touches — the mutex,
-// the counters, the table's slice header — comes first, within 72 bytes.
-type stripe struct {
-	mu sync.Mutex
-
-	// cumulative statistics across all cycles; Snapshot sums the stripes
+// tally is what a stripe's decisions have counted across all cycles;
+// Snapshot sums the stripes'.
+type tally struct {
 	observed int
 	removals int
 	flags    int
 	denied   int
-
-	hosts hostTable // the current cycle's per-host state
-
-	_ [256 - 152]byte
 }
 
-// Limiter is the runtime containment engine: it watches (source,
-// destination) pairs with timestamps, counts distinct destinations per
-// source per containment cycle, flags sources near the limit and removes
-// sources at the limit. It is safe for concurrent use, and decisions on
-// sources in different stripes run in parallel.
+// table is what the limiter frame asks of a backend's host table T: one
+// stripe's hosts in the current containment cycle, in the backend's own
+// encoding. The frame locks, journals, counts, rolls the cycle, keeps
+// the alert ledger and frames snapshots; the table holds the hosts and
+// decides. Every method runs with the table's stripe held, and a
+// decision makes exactly one call, observe. Both tables are 128 bytes
+// (TestStripeLayout), which is what the stripe's padding assumes.
+type table[T any] interface {
+	*T
+	// observe decides the contact of src with dst, counting a removal,
+	// flag or denial into n.
+	observe(src, dst uint32, n *tally) Decision
+	// reinstate clears a removed host's marks and empties its record,
+	// and reports whether src was removed.
+	reinstate(src uint32) bool
+	// isRemoved reports whether src is tracked and removed.
+	isRemoved(src uint32) bool
+	// alert marks src removed, tracking it if it is new, and reports
+	// whether it was not removed already.
+	alert(src uint32) bool
+	// roll forgets every host: a new cycle starts.
+	roll()
+	// addStats adds the table's host counts to st.
+	addStats(st *Stats)
+
+	// The snapshot codec's per-backend part (persist.go): the backend
+	// byte and section, and per host the payload after its marks.
+	backend() SnapshotBackend
+	appendSection(b []byte, st Stats) []byte
+	copyOut(c *hostsCopy)
+	appendHost(b []byte, words []uint32, scratch *[]uint32) []byte
+	skipHost(r *binio.Reader)
+	presize(hosts int)
+	readHost(r *binio.Reader, src uint32, removed, flagged bool) error
+}
+
+// stripe is one partition of a limiter: the hosts whose SourceHash
+// lands here, in the backend's table, and the counters their decisions
+// bump. The fields take 168 bytes and the padding makes the stride 256,
+// so two stripes' fields are 88 bytes apart and cannot share a 64-byte
+// cache line wherever the allocator puts the limiter (it guarantees
+// 8-byte alignment, no more). What every decision touches — the mutex,
+// the counters, the table's slice header — comes first, within 72 bytes.
+type stripe[T any] struct {
+	mu sync.Mutex
+	tally
+	hosts T
+
+	_ [256 - 8 - 32 - 128]byte
+}
+
+// limiter is the frame both backends share: the containment cycle, 64
+// stripes of hosts in table T, the journal hook and the alert ledger.
+// It is safe for concurrent use, and decisions on sources in different
+// stripes run in parallel.
 //
 // Time is supplied by the caller on every observation, so the limiter
 // works identically under the discrete-event simulator's virtual clock
 // and under wall-clock deployment.
 //
-// Locking. A per-source input (Observe, Reinstate, Removed,
-// DistinctCount) takes only its source's stripe. Everything that touches
-// state shared by all sources — a cycle roll, ApplyAlert, SetJournal, a
-// snapshot's copy-out and cut, Snapshot — takes every stripe,
-// in index order. journal, epoch, cycleIndex and alerts are therefore
-// written only with every stripe held and may be read under any one.
-type Limiter struct {
+// Locking. A per-source input (Observe, Reinstate, Removed, and
+// Limiter.DistinctCount or SketchLimiter.ObserveFailure) takes only its
+// source's stripe. Everything
+// that touches state shared by all sources — a cycle roll, ApplyAlert,
+// SetJournal, a snapshot's copy-out and cut, Snapshot — takes every
+// stripe, in index order. journal, epoch, cycleIndex and alerts are
+// therefore written only with every stripe held and may be read under
+// any one.
+type limiter[T any, P table[T]] struct {
 	cfg     LimiterConfig
-	flagAt  int // distinct count at which a host is flagged; 0 = never
-	stripes [stripeCount]stripe
+	stripes [stripeCount]stripe[T]
 
 	journal    Journal   // optional WAL hook; see journal.go
 	epoch      time.Time // start of the current containment cycle
 	cycleIndex uint64
 	alerts     alertBook // fleet immunization ledger; see alert.go
+}
+
+// init starts the limiter's first containment cycle at start, every
+// stripe with the empty table given.
+func (l *limiter[T, P]) init(cfg LimiterConfig, start time.Time, empty T) {
+	l.cfg, l.epoch = cfg, start
+	for i := range l.stripes {
+		l.stripes[i].hosts = empty
+	}
+}
+
+// Limiter is the exact runtime containment engine: it watches (source,
+// destination) pairs with timestamps, counts distinct destinations per
+// source per containment cycle, flags sources near the limit and removes
+// sources at the limit. Its host table (hosttable.go) keeps every
+// distinct destination; the frame it shares with SketchLimiter is
+// limiter.
+type Limiter struct {
+	limiter[hostTable, *hostTable]
 }
 
 // NewLimiter returns a limiter whose first containment cycle starts at
@@ -144,7 +204,9 @@ func NewLimiter(cfg LimiterConfig, start time.Time) (*Limiter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Limiter{cfg: cfg, flagAt: flagThreshold(cfg), epoch: start}, nil
+	l := new(Limiter)
+	l.init(cfg, start, newHostTable(cfg))
+	return l, nil
 }
 
 // flagThreshold is the smallest distinct count n with n ≥ f·M in
@@ -161,21 +223,21 @@ func flagThreshold(cfg LimiterConfig) int {
 }
 
 // Config returns the limiter's configuration.
-func (l *Limiter) Config() LimiterConfig { return l.cfg }
+func (l *limiter[T, P]) Config() LimiterConfig { return l.cfg }
 
 // stripeIndex is the stripe src's state lives in.
 func stripeIndex(src uint32) int { return int(SourceHash(src) >> (32 - stripeBits)) }
 
-func (l *Limiter) stripeOf(src uint32) *stripe { return &l.stripes[stripeIndex(src)] }
+func (l *limiter[T, P]) stripeOf(src uint32) *stripe[T] { return &l.stripes[stripeIndex(src)] }
 
 // lockAll stops the world: it takes every stripe in index order.
-func (l *Limiter) lockAll() {
+func (l *limiter[T, P]) lockAll() {
 	for i := range l.stripes {
 		l.stripes[i].mu.Lock()
 	}
 }
 
-func (l *Limiter) unlockAll() {
+func (l *limiter[T, P]) unlockAll() {
 	for i := range l.stripes {
 		l.stripes[i].mu.Unlock()
 	}
@@ -189,80 +251,45 @@ func (l *Limiter) unlockAll() {
 // order; an observation in a later cycle first rolls the cycle over,
 // resetting all counters and reinstating removed hosts (step 4: hosts
 // are checked at cycle end and their counters reset).
-func (l *Limiter) Observe(src, dst uint32, t time.Time) Decision {
+func (l *limiter[T, P]) Observe(src, dst uint32, t time.Time) Decision {
 	s := l.stripeOf(src)
 	s.mu.Lock()
 	// The one boundary test on the fast path; the epoch cannot move
-	// while any stripe is held.
-	if t.Sub(l.epoch) >= l.cfg.Cycle {
+	// while any stripe is held. An observation past the boundary rolls
+	// every stripe, so it takes them all: the whole input — journal
+	// record, roll, decision — runs with the world stopped and every
+	// other record falls strictly before or after it.
+	rolling := t.Sub(l.epoch) >= l.cfg.Cycle
+	if rolling {
 		s.mu.Unlock()
-		return l.observeRolling(s, src, dst, t)
+		l.lockAll()
+		l.rollCycleLocked(t) // another goroutine may have rolled in between; it tests again
 	}
 	if l.journal != nil {
 		// Journaled before applying, under the stripe lock: the journal's
 		// sequence is a linearization of the input stream (see
 		// journal.go), and replaying it regenerates every derived
-		// transition below.
+		// transition.
 		l.journal.RecordObserve(src, dst, t.UnixMilli())
 	}
-	d := l.decideLocked(s, src, dst)
-	s.mu.Unlock()
-	return d
-}
-
-// observeRolling is Observe for an observation past the cycle boundary:
-// the roll resets every stripe, so the whole input — journal record,
-// roll, decision — runs with the world stopped and every other record
-// falls strictly before or after it. Another goroutine may have rolled
-// in between; rollCycleLocked tests again.
-func (l *Limiter) observeRolling(s *stripe, src, dst uint32, t time.Time) Decision {
-	l.lockAll()
-	defer l.unlockAll()
-	if l.journal != nil {
-		l.journal.RecordObserve(src, dst, t.UnixMilli())
-	}
-	l.rollCycleLocked(t)
-	return l.decideLocked(s, src, dst)
-}
-
-// decideLocked applies one observation to src's stripe, which is held.
-func (l *Limiter) decideLocked(s *stripe, src, dst uint32) Decision {
 	// Counted while the lock is already held, so enforcement points get
 	// an exact observation total at zero marginal cost: every decision
 	// counter a gateway needs derives from totals maintained here.
 	s.observed++
-
-	h := s.hosts.slot(src)
-	if h.removed() {
-		s.denied++
-		return Deny
+	d := P(&s.hosts).observe(src, dst, &s.tally)
+	if rolling {
+		l.unlockAll()
+	} else {
+		s.mu.Unlock()
 	}
-	if s.hosts.seen(h, dst) {
-		return Allow
-	}
-	n := s.hosts.count(h)
-	if n >= l.cfg.M {
-		// Budget exhausted: the new-destination attempt removes the host.
-		s.hosts.remove(h)
-		s.removals++
-		s.denied++
-		return Deny
-	}
-	s.hosts.add(h, dst)
-
-	if l.flagAt > 0 && !h.flagged() && n+1 >= l.flagAt {
-		s.hosts.flag(h)
-		s.flags++
-		return AllowAndCheck
-	}
-	return Allow
+	return d
 }
 
 // rollCycleLocked advances the containment cycle to contain t, resetting
 // all per-host state once per boundary crossed. Counters clear and
 // removed hosts re-enter with a zero counter, mirroring steps 3–4 of the
 // paper's scheme. Every stripe is held.
-func (l *Limiter) rollCycleLocked(t time.Time) {
+func (l *limiter[T, P]) rollCycleLocked(t time.Time) {
 	elapsed := t.Sub(l.epoch)
 	if elapsed < l.cfg.Cycle {
 		return
@@ -271,7 +298,7 @@ func (l *Limiter) rollCycleLocked(t time.Time) {
 	l.cycleIndex += steps
 	l.epoch = l.epoch.Add(time.Duration(steps) * l.cfg.Cycle)
 	for i := range l.stripes {
-		l.stripes[i].hosts = hostTable{}
+		P(&l.stripes[i].hosts).roll()
 	}
 }
 
@@ -279,28 +306,25 @@ func (l *Limiter) rollCycleLocked(t time.Time) {
 // modelling the successful completion of the heavy-duty checking process
 // before the cycle ends. Reinstating an unknown or non-removed host is a
 // no-op; it reports whether the host was actually reinstated.
-func (l *Limiter) Reinstate(src uint32) bool {
+func (l *limiter[T, P]) Reinstate(src uint32) bool {
 	s := l.stripeOf(src)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.hosts.find(src)
-	if h == nil || !h.removed() {
+	if !P(&s.hosts).reinstate(src) {
 		return false
 	}
 	if l.journal != nil {
 		l.journal.RecordReinstate(src)
 	}
-	s.hosts.reset(h)
 	return true
 }
 
 // Removed reports whether the host is currently removed.
-func (l *Limiter) Removed(src uint32) bool {
+func (l *limiter[T, P]) Removed(src uint32) bool {
 	s := l.stripeOf(src)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.hosts.find(src)
-	return h != nil && h.removed()
+	return P(&s.hosts).isRemoved(src)
 }
 
 // DistinctCount returns the number of unique destinations the host has
@@ -318,7 +342,7 @@ func (l *Limiter) DistinctCount(src uint32) int {
 
 // CycleIndex returns the zero-based index of the current containment
 // cycle.
-func (l *Limiter) CycleIndex() uint64 {
+func (l *limiter[T, P]) CycleIndex() uint64 {
 	s := &l.stripes[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,22 +385,25 @@ type Stats struct {
 
 // Snapshot returns the current statistics, consistent across stripes. It
 // sums the stripes' counters and reads no per-host state.
-func (l *Limiter) Snapshot() Stats {
+func (l *limiter[T, P]) Snapshot() Stats {
 	l.lockAll()
 	defer l.unlockAll()
+	return l.statsLocked()
+}
+
+// statsLocked is Snapshot with every stripe held.
+func (l *limiter[T, P]) statsLocked() Stats {
 	st := Stats{
 		TotalAlerts:   l.alerts.applied,
 		AlertRemovals: l.alerts.removals,
 	}
 	for i := range l.stripes {
 		s := &l.stripes[i]
-		st.ActiveHosts += s.hosts.live
-		st.RemovedHosts += s.hosts.removed
-		st.FlaggedHosts += s.hosts.flagged
 		st.TotalObserved += s.observed
 		st.TotalRemovals += s.removals
 		st.TotalFlags += s.flags
 		st.TotalDenied += s.denied
+		P(&s.hosts).addStats(&st)
 	}
 	return st
 }
@@ -386,11 +413,7 @@ func (l *Limiter) Snapshot() Stats {
 // active LBL hosts in Fig. 6.
 func (l *Limiter) topCounts(n int) []int {
 	l.lockAll()
-	hosts := 0
-	for i := range l.stripes {
-		hosts += l.stripes[i].hosts.live
-	}
-	counts := make([]int, 0, hosts)
+	counts := make([]int, 0, l.statsLocked().ActiveHosts)
 	for i := range l.stripes {
 		t := &l.stripes[i].hosts
 		for j := range t.slots {

@@ -363,7 +363,7 @@ func TestLimiterSnapshotRoundTripSpilled(t *testing.T) {
 		if got := restored.DistinctCount(1); got != n {
 			t.Fatalf("%d destinations: restored count = %d", n, got)
 		}
-		if h := restored.stripeOf(1).hosts.find(1); (h.spill != 0) != (n > inlineDsts) {
+		if h := restored.stripeOf(1).hosts.find(1); (h.rec.spill != 0) != (n > inlineDsts) {
 			t.Fatalf("%d destinations: restored slot %+v in the wrong representation", n, *h)
 		}
 		if string(mustMarshal(t, restored)) != string(data) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -24,10 +23,12 @@ import (
 // allocation, no per-destination storage.
 
 // sketchSlabHosts is the number of hosts per register slab. Register
-// memory is carved out of shared slabs instead of per-host allocations:
-// one slab allocation amortizes over 1024 hosts, slabs are recycled
-// across containment cycles, and neighboring hosts share cache lines.
-const sketchSlabHosts = 1 << 10
+// memory is carved out of each stripe's slabs instead of per-host
+// allocations: a slab allocation amortizes over 64 hosts, slabs are
+// recycled across containment cycles, and neighboring hosts share cache
+// lines. A slab is small because each of the 64 stripes has a partly
+// used one: under 4 % of 100 000 hosts' registers stand idle.
+const sketchSlabHosts = 64
 
 // Hash salts for the two sketches. Observe and ObserveFailure must
 // place the same (src, dst) pair at independent bit positions.
@@ -88,7 +89,9 @@ func (c SketchConfig) normalize() SketchConfig {
 // rule rejects widths whose removal threshold would sit inside the
 // saturated tail of the bitmap, where the estimator can no longer
 // distinguish cardinalities: Bits must satisfy
-// Bits·ln(Bits/8) ≥ M (and likewise FailureBits for FailureM).
+// Bits·ln(Bits/8) ≥ M (and likewise FailureBits for FailureM). And a
+// threshold must be reached within the 65 535 set bits a host's count
+// (sketchRec) holds.
 func (c SketchConfig) validate() error {
 	if err := c.LimiterConfig.Validate(); err != nil {
 		return err
@@ -117,6 +120,9 @@ func validateSketchWidth(name string, width, threshold int) error {
 			name, width, threshold,
 			linearEstimate(width, width-sketchCapacitySlack),
 			sketchBits(threshold))
+	case sketchThresholdBits(width, float64(threshold)) > math.MaxUint16:
+		return fmt.Errorf("core: sketch %s = %d puts threshold %d past %d set bits, "+
+			"more than a host's count holds", name, width, threshold, math.MaxUint16)
 	}
 	return nil
 }
@@ -180,52 +186,22 @@ func sketchHash(src, dst uint32, salt uint64) uint64 {
 	return x
 }
 
-// sketchMeta is one tracked host's non-register state: set-bit counts
-// (cached so the hot path never popcounts) and the verdict marks.
-type sketchMeta struct {
-	set     uint16 // contact bits set; never exceeds denyBits
-	fset    uint16 // failure bits set; never exceeds failDenyBits
-	removed bool
-	flagged bool
-}
-
-// SketchLimiter is the estimator-backed containment engine. It
-// implements Backend (and FailureObserver when FailureM is
-// configured) with per-host memory fixed at Bits/8 (+ FailureBits/8)
-// register bytes plus ~16 bytes of slot metadata, regardless of how
-// many destinations a host contacts. It is safe for concurrent use.
+// SketchLimiter is the estimator-backed containment engine: the frame
+// of Limiter over a table of sketch slots instead of exact sets. It
+// implements Backend (and FailureObserver when FailureM is configured)
+// with per-host memory fixed at Bits/8 (+ FailureBits/8) register bytes
+// plus a 16-byte slot, regardless of how many destinations a host
+// contacts. It is safe for concurrent use.
+//
+// Decisions mirror the exact backend's, with "distinct destination"
+// replaced by "destination hashing to an unset bitmap bit": repeats (and
+// hash collisions — the estimator's under-count side) consume no
+// budget, and the removal and flag thresholds are the precomputed
+// set-bit counts at which the linear-counting estimate crosses M and
+// f·M.
 type SketchLimiter struct {
-	cfg    SketchConfig
-	stride int // uint64 words per host: contact + failure registers
-	cwords int // contact words
-	cmask  uint32
-	fmask  uint32
-
-	denyBits     int // set bits at which the contact estimate reaches M
-	flagBits     int // set bits at which the estimate reaches f·M (0 = off)
-	failDenyBits int // failure bits at which the estimate reaches FailureM
-
-	mu         sync.Mutex
-	journal    Journal
-	epoch      time.Time
-	cycleIndex uint64
-	slots      map[uint32]uint32 // src → slot
-	meta       []sketchMeta      // indexed by slot
-	pool       [][]uint64        // register slabs, sketchSlabHosts hosts each
-	used       uint32            // slots handed out this cycle
-	alerts     alertBook         // fleet immunization ledger; see alert.go
-
-	// hosts of the current cycle carrying each mark, kept where the marks
-	// change so that Snapshot reads no per-host state
-	removedHosts int
-	flaggedHosts int
-
-	totalObserved   int
-	totalRemovals   int
-	totalFlags      int
-	totalDenied     int
-	totalFailures   int
-	failureRemovals int
+	limiter[sketchTable, *sketchTable]
+	sketch SketchConfig // resolved widths
 }
 
 // NewSketchLimiter returns a sketch-backed limiter whose first
@@ -236,130 +212,9 @@ func NewSketchLimiter(cfg SketchConfig, start time.Time) (*SketchLimiter, error)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	l := &SketchLimiter{
-		cfg:      cfg,
-		cwords:   cfg.Bits / 64,
-		stride:   cfg.Bits/64 + cfg.FailureBits/64,
-		cmask:    uint32(cfg.Bits - 1),
-		denyBits: sketchThresholdBits(cfg.Bits, float64(cfg.M)),
-		epoch:    start,
-		slots:    make(map[uint32]uint32),
-	}
-	if f := cfg.CheckFraction; f > 0 {
-		l.flagBits = sketchThresholdBits(cfg.Bits, f*float64(cfg.M))
-	}
-	if cfg.FailureM > 0 {
-		l.fmask = uint32(cfg.FailureBits - 1)
-		l.failDenyBits = sketchThresholdBits(cfg.FailureBits, float64(cfg.FailureM))
-	}
+	l := &SketchLimiter{sketch: cfg}
+	l.init(cfg.LimiterConfig, start, newSketchTable(cfg))
 	return l, nil
-}
-
-// Config returns the containment parameters shared with the exact
-// backend.
-func (l *SketchLimiter) Config() LimiterConfig { return l.cfg.LimiterConfig }
-
-// SetJournal attaches (or, with nil, detaches) the WAL hook; see
-// (*Limiter).SetJournal.
-func (l *SketchLimiter) SetJournal(j Journal) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.journal = j
-}
-
-// regs returns the host's register words: contact registers first,
-// failure registers after. Pure index arithmetic into the shared slab —
-// no allocation.
-func (l *SketchLimiter) regs(slot uint32) []uint64 {
-	slab := l.pool[slot/sketchSlabHosts]
-	off := int(slot%sketchSlabHosts) * l.stride
-	return slab[off : off+l.stride]
-}
-
-// newSlotLocked tracks a new host: next slot in the current slab (a new
-// slab every sketchSlabHosts hosts), registers zeroed for reuse across
-// cycles.
-func (l *SketchLimiter) newSlotLocked(src uint32) uint32 {
-	slot := l.used
-	if int(slot)/sketchSlabHosts == len(l.pool) {
-		l.pool = append(l.pool, make([]uint64, sketchSlabHosts*l.stride))
-	}
-	l.used++
-	regs := l.regs(slot)
-	for i := range regs {
-		regs[i] = 0
-	}
-	l.meta = append(l.meta, sketchMeta{})
-	l.slots[src] = slot
-	return slot
-}
-
-// rollCycleLocked advances the containment cycle to contain t. Slabs
-// are retained and re-zeroed lazily on slot reuse, so a cycle boundary
-// frees no register memory and the next cycle's hot path allocates
-// nothing until the fleet outgrows its previous size.
-func (l *SketchLimiter) rollCycleLocked(t time.Time) {
-	elapsed := t.Sub(l.epoch)
-	if elapsed < l.cfg.Cycle {
-		return
-	}
-	steps := uint64(elapsed / l.cfg.Cycle)
-	l.cycleIndex += steps
-	l.epoch = l.epoch.Add(time.Duration(steps) * l.cfg.Cycle)
-	clear(l.slots)
-	l.meta = l.meta[:0]
-	l.used = 0
-	l.removedHosts, l.flaggedHosts = 0, 0
-}
-
-// Observe records that host src attempted to contact destination dst at
-// time t and returns the containment decision. Semantics mirror
-// (*Limiter).Observe exactly, with "distinct destination" replaced by
-// "destination hashing to an unset bitmap bit": repeats (and hash
-// collisions — the estimator's under-count side) consume no budget, and
-// the removal/flag thresholds are the precomputed set-bit counts at
-// which the linear-counting estimate crosses M and f·M.
-func (l *SketchLimiter) Observe(src, dst uint32, t time.Time) Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.journal != nil {
-		l.journal.RecordObserve(src, dst, t.UnixMilli())
-	}
-	l.rollCycleLocked(t)
-	l.totalObserved++
-
-	slot, ok := l.slots[src]
-	if !ok {
-		slot = l.newSlotLocked(src)
-	}
-	m := &l.meta[slot]
-	if m.removed {
-		l.totalDenied++
-		return Deny
-	}
-	idx := uint32(sketchHash(src, dst, sketchContactSalt)) & l.cmask
-	regs := l.regs(slot)
-	bit := uint64(1) << (idx & 63)
-	if regs[idx>>6]&bit != 0 {
-		return Allow
-	}
-	if int(m.set) >= l.denyBits {
-		// Estimate at M: the new-destination attempt removes the host.
-		m.removed = true
-		l.removedHosts++
-		l.totalRemovals++
-		l.totalDenied++
-		return Deny
-	}
-	regs[idx>>6] |= bit
-	m.set++
-	if l.flagBits > 0 && !m.flagged && int(m.set) >= l.flagBits {
-		m.flagged = true
-		l.flaggedHosts++
-		l.totalFlags++
-		return AllowAndCheck
-	}
-	return Allow
 }
 
 // ObserveFailure implements FailureObserver: record that src's
@@ -368,125 +223,215 @@ func (l *SketchLimiter) Observe(src, dst uint32, t time.Time) Decision {
 // FailureM removes the host. With FailureM unconfigured the call is a
 // no-op returning Allow.
 func (l *SketchLimiter) ObserveFailure(src, dst uint32, t time.Time) Decision {
-	if l.cfg.FailureM == 0 {
+	if l.sketch.FailureM == 0 {
 		return Allow
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	if t.Sub(l.epoch) >= l.cfg.Cycle { // as in Observe
+		s.mu.Unlock()
+		l.lockAll()
+		defer l.unlockAll()
+		l.rollCycleLocked(t)
+	} else {
+		defer s.mu.Unlock()
+	}
 	if l.journal != nil {
 		l.journal.RecordFailure(src, dst, t.UnixMilli())
 	}
-	l.rollCycleLocked(t)
-	l.totalFailures++
+	return s.hosts.fail(src, dst, &s.tally)
+}
 
-	slot, ok := l.slots[src]
-	if !ok {
-		slot = l.newSlotLocked(src)
+// sketchRec is a sketch host's set-bit counts (cached so the hot path
+// never popcounts) and where its registers are.
+type sketchRec struct {
+	set, fset uint16 // contact and failure bits set; never past denyBits, failDenyBits
+	reg       uint32 // the host's register block: index into the stripe's slabs
+}
+
+// sketchSlot is a sketch host: 16 bytes, four to a cache line.
+type sketchSlot = slot[sketchRec]
+
+// sketchTable is the sketch backend's stripe table: the slots, the
+// register slabs the stripe keeps across cycles, and the limiter's
+// register geometry and thresholds. A host's register block is the next
+// free one when it is first seen, so a cycle's hosts use blocks
+// 0 … live−1.
+type sketchTable struct {
+	slotTable[sketchRec]
+
+	bits, failureBits uint32 // bitmap widths; failureBits is 0 without FailureM
+	failureM          uint32
+	cwords, stride    uint32 // contact words; words per host, contact and failure
+	denyBits          uint32 // set bits at which the contact estimate reaches M
+	flagBits          uint32 // set bits at which it reaches f·M (0: never)
+	failDenyBits      uint32 // failure bits at which the estimate reaches FailureM
+
+	pool [][]uint64 // register slabs of sketchSlabHosts hosts
+
+	// cumulative across cycles, like the stripe's tally
+	failures        int
+	failureRemovals int
+}
+
+func newSketchTable(cfg SketchConfig) sketchTable {
+	t := sketchTable{
+		bits:        uint32(cfg.Bits),
+		failureBits: uint32(cfg.FailureBits),
+		failureM:    uint32(cfg.FailureM),
+		cwords:      uint32(cfg.Bits / 64),
+		stride:      uint32(cfg.Bits/64 + cfg.FailureBits/64),
+		denyBits:    uint32(sketchThresholdBits(cfg.Bits, float64(cfg.M))),
 	}
-	m := &l.meta[slot]
-	if m.removed {
+	if f := cfg.CheckFraction; f > 0 {
+		t.flagBits = uint32(sketchThresholdBits(cfg.Bits, f*float64(cfg.M)))
+	}
+	if cfg.FailureM > 0 {
+		t.failDenyBits = uint32(sketchThresholdBits(cfg.FailureBits, float64(cfg.FailureM)))
+	}
+	return t
+}
+
+// slot returns src's slot, starting to track the host on first contact
+// with the next register block, zeroed.
+func (t *sketchTable) slot(src uint32) *sketchSlot {
+	h, fresh := t.track(src)
+	if fresh {
+		h.rec.reg = uint32(t.live - 1)
+		if int(h.rec.reg)/sketchSlabHosts == len(t.pool) {
+			t.pool = append(t.pool, make([]uint64, sketchSlabHosts*int(t.stride)))
+		}
+		clear(t.regs(h)) // the block may be a past cycle's
+	}
+	return h
+}
+
+// regs returns the host's register words: contact registers first,
+// failure registers after.
+func (t *sketchTable) regs(h *sketchSlot) []uint64 {
+	slab := t.pool[h.rec.reg/sketchSlabHosts]
+	off := int(h.rec.reg%sketchSlabHosts) * int(t.stride)
+	return slab[off : off+int(t.stride)]
+}
+
+// observe decides one observation: one hash, one bit test and one
+// integer compare.
+func (t *sketchTable) observe(src, dst uint32, n *tally) Decision {
+	h := t.slot(src)
+	if h.removed() {
+		n.denied++
 		return Deny
 	}
-	idx := uint32(sketchHash(src, dst, sketchFailureSalt)) & l.fmask
-	regs := l.regs(slot)[l.cwords:]
+	idx := uint32(sketchHash(src, dst, sketchContactSalt)) & (t.bits - 1)
+	regs := t.regs(h)
 	bit := uint64(1) << (idx & 63)
 	if regs[idx>>6]&bit != 0 {
 		return Allow
 	}
-	if int(m.fset) >= l.failDenyBits {
-		m.removed = true
-		l.removedHosts++
-		l.totalRemovals++
-		l.failureRemovals++
+	if uint32(h.rec.set) >= t.denyBits {
+		// Estimate at M: the new-destination attempt removes the host.
+		t.remove(&h.slotMarks)
+		n.removals++
+		n.denied++
 		return Deny
 	}
 	regs[idx>>6] |= bit
-	m.fset++
+	h.rec.set++
+	if t.flagBits > 0 && !h.flagged() && uint32(h.rec.set) >= t.flagBits {
+		t.flag(&h.slotMarks)
+		n.flags++
+		return AllowAndCheck
+	}
 	return Allow
 }
 
-// Reinstate puts a removed host back into service with fresh sketches,
-// modelling the heavy-duty check completing; see (*Limiter).Reinstate.
-func (l *SketchLimiter) Reinstate(src uint32) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	slot, ok := l.slots[src]
-	if !ok || !l.meta[slot].removed {
+// fail counts one failed connection in the host's failure sketch and
+// returns Deny exactly when it removes the host.
+func (t *sketchTable) fail(src, dst uint32, n *tally) Decision {
+	t.failures++
+	h := t.slot(src)
+	if h.removed() {
+		return Allow // removed before: this failure removed nothing
+	}
+	idx := uint32(sketchHash(src, dst, sketchFailureSalt)) & (t.failureBits - 1)
+	regs := t.regs(h)[t.cwords:]
+	bit := uint64(1) << (idx & 63)
+	if regs[idx>>6]&bit != 0 {
+		return Allow
+	}
+	if uint32(h.rec.fset) >= t.failDenyBits {
+		t.remove(&h.slotMarks)
+		n.removals++
+		t.failureRemovals++
+		return Deny
+	}
+	regs[idx>>6] |= bit
+	h.rec.fset++
+	return Allow
+}
+
+// reinstate zeroes a removed host's sketches and clears its marks.
+func (t *sketchTable) reinstate(src uint32) bool {
+	h := t.find(src)
+	if h == nil || !h.removed() {
 		return false
 	}
-	if l.journal != nil {
-		l.journal.RecordReinstate(src)
-	}
-	regs := l.regs(slot)
-	for i := range regs {
-		regs[i] = 0
-	}
-	l.removedHosts--
-	if l.meta[slot].flagged {
-		l.flaggedHosts--
-	}
-	l.meta[slot] = sketchMeta{}
+	clear(t.regs(h))
+	t.unmark(&h.slotMarks)
+	h.rec.set, h.rec.fset = 0, 0
 	return true
 }
 
-// Removed reports whether the host is currently removed.
-func (l *SketchLimiter) Removed(src uint32) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	slot, ok := l.slots[src]
-	return ok && l.meta[slot].removed
+func (t *sketchTable) alert(src uint32) bool {
+	h := t.slot(src)
+	if h.removed() {
+		return false
+	}
+	t.remove(&h.slotMarks)
+	return true
+}
+
+// roll forgets every host but keeps the slots and slabs, so a cycle
+// boundary frees no memory and the next cycle's hot path allocates
+// nothing until the fleet outgrows its previous size.
+func (t *sketchTable) roll() {
+	clear(t.slots)
+	t.census = census{}
+}
+
+func (t *sketchTable) addStats(st *Stats) {
+	t.census.addStats(st)
+	st.TotalFailures += t.failures
+	st.FailureRemovals += t.failureRemovals
+}
+
+// bitsSet returns the host's set contact and failure bits.
+func (l *SketchLimiter) bitsSet(src uint32) (set, fset int) {
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h := s.hosts.find(src); h != nil {
+		return int(h.rec.set), int(h.rec.fset)
+	}
+	return 0, 0
 }
 
 // distinctCount returns the linear-counting estimate of the host's
 // distinct destinations this cycle, rounded to the nearest integer —
 // the estimator's stand-in for the exact backend's count.
 func (l *SketchLimiter) distinctCount(src uint32) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	slot, ok := l.slots[src]
-	if !ok {
-		return 0
-	}
-	return int(linearEstimate(l.cfg.Bits, int(l.meta[slot].set)) + 0.5)
+	set, _ := l.bitsSet(src)
+	return int(linearEstimate(l.sketch.Bits, set) + 0.5)
 }
 
 // failureCount returns the estimated distinct failed destinations this
 // cycle.
 func (l *SketchLimiter) failureCount(src uint32) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	slot, ok := l.slots[src]
-	if !ok || l.cfg.FailureM == 0 {
+	_, fset := l.bitsSet(src)
+	if fset == 0 {
 		return 0
 	}
-	return int(linearEstimate(l.cfg.FailureBits, int(l.meta[slot].fset)) + 0.5)
-}
-
-// CycleIndex returns the zero-based containment-cycle index.
-func (l *SketchLimiter) CycleIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cycleIndex
-}
-
-// Snapshot returns the cumulative decision counters. It reads no
-// per-host state.
-func (l *SketchLimiter) Snapshot() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Stats{
-		ActiveHosts:     int(l.used),
-		RemovedHosts:    l.removedHosts,
-		FlaggedHosts:    l.flaggedHosts,
-		TotalObserved:   l.totalObserved,
-		TotalRemovals:   l.totalRemovals,
-		TotalFlags:      l.totalFlags,
-		TotalDenied:     l.totalDenied,
-		TotalFailures:   l.totalFailures,
-		FailureRemovals: l.failureRemovals,
-		TotalAlerts:     l.alerts.applied,
-		AlertRemovals:   l.alerts.removals,
-	}
+	return int(linearEstimate(l.sketch.FailureBits, fset) + 0.5)
 }
 
 // SketchMemory reports the estimator's register footprint — the number
@@ -503,13 +448,15 @@ type SketchMemory struct {
 
 // Memory returns the current register footprint.
 func (l *SketchLimiter) Memory() SketchMemory {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return SketchMemory{
-		TrackedHosts:  int(l.used),
-		RegisterBytes: len(l.pool) * sketchSlabHosts * l.stride * 8,
-		BytesPerHost:  l.stride * 8,
+	l.lockAll()
+	defer l.unlockAll()
+	m := SketchMemory{BytesPerHost: l.sketch.Bits/8 + l.sketch.FailureBits/8}
+	for i := range l.stripes {
+		t := &l.stripes[i].hosts
+		m.TrackedHosts += t.live
+		m.RegisterBytes += len(t.pool) * sketchSlabHosts * m.BytesPerHost
 	}
+	return m
 }
 
 // ExpectedRelativeError returns the analytic standard relative error of
@@ -517,8 +464,8 @@ func (l *SketchLimiter) Memory() SketchMemory {
 // al.: Var(n̂) = m(e^t − t − 1), t = n/m) — the telemetry series
 // operators watch to size Bits.
 func (l *SketchLimiter) ExpectedRelativeError() float64 {
-	m := float64(l.cfg.Bits)
-	n := float64(l.cfg.M)
+	m := float64(l.sketch.Bits)
+	n := float64(l.sketch.M)
 	t := n / m
 	return math.Sqrt(m*(math.Exp(t)-t-1)) / n
 }

@@ -36,6 +36,11 @@ func TestSketchConfigValidation(t *testing.T) {
 		{"failure variant ok", SketchConfig{LimiterConfig: base, Bits: 128, FailureM: 50}, true},
 		{"failure bits too narrow", SketchConfig{LimiterConfig: base, Bits: 128, FailureM: 500, FailureBits: 64}, false},
 		{"negative failureM", SketchConfig{LimiterConfig: base, Bits: 128, FailureM: -1}, false},
+		// Both thresholds need more set bits than a host's uint16 count
+		// holds: accepted before, the count wrapped and the host was
+		// never removed.
+		{"threshold past a host's count", SketchConfig{LimiterConfig: LimiterConfig{M: 100_000, Cycle: time.Hour}, Bits: 1 << 20}, false},
+		{"failure threshold past a host's count", SketchConfig{LimiterConfig: base, Bits: 128, FailureM: 100_000, FailureBits: 1 << 20}, false},
 	}
 	for _, tc := range cases {
 		_, err := NewSketchLimiter(tc.cfg, sketchStart)
@@ -49,7 +54,7 @@ func TestSketchConfigValidation(t *testing.T) {
 	// M=100 with the default slack needs 64 bits (64·ln8 ≈ 133);
 	// wait — validated against the capacity rule, SketchBits must
 	// return a width that itself validates.
-	for _, m := range []int{1, 10, 100, 355, 1000, 5000, 50000} {
+	for _, m := range []int{1, 10, 100, 355, 1000, 5000, 50000, 500_000} {
 		w := sketchBits(m)
 		cfg := SketchConfig{LimiterConfig: LimiterConfig{M: m, Cycle: time.Hour}, Bits: w}
 		if _, err := NewSketchLimiter(cfg, sketchStart); err != nil {
@@ -196,6 +201,14 @@ func TestSketchFailureVariantRemovesScanner(t *testing.T) {
 	// Removal bites on the next contact attempt.
 	if d := l.Observe(2, 1, sketchStart); d != Deny {
 		t.Fatalf("post-failure-removal observe = %v, want deny", d)
+	}
+	// Deny means this failure removed the host: a failure of a host
+	// removed already — by failures or by an alert — removes nothing.
+	l.ApplyAlert(Alert{Origin: 1, Seq: 1, Src: 3, UnixMs: sketchStart.UnixMilli()})
+	for _, src := range []uint32{2, 3} {
+		if d := l.ObserveFailure(src, 77, sketchStart); d != Allow {
+			t.Errorf("failure of removed host %d = %v, want allow", src, d)
+		}
 	}
 	s := l.Snapshot()
 	if s.FailureRemovals != 1 || s.TotalRemovals != 1 {

@@ -20,6 +20,7 @@ type refLimiter struct {
 	epoch   time.Time
 	cycle   uint64
 	sets    map[uint32]map[uint32]bool
+	fails   map[uint32]map[uint32]bool // refSketch's failure bits
 	removed map[uint32]bool
 	flagged map[uint32]bool
 	totals  Stats // the cumulative counters only
@@ -33,6 +34,7 @@ func newRefLimiter(cfg LimiterConfig, start time.Time) *refLimiter {
 
 func (r *refLimiter) clear() {
 	r.sets = map[uint32]map[uint32]bool{}
+	r.fails = map[uint32]map[uint32]bool{}
 	r.removed = map[uint32]bool{}
 	r.flagged = map[uint32]bool{}
 }
@@ -83,6 +85,7 @@ func (r *refLimiter) reinstate(src uint32) bool {
 		return false
 	}
 	r.sets[src] = map[uint32]bool{}
+	delete(r.fails, src)
 	r.removed[src], r.flagged[src] = false, false
 	return true
 }
@@ -96,6 +99,139 @@ func (r *refLimiter) alert(src uint32, t time.Time) {
 		r.removed[src] = true
 		r.totals.AlertRemovals++
 	}
+}
+
+// state is what the reference says of src: removed, and the size of
+// its set and of its failure set.
+func (r *refLimiter) state(src uint32) (removed bool, n, fails int) {
+	return r.removed[src], len(r.sets[src]), len(r.fails[src])
+}
+
+func (r *refLimiter) cycleIndex() uint64 { return r.cycle }
+
+// refSketch is the sketch backend spelled sequentially on refLimiter:
+// its sets hold the indices of a host's set contact bits, its fails
+// those of its set failure bits, and the thresholds are set-bit counts.
+// No stripes, slots, slabs or registers.
+type refSketch struct {
+	*refLimiter
+	cfg                  SketchConfig
+	deny, flag, failDeny int
+}
+
+func newRefSketch(cfg SketchConfig, start time.Time) *refSketch {
+	cfg = cfg.normalize()
+	r := &refSketch{refLimiter: newRefLimiter(cfg.LimiterConfig, start), cfg: cfg,
+		deny: sketchThresholdBits(cfg.Bits, float64(cfg.M)),
+		flag: sketchThresholdBits(cfg.Bits, cfg.CheckFraction*float64(cfg.M)),
+	}
+	if cfg.FailureM > 0 {
+		r.failDeny = sketchThresholdBits(cfg.FailureBits, float64(cfg.FailureM))
+	}
+	return r
+}
+
+func (r *refSketch) observe(src, dst uint32, t time.Time) Decision {
+	r.roll(t)
+	r.totals.TotalObserved++
+	r.track(src)
+	bit := uint32(sketchHash(src, dst, sketchContactSalt)) % uint32(r.cfg.Bits)
+	switch {
+	case r.removed[src]:
+		r.totals.TotalDenied++
+		return Deny
+	case r.sets[src][bit]:
+		return Allow
+	case len(r.sets[src]) >= r.deny:
+		r.removed[src] = true
+		r.totals.TotalRemovals++
+		r.totals.TotalDenied++
+		return Deny
+	}
+	r.sets[src][bit] = true
+	if r.flag > 0 && !r.flagged[src] && len(r.sets[src]) >= r.flag {
+		r.flagged[src] = true
+		r.totals.TotalFlags++
+		return AllowAndCheck
+	}
+	return Allow
+}
+
+// fail is ObserveFailure: Deny exactly when this failure removes src.
+func (r *refSketch) fail(src, dst uint32, t time.Time) Decision {
+	if r.cfg.FailureM == 0 {
+		return Allow
+	}
+	r.roll(t)
+	r.totals.TotalFailures++
+	r.track(src)
+	bit := uint32(sketchHash(src, dst, sketchFailureSalt)) % uint32(r.cfg.FailureBits)
+	switch {
+	case r.removed[src], r.fails[src][bit]:
+		return Allow
+	case len(r.fails[src]) >= r.failDeny:
+		r.removed[src] = true
+		r.totals.TotalRemovals++
+		r.totals.FailureRemovals++
+		return Deny
+	}
+	if r.fails[src] == nil {
+		r.fails[src] = map[uint32]bool{}
+	}
+	r.fails[src][bit] = true
+	return Allow
+}
+
+// model is a sequential reference: refLimiter for the exact backend,
+// refSketch for the sketch.
+type model interface {
+	observe(src, dst uint32, t time.Time) Decision
+	reinstate(src uint32) bool
+	alert(src uint32, t time.Time)
+	state(src uint32) (removed bool, n, fails int)
+	stats() Stats
+	cycleIndex() uint64
+}
+
+// testBackends are the backends the striped-limiter tests run on.
+var testBackends = []string{"exact", "sketch"}
+
+// newBackend returns a limiter of the named backend for cfg, starting
+// at t0; the sketch's has a failure threshold too.
+func newBackend(t testing.TB, backend string, cfg LimiterConfig) Backend {
+	t.Helper()
+	var l Backend
+	var err error
+	if backend == "sketch" {
+		l, err = NewSketchLimiter(SketchConfig{LimiterConfig: cfg, FailureM: 3}, t0)
+	} else {
+		l, err = NewLimiter(cfg, t0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// newModel returns the reference for newBackend(backend, cfg).
+func newModel(backend string, cfg LimiterConfig) model {
+	if backend == "sketch" {
+		return newRefSketch(SketchConfig{LimiterConfig: cfg, FailureM: 3}, t0)
+	}
+	return newRefLimiter(cfg, t0)
+}
+
+// liveState is model.state read from a limiter: the sketch's set sizes
+// are its set contact and failure bits.
+func liveState(l Backend, src uint32) (removed bool, n, fails int) {
+	switch l := l.(type) {
+	case *Limiter:
+		return l.Removed(src), l.DistinctCount(src), 0
+	case *SketchLimiter:
+		n, fails = l.bitsSet(src)
+		return l.Removed(src), n, fails
+	}
+	panic("unknown backend")
 }
 
 // topCounts is the reference's TopCounts(n) for n past the host count.
@@ -132,6 +268,8 @@ func (s Stats) plus(o Stats) Stats {
 	s.TotalRemovals += o.TotalRemovals
 	s.TotalFlags += o.TotalFlags
 	s.TotalDenied += o.TotalDenied
+	s.TotalFailures += o.TotalFailures
+	s.FailureRemovals += o.FailureRemovals
 	return s
 }
 
@@ -158,38 +296,59 @@ func hashSuccessor(src uint32) uint32 {
 	return src + inv
 }
 
-// TestStripeLayout pins what the layout is for. A stripe's fields take
-// 152 bytes (mutex 8, four counters 32, host table 112) at a stride of
-// 256, so the fields of two stripes are 104 bytes apart — more than a
-// cache line at any alignment. A host slot is one line and holds no
-// pointer, so the collector skips the table. The hash spreads sequential
-// addresses over every stripe, and within a stripe over the table.
+// TestStripeLayout pins what the layout is for, in both backends. A
+// stripe's fields take 168 bytes (mutex 8, four counters 32, host table
+// 128) at a stride of 256, so the fields of two stripes are 88 bytes
+// apart — more than a cache line at any alignment. An exact host slot
+// is one line, a sketch slot a quarter of one, and neither holds a
+// pointer, so the collector skips the tables. The hash spreads
+// sequential addresses over every stripe, and within a stripe over the
+// table.
 func TestStripeLayout(t *testing.T) {
-	var s stripe
-	if size, fields := unsafe.Sizeof(s), unsafe.Offsetof(s.hosts)+unsafe.Sizeof(s.hosts); size != 256 || size-fields < 64 {
-		t.Errorf("stripe is %d bytes with %d of fields: want a 256-byte stride whose neighbours cannot share a cache line", size, fields)
-	}
-	if hot := unsafe.Offsetof(s.hosts) + unsafe.Offsetof(s.hosts.shift) + 1; hot > 72 {
-		t.Errorf("the fields every decision reads end at byte %d of the stripe, want within 72", hot)
+	var ex stripe[hostTable]
+	var sk stripe[sketchTable]
+	for _, s := range []struct {
+		name              string
+		size, fields, hot uintptr
+	}{
+		{"exact", unsafe.Sizeof(ex), unsafe.Offsetof(ex.hosts) + unsafe.Sizeof(ex.hosts), unsafe.Offsetof(ex.hosts) + unsafe.Offsetof(ex.hosts.shift) + 1},
+		{"sketch", unsafe.Sizeof(sk), unsafe.Offsetof(sk.hosts) + unsafe.Sizeof(sk.hosts), unsafe.Offsetof(sk.hosts) + unsafe.Offsetof(sk.hosts.shift) + 1},
+	} {
+		if s.size != 256 || s.size-s.fields < 64 {
+			t.Errorf("%s stripe is %d bytes with %d of fields: want a 256-byte stride whose neighbours cannot share a cache line", s.name, s.size, s.fields)
+		}
+		if s.hot > 72 {
+			t.Errorf("%s: the fields every decision reads end at byte %d of the stripe, want within 72", s.name, s.hot)
+		}
 	}
 	var h hostSlot
 	if size := unsafe.Sizeof(h); size != 64 {
 		t.Errorf("hostSlot is %d bytes, want one 64-byte cache line", size)
 	}
-	if got := (unsafe.Sizeof(h) - unsafe.Offsetof(h.dsts)) / 4; got != inlineDsts {
+	if got := (unsafe.Sizeof(h) - unsafe.Offsetof(h.rec) - unsafe.Offsetof(h.rec.dsts)) / 4; got != inlineDsts {
 		t.Errorf("inlineDsts = %d, but %d destinations fill the line", inlineDsts, got)
 	}
-	for i, typ := 0, reflect.TypeOf(h); i < typ.NumField(); i++ {
-		switch k := typ.Field(i).Type.Kind(); k {
-		case reflect.Uint8, reflect.Uint32:
-		case reflect.Array:
-			if typ.Field(i).Type.Elem().Kind() != reflect.Uint32 {
-				t.Errorf("hostSlot.%s: array of %v", typ.Field(i).Name, typ.Field(i).Type.Elem())
+	if size := unsafe.Sizeof(sketchSlot{}); size != 16 {
+		t.Errorf("sketchSlot is %d bytes, want 16: four to a cache line", size)
+	}
+	var pointerFree func(typ reflect.Type)
+	pointerFree = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Uint8, reflect.Uint16, reflect.Uint32:
+			case reflect.Struct:
+				pointerFree(f.Type)
+			case reflect.Array:
+				if f.Type.Elem().Kind() != reflect.Uint32 {
+					t.Errorf("%v.%s: array of %v", typ, f.Name, f.Type.Elem())
+				}
+			default:
+				t.Errorf("%v.%s is a %v: slots must stay pointer-free", typ, f.Name, f.Type.Kind())
 			}
-		default:
-			t.Errorf("hostSlot.%s is a %v: slots must stay pointer-free", typ.Field(i).Name, k)
 		}
 	}
+	pointerFree(reflect.TypeOf(h))
+	pointerFree(reflect.TypeOf(sketchSlot{}))
 
 	var hit [stripeCount]int
 	for src := uint32(0); src < 64*stripeCount; src++ {
@@ -245,16 +404,7 @@ func TestShardedSemanticsMatchSingle(t *testing.T) {
 	// Home slot = the table's last, at every length up to 1<<10: the
 	// probe chain wraps to slot 0 and holds every host of the case.
 	oneSlot := sourcesWithHashPrefix(40, stripeBits+10, 37<<10|1<<10-1)
-	edgeDsts := []uint32{0, 1<<32 - 1}
-	cases := []struct {
-		name    string
-		cfg     LimiterConfig
-		srcs    []uint32
-		dsts    uint64 // destinations are drawn below this, plus edgeDsts
-		steps   int
-		rolls   bool
-		oneHome bool
-	}{
+	cases := []semanticsCase{
 		// Source 0 included; 11 hosts a stripe, tables grow 4 → 16.
 		{name: "many sources", cfg: LimiterConfig{M: 4, Cycle: time.Hour, CheckFraction: 0.5},
 			srcs: sequential(700), dsts: 7, steps: 20000, rolls: true},
@@ -278,84 +428,122 @@ func TestShardedSemanticsMatchSingle(t *testing.T) {
 			srcs: oneSlot[:12], dsts: 400, steps: 30000, oneHome: true},
 	}
 	for _, tc := range cases {
-		for _, seed := range []uint64{1, 7, 1905} {
-			cfg := tc.cfg
-			l := newTestLimiter(t, cfg)
-			ref := newRefLimiter(cfg, t0)
-			r := rng.NewPCG64(seed, 46)
-			at := t0
-			for step := 0; step < tc.steps; step++ {
-				// Mostly seconds apart; now and then a jump past one or
-				// several cycle boundaries.
-				at = at.Add(time.Duration(r.Uint64()%3000) * time.Millisecond)
-				if tc.rolls && r.Uint64()%4000 == 0 {
-					at = at.Add(time.Duration(1+r.Uint64()%3) * cfg.Cycle)
-				}
-				src := tc.srcs[r.Uint64()%uint64(len(tc.srcs))]
-				dst := uint32(r.Uint64() % tc.dsts)
-				if int(dst) < len(edgeDsts) {
-					dst = edgeDsts[dst]
-				}
-				if got, want := l.Observe(src, dst, at), ref.observe(src, dst, at); got != want {
-					t.Fatalf("%s seed %d step %d: Observe(%d, %d) = %v, reference %v", tc.name, seed, step, src, dst, got, want)
-				}
-				if r.Uint64()%16 == 0 {
-					if got, want := l.Reinstate(src), ref.reinstate(src); got != want {
-						t.Fatalf("%s seed %d step %d: Reinstate(%d) = %v, reference %v", tc.name, seed, step, src, got, want)
-					}
-				}
-				if r.Uint64()%256 == 0 {
-					// A tracked source or, as often, its never-seen neighbour
-					// in the hash order: same stripe, same probe chain.
-					victim := src
-					if r.Uint64()%2 == 0 {
-						victim = hashSuccessor(src)
-					}
-					if !l.ApplyAlert(Alert{Origin: seed, Seq: uint64(step), Src: victim, UnixMs: at.UnixMilli()}) {
-						t.Fatalf("%s seed %d step %d: fresh alert turned away", tc.name, seed, step)
-					}
-					ref.alert(victim, at)
-					if !l.Removed(victim) {
-						t.Fatalf("%s seed %d step %d: alerted source %d not removed", tc.name, seed, step, victim)
-					}
-				}
-				if got, want := l.Removed(src), ref.removed[src]; got != want {
-					t.Fatalf("%s seed %d step %d: Removed(%d) = %v, reference %v", tc.name, seed, step, src, got, want)
-				}
-				if got, want := l.DistinctCount(src), len(ref.sets[src]); got != want {
-					t.Fatalf("%s seed %d step %d: DistinctCount(%d) = %d, reference %d", tc.name, seed, step, src, got, want)
-				}
-				if step == tc.steps/3 || step == 2*tc.steps/3 {
-					state := mustMarshal(t, l)
-					restored, err := RestoreLimiter(state)
-					if err != nil {
-						t.Fatalf("%s seed %d step %d: restore: %v", tc.name, seed, step, err)
-					}
-					if !bytes.Equal(mustMarshal(t, restored), state) {
-						t.Fatalf("%s seed %d step %d: restore → marshal changed the snapshot", tc.name, seed, step)
-					}
-					l = restored
-				}
-			}
-			if got, want := l.CycleIndex(), ref.cycle; got != want || tc.rolls && want == 0 {
-				t.Errorf("%s seed %d: cycle index %d, reference %d (want > 0 when rolling)", tc.name, seed, got, want)
-			}
-			if got, want := l.Snapshot(), ref.stats(); got != want {
-				t.Errorf("%s seed %d: stats diverge:\n got %+v\nwant %+v", tc.name, seed, got, want)
-			}
-			if got, want := l.topCounts(1<<30), ref.topCounts(); !slices.Equal(got, want) {
-				t.Errorf("%s seed %d: TopCounts diverge:\n got %v\nwant %v", tc.name, seed, got, want)
-			}
-			if tc.oneHome {
-				tab := &l.stripeOf(tc.srcs[0]).hosts
-				for _, src := range tc.srcs {
-					if h := tab.find(src); h == nil || SourceHash(src)<<stripeBits>>tab.shift != uint32(len(tab.slots)-1) {
-						t.Fatalf("%s: source %d is not homed at the last slot of stripe %d's table", tc.name, src, stripeIndex(tc.srcs[0]))
-					}
-				}
+		for _, backend := range testBackends {
+			for _, seed := range []uint64{1, 7, 1905} {
+				tc.run(t, backend, seed)
 			}
 		}
 	}
+}
+
+type semanticsCase struct {
+	name    string
+	cfg     LimiterConfig
+	srcs    []uint32
+	dsts    uint64 // destinations are drawn below this, plus 0 and 2³²−1
+	steps   int
+	rolls   bool
+	oneHome bool
+}
+
+// run runs the case on one backend; the sketch's failures are one more
+// input, drawn only on it.
+func (tc semanticsCase) run(t *testing.T, backend string, seed uint64) {
+	edgeDsts := []uint32{0, 1<<32 - 1}
+	name, cfg, srcs, steps := tc.name+"/"+backend, tc.cfg, tc.srcs, tc.steps
+	l, ref := newBackend(t, backend, cfg), newModel(backend, cfg)
+	r := rng.NewPCG64(seed, 46)
+	at := t0
+	for step := 0; step < steps; step++ {
+		// Mostly seconds apart; now and then a jump past one or
+		// several cycle boundaries.
+		at = at.Add(time.Duration(r.Uint64()%3000) * time.Millisecond)
+		if tc.rolls && r.Uint64()%4000 == 0 {
+			at = at.Add(time.Duration(1+r.Uint64()%3) * cfg.Cycle)
+		}
+		src := srcs[r.Uint64()%uint64(len(srcs))]
+		dst := uint32(r.Uint64() % tc.dsts)
+		if int(dst) < len(edgeDsts) {
+			dst = edgeDsts[dst]
+		}
+		if got, want := l.Observe(src, dst, at), ref.observe(src, dst, at); got != want {
+			t.Fatalf("%s seed %d step %d: Observe(%d, %d) = %v, reference %v", name, seed, step, src, dst, got, want)
+		}
+		if fo, ok := l.(FailureObserver); ok && r.Uint64()%8 == 0 {
+			if got, want := fo.ObserveFailure(src, dst, at), ref.(*refSketch).fail(src, dst, at); got != want {
+				t.Fatalf("%s seed %d step %d: ObserveFailure(%d, %d) = %v, reference %v", name, seed, step, src, dst, got, want)
+			}
+		}
+		if r.Uint64()%16 == 0 {
+			if got, want := l.Reinstate(src), ref.reinstate(src); got != want {
+				t.Fatalf("%s seed %d step %d: Reinstate(%d) = %v, reference %v", name, seed, step, src, got, want)
+			}
+		}
+		if r.Uint64()%256 == 0 {
+			// A tracked source or, as often, its never-seen neighbour
+			// in the hash order: same stripe, same probe chain.
+			victim := src
+			if r.Uint64()%2 == 0 {
+				victim = hashSuccessor(src)
+			}
+			if !l.ApplyAlert(Alert{Origin: seed, Seq: uint64(step), Src: victim, UnixMs: at.UnixMilli()}) {
+				t.Fatalf("%s seed %d step %d: fresh alert turned away", name, seed, step)
+			}
+			ref.alert(victim, at)
+			if !l.Removed(victim) {
+				t.Fatalf("%s seed %d step %d: alerted source %d not removed", name, seed, step, victim)
+			}
+		}
+		gotRemoved, gotN, gotFails := liveState(l, src)
+		if wantRemoved, wantN, wantFails := ref.state(src); gotRemoved != wantRemoved || gotN != wantN || gotFails != wantFails {
+			t.Fatalf("%s seed %d step %d: source %d removed %v with sets of %d and %d, reference %v, %d, %d",
+				name, seed, step, src, gotRemoved, gotN, gotFails, wantRemoved, wantN, wantFails)
+		}
+		if step == steps/3 || step == 2*steps/3 {
+			state := mustMarshal(t, l)
+			restored, err := RestoreAnyLimiter(state)
+			if err != nil {
+				t.Fatalf("%s seed %d step %d: restore: %v", name, seed, step, err)
+			}
+			if !bytes.Equal(mustMarshal(t, restored), state) {
+				t.Fatalf("%s seed %d step %d: restore → marshal changed the snapshot", name, seed, step)
+			}
+			l = restored
+		}
+	}
+	if got, want := l.CycleIndex(), ref.cycleIndex(); got != want || tc.rolls && want == 0 {
+		t.Errorf("%s seed %d: cycle index %d, reference %d (want > 0 when rolling)", name, seed, got, want)
+	}
+	if got, want := l.Snapshot(), ref.stats(); got != want {
+		t.Errorf("%s seed %d: stats diverge:\n got %+v\nwant %+v", name, seed, got, want)
+	}
+	if ex, ok := l.(*Limiter); ok {
+		if got, want := ex.topCounts(1<<30), ref.(*refLimiter).topCounts(); !slices.Equal(got, want) {
+			t.Errorf("%s seed %d: TopCounts diverge:\n got %v\nwant %v", name, seed, got, want)
+		}
+	}
+	if tc.oneHome {
+		for _, src := range srcs {
+			if !homedLast(l, src) {
+				t.Fatalf("%s: source %d is not homed at the last slot of stripe %d's table", name, src, stripeIndex(srcs[0]))
+			}
+		}
+	}
+}
+
+// homedLast reports whether src is tracked and its home is the last slot
+// of its stripe's table.
+func homedLast(l Backend, src uint32) bool {
+	home := func(shift uint8) uint32 { return SourceHash(src) << stripeBits >> shift }
+	switch l := l.(type) {
+	case *Limiter:
+		tab := &l.stripeOf(src).hosts
+		return tab.find(src) != nil && home(tab.shift) == uint32(len(tab.slots)-1)
+	case *SketchLimiter:
+		tab := &l.stripeOf(src).hosts
+		return tab.find(src) != nil && home(tab.shift) == uint32(len(tab.slots)-1)
+	}
+	return false
 }
 
 // TestSpillBoundary walks one host across the inline capacity by hand:
@@ -388,16 +576,16 @@ func TestSpillBoundary(t *testing.T) {
 		}
 	}
 	fill(src, inlineDsts)
-	if h := tab.find(src); h.spill != 0 || int(h.n) != inlineDsts {
+	if h := tab.find(src); h.rec.spill != 0 || int(h.rec.n) != inlineDsts {
 		t.Fatalf("%d destinations: slot %+v, want them inline", inlineDsts, *h)
 	}
 	fill(src, inlineDsts+1)
-	if h := tab.find(src); h.spill != 1 || len(tab.spilled) != 1 {
+	if h := tab.find(src); h.rec.spill != 1 || len(tab.spilled) != 1 {
 		t.Fatalf("%d destinations: slot %+v with %d spilled sets, want the first spilled set", inlineDsts+1, *h, len(tab.spilled))
 	}
 	fill(src, 40) // the set grows twice
 	fill(other, inlineDsts+1)
-	if h := tab.find(other); h.spill != 2 {
+	if h := tab.find(other); h.rec.spill != 2 {
 		t.Fatalf("second spilled host: slot %+v, want spilled set 2", *h)
 	}
 
@@ -407,14 +595,14 @@ func TestSpillBoundary(t *testing.T) {
 	if !l.Reinstate(src) {
 		t.Fatal("reinstate failed")
 	}
-	if h := tab.find(src); h.spill != 0 || h.n != 0 || tab.spilled[0].keys != nil || len(tab.free) != 1 {
+	if h := tab.find(src); h.rec.spill != 0 || h.rec.n != 0 || tab.spilled[0].keys != nil || len(tab.free) != 1 {
 		t.Fatalf("after reinstate: slot %+v, %d free sets", *h, len(tab.free))
 	}
 	if got := l.Snapshot(); got.ActiveHosts != 2 || got.RemovedHosts != 0 || tab.dsts != inlineDsts+1 {
 		t.Fatalf("after reinstate: %+v, %d destinations in the stripe", got, tab.dsts)
 	}
 	fill(src, inlineDsts+2)
-	if h := tab.find(src); h.spill != 1 || len(tab.spilled) != 2 || len(tab.free) != 0 {
+	if h := tab.find(src); h.rec.spill != 1 || len(tab.spilled) != 2 || len(tab.free) != 0 {
 		t.Fatalf("second spill: slot %+v, %d sets, %d free: want set 1 reused", *h, len(tab.spilled), len(tab.free))
 	}
 	if got := l.DistinctCount(other); got != inlineDsts+1 {
@@ -459,65 +647,77 @@ func TestFlagThreshold(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentThroughput drives the limiter from 8 goroutines
+// TestShardedConcurrentThroughput drives each backend from 8 goroutines
 // on disjoint sources. A source's verdicts depend on its own
 // observations alone, so each goroutine checks every verdict against a
 // reference of its own, and the totals must add up.
 func TestShardedConcurrentThroughput(t *testing.T) {
 	cfg := LimiterConfig{M: 6, Cycle: time.Hour, CheckFraction: 0.5}
-	l := newTestLimiter(t, cfg)
-	const workers = 8
-	refs := make([]*refLimiter, workers)
-	var wg sync.WaitGroup
-	for w := range refs {
-		refs[w] = newRefLimiter(cfg, t0)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rng.NewPCG64(uint64(w), 47)
-			for i := 0; i < 5000; i++ {
-				src := uint32(w*100000) + uint32(r.Uint64()%100)
-				dst := uint32(r.Uint64() % 9)
-				if got, want := l.Observe(src, dst, t0), refs[w].observe(src, dst, t0); got != want {
-					t.Errorf("worker %d step %d: Observe(%d, %d) = %v, reference %v", w, i, src, dst, got, want)
-					return
+	for _, backend := range testBackends {
+		l := newBackend(t, backend, cfg)
+		const workers = 8
+		refs := make([]model, workers)
+		var wg sync.WaitGroup
+		for w := range refs {
+			refs[w] = newModel(backend, cfg)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				r := rng.NewPCG64(uint64(w), 47)
+				for i := 0; i < 5000; i++ {
+					src := uint32(w*100000) + uint32(r.Uint64()%100)
+					dst := uint32(r.Uint64() % 9)
+					if got, want := l.Observe(src, dst, t0), refs[w].observe(src, dst, t0); got != want {
+						t.Errorf("%s worker %d step %d: Observe(%d, %d) = %v, reference %v", backend, w, i, src, dst, got, want)
+						return
+					}
+					if fo, ok := l.(FailureObserver); ok && i%8 == 0 && fo.ObserveFailure(src, dst, t0) != refs[w].(*refSketch).fail(src, dst, t0) {
+						t.Errorf("%s worker %d step %d: ObserveFailure(%d, %d) disagrees with the reference", backend, w, i, src, dst)
+						return
+					}
+					if i%64 == 0 && l.Reinstate(src) != refs[w].reinstate(src) {
+						t.Errorf("%s worker %d step %d: Reinstate(%d) disagrees with the reference", backend, w, i, src)
+						return
+					}
 				}
-				if i%64 == 0 && l.Reinstate(src) != refs[w].reinstate(src) {
-					t.Errorf("worker %d step %d: Reinstate(%d) disagrees with the reference", w, i, src)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var want Stats
-	for _, ref := range refs {
-		want = want.plus(ref.stats())
-	}
-	if got := l.Snapshot(); got != want {
-		t.Errorf("stats diverge:\n got %+v\nwant %+v", got, want)
-	}
-	if want.ActiveHosts != workers*100 || want.RemovedHosts == 0 {
-		t.Errorf("workload too thin: %+v", want)
+			}(w)
+		}
+		wg.Wait()
+		var want Stats
+		for _, ref := range refs {
+			want = want.plus(ref.stats())
+		}
+		if got := l.Snapshot(); got != want {
+			t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", backend, got, want)
+		}
+		if want.ActiveHosts != workers*100 || want.RemovedHosts == 0 {
+			t.Errorf("%s: workload too thin: %+v", backend, want)
+		}
 	}
 }
 
-// TestConcurrentTableGrowth: eight goroutines start tracking thousands
-// of hosts each — every stripe's table doubles many times under them —
-// while they revisit the hosts they already have, a ninth applies alerts
-// on sources nobody has seen (inserts with the world stopped) and a
-// tenth cuts snapshots and statistics (walks of every table). Each
-// goroutine checks every verdict against a reference of its own; the
-// totals must add up and the last snapshot must restore to the same
-// bytes.
+// TestConcurrentTableGrowth: on each backend, eight goroutines start
+// tracking thousands of hosts each — every stripe's table doubles many
+// times under them — while they revisit the hosts they already have, a
+// ninth applies alerts on sources nobody has seen (inserts with the
+// world stopped) and a tenth cuts snapshots and statistics (walks of
+// every table). Each goroutine checks every verdict against a reference
+// of its own; the totals must add up and the last snapshot must restore
+// to the same bytes.
 func TestConcurrentTableGrowth(t *testing.T) {
+	for _, backend := range testBackends {
+		concurrentTableGrowth(t, backend)
+	}
+}
+
+func concurrentTableGrowth(t *testing.T, backend string) {
 	cfg := LimiterConfig{M: inlineDsts + 3, Cycle: time.Hour, CheckFraction: 0.5}
-	l := newTestLimiter(t, cfg)
+	l := newBackend(t, backend, cfg)
 	const workers, hostsEach, alerts = 8, 3000, 200
-	refs := make([]*refLimiter, workers+1)
+	refs := make([]model, workers+1)
 	var work, walker sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		refs[w] = newRefLimiter(cfg, t0)
+		refs[w] = newModel(backend, cfg)
 		work.Add(1)
 		go func(w int) {
 			defer work.Done()
@@ -530,13 +730,17 @@ func TestConcurrentTableGrowth(t *testing.T) {
 				}
 				src, dst := uint32(w)<<24|host, uint32(r.Uint64()%(2*inlineDsts))
 				if got, want := l.Observe(src, dst, t0), refs[w].observe(src, dst, t0); got != want {
-					t.Errorf("worker %d step %d: Observe(%d, %d) = %v, reference %v", w, i, src, dst, got, want)
+					t.Errorf("%s worker %d step %d: Observe(%d, %d) = %v, reference %v", backend, w, i, src, dst, got, want)
+					return
+				}
+				if fo, ok := l.(FailureObserver); ok && i%8 == 0 && fo.ObserveFailure(src, dst, t0) != refs[w].(*refSketch).fail(src, dst, t0) {
+					t.Errorf("%s worker %d step %d: ObserveFailure(%d, %d) disagrees with the reference", backend, w, i, src, dst)
 					return
 				}
 			}
 		}(w)
 	}
-	refs[workers] = newRefLimiter(cfg, t0)
+	refs[workers] = newModel(backend, cfg)
 	work.Add(1)
 	go func() {
 		defer work.Done()
@@ -557,13 +761,21 @@ func TestConcurrentTableGrowth(t *testing.T) {
 			default:
 			}
 			st := l.Snapshot()
-			if top := l.topCounts(3); len(top) > 0 && top[0] > cfg.M {
-				t.Errorf("TopCounts %v past M=%d", top, cfg.M)
-				return
+			switch l := l.(type) {
+			case *Limiter:
+				if top := l.topCounts(3); len(top) > 0 && top[0] > cfg.M {
+					t.Errorf("TopCounts %v past M=%d", top, cfg.M)
+					return
+				}
+			case *SketchLimiter:
+				if m := l.Memory(); m.TrackedHosts < st.ActiveHosts || m.RegisterBytes < m.TrackedHosts*m.BytesPerHost {
+					t.Errorf("sketch memory %+v after statistics saw %d hosts", m, st.ActiveHosts)
+					return
+				}
 			}
 			hdr, err := ReadSnapshotHeader(mustMarshal(t, l))
 			if err != nil || hdr.Hosts < st.ActiveHosts {
-				t.Errorf("snapshot of %d hosts (%v) cut after statistics saw %d", hdr.Hosts, err, st.ActiveHosts)
+				t.Errorf("%s: snapshot of %d hosts (%v) cut after statistics saw %d", backend, hdr.Hosts, err, st.ActiveHosts)
 				return
 			}
 		}
@@ -578,17 +790,17 @@ func TestConcurrentTableGrowth(t *testing.T) {
 	}
 	want.TotalAlerts, want.AlertRemovals = alerts, alerts
 	if got := l.Snapshot(); got != want {
-		t.Errorf("stats diverge:\n got %+v\nwant %+v", got, want)
+		t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", backend, got, want)
 	}
 	if want.ActiveHosts != workers*hostsEach+alerts || want.RemovedHosts <= alerts {
-		t.Errorf("workload too thin: %+v", want)
+		t.Errorf("%s: workload too thin: %+v", backend, want)
 	}
 	state := mustMarshal(t, l)
-	restored, err := RestoreLimiter(state)
+	restored, err := RestoreAnyLimiter(state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mustMarshal(t, restored), state) {
-		t.Error("restore → marshal changed the snapshot")
+		t.Errorf("%s: restore → marshal changed the snapshot", backend)
 	}
 }

@@ -81,7 +81,7 @@ type lane struct {
 // with Sync/WriteSnapshot/Close here.
 //
 // Locking: the Record methods run with the limiter locked (the source's
-// stripe, every stripe, or the sketch's mutex) and take only the
+// stripe or every stripe, in either backend) and take only the
 // source's lane for an in-memory append — no I/O and no shared lock on
 // the decision path. ioMu serializes flushes, snapshots and rotation and
 // is outermost; under it Sync takes every lane (index order), and a
