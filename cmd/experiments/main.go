@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"wormcontain/internal/experiments"
-	"wormcontain/internal/plot"
 )
 
 func main() {
@@ -89,11 +88,7 @@ func run(args []string) error {
 		switch {
 		case *asPlot:
 			fmt.Print(r.Summary())
-			series := make([]plot.Series, len(r.Series))
-			for i, s := range r.Series {
-				series[i] = plot.Series{Label: s.Label, X: s.X, Y: s.Y}
-			}
-			fmt.Print(plot.Render(plot.Config{Title: r.Title}, series...))
+			fmt.Print(renderPlot(r.Title, r.Series))
 		case *summary:
 			fmt.Print(r.Summary())
 		default:

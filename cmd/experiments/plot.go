@@ -1,61 +1,29 @@
-// Package plot renders data series as deterministic ASCII charts, so
-// cmd/experiments can draw the paper's figures directly in a terminal —
-// the closest a stdlib-only reproduction gets to regenerating the plots
-// themselves. Rendering is pure string construction: same series, same
-// bytes.
-package plot
+package main
 
 import (
 	"fmt"
 	"math"
 	"strings"
-)
 
-// Series is one labelled curve.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
+	"wormcontain/internal/experiments"
+)
 
 // markers assigns one glyph per series, cycling if there are more
 // series than glyphs.
 var markers = []byte{'*', '+', 'o', 'x', '#', '@'}
 
-// Config controls the canvas.
-type Config struct {
-	// Width and Height are the plot area size in characters (default
-	// 72x20).
-	Width, Height int
-	// Title is printed above the canvas.
-	Title string
-	// XLabel and YLabel annotate the axes.
-	XLabel, YLabel string
-}
+// The canvas is plotWidth × plotHeight characters.
+const (
+	plotWidth  = 72
+	plotHeight = 20
+)
 
-// normalize fills defaults.
-func (c Config) normalize() Config {
-	if c.Width <= 0 {
-		c.Width = 72
-	}
-	if c.Height <= 0 {
-		c.Height = 20
-	}
-	if c.Width < 8 {
-		c.Width = 8
-	}
-	if c.Height < 4 {
-		c.Height = 4
-	}
-	return c
-}
-
-// Render draws the series onto one canvas with shared axes. Series with
-// no finite points are skipped. An empty input produces an empty-plot
+// renderPlot draws the series as one ASCII chart with shared axes,
+// under title, so -plot shows the paper's figures in a terminal. It is
+// pure string construction: same series, same bytes. Series with no
+// finite points are skipped. An empty input produces an empty-plot
 // message rather than an error: rendering is best-effort display code.
-func Render(cfg Config, series ...Series) string {
-	cfg = cfg.normalize()
-
+func renderPlot(title string, series []experiments.Series) string {
 	// Find the data range over finite points.
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
@@ -85,9 +53,9 @@ func Render(cfg Config, series ...Series) string {
 	}
 
 	// Paint the canvas.
-	canvas := make([][]byte, cfg.Height)
+	canvas := make([][]byte, plotHeight)
 	for r := range canvas {
-		canvas[r] = []byte(strings.Repeat(" ", cfg.Width))
+		canvas[r] = []byte(strings.Repeat(" ", plotWidth))
 	}
 	for si, s := range series {
 		marker := markers[si%len(markers)]
@@ -99,8 +67,8 @@ func Render(cfg Config, series ...Series) string {
 			if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 				continue
 			}
-			col := int(math.Round((x - minX) / (maxX - minX) * float64(cfg.Width-1)))
-			row := cfg.Height - 1 - int(math.Round((y-minY)/(maxY-minY)*float64(cfg.Height-1)))
+			col := int(math.Round((x - minX) / (maxX - minX) * float64(plotWidth-1)))
+			row := plotHeight - 1 - int(math.Round((y-minY)/(maxY-minY)*float64(plotHeight-1)))
 			canvas[row][col] = marker
 		}
 	}
@@ -108,8 +76,8 @@ func Render(cfg Config, series ...Series) string {
 	// Assemble: title, y-axis labels on first/last rows, frame, x range,
 	// legend.
 	var b strings.Builder
-	if cfg.Title != "" {
-		fmt.Fprintf(&b, "%s\n", cfg.Title)
+	if title != "" {
+		fmt.Fprintf(&b, "%s\n", title)
 	}
 	yTop := fmt.Sprintf("%.4g", maxY)
 	yBot := fmt.Sprintf("%.4g", minY)
@@ -122,23 +90,20 @@ func Render(cfg Config, series ...Series) string {
 		switch r {
 		case 0:
 			label = fmt.Sprintf("%*s", gutter, yTop)
-		case cfg.Height - 1:
+		case plotHeight - 1:
 			label = fmt.Sprintf("%*s", gutter, yBot)
 		}
 		fmt.Fprintf(&b, "%s |%s\n", label, string(rowBytes))
 	}
-	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", gutter), strings.Repeat("-", cfg.Width))
+	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", gutter), strings.Repeat("-", plotWidth))
 	xLeft := fmt.Sprintf("%.4g", minX)
 	xRight := fmt.Sprintf("%.4g", maxX)
-	pad := cfg.Width - len(xLeft) - len(xRight)
+	pad := plotWidth - len(xLeft) - len(xRight)
 	if pad < 1 {
 		pad = 1
 	}
 	fmt.Fprintf(&b, "%s  %s%s%s\n", strings.Repeat(" ", gutter), xLeft,
 		strings.Repeat(" ", pad), xRight)
-	if cfg.XLabel != "" || cfg.YLabel != "" {
-		fmt.Fprintf(&b, "x: %s   y: %s\n", cfg.XLabel, cfg.YLabel)
-	}
 	for si, s := range series {
 		fmt.Fprintf(&b, "  %c %s\n", markers[si%len(markers)], s.Label)
 	}

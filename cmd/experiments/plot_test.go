@@ -1,42 +1,41 @@
-package plot
+package main
 
 import (
 	"math"
 	"strings"
 	"testing"
+
+	"wormcontain/internal/experiments"
 )
 
 func TestRenderEmpty(t *testing.T) {
-	out := Render(Config{})
+	out := renderPlot("", nil)
 	if !strings.Contains(out, "empty plot") {
 		t.Errorf("output = %q", out)
 	}
 	// All-NaN series also counts as empty.
-	out = Render(Config{}, Series{Label: "nan", X: []float64{math.NaN()}, Y: []float64{1}})
+	out = renderPlot("", []experiments.Series{{Label: "nan", X: []float64{math.NaN()}, Y: []float64{1}}})
 	if !strings.Contains(out, "empty plot") {
 		t.Errorf("output = %q", out)
 	}
 }
 
 func TestRenderBasicShape(t *testing.T) {
-	s := Series{
+	s := experiments.Series{
 		Label: "line",
 		X:     []float64{0, 1, 2, 3},
 		Y:     []float64{0, 1, 2, 3},
 	}
-	out := Render(Config{Width: 20, Height: 10, Title: "diag", XLabel: "t", YLabel: "v"}, s)
+	out := renderPlot("diag", []experiments.Series{s})
 	if !strings.Contains(out, "diag") {
 		t.Error("title missing")
-	}
-	if !strings.Contains(out, "x: t   y: v") {
-		t.Error("axis labels missing")
 	}
 	if !strings.Contains(out, "* line") {
 		t.Error("legend missing")
 	}
 	lines := strings.Split(out, "\n")
-	// Title + 10 canvas rows + frame + x-range + labels + legend.
-	if len(lines) < 14 {
+	// Title + canvas rows + frame + x-range + legend.
+	if len(lines) < plotHeight+4 {
 		t.Fatalf("too few lines: %d\n%s", len(lines), out)
 	}
 	// Increasing series: the marker must appear in the top row (max)
@@ -44,8 +43,8 @@ func TestRenderBasicShape(t *testing.T) {
 	if !strings.Contains(lines[1], "*") {
 		t.Errorf("no point in top row: %q", lines[1])
 	}
-	if !strings.Contains(lines[10], "*") {
-		t.Errorf("no point in bottom row: %q", lines[10])
+	if !strings.Contains(lines[plotHeight], "*") {
+		t.Errorf("no point in bottom row: %q", lines[plotHeight])
 	}
 	// Axis extremes rendered.
 	if !strings.Contains(out, "3") || !strings.Contains(out, "0") {
@@ -54,18 +53,19 @@ func TestRenderBasicShape(t *testing.T) {
 }
 
 func TestRenderDeterministic(t *testing.T) {
-	s := Series{Label: "x", X: []float64{0, 5, 10}, Y: []float64{2, 8, 4}}
-	a := Render(Config{}, s)
-	b := Render(Config{}, s)
+	s := []experiments.Series{{Label: "x", X: []float64{0, 5, 10}, Y: []float64{2, 8, 4}}}
+	a := renderPlot("", s)
+	b := renderPlot("", s)
 	if a != b {
 		t.Error("render not deterministic")
 	}
 }
 
 func TestRenderMultiSeriesMarkers(t *testing.T) {
-	a := Series{Label: "a", X: []float64{0, 1}, Y: []float64{0, 1}}
-	bSeries := Series{Label: "b", X: []float64{0, 1}, Y: []float64{1, 0}}
-	out := Render(Config{Width: 10, Height: 5}, a, bSeries)
+	out := renderPlot("", []experiments.Series{
+		{Label: "a", X: []float64{0, 1}, Y: []float64{0, 1}},
+		{Label: "b", X: []float64{0, 1}, Y: []float64{1, 0}},
+	})
 	if !strings.Contains(out, "* a") || !strings.Contains(out, "+ b") {
 		t.Errorf("legend markers wrong:\n%s", out)
 	}
@@ -76,8 +76,8 @@ func TestRenderMultiSeriesMarkers(t *testing.T) {
 
 func TestRenderConstantSeries(t *testing.T) {
 	// Degenerate ranges must not divide by zero.
-	s := Series{Label: "flat", X: []float64{1, 1, 1}, Y: []float64{5, 5, 5}}
-	out := Render(Config{Width: 12, Height: 5}, s)
+	s := experiments.Series{Label: "flat", X: []float64{1, 1, 1}, Y: []float64{5, 5, 5}}
+	out := renderPlot("", []experiments.Series{s})
 	if !strings.Contains(out, "*") {
 		t.Errorf("flat series not plotted:\n%s", out)
 	}
@@ -85,17 +85,24 @@ func TestRenderConstantSeries(t *testing.T) {
 
 func TestRenderMismatchedLengths(t *testing.T) {
 	// Extra X values beyond Y are ignored, not panicking.
-	s := Series{Label: "ragged", X: []float64{0, 1, 2, 3, 4}, Y: []float64{1, 2}}
-	out := Render(Config{Width: 12, Height: 5}, s)
+	s := experiments.Series{Label: "ragged", X: []float64{0, 1, 2, 3, 4}, Y: []float64{1, 2}}
+	out := renderPlot("", []experiments.Series{s})
 	if !strings.Contains(out, "*") {
 		t.Errorf("ragged series not plotted:\n%s", out)
 	}
 }
 
+// TestRenderTinyCanvasClamped pins the canvas size: every chart is
+// plotWidth × plotHeight, however few points it shows.
 func TestRenderTinyCanvasClamped(t *testing.T) {
-	s := Series{Label: "p", X: []float64{0, 1}, Y: []float64{0, 1}}
-	out := Render(Config{Width: 1, Height: 1}, s)
-	if out == "" {
-		t.Error("empty output for tiny canvas")
+	s := experiments.Series{Label: "p", X: []float64{0, 1}, Y: []float64{0, 1}}
+	lines := strings.Split(renderPlot("", []experiments.Series{s}), "\n")
+	if len(lines) < plotHeight {
+		t.Fatalf("%d lines, want a %d-row canvas", len(lines), plotHeight)
+	}
+	for _, row := range lines[:plotHeight] {
+		if i := strings.Index(row, "|"); i < 0 || len(row)-i-1 != plotWidth {
+			t.Errorf("canvas row %q is not %d wide", row, plotWidth)
+		}
 	}
 }

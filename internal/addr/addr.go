@@ -3,7 +3,7 @@
 // addresses, and the scanning strategies worms use to pick targets —
 // uniform scanning (the paper's model), subnet-preference scanning (the
 // Section VI future-work extension, as used by Code Red II/Nimda), and
-// hit-list scanning (Staniford's "Warhol worm" accelerant).
+// routable-subset scanning.
 package addr
 
 import (

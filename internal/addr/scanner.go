@@ -62,48 +62,6 @@ func (s SubnetPreference) Next(src rng.Source, self IP) IP {
 	}
 }
 
-// hitList scans a precomputed list of likely-vulnerable addresses first
-// (Staniford et al.'s "hit-list" acceleration), then falls back to the
-// wrapped scanner once the list is exhausted. A hitList is stateful and
-// must not be shared between simulated hosts; use Clone to give each
-// host its own cursor.
-type hitList struct {
-	list     []IP
-	pos      int
-	fallback Scanner
-}
-
-var _ Scanner = (*hitList)(nil)
-
-// newHitList builds a hit-list scanner over a copy of list.
-func newHitList(list []IP, fallback Scanner) (*hitList, error) {
-	if fallback == nil {
-		return nil, fmt.Errorf("addr: hit list needs a fallback scanner")
-	}
-	cp := make([]IP, len(list))
-	copy(cp, list)
-	return &hitList{list: cp, fallback: fallback}, nil
-}
-
-// Clone returns an independent scanner sharing the (immutable) list but
-// with its own position cursor.
-func (h *hitList) Clone() *hitList {
-	return &hitList{list: h.list, fallback: h.fallback}
-}
-
-// Remaining returns how many unvisited hit-list entries are left.
-func (h *hitList) Remaining() int { return len(h.list) - h.pos }
-
-// Next consumes the hit list in order, then delegates to the fallback.
-func (h *hitList) Next(src rng.Source, self IP) IP {
-	if h.pos < len(h.list) {
-		ip := h.list[h.pos]
-		h.pos++
-		return ip
-	}
-	return h.fallback.Next(src, self)
-}
-
 // Routable scans uniformly over a fixed set of prefixes instead of the
 // whole space, modelling a worm with knowledge of the allocated
 // (BGP-routable) address blocks. Scanning only routable space multiplies

@@ -83,61 +83,6 @@ func TestSubnetPreferenceZeroIsUniform(t *testing.T) {
 	}
 }
 
-func TestHitListOrderThenFallback(t *testing.T) {
-	src := rng.NewPCG64(13, 0)
-	list := []IP{100, 200, 300}
-	h, err := newHitList(list, Uniform{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range list {
-		if h.Remaining() != len(list)-i {
-			t.Errorf("remaining = %d before draw %d", h.Remaining(), i)
-		}
-		if got := h.Next(src, 0); got != want {
-			t.Errorf("draw %d = %v, want %v", i, got, want)
-		}
-	}
-	if h.Remaining() != 0 {
-		t.Errorf("remaining = %d after exhaustion", h.Remaining())
-	}
-	// Fallback draws are uniform — just verify they do not panic and
-	// differ across calls with overwhelming probability.
-	a, b := h.Next(src, 0), h.Next(src, 0)
-	if a == b {
-		t.Logf("two uniform draws coincided (possible but ~2^-32): %v", a)
-	}
-}
-
-func TestHitListClone(t *testing.T) {
-	h, _ := newHitList([]IP{1, 2}, Uniform{})
-	src := rng.NewPCG64(14, 0)
-	h.Next(src, 0)
-	c := h.Clone()
-	if c.Remaining() != 2 {
-		t.Errorf("clone remaining = %d, want fresh cursor 2", c.Remaining())
-	}
-	if h.Remaining() != 1 {
-		t.Errorf("original remaining = %d, want 1", h.Remaining())
-	}
-}
-
-func TestHitListValidation(t *testing.T) {
-	if _, err := newHitList([]IP{1}, nil); err == nil {
-		t.Error("expected error for nil fallback")
-	}
-}
-
-func TestHitListCopiesInput(t *testing.T) {
-	list := []IP{7}
-	h, _ := newHitList(list, Uniform{})
-	list[0] = 99
-	src := rng.NewPCG64(15, 0)
-	if got := h.Next(src, 0); got != 7 {
-		t.Errorf("hit list affected by caller mutation: %v", got)
-	}
-}
-
 func TestRoutableValidation(t *testing.T) {
 	if _, err := NewRoutable(nil); err == nil {
 		t.Error("expected error for empty prefix list")

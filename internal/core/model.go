@@ -97,12 +97,6 @@ func (w WormModel) offspring() dist.Binomial {
 	return dist.Binomial{N: w.M, P: w.Density()}
 }
 
-// offspringPoisson returns the Poisson(λ = M·p) approximation of the
-// offspring law used throughout Section III-C.
-func (w WormModel) offspringPoisson() dist.Poisson {
-	return dist.Poisson{Lambda: w.Lambda()}
-}
-
 // ExtinctionThreshold returns 1/p, the largest scan limit for which
 // Proposition 1 guarantees the worm dies out with probability 1
 // (11 930 for Code Red, 35 791 for SQL Slammer).

@@ -142,10 +142,6 @@ func TestOffspringDistributions(t *testing.T) {
 	if b.N != 10000 || math.Abs(b.P-cr.Density()) > 1e-15 {
 		t.Errorf("offspring params (%d, %v) mismatch", b.N, b.P)
 	}
-	po := cr.offspringPoisson()
-	if math.Abs(po.Lambda-cr.Lambda()) > 1e-15 {
-		t.Errorf("poisson offspring λ = %v, want %v", po.Lambda, cr.Lambda())
-	}
 }
 
 // Property: for any valid model, guaranteed extinction iff λ <= 1.

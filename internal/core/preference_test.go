@@ -7,7 +7,7 @@ import (
 )
 
 func TestScanRegionValidation(t *testing.T) {
-	bad := []scanRegion{
+	bad := []ScanRegion{
 		{Weight: -0.1, SpaceSize: 10, Vulnerable: 1},
 		{Weight: 1.1, SpaceSize: 10, Vulnerable: 1},
 		{Weight: 0.5, SpaceSize: 0, Vulnerable: 1},
@@ -16,7 +16,7 @@ func TestScanRegionValidation(t *testing.T) {
 		{Weight: math.NaN(), SpaceSize: 10, Vulnerable: 1},
 	}
 	for i, r := range bad {
-		m := scanMixture{Regions: []scanRegion{r}}
+		m := ScanMixture{Regions: []ScanRegion{r}}
 		if err := m.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
@@ -24,21 +24,21 @@ func TestScanRegionValidation(t *testing.T) {
 }
 
 func TestScanMixtureWeightSum(t *testing.T) {
-	m := scanMixture{Regions: []scanRegion{
+	m := ScanMixture{Regions: []ScanRegion{
 		{Weight: 0.5, SpaceSize: 100, Vulnerable: 1},
 		{Weight: 0.4, SpaceSize: 100, Vulnerable: 1},
 	}}
 	if err := m.validate(); err == nil {
 		t.Error("expected error for weights summing to 0.9")
 	}
-	if err := (scanMixture{}).validate(); err == nil {
+	if err := (ScanMixture{}).validate(); err == nil {
 		t.Error("expected error for empty mixture")
 	}
 }
 
 func TestUniformMixtureMatchesWormModel(t *testing.T) {
 	// A single uniform region reproduces the plain model's density.
-	m := scanMixture{Regions: []scanRegion{
+	m := ScanMixture{Regions: []ScanRegion{
 		{Name: "uniform", Weight: 1, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
 	}}
 	p, err := m.hitDensity()
@@ -49,7 +49,7 @@ func TestUniformMixtureMatchesWormModel(t *testing.T) {
 	if math.Abs(p-want) > 1e-15 {
 		t.Errorf("density %v, want %v", p, want)
 	}
-	th, err := m.generalizedThreshold()
+	th, err := m.GeneralizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestUniformMixtureMatchesWormModel(t *testing.T) {
 func TestA3MixtureDensity(t *testing.T) {
 	// The A3 ablation scenario: 5000 vulnerable hosts all inside the
 	// scanner's /8, Code Red II weights, none specifically in the /16.
-	m := scanMixture{Regions: []scanRegion{
+	m := ScanMixture{Regions: []ScanRegion{
 		{Name: "own /8", Weight: 0.5, SpaceSize: 1 << 24, Vulnerable: 5000},
 		{Name: "own /16", Weight: 0.375, SpaceSize: 1 << 24, Vulnerable: 5000},
 		{Name: "uniform", Weight: 0.125, SpaceSize: 1 << 32, Vulnerable: 5000},
@@ -82,20 +82,20 @@ func TestA3MixtureDensity(t *testing.T) {
 }
 
 func TestGeneralizedThresholdShrinksUnderPreference(t *testing.T) {
-	uniform := scanMixture{Regions: []scanRegion{
+	uniform := ScanMixture{Regions: []ScanRegion{
 		{Weight: 1, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
 	}}
 	// Same global population, but 10% of it sits in the scanner's /8
 	// and the scanner favors that /8 heavily.
-	pref := scanMixture{Regions: []scanRegion{
+	pref := ScanMixture{Regions: []ScanRegion{
 		{Weight: 0.875, SpaceSize: 1 << 24, Vulnerable: 36000},
 		{Weight: 0.125, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
 	}}
-	thU, err := uniform.generalizedThreshold()
+	thU, err := uniform.GeneralizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
-	thP, err := pref.generalizedThreshold()
+	thP, err := pref.GeneralizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,10 @@ func TestGeneralizedThresholdShrinksUnderPreference(t *testing.T) {
 }
 
 func TestGeneralizedThresholdNoVulnerable(t *testing.T) {
-	m := scanMixture{Regions: []scanRegion{
+	m := ScanMixture{Regions: []ScanRegion{
 		{Weight: 1, SpaceSize: 1000, Vulnerable: 0},
 	}}
-	th, err := m.generalizedThreshold()
+	th, err := m.GeneralizedThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,14 @@ func TestGeneralizedThresholdNoVulnerable(t *testing.T) {
 
 func TestPreferenceWormModelPipeline(t *testing.T) {
 	// The full Section III pipeline applied to a preference worm.
-	mix := codeRedIIMixture(5000, 200, 360000)
-	w, err := preferenceWormModel("CRII-style", mix, 2000, 10)
+	// A Code Red II-style scanner (0.5 on its /8, 0.375 on its /16, the
+	// rest uniform) against hosts clustered in its /8 and /16.
+	mix := ScanMixture{Regions: []ScanRegion{
+		{Name: "own /8", Weight: 0.5, SpaceSize: 1 << 24, Vulnerable: 5000},
+		{Name: "own /16", Weight: 0.375, SpaceSize: 1 << 16, Vulnerable: 200},
+		{Name: "uniform", Weight: 0.125, SpaceSize: IPv4SpaceSize, Vulnerable: 360000},
+	}}
+	w, err := PreferenceWormModel("CRII-style", mix, 2000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,28 +156,11 @@ func TestPreferenceWormModelPipeline(t *testing.T) {
 }
 
 func TestPreferenceWormModelRejectsZeroDensity(t *testing.T) {
-	mix := scanMixture{Regions: []scanRegion{
+	mix := ScanMixture{Regions: []ScanRegion{
 		{Weight: 1, SpaceSize: 100, Vulnerable: 0},
 	}}
-	if _, err := preferenceWormModel("dud", mix, 100, 1); err == nil {
+	if _, err := PreferenceWormModel("dud", mix, 100, 1); err == nil {
 		t.Error("expected error for zero hit density")
-	}
-}
-
-func TestCodeRedIIMixtureShape(t *testing.T) {
-	mix := codeRedIIMixture(1000, 50, 360000)
-	if err := mix.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(mix.Regions) != 3 {
-		t.Fatalf("regions = %d", len(mix.Regions))
-	}
-	sum := 0.0
-	for _, r := range mix.Regions {
-		sum += r.Weight
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("weights sum to %v", sum)
 	}
 }
 
@@ -181,11 +170,11 @@ func TestCodeRedIIMixtureShape(t *testing.T) {
 func Example_scanMixture() {
 	// 5000 vulnerable hosts, all inside the scanner's /8; Code Red II
 	// scan weights.
-	mix := scanMixture{Regions: []scanRegion{
+	mix := ScanMixture{Regions: []ScanRegion{
 		{Name: "own /8", Weight: 0.875, SpaceSize: 1 << 24, Vulnerable: 5000},
 		{Name: "uniform", Weight: 0.125, SpaceSize: 1 << 32, Vulnerable: 5000},
 	}}
-	th, err := mix.generalizedThreshold()
+	th, err := mix.GeneralizedThreshold()
 	if err != nil {
 		fmt.Println(err)
 		return

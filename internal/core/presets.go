@@ -9,7 +9,7 @@ package core
 // codeRedII returns the Code Red II scenario. It exploited the same IIS
 // vulnerability as Code Red v2 (same ≈360 000-host population) but used
 // subnet-preference scanning — pair this preset with
-// addr.SubnetPreference or a scanMixture for the effective-density
+// addr.SubnetPreference or a ScanMixture for the effective-density
 // analysis.
 func codeRedII(m, i0 int) WormModel {
 	return WormModel{Name: "Code Red II", V: 360000, SpaceSize: IPv4SpaceSize, M: m, I0: i0}

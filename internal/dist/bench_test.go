@@ -33,7 +33,7 @@ func BenchmarkBinomialSampleWormRegime(b *testing.B) {
 }
 
 func BenchmarkPoissonSample(b *testing.B) {
-	p := Poisson{Lambda: 0.84}
+	p := poisson{Lambda: 0.84}
 	src := rng.NewPCG64(1, 0)
 	for i := 0; i < b.N; i++ {
 		_ = p.sample(src)
@@ -82,7 +82,7 @@ func BenchmarkBinomialSamplerWormRegime(b *testing.B) {
 }
 
 func BenchmarkPoissonSampleLarge(b *testing.B) {
-	p := Poisson{Lambda: 200}
+	p := poisson{Lambda: 200}
 	src := rng.NewPCG64(1, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

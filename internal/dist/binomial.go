@@ -155,6 +155,6 @@ func (s BinomialSampler) Sample(src rng.Source) int {
 // λ = N·P. Section III-C of the paper uses this approximation ("since p
 // is typically small, ξ can be accurately approximated by a Poisson
 // random variable with mean λ = Mp").
-func (b Binomial) poissonApprox() Poisson {
-	return Poisson{Lambda: b.mean()}
+func (b Binomial) poissonApprox() poisson {
+	return poisson{Lambda: b.mean()}
 }

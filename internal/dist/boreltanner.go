@@ -133,7 +133,7 @@ func (bt BorelTanner) Quantile(q float64) int {
 // Poisson(λ) Galton–Watson process: it is exact, needs no inversion
 // tables, and terminates with probability one since λ < 1.
 func (bt BorelTanner) sample(src rng.Source) int {
-	off := Poisson{Lambda: bt.Lambda}
+	off := poisson{Lambda: bt.Lambda}
 	total := bt.I0
 	active := bt.I0
 	for active > 0 {

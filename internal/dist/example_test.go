@@ -45,13 +45,14 @@ func ExampleExtinctionByGeneration() {
 }
 
 // ExampleExtinctionProbabilityN evaluates Proposition 1 on both sides of
-// the threshold, from one initial infection.
+// the threshold, from one initial infection, with the model's
+// Binomial(M, p) offspring at M = 10 000 (λ = M·p).
 func ExampleExtinctionProbabilityN() {
-	subcritical := dist.Poisson{Lambda: 0.9}
-	supercritical := dist.Poisson{Lambda: 3}
+	subcritical := dist.Binomial{N: 10000, P: 0.9 / 10000}
+	supercritical := dist.Binomial{N: 10000, P: 3.0 / 10000}
 	fmt.Printf("λ=0.9: π = %.3f\n", dist.ExtinctionProbabilityN(subcritical, 1))
 	fmt.Printf("λ=3.0: π = %.3f\n", dist.ExtinctionProbabilityN(supercritical, 1))
 	// Output:
 	// λ=0.9: π = 1.000
-	// λ=3.0: π = 0.060
+	// λ=3.0: π = 0.059
 }

@@ -8,7 +8,7 @@ import (
 // Offspring is a per-individual offspring distribution of a Galton–Watson
 // branching process: everything the extinction analysis of Section III-B
 // needs. Both Binomial (the exact worm offspring law of Eq. (2)) and
-// Poisson (its small-p approximation) implement it.
+// poisson (its small-p approximation) implement it.
 type Offspring interface {
 	// mean returns E[ξ], the expected number of offspring. By the
 	// classical branching-process theorem (and Proposition 1 of the
@@ -22,7 +22,7 @@ type Offspring interface {
 
 var (
 	_ Offspring = Binomial{}
-	_ Offspring = Poisson{}
+	_ Offspring = poisson{}
 )
 
 // ExtinctionByGeneration returns P_n = P{I_n = 0} for n = 0..gens, the

@@ -95,7 +95,7 @@ func TestExtinctionProbabilityProposition1(t *testing.T) {
 	}
 	// For Poisson offspring with λ = 3 the extinction probability solves
 	// π = e^{3(π−1)}; the root is ≈ 0.059520.
-	po := Poisson{Lambda: 3}
+	po := poisson{Lambda: 3}
 	piPo := extinctionProbability(po)
 	if math.Abs(piPo-0.0595201) > 1e-4 {
 		t.Errorf("Poisson(3) extinction = %v, want ≈0.05952", piPo)
@@ -105,7 +105,7 @@ func TestExtinctionProbabilityProposition1(t *testing.T) {
 func TestExtinctionProbabilityFixedPoint(t *testing.T) {
 	// π must satisfy π = φ(π) for supercritical processes.
 	for _, lambda := range []float64{1.2, 2, 5} {
-		po := Poisson{Lambda: lambda}
+		po := poisson{Lambda: lambda}
 		pi := extinctionProbability(po)
 		if math.Abs(po.pgf(pi)-pi) > 1e-10 {
 			t.Errorf("lambda %v: PGF(π) = %v ≠ π = %v", lambda, po.pgf(pi), pi)
@@ -114,7 +114,7 @@ func TestExtinctionProbabilityFixedPoint(t *testing.T) {
 }
 
 func TestExtinctionProbabilityN(t *testing.T) {
-	po := Poisson{Lambda: 2}
+	po := poisson{Lambda: 2}
 	pi := extinctionProbability(po)
 	if got, want := ExtinctionProbabilityN(po, 3), math.Pow(pi, 3); math.Abs(got-want) > 1e-12 {
 		t.Errorf("π^3 = %v, want %v", got, want)
@@ -143,7 +143,7 @@ func TestGenerationsToExtinction(t *testing.T) {
 		}
 	}
 	// Supercritical never reaches high extinction probability.
-	super := Poisson{Lambda: 3}
+	super := poisson{Lambda: 3}
 	if _, ok := generationsToExtinction(super, 1, 0.5, 200); ok {
 		t.Error("Poisson(3) should not reach 0.5 extinction probability")
 	}
@@ -192,7 +192,7 @@ func TestQuickExtinctionMonotone(t *testing.T) {
 func TestQuickProposition1Poisson(t *testing.T) {
 	f := func(lRaw uint16) bool {
 		lambda := float64(lRaw) / 8192 // up to ~8
-		pi := extinctionProbability(Poisson{Lambda: lambda})
+		pi := extinctionProbability(poisson{Lambda: lambda})
 		if lambda <= 1 {
 			return pi == 1
 		}

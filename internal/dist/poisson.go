@@ -7,29 +7,29 @@ import (
 	"wormcontain/internal/rng"
 )
 
-// Poisson is the Poisson(λ) distribution. In the worm model it is the
+// poisson is the Poisson(λ) distribution. In the worm model it is the
 // large-M, small-p limit of the Binomial(M, p) offspring law, with
 // λ = M·p the expected number of secondary infections per infected host.
 // λ plays the role of the basic reproduction number: the worm is
 // subcritical (dies out with probability 1) iff λ <= 1.
-type Poisson struct {
+type poisson struct {
 	Lambda float64
 }
 
 // newPoisson validates λ and returns the distribution. λ = 0 is legal and
 // denotes the point mass at zero.
-func newPoisson(lambda float64) (Poisson, error) {
+func newPoisson(lambda float64) (poisson, error) {
 	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return Poisson{}, fmt.Errorf("dist: poisson lambda = %v, must be finite and >= 0", lambda)
+		return poisson{}, fmt.Errorf("dist: poisson lambda = %v, must be finite and >= 0", lambda)
 	}
-	return Poisson{Lambda: lambda}, nil
+	return poisson{Lambda: lambda}, nil
 }
 
 // mean returns E[ξ] = λ.
-func (p Poisson) mean() float64 { return p.Lambda }
+func (p poisson) mean() float64 { return p.Lambda }
 
 // logPMF returns ln P{ξ = k} = k·ln λ − λ − ln k!.
-func (p Poisson) logPMF(k int) float64 {
+func (p poisson) logPMF(k int) float64 {
 	if k < 0 {
 		return math.Inf(-1)
 	}
@@ -43,10 +43,10 @@ func (p Poisson) logPMF(k int) float64 {
 }
 
 // pmf returns P{ξ = k}.
-func (p Poisson) pmf(k int) float64 { return math.Exp(p.logPMF(k)) }
+func (p poisson) pmf(k int) float64 { return math.Exp(p.logPMF(k)) }
 
 // cdf returns P{ξ <= k} by stable forward recursion on the PMF terms.
-func (p Poisson) cdf(k int) float64 {
+func (p poisson) cdf(k int) float64 {
 	if k < 0 {
 		return 0
 	}
@@ -63,7 +63,7 @@ func (p Poisson) cdf(k int) float64 {
 }
 
 // pgf evaluates φ(s) = E[s^ξ] = exp(λ(s − 1)).
-func (p Poisson) pgf(s float64) float64 {
+func (p poisson) pgf(s float64) float64 {
 	return math.Exp(p.Lambda * (s - 1))
 }
 
@@ -71,7 +71,7 @@ func (p Poisson) pgf(s float64) float64 {
 // (>= 30) uses table-free inversion by sequential search started at the
 // mode, which stays exact, consumes exactly one uniform per variate, and
 // is fast enough for λ in the hundreds that this library ever uses.
-func (p Poisson) sample(src rng.Source) int {
+func (p poisson) sample(src rng.Source) int {
 	if p.Lambda == 0 {
 		return 0
 	}
@@ -131,7 +131,7 @@ func (p Poisson) sample(src rng.Source) int {
 }
 
 // quantile returns the smallest k with CDF(k) >= q, for q in [0, 1).
-func (p Poisson) quantile(q float64) int {
+func (p poisson) quantile(q float64) int {
 	if q < 0 || q >= 1 {
 		panic("dist: Poisson quantile requires q in [0, 1)")
 	}

@@ -21,7 +21,7 @@ func TestNewPoissonValidation(t *testing.T) {
 
 func TestPoissonPMFKnownValues(t *testing.T) {
 	// Poisson(1): P{0} = P{1} = e^-1.
-	p := Poisson{Lambda: 1}
+	p := poisson{Lambda: 1}
 	e := math.Exp(-1)
 	if got := p.pmf(0); math.Abs(got-e) > 1e-12 {
 		t.Errorf("PMF(0) = %v, want %v", got, e)
@@ -39,7 +39,7 @@ func TestPoissonPMFKnownValues(t *testing.T) {
 
 func TestPoissonPMFSumsToOne(t *testing.T) {
 	for _, lambda := range []float64{0.1, 0.83, 1, 5, 50} {
-		p := Poisson{Lambda: lambda}
+		p := poisson{Lambda: lambda}
 		sum := 0.0
 		for k := 0; k <= int(lambda)+200; k++ {
 			sum += p.pmf(k)
@@ -51,7 +51,7 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 }
 
 func TestPoissonZeroLambda(t *testing.T) {
-	p := Poisson{Lambda: 0}
+	p := poisson{Lambda: 0}
 	if p.pmf(0) != 1 || p.pmf(1) != 0 {
 		t.Error("Poisson(0) should be a point mass at 0")
 	}
@@ -65,7 +65,7 @@ func TestPoissonZeroLambda(t *testing.T) {
 }
 
 func TestPoissonCDFMatchesPMFSum(t *testing.T) {
-	p := Poisson{Lambda: 0.83} // Code Red λ at M = 10000
+	p := poisson{Lambda: 0.83} // Code Red λ at M = 10000
 	sum := 0.0
 	for k := 0; k <= 10; k++ {
 		sum += p.pmf(k)
@@ -76,7 +76,7 @@ func TestPoissonCDFMatchesPMFSum(t *testing.T) {
 }
 
 func TestPoissonPGF(t *testing.T) {
-	p := Poisson{Lambda: 0.83}
+	p := poisson{Lambda: 0.83}
 	if got := p.pgf(1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("PGF(1) = %v, want 1", got)
 	}
@@ -88,7 +88,7 @@ func TestPoissonPGF(t *testing.T) {
 func TestPoissonSampleMoments(t *testing.T) {
 	src := rng.NewPCG64(201, 0)
 	for _, lambda := range []float64{0.5, 0.83, 10, 100, 1000} {
-		p := Poisson{Lambda: lambda}
+		p := poisson{Lambda: lambda}
 		const n = 50000
 		sum, sumSq := 0.0, 0.0
 		for i := 0; i < n; i++ {
@@ -108,7 +108,7 @@ func TestPoissonSampleMoments(t *testing.T) {
 }
 
 func TestPoissonQuantile(t *testing.T) {
-	p := Poisson{Lambda: 0.83}
+	p := poisson{Lambda: 0.83}
 	// Quantile must be the smallest k with CDF(k) >= q.
 	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999} {
 		k := p.quantile(q)
@@ -127,14 +127,14 @@ func TestPoissonQuantilePanics(t *testing.T) {
 			t.Fatal("expected panic for q >= 1")
 		}
 	}()
-	Poisson{Lambda: 1}.quantile(1)
+	poisson{Lambda: 1}.quantile(1)
 }
 
 // Property: CDF is within [0,1] and monotone in k.
 func TestQuickPoissonCDFMonotone(t *testing.T) {
 	f := func(lRaw uint16, kRaw uint8) bool {
 		lambda := float64(lRaw) / 1000 // up to ~65
-		p := Poisson{Lambda: lambda}
+		p := poisson{Lambda: lambda}
 		k := int(kRaw % 100)
 		a, b := p.cdf(k), p.cdf(k+1)
 		return a >= 0 && b <= 1+1e-12 && b >= a
@@ -148,7 +148,7 @@ func TestQuickPoissonCDFMonotone(t *testing.T) {
 func TestQuickPoissonSampleDeterministic(t *testing.T) {
 	f := func(seed uint64, lRaw uint16) bool {
 		lambda := float64(lRaw) / 500
-		p := Poisson{Lambda: lambda}
+		p := poisson{Lambda: lambda}
 		a := p.sample(rng.NewSplitMix64(seed))
 		b := p.sample(rng.NewSplitMix64(seed))
 		return a == b
@@ -181,7 +181,7 @@ func (c *countingSource) Float64() float64 {
 // uniforms per variate (it bottomed out in Knuth's product method).
 func TestPoissonLargeLambdaOneDrawPerVariate(t *testing.T) {
 	for _, lambda := range []float64{30, 45, 100, 500, 2000} {
-		p := Poisson{Lambda: lambda}
+		p := poisson{Lambda: lambda}
 		cs := &countingSource{src: rng.NewPCG64(7, 0)}
 		const n = 1000
 		for i := 0; i < n; i++ {
@@ -197,7 +197,7 @@ func TestPoissonLargeLambdaOneDrawPerVariate(t *testing.T) {
 // TestPoissonSmallLambdaDrawsScaleWithLambda documents the contrast: the
 // Knuth branch consumes on average λ+1 uniforms per variate.
 func TestPoissonSmallLambdaDrawsScaleWithLambda(t *testing.T) {
-	p := Poisson{Lambda: 10}
+	p := poisson{Lambda: 10}
 	cs := &countingSource{src: rng.NewPCG64(7, 0)}
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -216,7 +216,7 @@ func TestPoissonSmallLambdaDrawsScaleWithLambda(t *testing.T) {
 // the tails.
 func TestPoissonLargeLambdaChiSquare(t *testing.T) {
 	for _, lambda := range []float64{45, 200} {
-		p := Poisson{Lambda: lambda}
+		p := poisson{Lambda: lambda}
 		src := rng.NewPCG64(1905, 4)
 		const n = 50000
 
@@ -287,7 +287,7 @@ func TestPoissonLargeLambdaChiSquare(t *testing.T) {
 // nonnegative and within a 12σ envelope of the mean, so outward search
 // from the mode cannot run away on tail underflow.
 func TestPoissonLargeLambdaRange(t *testing.T) {
-	p := Poisson{Lambda: 64}
+	p := poisson{Lambda: 64}
 	src := rng.NewPCG64(11, 0)
 	for i := 0; i < 20000; i++ {
 		k := p.sample(src)

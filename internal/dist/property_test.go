@@ -84,12 +84,12 @@ func TestPropertyExtinctionIteratesMonotone(t *testing.T) {
 		off Offspring
 		i0  int
 	}{
-		{Poisson{Lambda: 0.30}, 1},
-		{Poisson{Lambda: 0.84}, 1},  // the paper's λ = M·p example
-		{Poisson{Lambda: 0.84}, 10}, // ...with the paper's I0 = 10
-		{Poisson{Lambda: 1.00}, 1},  // critical: still certain extinction
-		{Poisson{Lambda: 1.50}, 2},
-		{Poisson{Lambda: 2.00}, 1},
+		{poisson{Lambda: 0.30}, 1},
+		{poisson{Lambda: 0.84}, 1},  // the paper's λ = M·p example
+		{poisson{Lambda: 0.84}, 10}, // ...with the paper's I0 = 10
+		{poisson{Lambda: 1.00}, 1},  // critical: still certain extinction
+		{poisson{Lambda: 1.50}, 2},
+		{poisson{Lambda: 2.00}, 1},
 		{Binomial{N: 10000, P: 0.84 / 10000}, 3},
 		{Binomial{N: 10000, P: 1.7 / 10000}, 1},
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wormcontain/internal/addr"
+	"wormcontain/internal/core"
 	"wormcontain/internal/defense"
 	"wormcontain/internal/epidemic"
 	"wormcontain/internal/parallel"
@@ -341,12 +342,25 @@ func runAblationPreference(opts Options) (*Result, error) {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s: mean total infected %.1f over %d runs", sc.label, sum.Mean, runs))
 	}
-	// Effective reproduction numbers explain the gap.
-	uniformLambda := float64(m) * v / (1 << 32)
-	prefLambda := float64(m) * (0.875*v/(1<<24) + 0.125*v/(1<<32))
+	// Effective reproduction numbers explain the gap. Every vulnerable
+	// host sits in the scanner's /8, so the /8 and /16 weights both land
+	// there: p_effective = 0.875·V/2^24 + 0.125·V/2^32.
+	uniform := core.WormModel{Name: "uniform", V: v, SpaceSize: core.IPv4SpaceSize, M: m, I0: 5}
+	mix := core.ScanMixture{Regions: []core.ScanRegion{
+		{Name: "own /8", Weight: 0.875, SpaceSize: 1 << 24, Vulnerable: v},
+		{Name: "uniform", Weight: 0.125, SpaceSize: core.IPv4SpaceSize, Vulnerable: v},
+	}}
+	preference, err := core.PreferenceWormModel("preference", mix, m, 5)
+	if err != nil {
+		return nil, err
+	}
+	threshold, err := mix.GeneralizedThreshold()
+	if err != nil {
+		return nil, err
+	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("effective λ: uniform %.4f (dies immediately), preference ≈%.3f "+
-			"(spreads); containment of preference worms needs M < 1/p_effective, "+
-			"the paper's proposed future-work extension", uniformLambda, prefLambda))
+			"(spreads); containment of preference worms needs M < 1/p_effective = %.0f, "+
+			"the paper's proposed future-work extension", uniform.Lambda(), preference.Lambda(), threshold))
 	return res, nil
 }

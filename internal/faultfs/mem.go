@@ -112,9 +112,9 @@ type Profile struct {
 	ShortWrite float64
 }
 
-// Event is one fault decision: the n-th injectable operation presented
+// event is one fault decision: the n-th injectable operation presented
 // to the injector and what it decided.
-type Event struct {
+type event struct {
 	// Seq numbers decisions from 1 in the order they were drawn.
 	Seq uint64
 	// Op is the operation the decision applies to.
@@ -128,7 +128,7 @@ type Event struct {
 
 // String renders one trace line; two injectors with the same seed and
 // operation sequence produce byte-identical traces.
-func (e Event) String() string {
+func (e event) String() string {
 	return fmt.Sprintf("%d %s %s %d", e.Seq, e.Op, e.Fault, e.Aux)
 }
 
@@ -146,7 +146,7 @@ type Injector struct {
 	src     *rng.PCG64
 	seq     uint64
 	crashAt uint64 // fire faultCrash on this Seq; 0 = never
-	trace   []Event
+	trace   []event
 	counts  [numOps]uint64
 }
 
@@ -178,12 +178,12 @@ func (in *Injector) Ops() uint64 {
 
 // decide draws the decision for one operation: exactly two stream
 // values per call, whatever fires.
-func (in *Injector) decide(op Op) Event {
+func (in *Injector) decide(op Op) event {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.seq++
 	in.counts[op]++
-	e := Event{Seq: in.seq, Op: op}
+	e := event{Seq: in.seq, Op: op}
 	u := in.src.Float64()
 	e.Aux = in.src.Uint64()
 	switch {
@@ -261,12 +261,12 @@ func NewMem(inj *Injector) *Mem {
 
 // decide consults the injector (when present) and applies the crash
 // latch. It returns the event and whether the operation may proceed.
-func (m *Mem) decide(op Op) (Event, error) {
+func (m *Mem) decide(op Op) (event, error) {
 	if m.crashed {
-		return Event{}, ErrCrashed
+		return event{}, ErrCrashed
 	}
 	if m.inj == nil {
-		return Event{}, nil
+		return event{}, nil
 	}
 	e := m.inj.decide(op)
 	if e.Fault == faultCrash {

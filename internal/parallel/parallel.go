@@ -16,8 +16,8 @@
 //     their predecessors arrive.
 //
 // Together these make Map and Reduce indistinguishable from the serial
-// loop they replace: workers=1 and workers=64 produce identical output,
-// identical errors, and identical progress callback sequences.
+// loop they replace: workers=1 and workers=64 produce identical output
+// and identical errors.
 package parallel
 
 import (
@@ -25,9 +25,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"wormcontain/internal/telemetry"
 )
 
 // Func computes replication r. It must derive all randomness from r and
@@ -47,68 +44,6 @@ type SlotFunc[T any] func(r, slot int) (T, error)
 // calls it on the caller's goroutine in strict replication order, so it
 // may mutate the accumulator freely without synchronization.
 type MergeFunc[T, A any] func(acc A, r int, v T) (A, error)
-
-// progressFunc observes completed replications. It is called on the
-// caller's goroutine after each in-order merge with done = 1, 2, ...,
-// total — the sequence is identical for every worker count.
-type progressFunc func(done, total int)
-
-// Option tunes a Map or Reduce call.
-type Option func(*config)
-
-type config struct {
-	progress progressFunc
-	metrics  *engineMetrics
-}
-
-// withProgress installs a progress callback.
-func withProgress(p progressFunc) Option {
-	return func(c *config) { c.progress = p }
-}
-
-// engineMetrics is the engine's telemetry wiring.
-type engineMetrics struct {
-	completed *telemetry.Counter
-	busyNanos *telemetry.Counter
-	active    *telemetry.Gauge
-}
-
-// withTelemetry wires the run into a telemetry registry:
-// parallel_replications_completed_total counts in-order merges,
-// parallel_worker_busy_nanoseconds_total accumulates time spent inside
-// replication functions (utilization = busy nanos / (workers × wall
-// time)), and parallel_workers_active gauges replications in flight.
-// The two clock reads per replication are noise next to a replication's
-// own cost (a whole simulation run), and determinism is untouched —
-// instruments never feed back into scheduling.
-func withTelemetry(reg *telemetry.Registry) Option {
-	return func(c *config) {
-		c.metrics = &engineMetrics{
-			completed: reg.Counter("parallel_replications_completed_total",
-				"Replications merged in order by the parallel engine."),
-			busyNanos: reg.Counter("parallel_worker_busy_nanoseconds_total",
-				"Cumulative time workers spent inside replication functions."),
-			active: reg.Gauge("parallel_workers_active",
-				"Replications currently executing."),
-		}
-	}
-}
-
-// instrumentSlot wraps fn with busy-time and in-flight accounting.
-// Generic free function because methods cannot introduce type parameters.
-func instrumentSlot[T any](m *engineMetrics, fn SlotFunc[T]) SlotFunc[T] {
-	if m == nil {
-		return fn
-	}
-	return func(r, slot int) (T, error) {
-		m.active.Add(1)
-		start := time.Now()
-		v, err := fn(r, slot)
-		m.busyNanos.Add(uint64(time.Since(start)))
-		m.active.Add(-1)
-		return v, err
-	}
-}
 
 // DefaultWorkers returns the default worker count: runtime.GOMAXPROCS(0),
 // the number of CPUs the Go scheduler will actually use.
@@ -150,10 +85,10 @@ type item[T any] struct {
 // as of the last successful merge. Because errors are selected in
 // replication order, the returned error is also identical for every
 // worker count.
-func Reduce[T, A any](n, workers int, acc A, fn Func[T], merge MergeFunc[T, A], opts ...Option) (A, error) {
+func Reduce[T, A any](n, workers int, acc A, fn Func[T], merge MergeFunc[T, A]) (A, error) {
 	return ReduceSlot(n, workers, acc,
 		func(r, _ int) (T, error) { return fn(r) },
-		merge, opts...)
+		merge)
 }
 
 // ReduceSlot is Reduce with worker-slot identity: fn receives, besides
@@ -161,12 +96,8 @@ func Reduce[T, A any](n, workers int, acc A, fn Func[T], merge MergeFunc[T, A], 
 // n)) of the goroutine running it. Replications that share a slot run
 // strictly one after another, which is what makes per-slot scratch
 // arenas (see ScratchPool) safe without synchronization. Everything
-// else — ordering, error selection, progress — is exactly Reduce.
-func ReduceSlot[T, A any](n, workers int, acc A, fn SlotFunc[T], merge MergeFunc[T, A], opts ...Option) (A, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+// else — ordering, error selection — is exactly Reduce.
+func ReduceSlot[T, A any](n, workers int, acc A, fn SlotFunc[T], merge MergeFunc[T, A]) (A, error) {
 	if n < 0 {
 		return acc, fmt.Errorf("parallel: negative replication count %d", n)
 	}
@@ -174,7 +105,6 @@ func ReduceSlot[T, A any](n, workers int, acc A, fn SlotFunc[T], merge MergeFunc
 		return acc, nil
 	}
 	workers = ClampWorkers(workers, n)
-	fn = instrumentSlot(cfg.metrics, fn)
 
 	if workers == 1 {
 		// Serial reference path: the parallel path below must be
@@ -186,12 +116,6 @@ func ReduceSlot[T, A any](n, workers int, acc A, fn SlotFunc[T], merge MergeFunc
 			}
 			if acc, err = merge(acc, r, v); err != nil {
 				return acc, err
-			}
-			if m := cfg.metrics; m != nil {
-				m.completed.Inc()
-			}
-			if cfg.progress != nil {
-				cfg.progress(r+1, n)
 			}
 		}
 		return acc, nil
@@ -261,12 +185,6 @@ func ReduceSlot[T, A any](n, workers int, acc A, fn SlotFunc[T], merge MergeFunc
 				break
 			}
 			nextMerge++
-			if m := cfg.metrics; m != nil {
-				m.completed.Inc()
-			}
-			if cfg.progress != nil {
-				cfg.progress(nextMerge, n)
-			}
 		}
 	}
 	return acc, firstErr
@@ -316,7 +234,7 @@ func (p *ScratchPool[S]) Get(slot int) S {
 // 0 selects DefaultWorkers. On error the first failing replication's
 // error (in replication order) is returned and the partial results are
 // discarded.
-func Map[T any](n, workers int, fn Func[T], opts ...Option) ([]T, error) {
+func Map[T any](n, workers int, fn Func[T]) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("parallel: negative replication count %d", n)
 	}
@@ -325,7 +243,7 @@ func Map[T any](n, workers int, fn Func[T], opts ...Option) ([]T, error) {
 		func(z struct{}, r int, v T) (struct{}, error) {
 			out[r] = v
 			return z, nil
-		}, opts...)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +251,7 @@ func Map[T any](n, workers int, fn Func[T], opts ...Option) ([]T, error) {
 }
 
 // MapSlot is Map with worker-slot identity; see ReduceSlot.
-func MapSlot[T any](n, workers int, fn SlotFunc[T], opts ...Option) ([]T, error) {
+func MapSlot[T any](n, workers int, fn SlotFunc[T]) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("parallel: negative replication count %d", n)
 	}
@@ -342,7 +260,7 @@ func MapSlot[T any](n, workers int, fn SlotFunc[T], opts ...Option) ([]T, error)
 		func(z struct{}, r int, v T) (struct{}, error) {
 			out[r] = v
 			return z, nil
-		}, opts...)
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -157,38 +157,6 @@ func TestMergeErrorStopsReduce(t *testing.T) {
 	}
 }
 
-func TestProgressSequenceIdenticalAcrossWorkers(t *testing.T) {
-	sequence := func(workers int) []int {
-		var seq []int
-		_, err := Map(25, workers, func(r int) (int, error) { return r, nil },
-			withProgress(func(done, total int) {
-				if total != 25 {
-					t.Fatalf("total = %d", total)
-				}
-				seq = append(seq, done)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seq
-	}
-	ref := sequence(1)
-	if len(ref) != 25 || ref[0] != 1 || ref[24] != 25 {
-		t.Fatalf("serial progress sequence %v", ref)
-	}
-	for _, workers := range []int{2, 8} {
-		got := sequence(workers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: progress[%d] = %d, want %d", workers, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestZeroAndNegativeN(t *testing.T) {
 	out, err := Map(0, 8, func(r int) (int, error) { return r, nil })
 	if err != nil || len(out) != 0 {

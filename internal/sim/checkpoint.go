@@ -103,14 +103,10 @@ type SeriesPoints struct {
 
 // checkpointableConfig rejects configurations whose state cannot be
 // captured: background traffic draws from its own RNG stream and keeps
-// per-host destination pools that a checkpoint does not record, and
-// per-host scanner factories may hold arbitrary scanner state.
+// per-host destination pools that a checkpoint does not record.
 func checkpointableConfig(cfg *Config) error {
 	if cfg.Background != nil {
 		return fmt.Errorf("sim: checkpointing does not support background traffic")
-	}
-	if cfg.ScannerFactory != nil {
-		return fmt.Errorf("sim: checkpointing does not support per-host scanner factories (stateful scanners)")
 	}
 	return nil
 }
@@ -465,8 +461,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 		e.sim.Instrument(nil)
 	}
 
-	e.scanner = grow(e.scanner, 1)
-	e.scanner[0] = cfg.Scanner
+	e.scanner = cfg.Scanner
 
 	if err := sn.RestoreState(ck.Defense); err != nil {
 		return nil, err

@@ -330,12 +330,6 @@ func TestCheckpointRejects(t *testing.T) {
 	if err := RunCheckpointed(cfgBG, nil, &res, CheckpointOptions{}); err == nil {
 		t.Error("background traffic accepted")
 	}
-	cfgSF := base()
-	cfgSF.Scanner = nil
-	cfgSF.ScannerFactory = func() addr.Scanner { return addr.Uniform{} }
-	if err := RunCheckpointed(cfgSF, nil, &res, CheckpointOptions{}); err == nil {
-		t.Error("scanner factory accepted")
-	}
 	if err := RunCheckpointed(base(), nil, &res, CheckpointOptions{Sink: &memSink{}}); err == nil {
 		t.Error("sink without interval accepted")
 	}
@@ -498,7 +492,7 @@ func TestInvariantChecker(t *testing.T) {
 	// exact corruption the disjointness audit exists for).
 	overlap := -1
 	for i := 0; i < cfg.V; i++ {
-		if e.state.status(i) == removed {
+		if !e.state.isInfected(i) && !e.state.isSusceptible(i) {
 			overlap = i
 			break
 		}

@@ -31,33 +31,6 @@ import (
 	"wormcontain/internal/topo"
 )
 
-// Status is a vulnerable host's epidemiological state.
-type Status uint8
-
-const (
-	// susceptible hosts can be infected by a successful scan.
-	susceptible Status = iota + 1
-	// infected hosts actively scan.
-	infected
-	// removed hosts have been taken out by the defense and neither scan
-	// nor accept infection ("a host is removed if it has sent M scans").
-	removed
-)
-
-// String implements fmt.Stringer.
-func (s Status) String() string {
-	switch s {
-	case susceptible:
-		return "susceptible"
-	case infected:
-		return "infected"
-	case removed:
-		return "removed"
-	default:
-		return "Status(?)"
-	}
-}
-
 // Releaser is an optional defense capability: defenses whose blocks
 // expire (dynamic quarantine) report when a blocked host is released, so
 // the simulator can resume its scanning instead of retiring it.
@@ -77,20 +50,17 @@ type Config struct {
 	// ScanRate is each infected host's scan rate in scans/second;
 	// inter-scan times are exponential (Poisson scanning process).
 	ScanRate float64
-	// Scanner picks targets; nil means uniform scanning. Stateless
-	// scanners (Uniform, SubnetPreference) can be shared; for stateful
-	// strategies set ScannerFactory instead.
+	// Scanner picks targets for every infected host; nil means uniform
+	// scanning. It must be stateless (Uniform, SubnetPreference,
+	// Routable): all hosts share it.
 	Scanner addr.Scanner
-	// ScannerFactory, when non-nil, supplies a fresh scanner per
-	// infected host (needed for stateful strategies such as hit lists).
-	ScannerFactory func() addr.Scanner
 	// Topology, when non-nil, switches target selection from address-
 	// space scanning to graph-neighbor scanning: host i's scans each
 	// probe a uniform random neighbor of vertex i in the graph
 	// (resolved to that host's address, so defenses still see real
-	// src/dst pairs). Requires Topology.N() == V and excludes Scanner/
-	// ScannerFactory. The graph is read-only during the run and may be
-	// shared across concurrent replications.
+	// src/dst pairs). Requires Topology.N() == V and excludes Scanner.
+	// The graph is read-only during the run and may be shared across
+	// concurrent replications.
 	Topology *topo.Graph
 	// EdgeScanRate, in topology mode, scales each host's scan rate by
 	// its degree so every incident edge is probed at rate ScanRate.
@@ -201,13 +171,13 @@ func (c *Config) validate() error {
 		if got := c.Topology.N(); got != c.V {
 			return fmt.Errorf("sim: topology has %d vertices, population has %d", got, c.V)
 		}
-		if c.Scanner != nil || c.ScannerFactory != nil {
-			return fmt.Errorf("sim: topology mode excludes Scanner/ScannerFactory")
+		if c.Scanner != nil {
+			return fmt.Errorf("sim: topology mode excludes Scanner")
 		}
 	} else if c.EdgeScanRate {
 		return fmt.Errorf("sim: EdgeScanRate requires a Topology")
 	}
-	if c.Scanner == nil && c.ScannerFactory == nil {
+	if c.Scanner == nil {
 		c.Scanner = addr.Uniform{}
 	}
 	if c.Defense == nil {
@@ -274,7 +244,7 @@ type engine struct {
 	state      hostState
 	gen        []int32
 	infectedAt []time.Duration // per-host infection instant (duty-cycle phase anchor)
-	scanner    []addr.Scanner  // per-host when factory set; else shared at [0]
+	scanner    addr.Scanner
 	res        *Result
 	metrics    *simMetrics
 
@@ -471,12 +441,7 @@ func setupRun(cfg Config, scratch *Scratch, res *Result) (*engine, *backgroundDr
 		e.res.RemovedSeries = stats.NewTimeSeries()
 		e.res.ActiveSeries = stats.NewTimeSeries()
 	}
-	if cfg.ScannerFactory == nil {
-		e.scanner = grow(e.scanner, 1)
-		e.scanner[0] = cfg.Scanner
-	} else {
-		e.scanner = grow(e.scanner, cfg.V)
-	}
+	e.scanner = cfg.Scanner
 	e.pendDeliv = e.pendDeliv[:0]
 	e.freeDeliv = e.freeDeliv[:0]
 
@@ -549,17 +514,6 @@ func (e *engine) emitAt(at time.Duration, fn des.ArgHandler, arg int) {
 		return
 	}
 	e.sim.EmitAt(at, fn, arg)
-}
-
-// scannerFor returns the scanner used by host i.
-func (e *engine) scannerFor(i int) addr.Scanner {
-	if e.cfg.ScannerFactory == nil {
-		return e.scanner[0]
-	}
-	if e.scanner[i] == nil {
-		e.scanner[i] = e.cfg.ScannerFactory()
-	}
-	return e.scanner[i]
 }
 
 // infect transitions host i to Infected in generation g and starts its
@@ -749,7 +703,7 @@ func (e *engine) scanAttempt(i int) {
 		}
 		dst = e.pop.Addr(int(j))
 	} else {
-		dst = e.scannerFor(i).Next(e.src, srcIP)
+		dst = e.scanner.Next(e.src, srcIP)
 	}
 	v := e.cfg.Defense.OnScan(srcIP, dst, now)
 	switch v.Action {

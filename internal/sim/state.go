@@ -4,7 +4,7 @@ import "wormcontain/internal/addr"
 
 // hostState is the engine's packed per-host epidemiology: two flat
 // bitsets (actively infected, removed) and per-shard active-infection
-// counts. A byte-per-host Status slice costs 100MB at 100M hosts and a
+// counts. A byte-per-host state slice costs 100MB at 100M hosts and a
 // cache line per touched host; two bits per host keep the whole state
 // of a 10M-host population in ~2.5MB — the hit test a delivered scan
 // performs reads one bit, so target lookups touch a single cache line
@@ -34,20 +34,6 @@ func (h *hostState) reset(n int) {
 	h.shardActive = grow(h.shardActive, shards)
 	h.active = 0
 	h.n = n
-}
-
-// status reports host i's tri-state view (for introspection; the hot
-// paths use the single-bit predicates below).
-func (h *hostState) status(i int) Status {
-	w, b := i>>6, uint(i&63)
-	switch {
-	case h.infected[w]>>b&1 != 0:
-		return infected
-	case h.removed[w]>>b&1 != 0:
-		return removed
-	default:
-		return susceptible
-	}
 }
 
 // isInfected reports whether host i is actively infected.

@@ -259,8 +259,6 @@ func TestTopoConfigValidation(t *testing.T) {
 		{"population mismatch", Config{V: 49, I0: 1, ScanRate: 1, Topology: g}},
 		{"scanner conflict", Config{V: 50, I0: 1, ScanRate: 1, Topology: g,
 			Scanner: addr.Uniform{}}},
-		{"scanner factory conflict", Config{V: 50, I0: 1, ScanRate: 1, Topology: g,
-			ScannerFactory: func() addr.Scanner { return addr.Uniform{} }}},
 		{"edge rate without topology", Config{V: 50, I0: 1, ScanRate: 1,
 			EdgeScanRate: true}},
 	}

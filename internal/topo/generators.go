@@ -17,10 +17,10 @@ type Generator interface {
 	Generate(seed uint64) (*Graph, error)
 }
 
-// Generator stream ids: each family draws from its own PCG64 stream so
-// adding a draw to one generator can never shift another's output.
+// Generator stream ids: each random family draws from its own PCG64
+// stream so adding a draw to one generator can never shift another's
+// output. Tree draws nothing.
 const (
-	streamTree       = 0x7031 // "t1"
 	streamScaleFree  = 0x7331 // "s1"
 	streamSmallWorld = 0x7731 // "w1"
 )

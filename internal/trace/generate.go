@@ -33,11 +33,6 @@ type GeneratorConfig struct {
 	// destination (traffic beyond first contacts; repeats do not affect
 	// the distinct count but make the trace realistic).
 	RepeatFactor float64
-	// Diurnal, when true, concentrates connection times in working
-	// hours (08:00-18:00 trace-local time) with a thinned night floor,
-	// producing the staircase growth visible in the real Fig. 6 curves.
-	// Distinct-destination counts are unaffected: only timestamps move.
-	Diurnal bool
 	// Seed selects the deterministic random stream.
 	Seed uint64
 }
@@ -160,11 +155,10 @@ func Generate(cfg GeneratorConfig) ([]Record, error) {
 }
 
 // synthRecord fabricates one connection from host h to its dst-th
-// destination at a random instant (uniform, or diurnally thinned).
+// destination at a uniform random instant of the span.
 func synthRecord(cfg GeneratorConfig, src rng.Source, h, dst uint32) Record {
-	at := connectionTime(cfg, src)
 	return Record{
-		Start:     at,
+		Start:     time.Duration(rng.Uint64n(src, uint64(cfg.Span))),
 		Duration:  time.Duration(rng.Exponential(src, 1.0/30) * float64(time.Second)),
 		Proto:     protoMix[rng.Intn(src, len(protoMix))],
 		BytesOrig: int64(rng.Uint64n(src, 1<<16)),
@@ -172,25 +166,5 @@ func synthRecord(cfg GeneratorConfig, src rng.Source, h, dst uint32) Record {
 		Local:     h,
 		Remote:    h<<16 | dst,
 		State:     "SF",
-	}
-}
-
-// connectionTime draws a start time, optionally shaped by the diurnal
-// acceptance profile via rejection sampling (uniform proposals, accept
-// with probability 1 during working hours, 0.2 at night).
-func connectionTime(cfg GeneratorConfig, src rng.Source) time.Duration {
-	for {
-		at := time.Duration(rng.Uint64n(src, uint64(cfg.Span)))
-		if !cfg.Diurnal {
-			return at
-		}
-		hour := int(at.Hours()) % 24
-		accept := 0.2
-		if hour >= 8 && hour < 18 {
-			accept = 1.0
-		}
-		if src.Float64() < accept {
-			return at
-		}
 	}
 }

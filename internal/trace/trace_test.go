@@ -314,47 +314,3 @@ func TestFalseAlarms(t *testing.T) {
 		t.Errorf("false alarms at M=3: %d, want 0", got)
 	}
 }
-
-func TestGenerateDiurnalConcentratesDaytime(t *testing.T) {
-	cfg := DefaultGeneratorConfig(9)
-	cfg.Hosts = 200
-	cfg.HeavyTargets = nil
-	cfg.Diurnal = true
-	recs, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day, night := 0, 0
-	for _, r := range recs {
-		hour := int(r.Start.Hours()) % 24
-		if hour >= 8 && hour < 18 {
-			day++
-		} else {
-			night++
-		}
-	}
-	// Working hours are 10 of 24 hours but get acceptance 1 vs 0.2:
-	// expected day share = 10/(10+14*0.2) ≈ 0.78.
-	frac := float64(day) / float64(day+night)
-	if frac < 0.72 || frac > 0.84 {
-		t.Errorf("daytime fraction = %v, want ≈0.78", frac)
-	}
-	// Distinct counts are unaffected by the time shaping.
-	a, err := Analyze(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPlain := cfg
-	cfgPlain.Diurnal = false
-	plainRecs, err := Generate(cfgPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Analyze(plainRecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Hosts() != b.Hosts() {
-		t.Errorf("host counts differ: %d vs %d", a.Hosts(), b.Hosts())
-	}
-}

@@ -90,6 +90,7 @@ func TestExportedSurfaceFixture(t *testing.T) {
 	want := []string{
 		"internal/lib.Dead: " + surfaceFinding{}.advice(),
 		"internal/lib.OwnPackageOnly: " + surfaceFinding{ownPackage: true}.advice(),
+		"internal/lib.Shade: " + surfaceFinding{ownPackage: true}.advice(),
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("fixture reported\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -142,6 +143,21 @@ func (l *surfaceLoader) Import(path string) (*types.Package, error) {
 	return p.types, nil
 }
 
+// runtimeInterfaces returns the interfaces whose methods the standard
+// library asks a value of any type for at run time: fmt when it prints
+// one, net and net/http when a listener or a dial returns an error.
+func (l *surfaceLoader) runtimeInterfaces() ([]types.Type, error) {
+	out := []types.Type{types.Universe.Lookup("error").Type()}
+	for _, name := range [][2]string{{"fmt", "Stringer"}, {"net", "Error"}} {
+		pkg, err := l.std.Import(name[0])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pkg.Scope().Lookup(name[1]).Type())
+	}
+	return out, nil
+}
+
 func (l *surfaceLoader) load(path string) (*surfacePkg, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -152,9 +168,10 @@ func (l *surfaceLoader) load(path string) (*surfacePkg, error) {
 		return nil, err
 	}
 	p := &surfacePkg{info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}}
 	for _, e := range entries {
 		name := e.Name()
@@ -179,13 +196,17 @@ func (l *surfaceLoader) load(path string) (*surfacePkg, error) {
 // surfaceUse is where the non-test uses of one checked name are.
 type surfaceUse struct{ inside, outside bool }
 
-// scanSurface type-checks every package under root (a module named
-// module, nested modules read as part of it) and returns, sorted by
-// name, the exported names under module/internal/ that no non-test file
-// outside their package uses, not counting the allowed ones, and the
-// allowed names it would not have reported anyway. Any parse or type
-// error is returned.
-func scanSurface(root, module string, allowed map[string]string) (unused []surfaceFinding, stale []string, err error) {
+// loadedModules keeps each type-checked tree, so that the surface check
+// and the reachability pass share one type-check.
+var loadedModules = map[string]*surfaceLoader{}
+
+// loadModule type-checks every package under root (a module named
+// module, nested modules read as part of it), once per root. Any parse
+// or type error is returned.
+func loadModule(root, module string) (*surfaceLoader, error) {
+	if l := loadedModules[root]; l != nil {
+		return l, nil
+	}
 	// The source importer reads build.Default. Without cgo it takes the
 	// pure-Go files of net and os/user and needs no C compiler.
 	build.Default.CgoEnabled = false
@@ -195,7 +216,7 @@ func scanSurface(root, module string, allowed map[string]string) (unused []surfa
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: map[string]*surfacePkg{},
 	}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -216,15 +237,27 @@ func scanSurface(root, module string, allowed map[string]string) (unused []surfa
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(l.errs) > 0 {
-		return nil, nil, fmt.Errorf("type-check failed:\n%s", strings.Join(l.errs, "\n"))
+		return nil, fmt.Errorf("type-check failed:\n%s", strings.Join(l.errs, "\n"))
 	}
 	if len(l.pkgs) == 0 {
-		return nil, nil, fmt.Errorf("no packages under %s", root)
+		return nil, fmt.Errorf("no packages under %s", root)
 	}
+	loadedModules[root] = l
+	return l, nil
+}
 
+// scanSurface returns, sorted by name, the exported names under
+// module/internal/ that no non-test file outside their package uses,
+// not counting the allowed ones, and the allowed names it would not have
+// reported anyway.
+func scanSurface(root, module string, allowed map[string]string) (unused []surfaceFinding, stale []string, err error) {
+	l, err := loadModule(root, module)
+	if err != nil {
+		return nil, nil, err
+	}
 	a := &surfaceAnalysis{l: l, use: map[types.Object]*surfaceUse{}}
 	for _, p := range l.pkgs {
 		if strings.HasPrefix(p.types.Path(), module+"/internal/") {
@@ -244,19 +277,28 @@ func scanSurface(root, module string, allowed map[string]string) (unused []surfa
 	}
 	for _, p := range l.pkgs {
 		for _, f := range p.files {
-			a.conversions(p, f, nil)
+			walkConversions(p.info, p.types, f, nil, a.convert, a.implementers)
 		}
 	}
-	// The standard library asks a value of any type for these at run
-	// time: fmt when it prints one, net and net/http when a listener or
-	// a dial returns an error.
-	a.implementers(types.Universe.Lookup("error").Type())
-	for _, name := range [][2]string{{"fmt", "Stringer"}, {"net", "Error"}} {
-		pkg, err := l.std.Import(name[0])
-		if err != nil {
-			return nil, nil, err
+	// A method kept only by the standard library's run-time calls is
+	// used, but does not make its type used: a type nothing else names
+	// is reported even if fmt could print it.
+	usedBefore := map[types.Object]bool{}
+	for obj, u := range a.use {
+		usedBefore[obj] = u.outside
+	}
+	runtime, err := l.runtimeInterfaces()
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, t := range runtime {
+		a.implementers(t)
+	}
+	a.runtimeOnly = map[types.Object]bool{}
+	for obj, u := range a.use {
+		if u.outside && !usedBefore[obj] {
+			a.runtimeOnly[obj] = true
 		}
-		a.implementers(pkg.Scope().Lookup(name[1]).Type())
 	}
 	for changed := true; changed; {
 		changed = false
@@ -296,16 +338,22 @@ func (a *surfaceAnalysis) unused() []surfaceFinding {
 		if u.outside {
 			continue
 		}
-		name := strings.TrimPrefix(obj.Pkg().Path(), a.l.module+"/") + "."
-		if f, ok := obj.(*types.Func); ok {
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-				name += surfaceNamed(recv.Type()).Name() + "."
-			}
-		}
-		out = append(out, surfaceFinding{name: name + obj.Name(), ownPackage: u.inside, obj: obj})
+		out = append(out, surfaceFinding{name: surfaceName(a.l.module, obj), ownPackage: u.inside, obj: obj})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// surfaceName names a package-level name or method of module:
+// "internal/pkg.Name" or "internal/pkg.Type.Method".
+func surfaceName(module string, obj types.Object) string {
+	name := strings.TrimPrefix(obj.Pkg().Path(), module+"/") + "."
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			name += surfaceNamed(recv.Type()).Name() + "."
+		}
+	}
+	return name + obj.Name()
 }
 
 // surfaceOrigin maps a method or field of an instantiated generic type
@@ -334,6 +382,9 @@ func surfaceNamed(t types.Type) *types.TypeName {
 type surfaceAnalysis struct {
 	l   *surfaceLoader
 	use map[types.Object]*surfaceUse // every checked name
+	// runtimeOnly holds the methods used from outside only because the
+	// standard library calls them at run time.
+	runtimeOnly map[types.Object]bool
 	// samePkg pairs a method with the method of an interface of its own
 	// package that its type is converted to.
 	samePkg []struct{ method, iface types.Object }
@@ -369,41 +420,42 @@ func (a *surfaceAnalysis) declare(p *surfacePkg) {
 	}
 }
 
-// conversions walks n for every place a value becomes an interface
-// value: assignments, call arguments, returns (sig is the enclosing
-// function's signature), composite literal elements, channel sends,
-// conversions, and type assertions and switches to an interface type,
-// which any implementing type of the module may satisfy.
-func (a *surfaceAnalysis) conversions(p *surfacePkg, n ast.Node, sig *types.Signature) {
-	info := p.info
+// walkConversions walks n for every place a value becomes an interface
+// value and hands convert its destination and source type:
+// assignments, call arguments, returns (sig is the enclosing function's
+// signature), composite literal elements, channel sends and conversions.
+// It hands assert the target type of every type assertion and type
+// switch case, which a value of any type the module converts to an
+// interface may satisfy.
+func walkConversions(info *types.Info, pkg *types.Package, n ast.Node, sig *types.Signature, convert func(dst, src types.Type), assert func(types.Type)) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
 			if n.Body != nil {
-				a.conversions(p, n.Body, info.Defs[n.Name].Type().(*types.Signature))
+				walkConversions(info, pkg, n.Body, info.Defs[n.Name].Type().(*types.Signature), convert, assert)
 			}
 			return false
 		case *ast.FuncLit:
-			a.conversions(p, n.Body, info.TypeOf(n).(*types.Signature))
+			walkConversions(info, pkg, n.Body, info.TypeOf(n).(*types.Signature), convert, assert)
 			return false
 		case *ast.ReturnStmt:
-			a.assign(info, sig.Results().Len(), func(i int) types.Type { return sig.Results().At(i).Type() }, n.Results)
+			assignConversions(info, sig.Results().Len(), func(i int) types.Type { return sig.Results().At(i).Type() }, n.Results, convert)
 		case *ast.AssignStmt:
 			if n.Tok == token.ASSIGN {
-				a.assign(info, len(n.Lhs), func(i int) types.Type { return info.TypeOf(n.Lhs[i]) }, n.Rhs)
+				assignConversions(info, len(n.Lhs), func(i int) types.Type { return info.TypeOf(n.Lhs[i]) }, n.Rhs, convert)
 			}
 		case *ast.ValueSpec:
 			if n.Type != nil {
-				a.assign(info, len(n.Names), func(int) types.Type { return info.TypeOf(n.Type) }, n.Values)
+				assignConversions(info, len(n.Names), func(int) types.Type { return info.TypeOf(n.Type) }, n.Values, convert)
 			}
 		case *ast.SendStmt:
 			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
-				a.convert(ch.Elem(), info.TypeOf(n.Value))
+				convert(ch.Elem(), info.TypeOf(n.Value))
 			}
 		case *ast.CallExpr:
 			if tv := info.Types[n.Fun]; tv.IsType() {
 				if len(n.Args) == 1 {
-					a.convert(tv.Type, info.TypeOf(n.Args[0]))
+					convert(tv.Type, info.TypeOf(n.Args[0]))
 				}
 				break
 			}
@@ -415,7 +467,7 @@ func (a *surfaceAnalysis) conversions(p *surfacePkg, n ast.Node, sig *types.Sign
 			if !ok {
 				break
 			}
-			a.assign(info, len(n.Args), func(i int) types.Type {
+			assignConversions(info, len(n.Args), func(i int) types.Type {
 				last := fsig.Params().Len() - 1
 				if !fsig.Variadic() || i < last {
 					if i > last {
@@ -427,7 +479,7 @@ func (a *surfaceAnalysis) conversions(p *surfacePkg, n ast.Node, sig *types.Sign
 					return s.Elem()
 				}
 				return fsig.Params().At(last).Type()
-			}, n.Args)
+			}, n.Args, convert)
 		case *ast.CompositeLit:
 			t := info.TypeOf(n)
 			if t == nil {
@@ -444,30 +496,30 @@ func (a *surfaceAnalysis) conversions(p *surfacePkg, n ast.Node, sig *types.Sign
 				switch u := t.Underlying().(type) {
 				case *types.Struct:
 					if !keyed {
-						a.convert(u.Field(i).Type(), info.TypeOf(e))
-					} else if f, _, _ := types.LookupFieldOrMethod(t, true, p.types, kv.Key.(*ast.Ident).Name); f != nil {
-						a.convert(f.Type(), info.TypeOf(e))
+						convert(u.Field(i).Type(), info.TypeOf(e))
+					} else if f, _, _ := types.LookupFieldOrMethod(t, true, pkg, kv.Key.(*ast.Ident).Name); f != nil {
+						convert(f.Type(), info.TypeOf(e))
 					}
 				case *types.Slice:
-					a.convert(u.Elem(), info.TypeOf(e))
+					convert(u.Elem(), info.TypeOf(e))
 				case *types.Array:
-					a.convert(u.Elem(), info.TypeOf(e))
+					convert(u.Elem(), info.TypeOf(e))
 				case *types.Map:
-					a.convert(u.Elem(), info.TypeOf(e))
+					convert(u.Elem(), info.TypeOf(e))
 					if keyed {
-						a.convert(u.Key(), info.TypeOf(kv.Key))
+						convert(u.Key(), info.TypeOf(kv.Key))
 					}
 				}
 			}
 		case *ast.TypeAssertExpr:
 			if n.Type != nil {
-				a.implementers(info.TypeOf(n.Type))
+				assert(info.TypeOf(n.Type))
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range n.Body.List {
 				for _, e := range c.(*ast.CaseClause).List {
 					if tv := info.Types[e]; tv.IsType() {
-						a.implementers(tv.Type)
+						assert(tv.Type)
 					}
 				}
 			}
@@ -476,20 +528,20 @@ func (a *surfaceAnalysis) conversions(p *surfacePkg, n ast.Node, sig *types.Sign
 	})
 }
 
-// assign converts each of values to the type dst gives for its place;
-// one call that yields all n values is taken apart.
-func (a *surfaceAnalysis) assign(info *types.Info, n int, dst func(int) types.Type, values []ast.Expr) {
+// assignConversions converts each of values to the type dst gives for
+// its place; one call that yields all n values is taken apart.
+func assignConversions(info *types.Info, n int, dst func(int) types.Type, values []ast.Expr, convert func(dst, src types.Type)) {
 	if len(values) == 1 && n > 1 {
 		if tuple, ok := info.TypeOf(values[0]).(*types.Tuple); ok && tuple.Len() == n {
 			for i := 0; i < n; i++ {
-				a.convert(dst(i), tuple.At(i).Type())
+				convert(dst(i), tuple.At(i).Type())
 			}
 		}
 		return
 	}
 	for i, v := range values {
 		if i < n {
-			a.convert(dst(i), info.TypeOf(v))
+			convert(dst(i), info.TypeOf(v))
 		}
 	}
 }
@@ -624,6 +676,9 @@ func (a *surfaceAnalysis) mentions() {
 			mention(tn.Type().Underlying())
 			continue
 		}
+		if a.runtimeOnly[obj] {
+			continue
+		}
 		if f, ok := obj.(*types.Func); ok {
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
 				mention(recv.Type())
@@ -638,5 +693,417 @@ func (a *surfaceAnalysis) mentioned(tn *types.TypeName, work *[]types.Object) {
 	if u := a.use[tn]; u != nil && !u.outside {
 		u.outside = true
 		*work = append(*work, tn)
+	}
+}
+
+// The reachability pass: every func, method, type and const declared in
+// a non-test file under internal/ must be reachable from a main, an init
+// or a package-level variable initializer in a non-test file of the
+// module, of examples/ or of benchmark/. A declaration reaches every
+// name it mentions. A method is reached when reached code names it, or
+// when reached code converts a value of its receiver type to an
+// interface that requires it and reached code calls an interface method
+// of that name (rapid type analysis); an interface the standard library
+// declares counts as called, and so do error, fmt.Stringer and net.Error
+// on any value converted to an interface at all. A blank `var _ I = v`
+// assertion is neither a root nor a conversion. Whatever is left is
+// deleted with the tests that check only it.
+
+// reachAllowed lists the declarations no program reaches that stay,
+// each with its reason. An entry is a root of its own, so what it
+// reaches needs no entry. The map may only shrink: an entry the pass
+// would not report fails the test as well.
+var reachAllowed = map[string]string{
+	// References: a test of live code compares against the entry.
+	"internal/core.Limiter.topCounts":           "TestShardedSemanticsMatchSingle compares the striped table's per-host counts against refLimiter's",
+	"internal/core.SketchLimiter.bitsSet":       "liveState reads each host's register bits so TestShardedSketchMatchesSingle can compare the stripes against refSketch",
+	"internal/core.SketchLimiter.distinctCount": "TestSketchDecisionSemantics reads the estimate the live Observe path decides on",
+	"internal/core.SketchLimiter.failureCount":  "TestSketchFailureVariantRemovesScanner reads the estimate the live ObserveFailure path decides on",
+	"internal/des.Simulator.wheelTick":          "TestWheelTickRoundsDownToPowerOfTwo checks the tick the live wheel derives from its config",
+	"internal/dist.Binomial.pmf":                "TestBinomialPGFAtBoundaries checks the live offspring PGF against the mass function",
+	"internal/dist.Binomial.cdf":                "TestQuickBinomialCDFConsistent ties it to the pmf the live PGF is checked against",
+	"internal/dist.Binomial.sample":             "TestBinomialSamplerIdenticalSequence compares the live Sampler's draws against the direct sampler",
+	"internal/dist.Binomial.variance":           "TestBinomialSampleMoments scores the samplers' spread against it",
+	"internal/dist.BorelTanner.sample":          "TestBorelTannerSampleMatchesMean draws Galton–Watson totals to check the live closed forms against",
+	"internal/dist.Lognormal.mean":              "TestLognormalMean compares the live Lognormal.Sample against it",
+	"internal/dist.poisson.pmf":                 "TestPoissonLargeLambdaChiSquare scores the Poisson sampler BorelTanner.sample draws offspring from against it",
+	"internal/dist.poisson.cdf":                 "TestPoissonCDFMatchesPMFSum ties it to that pmf",
+	"internal/dist.poisson.quantile":            "TestPoissonQuantile inverts the cdf the sampler is scored against",
+	"internal/dist.poisson.pgf":                 "TestExtinctionProbabilityFixedPoint feeds Poisson offspring to the live extinction iteration and checks the fixed point",
+	"internal/dist.poisson.mean":                "TestPropertyExtinctionIteratesMonotone classifies the live iteration's Poisson offspring by it",
+	"internal/epidemic.Trajectory.component":    "TestTwoFactorCountermeasuresSlowSpread reads the live TwoFactor.Integrate trajectory through it",
+	"internal/fleet.MemTransport.partition":     "TestChaosFleetPartitionHealsToIdenticalLedgers cuts links between live fleet nodes with it",
+	"internal/fleet.MemTransport.heal":          "TestNodeDigestSyncConverges restores the links partition cut",
+	"internal/topo.writeAdjacency":              "TestTopoAdjacencyRoundTrip and FuzzAdjacencyParser compare the live ParseAdjacency against the canonical form it writes",
+	"internal/faultfs.NewMem":                   "the crashable filesystem TestPublishCrashSweep, TestLogCrashSweep and durable's TestCrashAtEveryInjectionPoint put under live code",
+	"internal/faultfs.NewInjector":              "the fault schedule of those crash sweeps",
+	"internal/faultfs.Injector.Ops":             "the crash sweeps count a clean run's operations, then crash at each",
+	"internal/faultfs.Injector.SetCrashAt":      "arms the crash sweeps' crash at the k-th operation",
+	"internal/faultfs.Injector.TraceString":     "the schedule a failing durable crash sweep prints so the seed can be replayed",
+	"internal/faultfs.Mem.Crash":                "the crash sweeps' power loss: drops everything not fsynced",
+	"internal/faultfs.Mem.Reopen":               "the crash sweeps' restart after Crash",
+	"internal/faultfs.Mem.Content":              "TestLogBytesGolden and TestCheckpointBytesGolden read the durable bytes live code wrote",
+	"internal/faultfs.Mem.Create":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultfs.Mem.Append":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultfs.Mem.ReadFile":             "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultfs.Mem.List":                 "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultfs.Mem.Remove":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultfs.Mem.Rename":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultnet.Injector.DialOnly":       "TestChaosDeterministicDialSchedule faults live gateway dials but counts them on bare conns",
+	"internal/faultnet.Injector.SetSleep":       "newChaosFleet replaces the stall sleep so injected latency does not slow the fleet chaos suite",
+	"internal/faultnet.Injector.Trace":          "TestChaosRelayUnderFaults waits on the recorded schedule under the live relay",
+	"internal/faultnet.Injector.TraceString":    "TestChaosDeterministicDialSchedule compares the schedule across replays of the live gateway",
+	"internal/faultnet.Profile.String":          "TestParseProfileRoundTrip checks the live ParseProfile against the text it writes",
+
+	// ROADMAP item 4: features nothing runs, each deleted with its tests
+	// by a later change, a package or two at a time.
+	"internal/epidemic.fitRCS":                               "item 4: fit.go",
+	"internal/epidemic.growthRate":                           "item 4: fit.go",
+	"internal/epidemic.impliedScanRate":                      "item 4: fit.go",
+	"internal/epidemic.stochasticSIR.validate":               "item 4: gillespie.go",
+	"internal/epidemic.stochasticSIR.r0":                     "item 4: gillespie.go",
+	"internal/epidemic.stochasticSIR.simulate":               "item 4: gillespie.go",
+	"internal/epidemic.stochasticSIR.finalSize":              "item 4: gillespie.go",
+	"internal/epidemic.stochasticSIR.extinctionProbEstimate": "item 4: gillespie.go",
+	"internal/epidemic.sirPath.final":                        "item 4: gillespie.go",
+	"internal/epidemic.sirPath.infectedAt":                   "item 4: gillespie.go",
+	"internal/epidemic.sir.integrate":                        "item 4: the SIR ODE",
+	"internal/epidemic.RCS.integrate":                        "item 4: RCS's numeric path; RCS.Analytic is what runs",
+	"internal/stats.newECDF":                                 "item 4: ECDF",
+	"internal/stats.ecdf.At":                                 "item 4: ECDF",
+	"internal/stats.ecdf.N":                                  "item 4: ECDF",
+	"internal/stats.quantile":                                "item 4: quantile",
+	"internal/stats.totalVariation":                          "item 4: total variation",
+	"internal/stats.Accumulator.merge":                       "item 4: merge",
+	"internal/stats.TimeSeries.last":                         "item 4: last",
+	"internal/stats.TimeSeries.max":                          "item 4: max",
+	"internal/dist.newNormal":                                "item 4: Normal",
+	"internal/dist.newPareto":                                "item 4: Pareto",
+	"internal/dist.pareto.sample":                            "item 4: Pareto",
+	"internal/dist.pareto.cdf":                               "item 4: Pareto",
+	"internal/dist.Lognormal.quantile":                       "item 4: Lognormal.quantile",
+	"internal/dist.generationsToExtinction":                  "item 4: generationsToExtinction",
+	"internal/dist.Binomial.poissonApprox":                   "item 4: poissonApprox",
+	"internal/dist.newBinomial":                              "item 4: a validating constructor nothing calls; TestNewBinomialValidation goes with it",
+	"internal/dist.newPoisson":                               "item 4: a validating constructor nothing calls; TestNewPoissonValidation goes with it",
+	"internal/core.Decision.String":                          "item 4: nothing prints a Decision; TestDecisionString goes with it",
+	"internal/rng.perm":                                      "item 4: perm",
+	"internal/rng.shuffle":                                   "item 4: shuffle",
+	"internal/rng.PCG64.split":                               "item 4: split",
+	"internal/faultnet.doRetry":                              "item 4: doRetry",
+	"internal/faultnet.Injector.listener":                    "item 4: listener",
+	"internal/telemetry.Snapshot.sub":                        "item 4: sub, until item 2 gives it its caller",
+	"internal/telemetry.HistogramSnapshot.sub":               "item 4: sub, until item 2 gives it its caller",
+}
+
+func TestReachable(t *testing.T) {
+	unreached, stale, err := scanReach(".", "wormcontain", reachAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range unreached {
+		t.Errorf("%s: no main, init or package-level initializer reaches it: delete it with the tests that check only it", name)
+	}
+	for _, name := range stale {
+		t.Errorf("%s is on reachAllowed but is reachable, or is gone: remove the entry", name)
+	}
+}
+
+// TestReachableFixture runs the pass over testdata/surface, where what
+// must be reported is known: a name nothing calls, one only a test
+// calls, a method kept only by a blank assertion, a Stringer nothing
+// converts, and an allowed entry that is stale.
+func TestReachableFixture(t *testing.T) {
+	unreached, stale, err := scanReach(filepath.Join("testdata", "surface"), "fixture", map[string]string{
+		"internal/lib.Dead": "allowed, so not reported",
+		"internal/lib.Used": "reachable, so stale",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/lib.Shade",
+		"internal/lib.Shade.String",
+		"internal/lib.asserted.Do",
+		"internal/lib.testOnly",
+	}
+	if !slices.Equal(unreached, want) {
+		t.Errorf("fixture reported\n%s\nwant\n%s", strings.Join(unreached, "\n"), strings.Join(want, "\n"))
+	}
+	if want := []string{"internal/lib.Used"}; !slices.Equal(stale, want) {
+		t.Errorf("fixture stale entries %v, want %v", stale, want)
+	}
+}
+
+// reachDecl is one package-level declaration: the names it mentions,
+// the conversions to an interface it makes, and the interfaces it
+// asserts to.
+type reachDecl struct {
+	refs    []types.Object
+	convs   [][2]types.Type // {dst, src}
+	asserts []types.Type
+}
+
+type reachAnalysis struct {
+	module  string
+	decls   map[types.Object]*reachDecl
+	live    map[types.Object]bool
+	work    []*reachDecl
+	runtime []types.Type // interfaces the standard library calls on any value
+	// called holds the interface method names reached code calls;
+	// waiting, for a name not yet called, the methods a call would reach.
+	called  map[string]bool
+	waiting map[string][]types.Object
+	boxed   map[string]types.Type // types reached code converts to an interface
+	asserts map[string]types.Type // interfaces reached code asserts to
+}
+
+// scanReach returns, sorted, the declarations under module/internal/
+// that nothing reaches, not counting the allowed ones, and the allowed
+// names it would not have reported.
+func scanReach(root, module string, allowed map[string]string) (unreached, stale []string, err error) {
+	l, err := loadModule(root, module)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &reachAnalysis{
+		module: module,
+		decls:  map[types.Object]*reachDecl{}, live: map[types.Object]bool{},
+		called: map[string]bool{}, waiting: map[string][]types.Object{},
+		boxed: map[string]types.Type{}, asserts: map[string]types.Type{},
+	}
+	if a.runtime, err = l.runtimeInterfaces(); err != nil {
+		return nil, nil, err
+	}
+	checked := map[string]types.Object{}
+	check := func(p *surfacePkg, obj types.Object) {
+		if obj.Name() != "_" && strings.HasPrefix(p.types.Path(), module+"/internal/") {
+			checked[surfaceName(module, obj)] = obj
+		}
+	}
+	var roots []*reachDecl
+	for _, p := range l.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := p.info.Defs[d.Name]
+					decl := a.declare(p, d)
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
+						roots = append(roots, decl)
+						continue
+					}
+					a.decls[obj] = decl
+					check(p, obj)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							obj := p.info.Defs[spec.Name]
+							a.decls[obj] = a.declare(p, spec)
+							check(p, obj)
+						case *ast.ValueSpec:
+							if d.Tok == token.VAR {
+								if slices.ContainsFunc(spec.Names, func(id *ast.Ident) bool { return id.Name != "_" }) {
+									roots = append(roots, a.declare(p, spec))
+								}
+								continue
+							}
+							for _, id := range spec.Names {
+								obj := p.info.Defs[id]
+								decl := a.declare(p, spec)
+								// A const of an iota run repeats the type
+								// of the spec above it without naming it.
+								if n, ok := obj.Type().(*types.Named); ok {
+									decl.refs = append(decl.refs, n.Obj())
+								}
+								a.decls[obj] = decl
+								check(p, obj)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	a.work = roots
+	a.run()
+	// An allowed name is a root of its own, so what it reaches is
+	// reached too; one reached already is stale.
+	for name := range allowed {
+		if obj, ok := checked[name]; !ok || a.live[obj] {
+			stale = append(stale, name)
+		}
+	}
+	for name := range allowed {
+		if obj, ok := checked[name]; ok {
+			a.reach(obj)
+		}
+	}
+	a.run()
+	for name, obj := range checked {
+		if !a.live[obj] {
+			unreached = append(unreached, name)
+		}
+	}
+	sort.Strings(unreached)
+	sort.Strings(stale)
+	return unreached, stale, nil
+}
+
+// run handles queued declarations until none is left.
+func (a *reachAnalysis) run() {
+	for len(a.work) > 0 {
+		d := a.work[len(a.work)-1]
+		a.work = a.work[:len(a.work)-1]
+		for _, obj := range d.refs {
+			a.ref(obj)
+		}
+		for _, c := range d.convs {
+			a.convert(c[0], c[1])
+		}
+		for _, t := range d.asserts {
+			a.assert(t)
+		}
+	}
+}
+
+// declare collects what the declaration n of package p mentions.
+func (a *reachAnalysis) declare(p *surfacePkg, n ast.Node) *reachDecl {
+	d := &reachDecl{}
+	ast.Inspect(n, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if obj := p.info.Uses[id]; obj != nil {
+			d.refs = append(d.refs, surfaceOrigin(obj))
+		}
+		// An instantiation converts each type argument to its
+		// constraint.
+		if inst, ok := p.info.Instances[id]; ok {
+			var params *types.TypeParamList
+			switch obj := p.info.Uses[id].(type) {
+			case *types.Func:
+				params = obj.Type().(*types.Signature).TypeParams()
+			case *types.TypeName:
+				params = obj.Type().(*types.Named).TypeParams()
+			}
+			for i := 0; params != nil && i < params.Len(); i++ {
+				d.convs = append(d.convs, [2]types.Type{params.At(i).Constraint(), inst.TypeArgs.At(i)})
+			}
+		}
+		return true
+	})
+	walkConversions(p.info, p.types, n, nil, func(dst, src types.Type) {
+		d.convs = append(d.convs, [2]types.Type{dst, src})
+	}, func(t types.Type) { d.asserts = append(d.asserts, t) })
+	return d
+}
+
+// reach marks obj live and queues its declaration.
+func (a *reachAnalysis) reach(obj types.Object) {
+	if a.live[obj] {
+		return
+	}
+	a.live[obj] = true
+	if d := a.decls[obj]; d != nil {
+		a.work = append(a.work, d)
+	}
+}
+
+// ref handles one name reached code mentions: a method of an interface
+// is a call through it, anything else is reached.
+func (a *reachAnalysis) ref(obj types.Object) {
+	f, ok := obj.(*types.Func)
+	if !ok {
+		a.reach(obj)
+		return
+	}
+	if recv := f.Type().(*types.Signature).Recv(); recv == nil || !types.IsInterface(recv.Type()) {
+		a.reach(obj)
+		return
+	}
+	key := reachKey(f)
+	if a.called[key] {
+		return
+	}
+	a.called[key] = true
+	for _, m := range a.waiting[key] {
+		a.reach(m)
+	}
+	delete(a.waiting, key)
+}
+
+// reachKey names an interface method for matching calls to
+// implementations: an unexported name only within its package.
+func reachKey(f *types.Func) string {
+	if f.Exported() {
+		return f.Name()
+	}
+	return f.Pkg().Path() + "." + f.Name()
+}
+
+// convert records that reached code turns a value of type src into one
+// of the interface type dst.
+func (a *reachAnalysis) convert(dst, src types.Type) {
+	if dst == nil || src == nil || types.IsInterface(src) {
+		return
+	}
+	if _, ok := src.(*types.TypeParam); ok {
+		return
+	}
+	it, ok := dst.Underlying().(*types.Interface)
+	if !ok {
+		return
+	}
+	if key := types.TypeString(src, nil); a.boxed[key] == nil {
+		a.boxed[key] = src
+		for _, t := range a.runtime {
+			a.implement(t, src)
+		}
+		for _, t := range a.asserts {
+			a.implement(t, src)
+		}
+	}
+	for i := 0; i < it.NumMethods(); i++ {
+		im := it.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(src, true, im.Pkg(), im.Name())
+		m, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		m = m.Origin()
+		switch key := reachKey(im); {
+		case im.Pkg() == nil || im.Pkg().Path() != a.module && !strings.HasPrefix(im.Pkg().Path(), a.module+"/"):
+			a.reach(m) // the standard library calls it
+		case a.called[key]:
+			a.reach(m)
+		default:
+			a.waiting[key] = append(a.waiting[key], m)
+		}
+	}
+}
+
+// assert records that reached code asserts an interface value to t:
+// every type converted to an interface that implements t may be one.
+func (a *reachAnalysis) assert(t types.Type) {
+	if !types.IsInterface(t) {
+		return
+	}
+	key := types.TypeString(t, nil)
+	if a.asserts[key] != nil {
+		return
+	}
+	a.asserts[key] = t
+	for _, src := range a.boxed {
+		a.implement(t, src)
+	}
+}
+
+// implement converts src to the interface t if it implements it.
+func (a *reachAnalysis) implement(t, src types.Type) {
+	if it := t.Underlying().(*types.Interface); it.NumMethods() > 0 && types.Implements(src, it) {
+		a.convert(t, src)
 	}
 }

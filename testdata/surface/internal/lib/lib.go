@@ -13,7 +13,10 @@ func Used() Result { return Result{N: OwnPackageOnly()} }
 
 // Result is named nowhere outside this package; Used's signature
 // mentions it.
-type Result struct{ N int }
+type Result struct {
+	N int
+	a asserted
+}
 
 // Impl is named by cmd/user. Nothing calls Do on it; cmd/user converts
 // it to an interface of its own that requires Do.
@@ -21,3 +24,25 @@ type Impl struct{}
 
 // Do is used through that conversion alone.
 func (Impl) Do() {}
+
+// Shade is exported and prints itself, but nothing outside this package
+// names it and nothing converts it: the surface check reports it, since
+// a String kept only because fmt could call it does not make its type
+// used, and the reachability pass reports it and its String.
+type Shade int
+
+func (s Shade) String() string { return "shade" }
+
+// testOnly is called from lib_test.go alone, and tests are no root: the
+// reachability pass reports it.
+func testOnly() int { return 2 }
+
+// asserted is reachable: Result names it. cmd/user calls a Do through an
+// interface, but the only conversion of asserted to an interface that
+// requires Do is the blank assertion below, which is not a use: the
+// reachability pass reports asserted.Do.
+type asserted struct{}
+
+func (asserted) Do() {}
+
+var _ interface{ Do() } = asserted{}
