@@ -60,15 +60,15 @@ func ExampleLimiter() {
 		return
 	}
 	const host = 1
-	fmt.Println(lim.Observe(host, 100, start)) // first distinct
-	fmt.Println(lim.Observe(host, 100, start)) // repeat: free
-	fmt.Println(lim.Observe(host, 200, start)) // second distinct
-	fmt.Println(lim.Observe(host, 300, start)) // over budget
+	fmt.Println("deny:", lim.Observe(host, 100, start) == core.Deny) // first distinct
+	fmt.Println("deny:", lim.Observe(host, 100, start) == core.Deny) // repeat: free
+	fmt.Println("deny:", lim.Observe(host, 200, start) == core.Deny) // second distinct
+	fmt.Println("deny:", lim.Observe(host, 300, start) == core.Deny) // over budget
 	fmt.Println("removed:", lim.Removed(host))
 	// Output:
-	// allow
-	// allow
-	// allow
-	// deny
+	// deny: false
+	// deny: false
+	// deny: false
+	// deny: true
 	// removed: true
 }

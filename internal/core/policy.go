@@ -29,20 +29,6 @@ const (
 	Deny
 )
 
-// String implements fmt.Stringer.
-func (d Decision) String() string {
-	switch d {
-	case Allow:
-		return "allow"
-	case AllowAndCheck:
-		return "allow+check"
-	case Deny:
-		return "deny"
-	default:
-		return fmt.Sprintf("Decision(%d)", int(d))
-	}
-}
-
 // LimiterConfig parameterizes the automated containment system of
 // Section IV.
 type LimiterConfig struct {

@@ -217,20 +217,6 @@ func TestLimiterConcurrentSafety(t *testing.T) {
 	}
 }
 
-func TestDecisionString(t *testing.T) {
-	cases := map[Decision]string{
-		Allow:         "allow",
-		AllowAndCheck: "allow+check",
-		Deny:          "deny",
-		Decision(0):   "Decision(0)",
-	}
-	for d, want := range cases {
-		if got := d.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(d), got, want)
-		}
-	}
-}
-
 // Property: a host is denied exactly when it would exceed M distinct
 // destinations, regardless of the order or multiplicity of contacts.
 func TestQuickLimiterDenyOnlyBeyondM(t *testing.T) {

@@ -21,14 +21,6 @@ type normal struct {
 	Sigma float64
 }
 
-// newNormal validates sigma >= 0.
-func newNormal(mu, sigma float64) (normal, error) {
-	if sigma < 0 || math.IsNaN(sigma) {
-		return normal{}, fmt.Errorf("dist: normal sigma = %v, must be >= 0", sigma)
-	}
-	return normal{Mu: mu, Sigma: sigma}, nil
-}
-
 // sample draws one variate.
 func (n normal) sample(src rng.Source) float64 {
 	if n.Sigma == 0 {
@@ -47,7 +39,7 @@ func (n normal) sample(src rng.Source) float64 {
 
 // Lognormal is the distribution of e^X with X ~ N(Mu, Sigma²). Distinct-
 // destination counts per host are approximately lognormal in wide-area
-// traces, with a Pareto tail for the most active scanners.
+// traces.
 type Lognormal struct {
 	Mu    float64
 	Sigma float64
@@ -61,51 +53,6 @@ func (l Lognormal) mean() float64 {
 // Sample draws one variate.
 func (l Lognormal) Sample(src rng.Source) float64 {
 	return math.Exp(normal{Mu: l.Mu, Sigma: l.Sigma}.sample(src))
-}
-
-// quantile returns the q-quantile using the logistic approximation to the
-// normal quantile (Bowling et al. 2009), accurate to ~1e-2 in probit
-// units — sufficient for trace calibration, where quantiles seed
-// heuristic activity classes.
-func (l Lognormal) quantile(q float64) float64 {
-	if q <= 0 || q >= 1 {
-		panic("dist: Lognormal quantile requires q in (0, 1)")
-	}
-	z := -math.Log(1/q-1) / 1.702
-	return math.Exp(l.Mu + l.Sigma*z)
-}
-
-// pareto is the (type I) pareto distribution with scale Xm > 0 and shape
-// Alpha > 0: P{X > x} = (Xm/x)^Alpha for x >= Xm. It models the heavy
-// upper tail of per-host activity.
-type pareto struct {
-	Xm    float64
-	Alpha float64
-}
-
-// newPareto validates parameters.
-func newPareto(xm, alpha float64) (pareto, error) {
-	if xm <= 0 || math.IsNaN(xm) {
-		return pareto{}, fmt.Errorf("dist: pareto xm = %v, must be > 0", xm)
-	}
-	if alpha <= 0 || math.IsNaN(alpha) {
-		return pareto{}, fmt.Errorf("dist: pareto alpha = %v, must be > 0", alpha)
-	}
-	return pareto{Xm: xm, Alpha: alpha}, nil
-}
-
-// sample draws one variate by inversion.
-func (p pareto) sample(src rng.Source) float64 {
-	// 1-U in (0,1] avoids division by zero.
-	return p.Xm / math.Pow(1-src.Float64(), 1/p.Alpha)
-}
-
-// cdf returns P{X <= x}.
-func (p pareto) cdf(x float64) float64 {
-	if x < p.Xm {
-		return 0
-	}
-	return 1 - math.Pow(p.Xm/x, p.Alpha)
 }
 
 // Zipf draws integers in [1, N] with probability proportional to

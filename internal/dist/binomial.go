@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 
 	"wormcontain/internal/rng"
@@ -15,17 +14,6 @@ import (
 type Binomial struct {
 	N int     // number of trials (total scans M)
 	P float64 // per-trial success probability (vulnerability density p)
-}
-
-// newBinomial validates the parameters and returns the distribution.
-func newBinomial(n int, p float64) (Binomial, error) {
-	if n < 0 {
-		return Binomial{}, fmt.Errorf("dist: binomial trials n = %d, must be >= 0", n)
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return Binomial{}, fmt.Errorf("dist: binomial probability p = %v, must be in [0, 1]", p)
-	}
-	return Binomial{N: n, P: p}, nil
 }
 
 // mean returns E[ξ] = N·P, the basic reproduction number of the worm when
@@ -149,12 +137,4 @@ func (s BinomialSampler) Sample(src rng.Source) int {
 			k++
 		}
 	}
-}
-
-// poissonApprox returns the Poisson distribution with matched mean
-// λ = N·P. Section III-C of the paper uses this approximation ("since p
-// is typically small, ξ can be accurately approximated by a Poisson
-// random variable with mean λ = Mp").
-func (b Binomial) poissonApprox() poisson {
-	return poisson{Lambda: b.mean()}
 }

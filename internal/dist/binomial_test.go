@@ -17,24 +17,6 @@ const (
 
 func codeRedP() float64 { return codeRedV / ipv4 }
 
-func TestNewBinomialValidation(t *testing.T) {
-	if _, err := newBinomial(-1, 0.5); err == nil {
-		t.Error("expected error for negative n")
-	}
-	if _, err := newBinomial(10, -0.1); err == nil {
-		t.Error("expected error for p < 0")
-	}
-	if _, err := newBinomial(10, 1.1); err == nil {
-		t.Error("expected error for p > 1")
-	}
-	if _, err := newBinomial(10, math.NaN()); err == nil {
-		t.Error("expected error for NaN p")
-	}
-	if _, err := newBinomial(10000, codeRedP()); err != nil {
-		t.Errorf("unexpected error for paper parameters: %v", err)
-	}
-}
-
 func TestBinomialMomentsPaperRegime(t *testing.T) {
 	// Code Red with M = 10000: E[ξ] = Mp ≈ 0.838.
 	b := Binomial{N: 10000, P: codeRedP()}
@@ -178,7 +160,7 @@ func TestBinomialPoissonApproxClose(t *testing.T) {
 	// Section III-C: for p ≈ 8.4e-5 the Poisson approximation is
 	// accurate. Check total-variation distance of the PMFs is tiny.
 	b := Binomial{N: 10000, P: codeRedP()}
-	po := b.poissonApprox()
+	po := poisson{Lambda: b.mean()}
 	tv := 0.0
 	for k := 0; k <= 30; k++ {
 		tv += math.Abs(b.pmf(k) - po.pmf(k))

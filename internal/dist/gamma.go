@@ -4,8 +4,8 @@
 // Eq. (2), its Poisson(λ = M·p) approximation, the Borel–Tanner total-
 // progeny distribution of Eq. (4), and the probability-generating-function
 // iteration used to compute per-generation extinction probabilities
-// (Fig. 3). It also provides the auxiliary samplers (normal, lognormal,
-// Pareto, Zipf) used by the synthetic traffic-trace generator.
+// (Fig. 3). It also provides the auxiliary samplers (lognormal, Zipf)
+// used by the synthetic traffic-trace generator.
 //
 // Everything works in log space where overflow threatens: the paper's
 // parameter regime has M up to tens of thousands and k up to a few

@@ -88,23 +88,3 @@ func ExtinctionProbabilityN(off Offspring, i0 int) float64 {
 	}
 	return math.Pow(extinctionProbability(off), float64(i0))
 }
-
-// generationsToExtinction returns the smallest generation n with
-// P_n >= prob, or (0, false) if not reached within maxGens. It answers
-// design questions such as "how many generations until the worm is dead
-// with probability 0.99 at this M?" — the operational reading of Fig. 3.
-func generationsToExtinction(off Offspring, i0 int, prob float64, maxGens int) (int, bool) {
-	if prob < 0 || prob > 1 {
-		panic("dist: GenerationsToExtinction requires prob in [0, 1]")
-	}
-	probs, err := ExtinctionByGeneration(off, i0, maxGens)
-	if err != nil {
-		panic(err) // parameter misuse, not a data condition
-	}
-	for n, p := range probs {
-		if p >= prob {
-			return n, true
-		}
-	}
-	return 0, false
-}

@@ -127,33 +127,11 @@ func TestExtinctionProbabilityN(t *testing.T) {
 	ExtinctionProbabilityN(po, 0)
 }
 
-func TestGenerationsToExtinction(t *testing.T) {
-	b := Binomial{N: 5000, P: codeRedP()}
-	n, ok := generationsToExtinction(b, 1, 0.99, 100)
-	if !ok {
-		t.Fatal("subcritical process should reach 0.99 extinction")
-	}
-	probs, _ := ExtinctionByGeneration(b, 1, n)
-	if probs[n] < 0.99 {
-		t.Errorf("P_%d = %v < 0.99", n, probs[n])
-	}
-	if n > 0 {
-		if prev := probs[n-1]; prev >= 0.99 {
-			t.Errorf("generation %d not minimal (P_%d = %v)", n, n-1, prev)
-		}
-	}
-	// Supercritical never reaches high extinction probability.
-	super := poisson{Lambda: 3}
-	if _, ok := generationsToExtinction(super, 1, 0.5, 200); ok {
-		t.Error("Poisson(3) should not reach 0.5 extinction probability")
-	}
-}
-
 func TestBinomialAndPoissonExtinctionAgree(t *testing.T) {
 	// The Poisson approximation should track the exact binomial PGF
 	// closely in the paper regime.
 	b := Binomial{N: 10000, P: codeRedP()}
-	po := b.poissonApprox()
+	po := poisson{Lambda: b.mean()}
 	pb, _ := ExtinctionByGeneration(b, 1, 20)
 	pp, _ := ExtinctionByGeneration(po, 1, 20)
 	for n := range pb {

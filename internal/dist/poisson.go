@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 
 	"wormcontain/internal/rng"
@@ -14,15 +13,6 @@ import (
 // subcritical (dies out with probability 1) iff λ <= 1.
 type poisson struct {
 	Lambda float64
-}
-
-// newPoisson validates λ and returns the distribution. λ = 0 is legal and
-// denotes the point mass at zero.
-func newPoisson(lambda float64) (poisson, error) {
-	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return poisson{}, fmt.Errorf("dist: poisson lambda = %v, must be finite and >= 0", lambda)
-	}
-	return poisson{Lambda: lambda}, nil
 }
 
 // mean returns E[ξ] = λ.

@@ -8,17 +8,6 @@ import (
 	"wormcontain/internal/rng"
 )
 
-func TestNewPoissonValidation(t *testing.T) {
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := newPoisson(bad); err == nil {
-			t.Errorf("expected error for lambda = %v", bad)
-		}
-	}
-	if _, err := newPoisson(0); err != nil {
-		t.Errorf("lambda = 0 should be valid: %v", err)
-	}
-}
-
 func TestPoissonPMFKnownValues(t *testing.T) {
 	// Poisson(1): P{0} = P{1} = e^-1.
 	p := poisson{Lambda: 1}

@@ -87,7 +87,8 @@ func TestIntegrateValidation(t *testing.T) {
 func TestRCSMatchesAnalytic(t *testing.T) {
 	// Code Red-like parameters: 360k vulnerable, 6 scans/s.
 	m := RCS{Beta: BetaFromScanRate(6), V: 360000, I0: 10}
-	tr, err := m.integrate(4*3600, 1, 16)
+	logistic := func(_ float64, y, dst []float64) { dst[0] = m.Beta * y[0] * (m.V - y[0]) }
+	tr, err := integrate(logistic, []float64{m.I0}, 0, 4*3600, 1, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,85 +120,6 @@ func TestRCSSigmoidShape(t *testing.T) {
 	}
 	if final := m.Analytic(1e7); math.Abs(final-m.V) > 1 {
 		t.Errorf("I(∞) = %v, want ≈V", final)
-	}
-}
-
-func TestRCSValidation(t *testing.T) {
-	bad := []RCS{
-		{Beta: -1, V: 100, I0: 1},
-		{Beta: 1, V: 0, I0: 1},
-		{Beta: 1, V: 100, I0: 0},
-		{Beta: 1, V: 100, I0: 200},
-		{Beta: math.NaN(), V: 100, I0: 1},
-	}
-	for i, m := range bad {
-		if err := m.validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
-	}
-}
-
-func TestSIRConservation(t *testing.T) {
-	m := sir{Beta: BetaFromScanRate(6), Gamma: 1e-4, V: 360000, I0: 10}
-	tr, err := m.integrate(6*3600, 1, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range tr.States {
-		total := st[0] + st[1] + st[2]
-		if math.Abs(total-m.V) > 1e-6*m.V {
-			t.Errorf("t=%v: S+I+R = %v, want %v", tr.Times[i], total, m.V)
-		}
-		for c, v := range st {
-			if v < -1e-6 {
-				t.Errorf("t=%v: component %d negative: %v", tr.Times[i], c, v)
-			}
-		}
-	}
-}
-
-func TestSIRInfectionPeaksAndDeclines(t *testing.T) {
-	// With a substantial removal rate the infectious curve must rise
-	// then fall.
-	m := sir{Beta: BetaFromScanRate(20), Gamma: 5e-4, V: 360000, I0: 10}
-	tr, err := m.integrate(12*3600, 1, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infectious := tr.component(1)
-	peakIdx := 0
-	for i, v := range infectious {
-		if v > infectious[peakIdx] {
-			peakIdx = i
-		}
-	}
-	if peakIdx == 0 || peakIdx == len(infectious)-1 {
-		t.Fatalf("no interior peak: peak at index %d of %d", peakIdx, len(infectious))
-	}
-	if final := infectious[len(infectious)-1]; final >= infectious[peakIdx]/2 {
-		t.Errorf("infectious did not decline: peak %v, final %v", infectious[peakIdx], final)
-	}
-}
-
-func TestSIRGammaZeroMatchesRCS(t *testing.T) {
-	sir := sir{Beta: BetaFromScanRate(6), Gamma: 0, V: 360000, I0: 10}
-	rcs := RCS{Beta: BetaFromScanRate(6), V: 360000, I0: 10}
-	tr, err := sir.integrate(4*3600, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, at := range tr.Times {
-		want := rcs.Analytic(at)
-		got := tr.States[i][1]
-		if math.Abs(got-want) > 1e-4*(1+want) {
-			t.Errorf("t=%v: SIR(γ=0) I = %v, RCS %v", at, got, want)
-		}
-	}
-}
-
-func TestSIRValidation(t *testing.T) {
-	if err := (sir{Beta: 1, Gamma: -1, V: 10, I0: 1}).validate(); err == nil {
-		t.Error("expected error for negative gamma")
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package epidemic implements the deterministic epidemic models the
 // paper positions its stochastic branching process against (Section II):
-// the random constant spread (RCS) model of Staniford et al. [15], the
-// classical SIR compartment model, and the two-factor model of Zou et
-// al. [19]. These are systems of ODEs integrated with a fixed-step
-// fourth-order Runge–Kutta scheme; the RCS model additionally has its
-// closed-form logistic solution for validating the integrator.
+// the random constant spread (RCS) model of Staniford et al. [15] and
+// the two-factor model of Zou et al. [19]. The two-factor model is a
+// system of ODEs integrated with a fixed-step fourth-order Runge–Kutta
+// scheme; the RCS model has a closed-form logistic solution, which
+// also validates the integrator.
 //
 // The ablation bench A2 runs these against the stochastic simulator to
 // demonstrate the paper's core modelling argument: deterministic models

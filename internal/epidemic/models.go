@@ -19,24 +19,6 @@ type RCS struct {
 	I0   float64 // initially infected
 }
 
-// validate reports whether the parameters are usable.
-func (m RCS) validate() error {
-	switch {
-	case m.Beta < 0 || math.IsNaN(m.Beta):
-		return fmt.Errorf("epidemic: RCS beta %v invalid", m.Beta)
-	case m.V <= 0:
-		return fmt.Errorf("epidemic: RCS population %v invalid", m.V)
-	case m.I0 <= 0 || m.I0 > m.V:
-		return fmt.Errorf("epidemic: RCS I0 %v outside (0, V]", m.I0)
-	}
-	return nil
-}
-
-// derivatives implements the one-dimensional ODE (state = [I]).
-func (m RCS) derivatives(_ float64, y, dst []float64) {
-	dst[0] = m.Beta * y[0] * (m.V - y[0])
-}
-
 // Analytic returns the closed-form logistic solution
 //
 //	I(t) = I0·V·e^{βVt} / (V + I0·(e^{βVt} − 1)),
@@ -46,64 +28,6 @@ func (m RCS) derivatives(_ float64, y, dst []float64) {
 func (m RCS) Analytic(t float64) float64 {
 	e := math.Exp(m.Beta * m.V * t)
 	return m.I0 * m.V * e / (m.V + m.I0*(e-1))
-}
-
-// integrate solves the model on [0, t1] with step h, sampling samples+1
-// points of I(t).
-func (m RCS) integrate(t1, h float64, samples int) (Trajectory, error) {
-	if err := m.validate(); err != nil {
-		return Trajectory{}, err
-	}
-	return integrate(m.derivatives, []float64{m.I0}, 0, t1, h, samples)
-}
-
-// sir is the classical Kermack–McKendrick compartment model with states
-// [S, I, R]:
-//
-//	dS/dt = −β·S·I
-//	dI/dt = β·S·I − γ·I
-//	dR/dt = γ·I
-//
-// γ is the removal (patch/clean-up) rate; with γ = 0 it degenerates to
-// RCS.
-type sir struct {
-	Beta  float64
-	Gamma float64
-	V     float64 // total population S+I+R
-	I0    float64
-}
-
-// validate reports whether the parameters are usable.
-func (m sir) validate() error {
-	switch {
-	case m.Beta < 0 || math.IsNaN(m.Beta):
-		return fmt.Errorf("epidemic: SIR beta %v invalid", m.Beta)
-	case m.Gamma < 0 || math.IsNaN(m.Gamma):
-		return fmt.Errorf("epidemic: SIR gamma %v invalid", m.Gamma)
-	case m.V <= 0:
-		return fmt.Errorf("epidemic: SIR population %v invalid", m.V)
-	case m.I0 <= 0 || m.I0 > m.V:
-		return fmt.Errorf("epidemic: SIR I0 %v outside (0, V]", m.I0)
-	}
-	return nil
-}
-
-// derivatives implements the three-dimensional ODE (state = [S, I, R]).
-func (m sir) derivatives(_ float64, y, dst []float64) {
-	s, i := y[0], y[1]
-	inf := m.Beta * s * i
-	dst[0] = -inf
-	dst[1] = inf - m.Gamma*i
-	dst[2] = m.Gamma * i
-}
-
-// integrate solves the model on [0, t1] with step h.
-func (m sir) integrate(t1, h float64, samples int) (Trajectory, error) {
-	if err := m.validate(); err != nil {
-		return Trajectory{}, err
-	}
-	y0 := []float64{m.V - m.I0, m.I0, 0}
-	return integrate(m.derivatives, y0, 0, t1, h, samples)
 }
 
 // TwoFactor is the two-factor worm model of Zou, Gong and Towsley [19],
@@ -171,7 +95,7 @@ func (m TwoFactor) Integrate(t1, h float64, samples int) (Trajectory, error) {
 }
 
 // BetaFromScanRate converts a uniform scan rate (scans/second against
-// the IPv4 space) into the pairwise infection rate β used by all three
+// the IPv4 space) into the pairwise infection rate β used by both
 // models: each scan hits one given host with probability 2^-32.
 func BetaFromScanRate(scansPerSecond float64) float64 {
 	return scansPerSecond / (1 << 32)

@@ -7,7 +7,7 @@
 // work (Zhou et al.'s connection-failure modeling, Shakkottai &
 // Srikant's worm-defense overlays) treats messy failure behavior as the
 // operating regime, not the exception. This package makes that regime
-// testable: net.Conn, net.Listener and dialer wrappers inject dial
+// testable: net.Conn and dialer wrappers inject dial
 // failures, connection resets, latency, stalls, short writes and byte
 // corruption according to a schedule drawn from a seeded rng.PCG64
 // stream — the same seed always produces the same fault sequence for
@@ -273,7 +273,7 @@ func (e *InjectedError) Timeout() bool { return false }
 func (e *InjectedError) Temporary() bool { return true }
 
 // Injector draws a deterministic fault schedule from a seeded PCG64
-// stream and applies it to wrapped dials, conns and listeners. It is
+// stream and applies it to wrapped dials and conns. It is
 // safe for concurrent use; decisions are serialized, so the schedule is
 // a pure function of the seed and the order operations reach the
 // injector. Single-goroutine drivers therefore replay bit-identically
@@ -445,27 +445,6 @@ func (in *Injector) DialOnly(next DialFunc) DialFunc {
 // schedule.
 func (in *Injector) conn(conn net.Conn) net.Conn {
 	return &faultConn{Conn: conn, in: in}
-}
-
-// listener wraps a listener so every accepted connection is
-// fault-wrapped.
-func (in *Injector) listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, in: in}
-}
-
-// faultListener wraps Accept results.
-type faultListener struct {
-	net.Listener
-	in *Injector
-}
-
-// Accept wraps the accepted connection.
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.conn(conn), nil
 }
 
 // faultConn applies per-operation fault decisions to an underlying

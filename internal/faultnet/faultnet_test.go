@@ -264,39 +264,6 @@ func TestLatencyAndStallSleep(t *testing.T) {
 	}
 }
 
-func TestListenerWrapsAccepted(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(Profile{Reset: 1}, 5) // every op resets
-	ln := in.listener(inner)
-	defer ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		_, err = conn.Read(make([]byte, 1))
-		done <- err
-	}()
-
-	conn, err := net.DialTimeout("tcp", inner.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_, _ = conn.Write([]byte("x"))
-	var inj *InjectedError
-	if err := <-done; !errors.As(err, &inj) || inj.Fault != faultReset {
-		t.Errorf("accepted conn read error = %v, want injected reset", err)
-	}
-}
-
 func TestTraceBounded(t *testing.T) {
 	in := New(Profile{}, 1)
 	for i := 0; i < maxTrace+100; i++ {

@@ -8,9 +8,10 @@ import (
 
 // RetryConfig parameterizes capped exponential backoff with
 // deterministic jitter. The zero value is usable: it means "one
-// attempt, no retries" for bounded helpers like Do, while loops that
-// own their retry budget (the reporter's reconnect loop) treat
-// MaxAttempts <= 0 as unlimited and apply the delay defaults below.
+// attempt, no retries" for bounded callers like the gateway's dial
+// retry, while loops that own their retry budget (the reporter's
+// reconnect loop) treat MaxAttempts <= 0 as unlimited and apply the
+// delay defaults below.
 type RetryConfig struct {
 	// MaxAttempts is the total number of attempts (1 = no retries).
 	// Callers that document it so treat <= 0 as unlimited.
@@ -109,30 +110,4 @@ func (b *Backoff) Next() (delay time.Duration, ok bool) {
 func (b *Backoff) Reset() {
 	b.attempts = 0
 	b.delay = 0
-}
-
-// doRetry runs op until it succeeds or the attempt budget is spent,
-// sleeping the backoff delay between attempts. sleep is injectable for
-// tests; nil means time.Sleep. The zero config runs op exactly once.
-// With MaxAttempts <= 0 doRetry retries forever — reserve that for loops
-// with their own cancellation.
-func doRetry(cfg RetryConfig, sleep func(time.Duration), op func() error) error {
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 1
-	}
-	b := cfg.NewBackoff()
-	for {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		delay, ok := b.Next()
-		if !ok {
-			return err
-		}
-		sleep(delay)
-	}
 }

@@ -1,7 +1,6 @@
 package faultnet
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -90,44 +89,5 @@ func TestBackoffReset(t *testing.T) {
 	d, ok := b.Next()
 	if !ok || d != time.Millisecond {
 		t.Errorf("after reset: delay %v ok %v, want fresh base delay", d, ok)
-	}
-}
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	var slept []time.Duration
-	calls := 0
-	err := doRetry(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: -1},
-		func(d time.Duration) { slept = append(slept, d) },
-		func() error {
-			calls++
-			if calls < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		})
-	if err != nil || calls != 3 || len(slept) != 2 {
-		t.Errorf("err=%v calls=%d slept=%v", err, calls, slept)
-	}
-}
-
-func TestDoExhaustsBudget(t *testing.T) {
-	calls := 0
-	sentinel := errors.New("down")
-	err := doRetry(RetryConfig{MaxAttempts: 4, BaseDelay: time.Microsecond},
-		func(time.Duration) {},
-		func() error { calls++; return sentinel })
-	if !errors.Is(err, sentinel) || calls != 4 {
-		t.Errorf("err=%v calls=%d, want sentinel after 4 attempts", err, calls)
-	}
-}
-
-func TestDoZeroConfigSingleAttempt(t *testing.T) {
-	calls := 0
-	err := doRetry(RetryConfig{}, func(time.Duration) {}, func() error {
-		calls++
-		return errors.New("nope")
-	})
-	if err == nil || calls != 1 {
-		t.Errorf("err=%v calls=%d, want one attempt", err, calls)
 	}
 }

@@ -196,14 +196,6 @@ func (p *PCG64) SetState(st PCG64State) {
 	p.incHi, p.incLo = st.IncHi, st.IncLo|1
 }
 
-// split derives a new, statistically independent PCG64 stream from the
-// current generator. It consumes two values from the parent. Use it to
-// hand each Monte-Carlo replication or each simulated host its own
-// generator without coordinating stream ids manually.
-func (p *PCG64) split() *PCG64 {
-	return NewPCG64(p.Uint64(), p.Uint64())
-}
-
 // Uint64n returns a uniform integer in [0, n) drawn from src.
 // It panics if n == 0. It uses Lemire's multiply-shift rejection method,
 // which is unbiased and needs no divisions in the common case.
@@ -244,24 +236,4 @@ func Exponential(src Source, rate float64) float64 {
 	}
 	// -log(1-U) with U in [0,1) avoids log(0).
 	return -math.Log1p(-src.Float64()) / rate
-}
-
-// perm fills a permutation of [0, n) using the Fisher–Yates shuffle.
-func perm(src Source, n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := Intn(src, i+1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// shuffle randomizes the order of n elements using the provided swap
-// function, as in math/rand.shuffle, but driven by a deterministic Source.
-func shuffle(src Source, n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := Intn(src, i+1)
-		swap(i, j)
-	}
 }

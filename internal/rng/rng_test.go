@@ -66,20 +66,6 @@ func TestPCG64StreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestPCG64SplitIndependence(t *testing.T) {
-	parent := NewPCG64(99, 0)
-	child := parent.split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("parent and child collided on %d of 1000 outputs", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	srcs := map[string]Source{
 		"splitmix": NewSplitMix64(5),
@@ -190,40 +176,6 @@ func TestExponentialPanicsOnBadRate(t *testing.T) {
 		}
 	}()
 	Exponential(NewSplitMix64(1), 0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	src := NewPCG64(31, 0)
-	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := perm(src, n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	src := NewPCG64(37, 0)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	shuffle(src, len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Errorf("shuffle changed multiset: sum %d -> %d", sum, got)
-	}
 }
 
 // Property: Uint64n never returns a value >= n, for arbitrary n and seeds.

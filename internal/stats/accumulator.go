@@ -8,14 +8,11 @@ import (
 // Accumulator computes summary statistics of a sample in one streaming
 // pass without retaining the observations: count, mean, variance
 // (Welford's online update, numerically stable), min and max. It is the
-// reducer-side companion of the parallel replication engine — per-worker
-// partials can be combined with Merge (the Chan–Golub–LeVeque pairwise
-// formula), and merging partials in any grouping yields the same moments
-// as a single serial pass.
+// reducer-side companion of the parallel replication engine: the reducer
+// Adds each replication's outcome in replication order.
 //
 // The zero value is an empty accumulator ready for use. An Accumulator
-// is not safe for concurrent use; give each goroutine its own and Merge
-// them, or Add from a single reducer goroutine.
+// is not safe for concurrent use; Add from a single reducer goroutine.
 type Accumulator struct {
 	n    int
 	mean float64
@@ -44,31 +41,6 @@ func (a *Accumulator) Add(x float64) {
 
 // AddInt folds one integer observation into the accumulator.
 func (a *Accumulator) AddInt(v int) { a.Add(float64(v)) }
-
-// merge folds another accumulator's statistics into a, as if every
-// observation b saw had been Added to a. b is not modified. Merging is
-// commutative and associative up to floating-point rounding.
-func (a *Accumulator) merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	na, nb := float64(a.n), float64(b.n)
-	delta := b.mean - a.mean
-	n := na + nb
-	a.mean += delta * nb / n
-	a.m2 += b.m2 + delta*delta*na*nb/n
-	a.n += b.n
-}
 
 // Summary converts the accumulated moments to the same Summary that
 // Summarize computes from a retained sample. An empty accumulator is an

@@ -64,59 +64,3 @@ func TestAccumulatorEmpty(t *testing.T) {
 		t.Errorf("empty accumulator N=%d Mean=%v", acc.n, acc.mean)
 	}
 }
-
-func TestAccumulatorMergeEqualsSerial(t *testing.T) {
-	// Split one sample across several partial accumulators in uneven
-	// chunks; merging the partials must reproduce the serial moments —
-	// the property the parallel engine's per-worker reduction relies on.
-	src := rng.NewSplitMix64(7)
-	xs := make([]float64, 997)
-	var serial Accumulator
-	for i := range xs {
-		xs[i] = src.Float64() * float64(i%13)
-		serial.Add(xs[i])
-	}
-	parts := []Accumulator{{}, {}, {}, {}}
-	for i, x := range xs {
-		parts[(i*i)%len(parts)].Add(x)
-	}
-	var merged Accumulator
-	for i := range parts {
-		merged.merge(&parts[i])
-	}
-	ws, err := serial.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := merged.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.N != ws.N || gs.Min != ws.Min || gs.Max != ws.Max {
-		t.Fatalf("merged N/min/max %d/%v/%v, want %d/%v/%v",
-			gs.N, gs.Min, gs.Max, ws.N, ws.Min, ws.Max)
-	}
-	if math.Abs(gs.Mean-ws.Mean) > 1e-9 || math.Abs(gs.Variance-ws.Variance) > 1e-6 {
-		t.Errorf("merged mean/var %v/%v, want %v/%v", gs.Mean, gs.Variance, ws.Mean, ws.Variance)
-	}
-}
-
-func TestAccumulatorMergeEmptyCases(t *testing.T) {
-	var a, b Accumulator
-	b.Add(3)
-	b.Add(5)
-	a.merge(&b) // empty <- nonempty adopts b wholesale
-	s, err := a.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 2 || s.Mean != 4 {
-		t.Errorf("adopted summary %+v", s)
-	}
-	var empty Accumulator
-	a.merge(&empty) // nonempty <- empty is a no-op
-	s2, _ := a.Summary()
-	if s2 != s {
-		t.Errorf("merge with empty changed %+v to %+v", s, s2)
-	}
-}

@@ -49,26 +49,6 @@ func (ts *TimeSeries) At(t time.Duration) float64 {
 	return ts.values[idx-1]
 }
 
-// last returns the final timestamp and value; ok is false when empty.
-func (ts *TimeSeries) last() (time.Duration, float64, bool) {
-	if len(ts.times) == 0 {
-		return 0, 0, false
-	}
-	n := len(ts.times) - 1
-	return ts.times[n], ts.values[n], true
-}
-
-// max returns the largest recorded value (0 for an empty series).
-func (ts *TimeSeries) max() float64 {
-	m := 0.0
-	for _, v := range ts.values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Sample evaluates the series on a regular grid of n+1 points spanning
 // [0, horizon]: the form consumed by plotting and by the figure
 // harness's printed tables.

@@ -50,26 +50,6 @@ func TestTimeSeriesRegressionPanics(t *testing.T) {
 	ts.Record(1*time.Second, 2)
 }
 
-func TestTimeSeriesLastAndMax(t *testing.T) {
-	ts := NewTimeSeries()
-	if _, _, ok := ts.last(); ok {
-		t.Error("empty series should have no last point")
-	}
-	if ts.max() != 0 {
-		t.Error("empty series max should be 0")
-	}
-	ts.Record(1*time.Second, 5)
-	ts.Record(2*time.Second, 9)
-	ts.Record(3*time.Second, 4)
-	at, v, ok := ts.last()
-	if !ok || at != 3*time.Second || v != 4 {
-		t.Errorf("Last = (%v, %v, %v)", at, v, ok)
-	}
-	if ts.max() != 9 {
-		t.Errorf("Max = %v, want 9", ts.max())
-	}
-}
-
 func TestTimeSeriesSampleGrid(t *testing.T) {
 	ts := NewTimeSeries()
 	ts.Record(0, 1)

@@ -1,15 +1,13 @@
 // Package stats provides the empirical statistics the evaluation harness
 // needs to compare Monte-Carlo simulation output against the paper's
 // analytical predictions: summary moments, integer histograms with
-// relative and cumulative frequencies (Figs. 7, 8, 11, 12), empirical
-// CDFs, and total-variation distance as the sim-vs-theory agreement
-// metric.
+// relative and cumulative frequencies (Figs. 7, 8, 11, 12), and the
+// Kolmogorov–Smirnov distance as the sim-vs-theory agreement metric.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the usual scalar statistics of a sample.
@@ -59,27 +57,6 @@ func SummarizeInts(xs []int) (Summary, error) {
 		fs[i] = float64(x)
 	}
 	return summarize(fs)
-}
-
-// quantile returns the q-quantile (nearest-rank method) of the sample,
-// q in [0, 1]. The input need not be sorted; it is not modified.
-func quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: quantile of an empty sample")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile level %v outside [0, 1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q == 0 {
-		return sorted[0], nil
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx], nil
 }
 
 // IntHistogram counts occurrences of small non-negative integer outcomes
@@ -150,55 +127,6 @@ func (h *IntHistogram) CumFreq(kMax int) []float64 {
 	// the honest empirical CDF at kMax.
 	return rel
 }
-
-// totalVariation returns half the L1 distance between two discrete
-// distributions given as dense probability slices over the same support
-// range. Slices of different lengths are compared over the longer
-// support with missing entries treated as zero.
-func totalVariation(p, q []float64) float64 {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		var pi, qi float64
-		if i < len(p) {
-			pi = p[i]
-		}
-		if i < len(q) {
-			qi = q[i]
-		}
-		sum += math.Abs(pi - qi)
-	}
-	return sum / 2
-}
-
-// ecdf is an empirical cumulative distribution function over float64
-// samples.
-type ecdf struct {
-	sorted []float64
-}
-
-// newECDF copies and sorts the sample. An empty sample is an error.
-func newECDF(xs []float64) (*ecdf, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("stats: ECDF of an empty sample")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ecdf{sorted: sorted}, nil
-}
-
-// At returns the fraction of samples <= x.
-func (e *ecdf) At(x float64) float64 {
-	// First index with value > x.
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ecdf) N() int { return len(e.sorted) }
 
 // KolmogorovSmirnov returns the Kolmogorov–Smirnov statistic
 // sup_k |F(k) − G(k)| between two CDFs given as dense slices over the

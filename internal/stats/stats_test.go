@@ -49,40 +49,6 @@ func TestSummarizeInts(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5, 10}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {0.1, 1}, {0.5, 5}, {0.9, 9}, {1, 10},
-	}
-	for _, c := range cases {
-		got, err := quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be reordered.
-	if xs[0] != 9 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := quantile(nil, 0.5); err == nil {
-		t.Error("expected error for empty sample")
-	}
-	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := quantile([]float64{1}, q); err == nil {
-			t.Errorf("expected error for q = %v", q)
-		}
-	}
-}
-
 func TestIntHistogramBasics(t *testing.T) {
 	h := NewIntHistogram()
 	if _, _, ok := h.Range(); ok {
@@ -140,77 +106,6 @@ func TestRelFreqEmpty(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty histogram must give zero frequencies")
 		}
-	}
-}
-
-func TestTotalVariation(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{1, 0}
-	if got := totalVariation(p, q); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("TV = %v, want 0.5", got)
-	}
-	if got := totalVariation(p, p); got != 0 {
-		t.Errorf("TV(p, p) = %v, want 0", got)
-	}
-	// Mismatched lengths: missing entries are zeros.
-	if got := totalVariation([]float64{1}, []float64{0.5, 0.5}); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("TV mismatched = %v, want 0.5", got)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e, err := newECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	if _, err := newECDF(nil); err == nil {
-		t.Error("expected error for empty sample")
-	}
-}
-
-// Property: TV distance is symmetric and within [0, 1] for probability
-// vectors.
-func TestQuickTotalVariationSymmetric(t *testing.T) {
-	f := func(a, b []uint8) bool {
-		norm := func(raw []uint8) []float64 {
-			if len(raw) == 0 {
-				return []float64{1}
-			}
-			out := make([]float64, len(raw))
-			sum := 0.0
-			for i, v := range raw {
-				out[i] = float64(v)
-				sum += float64(v)
-			}
-			if sum == 0 {
-				out[0] = 1
-				sum = 1
-			}
-			for i := range out {
-				out[i] /= sum
-			}
-			return out
-		}
-		p, q := norm(a), norm(b)
-		tv, vt := totalVariation(p, q), totalVariation(q, p)
-		return math.Abs(tv-vt) < 1e-12 && tv >= 0 && tv <= 1+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -131,20 +131,3 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	}
 	return time.Duration(s.SumNanos / s.Count)
 }
-
-// sub returns the histogram delta s - prev: the observations recorded
-// between the two snapshots. Counts that would go negative (prev not
-// actually an ancestor) clamp to zero.
-func (s HistogramSnapshot) sub(prev HistogramSnapshot) HistogramSnapshot {
-	var out HistogramSnapshot
-	for k := 0; k < numBuckets; k++ {
-		if s.Counts[k] > prev.Counts[k] {
-			out.Counts[k] = s.Counts[k] - prev.Counts[k]
-			out.Count += out.Counts[k]
-		}
-	}
-	if s.SumNanos > prev.SumNanos {
-		out.SumNanos = s.SumNanos - prev.SumNanos
-	}
-	return out
-}

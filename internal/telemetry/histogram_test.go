@@ -88,24 +88,6 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
-func TestHistogramSub(t *testing.T) {
-	h := newHistogram()
-	h.Observe(time.Microsecond)
-	before := h.Snapshot()
-	h.Observe(time.Millisecond)
-	h.Observe(time.Millisecond)
-	delta := h.Snapshot().sub(before)
-	if delta.Count != 2 {
-		t.Errorf("delta Count = %d, want 2", delta.Count)
-	}
-	if delta.SumNanos != 2*uint64(time.Millisecond) {
-		t.Errorf("delta SumNanos = %d", delta.SumNanos)
-	}
-	if p50 := delta.Quantile(0.5); p50 < 512*time.Microsecond {
-		t.Errorf("delta p50 = %v, want in the 1ms bucket", p50)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := newHistogram()
 	const goroutines, each = 8, 10_000

@@ -317,37 +317,3 @@ func (s Snapshot) Value(name string, labelValues ...string) (float64, bool) {
 	}
 	return 0, false
 }
-
-// sub returns the windowed delta s - prev: counters and histograms are
-// subtracted series-by-series (clamping at zero), gauges keep their
-// current value. Families or series absent from prev pass through
-// unchanged, so sub composes with registries that grow over time.
-func (s Snapshot) sub(prev Snapshot) Snapshot {
-	out := Snapshot{Families: make([]FamilySnapshot, len(s.Families))}
-	for i, f := range s.Families {
-		nf := f
-		nf.Series = append([]SeriesSnapshot(nil), f.Series...)
-		pf := prev.Family(f.Name)
-		if pf != nil && f.Kind != kindGauge {
-			for j := range nf.Series {
-				key := seriesKey(nf.Series[j].LabelValues)
-				for _, ps := range pf.Series {
-					if seriesKey(ps.LabelValues) != key {
-						continue
-					}
-					if nf.Series[j].Histogram != nil && ps.Histogram != nil {
-						d := nf.Series[j].Histogram.sub(*ps.Histogram)
-						nf.Series[j].Histogram = &d
-					} else if nf.Series[j].Value > ps.Value {
-						nf.Series[j].Value -= ps.Value
-					} else {
-						nf.Series[j].Value = 0
-					}
-					break
-				}
-			}
-		}
-		out.Families[i] = nf
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRegistryGetOrCreateIdentity(t *testing.T) {
 	r := NewRegistry()
@@ -97,48 +94,5 @@ func TestSnapshotSortedByName(t *testing.T) {
 		if s.Families[i-1].Name >= s.Families[i].Name {
 			t.Fatalf("families out of order: %q >= %q", s.Families[i-1].Name, s.Families[i].Name)
 		}
-	}
-}
-
-func TestSnapshotSubWindows(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("work_total", "")
-	g := r.Gauge("depth", "")
-	h := r.Histogram("latency_seconds", "")
-
-	c.Add(10)
-	g.Set(5)
-	h.Observe(time.Millisecond)
-	before := r.Snapshot()
-
-	c.Add(7)
-	g.Set(2)
-	h.Observe(time.Millisecond)
-	h.Observe(time.Millisecond)
-	delta := r.Snapshot().sub(before)
-
-	if got, _ := delta.Value("work_total"); got != 7 {
-		t.Errorf("counter delta = %v, want 7", got)
-	}
-	// Gauges report the current value, not a delta.
-	if got, _ := delta.Value("depth"); got != 2 {
-		t.Errorf("gauge in delta = %v, want 2", got)
-	}
-	f := delta.Family("latency_seconds")
-	if f == nil || len(f.Series) != 1 || f.Series[0].Histogram == nil {
-		t.Fatal("histogram family missing from delta")
-	}
-	if got := f.Series[0].Histogram.Count; got != 2 {
-		t.Errorf("histogram delta count = %d, want 2", got)
-	}
-}
-
-func TestSnapshotSubNewSeriesPassThrough(t *testing.T) {
-	r := NewRegistry()
-	before := r.Snapshot()
-	r.Counter("late_total", "").Add(3)
-	delta := r.Snapshot().sub(before)
-	if got, ok := delta.Value("late_total"); !ok || got != 3 {
-		t.Errorf("new family in delta = %v (ok=%v), want 3", got, ok)
 	}
 }

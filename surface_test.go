@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -220,7 +221,7 @@ func loadModule(root, module string) (*surfaceLoader, error) {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if name := d.Name(); path != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+		if skipDir(root, path, d) {
 			return filepath.SkipDir
 		}
 		files, _ := filepath.Glob(filepath.Join(path, "*.go"))
@@ -247,6 +248,13 @@ func loadModule(root, module string) (*surfaceLoader, error) {
 	}
 	loadedModules[root] = l
 	return l, nil
+}
+
+// skipDir reports whether the module walk leaves out the directory d at
+// path: testdata and hidden directories below root.
+func skipDir(root, path string, d fs.DirEntry) bool {
+	name := d.Name()
+	return d.IsDir() && path != root && (name == "testdata" || name[0] == '.' || name[0] == '_')
 }
 
 // scanSurface returns, sorted by name, the exported names under
@@ -709,14 +717,15 @@ func (a *surfaceAnalysis) mentioned(tn *types.TypeName, work *[]types.Object) {
 // assertion is neither a root nor a conversion. Whatever is left is
 // deleted with the tests that check only it.
 
-// reachAllowed lists the declarations no program reaches that stay,
-// each with its reason. An entry is a root of its own, so what it
-// reaches needs no entry. The map may only shrink: an entry the pass
-// would not report fails the test as well.
+// reachAllowed lists the declarations no program reaches that stay:
+// references a test of live code compares against. Each reason names
+// that test. An entry is a root of its own, so what it reaches needs no
+// entry. The map may only shrink: an entry the pass would not report
+// fails the test as well, and so does a reason that names no test, or
+// names one no _test.go declares.
 var reachAllowed = map[string]string{
-	// References: a test of live code compares against the entry.
 	"internal/core.Limiter.topCounts":           "TestShardedSemanticsMatchSingle compares the striped table's per-host counts against refLimiter's",
-	"internal/core.SketchLimiter.bitsSet":       "liveState reads each host's register bits so TestShardedSketchMatchesSingle can compare the stripes against refSketch",
+	"internal/core.SketchLimiter.bitsSet":       "TestShardedSemanticsMatchSingle reads each host's register bits through liveState to compare the sketch stripes against refSketch",
 	"internal/core.SketchLimiter.distinctCount": "TestSketchDecisionSemantics reads the estimate the live Observe path decides on",
 	"internal/core.SketchLimiter.failureCount":  "TestSketchFailureVariantRemovesScanner reads the estimate the live ObserveFailure path decides on",
 	"internal/des.Simulator.wheelTick":          "TestWheelTickRoundsDownToPowerOfTwo checks the tick the live wheel derives from its config",
@@ -736,64 +745,24 @@ var reachAllowed = map[string]string{
 	"internal/fleet.MemTransport.heal":          "TestNodeDigestSyncConverges restores the links partition cut",
 	"internal/topo.writeAdjacency":              "TestTopoAdjacencyRoundTrip and FuzzAdjacencyParser compare the live ParseAdjacency against the canonical form it writes",
 	"internal/faultfs.NewMem":                   "the crashable filesystem TestPublishCrashSweep, TestLogCrashSweep and durable's TestCrashAtEveryInjectionPoint put under live code",
-	"internal/faultfs.NewInjector":              "the fault schedule of those crash sweeps",
-	"internal/faultfs.Injector.Ops":             "the crash sweeps count a clean run's operations, then crash at each",
-	"internal/faultfs.Injector.SetCrashAt":      "arms the crash sweeps' crash at the k-th operation",
-	"internal/faultfs.Injector.TraceString":     "the schedule a failing durable crash sweep prints so the seed can be replayed",
-	"internal/faultfs.Mem.Crash":                "the crash sweeps' power loss: drops everything not fsynced",
-	"internal/faultfs.Mem.Reopen":               "the crash sweeps' restart after Crash",
+	"internal/faultfs.NewInjector":              "TestPublishCrashSweep, TestLogCrashSweep and TestCrashAtEveryInjectionPoint draw their fault schedule from it",
+	"internal/faultfs.Injector.Ops":             "TestPublishCrashSweep and TestLogCrashSweep count a clean run's operations, then crash at each",
+	"internal/faultfs.Injector.SetCrashAt":      "TestCrashAtEveryInjectionPoint arms its crash at the k-th operation with it",
+	"internal/faultfs.Injector.TraceString":     "TestCrashAtEveryInjectionPoint prints the schedule on failure so the seed can be replayed",
+	"internal/faultfs.Mem.Crash":                "TestCrashAtEveryInjectionPoint's power loss: drops everything not fsynced",
+	"internal/faultfs.Mem.Reopen":               "TestCrashAtEveryInjectionPoint's restart after Crash",
 	"internal/faultfs.Mem.Content":              "TestLogBytesGolden and TestCheckpointBytesGolden read the durable bytes live code wrote",
-	"internal/faultfs.Mem.Create":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
-	"internal/faultfs.Mem.Append":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
-	"internal/faultfs.Mem.ReadFile":             "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
-	"internal/faultfs.Mem.List":                 "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
-	"internal/faultfs.Mem.Remove":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
-	"internal/faultfs.Mem.Rename":               "faultfs.FS, which live crashsafe code calls on the crash sweeps' Mem",
+	"internal/faultfs.Mem.Create":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
+	"internal/faultfs.Mem.Append":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
+	"internal/faultfs.Mem.ReadFile":             "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
+	"internal/faultfs.Mem.List":                 "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
+	"internal/faultfs.Mem.Remove":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
+	"internal/faultfs.Mem.Rename":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
 	"internal/faultnet.Injector.DialOnly":       "TestChaosDeterministicDialSchedule faults live gateway dials but counts them on bare conns",
-	"internal/faultnet.Injector.SetSleep":       "newChaosFleet replaces the stall sleep so injected latency does not slow the fleet chaos suite",
+	"internal/faultnet.Injector.SetSleep":       "TestChaosFleetPartitionHealsToIdenticalLedgers replaces the stall sleep so injected latency does not slow the fleet chaos suite",
 	"internal/faultnet.Injector.Trace":          "TestChaosRelayUnderFaults waits on the recorded schedule under the live relay",
 	"internal/faultnet.Injector.TraceString":    "TestChaosDeterministicDialSchedule compares the schedule across replays of the live gateway",
 	"internal/faultnet.Profile.String":          "TestParseProfileRoundTrip checks the live ParseProfile against the text it writes",
-
-	// ROADMAP item 4: features nothing runs, each deleted with its tests
-	// by a later change, a package or two at a time.
-	"internal/epidemic.fitRCS":                               "item 4: fit.go",
-	"internal/epidemic.growthRate":                           "item 4: fit.go",
-	"internal/epidemic.impliedScanRate":                      "item 4: fit.go",
-	"internal/epidemic.stochasticSIR.validate":               "item 4: gillespie.go",
-	"internal/epidemic.stochasticSIR.r0":                     "item 4: gillespie.go",
-	"internal/epidemic.stochasticSIR.simulate":               "item 4: gillespie.go",
-	"internal/epidemic.stochasticSIR.finalSize":              "item 4: gillespie.go",
-	"internal/epidemic.stochasticSIR.extinctionProbEstimate": "item 4: gillespie.go",
-	"internal/epidemic.sirPath.final":                        "item 4: gillespie.go",
-	"internal/epidemic.sirPath.infectedAt":                   "item 4: gillespie.go",
-	"internal/epidemic.sir.integrate":                        "item 4: the SIR ODE",
-	"internal/epidemic.RCS.integrate":                        "item 4: RCS's numeric path; RCS.Analytic is what runs",
-	"internal/stats.newECDF":                                 "item 4: ECDF",
-	"internal/stats.ecdf.At":                                 "item 4: ECDF",
-	"internal/stats.ecdf.N":                                  "item 4: ECDF",
-	"internal/stats.quantile":                                "item 4: quantile",
-	"internal/stats.totalVariation":                          "item 4: total variation",
-	"internal/stats.Accumulator.merge":                       "item 4: merge",
-	"internal/stats.TimeSeries.last":                         "item 4: last",
-	"internal/stats.TimeSeries.max":                          "item 4: max",
-	"internal/dist.newNormal":                                "item 4: Normal",
-	"internal/dist.newPareto":                                "item 4: Pareto",
-	"internal/dist.pareto.sample":                            "item 4: Pareto",
-	"internal/dist.pareto.cdf":                               "item 4: Pareto",
-	"internal/dist.Lognormal.quantile":                       "item 4: Lognormal.quantile",
-	"internal/dist.generationsToExtinction":                  "item 4: generationsToExtinction",
-	"internal/dist.Binomial.poissonApprox":                   "item 4: poissonApprox",
-	"internal/dist.newBinomial":                              "item 4: a validating constructor nothing calls; TestNewBinomialValidation goes with it",
-	"internal/dist.newPoisson":                               "item 4: a validating constructor nothing calls; TestNewPoissonValidation goes with it",
-	"internal/core.Decision.String":                          "item 4: nothing prints a Decision; TestDecisionString goes with it",
-	"internal/rng.perm":                                      "item 4: perm",
-	"internal/rng.shuffle":                                   "item 4: shuffle",
-	"internal/rng.PCG64.split":                               "item 4: split",
-	"internal/faultnet.doRetry":                              "item 4: doRetry",
-	"internal/faultnet.Injector.listener":                    "item 4: listener",
-	"internal/telemetry.Snapshot.sub":                        "item 4: sub, until item 2 gives it its caller",
-	"internal/telemetry.HistogramSnapshot.sub":               "item 4: sub, until item 2 gives it its caller",
 }
 
 func TestReachable(t *testing.T) {
@@ -807,17 +776,74 @@ func TestReachable(t *testing.T) {
 	for _, name := range stale {
 		t.Errorf("%s is on reachAllowed but is reachable, or is gone: remove the entry", name)
 	}
+	unnamed, err := unnamedReasons(".", reachAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range unnamed {
+		t.Errorf("%s: reason %q names no test that exists: name the test that compares against it, or delete the entry", name, reachAllowed[name])
+	}
+}
+
+// testRef matches a Test, Fuzz or Example function named in a reason.
+var testRef = regexp.MustCompile(`\b(?:Test|Fuzz|Example)[A-Z_]\w*`)
+
+// unnamedReasons returns, sorted, the allowed entries whose reason names
+// no test function, or names one that no _test.go under root declares.
+func unnamedReasons(root string, allowed map[string]string) ([]string, error) {
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if skipDir(root, path, d) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var unnamed []string
+	for name, reason := range allowed {
+		refs := testRef.FindAllString(reason, -1)
+		ok := len(refs) > 0
+		for _, ref := range refs {
+			ok = ok && declared[ref]
+		}
+		if !ok {
+			unnamed = append(unnamed, name)
+		}
+	}
+	sort.Strings(unnamed)
+	return unnamed, nil
 }
 
 // TestReachableFixture runs the pass over testdata/surface, where what
 // must be reported is known: a name nothing calls, one only a test
 // calls, a method kept only by a blank assertion, a Stringer nothing
-// converts, and an allowed entry that is stale.
+// converts, an allowed entry that is stale, and reasons that name no
+// test or one that does not exist.
 func TestReachableFixture(t *testing.T) {
-	unreached, stale, err := scanReach(filepath.Join("testdata", "surface"), "fixture", map[string]string{
-		"internal/lib.Dead": "allowed, so not reported",
-		"internal/lib.Used": "reachable, so stale",
-	})
+	root := filepath.Join("testdata", "surface")
+	allowed := map[string]string{
+		"internal/lib.Dead": "allowed, so not reported; TestOnly exists but TestGone does not",
+		"internal/lib.Used": "reachable, so stale; names no test",
+	}
+	unreached, stale, err := scanReach(root, "fixture", allowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,6 +858,13 @@ func TestReachableFixture(t *testing.T) {
 	}
 	if want := []string{"internal/lib.Used"}; !slices.Equal(stale, want) {
 		t.Errorf("fixture stale entries %v, want %v", stale, want)
+	}
+	unnamed, err := unnamedReasons(root, allowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/lib.Dead", "internal/lib.Used"}; !slices.Equal(unnamed, want) {
+		t.Errorf("fixture entries with no existing test named %v, want %v", unnamed, want)
 	}
 }
 
