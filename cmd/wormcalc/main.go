@@ -69,7 +69,7 @@ func wormFlags(fs *flag.FlagSet, i0 int, i0Usage string) func() (core.WormModel,
 		n    = fs.Int("i0", i0, i0Usage)
 	)
 	return func() (core.WormModel, error) {
-		if *v > 0 {
+		if *v != 0 { // a negative -v reaches NewWormModel's V >= 1 check
 			return core.NewWormModel("custom", *v, core.IPv4SpaceSize, 0, *n)
 		}
 		w, ok := core.PresetByName(*worm, 0, *n)

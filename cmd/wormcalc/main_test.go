@@ -111,6 +111,7 @@ func TestExtinctionErrors(t *testing.T) {
 		{"-m", "abc"},
 		{"-m", "-5"},
 		{"-v", "100", "-i0", "0"},
+		{"-v", "-5"},
 	})
 }
 
@@ -149,6 +150,7 @@ func TestDesignErrors(t *testing.T) {
 		{"-max-infected", "0"},
 		{"-confidence", "1.5"},
 		{"-trace", "/nonexistent/file"},
+		{"-v", "-5"},
 	})
 }
 

@@ -213,7 +213,7 @@ func run(args []string) error {
 			Kernel:       kind,
 			RecordPaths:  *path,
 		}
-		if *dutyOn > 0 {
+		if *dutyOn != 0 || *dutyOff != 0 {
 			cfg.DutyCycle = &sim.DutyCycleConfig{On: *dutyOn, Off: *dutyOff}
 		}
 		return cfg

@@ -131,6 +131,9 @@ func TestRunErrors(t *testing.T) {
 		{"-worm", "melissa"},
 		{"-defense", "firewall"},
 		{"-v", "0"},
+		// A duty cycle with a phase <= 0 is rejected, not run always-on.
+		{"-duty-on", "-1s", "-duty-off", "1s"},
+		{"-duty-off", "10m"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -51,9 +51,6 @@ type Options struct {
 
 	// Logf receives recovery and degradation notices (default: drop).
 	Logf func(format string, args ...any)
-
-	// Now supplies wall time (default time.Now); tests pin it.
-	Now func() time.Time
 }
 
 // laneCount is the number of independently locked journal buffers. It
@@ -102,7 +99,6 @@ type Store struct {
 	fs      faultfs.FS
 	limiter core.Backend
 	logf    func(string, ...any)
-	now     func() time.Time
 	info    RecoveryInfo
 
 	lanes    [laneCount]lane
@@ -171,11 +167,6 @@ func Open(opts Options, cfg core.LimiterConfig, start time.Time) (*Store, error)
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-
 	rec, err := recoverState(fsys, logf)
 	if err != nil {
 		return nil, err
@@ -202,12 +193,11 @@ func Open(opts Options, cfg core.LimiterConfig, start time.Time) (*Store, error)
 		fs:      fsys,
 		limiter: limiter,
 		logf:    logf,
-		now:     now,
 		info:    rec.info,
 		seq:     rec.scan.maxSeq, // next snapshot becomes maxSeq+1
 		stop:    make(chan struct{}),
 	}
-	s.lastSnapMs.Store(now().UnixMilli())
+	s.lastSnapMs.Store(time.Now().UnixMilli())
 
 	// Journal from here on; no traffic reaches the limiter before Open
 	// returns, so the initial snapshot below cuts an empty journal.
@@ -443,7 +433,7 @@ func (s *Store) snapshotLocked() error {
 	// if it never reached the WAL.
 	s.acked.Store(to)
 	s.snapWrites.Add(1)
-	s.lastSnapMs.Store(s.now().UnixMilli())
+	s.lastSnapMs.Store(time.Now().UnixMilli())
 
 	// Rotate to the new generation's segment. Failure here must not
 	// ack anything further to the OLD segment — recovery ignores
@@ -535,7 +525,7 @@ func (s *Store) register(reg *telemetry.Registry) {
 	reg.GaugeFunc("wormgate_snapshot_age_seconds",
 		"Seconds since the last published snapshot.",
 		func() float64 {
-			return float64(s.now().UnixMilli()-s.lastSnapMs.Load()) / 1000
+			return float64(time.Now().UnixMilli()-s.lastSnapMs.Load()) / 1000
 		})
 	reg.GaugeFunc("wormgate_recovery_replayed_records",
 		"WAL records replayed during the last startup recovery.",

@@ -124,7 +124,7 @@ func TestRCSSigmoidShape(t *testing.T) {
 }
 
 func TestTwoFactorReducesToRCS(t *testing.T) {
-	// γ = μ = η = 0 collapses the two-factor model to RCS.
+	// γ = 0 collapses the two-factor model to RCS.
 	tf := TwoFactor{Beta0: BetaFromScanRate(6), V: 360000, I0: 10}
 	rcs := RCS{Beta: BetaFromScanRate(6), V: 360000, I0: 10}
 	tr, err := tf.Integrate(4*3600, 1, 8)
@@ -140,12 +140,32 @@ func TestTwoFactorReducesToRCS(t *testing.T) {
 	}
 }
 
+// TestTwoFactorAblationBits pins, bit for bit, the final I and R of the
+// two-factor run the A2 ablation makes (ablation-deterministic), at its
+// quick and full horizons. No golden covers that artifact.
+func TestTwoFactorAblationBits(t *testing.T) {
+	for _, c := range []struct {
+		horizon float64
+		i, r    uint64
+	}{
+		{2400, 0x4034aff22a26427a, 0x401c3a4b80f66285}, // I ≈ 20.687, R ≈ 7.057
+		{6000, 0x404ec57653d22b42, 0x4041050e12a95a57}, // I ≈ 61.543, R ≈ 34.039
+	} {
+		tr, err := TwoFactor{Beta0: BetaFromScanRate(6), Gamma: 2e-4, V: 360000, I0: 10}.Integrate(c.horizon, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := tr.States[len(tr.States)-1]
+		if i, r := math.Float64bits(final[0]), math.Float64bits(final[1]); i != c.i || r != c.r {
+			t.Errorf("horizon %v s: I, R = %v, %v (%#x, %#x), want %v, %v (%#x, %#x)", c.horizon,
+				final[0], final[1], i, r, math.Float64frombits(c.i), math.Float64frombits(c.r), c.i, c.r)
+		}
+	}
+}
+
 func TestTwoFactorCountermeasuresSlowSpread(t *testing.T) {
 	base := TwoFactor{Beta0: BetaFromScanRate(6), V: 360000, I0: 10}
-	damped := TwoFactor{
-		Beta0: BetaFromScanRate(6), Gamma: 2e-4, Mu: 1e-3, Eta: 3,
-		V: 360000, I0: 10,
-	}
+	damped := TwoFactor{Beta0: BetaFromScanRate(6), Gamma: 2e-4, V: 360000, I0: 10}
 	horizon := 8 * 3600.0
 	trBase, err := base.Integrate(horizon, 1, 4)
 	if err != nil {
@@ -158,38 +178,35 @@ func TestTwoFactorCountermeasuresSlowSpread(t *testing.T) {
 	iBase := trBase.component(0)
 	iDamped := trDamped.component(0)
 	if iDamped[4] >= iBase[4] {
-		t.Errorf("countermeasures did not slow the worm: %v vs %v", iDamped[4], iBase[4])
+		t.Errorf("removal did not slow the worm: %v vs %v", iDamped[4], iBase[4])
 	}
 }
 
 func TestTwoFactorStateSanity(t *testing.T) {
-	m := TwoFactor{
-		Beta0: BetaFromScanRate(10), Gamma: 3e-4, Mu: 2e-3, Eta: 2,
-		V: 360000, I0: 10,
-	}
+	m := TwoFactor{Beta0: BetaFromScanRate(10), Gamma: 3e-4, V: 360000, I0: 10}
 	tr, err := m.Integrate(24*3600, 1, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevR, prevQ, prevJ := -1.0, -1.0, -1.0
+	prevR := -1.0
 	for i, st := range tr.States {
-		infectious, removed, immunized, cumulative := st[0], st[1], st[2], st[3]
-		if infectious < -1e-6 || removed < -1e-6 || immunized < -1e-6 {
+		infectious, removed := st[0], st[1]
+		if infectious < -1e-6 || removed < -1e-6 {
 			t.Fatalf("t=%v: negative compartment %v", tr.Times[i], st)
 		}
-		if removed < prevR-1e-6 || immunized < prevQ-1e-6 || cumulative < prevJ-1e-6 {
-			t.Fatalf("t=%v: monotone compartment decreased", tr.Times[i])
+		if removed < prevR-1e-6 {
+			t.Fatalf("t=%v: removed compartment decreased", tr.Times[i])
 		}
-		if infectious+removed+immunized > m.V*(1+1e-9) {
+		if infectious+removed > m.V*(1+1e-9) {
 			t.Fatalf("t=%v: compartments exceed population", tr.Times[i])
 		}
-		prevR, prevQ, prevJ = removed, immunized, cumulative
+		prevR = removed
 	}
 }
 
 func TestTwoFactorValidation(t *testing.T) {
-	if err := (TwoFactor{Beta0: 1, Eta: -1, V: 10, I0: 1}).validate(); err == nil {
-		t.Error("expected error for negative eta")
+	if err := (TwoFactor{Beta0: 1, Gamma: -1, V: 10, I0: 1}).validate(); err == nil {
+		t.Error("expected error for negative gamma")
 	}
 }
 

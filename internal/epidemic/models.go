@@ -31,21 +31,16 @@ func (m RCS) Analytic(t float64) float64 {
 }
 
 // TwoFactor is the two-factor worm model of Zou, Gong and Towsley [19],
-// Eq. (1) of the paper: it extends RCS with (i) human countermeasures —
-// removal of infectious hosts at rate γ and immunization of susceptible
-// hosts proportional to the cumulative observed infection — and (ii) a
-// congestion-dependent infection rate β(t) = β0·(1 − I/V)^η that decays
-// as worm traffic saturates links.
+// Eq. (1) of the paper, as the A2 ablation runs it: RCS plus removal of
+// infectious hosts at rate γ (patching). The model's other two factors,
+// immunization of susceptibles (μ) and a congestion-dependent infection
+// rate (η), are held at μ = η = 0, where they contribute nothing.
 //
-// State vector: [I, R, Q, J] where I = infectious, R = removed from the
-// infectious population, Q = removed (immunized) from the susceptible
-// population, and J = I + R is the cumulative infection count driving
-// immunization. Susceptibles are S = V − I − R − Q.
+// State vector: [I, R] where I = infectious and R = removed from the
+// infectious population. Susceptibles are S = V − I − R.
 type TwoFactor struct {
-	Beta0 float64 // initial pairwise infection rate
+	Beta0 float64 // pairwise infection rate
 	Gamma float64 // removal rate of infectious hosts
-	Mu    float64 // immunization pressure on susceptibles
-	Eta   float64 // congestion exponent in β(t)
 	V     float64
 	I0    float64
 }
@@ -55,9 +50,8 @@ func (m TwoFactor) validate() error {
 	switch {
 	case m.Beta0 < 0 || math.IsNaN(m.Beta0):
 		return fmt.Errorf("epidemic: two-factor beta0 %v invalid", m.Beta0)
-	case m.Gamma < 0 || m.Mu < 0 || m.Eta < 0:
-		return fmt.Errorf("epidemic: two-factor rates (γ=%v, μ=%v, η=%v) must be >= 0",
-			m.Gamma, m.Mu, m.Eta)
+	case m.Gamma < 0:
+		return fmt.Errorf("epidemic: two-factor removal rate γ=%v must be >= 0", m.Gamma)
 	case m.V <= 0:
 		return fmt.Errorf("epidemic: two-factor population %v invalid", m.V)
 	case m.I0 <= 0 || m.I0 > m.V:
@@ -66,23 +60,16 @@ func (m TwoFactor) validate() error {
 	return nil
 }
 
-// derivatives implements the four-dimensional ODE (state = [I, R, Q, J]).
+// derivatives implements the two-dimensional ODE (state = [I, R]).
 func (m TwoFactor) derivatives(_ float64, y, dst []float64) {
-	i, r, q, j := y[0], y[1], y[2], y[3]
-	s := m.V - i - r - q
+	i, r := y[0], y[1]
+	s := m.V - i - r
 	if s < 0 {
 		s = 0
 	}
-	frac := 1 - i/m.V
-	if frac < 0 {
-		frac = 0
-	}
-	beta := m.Beta0 * math.Pow(frac, m.Eta)
-	infect := beta * s * i
+	infect := m.Beta0 * s * i
 	dst[0] = infect - m.Gamma*i // dI/dt
 	dst[1] = m.Gamma * i        // dR/dt
-	dst[2] = m.Mu * s * j / m.V // dQ/dt (immunization pressure)
-	dst[3] = infect             // dJ/dt (cumulative infections)
 }
 
 // Integrate solves the model on [0, t1] with step h.
@@ -90,8 +77,7 @@ func (m TwoFactor) Integrate(t1, h float64, samples int) (Trajectory, error) {
 	if err := m.validate(); err != nil {
 		return Trajectory{}, err
 	}
-	y0 := []float64{m.I0, 0, 0, m.I0}
-	return integrate(m.derivatives, y0, 0, t1, h, samples)
+	return integrate(m.derivatives, []float64{m.I0, 0}, 0, t1, h, samples)
 }
 
 // BetaFromScanRate converts a uniform scan rate (scans/second against

@@ -118,7 +118,7 @@ func runAblationDefense(opts Options) (*Result, error) {
 					return cell{}, err
 				}
 				cfg.Horizon = w.horizon
-				cfg.Kernel = opts.Kernel
+				cfg.Kernel = opts.kernel
 				out, err := sim.RunWith(cfg, pool.Get(slot))
 				if err != nil {
 					return cell{}, err
@@ -186,7 +186,7 @@ func runAblationDeterministic(opts Options) (*Result, error) {
 			MaxInfected: 20000,
 			Seed:        opts.Seed,
 			Stream:      uint64(r),
-			Kernel:      opts.Kernel,
+			Kernel:      opts.kernel,
 		}
 		out, err := sim.RunWith(cfg, pool.Get(slot))
 		if err != nil {
@@ -229,7 +229,7 @@ func runAblationDeterministic(opts Options) (*Result, error) {
 			MaxInfected: 20000,
 			Seed:        opts.Seed ^ 0x9a7c,
 			Stream:      uint64(r),
-			Kernel:      opts.Kernel,
+			Kernel:      opts.kernel,
 		}, pool.Get(slot))
 		if err != nil {
 			return 0, err
@@ -319,7 +319,7 @@ func runAblationPreference(opts Options) (*Result, error) {
 				MaxInfected:   v,
 				Seed:          opts.Seed,
 				Stream:        uint64(r),
-				Kernel:        opts.Kernel,
+				Kernel:        opts.kernel,
 			}
 			out, err := sim.RunWith(cfg, pool.Get(slot))
 			if err != nil {

@@ -78,9 +78,9 @@ func mcReplayTotals(records [][]byte, header []byte, cfg sim.FastConfig) (totals
 // artifact, with durable replication progress when
 // Options.CheckpointDir is set: completed replications are journaled
 // as they finish (in replication order, group-committed every
-// CheckpointEvery), and a rerun resumes from the journal. The merged
-// outcome is byte-identical to an uninterrupted run for every worker
-// count and every interruption point — pinned by
+// Options.checkpointEvery), and a rerun resumes from the journal. The
+// merged outcome is byte-identical to an uninterrupted run for every
+// worker count and every interruption point — pinned by
 // TestMonteCarloCheckpointResume.
 func runMonteCarlo(id string, cfg sim.FastConfig, opts Options) (*sim.MonteCarlo, error) {
 	if opts.CheckpointDir == "" {
@@ -125,7 +125,7 @@ func runMonteCarloFS(fsys faultfs.FS, id string, cfg sim.FastConfig, opts Option
 			if err := j.Append(mcTotal(r, total)); err != nil {
 				return err
 			}
-			if sinceSync++; sinceSync >= opts.CheckpointEvery {
+			if sinceSync++; sinceSync >= opts.checkpointEvery {
 				sinceSync = 0
 				return j.Sync()
 			}

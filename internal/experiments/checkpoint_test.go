@@ -16,7 +16,7 @@ func mcTestConfig() sim.FastConfig {
 }
 
 func mcTestOpts(runs int) Options {
-	return Options{Runs: runs, Workers: 4, CheckpointEvery: 8}
+	return Options{Runs: runs, Workers: 4, checkpointEvery: 8}
 }
 
 // TestMonteCarloCheckpointResume pins the headline resume contract at

@@ -48,7 +48,7 @@ func runAblationDetection(opts Options) (*Result, error) {
 		ScanRate:    6,
 		MaxInfected: maxInfected,
 		Seed:        opts.Seed,
-		Kernel:      opts.Kernel,
+		Kernel:      opts.kernel,
 		RecordPaths: true,
 		ScanObserver: func(_, dst addr.IP, at time.Duration) {
 			// The monitor sees scans landing in its covered block.

@@ -40,12 +40,12 @@ type Options struct {
 	// deterministic: every worker count produces bit-identical results,
 	// so Workers trades wall-clock only, never output.
 	Workers int
-	// Kernel selects the discrete-event kernel backend for every DES
+	// kernel selects the discrete-event kernel backend for every DES
 	// replication (the fast generational Monte-Carlo engine has no event
-	// queue and ignores it). The zero value is the heap reference
-	// backend; both backends produce byte-identical artifacts — pinned
-	// by TestKernelArtifactParity — so Kernel trades wall-clock only.
-	Kernel des.Kind
+	// queue and ignores it). Programs leave it at the heap reference
+	// backend; TestKernelArtifactParity sets the wheel to pin that both
+	// backends produce byte-identical artifacts.
+	kernel des.Kind
 	// CheckpointDir, when non-empty, makes the Monte-Carlo runners
 	// journal every completed replication's outcome to a per-artifact
 	// progress file in this directory. A rerun with the same
@@ -55,11 +55,11 @@ type Options struct {
 	// replication r is always pinned to RNG stream r. A configuration
 	// change (different worm, seed, or sizes) resets the journal.
 	CheckpointDir string
-	// CheckpointEvery is the group-commit cadence of the progress
+	// checkpointEvery is the group-commit cadence of the progress
 	// journal in replications: outcomes are fsynced at least this often,
 	// bounding what a crash can lose. Zero or negative selects the
-	// default of 64.
-	CheckpointEvery int
+	// default of 64; the checkpoint tests set it lower.
+	checkpointEvery int
 }
 
 // normalize fills defaults.
@@ -77,8 +77,8 @@ func (o Options) normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = parallel.DefaultWorkers()
 	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 64
+	if o.checkpointEvery <= 0 {
+		o.checkpointEvery = 64
 	}
 	return o
 }

@@ -93,7 +93,7 @@ func runAblationIntrusiveness(opts Options) (*Result, error) {
 		// same full horizon of legitimate traffic.
 		cfg.MaxInfected = 0
 		cfg.Background = &background
-		cfg.Kernel = opts.Kernel
+		cfg.Kernel = opts.kernel
 		out, err := sim.RunWith(cfg, pool.Get(slot))
 		if err != nil {
 			return caseOut{}, err
@@ -154,7 +154,7 @@ func runAblationIntrusiveness(opts Options) (*Result, error) {
 		cfg.Horizon = horizon
 		cfg.MaxInfected = 0
 		cfg.Background = &bursty
-		cfg.Kernel = opts.Kernel
+		cfg.Kernel = opts.kernel
 		out, err := sim.RunWith(cfg, pool.Get(slot))
 		if err != nil {
 			return "", err

@@ -25,7 +25,7 @@ func TestKernelArtifactParity(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1905} {
 		for _, id := range artifacts {
 			ref, err := Run(id, Options{
-				Seed: seed, Quick: true, Workers: 3, Kernel: des.KernelHeap,
+				Seed: seed, Quick: true, Workers: 3, kernel: des.KernelHeap,
 			})
 			if err != nil {
 				t.Fatalf("%s seed %d heap: %v", id, seed, err)
@@ -33,7 +33,7 @@ func TestKernelArtifactParity(t *testing.T) {
 			want := ref.Format()
 			for _, workers := range []int{1, 3, 8} {
 				got, err := Run(id, Options{
-					Seed: seed, Quick: true, Workers: workers, Kernel: des.KernelWheel,
+					Seed: seed, Quick: true, Workers: workers, kernel: des.KernelWheel,
 				})
 				if err != nil {
 					t.Fatalf("%s seed %d wheel workers=%d: %v", id, seed, workers, err)

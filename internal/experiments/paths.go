@@ -46,7 +46,7 @@ func samplePathRuns(opts Options, n int) ([]*sim.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Kernel = opts.Kernel
+		cfg.Kernel = opts.kernel
 		res, err := sim.RunWith(cfg, scratch)
 		if err != nil {
 			return nil, err
@@ -85,7 +85,7 @@ func runFig2(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Kernel = opts.Kernel
+	cfg.Kernel = opts.kernel
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, err

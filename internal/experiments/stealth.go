@@ -73,7 +73,7 @@ func runAblationStealth(opts Options) (*Result, error) {
 			}
 			cfg.DutyCycle = &duty
 			cfg.Horizon = horizon
-			cfg.Kernel = opts.Kernel
+			cfg.Kernel = opts.kernel
 			out, err := sim.RunWith(cfg, pool.Get(slot))
 			if err != nil {
 				return 0, err
@@ -120,7 +120,7 @@ func runAblationStealth(opts Options) (*Result, error) {
 			return "", err
 		}
 		label := "always-on"
-		cfg.Kernel = opts.Kernel
+		cfg.Kernel = opts.kernel
 		if stealthy {
 			cfg.DutyCycle = &sim.DutyCycleConfig{On: 10 * time.Second, Off: 90 * time.Second}
 			label = "stealth (10s on / 90s off)"

@@ -166,7 +166,7 @@ func runTopologyContainment(opts Options) (*Result, error) {
 				if err != nil {
 					return repOut{}, err
 				}
-				cfg.Kernel = opts.Kernel
+				cfg.Kernel = opts.kernel
 				out, err := sim.RunWith(cfg, pool.Get(slot))
 				if err != nil {
 					return repOut{}, err

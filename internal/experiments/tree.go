@@ -25,7 +25,7 @@ func runFig1(opts Options) (*Result, error) {
 		return nil, err
 	}
 	cfg.RecordTree = true
-	cfg.Kernel = opts.Kernel
+	cfg.Kernel = opts.kernel
 	out, err := sim.Run(cfg)
 	if err != nil {
 		return nil, err

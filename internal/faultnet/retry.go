@@ -20,17 +20,18 @@ type RetryConfig struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 30s).
 	MaxDelay time.Duration
-	// Multiplier is the growth factor per failure (default 2).
-	Multiplier float64
-	// Jitter spreads each delay by ±Jitter·delay·U with U uniform in
+	// jitter spreads each delay by ±jitter·delay·U with U uniform in
 	// [0,1), defeating retry synchronization across a fleet. Zero means
-	// the default 0.2; negative disables jitter entirely.
-	Jitter float64
-	// Seed seeds the deterministic jitter stream: the same config
-	// yields the same delay sequence, so backoff behavior replays in
-	// tests.
-	Seed uint64
+	// the default 0.2; negative disables jitter entirely, which tests
+	// use to check the exact curve.
+	jitter float64
+	// seed seeds the deterministic jitter stream: the same config
+	// yields the same delay sequence, so backoff behavior replays.
+	seed uint64
 }
+
+// backoffMultiplier is the delay's growth factor per failure.
+const backoffMultiplier = 2
 
 // withDefaults normalizes zero fields.
 func (c RetryConfig) withDefaults() RetryConfig {
@@ -43,14 +44,11 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	if c.MaxDelay < c.BaseDelay {
 		c.MaxDelay = c.BaseDelay
 	}
-	if c.Multiplier < 1 {
-		c.Multiplier = 2
+	if c.jitter == 0 {
+		c.jitter = 0.2
 	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
+	if c.jitter < 0 {
+		c.jitter = 0
 	}
 	return c
 }
@@ -72,7 +70,7 @@ func (c RetryConfig) NewBackoff() *Backoff {
 	return &Backoff{
 		cfg:       n,
 		unlimited: c.MaxAttempts <= 0,
-		src:       rng.NewSplitMix64(n.Seed ^ 0xba0cf0ff),
+		src:       rng.NewSplitMix64(n.seed ^ 0xba0cf0ff),
 	}
 }
 
@@ -87,16 +85,16 @@ func (b *Backoff) Next() (delay time.Duration, ok bool) {
 	if b.delay == 0 {
 		b.delay = b.cfg.BaseDelay
 	} else {
-		b.delay = time.Duration(float64(b.delay) * b.cfg.Multiplier)
+		b.delay = time.Duration(float64(b.delay) * backoffMultiplier)
 	}
 	if b.delay > b.cfg.MaxDelay {
 		b.delay = b.cfg.MaxDelay
 	}
 	delay = b.delay
-	if b.cfg.Jitter > 0 {
-		// Symmetric jitter: delay · (1 ± Jitter·U), never negative.
+	if b.cfg.jitter > 0 {
+		// Symmetric jitter: delay · (1 ± jitter·U), never negative.
 		u := 2*b.src.Float64() - 1
-		delay += time.Duration(b.cfg.Jitter * u * float64(delay))
+		delay += time.Duration(b.cfg.jitter * u * float64(delay))
 	}
 	if delay < 0 {
 		delay = 0

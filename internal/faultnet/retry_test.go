@@ -6,7 +6,7 @@ import (
 )
 
 func TestBackoffDeterministicSequence(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Seed: 99}
+	cfg := RetryConfig{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, seed: 99}
 	seq := func() []time.Duration {
 		b := cfg.NewBackoff()
 		var out []time.Duration
@@ -31,7 +31,7 @@ func TestBackoffDeterministicSequence(t *testing.T) {
 
 func TestBackoffGrowthAndCap(t *testing.T) {
 	cfg := RetryConfig{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 50 * time.Millisecond, Jitter: -1} // no jitter: exact curve
+		MaxDelay: 50 * time.Millisecond, jitter: -1} // no jitter: exact curve
 	b := cfg.NewBackoff()
 	want := []time.Duration{10, 20, 40, 50, 50, 50, 50, 50, 50}
 	for i, w := range want {
@@ -50,7 +50,7 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 
 func TestBackoffJitterBounds(t *testing.T) {
 	cfg := RetryConfig{MaxAttempts: 0, BaseDelay: 100 * time.Millisecond,
-		MaxDelay: 100 * time.Millisecond, Jitter: 0.5, Seed: 4}
+		MaxDelay: 100 * time.Millisecond, jitter: 0.5, seed: 4}
 	b := cfg.NewBackoff()
 	var lo, hi time.Duration = time.Hour, 0
 	for i := 0; i < 200; i++ {
@@ -74,7 +74,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestBackoffReset(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: -1}
+	cfg := RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, jitter: -1}
 	b := cfg.NewBackoff()
 	if _, ok := b.Next(); !ok {
 		t.Fatal("first retry should be allowed")

@@ -98,7 +98,7 @@ func newChaosFleet(t *testing.T, n int, seed uint64, profile faultnet.Profile) *
 			}
 			return base(network, address)
 		}
-		tr := NewTCPTransport(TCPOptions{Dial: inj.Dial(gated), Timeout: 2 * time.Second})
+		tr := NewTCPTransport(TCPOptions{Dial: inj.Dial(gated), timeout: 2 * time.Second})
 		node, err := NewNode(Config{
 			Self: self, Peers: f.members, Local: lim,
 			Transport: tr, Seed: seed,

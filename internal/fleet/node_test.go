@@ -437,7 +437,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs[i] = NewTCPTransport(TCPOptions{Timeout: 5 * time.Second})
+		trs[i] = NewTCPTransport(TCPOptions{timeout: 5 * time.Second})
 		nodes[i], err = NewNode(Config{
 			Self: members[i], Peers: members, Local: lim,
 			Transport: trs[i],

@@ -139,10 +139,10 @@ func (s *Server) handle(conn net.Conn) {
 // TCPOptions parameterizes the client-side transport.
 type TCPOptions struct {
 	// Dial opens peer connections; nil means net.DialTimeout with
-	// Timeout. Wrap with faultnet.Injector.Dial for chaos testing.
+	// timeout. Wrap with faultnet.Injector.Dial for chaos testing.
 	Dial faultnet.DialFunc
-	// Timeout bounds each exchange (dial + write + read); default 5s.
-	Timeout time.Duration
+	// timeout bounds each exchange (dial + write + read): 5s unless a test sets it.
+	timeout time.Duration
 }
 
 // TCPTransport carries WFP/1 exchanges over persistent per-peer TCP
@@ -159,11 +159,11 @@ type TCPTransport struct {
 // NewTCPTransport returns a transport that dials peers by their member
 // name (which is therefore their host:port peer-listen address).
 func NewTCPTransport(opts TCPOptions) *TCPTransport {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
+	if opts.timeout <= 0 {
+		opts.timeout = 5 * time.Second
 	}
 	if opts.Dial == nil {
-		timeout := opts.Timeout
+		timeout := opts.timeout
 		opts.Dial = func(network, address string) (net.Conn, error) {
 			return net.DialTimeout(network, address, timeout)
 		}
@@ -229,7 +229,7 @@ func (t *TCPTransport) exchange(peer string, pc *peerConn) ([]byte, error) {
 		pc.conn = nil
 		return nil, err
 	}
-	if err := pc.conn.SetDeadline(time.Now().Add(t.opts.Timeout)); err != nil {
+	if err := pc.conn.SetDeadline(time.Now().Add(t.opts.timeout)); err != nil {
 		return drop(err)
 	}
 	if _, err := pc.conn.Write(pc.out); err != nil {

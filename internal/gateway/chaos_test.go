@@ -48,7 +48,7 @@ func newChaosGateway(t *testing.T, dial Dialer, retry faultnet.RetryConfig) *Gat
 		Limiter:   lim,
 		Dial:      dial,
 		DialRetry: retry,
-		Sleep:     func(time.Duration) {}, // backoff must not slow the suite
+		sleep:     func(time.Duration) {}, // backoff must not slow the suite
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestChaosFleetUnderFaults(t *testing.T) {
 			CollectorAddr: collector.Addr(),
 			Interval:      5 * time.Millisecond,
 			Source:        gw.Stats,
-			Dial: inj.Dial(func(network, address string) (net.Conn, error) {
+			dial: inj.Dial(func(network, address string) (net.Conn, error) {
 				return net.DialTimeout(network, address, 5*time.Second)
 			}),
 			Retry: faultnet.RetryConfig{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},

@@ -308,13 +308,6 @@ type Reporter struct {
 	Interval time.Duration
 	// Source supplies the stats snapshot, typically Gateway.Stats.
 	Source func() GatewayStats
-	// Now supplies report timestamps; nil means time.Now.
-	Now func() time.Time
-	// Dial opens the collector connection; nil means net.DialTimeout
-	// with DialTimeout. Injectable for fault-injection tests.
-	Dial func(network, address string) (net.Conn, error)
-	// DialTimeout bounds collector connection establishment (default 10s).
-	DialTimeout time.Duration
 	// Retry paces reconnect attempts. MaxAttempts bounds *consecutive*
 	// failed dials before Run gives up and returns the last error;
 	// <= 0 (the default) retries forever, which is the right posture for
@@ -335,6 +328,9 @@ type Reporter struct {
 	// degradation policy attaches to. Called from the reporter
 	// goroutine.
 	OnStateChange func(connected bool)
+	// dial opens the collector connection; nil means net.DialTimeout
+	// with dialTimeout. The chaos tests set it to inject faults.
+	dial func(network, address string) (net.Conn, error)
 
 	mu    sync.Mutex
 	stats ReporterStats
@@ -373,17 +369,10 @@ func (r *Reporter) Run() error {
 	if r.Interval <= 0 {
 		r.Interval = time.Second
 	}
-	if r.Now == nil {
-		r.Now = time.Now
-	}
-	if r.DialTimeout <= 0 {
-		r.DialTimeout = 10 * time.Second
-	}
-	dial := r.Dial
+	dial := r.dial
 	if dial == nil {
-		timeout := r.DialTimeout
 		dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, timeout)
+			return net.DialTimeout(network, address, dialTimeout)
 		}
 	}
 	spoolSize := r.SpoolSize
@@ -512,7 +501,7 @@ func (r *Reporter) Run() error {
 	tick := func() {
 		enqueue(report{
 			GatewayID:        r.GatewayID,
-			SentAtUnixMillis: r.Now().UnixMilli(),
+			SentAtUnixMillis: time.Now().UnixMilli(),
 			Stats:            r.Source(),
 		})
 		flush()

@@ -110,10 +110,8 @@ type Config struct {
 	// containment signal.
 	Limiter core.Decider
 	// Dial opens upstream connections; nil means net.DialTimeout with
-	// DialTimeout.
+	// dialTimeout.
 	Dial Dialer
-	// DialTimeout bounds upstream connection establishment (default 10s).
-	DialTimeout time.Duration
 	// Now supplies time for limiter observations; nil means time.Now.
 	// Injectable so tests and simulations drive a virtual clock.
 	Now func() time.Time
@@ -133,10 +131,13 @@ type Config struct {
 	// SetDegraded(true) is in effect (typically wired to the reporter's
 	// OnStateChange). The zero value is fail-open; ParseFailMode names both.
 	FailMode FailMode
-	// Sleep realizes dial-retry backoff delays; nil means time.Sleep.
-	// Injectable so chaos tests run fast.
-	Sleep func(time.Duration)
+	// sleep realizes dial-retry backoff delays; nil means time.Sleep.
+	// The chaos tests set it so that backoff does not slow them.
+	sleep func(time.Duration)
 }
+
+// dialTimeout bounds upstream and collector connection establishment.
+const dialTimeout = 10 * time.Second
 
 // Gateway is the enforcement point. Create with New, start with Serve,
 // stop with Shutdown.
@@ -160,13 +161,9 @@ func New(cfg Config, listenAddr string) (*Gateway, error) {
 	if cfg.Limiter == nil {
 		return nil, errors.New("gateway: config needs a limiter")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.Dial == nil {
-		timeout := cfg.DialTimeout
 		cfg.Dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, timeout)
+			return net.DialTimeout(network, address, dialTimeout)
 		}
 	}
 	if cfg.Now == nil {
@@ -175,8 +172,8 @@ func New(cfg Config, listenAddr string) (*Gateway, error) {
 	if cfg.DialRetry.MaxAttempts <= 0 {
 		cfg.DialRetry.MaxAttempts = 1
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
+	if cfg.sleep == nil {
+		cfg.sleep = time.Sleep
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -454,7 +451,7 @@ func (g *Gateway) dialUpstream(address string) (net.Conn, error) {
 			return nil, err
 		}
 		g.metrics.dialRetries.Inc()
-		g.cfg.Sleep(delay)
+		g.cfg.sleep(delay)
 	}
 }
 
@@ -507,8 +504,6 @@ type Client struct {
 	// Dial overrides the gateway dialer; nil means net.DialTimeout with
 	// Timeout. Injectable for fault-injection tests.
 	Dial func(network, address string) (net.Conn, error)
-	// Sleep realizes retry backoff delays; nil means time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // Connect asks the gateway to relay src→dst:port, retrying transient
@@ -535,11 +530,7 @@ func (c Client) Connect(src, dst addr.IP, port int) (net.Conn, bool, error) {
 		if !ok {
 			return nil, false, err
 		}
-		if c.Sleep != nil {
-			c.Sleep(delay)
-		} else {
-			time.Sleep(delay)
-		}
+		time.Sleep(delay)
 	}
 }
 

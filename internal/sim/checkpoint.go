@@ -28,10 +28,12 @@ import (
 // Result is byte-identical to an uninterrupted one.
 type Checkpoint struct {
 	// Identity header — the run configuration this state belongs to.
-	// Horizon, MaxInfected and MaxEvents are deliberately absent: they
-	// are run control, not state identity, so a checkpoint taken under
-	// one horizon can be resumed under a longer one. Kernel is recorded
-	// for information only (the pending-event export is kernel-neutral).
+	// Horizon, MaxInfected and the unexported maxEvents guard are
+	// deliberately absent: they are run control, not state identity, so
+	// a checkpoint taken under one horizon can be resumed under a longer
+	// one. Kernel is not part of the identity check (the pending-event
+	// export is kernel-neutral, so a cut resumes on either kernel);
+	// cmd/wormsim reads it to reject a mismatched -kernel on -resume.
 	V, I0                   int
 	ScanRate                float64
 	Seed, Stream            uint64

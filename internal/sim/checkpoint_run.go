@@ -49,10 +49,6 @@ type CheckpointOptions struct {
 	// a final checkpoint with ErrStopRequested. Wire a SIGTERM flag
 	// here. Nil means never.
 	Stop func() bool
-	// OnWrite, when non-nil, observes every checkpoint written: the
-	// encoded payload, the sink's generation and the cut's virtual time.
-	// The payload slice is reused across writes — copy it to retain it.
-	OnWrite func(payload []byte, gen uint64, at time.Duration)
 	// Stats, when non-nil, accumulates checkpoint telemetry.
 	Stats *CheckpointStats
 }
@@ -102,7 +98,7 @@ func ResumeCheckpointed(cfg Config, scratch *Scratch, res *Result, ck *Checkpoin
 // writeCheckpoint audits, snapshots, encodes and persists one
 // checkpoint, reusing ck and buf across calls.
 func (e *engine) writeCheckpoint(ck *Checkpoint, buf []byte, opts *CheckpointOptions) ([]byte, error) {
-	if ic := e.cfg.Invariants; ic != nil {
+	if ic := e.cfg.invariants; ic != nil {
 		ic.checkCut(e)
 	}
 	if err := e.snapshot(ck); err != nil {
@@ -121,9 +117,6 @@ func (e *engine) writeCheckpoint(ck *Checkpoint, buf []byte, opts *CheckpointOpt
 		st.Bytes = len(buf)
 		st.LastAt = e.sim.Now()
 		st.LastGen = gen
-	}
-	if opts.OnWrite != nil {
-		opts.OnWrite(buf, gen, e.sim.Now())
 	}
 	return buf, nil
 }

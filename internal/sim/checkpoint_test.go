@@ -128,7 +128,7 @@ func checkpointedRun(t *testing.T, name string, seed uint64, kernel des.Kind) (s
 	t.Helper()
 	cfg := checkpointScenario(t, name, seed)
 	cfg.Kernel = kernel
-	cfg.Invariants = &InvariantChecker{}
+	cfg.invariants = &invariantChecker{}
 	sink := &memSink{}
 	var stats CheckpointStats
 	var res Result
@@ -138,7 +138,7 @@ func checkpointedRun(t *testing.T, name string, seed uint64, kernel des.Kind) (s
 	if err != nil {
 		t.Fatalf("%s seed %d %v: %v", name, seed, kernel, err)
 	}
-	if cfg.Invariants.cuts == 0 {
+	if cfg.invariants.cuts == 0 {
 		t.Fatalf("%s seed %d: invariant checker never audited a cut", name, seed)
 	}
 	return fingerprintResult(&res), sink.payloads, stats
@@ -290,17 +290,11 @@ func TestCheckpointStopRequested(t *testing.T) {
 	cfg := checkpointScenario(t, name, seed)
 	cfg.Kernel = des.KernelWheel
 	sink := &memSink{}
-	stop := false
 	var res Result
 	err := RunCheckpointed(cfg, nil, &res, CheckpointOptions{
 		Sink:     sink,
 		Interval: scenarioInterval(name),
-		Stop:     func() bool { return stop },
-		OnWrite: func(_ []byte, gen uint64, _ time.Duration) {
-			if gen >= 3 {
-				stop = true
-			}
-		},
+		Stop:     func() bool { return len(sink.payloads) >= 3 },
 	})
 	if !errors.Is(err, ErrStopRequested) {
 		t.Fatalf("err = %v, want ErrStopRequested", err)
@@ -451,29 +445,29 @@ func TestResumeRejectsOutOfRangeGeneration(t *testing.T) {
 // caught at the next cut.
 func TestInvariantChecker(t *testing.T) {
 	cfg := checkpointScenario(t, "uncontained-countermeasures", 1905)
-	cfg.Invariants = &InvariantChecker{}
+	cfg.invariants = &invariantChecker{}
 	scratch := NewScratch()
 	var res Result
 	if err := RunInto(cfg, scratch, &res); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Invariants.cuts != 1 || len(cfg.Invariants.violations) != 0 {
+	if cfg.invariants.cuts != 1 || len(cfg.invariants.violations) != 0 {
 		t.Fatalf("clean run: cuts=%d violations=%v",
-			cfg.Invariants.cuts, cfg.Invariants.violations)
+			cfg.invariants.cuts, cfg.invariants.violations)
 	}
 
 	// Corrupt the engine that run left behind and audit it again.
 	e := &scratch.eng
 	e.res = &res
 	check := func(name string, mutate, undo func()) {
-		ic := &InvariantChecker{}
+		ic := &invariantChecker{}
 		mutate()
 		ic.checkCut(e)
 		undo()
 		if ic.err() == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
-		*ic = InvariantChecker{}
+		*ic = invariantChecker{}
 		ic.checkCut(e)
 		if err := ic.err(); err != nil {
 			t.Errorf("%s: clean state flagged after undo: %v", name, err)
@@ -516,13 +510,13 @@ func TestInvariantChecker(t *testing.T) {
 		})
 
 	// Clock regression and the removed-host scan probe.
-	ic := &InvariantChecker{}
+	ic := &invariantChecker{}
 	ic.observeEvent(5 * time.Second)
 	ic.observeEvent(3 * time.Second)
 	if ic.err() == nil {
 		t.Error("clock regression not detected")
 	}
-	ic = &InvariantChecker{}
+	ic = &invariantChecker{}
 	victim := -1
 	for i := 0; i < cfg.V; i++ {
 		if e.state.isInfected(i) {
@@ -547,7 +541,7 @@ func TestInvariantChecker(t *testing.T) {
 func TestInvariantCheckerSurfacesError(t *testing.T) {
 	cfg := checkpointScenario(t, "enterprise-mlimit", 1)
 	scratch := NewScratch()
-	cfg.Invariants = &InvariantChecker{}
+	cfg.invariants = &invariantChecker{}
 	broke := false
 	cfg.ScanObserver = func(src, dst addr.IP, at time.Duration) {
 		if !broke {

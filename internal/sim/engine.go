@@ -76,9 +76,9 @@ type Config struct {
 	// MaxInfected stops the run early once this many hosts have ever
 	// been infected (0 = no cap). Used to bound uncontained baselines.
 	MaxInfected int
-	// MaxEvents bounds total event count as a runaway guard
+	// maxEvents bounds total event count as a runaway guard
 	// (0 = default of 50 million).
-	MaxEvents uint64
+	maxEvents uint64
 	// ClusterPrefix, when non-nil, places the vulnerable population
 	// inside one prefix (enterprise scenario) instead of the full space.
 	ClusterPrefix *addr.Prefix
@@ -120,14 +120,14 @@ type Config struct {
 	Kernel des.Kind
 	// Seed and Stream select the deterministic random stream.
 	Seed, Stream uint64
-	// Invariants, when non-nil, audits the run as it executes: monotone
+	// invariants, when non-nil, audits the run as it executes: monotone
 	// event clock, no scan executed by a removed host, infected+removed
 	// never exceeding V, and (at every checkpoint cut and at the end of
 	// the run) counters consistent with the packed bitsets. Violations
 	// are collected on the checker and surfaced as an error when the
 	// run finishes. The checker consumes no randomness and schedules no
 	// events, so enabling it never changes a trajectory.
-	Invariants *InvariantChecker
+	invariants *invariantChecker
 	// RecordPaths enables the time-series sample paths (Figs. 9–10);
 	// leave off for Monte-Carlo throughput.
 	RecordPaths bool
@@ -183,8 +183,8 @@ func (c *Config) validate() error {
 	if c.Defense == nil {
 		c.Defense = defense.Null{}
 	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 50_000_000
+	if c.maxEvents == 0 {
+		c.maxEvents = 50_000_000
 	}
 	return nil
 }
@@ -205,7 +205,7 @@ type Result struct {
 	// Extinct reports that the outbreak ended with no active infected
 	// hosts (the worm died).
 	Extinct bool
-	// Truncated reports the run stopped on MaxInfected or MaxEvents
+	// Truncated reports the run stopped on MaxInfected or maxEvents
 	// rather than completing naturally.
 	Truncated bool
 	// Generations[g] is the number of hosts infected in generation g
@@ -476,7 +476,7 @@ func (e *engine) finishRun(background *backgroundDriver) error {
 		e.res.Background = background.finalize()
 	}
 	var err error
-	if ic := e.cfg.Invariants; ic != nil {
+	if ic := e.cfg.invariants; ic != nil {
 		ic.checkCut(e)
 		err = ic.err()
 	}
@@ -670,7 +670,7 @@ func expAt(src *rng.PCG64, rate float64, base time.Duration) (at time.Duration, 
 
 // guardEvents stops the run when the event budget is exhausted.
 func (e *engine) guardEvents() bool {
-	if e.sim.Fired() >= e.cfg.MaxEvents {
+	if e.sim.Fired() >= e.cfg.maxEvents {
 		e.res.Truncated = true
 		e.sim.Stop()
 		return true
@@ -685,7 +685,7 @@ func (e *engine) scanAttempt(i int) {
 		return
 	}
 	now := e.sim.Now()
-	if ic := e.cfg.Invariants; ic != nil {
+	if ic := e.cfg.invariants; ic != nil {
 		ic.observeEvent(now)
 		ic.observeScan(e, i)
 	}
@@ -768,7 +768,7 @@ func (e *engine) allocDeliv(src, dst addr.IP, parent int) int {
 // deliverFire is the delayed-delivery event: the throttled scan reaches
 // its target after the defense's queueing delay.
 func (e *engine) deliverFire(slot int) {
-	if ic := e.cfg.Invariants; ic != nil {
+	if ic := e.cfg.invariants; ic != nil {
 		ic.observeEvent(e.sim.Now())
 	}
 	d := e.pendDeliv[slot]

@@ -197,7 +197,7 @@ func TestRunMaxInfectedTruncates(t *testing.T) {
 func TestRunMaxEventsGuard(t *testing.T) {
 	cfg := smallCfg(9)
 	cfg.Defense = defense.Null{}
-	cfg.MaxEvents = 1000
+	cfg.maxEvents = 1000
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // violations further ones only increment the total count.
 const maxViolations = 32
 
-// InvariantChecker audits a run as it executes. It watches the event
+// invariantChecker audits a run as it executes. It watches the event
 // log (monotone clock, no scan executed by a removed host) and, at
 // every checkpoint cut and at the end of the run, cross-checks the
 // engine's counters against its packed bitsets: active infections equal
@@ -22,8 +22,8 @@ const maxViolations = 32
 // enabling it never changes a trajectory; violations accumulate and are
 // surfaced as one error when the run finishes (finishRun calls err).
 // A checker instance belongs to one run at a time; the zero value is
-// ready to attach to Config.Invariants.
-type InvariantChecker struct {
+// ready to attach to Config.invariants.
+type invariantChecker struct {
 	last       time.Duration
 	observed   bool
 	cuts       int
@@ -33,7 +33,7 @@ type InvariantChecker struct {
 
 // err returns nil when no invariant was violated, otherwise one error
 // summarizing every recorded violation.
-func (ic *InvariantChecker) err() error {
+func (ic *invariantChecker) err() error {
 	if ic.total == 0 {
 		return nil
 	}
@@ -42,7 +42,7 @@ func (ic *InvariantChecker) err() error {
 }
 
 // violate records one violation.
-func (ic *InvariantChecker) violate(format string, args ...any) {
+func (ic *invariantChecker) violate(format string, args ...any) {
 	ic.total++
 	if len(ic.violations) < maxViolations {
 		ic.violations = append(ic.violations, fmt.Sprintf(format, args...))
@@ -50,7 +50,7 @@ func (ic *InvariantChecker) violate(format string, args ...any) {
 }
 
 // observeEvent audits the event clock: virtual time never regresses.
-func (ic *InvariantChecker) observeEvent(now time.Duration) {
+func (ic *invariantChecker) observeEvent(now time.Duration) {
 	if ic.observed && now < ic.last {
 		ic.violate("clock regressed %v -> %v", ic.last, now)
 	}
@@ -62,7 +62,7 @@ func (ic *InvariantChecker) observeEvent(now time.Duration) {
 // engine's own guard reads the infected bit; the audit independently
 // reads the removed bit, so a host that is wrongly in both states — the
 // failure the guard cannot see — is caught the moment it scans.
-func (ic *InvariantChecker) observeScan(e *engine, i int) {
+func (ic *invariantChecker) observeScan(e *engine, i int) {
 	if e.state.removed[i>>6]>>(uint(i)&63)&1 != 0 {
 		ic.violate("removed host %d executed a scan at %v", i, e.sim.Now())
 	}
@@ -70,7 +70,7 @@ func (ic *InvariantChecker) observeScan(e *engine, i int) {
 
 // checkCut is the full counter/bitset consistency audit, run at every
 // checkpoint cut and once more when the run finishes.
-func (ic *InvariantChecker) checkCut(e *engine) {
+func (ic *invariantChecker) checkCut(e *engine) {
 	ic.cuts++
 	h := &e.state
 	res := e.res

@@ -716,9 +716,19 @@ func (a *surfaceAnalysis) mentioned(tn *types.TypeName, work *[]types.Object) {
 // on any value converted to an interface at all. A blank `var _ I = v`
 // assertion is neither a root nor a conversion. Whatever is left is
 // deleted with the tests that check only it.
+//
+// An exported field of a struct type declared there is one more such
+// declaration: it is reached when reached code writes it, by a composite
+// literal element (keyed or positional), by an assignment or ++/-- to
+// x.F (also through an index, a star or parentheses) or by taking &x.F.
+// Reading it does not count, and neither does a zero-value default: an
+// assignment to x.F directly inside an if whose condition compares x.F
+// with ==, <= or <. A field no program sets is no knob: delete it, make
+// it a constant, or unexport it as a seam for its own package's tests.
 
 // reachAllowed lists the declarations no program reaches that stay:
-// references a test of live code compares against. Each reason names
+// references a test of live code compares against, and fields that
+// tests of another package set under live code. Each reason names
 // that test. An entry is a root of its own, so what it reaches needs no
 // entry. The map may only shrink: an entry the pass would not report
 // fails the test as well, and so does a reason that names no test, or
@@ -763,6 +773,8 @@ var reachAllowed = map[string]string{
 	"internal/faultnet.Injector.Trace":          "TestChaosRelayUnderFaults waits on the recorded schedule under the live relay",
 	"internal/faultnet.Injector.TraceString":    "TestChaosDeterministicDialSchedule compares the schedule across replays of the live gateway",
 	"internal/faultnet.Profile.String":          "TestParseProfileRoundTrip checks the live ParseProfile against the text it writes",
+	"internal/faultfs.Profile.ShortWrite":       "TestDirShortWriteRetry tears the writes under the live simstate.Dir.Save retry with it",
+	"internal/faultnet.RetryConfig.MaxDelay":    "TestChaosCollectorOutage and TestChaosFleetUnderFaults cap the live reporter's reconnect backoff with it",
 }
 
 func TestReachable(t *testing.T) {
@@ -771,7 +783,7 @@ func TestReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range unreached {
-		t.Errorf("%s: no main, init or package-level initializer reaches it: delete it with the tests that check only it", name)
+		t.Errorf("%s: no main, init or package-level initializer reaches it (a field: writes it): delete it with the tests that check only it, or make a field a constant or an unexported test seam", name)
 	}
 	for _, name := range stale {
 		t.Errorf("%s is on reachAllowed but is reachable, or is gone: remove the entry", name)
@@ -835,19 +847,24 @@ func unnamedReasons(root string, allowed map[string]string) ([]string, error) {
 // TestReachableFixture runs the pass over testdata/surface, where what
 // must be reported is known: a name nothing calls, one only a test
 // calls, a method kept only by a blank assertion, a Stringer nothing
-// converts, an allowed entry that is stale, and reasons that name no
-// test or one that does not exist.
+// converts, a field only a test sets and one only a zero-value default
+// sets, an allowed entry that is stale, and reasons that name no test
+// or one that does not exist. A field set through a positional literal,
+// one set by cmd/user and an allowed one are not reported.
 func TestReachableFixture(t *testing.T) {
 	root := filepath.Join("testdata", "surface")
 	allowed := map[string]string{
-		"internal/lib.Dead": "allowed, so not reported; TestOnly exists but TestGone does not",
-		"internal/lib.Used": "reachable, so stale; names no test",
+		"internal/lib.Dead":            "allowed, so not reported; TestOnly exists but TestGone does not",
+		"internal/lib.Used":            "reachable, so stale; names no test",
+		"internal/lib.Options.Allowed": "allowed, so not reported; TestOnly exists",
 	}
 	unreached, stale, err := scanReach(root, "fixture", allowed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
+		"internal/lib.Options.Defaulted",
+		"internal/lib.Options.TestSet",
 		"internal/lib.Shade",
 		"internal/lib.Shade.String",
 		"internal/lib.asserted.Do",
@@ -873,6 +890,7 @@ func TestReachableFixture(t *testing.T) {
 // asserts to.
 type reachDecl struct {
 	refs    []types.Object
+	writes  []*types.Var    // struct fields it sets
 	convs   [][2]types.Type // {dst, src}
 	asserts []types.Type
 }
@@ -910,8 +928,20 @@ func scanReach(root, module string, allowed map[string]string) (unreached, stale
 	}
 	checked := map[string]types.Object{}
 	check := func(p *surfacePkg, obj types.Object) {
-		if obj.Name() != "_" && strings.HasPrefix(p.types.Path(), module+"/internal/") {
-			checked[surfaceName(module, obj)] = obj
+		if obj.Name() == "_" || !strings.HasPrefix(p.types.Path(), module+"/internal/") {
+			return
+		}
+		name := surfaceName(module, obj)
+		checked[name] = obj
+		if tn, ok := obj.(*types.TypeName); !ok || tn.IsAlias() {
+			return
+		}
+		if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					checked[name+"."+f.Name()] = f
+				}
+			}
 		}
 	}
 	var roots []*reachDecl
@@ -992,6 +1022,9 @@ func (a *reachAnalysis) run() {
 		for _, obj := range d.refs {
 			a.ref(obj)
 		}
+		for _, f := range d.writes {
+			a.reach(f)
+		}
 		for _, c := range d.convs {
 			a.convert(c[0], c[1])
 		}
@@ -1009,8 +1042,11 @@ func (a *reachAnalysis) declare(p *surfacePkg, n ast.Node) *reachDecl {
 		if !ok {
 			return true
 		}
+		// A field is live when reached code writes it, not reads it.
 		if obj := p.info.Uses[id]; obj != nil {
-			d.refs = append(d.refs, surfaceOrigin(obj))
+			if v, ok := obj.(*types.Var); !ok || !v.IsField() {
+				d.refs = append(d.refs, surfaceOrigin(obj))
+			}
 		}
 		// An instantiation converts each type argument to its
 		// constraint.
@@ -1031,7 +1067,106 @@ func (a *reachAnalysis) declare(p *surfacePkg, n ast.Node) *reachDecl {
 	walkConversions(p.info, p.types, n, nil, func(dst, src types.Type) {
 		d.convs = append(d.convs, [2]types.Type{dst, src})
 	}, func(t types.Type) { d.asserts = append(d.asserts, t) })
+	d.writes = fieldWrites(p.info, n)
 	return d
+}
+
+// fieldWrites returns the struct fields n sets: by a composite literal
+// element, keyed or positional; by an assignment or ++/-- to x.F, also
+// through an index, a star or parentheses; or by taking &x.F. An
+// assignment to x.F directly inside an if whose condition compares x.F
+// with ==, <= or < is a zero-value default, not a write.
+func fieldWrites(info *types.Info, n ast.Node) []*types.Var {
+	var writes []*types.Var
+	defaults := map[ast.Stmt][]*types.Var{} // statement -> fields its if compares
+	write := func(e ast.Expr, defaulted []*types.Var) {
+		if f := writtenField(info, e); f != nil && !slices.Contains(defaulted, f) {
+			writes = append(writes, f)
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if t == nil {
+				break
+			}
+			if ptr, ok := t.Underlying().(*types.Pointer); ok { // elided &T in a []*T literal
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						writes = append(writes, f.Origin())
+					}
+				} else {
+					writes = append(writes, st.Field(i).Origin())
+				}
+			}
+		case *ast.IfStmt:
+			compared := comparedFields(info, n.Cond)
+			for _, s := range n.Body.List {
+				defaults[s] = compared
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs, defaults[n])
+			}
+		case *ast.IncDecStmt:
+			write(n.X, nil)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X, nil)
+			}
+		}
+		return true
+	})
+	return writes
+}
+
+// writtenField returns the field F that setting e, x.F through any
+// index, star or parentheses, writes to.
+func writtenField(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if f, ok := info.Uses[x.Sel].(*types.Var); ok && f.IsField() {
+				return f.Origin()
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+}
+
+// comparedFields returns the fields cond, split on && and ||, compares
+// with ==, <= or <.
+func comparedFields(info *types.Info, cond ast.Expr) []*types.Var {
+	switch c := ast.Unparen(cond).(type) {
+	case *ast.BinaryExpr:
+		switch c.Op {
+		case token.LAND, token.LOR:
+			return append(comparedFields(info, c.X), comparedFields(info, c.Y)...)
+		case token.EQL, token.LEQ, token.LSS:
+			if sel, ok := ast.Unparen(c.X).(*ast.SelectorExpr); ok {
+				if f, ok := info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
+					return []*types.Var{f.Origin()}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // reach marks obj live and queues its declaration.

@@ -9,4 +9,7 @@ func main() {
 	var d doer = lib.Impl{}
 	d.Do()
 	_ = lib.Used()
+	var o lib.Options
+	o.Limit = 2
+	_ = o.Apply()
 }

@@ -9,13 +9,40 @@ func Dead() {}
 func OwnPackageOnly() int { return 1 }
 
 // Used is called from cmd/user.
-func Used() Result { return Result{N: OwnPackageOnly()} }
+func Used() Result { return Result{N: OwnPackageOnly(), Span: Span{1, 2}} }
 
 // Result is named nowhere outside this package; Used's signature
 // mentions it.
 type Result struct {
-	N int
-	a asserted
+	N    int
+	Span Span
+	a    asserted
+}
+
+// Span's fields are written only through the positional literal in
+// Used: neither is reported.
+type Span struct{ Lo, Hi int }
+
+// Options is cmd/user's configuration. The reachability pass reports
+// each exported field that no reached code writes.
+type Options struct {
+	// Limit is set by cmd/user: not reported.
+	Limit int
+	// TestSet is set by lib_test.go alone: reported.
+	TestSet int
+	// Defaulted is set only by Apply's zero-value default, which is no
+	// write: reported.
+	Defaulted int
+	// Allowed is set by nothing, but the fixture allows it: not reported.
+	Allowed int
+}
+
+// Apply is called from cmd/user.
+func (o *Options) Apply() int {
+	if o.Defaulted == 0 {
+		o.Defaulted = 3
+	}
+	return o.Limit + o.TestSet + o.Defaulted + o.Allowed
 }
 
 // Impl is named by cmd/user. Nothing calls Do on it; cmd/user converts
