@@ -104,23 +104,6 @@ func BenchmarkAblationPreferenceScan(b *testing.B) { runArtifact(b, "ablation-pr
 // the detection-free M-limit.
 func BenchmarkAblationDetection(b *testing.B) { runArtifact(b, "ablation-detection") }
 
-// TestAllArtifactsRegenerate is the harness's own smoke test: every
-// artifact regenerates without error and produces notes.
-func TestAllArtifactsRegenerate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact sweep is moderately expensive")
-	}
-	for _, id := range experiments.IDs() {
-		res, err := experiments.Run(id, benchOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(res.Notes) == 0 {
-			t.Errorf("%s: no notes", id)
-		}
-	}
-}
-
 // A5 — containment vs collateral damage on legitimate traffic.
 func BenchmarkAblationIntrusiveness(b *testing.B) { runArtifact(b, "ablation-intrusiveness") }
 

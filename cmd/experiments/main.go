@@ -53,6 +53,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *all && *id != "" {
+		return fmt.Errorf("-id %s and -all are mutually exclusive", *id)
+	}
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))

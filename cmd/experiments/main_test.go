@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -26,6 +29,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-id", "fig99"}); err == nil {
 		t.Error("expected error for unknown artifact")
+	}
+	if err := run([]string{"-id", "fig3", "-all"}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("-id with -all: err = %v, want the combination rejected", err)
 	}
 }
 

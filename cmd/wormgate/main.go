@@ -119,6 +119,17 @@ func runServe(args []string) error {
 	if *statePath != "" && *stateDir != "" {
 		return fmt.Errorf("-state and -state-dir are mutually exclusive")
 	}
+	if *collector != "" {
+		// Reporter.Run replaces a period <= 0 with one second and a
+		// spool < 1 with DefaultSpoolSize, so either value would print
+		// one setting and run another. Refuse instead.
+		if *interval <= 0 {
+			return fmt.Errorf("-report-interval %v: must be > 0 when -collector is set", *interval)
+		}
+		if *spoolSize < 1 {
+			return fmt.Errorf("-report-spool %d: must be >= 1 when -collector is set", *spoolSize)
+		}
+	}
 	if *stateDir != "" {
 		// Zero or negative intervals used to slip straight into
 		// durable.Open, silently disabling the flusher or snapshotter —

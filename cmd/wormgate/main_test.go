@@ -208,6 +208,10 @@ func TestServeFlagValidation(t *testing.T) {
 			"-peer-listen", "a:1", "-peers", "a:1,b:2"}, "-fail-threshold and -fail-bits cannot be combined with -peers"},
 		{"fail bits with peers", []string{"serve", "-limiter", "sketch", "-fail-bits", "64",
 			"-peer-listen", "a:1", "-peers", "a:1,b:2"}, "-fail-threshold and -fail-bits cannot be combined with -peers"},
+		{"zero report interval", []string{"serve", "-collector", "127.0.0.1:7700", "-report-interval", "0s"}, "-report-interval"},
+		{"negative report interval", []string{"serve", "-collector", "127.0.0.1:7700", "-report-interval", "-1s"}, "-report-interval"},
+		{"zero report spool", []string{"serve", "-collector", "127.0.0.1:7700", "-report-spool", "0"}, "-report-spool"},
+		{"negative report spool", []string{"serve", "-collector", "127.0.0.1:7700", "-report-spool", "-1"}, "-report-spool"},
 		{"zero gossip interval", []string{"serve", "-peer-listen", "127.0.0.1:9001",
 			"-peers", "127.0.0.1:9001,127.0.0.1:9002", "-gossip-interval", "0s"}, "-gossip-interval"},
 	}

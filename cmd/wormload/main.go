@@ -71,6 +71,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-concurrency %d, must be >= 1", *concurrency)
 	case *sources < 1:
 		return fmt.Errorf("-sources %d, must be >= 1", *sources)
+	case *port < 1 || *port > 65535:
+		return fmt.Errorf("-port %d, must be in [1, 65535]", *port)
 	}
 	dst, err := addr.ParseIP(*dstStr)
 	if err != nil {

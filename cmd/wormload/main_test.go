@@ -40,6 +40,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-concurrency", "0"},
 		{"-sources", "0"},
 		{"-dst", "not-an-ip"},
+		{"-port", "0"},
+		{"-port", "70000"},
+		{"-port", "-1"},
 	} {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {

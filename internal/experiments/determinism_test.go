@@ -7,33 +7,12 @@ import (
 )
 
 // TestWorkerCountInvariance is the engine's acceptance test: for a fixed
-// seed, workers=1 and workers=8 must produce byte-identical experiment
-// output — every series value, every note, in the same order. It covers
-// one runner per ported replication-loop style: the fast Monte-Carlo
-// engine (fig7/fig8), the DES defense sweep (ablation-defense), the
-// duty-cycle sweep (ablation-stealth), the per-case intrusiveness fanout
-// (ablation-intrusiveness), and the trace growth curves (fig6).
+// seed, workers=1 and a multi-worker pool must produce byte-identical
+// output for every artifact — every series value, every note, in the
+// same order. The catalogue checks workers=1 against workers=8 at seed
+// 1 and against workers=3 at seed 1905.
 func TestWorkerCountInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several artifacts twice")
-	}
-	ids := []string{"fig7", "fig8", "fig6", "ablation-defense", "ablation-stealth",
-		"ablation-intrusiveness"}
-	for _, id := range ids {
-		serial, err := Run(id, Options{Seed: 7, Quick: true, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", id, err)
-		}
-		parallelRes, err := Run(id, Options{Seed: 7, Quick: true, Workers: 8})
-		if err != nil {
-			t.Fatalf("%s workers=8: %v", id, err)
-		}
-		a, b := serial.Format(), parallelRes.Format()
-		if a != b {
-			t.Errorf("%s: workers=1 and workers=8 output differs:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-				id, a, b)
-		}
-	}
+	eachArtifact(t, wholeCatalogue(t), legsAgree)
 }
 
 // TestMonteCarloWorkerSweep drives the headline Monte-Carlo figure

@@ -320,38 +320,26 @@ func TestFormatAndSummary(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick checks RunAll's contract on the catalogue pass: every
+// registered artifact runs without error and carries notes, on every
+// kernel and worker count the catalogue uses.
 func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep is moderately expensive")
-	}
-	results, err := RunAll(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("got %d results, want %d", len(results), len(IDs()))
-	}
-	for _, r := range results {
-		if len(r.Notes) == 0 {
-			t.Errorf("%s: no notes", r.ID)
+	eachArtifact(t, wholeCatalogue(t), func(t *testing.T, _ string, legs [2][2]catalogueRun) {
+		for _, leg := range legs {
+			for _, r := range leg {
+				if r.notes == 0 {
+					t.Errorf("seed %d %v workers=%d: no notes", r.opts.Seed, r.opts.kernel, r.opts.Workers)
+				}
+			}
 		}
-	}
+	})
 }
 
+// TestDeterministicAcrossInvocations pins the headline Monte-Carlo
+// figure to the fingerprints an earlier invocation recorded, on every
+// catalogue run.
 func TestDeterministicAcrossInvocations(t *testing.T) {
-	a, err := Run("fig7", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("fig7", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Series[0].Y {
-		if a.Series[0].Y[i] != b.Series[0].Y[i] {
-			t.Fatalf("fig7 not deterministic at k=%d", i)
-		}
-	}
+	eachArtifact(t, []string{"fig7"}, matchGolden(readGolden(t)))
 }
 
 func TestAblationDetectionFootprints(t *testing.T) {

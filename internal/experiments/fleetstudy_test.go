@@ -58,18 +58,5 @@ func TestFleetConvergenceContainsBetterThanIndependent(t *testing.T) {
 // worker count, because each replication owns a dedicated RNG stream
 // and a private fleet.
 func TestFleetConvergenceWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the study twice")
-	}
-	a, err := Run("fleet-convergence", Options{Seed: 11, Quick: true, Runs: 12, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("fleet-convergence", Options{Seed: 11, Quick: true, Runs: 12, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Format() != b.Format() {
-		t.Fatalf("workers=1 and workers=8 diverge:\n--- 1 ---\n%s\n--- 8 ---\n%s", a.Format(), b.Format())
-	}
+	eachArtifact(t, []string{"fleet-convergence"}, legsAgree)
 }

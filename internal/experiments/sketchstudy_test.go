@@ -1,80 +1,11 @@
 package experiments
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// The sketch-accuracy artifact has its own golden file so the CI
-// sketch-accuracy job can run exactly this suite in smoke mode
-// (`make sketch-smoke`) and fail on drift without re-running the rest
-// of the artifact catalogue. Regenerate with -update-sketch only when a
-// change is meant to alter the study's sample paths.
-var updateSketchGolden = flag.Bool("update-sketch", false, "rewrite testdata/golden_sketch.json")
-
-const sketchGoldenPath = "testdata/golden_sketch.json"
-
-// computeSketchGolden hashes the artifact's full Format() rendering —
-// every series value and note, byte for byte — at two seeds, in the
-// quick smoke shape the CI job runs.
-func computeSketchGolden(t *testing.T) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	for _, seed := range []uint64{1, 1905} {
-		res, err := Run("sketch-accuracy", Options{Seed: seed, Quick: true, Workers: 4})
-		if err != nil {
-			t.Fatalf("sketch-accuracy seed %d: %v", seed, err)
-		}
-		h := fnv.New64a()
-		if _, err := h.Write([]byte(res.Format())); err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("sketch-accuracy/seed=%d", seed)] = fmt.Sprintf("%016x", h.Sum64())
-	}
-	return out
-}
-
-// TestSketchAccuracyGolden pins the study's formatted output byte-for-
-// byte against the recorded fingerprints.
+// TestSketchAccuracyGolden pins the study's formatted output
+// byte-for-byte against its recorded fingerprints.
 func TestSketchAccuracyGolden(t *testing.T) {
-	got := computeSketchGolden(t)
-	if *updateSketchGolden {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(sketchGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(sketchGoldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", sketchGoldenPath)
-		return
-	}
-	raw, err := os.ReadFile(sketchGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-sketch to record): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("%s: fingerprint %s, golden %s — sketch accuracy output drifted", k, got[k], w)
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: fingerprint missing from golden file (record with -update-sketch)", k)
-		}
-	}
+	eachArtifact(t, []string{"sketch-accuracy"}, matchGolden(readGolden(t)))
 }
 
 // TestSketchAccuracyWorkerInvariance asserts the study's acceptance
@@ -82,18 +13,5 @@ func TestSketchAccuracyGolden(t *testing.T) {
 // counts — the stream-per-replication RNG plus the in-order fold leave
 // no scheduling in the output.
 func TestSketchAccuracyWorkerInvariance(t *testing.T) {
-	ref, err := Run("sketch-accuracy", Options{Seed: 7, Quick: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{3, 8} {
-		got, err := Run("sketch-accuracy", Options{Seed: 7, Quick: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if a, b := ref.Format(), got.Format(); a != b {
-			t.Errorf("workers=1 and workers=%d output differs:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-				workers, a, workers, b)
-		}
-	}
+	eachArtifact(t, []string{"sketch-accuracy"}, legsAgree)
 }

@@ -1,102 +1,23 @@
 package experiments
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The topology-containment artifact has its own golden file so the CI
-// topo-smoke job can run exactly this suite (`make topo-smoke`) and
-// fail on drift without re-running the rest of the catalogue.
-// Regenerate with -update-topo only when a change is meant to alter the
-// study's sample paths.
-var updateTopoGolden = flag.Bool("update-topo", false, "rewrite testdata/golden_topo.json")
-
-const topoGoldenPath = "testdata/golden_topo.json"
-
-// computeTopoGolden hashes the artifact's full Format() rendering —
-// every series value and note, byte for byte — at two seeds, in the
-// quick smoke shape the CI job runs.
-func computeTopoGolden(t *testing.T) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	for _, seed := range []uint64{1, 1905} {
-		res, err := Run("topology-containment", Options{Seed: seed, Quick: true, Workers: 4})
-		if err != nil {
-			t.Fatalf("topology-containment seed %d: %v", seed, err)
-		}
-		h := fnv.New64a()
-		if _, err := h.Write([]byte(res.Format())); err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("topology-containment/seed=%d", seed)] = fmt.Sprintf("%016x", h.Sum64())
-	}
-	return out
-}
-
 // TestTopoContainmentGolden pins the study's formatted output
-// byte-for-byte against the recorded fingerprints.
+// byte-for-byte against its recorded fingerprints.
 func TestTopoContainmentGolden(t *testing.T) {
-	got := computeTopoGolden(t)
-	if *updateTopoGolden {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(topoGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(topoGoldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", topoGoldenPath)
-		return
-	}
-	raw, err := os.ReadFile(topoGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-topo to record): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("%s: fingerprint %s, golden %s — topology study output drifted", k, got[k], w)
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: fingerprint missing from golden file (record with -update-topo)", k)
-		}
-	}
+	eachArtifact(t, []string{"topology-containment"}, matchGolden(readGolden(t)))
 }
 
 // TestTopoContainmentWorkerInvariance asserts the acceptance bar: for a
-// fixed seed the artifact is byte-identical across worker counts 1/3/8
-// and across two replays at the same count — the shared read-only graph
-// plus stream-per-replication RNG leave no scheduling in the output.
+// fixed seed the artifact is byte-identical across worker counts — the
+// shared read-only graph plus stream-per-replication RNG leave no
+// scheduling in the output.
 func TestTopoContainmentWorkerInvariance(t *testing.T) {
-	ref, err := Run("topology-containment", Options{Seed: 7, Quick: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		got, err := Run("topology-containment", Options{Seed: 7, Quick: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if a, b := ref.Format(), got.Format(); a != b {
-			t.Errorf("workers=1 and workers=%d (replay) output differs:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-				workers, a, workers, b)
-		}
-	}
+	eachArtifact(t, []string{"topology-containment"}, legsAgree)
 }
 
 // TestTopoContainmentShape checks the study's structural claims on a

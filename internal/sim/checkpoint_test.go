@@ -177,31 +177,57 @@ func resumeCuts(payloads [][]byte) []int {
 	}
 }
 
-// TestCheckpointedRunEquivalence is the core tentpole property on one
-// kernel at a time: RunCheckpointed's trajectory is byte-identical to
-// RunInto's, every written payload decodes and re-encodes to itself,
-// and resuming from the first, middle and last cut — through a shared
-// dirty scratch — reproduces the uninterrupted fingerprint exactly.
+// kernelRun is one kernel's pair of runs of a (scenario, seed): the
+// uninterrupted fingerprint and the checkpointed run's fingerprint,
+// payloads and stats.
+type kernelRun struct {
+	want, got string
+	payloads  [][]byte
+	stats     CheckpointStats
+}
+
+// kernelRuns memoises kernelRunFor, so the resume matrix makes each
+// (kernel, seed, scenario) run once however many of its tests run.
+var kernelRuns = map[string]kernelRun{}
+
+func kernelRunFor(t *testing.T, name string, seed uint64, kernel des.Kind) kernelRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/seed=%d/%v", name, seed, kernel)
+	if r, ok := kernelRuns[key]; ok {
+		return r
+	}
+	r := kernelRun{want: uninterruptedFingerprint(t, name, seed, kernel)}
+	r.got, r.payloads, r.stats = checkpointedRun(t, name, seed, kernel)
+	kernelRuns[key] = r
+	return r
+}
+
+var resumeKernels = []des.Kind{des.KernelHeap, des.KernelWheel}
+
+// TestCheckpointedRunEquivalence is the resume matrix on one kernel at
+// a time: RunCheckpointed's trajectory is byte-identical to RunInto's,
+// every resumed payload decodes and re-encodes to itself, and the
+// first, middle and last cut — through a shared dirty scratch —
+// resume to the uninterrupted fingerprint.
 func TestCheckpointedRunEquivalence(t *testing.T) {
 	scratch := NewScratch() // shared across every resume: dirty on purpose
-	for _, kernel := range []des.Kind{des.KernelHeap, des.KernelWheel} {
+	for _, kernel := range resumeKernels {
 		for _, seed := range goldenSeeds {
 			for _, name := range checkpointScenarioNames() {
 				key := fmt.Sprintf("%s/seed=%d/%v", name, seed, kernel)
-				want := uninterruptedFingerprint(t, name, seed, kernel)
-				got, payloads, stats := checkpointedRun(t, name, seed, kernel)
-				if got != want {
-					t.Errorf("%s: checkpointed run %s != uninterrupted %s", key, got, want)
+				r := kernelRunFor(t, name, seed, kernel)
+				if r.got != r.want {
+					t.Errorf("%s: checkpointed run %s != uninterrupted %s", key, r.got, r.want)
 				}
-				if stats.Writes != uint64(len(payloads)) || stats.Writes < 2 {
+				if r.stats.Writes != uint64(len(r.payloads)) || r.stats.Writes < 2 {
 					t.Errorf("%s: %d writes recorded, %d payloads captured",
-						key, stats.Writes, len(payloads))
+						key, r.stats.Writes, len(r.payloads))
 				}
-				if stats.LastGen != uint64(len(payloads)) || stats.Bytes != len(payloads[len(payloads)-1]) {
-					t.Errorf("%s: stats %+v inconsistent with sink", key, stats)
+				if r.stats.LastGen != uint64(len(r.payloads)) || r.stats.Bytes != len(r.payloads[len(r.payloads)-1]) {
+					t.Errorf("%s: stats %+v inconsistent with sink", key, r.stats)
 				}
-				for _, cut := range resumeCuts(payloads) {
-					p := payloads[cut]
+				for _, cut := range resumeCuts(r.payloads) {
+					p := r.payloads[cut]
 					ck, err := DecodeCheckpoint(p)
 					if err != nil {
 						t.Fatalf("%s cut %d: decode: %v", key, cut, err)
@@ -209,8 +235,8 @@ func TestCheckpointedRunEquivalence(t *testing.T) {
 					if re := EncodeCheckpoint(ck); !bytes.Equal(re, p) {
 						t.Fatalf("%s cut %d: decode∘encode is not the identity", key, cut)
 					}
-					if r := resumeFingerprint(t, name, seed, kernel, p, scratch); r != want {
-						t.Errorf("%s cut %d: resumed %s != uninterrupted %s", key, cut, r, want)
+					if got := resumeFingerprint(t, name, seed, kernel, p, scratch); got != r.want {
+						t.Errorf("%s cut %d: resumed %s != uninterrupted %s", key, cut, got, r.want)
 					}
 				}
 			}
@@ -219,25 +245,26 @@ func TestCheckpointedRunEquivalence(t *testing.T) {
 }
 
 // TestResumeKernelCrossing resumes heap-written checkpoints on the
-// wheel and wheel-written checkpoints on the heap: the exported
-// pending-event form is kernel-neutral, so every crossing must land on
-// the same fingerprint as the uninterrupted single-kernel run.
+// wheel and wheel-written checkpoints on the heap, each from a fresh
+// scratch: the exported pending-event form is kernel-neutral, so the
+// two kernels' uninterrupted fingerprints agree and every crossing
+// lands on them.
 func TestResumeKernelCrossing(t *testing.T) {
 	for _, seed := range goldenSeeds {
 		for _, name := range checkpointScenarioNames() {
-			want := uninterruptedFingerprint(t, name, seed, des.KernelHeap)
-			for _, cross := range []struct {
-				src, dst des.Kind
-			}{
-				{des.KernelHeap, des.KernelWheel},
-				{des.KernelWheel, des.KernelHeap},
-			} {
-				_, payloads, _ := checkpointedRun(t, name, seed, cross.src)
-				for _, cut := range resumeCuts(payloads) {
-					got := resumeFingerprint(t, name, seed, cross.dst, payloads[cut], nil)
+			heap := kernelRunFor(t, name, seed, des.KernelHeap)
+			wheel := kernelRunFor(t, name, seed, des.KernelWheel)
+			if heap.want != wheel.want {
+				t.Errorf("%s/seed=%d: heap fingerprint %s != wheel %s", name, seed, heap.want, wheel.want)
+			}
+			for i, src := range resumeKernels {
+				dst := resumeKernels[1-i]
+				from, want := kernelRunFor(t, name, seed, src), kernelRunFor(t, name, seed, dst).want
+				for _, cut := range resumeCuts(from.payloads) {
+					got := resumeFingerprint(t, name, seed, dst, from.payloads[cut], nil)
 					if got != want {
 						t.Errorf("%s seed %d cut %d %v->%v: %s != %s",
-							name, seed, cut, cross.src, cross.dst, got, want)
+							name, seed, cut, src, dst, got, want)
 					}
 				}
 			}
