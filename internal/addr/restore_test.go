@@ -1,6 +1,8 @@
 package addr
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,7 +105,11 @@ func TestRestoreAddrsReuse(t *testing.T) {
 // duplicate error, and that the same Population then restores the clean
 // list correctly. Each position is tried on a list spread wider than the
 // table (the hashed, batched build) and on a contiguous one (the direct
-// build, where a duplicate is a filled home slot).
+// build, where a duplicate is a filled home slot). Last, a direct list
+// long enough to be shared by slot range between two workers gets two
+// different duplicates, one in each worker's range: the error must
+// name the one whose second copy comes first in the list, whichever
+// worker finds it, as the serial build does.
 func TestRestoreAddrsDuplicatePositions(t *testing.T) {
 	const n = 3*popBatch + 7
 	type list struct {
@@ -155,6 +161,89 @@ func TestRestoreAddrsDuplicatePositions(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const long = restoreSplitMin + 7
+	clean := make([]IP, long)
+	for i := range clean {
+		clean[i] = IP(0x0a000000 + long - 1 - i) // host i in slot long-1-i
+	}
+	if err := p.RestoreAddrs(clean); err != nil {
+		t.Fatal(err)
+	}
+	// Host 1 is filed by the upper worker and host 50 by the lower one.
+	if half := uint32(len(p.table) / 2); !p.direct || p.home(clean[1]) < half || p.home(clean[50]) >= half {
+		t.Fatalf("direct %v, homes %d and %d of %d slots: hosts 1 and 50 not in different halves",
+			p.direct, p.home(clean[1]), p.home(clean[50]), len(p.table))
+	}
+	for _, c := range []struct {
+		name         string
+		upper, lower int // index of each duplicate's second copy
+		want         int // the host whose address the error names
+	}{
+		{"split/upper-worker-first", 100, 200, 1},
+		{"split/lower-worker-first", 300, 200, 50},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]IP(nil), clean...)
+			bad[c.upper], bad[c.lower] = clean[1], clean[50]
+			err := p.RestoreAddrs(bad)
+			if err == nil || !strings.Contains(err.Error(), "duplicate address "+clean[c.want].String()) {
+				t.Fatalf("RestoreAddrs = %v, want the duplicate-address error for %v", err, clean[c.want])
+			}
+			if err := p.RestoreAddrs(clean); err != nil {
+				t.Fatalf("restore after a rejected one: %v", err)
+			}
+			for i, ip := range clean {
+				if idx, ok := p.Lookup(ip); !ok || idx != i || p.Addr(i) != ip {
+					t.Fatalf("host %d: lookup %v -> %d %v, addr %v", i, ip, idx, ok, p.Addr(i))
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreAddrsWorkerCount restores one direct list, long enough to
+// be split, under one, two and three workers, into a fresh population
+// and into one that keeps a larger table from an earlier draw. The
+// table, the mode and every lookup in and around the list's span must
+// not depend on the worker count.
+func TestRestoreAddrsWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	pfx := mustParsePrefix(t, "10.64.0.0/14")
+	orig, err := NewPopulation(3*restoreSplitMin, &pfx, rng.NewPCG64(1905, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := orig.Addrs()
+	refs := map[int][]popSlot{} // GOMAXPROCS 1's table, by size
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		larger, err := NewPopulation(1<<19, nil, rng.NewPCG64(7, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*Population{{}, larger} {
+			if err := p.RestoreAddrs(addrs); err != nil {
+				t.Fatal(err)
+			}
+			if !p.direct {
+				t.Fatalf("GOMAXPROCS %d, %d slots: hashed build, want direct", procs, len(p.table))
+			}
+			if ref, ok := refs[len(p.table)]; !ok {
+				refs[len(p.table)] = p.table
+			} else if !slices.Equal(p.table, ref) {
+				t.Fatalf("GOMAXPROCS %d, %d slots: table differs from GOMAXPROCS 1", procs, len(p.table))
+			}
+			for ip := pfx.Net - 1024; ip < pfx.Net+IP(pfx.Size())+1024; ip++ {
+				wantIdx, want := orig.Lookup(ip)
+				if idx, ok := p.Lookup(ip); ok != want || idx != wantIdx {
+					t.Fatalf("GOMAXPROCS %d, %d slots: lookup %v -> %d %v, want %d %v",
+						procs, len(p.table), ip, idx, ok, wantIdx, want)
+				}
+			}
+		}
 	}
 }
 

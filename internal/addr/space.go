@@ -3,6 +3,8 @@ package addr
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"wormcontain/internal/rng"
 )
@@ -39,6 +41,13 @@ type Population struct {
 	// direct: the hosts span fewer addresses than len(table). Set by
 	// every build, never inherited from the previous one.
 	direct bool
+	// split holds the jobs of a direct-mode restore shared across
+	// workers (see fileDirect), kept so that a repeated restore does
+	// not allocate.
+	split struct {
+		jobs []rangeJob
+		wg   sync.WaitGroup
+	}
 }
 
 // popSlot is one table entry: an address and its host index plus one,
@@ -213,8 +222,8 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 // The list carries no prefix, so one pass finds its span: a list that
 // spans fewer addresses than the table has slots is restored in direct
 // mode, one store per host, since a home slot already filled can only
-// hold the same address. Any other is inserted with Repopulate's
-// batching.
+// hold the same address (see fileDirect). Any other is inserted with
+// Repopulate's batching.
 func (p *Population) RestoreAddrs(addrs []IP) error {
 	if len(addrs) < 1 {
 		return fmt.Errorf("addr: restore of empty population")
@@ -228,12 +237,8 @@ func (p *Population) RestoreAddrs(addrs []IP) error {
 	}
 	p.direct = uint64(hi-lo) < uint64(len(p.table))
 	if p.direct {
-		for i, ip := range addrs {
-			s := &p.table[p.home(ip)]
-			if s.val != 0 {
-				return fmt.Errorf("addr: restore with duplicate address %v", ip)
-			}
-			*s = popSlot{key: ip, val: int32(i + 1)}
+		if i := p.fileDirect(addrs); i < len(addrs) {
+			return fmt.Errorf("addr: restore with duplicate address %v", addrs[i])
 		}
 		p.addrs = append(p.addrs, addrs...)
 		return nil
@@ -253,6 +258,93 @@ func (p *Population) RestoreAddrs(addrs []IP) error {
 		}
 	}
 	return nil
+}
+
+// restoreSplitMin is the shortest list a direct-mode restore shares
+// across workers. A shorter one is filed by the caller alone: every
+// worker reads the whole list, and starting and joining them is a
+// fixed cost the split must repay.
+const restoreSplitMin = 1 << 16
+
+// fileDirect stores every host of addrs in its home slot and returns
+// the index of the first host whose slot was already filled — a
+// duplicate of an earlier host — or len(addrs).
+//
+// A list of restoreSplitMin hosts or more is shared across GOMAXPROCS
+// workers by slot range. Each walks the whole list in index order and
+// files only the hosts whose home slot lies in its range, so no two
+// workers write one slot, even when the list holds a duplicate. A
+// duplicate's copies share a home slot, so one worker sees both, and
+// the list's first duplicate is the earliest of the workers' firsts —
+// the one a single pass over the list reports. Splitting it into index
+// halves would be faster, but two halves can then write one slot.
+func (p *Population) fileDirect(addrs []IP) int {
+	w := runtime.GOMAXPROCS(0)
+	if len(addrs) < restoreSplitMin {
+		w = 1
+	}
+	if len(p.split.jobs) < w {
+		p.split.jobs = make([]rangeJob, w)
+	}
+	jobs := p.split.jobs[:w]
+	n := len(p.table)
+	for k := range jobs {
+		// Ranges start on a cache line (eight slots), so that two
+		// workers never store into one line.
+		jobs[k] = rangeJob{p: p, addrs: addrs, lo: k * n / w &^ 7, hi: (k + 1) * n / w &^ 7}
+	}
+	jobs[w-1].hi = n
+	p.split.wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go rangeWorker()
+		rangeJobs <- &jobs[k]
+	}
+	jobs[0].run()
+	p.split.wg.Wait()
+	dup := len(addrs)
+	for k := range jobs {
+		dup = min(dup, jobs[k].dup)
+	}
+	return dup
+}
+
+// rangeJob is one worker's share of fileDirect: the hosts of addrs
+// whose home slot lies in [lo, hi).
+type rangeJob struct {
+	p      *Population
+	addrs  []IP
+	lo, hi int
+	dup    int // index of the first duplicate in the range, or len(addrs)
+}
+
+// rangeJobs hands each rangeWorker its job. A go statement whose
+// function takes arguments allocates a closure; one without does not,
+// so a repeated restore stays allocation-free.
+var rangeJobs = make(chan *rangeJob)
+
+// rangeWorker runs one job received from rangeJobs.
+func rangeWorker() {
+	j := <-rangeJobs
+	j.run()
+	j.p.split.wg.Done()
+}
+
+func (j *rangeJob) run() {
+	table, mask := j.p.table, j.p.mask
+	lo, size := uint(j.lo), uint(j.hi-j.lo)
+	j.dup = len(j.addrs)
+	for i, ip := range j.addrs {
+		h := uint(uint32(ip) & mask)
+		if h-lo >= size { // below lo, h-lo wraps past size
+			continue
+		}
+		s := &table[h]
+		if s.val != 0 {
+			j.dup = i
+			return
+		}
+		*s = popSlot{key: ip, val: int32(i + 1)}
+	}
 }
 
 // RestorePopulation constructs a Population from an explicit address

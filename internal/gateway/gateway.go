@@ -468,8 +468,10 @@ var copyBuffers = sync.Pool{
 // copyHalf copies one direction, half-closes the destination so the
 // peer sees EOF, and returns the bytes copied. TCP-to-TCP pairs go
 // through io.Copy so the runtime can splice in-kernel; any other pair
-// hides the destination's ReadFrom (whose generic fallback allocates a
-// fresh 32KB buffer per call) and copies through the pool.
+// copies through the pool. It hides both the source's WriteTo, which
+// io.CopyBuffer tries first, and the destination's ReadFrom: a TCP
+// end's generic fallback for either allocates a fresh 32KB buffer per
+// call.
 func copyHalf(dst, src net.Conn) uint64 {
 	// Errors here mean the relay is over; the deferred Closes clean up.
 	var n int64
@@ -479,7 +481,7 @@ func copyHalf(dst, src net.Conn) uint64 {
 		n, _ = io.Copy(dst, src)
 	} else {
 		buf := copyBuffers.Get().(*[]byte)
-		n, _ = io.CopyBuffer(struct{ io.Writer }{dst}, src, *buf)
+		n, _ = io.CopyBuffer(struct{ io.Writer }{dst}, struct{ io.Reader }{src}, *buf)
 		copyBuffers.Put(buf)
 	}
 	if tcp, ok := dst.(*net.TCPConn); ok {

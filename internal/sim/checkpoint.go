@@ -374,16 +374,40 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	}
 	e.src.SetState(ck.RNG)
 
-	if e.pop == nil {
-		pop, err := addr.RestorePopulation(ck.Addrs)
-		if err != nil {
-			return nil, err
-		}
-		e.pop = pop
-	} else if err := e.pop.RestoreAddrs(ck.Addrs); err != nil {
+	// The population's index is rebuilt beside the rest of the state,
+	// none of which reads e.pop. Both finish before setupResume returns,
+	// and a population error is reported first, as it was when the
+	// rebuild came first.
+	popErr := make(chan error, 1)
+	go func() { popErr <- e.restorePopulation(ck.Addrs) }()
+	err = e.restoreState(cfg, res, ck, sn)
+	if perr := <-popErr; perr != nil {
+		return nil, perr
+	}
+	if err != nil {
 		return nil, err
 	}
+	return e, nil
+}
 
+// restorePopulation rebuilds the population from the checkpoint's
+// address list, reusing the engine's arena when it has one.
+func (e *engine) restorePopulation(addrs []addr.IP) error {
+	if e.pop != nil {
+		return e.pop.RestoreAddrs(addrs)
+	}
+	pop, err := addr.RestorePopulation(addrs)
+	if err != nil {
+		return err
+	}
+	e.pop = pop
+	return nil
+}
+
+// restoreState rebuilds everything of the engine at the checkpointed
+// cut but the population: kernel, bitsets, generations, the result so
+// far, defense state, delayed deliveries and the pending-event set.
+func (e *engine) restoreState(cfg Config, res *Result, ck *Checkpoint, sn defense.Snapshotter) error {
 	e.cfg = cfg
 	e.sim.Reset() // drop any leftovers so configureKernel sees an empty queue
 	e.configureKernel()
@@ -398,7 +422,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	active := 0
 	for w, inf := range e.state.infected {
 		if inf&e.state.removed[w] != 0 {
-			return nil, fmt.Errorf("sim: checkpoint marks host(s) both infected and removed (word %d)", w)
+			return fmt.Errorf("sim: checkpoint marks host(s) both infected and removed (word %d)", w)
 		}
 		c := bits.OnesCount64(inf)
 		active += c
@@ -417,7 +441,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	}
 	e.state.active = active
 	if want := ck.TotalInfected - ck.TotalRemoved; active != want {
-		return nil, fmt.Errorf("sim: checkpoint infected bitset population %d != TotalInfected-TotalRemoved %d",
+		return fmt.Errorf("sim: checkpoint infected bitset population %d != TotalInfected-TotalRemoved %d",
 			active, want)
 	}
 	removed := 0
@@ -425,7 +449,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 		removed += bits.OnesCount64(w)
 	}
 	if want := ck.TotalRemoved + ck.Immunized; removed != want {
-		return nil, fmt.Errorf("sim: checkpoint removed bitset population %d != TotalRemoved+Immunized %d",
+		return fmt.Errorf("sim: checkpoint removed bitset population %d != TotalRemoved+Immunized %d",
 			removed, want)
 	}
 
@@ -443,14 +467,15 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	res.Patched, res.Immunized = ck.Patched, ck.Immunized
 	res.Tree = append(res.Tree, ck.Tree...)
 	if cfg.RecordPaths {
+		var err error
 		if res.InfectedSeries, err = restoreSeries(ck.InfectedPts); err != nil {
-			return nil, err
+			return err
 		}
 		if res.RemovedSeries, err = restoreSeries(ck.RemovedPts); err != nil {
-			return nil, err
+			return err
 		}
 		if res.ActiveSeries, err = restoreSeries(ck.ActivePts); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	e.res = res
@@ -466,7 +491,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	e.scanner = cfg.Scanner
 
 	if err := sn.RestoreState(ck.Defense); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Delayed-delivery slot table, then the pending-event set through
@@ -482,7 +507,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 		e.batch = append(e.batch, des.BatchEvent{At: ev.At, Fn: e.handlerFor(ev.Kind), Arg: int(ev.Arg)})
 	}
 	e.sim.Restore(ck.Now, ck.Fired, e.batch)
-	return e, nil
+	return nil
 }
 
 // validateCheckpointState deep-checks the dynamic state's internal

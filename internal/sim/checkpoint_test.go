@@ -386,16 +386,35 @@ func TestCheckpointRejects(t *testing.T) {
 	}
 
 	// Corrupted dynamic state must fail deep validation, not
-	// mis-simulate.
-	corrupt := func(name string, mutate func(c *Checkpoint)) {
+	// mis-simulate. Every rejected resume goes through one Scratch,
+	// which must then resume the clean checkpoint to the result a fresh
+	// one reaches.
+	var clean Result
+	if err := ResumeFromCheckpoint(base(), nil, &clean, ck); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprintResult(&clean)
+	scratch := NewScratch()
+	corrupt := func(name string, mutate func(c *Checkpoint)) error {
 		c, err := DecodeCheckpoint(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mutate(c)
-		if err := ResumeFromCheckpoint(base(), nil, &res, c); err == nil {
+		rejected := ResumeFromCheckpoint(base(), scratch, &res, c)
+		if rejected == nil {
 			t.Errorf("corrupt checkpoint (%s) accepted", name)
 		}
+		if c, err = DecodeCheckpoint(payload); err != nil {
+			t.Fatal(err)
+		}
+		var again Result
+		if err := ResumeFromCheckpoint(base(), scratch, &again, c); err != nil {
+			t.Errorf("clean resume after the %s rejection: %v", name, err)
+		} else if got := fingerprintResult(&again); got != want {
+			t.Errorf("clean resume after the %s rejection: %s, want %s", name, got, want)
+		}
+		return rejected
 	}
 	corrupt("counter drift", func(c *Checkpoint) { c.TotalRemoved++ })
 	corrupt("dup address", func(c *Checkpoint) { c.Addrs[1] = c.Addrs[0] })
@@ -416,6 +435,16 @@ func TestCheckpointRejects(t *testing.T) {
 	corrupt("free slot range", func(c *Checkpoint) {
 		c.FreeDeliv = append(c.FreeDeliv, int32(len(c.Deliv)))
 	})
+	// The population is rebuilt beside the rest of the state; when both
+	// are corrupt, the population's error is the one reported.
+	err = corrupt("dup address and overlap", func(c *Checkpoint) {
+		c.Addrs[1] = c.Addrs[0]
+		c.Infected[0] |= 1
+		c.Removed[0] |= 1
+	})
+	if err == nil || !strings.Contains(err.Error(), "duplicate address") {
+		t.Errorf("dup address and overlap: resume = %v, want the duplicate-address error", err)
+	}
 }
 
 // TestResumeRejectsOutOfRangeGeneration feeds ResumeCheckpointed a
