@@ -92,16 +92,17 @@ crash:
 
 # The resume-equivalence suite: checkpointed runs, kernel-crossing
 # resumes and the sim-layer seed sweep (goldenSeeds 1/7/1905 × both
-# kernels live inside the tests), the population restore, the simstate
+# kernels live inside the tests), the des run loop every run and resume
+# goes through, the population restore, the simstate
 # directory and crashsafe append-log contracts, the Monte-Carlo progress
 # journal, the restore's concurrency under the race detector, and the
 # wormsim CLI end-to-end resume — swept across extra trajectory seeds to
 # match the CI resume matrix. Override with RESUME_SEEDS="42" for a single seed.
 RESUME_SEEDS ?= 1 7 1905
 resume:
-	$(GO) test -run 'Checkpoint|Resume|Restore|Journal|Log|Dir' -count=1 \
-		./internal/addr ./internal/sim ./internal/crashsafe ./internal/simstate ./internal/experiments
-	$(GO) test -race -run 'Restore|Resume|CheckpointRejects' -count=1 ./internal/addr ./internal/sim
+	$(GO) test -run 'Checkpoint|Resume|Restore|Journal|Log|Dir|RunUntil|Stop' -count=1 \
+		./internal/addr ./internal/des ./internal/sim ./internal/crashsafe ./internal/simstate ./internal/experiments
+	$(GO) test -race -run 'Restore|Resume|CheckpointRejects' -count=1 ./internal/addr ./internal/des ./internal/sim
 	@for s in $(RESUME_SEEDS); do \
 		echo "resume seed $$s"; \
 		WORMSIM_RESUME_SEED=$$s $(GO) test -run 'RunCheckpoint' -count=1 ./cmd/wormsim || exit 1; \

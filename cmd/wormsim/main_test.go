@@ -298,6 +298,19 @@ func TestRunCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunCheckpointSeedTruncated: when seeding alone
+// reaches -max-infected, the run fires no event, and its summary is the
+// same with and without -checkpoint-dir.
+func TestRunCheckpointSeedTruncated(t *testing.T) {
+	args := []string{"-v", "2000", "-i0", "10", "-max-infected", "5",
+		"-defense", "none", "-patch-rate", "0.1", "-seed", "7"}
+	plain := captureRun(t, args)
+	ckpt := captureRun(t, append(args[:len(args):len(args)], "-checkpoint-dir", t.TempDir()))
+	if got, want := reportCore(t, ckpt), reportCore(t, plain); got != want {
+		t.Errorf("checkpointed report differs from the plain run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
 // TestRunCheckpointFlagValidation pins the fail-fast contract of the
 // checkpoint flags: misuse and mismatches are rejected with a clear
 // error before any simulation (or with the corrective flag spelled

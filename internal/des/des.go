@@ -433,8 +433,8 @@ func (s *Simulator) front() *entryHeap {
 	return &w.due
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight
-// event completes. Pending events stay queued; a subsequent Run resumes.
+// Stop makes the current RunUntil call return after the in-flight
+// event completes. Pending events stay queued; a later RunUntil resumes.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step fires the single earliest pending event and advances the clock
@@ -444,6 +444,37 @@ func (s *Simulator) Step() bool {
 	if h == nil {
 		return false
 	}
+	s.fire(h)
+	return true
+}
+
+// RunUntil is the event loop: it fires events in (time, seq) order
+// until the queue drains, the next event is past deadline (an event at
+// deadline fires), a handler calls Stop, or between — when non-nil,
+// called with the next event's time before each event — returns false.
+// between must not schedule events. The clock is left at the last fired
+// event; a caller that wants it at deadline follows with AdvanceTo.
+// halted reports a stop by Stop or between rather than by the queue.
+func (s *Simulator) RunUntil(deadline time.Duration, between func(next time.Duration) bool) (halted bool) {
+	s.stopped = false
+	for {
+		h := s.front()
+		if h == nil || (*h)[0].at > deadline {
+			return false
+		}
+		if between != nil && !between((*h)[0].at) {
+			return true
+		}
+		s.fire(h)
+		if s.stopped {
+			return true
+		}
+	}
+}
+
+// fire pops the root of h, the earliest pending event, advances the
+// clock to it and runs its handler.
+func (s *Simulator) fire(h *entryHeap) {
 	e := h.pop()
 	if s.kind == KernelWheel {
 		s.wheel.count--
@@ -457,40 +488,16 @@ func (s *Simulator) Step() bool {
 		m.events.Inc()
 		m.depth.Set(float64(s.Pending()))
 	}
-	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
-func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+// AdvanceTo moves the clock forward to t without firing any events,
+// for a caller that wants the clock at RunUntil's deadline. Earlier
+// times are a no-op; pending events are untouched, even ones with
+// timestamps <= t.
+func (s *Simulator) AdvanceTo(t time.Duration) {
+	if t > s.now {
+		s.now = t
 	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then sets the
-// clock to deadline (if it has not passed it already). Events scheduled
-// beyond the deadline stay queued.
-func (s *Simulator) RunUntil(deadline time.Duration) {
-	s.stopped = false
-	for !s.stopped {
-		next, ok := s.peek()
-		if !ok || next > deadline {
-			break
-		}
-		s.Step()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
-// peek returns the timestamp of the earliest pending event.
-func (s *Simulator) peek() (time.Duration, bool) {
-	h := s.front()
-	if h == nil {
-		return 0, false
-	}
-	return (*h)[0].at, true
 }
 
 // MaxTime is the largest representable virtual time, usable as an

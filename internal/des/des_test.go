@@ -29,7 +29,7 @@ func TestScheduleAndRunOrder(t *testing.T) {
 	s.Schedule(3*time.Second, func() { got = append(got, 3) })
 	s.Schedule(1*time.Second, func() { got = append(got, 1) })
 	s.Schedule(2*time.Second, func() { got = append(got, 2) })
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
@@ -51,7 +51,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		s.Schedule(time.Second, func() { got = append(got, i) })
 	}
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("tie-break order %v not FIFO", got)
@@ -70,7 +70,7 @@ func TestHandlersScheduleMoreEvents(t *testing.T) {
 		}
 	}
 	s.Schedule(time.Second, tick)
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
 	}
@@ -87,7 +87,7 @@ func TestZeroDelayFiresAfterQueuedSameInstant(t *testing.T) {
 		s.Schedule(0, func() { got = append(got, "third") })
 	})
 	s.Schedule(0, func() { got = append(got, "second") })
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	want := []string{"first", "second", "third"}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
@@ -108,7 +108,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestScheduleAtPastPanics(t *testing.T) {
 	s := New()
 	s.Schedule(time.Second, func() {})
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -131,18 +131,24 @@ func TestRunUntil(t *testing.T) {
 	var got []int
 	s.Schedule(1*time.Second, func() { got = append(got, 1) })
 	s.Schedule(5*time.Second, func() { got = append(got, 5) })
-	s.RunUntil(3 * time.Second)
+	if s.RunUntil(3*time.Second, nil) {
+		t.Error("a run that reached its deadline reports a halt")
+	}
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("got %v, want [1]", got)
 	}
+	if s.Now() != time.Second {
+		t.Errorf("clock = %v, want 1s (the last fired event)", s.Now())
+	}
+	s.AdvanceTo(3 * time.Second)
 	if s.Now() != 3*time.Second {
-		t.Errorf("clock = %v, want 3s (deadline)", s.Now())
+		t.Errorf("clock = %v after AdvanceTo, want 3s (deadline)", s.Now())
 	}
 	if s.Pending() != 1 {
 		t.Errorf("pending = %d, want 1", s.Pending())
 	}
 	// Resume to completion.
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if len(got) != 2 || got[1] != 5 {
 		t.Fatalf("after resume got %v", got)
 	}
@@ -152,7 +158,7 @@ func TestRunUntilInclusiveBoundary(t *testing.T) {
 	s := New()
 	fired := false
 	s.Schedule(2*time.Second, func() { fired = true })
-	s.RunUntil(2 * time.Second)
+	s.RunUntil(2*time.Second, nil)
 	if !fired {
 		t.Error("event exactly at deadline should fire")
 	}
@@ -163,11 +169,16 @@ func TestStopInsideHandler(t *testing.T) {
 	count := 0
 	s.Schedule(1*time.Second, func() { count++; s.Stop() })
 	s.Schedule(2*time.Second, func() { count++ })
-	s.Run()
+	if !s.RunUntil(MaxTime, nil) {
+		t.Error("a run stopped by its handler does not report a halt")
+	}
 	if count != 1 {
 		t.Fatalf("count = %d, want 1 (stopped)", count)
 	}
-	s.Run() // resumes
+	if s.Now() != time.Second {
+		t.Fatalf("clock = %v, want 1s (the stopping event)", s.Now())
+	}
+	s.RunUntil(MaxTime, nil) // resumes
 	if count != 2 {
 		t.Fatalf("count = %d after resume, want 2", count)
 	}
@@ -198,7 +209,7 @@ func TestManyEventsHeapStress(t *testing.T) {
 			fired++
 		})
 	}
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if fired != n {
 		t.Errorf("fired %d of %d", fired, n)
 	}
@@ -211,7 +222,7 @@ func TestScheduleArgOrderAndValues(t *testing.T) {
 	s.Emit(3*time.Second, record, 3)
 	s.Emit(1*time.Second, record, 1)
 	s.Emit(2*time.Second, record, 2)
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
@@ -226,7 +237,7 @@ func TestScheduleArgInterleavesWithClosures(t *testing.T) {
 	var got []string
 	s.Schedule(time.Second, func() { got = append(got, "closure") })
 	s.Emit(time.Second, func(int) { got = append(got, "arg") }, 0)
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if len(got) != 2 || got[0] != "closure" || got[1] != "arg" {
 		t.Fatalf("order = %v, want [closure arg]", got)
 	}
@@ -245,7 +256,7 @@ func TestResetReusesPool(t *testing.T) {
 	s := New()
 	s.Schedule(time.Hour, func() {})
 	s.Schedule(time.Second, func() {})
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	s.Stop()
 
 	s.Reset()
@@ -257,7 +268,7 @@ func TestResetReusesPool(t *testing.T) {
 	var got []int
 	s.Emit(2*time.Second, func(a int) { got = append(got, a) }, 2)
 	s.Emit(1*time.Second, func(a int) { got = append(got, a) }, 1)
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("after Reset run order = %v, want [1 2]", got)
 	}
@@ -299,7 +310,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			s.Emit(time.Duration(j)*time.Millisecond, noop, j)
 		}
-		s.Run()
+		s.RunUntil(MaxTime, nil)
 	}
 }
 

@@ -73,33 +73,3 @@ func (s *Simulator) Restore(now time.Duration, fired uint64, evs []BatchEvent) {
 	s.fired = fired
 	s.ScheduleBatch(evs)
 }
-
-// NextEventAt reports the timestamp of the earliest pending event;
-// ok is false when the queue holds none. It is the public peek used by
-// checkpoint-driven run loops to find cut points between events.
-func (s *Simulator) NextEventAt() (at time.Duration, ok bool) {
-	return s.peek()
-}
-
-// Stopped reports whether Stop has been called since the last Run,
-// RunUntil or Restore — the state a Step-driven loop checks to honor
-// in-handler Stop requests the way Run does.
-func (s *Simulator) Stopped() bool { return s.stopped }
-
-// ClearStop resets the Stop latch. Run and RunUntil clear it on entry;
-// a Step-driven loop calls this once at its own entry to mirror them
-// (it matters when event admission before the loop — outbreak seeding,
-// say — already tripped a Stop).
-func (s *Simulator) ClearStop() { s.stopped = false }
-
-// AdvanceTo moves the clock forward to t without firing any events,
-// mirroring RunUntil's deadline semantics for Step-driven loops: a
-// checkpointing runner that stops stepping (deadline reached, or a
-// handler called Stop) uses it to land the clock exactly where
-// RunUntil would have. Earlier times are a no-op; pending events are
-// untouched, even ones with timestamps <= t.
-func (s *Simulator) AdvanceTo(t time.Duration) {
-	if t > s.now {
-		s.now = t
-	}
-}

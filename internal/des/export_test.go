@@ -90,7 +90,7 @@ func TestExportRestoreKernelEquivalence(t *testing.T) {
 		ref := NewWithConfig(srcCfg)
 		refRec := newExportRecorder(ref, 1905)
 		seedExportWorkload(ref, refRec, 300)
-		ref.Run()
+		ref.RunUntil(MaxTime, nil)
 
 		for _, cut := range []int{0, 1, 37, 500, 2000} {
 			// Partial run to the cut, then export.
@@ -133,7 +133,7 @@ func TestExportRestoreKernelEquivalence(t *testing.T) {
 				if got, want := dst.Fired(), part.Fired(); got != want {
 					t.Fatalf("%s->%s cut %d: restored fired %d != %d", srcName, dstName, cut, got, want)
 				}
-				dst.Run()
+				dst.RunUntil(MaxTime, nil)
 				if len(dstRec.trace) != len(refRec.trace) {
 					t.Fatalf("%s->%s cut %d: trace length %d != %d",
 						srcName, dstName, cut, len(dstRec.trace), len(refRec.trace))
@@ -149,11 +149,12 @@ func TestExportRestoreKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestNextEventAtAndAdvanceTo pins the Step-loop support surface:
-// NextEventAt matches the fire time Step delivers, Stopped reflects
-// in-handler Stop, and AdvanceTo lands the clock like RunUntil without
-// touching pending events.
-func TestNextEventAtAndAdvanceTo(t *testing.T) {
+// TestRunUntilBetweenAndAdvanceTo pins the loop's callback and clock
+// contract on both backends: between sees each event's fire time before
+// it fires and halts the run by returning false, a handler's Stop halts
+// it too, the clock stays at the last fired event, and AdvanceTo moves
+// it on without touching pending events.
+func TestRunUntilBetweenAndAdvanceTo(t *testing.T) {
 	for name, cfg := range exportKernelConfigs() {
 		sim := NewWithConfig(cfg)
 		var fired []int
@@ -167,16 +168,22 @@ func TestNextEventAtAndAdvanceTo(t *testing.T) {
 		sim.Emit(2*time.Millisecond, fn, 2)
 		sim.Emit(time.Hour, fn, 3)
 
-		at, ok := sim.NextEventAt()
-		if !ok || at != time.Millisecond {
-			t.Fatalf("%s: NextEventAt = %v %v", name, at, ok)
+		var seen []time.Duration
+		halted := sim.RunUntil(MaxTime, func(next time.Duration) bool {
+			seen = append(seen, next)
+			return len(seen) < 2
+		})
+		if !halted || len(fired) != 1 || len(seen) != 2 || seen[0] != time.Millisecond || seen[1] != 2*time.Millisecond {
+			t.Fatalf("%s: between halt: halted %v, fired %v, between saw %v", name, halted, fired, seen)
 		}
-		sim.Run()
-		if !sim.Stopped() {
-			t.Fatalf("%s: Stopped() false after in-handler Stop", name)
+		if sim.Now() != time.Millisecond {
+			t.Fatalf("%s: clock %v after the between halt, want 1ms", name, sim.Now())
 		}
-		if len(fired) != 2 {
-			t.Fatalf("%s: fired %v, want [1 2]", name, fired)
+		if !sim.RunUntil(MaxTime, nil) {
+			t.Fatalf("%s: in-handler Stop did not halt the run", name)
+		}
+		if len(fired) != 2 || sim.Now() != 2*time.Millisecond {
+			t.Fatalf("%s: fired %v at %v, want [1 2] at 2ms", name, fired, sim.Now())
 		}
 		sim.AdvanceTo(time.Minute)
 		if sim.Now() != time.Minute {
@@ -190,7 +197,9 @@ func TestNextEventAtAndAdvanceTo(t *testing.T) {
 			t.Fatalf("%s: pending = %d after AdvanceTo, want 1", name, got)
 		}
 		// The far event still fires in order afterwards.
-		sim.Run()
+		if sim.RunUntil(MaxTime, nil) {
+			t.Fatalf("%s: a drained run reports a halt", name)
+		}
 		if len(fired) != 3 || fired[2] != 3 {
 			t.Fatalf("%s: final trace %v", name, fired)
 		}

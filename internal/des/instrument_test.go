@@ -30,7 +30,7 @@ func TestInstrumentCountsEventsAndDepth(t *testing.T) {
 		t.Errorf("depth after one step = %v, want 4", v)
 	}
 
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	snap = reg.Snapshot()
 	if v, _ := snap.Value("des_events_executed_total"); v != 5 {
 		t.Errorf("events after drain = %v, want 5", v)
@@ -61,7 +61,7 @@ func TestInstrumentSeesHandlerScheduledEvents(t *testing.T) {
 func TestUninstrumentedSimulatorRegistersNothing(t *testing.T) {
 	s := New()
 	s.Schedule(0, func() {})
-	s.Run() // must not panic without instruments
+	s.RunUntil(MaxTime, nil) // must not panic without instruments
 	if s.Fired() != 1 {
 		t.Errorf("Fired = %d, want 1", s.Fired())
 	}

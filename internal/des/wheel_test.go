@@ -76,7 +76,7 @@ func TestWheelOrderWithinBucket(t *testing.T) {
 		i := i
 		s.Schedule(d*time.Microsecond, func() { got = append(got, i) })
 	}
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	want := []int{6, 1, 3, 2, 5, 0, 7, 4} // by (at, insertion order)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fire order = %v, want %v", got, want)
@@ -93,7 +93,7 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	s.EmitAt(far+time.Hour, closure(func() { got = append(got, "far+1h") }), 0)
 	s.EmitAt(time.Second, closure(func() { got = append(got, "near") }), 0)
 	s.EmitAt(far, closure(func() { got = append(got, "far") }), 0)
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if fmt.Sprint(got) != "[near far far+1h]" {
 		t.Fatalf("fire order = %v", got)
 	}
@@ -117,7 +117,7 @@ func TestWheelResetRecyclesNodes(t *testing.T) {
 	}
 	n := 0
 	s.Schedule(time.Second, func() { n++ })
-	s.Run()
+	s.RunUntil(MaxTime, nil)
 	if n != 1 {
 		t.Fatalf("post-Reset run fired %d events, want 1", n)
 	}
@@ -137,11 +137,11 @@ func TestWheelSteadyStateChurnDoesNotAllocate(t *testing.T) {
 		}
 	}
 	s.Emit(time.Microsecond, chain, 0)
-	s.Run() // warm the chunk pool and due heap
+	s.RunUntil(MaxTime, nil) // warm the chunk pool and due heap
 	allocs := testing.AllocsPerRun(50, func() {
 		n = 0
 		s.Emit(time.Microsecond, chain, 0)
-		s.Run()
+		s.RunUntil(MaxTime, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state churn allocated %.1f allocs/run, want 0", allocs)
@@ -183,7 +183,7 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 			for _, ev := range seqEvs {
 				seq.EmitAt(ev.At, ev.Fn, ev.Arg)
 			}
-			seq.Run()
+			seq.RunUntil(MaxTime, nil)
 
 			lcg = 12345
 			batchEvs := mkEvents(200, &batchOrder)
@@ -192,7 +192,7 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 				bat.EmitAt(time.Duration(next(1_000_000))*time.Microsecond, noop, 0)
 			}
 			bat.ScheduleBatch(batchEvs)
-			bat.Run()
+			bat.RunUntil(MaxTime, nil)
 
 			if fmt.Sprint(seqOrder) != fmt.Sprint(batchOrder) {
 				t.Fatalf("kind=%v standing=%d: batch order diverges from sequential",
@@ -218,7 +218,7 @@ func TestScheduleBatchValidates(t *testing.T) {
 	})
 	s2 := New()
 	s2.Schedule(time.Second, func() {})
-	s2.Run()
+	s2.RunUntil(MaxTime, nil)
 	mustPanic("past event", func() {
 		s2.ScheduleBatch([]BatchEvent{{At: time.Millisecond, Fn: func(int) {}}})
 	})
@@ -238,7 +238,7 @@ func TestEmitInterleavesWithSchedule(t *testing.T) {
 		s.Emit(time.Millisecond, fn, 2)
 		s.Schedule(time.Millisecond, func() { order = append(order, 3) })
 		s.Emit(0, fn, 4) // immediate, still after nothing queued at t=0
-		s.Run()
+		s.RunUntil(MaxTime, nil)
 		want := []int{4, 0, 1, 2, 3}
 		if fmt.Sprint(order) != fmt.Sprint(want) {
 			t.Errorf("%v: fire order %v, want %v", kind, order, want)
@@ -262,7 +262,7 @@ func TestEmitValidates(t *testing.T) {
 		mustPanic("nil handler", func() { s.Emit(time.Second, nil, 0) })
 		mustPanic("negative delay", func() { s.Emit(-1, func(int) {}, 0) })
 		s.Schedule(time.Second, func() {})
-		s.Run()
+		s.RunUntil(MaxTime, nil)
 		mustPanic("past event", func() { s.EmitAt(time.Millisecond, func(int) {}, 0) })
 	}
 }
@@ -324,16 +324,19 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 			}
 		}
 		inject(0)
-		s.RunUntil(time.Millisecond)
+		s.RunUntil(time.Millisecond, nil)
+		s.AdvanceTo(time.Millisecond)
 		inject(10_000)
-		s.RunUntil(500 * time.Hour * 24)
+		s.RunUntil(500*time.Hour*24, nil)
+		s.AdvanceTo(500 * time.Hour * 24)
 		inject(20_000)
-		s.Run()
+		s.RunUntil(MaxTime, nil)
 		fires = append(fires, fire{s.Now(), -1})
 		s.Reset()
 		inject(30_000)
-		s.RunUntil(2 * time.Millisecond)
-		s.Run()
+		s.RunUntil(2*time.Millisecond, nil)
+		s.AdvanceTo(2 * time.Millisecond)
+		s.RunUntil(MaxTime, nil)
 		return fires
 	}
 	for _, seed := range []uint64{1, 7, 1905} {
@@ -414,7 +417,7 @@ func TestWheelChunkBoundaryMatchesHeap(t *testing.T) {
 							level, n, chunks, headN, wantChunks, wantHead)
 					}
 				}
-				s.Run()
+				s.RunUntil(MaxTime, nil)
 				cascades, _ := reg.Snapshot().Value("des_wheel_cascades_total")
 				return fires, cascades
 			}
@@ -464,7 +467,7 @@ func TestWheelResetHalfFilledHeadThenRefill(t *testing.T) {
 				t.Fatalf("refilled bucket is %d chunk(s), head holds %d; want 3, 7", chunks, headN)
 			}
 		}
-		s.Run()
+		s.RunUntil(MaxTime, nil)
 		if len(fires) != refill {
 			t.Fatalf("%v: fired %d events after refill, want %d", kind, len(fires), refill)
 		}

@@ -173,11 +173,7 @@ func runTopologyContainment(opts Options) (*Result, error) {
 				}
 				ro := repOut{total: out.TotalInfected}
 				if record {
-					events := make([]topo.InfectionEvent, len(out.Tree))
-					for i, e := range out.Tree {
-						events[i] = topo.InfectionEvent{Parent: e.Parent, Child: e.Child, At: e.At}
-					}
-					if ro.tree, err = topo.AnalyzeInfectionTree(topoStudyI0, events); err != nil {
+					if ro.tree, err = topo.AnalyzeInfectionTree(topoStudyI0, out.Tree); err != nil {
 						return repOut{}, err
 					}
 				}

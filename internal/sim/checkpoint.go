@@ -11,6 +11,7 @@ import (
 	"wormcontain/internal/des"
 	"wormcontain/internal/rng"
 	"wormcontain/internal/stats"
+	"wormcontain/internal/topo"
 )
 
 // Checkpoint is the complete state of an in-flight simulation at an
@@ -28,26 +29,12 @@ import (
 // Result is byte-identical to an uninterrupted one.
 type Checkpoint struct {
 	// Identity header — the run configuration this state belongs to.
-	// Horizon, MaxInfected and the unexported maxEvents guard are
-	// deliberately absent: they are run control, not state identity, so
-	// a checkpoint taken under one horizon can be resumed under a longer
-	// one. Kernel is not part of the identity check (the pending-event
-	// export is kernel-neutral, so a cut resumes on either kernel);
-	// cmd/wormsim reads it to reject a mismatched -kernel on -resume.
-	V, I0                   int
-	ScanRate                float64
-	Seed, Stream            uint64
-	PatchRate, ImmunizeRate float64
-	EdgeScanRate            bool
-	TopoFingerprint         uint64 // 0 = no topology
-	DefenseName             string
-	HasCluster              bool
-	ClusterNet              addr.IP
-	ClusterBits             uint8
-	HasDuty                 bool
-	DutyOn, DutyOff         time.Duration
-	RecordPaths, RecordTree bool
-	Kernel                  des.Kind
+	identity
+	// Kernel is the backend that wrote the cut. It is not part of the
+	// identity (the pending-event export is kernel-neutral, so a cut
+	// resumes on either kernel); cmd/wormsim reads it to reject a
+	// mismatched -kernel on -resume.
+	Kernel des.Kind
 
 	// Dynamic state at the cut.
 	Now        time.Duration
@@ -69,8 +56,67 @@ type Checkpoint struct {
 	Generations                             []int
 	TotalScans, Delivered, Delayed, Dropped uint64
 	Patched, Immunized                      int
-	Tree                                    []InfectionEdge
+	Tree                                    []topo.InfectionEvent
 	InfectedPts, RemovedPts, ActivePts      SeriesPoints
+}
+
+// identity is the configuration a checkpoint belongs to, as identityOf
+// derives it from a Config. Horizon, MaxInfected and the unexported
+// maxEvents guard are deliberately absent: they are run control, not
+// state identity, so a checkpoint taken under one horizon can be
+// resumed under a longer one.
+type identity struct {
+	V, I0                   int
+	ScanRate                float64
+	Seed, Stream            uint64
+	PatchRate, ImmunizeRate float64
+	EdgeScanRate            bool
+	TopoFingerprint         uint64 // 0 = no topology
+	DefenseName             string
+	HasCluster              bool
+	ClusterNet              addr.IP
+	ClusterBits             uint8
+	HasDuty                 bool
+	DutyOn, DutyOff         time.Duration
+	RecordPaths, RecordTree bool
+}
+
+// identityOf is the identity of a validated configuration.
+func identityOf(cfg *Config) identity {
+	id := identity{
+		V: cfg.V, I0: cfg.I0,
+		ScanRate: cfg.ScanRate,
+		Seed:     cfg.Seed, Stream: cfg.Stream,
+		PatchRate: cfg.PatchRate, ImmunizeRate: cfg.ImmunizeRate,
+		EdgeScanRate: cfg.EdgeScanRate,
+		DefenseName:  cfg.Defense.Name(),
+		RecordPaths:  cfg.RecordPaths, RecordTree: cfg.RecordTree,
+	}
+	if g := cfg.Topology; g != nil {
+		id.TopoFingerprint = g.Fingerprint()
+	}
+	if p := cfg.ClusterPrefix; p != nil {
+		id.HasCluster, id.ClusterNet, id.ClusterBits = true, p.Net, uint8(p.Bits)
+	}
+	if d := cfg.DutyCycle; d != nil {
+		id.HasDuty, id.DutyOn, id.DutyOff = true, d.On, d.Off
+	}
+	return id
+}
+
+// matches verifies the checkpoint's identity header against cfg and
+// names the first field that differs; a mismatch means the checkpoint
+// belongs to a different experiment and resuming it would silently
+// produce the wrong trajectory.
+func (ck *Checkpoint) matches(cfg *Config) error {
+	got, want := reflect.ValueOf(ck.identity), reflect.ValueOf(identityOf(cfg))
+	for i := 0; i < got.NumField(); i++ {
+		if g, w := got.Field(i).Interface(), want.Field(i).Interface(); g != w {
+			return fmt.Errorf("sim: checkpoint %s %v does not match configuration %v",
+				got.Type().Field(i).Name, g, w)
+		}
+	}
+	return nil
 }
 
 // PendingEvent is one pending kernel event in serializable form: the
@@ -90,8 +136,9 @@ const (
 	evKinds // count, for validation
 )
 
-// PendingDelivery is one delayed scan in flight (the serialized form of
-// the engine's slot table).
+// PendingDelivery is one delayed scan in flight between the defense's
+// Delay verdict and its deliverFire event: an entry of the engine's
+// slot table, which a checkpoint stores as it is.
 type PendingDelivery struct {
 	Src, Dst addr.IP
 	Parent   int32
@@ -181,28 +228,7 @@ func (e *engine) snapshot(ck *Checkpoint) error {
 		return err
 	}
 
-	// Identity header.
-	ck.V, ck.I0 = cfg.V, cfg.I0
-	ck.ScanRate = cfg.ScanRate
-	ck.Seed, ck.Stream = cfg.Seed, cfg.Stream
-	ck.PatchRate, ck.ImmunizeRate = cfg.PatchRate, cfg.ImmunizeRate
-	ck.EdgeScanRate = cfg.EdgeScanRate
-	ck.TopoFingerprint = 0
-	if cfg.Topology != nil {
-		ck.TopoFingerprint = cfg.Topology.Fingerprint()
-	}
-	ck.DefenseName = cfg.Defense.Name()
-	ck.HasCluster = cfg.ClusterPrefix != nil
-	ck.ClusterNet, ck.ClusterBits = 0, 0
-	if p := cfg.ClusterPrefix; p != nil {
-		ck.ClusterNet, ck.ClusterBits = p.Net, uint8(p.Bits)
-	}
-	ck.HasDuty = cfg.DutyCycle != nil
-	ck.DutyOn, ck.DutyOff = 0, 0
-	if d := cfg.DutyCycle; d != nil {
-		ck.DutyOn, ck.DutyOff = d.On, d.Off
-	}
-	ck.RecordPaths, ck.RecordTree = cfg.RecordPaths, cfg.RecordTree
+	ck.identity = identityOf(cfg)
 	ck.Kernel = cfg.Kernel
 
 	// Dynamic state.
@@ -214,10 +240,7 @@ func (e *engine) snapshot(ck *Checkpoint) error {
 	ck.Removed = append(ck.Removed[:0], e.state.removed...)
 	ck.Gen = append(ck.Gen[:0], e.gen...)
 	ck.InfectedAt = append(ck.InfectedAt[:0], e.infectedAt...)
-	ck.Deliv = ck.Deliv[:0]
-	for _, d := range e.pendDeliv {
-		ck.Deliv = append(ck.Deliv, PendingDelivery{Src: d.src, Dst: d.dst, Parent: d.parent})
-	}
+	ck.Deliv = append(ck.Deliv[:0], e.pendDeliv...)
 	ck.FreeDeliv = append(ck.FreeDeliv[:0], e.freeDeliv...)
 
 	kinds := e.handlerKinds()
@@ -258,91 +281,21 @@ func seriesPoints(ts *stats.TimeSeries) SeriesPoints {
 	return SeriesPoints{Times: times, Values: values}
 }
 
-func restoreSeries(p SeriesPoints) (*stats.TimeSeries, error) {
-	ts := stats.NewTimeSeries()
+// replaySeries records a checkpoint's step points into ts.
+func replaySeries(ts *stats.TimeSeries, p SeriesPoints) {
 	for i, t := range p.Times {
-		if i > 0 && t < p.Times[i-1] {
-			return nil, fmt.Errorf("sim: checkpoint series regresses at point %d", i)
-		}
 		ts.Record(t, p.Values[i])
 	}
-	return ts, nil
 }
 
-// matches verifies the checkpoint's identity header against cfg; a
-// mismatch means the checkpoint belongs to a different experiment and
-// resuming it would silently produce the wrong trajectory.
-func (ck *Checkpoint) matches(cfg *Config) error {
-	mismatch := func(field string, got, want any) error {
-		return fmt.Errorf("sim: checkpoint %s %v does not match configuration %v", field, got, want)
-	}
-	if ck.V != cfg.V {
-		return mismatch("V", ck.V, cfg.V)
-	}
-	if ck.I0 != cfg.I0 {
-		return mismatch("I0", ck.I0, cfg.I0)
-	}
-	if ck.ScanRate != cfg.ScanRate {
-		return mismatch("scan rate", ck.ScanRate, cfg.ScanRate)
-	}
-	if ck.Seed != cfg.Seed || ck.Stream != cfg.Stream {
-		return mismatch("seed/stream",
-			fmt.Sprintf("%d/%d", ck.Seed, ck.Stream),
-			fmt.Sprintf("%d/%d", cfg.Seed, cfg.Stream))
-	}
-	if ck.PatchRate != cfg.PatchRate {
-		return mismatch("patch rate", ck.PatchRate, cfg.PatchRate)
-	}
-	if ck.ImmunizeRate != cfg.ImmunizeRate {
-		return mismatch("immunize rate", ck.ImmunizeRate, cfg.ImmunizeRate)
-	}
-	if ck.EdgeScanRate != cfg.EdgeScanRate {
-		return mismatch("edge-scan-rate", ck.EdgeScanRate, cfg.EdgeScanRate)
-	}
-	var topoFp uint64
-	if cfg.Topology != nil {
-		topoFp = cfg.Topology.Fingerprint()
-	}
-	if ck.TopoFingerprint != topoFp {
-		return mismatch("topology fingerprint",
-			fmt.Sprintf("%016x", ck.TopoFingerprint), fmt.Sprintf("%016x", topoFp))
-	}
-	if ck.DefenseName != cfg.Defense.Name() {
-		return mismatch("defense", ck.DefenseName, cfg.Defense.Name())
-	}
-	hasCluster := cfg.ClusterPrefix != nil
-	if ck.HasCluster != hasCluster {
-		return mismatch("cluster prefix presence", ck.HasCluster, hasCluster)
-	}
-	if hasCluster &&
-		(ck.ClusterNet != cfg.ClusterPrefix.Net || int(ck.ClusterBits) != cfg.ClusterPrefix.Bits) {
-		return mismatch("cluster prefix",
-			fmt.Sprintf("%v/%d", ck.ClusterNet, ck.ClusterBits), *cfg.ClusterPrefix)
-	}
-	hasDuty := cfg.DutyCycle != nil
-	if ck.HasDuty != hasDuty {
-		return mismatch("duty cycle presence", ck.HasDuty, hasDuty)
-	}
-	if hasDuty && (ck.DutyOn != cfg.DutyCycle.On || ck.DutyOff != cfg.DutyCycle.Off) {
-		return mismatch("duty cycle",
-			fmt.Sprintf("%v/%v", ck.DutyOn, ck.DutyOff), *cfg.DutyCycle)
-	}
-	if ck.RecordPaths != cfg.RecordPaths {
-		return mismatch("record-paths", ck.RecordPaths, cfg.RecordPaths)
-	}
-	if ck.RecordTree != cfg.RecordTree {
-		return mismatch("record-tree", ck.RecordTree, cfg.RecordTree)
-	}
-	return nil
-}
-
-// setupResume is setupRun's checkpoint counterpart: it validates the
-// configuration against the checkpoint's identity header, then rebuilds
-// the engine at the checkpointed cut — population, bitsets, RNG
-// position, defense state, delayed deliveries and the pending-event set
-// — ready to fire the next event exactly where the original run would
-// have. The target kernel is cfg.Kernel: resuming a heap checkpoint on
-// the wheel (or vice versa) is supported and bit-identical.
+// setupResume is setupRun's checkpoint counterpart: it checks the
+// configuration against the checkpoint's identity header and the
+// checkpoint's own consistency, then lays the cut — population,
+// bitsets, RNG position, defense state, delayed deliveries and the
+// pending-event set — over a freshly set-up engine, ready to fire the
+// next event exactly where the original run would have. The target
+// kernel is cfg.Kernel: resuming a heap checkpoint on the wheel (or
+// vice versa) is supported and bit-identical.
 func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*engine, error) {
 	if err := checkpointableConfig(&cfg); err != nil {
 		return nil, err
@@ -360,27 +313,16 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	if err := validateCheckpointState(ck); err != nil {
 		return nil, err
 	}
-	if scratch == nil {
-		scratch = NewScratch()
-	} else if scratch.eng.sim == nil {
-		scratch.init()
-	}
-	e := &scratch.eng
+	e := scratch.engine()
 
-	// RNG: seed first (so a fresh engine allocates its generator), then
-	// overlay the checkpointed position.
-	if e.src == nil {
-		e.src = rng.NewPCG64(cfg.Seed, cfg.Stream)
-	}
-	e.src.SetState(ck.RNG)
-
-	// The population's index is rebuilt beside the rest of the state,
-	// none of which reads e.pop. Both finish before setupResume returns,
-	// and a population error is reported first, as it was when the
-	// rebuild came first.
+	// The population's index is rebuilt beside the setup and the
+	// overlay, none of which reads e.pop. Both finish before setupResume
+	// returns, and a population error is reported first, as it was when
+	// the rebuild came first.
 	popErr := make(chan error, 1)
 	go func() { popErr <- e.restorePopulation(ck.Addrs) }()
-	err = e.restoreState(cfg, res, ck, sn)
+	e.setup(cfg, res)
+	err = e.overlay(ck, sn)
 	if perr := <-popErr; perr != nil {
 		return nil, perr
 	}
@@ -404,19 +346,17 @@ func (e *engine) restorePopulation(addrs []addr.IP) error {
 	return nil
 }
 
-// restoreState rebuilds everything of the engine at the checkpointed
-// cut but the population: kernel, bitsets, generations, the result so
-// far, defense state, delayed deliveries and the pending-event set.
-func (e *engine) restoreState(cfg Config, res *Result, ck *Checkpoint, sn defense.Snapshotter) error {
-	e.cfg = cfg
-	e.sim.Reset() // drop any leftovers so configureKernel sees an empty queue
-	e.configureKernel()
+// overlay lays everything of the checkpointed cut but the population
+// over the set-up engine: RNG position, bitsets, generations, the
+// result so far, defense state, delayed deliveries and the
+// pending-event set.
+func (e *engine) overlay(ck *Checkpoint, sn defense.Snapshotter) error {
+	e.src.SetState(ck.RNG)
 
 	// Packed epidemiology: copy the bitsets, then recompute the shard
 	// counters and the active count from the bits and cross-check them
 	// against the checkpoint's counters — a corrupt checkpoint fails
 	// here instead of mis-simulating.
-	e.state.reset(cfg.V)
 	copy(e.state.infected, ck.Infected)
 	copy(e.state.removed, ck.Removed)
 	active := 0
@@ -430,8 +370,8 @@ func (e *engine) restoreState(cfg Config, res *Result, ck *Checkpoint, sn defens
 	for i := range e.state.shardActive {
 		lo := i << shardBits
 		hi := lo + 1<<shardBits
-		if hi > cfg.V {
-			hi = cfg.V
+		if hi > ck.V {
+			hi = ck.V
 		}
 		n := 0
 		for w := lo >> 6; w < (hi+63)>>6; w++ {
@@ -452,12 +392,11 @@ func (e *engine) restoreState(cfg Config, res *Result, ck *Checkpoint, sn defens
 		return fmt.Errorf("sim: checkpoint removed bitset population %d != TotalRemoved+Immunized %d",
 			removed, want)
 	}
-
-	e.gen = append(e.gen[:0], ck.Gen...)
-	e.infectedAt = append(e.infectedAt[:0], ck.InfectedAt...)
+	copy(e.gen, ck.Gen)
+	copy(e.infectedAt, ck.InfectedAt)
 
 	// Result so far.
-	*res = Result{Generations: res.Generations[:0], Tree: res.Tree[:0]}
+	res := e.res
 	res.TotalInfected, res.TotalRemoved, res.PeakActive =
 		ck.TotalInfected, ck.TotalRemoved, ck.PeakActive
 	res.Truncated = ck.Truncated
@@ -466,29 +405,11 @@ func (e *engine) restoreState(cfg Config, res *Result, ck *Checkpoint, sn defens
 		ck.TotalScans, ck.Delivered, ck.Delayed, ck.Dropped
 	res.Patched, res.Immunized = ck.Patched, ck.Immunized
 	res.Tree = append(res.Tree, ck.Tree...)
-	if cfg.RecordPaths {
-		var err error
-		if res.InfectedSeries, err = restoreSeries(ck.InfectedPts); err != nil {
-			return err
-		}
-		if res.RemovedSeries, err = restoreSeries(ck.RemovedPts); err != nil {
-			return err
-		}
-		if res.ActiveSeries, err = restoreSeries(ck.ActivePts); err != nil {
-			return err
-		}
+	if e.cfg.RecordPaths {
+		replaySeries(res.InfectedSeries, ck.InfectedPts)
+		replaySeries(res.RemovedSeries, ck.RemovedPts)
+		replaySeries(res.ActiveSeries, ck.ActivePts)
 	}
-	e.res = res
-
-	e.metrics = nil
-	if cfg.Metrics != nil {
-		e.sim.Instrument(cfg.Metrics)
-		e.metrics = newSimMetrics(cfg.Metrics)
-	} else {
-		e.sim.Instrument(nil)
-	}
-
-	e.scanner = cfg.Scanner
 
 	if err := sn.RestoreState(ck.Defense); err != nil {
 		return err
@@ -496,12 +417,8 @@ func (e *engine) restoreState(cfg Config, res *Result, ck *Checkpoint, sn defens
 
 	// Delayed-delivery slot table, then the pending-event set through
 	// the kernel-neutral Restore path.
-	e.pendDeliv = e.pendDeliv[:0]
-	for _, d := range ck.Deliv {
-		e.pendDeliv = append(e.pendDeliv, pendingDelivery{src: d.Src, dst: d.Dst, parent: d.Parent})
-	}
-	e.freeDeliv = append(e.freeDeliv[:0], ck.FreeDeliv...)
-
+	e.pendDeliv = append(e.pendDeliv, ck.Deliv...)
+	e.freeDeliv = append(e.freeDeliv, ck.FreeDeliv...)
 	e.batch = e.batch[:0]
 	for _, ev := range ck.Pending {
 		e.batch = append(e.batch, des.BatchEvent{At: ev.At, Fn: e.handlerFor(ev.Kind), Arg: int(ev.Arg)})
@@ -606,10 +523,15 @@ func validateCheckpointState(ck *Checkpoint) error {
 				i, g, len(ck.Generations))
 		}
 	}
-	if len(ck.InfectedPts.Times) != len(ck.InfectedPts.Values) ||
-		len(ck.RemovedPts.Times) != len(ck.RemovedPts.Values) ||
-		len(ck.ActivePts.Times) != len(ck.ActivePts.Values) {
-		return fmt.Errorf("sim: checkpoint series times/values lengths differ")
+	for _, p := range [...]SeriesPoints{ck.InfectedPts, ck.RemovedPts, ck.ActivePts} {
+		if len(p.Times) != len(p.Values) {
+			return fmt.Errorf("sim: checkpoint series times/values lengths differ")
+		}
+		for i := 1; i < len(p.Times); i++ {
+			if p.Times[i] < p.Times[i-1] {
+				return fmt.Errorf("sim: checkpoint series regresses at point %d", i)
+			}
+		}
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"wormcontain/internal/addr"
 	"wormcontain/internal/binio"
 	"wormcontain/internal/des"
+	"wormcontain/internal/topo"
 )
 
 // Checkpoint wire format, version 1: a 4-byte magic, a version word,
@@ -262,10 +263,10 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.Patched = int(int64(r.U64("patched")))
 	ck.Immunized = int(int64(r.U64("immunized")))
 	if b := section(r, 16, "infection tree"); r.Err() == nil {
-		ck.Tree = make([]InfectionEdge, len(b)/16)
+		ck.Tree = make([]topo.InfectionEvent, len(b)/16)
 		for i := range ck.Tree {
 			e := b[16*i : 16*i+16]
-			ck.Tree[i] = InfectionEdge{
+			ck.Tree[i] = topo.InfectionEvent{
 				Parent: int(int32(le.Uint32(e))),
 				Child:  int(int32(le.Uint32(e[4:]))),
 				At:     time.Duration(le.Uint64(e[8:])),

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"wormcontain/internal/des"
 )
 
 // CheckpointSink receives encoded checkpoint payloads. Implementations
@@ -38,7 +40,7 @@ type CheckpointStats struct {
 // CheckpointOptions configures a checkpointed run.
 type CheckpointOptions struct {
 	// Sink receives encoded checkpoints; nil disables checkpoint writes
-	// (the run still uses the step-driven loop, honoring Stop).
+	// (Stop is still honored).
 	Sink CheckpointSink
 	// Interval is the virtual-time spacing of periodic checkpoint cuts;
 	// required > 0 when Sink is set. Cuts land on the event boundary
@@ -66,8 +68,9 @@ func (o *CheckpointOptions) validate() error {
 // RunCheckpointed is RunInto with periodic durable checkpoints: the
 // simulation runs event by event, and at every Interval of virtual time
 // the complete state is encoded and handed to the sink. The trajectory
-// is byte-identical to RunInto — checkpointing observes state between
-// events and never touches the RNG or the event queue.
+// is byte-identical to RunInto — the two are one event loop, and
+// checkpointing observes state between events, never touching the RNG
+// or the event queue.
 func RunCheckpointed(cfg Config, scratch *Scratch, res *Result, opts CheckpointOptions) error {
 	if err := opts.validate(); err != nil {
 		return err
@@ -79,7 +82,7 @@ func RunCheckpointed(cfg Config, scratch *Scratch, res *Result, opts CheckpointO
 	if err != nil {
 		return err
 	}
-	return e.runCheckpointLoop(background, &opts)
+	return e.run(background, &opts)
 }
 
 // ResumeCheckpointed rebuilds the run at ck's cut and completes it with
@@ -92,7 +95,7 @@ func ResumeCheckpointed(cfg Config, scratch *Scratch, res *Result, ck *Checkpoin
 	if err != nil {
 		return err
 	}
-	return e.runCheckpointLoop(nil, &opts)
+	return e.run(nil, &opts)
 }
 
 // writeCheckpoint audits, snapshots, encodes and persists one
@@ -121,66 +124,60 @@ func (e *engine) writeCheckpoint(ck *Checkpoint, buf []byte, opts *CheckpointOpt
 	return buf, nil
 }
 
-// runCheckpointLoop is the step-driven event loop shared by
-// RunCheckpointed and ResumeCheckpointed. It mirrors Run/RunUntil
-// exactly — clear the stop latch on entry, fire events in (time, seq)
-// order, honor in-handler Stop, and bump the clock to the horizon at
-// the end — with checkpoint cuts slotted between events.
+// run is the event loop of RunInto, RunCheckpointed and
+// ResumeCheckpointed: des.RunUntil to the horizon, then the clock to
+// the horizon and the result. A run that MaxInfected or the event
+// budget has already truncated — in seeding, or at the cut it resumes
+// from — fires nothing more. With zero options the loop takes no
+// callback; otherwise, before each event, it cuts a checkpoint when the
+// event is at or past the next Interval multiple, then polls Stop once.
 //
 // The final checkpoint is written BEFORE the horizon clock bump: its
 // stored clock is the last fired event's timestamp, so every pending
 // event (including sub-horizon ones in a MaxInfected-truncated run)
 // satisfies the restore path's at >= now admission check.
-func (e *engine) runCheckpointLoop(background *backgroundDriver, opts *CheckpointOptions) error {
+func (e *engine) run(background *backgroundDriver, opts *CheckpointOptions) error {
 	horizon := e.cfg.Horizon
+	deadline := des.MaxTime
+	if horizon > 0 {
+		deadline = horizon
+	}
 	var (
 		ck      *Checkpoint
 		buf     []byte
 		nextCut time.Duration
 		err     error
+		stopReq bool
+		between func(next time.Duration) bool
 	)
 	if opts.Sink != nil {
 		ck = &Checkpoint{}
 		nextCut = (e.sim.Now()/opts.Interval + 1) * opts.Interval
 	}
-	stopReq := false
-	e.sim.ClearStop()
-	// A truncated checkpoint (or a seeding phase that already tripped
-	// MaxInfected) fires no further events; fall through to the final
-	// checkpoint and horizon bump, same as Run/RunUntil after Stop.
-	if !e.res.Truncated {
-		for {
-			if opts.Stop != nil && opts.Stop() {
-				stopReq = true
-				break
-			}
-			at, ok := e.sim.NextEventAt()
-			if !ok || (horizon > 0 && at > horizon) {
-				break
-			}
-			if ck != nil && at >= nextCut {
+	if opts.Sink != nil || opts.Stop != nil {
+		between = func(next time.Duration) bool {
+			if ck != nil && next >= nextCut {
 				if buf, err = e.writeCheckpoint(ck, buf, opts); err != nil {
-					e.res = nil
-					return err
+					return false
 				}
 				// Skip empty intervals so a sparse tail writes one cut
 				// per event at most, not one per elapsed interval.
-				nextCut = (at/opts.Interval + 1) * opts.Interval
-				continue
+				nextCut = (next/opts.Interval + 1) * opts.Interval
 			}
-			e.sim.Step()
-			if e.sim.Stopped() {
-				break
-			}
+			stopReq = opts.Stop != nil && opts.Stop()
+			return !stopReq
 		}
 	}
-	if ck != nil {
-		if buf, err = e.writeCheckpoint(ck, buf, opts); err != nil {
-			e.res = nil
-			return err
-		}
+	if !e.res.Truncated {
+		e.sim.RunUntil(deadline, between)
 	}
-	_ = buf
+	if err == nil && ck != nil {
+		_, err = e.writeCheckpoint(ck, buf, opts)
+	}
+	if err != nil {
+		e.res = nil
+		return err
+	}
 	if stopReq {
 		// Interrupted: leave the clock at the last fired event (the
 		// final checkpoint's cut) and report the partial observables.
@@ -189,8 +186,6 @@ func (e *engine) runCheckpointLoop(background *backgroundDriver, opts *Checkpoin
 		e.res = nil
 		return ErrStopRequested
 	}
-	if horizon > 0 {
-		e.sim.AdvanceTo(horizon)
-	}
+	e.sim.AdvanceTo(horizon)
 	return e.finishRun(background)
 }

@@ -75,6 +75,7 @@ type Config struct {
 	Horizon time.Duration
 	// MaxInfected stops the run early once this many hosts have ever
 	// been infected (0 = no cap). Used to bound uncontained baselines.
+	// When the I0 seeds alone reach it, the run fires no event.
 	MaxInfected int
 	// maxEvents bounds total event count as a runaway guard
 	// (0 = default of 50 million).
@@ -223,16 +224,11 @@ type Result struct {
 	// Background reports the fate of legitimate traffic (zero value
 	// unless Config.Background was set).
 	Background BackgroundStats
-	// Tree holds one InfectionEdge per non-seed infection (nil unless
-	// Config.RecordTree): the lineage structure of Fig. 1. Seeds have
-	// no edge; a host's generation is its depth from a seed.
-	Tree []InfectionEdge
-}
-
-// InfectionEdge records that Parent infected Child at time At.
-type InfectionEdge struct {
-	Parent, Child int
-	At            time.Duration
+	// Tree holds one event per non-seed infection (nil unless
+	// Config.RecordTree): the lineage structure of Fig. 1, in infection
+	// order, as topo.AnalyzeInfectionTree takes it. Seeds have no event;
+	// a host's generation is its depth from a seed.
+	Tree []topo.InfectionEvent
 }
 
 // engine carries one run's mutable state.
@@ -272,15 +268,8 @@ type engine struct {
 	// and exportable by checkpoints. freeDeliv recycles fired slots;
 	// its order is part of the simulation state (it decides which slot
 	// the next delay occupies), so checkpoints capture both.
-	pendDeliv []pendingDelivery
+	pendDeliv []PendingDelivery
 	freeDeliv []int32
-}
-
-// pendingDelivery is one delayed scan in flight between the defense's
-// Delay verdict and its deliverFire event.
-type pendingDelivery struct {
-	src, dst addr.IP
-	parent   int32
 }
 
 // Scratch is the reusable arena for RunWith: the event kernel's queues,
@@ -298,6 +287,17 @@ func NewScratch() *Scratch {
 	s := &Scratch{}
 	s.init()
 	return s
+}
+
+// engine returns the arena's engine, wired and ready for setup: a nil
+// arena is a fresh one, and a zero-value Scratch is wired in place.
+func (s *Scratch) engine() *engine {
+	if s == nil {
+		s = NewScratch()
+	} else if s.eng.sim == nil {
+		s.init()
+	}
+	return &s.eng
 }
 
 // init wires the arena's engine: the event kernel and the bound method
@@ -375,44 +375,59 @@ func RunInto(cfg Config, scratch *Scratch, res *Result) error {
 	if err != nil {
 		return err
 	}
-	if e.cfg.Horizon > 0 {
-		e.sim.RunUntil(e.cfg.Horizon)
-	} else {
-		e.sim.Run()
-	}
-	return e.finishRun(background)
+	return e.run(background, &CheckpointOptions{})
 }
 
-// setupRun validates the configuration and prepares the engine for
-// event execution: arena wiring, RNG seeding, population draw, kernel
-// configuration, host state, outbreak seeding and countermeasure
-// start-up — everything RunInto does before the event loop, shared with
-// the checkpointing runner. On success the engine holds res and is
-// ready to fire events.
+// setupRun validates the configuration and readies the engine for its
+// first event: setup, then the population draw, outbreak seeding,
+// countermeasure start-up and the background driver.
 func setupRun(cfg Config, scratch *Scratch, res *Result) (*engine, *backgroundDriver, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	if scratch == nil {
-		scratch = NewScratch()
-	} else if scratch.eng.sim == nil {
-		scratch.init() // zero-value Scratch: wire it in place
-	}
-	e := &scratch.eng
-	if e.src == nil {
-		e.src = rng.NewPCG64(cfg.Seed, cfg.Stream)
-	} else {
-		e.src.Reseed(cfg.Seed, cfg.Stream)
-	}
-	src := e.src
+	e := scratch.engine()
+	e.setup(cfg, res)
 	if e.pop == nil {
-		pop, err := addr.NewPopulation(cfg.V, cfg.ClusterPrefix, src)
+		pop, err := addr.NewPopulation(cfg.V, cfg.ClusterPrefix, e.src)
 		if err != nil {
 			return nil, nil, err
 		}
 		e.pop = pop
-	} else if err := e.pop.Repopulate(cfg.V, cfg.ClusterPrefix, src); err != nil {
+	} else if err := e.pop.Repopulate(cfg.V, cfg.ClusterPrefix, e.src); err != nil {
 		return nil, nil, err
+	}
+
+	// Seed the outbreak (hosts 0..I0-1 are generation 0) and the
+	// immunization process with batched admission: the events are
+	// staged in order and admitted in one ScheduleBatch pass instead of
+	// I0+V scheduler calls.
+	e.batch = e.batch[:0]
+	e.batching = true
+	for i := 0; i < cfg.I0; i++ {
+		e.infect(i, 0)
+	}
+	e.startCountermeasures()
+	e.batching = false
+	e.sim.ScheduleBatch(e.batch)
+
+	var background *backgroundDriver
+	if cfg.Background != nil {
+		background = newBackgroundDriver(
+			e.sim, cfg.Defense, *cfg.Background, cfg.Horizon, cfg.Seed, cfg.Stream)
+	}
+	return e, background, nil
+}
+
+// setup is the preparation a run and a resume share, for a validated
+// cfg: the RNG seed, the kernel's Reset and configuration, cleared host
+// state, res reset and held, metrics wiring, the scanner and an empty
+// delivery table. It leaves e.pop alone — nothing here reads it — so a
+// resume rebuilds the population beside it.
+func (e *engine) setup(cfg Config, res *Result) {
+	if e.src == nil {
+		e.src = rng.NewPCG64(cfg.Seed, cfg.Stream)
+	} else {
+		e.src.Reseed(cfg.Seed, cfg.Stream)
 	}
 	e.cfg = cfg
 	e.sim.Reset()
@@ -444,31 +459,11 @@ func setupRun(cfg Config, scratch *Scratch, res *Result) (*engine, *backgroundDr
 	e.scanner = cfg.Scanner
 	e.pendDeliv = e.pendDeliv[:0]
 	e.freeDeliv = e.freeDeliv[:0]
-
-	// Seed the outbreak (hosts 0..I0-1 are generation 0) and the
-	// immunization process with batched admission: the events are
-	// staged in order and admitted in one ScheduleBatch pass instead of
-	// I0+V scheduler calls.
-	e.batch = e.batch[:0]
-	e.batching = true
-	for i := 0; i < cfg.I0; i++ {
-		e.infect(i, 0)
-	}
-	e.startCountermeasures()
-	e.batching = false
-	e.sim.ScheduleBatch(e.batch)
-
-	var background *backgroundDriver
-	if cfg.Background != nil {
-		background = newBackgroundDriver(
-			e.sim, cfg.Defense, *cfg.Background, cfg.Horizon, cfg.Seed, cfg.Stream)
-	}
-	return e, background, nil
 }
 
 // finishRun records the run's terminal observables and detaches the
 // caller's Result, then surfaces any invariant violations the run
-// accumulated. Shared by RunInto and the checkpointing runner.
+// accumulated.
 func (e *engine) finishRun(background *backgroundDriver) error {
 	e.res.EndTime = e.sim.Now()
 	e.res.Extinct = e.state.active == 0
@@ -754,7 +749,7 @@ func (e *engine) scanAttempt(i int) {
 // freed slot when one is available, and returns its index — the
 // argument the deliverFire event carries.
 func (e *engine) allocDeliv(src, dst addr.IP, parent int) int {
-	d := pendingDelivery{src: src, dst: dst, parent: int32(parent)}
+	d := PendingDelivery{Src: src, Dst: dst, Parent: int32(parent)}
 	if n := len(e.freeDeliv); n > 0 {
 		slot := e.freeDeliv[n-1]
 		e.freeDeliv = e.freeDeliv[:n-1]
@@ -777,7 +772,7 @@ func (e *engine) deliverFire(slot int) {
 	if m := e.metrics; m != nil {
 		m.delivered.Inc()
 	}
-	e.deliver(d.src, d.dst, int(d.parent))
+	e.deliver(d.Src, d.Dst, int(d.Parent))
 }
 
 // deliver lands a scan from host parent on dst at the current time: a
@@ -792,7 +787,7 @@ func (e *engine) deliver(src, dst addr.IP, parent int) {
 		return
 	}
 	if e.cfg.RecordTree {
-		e.res.Tree = append(e.res.Tree, InfectionEdge{
+		e.res.Tree = append(e.res.Tree, topo.InfectionEvent{
 			Parent: parent,
 			Child:  idx,
 			At:     e.sim.Now(),

@@ -135,8 +135,7 @@ func TestTopoInfectionTreeArtifacts(t *testing.T) {
 				for s := 0; s < i0; s++ {
 					infectedAt[s] = 0
 				}
-				events := make([]topo.InfectionEvent, len(res.Tree))
-				for k, e := range res.Tree {
+				for _, e := range res.Tree {
 					pAt, ok := infectedAt[e.Parent]
 					if !ok {
 						t.Fatalf("%s: parent %d infected after its child", gen.Name(), e.Parent)
@@ -149,10 +148,9 @@ func TestTopoInfectionTreeArtifacts(t *testing.T) {
 							gen.Name(), e.Child, e.At, e.Parent, pAt)
 					}
 					infectedAt[e.Child] = e.At
-					events[k] = topo.InfectionEvent{Parent: e.Parent, Child: e.Child, At: e.At}
 				}
 
-				m, err := topo.AnalyzeInfectionTree(i0, events)
+				m, err := topo.AnalyzeInfectionTree(i0, res.Tree)
 				if err != nil {
 					t.Fatalf("%s: %v", gen.Name(), err)
 				}

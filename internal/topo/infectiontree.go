@@ -15,9 +15,8 @@ import (
 // infections through hubs, so their infection trees grow heavy-tailed
 // degree distributions that tree-structured enterprises cannot.
 
-// InfectionEvent records that Parent infected Child at virtual time At.
-// It mirrors sim.InfectionEdge without importing the simulator (the
-// dependency points the other way: sim consumes topo graphs).
+// InfectionEvent records that Parent infected Child at virtual time At:
+// one entry of the simulator's infection lineage (sim.Result.Tree).
 type InfectionEvent struct {
 	Parent, Child int
 	At            time.Duration
