@@ -37,7 +37,8 @@ bench:
 
 # bench-allocs holds the one contract the repository benchmark
 # (benchmark/README.md) cannot express: the internet-scale run, its
-# population draw and checkpoint rebuild, the wheel's deep-churn
+# population draw and checkpoint rebuild, sim-mc's per-replication
+# population draw (table and filter), the wheel's deep-churn
 # benchmarks and the heap's shallow one recycle every arena, the
 # population hit test and both limiter backends decide from a table
 # slot, so their steady state must record 0 allocs/op. One "package:pattern"
@@ -45,7 +46,8 @@ bench:
 # cannot share one); a row that matches no benchmark fails too. Matches
 # the CI bench-smoke job's second step.
 ALLOC_FREE ?= sim:BenchmarkSimRun10M$$ addr:BenchmarkRepopulate10M$$ \
-	addr:BenchmarkRestoreAddrs10M$$ addr:BenchmarkLookup \
+	addr:BenchmarkRestoreAddrs10M$$ addr:BenchmarkRepopulate360k$$ \
+	addr:BenchmarkLookup \
 	des:BenchmarkEventKernelChurn/kernel=wheel \
 	des:BenchmarkEventKernelChurn/kernel=heap/pending=1k$$ \
 	core:BenchmarkObserveParallel/backend=exact,mix=uniform \

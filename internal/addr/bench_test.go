@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"runtime"
 	"testing"
 
 	"wormcontain/internal/rng"
@@ -12,7 +13,8 @@ import (
 // memory system, which is what the build and the hit test cost at that
 // scale. All three recycle their Population; the steady state must not
 // allocate (make bench-allocs gates BenchmarkRepopulate10M,
-// BenchmarkRestoreAddrs10M and the Lookup rows at 0 allocs/op).
+// BenchmarkRestoreAddrs10M, BenchmarkRepopulate360k and the Lookup rows
+// at 0 allocs/op).
 
 const bench10MHosts = 10_000_000
 
@@ -45,10 +47,21 @@ func BenchmarkRepopulate10M(b *testing.B) {
 }
 
 // BenchmarkRestoreAddrs10M rebuilds the table from the address list —
-// what resuming a checkpoint pays before the first event.
+// what resuming a checkpoint pays before the first event. Before the
+// timer, a collection settles the set-up's heap and starts the
+// runtime's mark workers for this GOMAXPROCS (a go test -cpu list
+// changes it between runs), then one restore starts the workers a split
+// restore shares the list with and sizes the Population's jobs, which
+// later restores reuse. The
+// collection goes first because it empties the runtime's shared cache
+// of wait records, which the restore's blocking hand-offs then refill.
 func BenchmarkRestoreAddrs10M(b *testing.B) {
 	pop, _, _ := bench10MPopulation(b)
 	addrs := pop.Addrs()
+	runtime.GC()
+	if err := pop.RestoreAddrs(addrs); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,11 +96,33 @@ func BenchmarkLookupDense10M(b *testing.B) {
 	}
 }
 
+// BenchmarkRepopulate360k is the per-replication build of sim-mc's
+// population: the paper's 360 000 Code Red hosts drawn over the whole
+// IPv4 space into a recycled Population, hashed table and filter
+// included.
+func BenchmarkRepopulate360k(b *testing.B) {
+	const hosts = 360_000
+	src := rng.NewPCG64(1905, 3)
+	pop, err := NewPopulation(hosts, nil, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reseed(1905, 3)
+		if err := pop.Repopulate(hosts, nil, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLookupSparse360k is the hit test in sim-mc's regime: the
 // paper's 360 000 Code Red hosts spread over the whole IPv4 space and
 // scanned uniformly, so about one probe in 12 000 hits (8.4e-5). The
-// table (8 MB) sits in the last-level cache or just past it, and the
-// hashed probe loop is what runs.
+// table (8 MB) sits in the last-level cache or just past it; the 512 KB
+// filter in front of it answers most of these misses, and the hashed
+// probe loop runs for the rest.
 func BenchmarkLookupSparse360k(b *testing.B) {
 	const hosts = 360_000
 	src := rng.NewPCG64(1905, 2)

@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -283,4 +284,49 @@ func mustParsePrefix(t *testing.T, s string) Prefix {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestRestoreAddrsConcurrentSplit restores two direct lists long enough
+// to be split, each into its own Population, from two goroutines at
+// once, several times over: the restores share one set of workers and
+// must each build their own table.
+func TestRestoreAddrsConcurrentSplit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pfx := []Prefix{mustParsePrefix(t, "10.64.0.0/15"), mustParsePrefix(t, "172.16.0.0/15")}
+	var origs [2]*Population
+	for k := range origs {
+		var err error
+		if origs[k], err = NewPopulation(restoreSplitMin+restoreSplitMin/2, &pfx[k], rng.NewPCG64(1905, uint64(20+k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, len(origs))
+	for k := range origs {
+		go func(orig *Population) {
+			addrs := orig.Addrs()
+			p := &Population{}
+			for round := 0; round < 4; round++ {
+				if err := p.RestoreAddrs(addrs); err != nil {
+					errs <- err
+					return
+				}
+				if !p.direct || !slices.Equal(p.addrs, addrs) {
+					errs <- fmt.Errorf("round %d: direct %v, addresses differ", round, p.direct)
+					return
+				}
+				for i, ip := range addrs {
+					if idx, ok := p.Lookup(ip); !ok || idx != i {
+						errs <- fmt.Errorf("round %d: lookup %v -> %d %v, want %d", round, ip, idx, ok, i)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(origs[k])
+	}
+	for range origs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
 }

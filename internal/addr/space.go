@@ -32,6 +32,13 @@ import (
 // address's low bits instead of by hash (see home): no two hosts then
 // share a home slot, so a build never probes and a lookup reads one
 // slot.
+//
+// Any other population is sparse in the addresses it is scanned over —
+// the paper's 360 000 hosts in 2^32 addresses answer 99.99 % of scans
+// with a miss — so in this hashed mode a bit array sits in front of the
+// table (see filter) and answers most misses from cache. In bytes:
+// 4 per host of address slab, 8 per table slot, and in hashed mode
+// filterBitsPerSlot/8 more per table slot for the filter.
 type Population struct {
 	addrs []IP // host index -> address
 	// Open-addressing table. Capacity is a power of two so probes wrap
@@ -41,6 +48,12 @@ type Population struct {
 	// direct: the hosts span fewer addresses than len(table). Set by
 	// every build, never inherited from the previous one.
 	direct bool
+	// filter is the hashed mode's occupancy bit array: bit
+	// hashIP(ip)&fmask is set for every host's ip, so a clear bit is a
+	// miss without a probe. Built by buildFilter after every hashed
+	// build; nil in direct mode.
+	filter []uint64
+	fmask  uint32
 	// split holds the jobs of a direct-mode restore shared across
 	// workers (see fileDirect), kept so that a repeated restore does
 	// not allocate.
@@ -64,6 +77,22 @@ type popSlot struct {
 // is past the number of misses a core keeps outstanding; larger batches
 // gain nothing.
 const popBatch = 32
+
+// filterBitsPerSlot is the hashed-mode filter's size in bits per table
+// slot. At 360 000 hosts in a 2^20-slot table, 4 bits per slot is a
+// 512 KB filter (the table is 8 MB) with about one bit in twelve set,
+// so about one miss in twelve still probes the table. More bits answer
+// more misses from the filter but cost more to clear and fill on every
+// build; the sweep that chose 4 (BenchmarkLookupSparse360k and
+// BenchmarkRepopulate360k at 1 to 16 bits per slot, and sim-mc at 4
+// and 8) is recorded in DESIGN.md.
+const filterBitsPerSlot = 4
+
+// filterBits is the filter's size in bits for a table of slots: at most
+// 2^32, since its index is a 32-bit hash.
+func filterBits(slots int) uint64 {
+	return min(uint64(slots)*filterBitsPerSlot, 1<<32)
+}
 
 // NewPopulation samples v distinct addresses uniformly from the IPv4
 // space using src. Optionally the hosts can be clustered: with
@@ -208,7 +237,31 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 			p.insert(ips[i], home[i]) // false: duplicate draw, consuming no extra state
 		}
 	}
+	p.buildFilter()
 	return nil
+}
+
+// buildFilter sets the filter bit of every host after a hashed build,
+// in one pass over the address slab. A direct build drops the filter:
+// its Lookup reads one slot anyway. The pass hashes each address again
+// rather than setting the bit in insert, where the bit's line would be
+// one more miss per insertion.
+func (p *Population) buildFilter() {
+	if p.direct {
+		p.filter, p.fmask = nil, 0
+		return
+	}
+	bits := filterBits(len(p.table))
+	if uint64(len(p.filter)) == bits/64 {
+		clear(p.filter)
+	} else {
+		p.filter = make([]uint64, bits/64)
+	}
+	p.fmask = uint32(bits - 1)
+	for _, ip := range p.addrs {
+		h := hashIP(ip) & p.fmask
+		p.filter[h>>6] |= 1 << (h & 63)
+	}
 }
 
 // RestoreAddrs rebuilds the population in place from an explicit
@@ -223,7 +276,7 @@ func (p *Population) Repopulate(v int, clusterPrefix *Prefix, src rng.Source) er
 // spans fewer addresses than the table has slots is restored in direct
 // mode, one store per host, since a home slot already filled can only
 // hold the same address (see fileDirect). Any other is inserted with
-// Repopulate's batching.
+// Repopulate's batching, and its filter built as Repopulate builds it.
 func (p *Population) RestoreAddrs(addrs []IP) error {
 	if len(addrs) < 1 {
 		return fmt.Errorf("addr: restore of empty population")
@@ -241,6 +294,7 @@ func (p *Population) RestoreAddrs(addrs []IP) error {
 			return fmt.Errorf("addr: restore with duplicate address %v", addrs[i])
 		}
 		p.addrs = append(p.addrs, addrs...)
+		p.buildFilter()
 		return nil
 	}
 	var home [popBatch]uint32
@@ -257,13 +311,14 @@ func (p *Population) RestoreAddrs(addrs []IP) error {
 			}
 		}
 	}
+	p.buildFilter()
 	return nil
 }
 
 // restoreSplitMin is the shortest list a direct-mode restore shares
 // across workers. A shorter one is filed by the caller alone: every
-// worker reads the whole list, and starting and joining them is a
-// fixed cost the split must repay.
+// worker reads the whole list, and waking and joining them is a fixed
+// cost the split must repay.
 const restoreSplitMin = 1 << 16
 
 // fileDirect stores every host of addrs in its home slot and returns
@@ -280,9 +335,12 @@ const restoreSplitMin = 1 << 16
 // halves would be faster, but two halves can then write one slot.
 func (p *Population) fileDirect(addrs []IP) int {
 	w := runtime.GOMAXPROCS(0)
-	if len(addrs) < restoreSplitMin {
-		w = 1
+	if w == 1 || len(addrs) < restoreSplitMin {
+		j := rangeJob{p: p, addrs: addrs, hi: len(p.table)}
+		j.run()
+		return j.dup
 	}
+	startRangeWorkers(w - 1)
 	if len(p.split.jobs) < w {
 		p.split.jobs = make([]rangeJob, w)
 	}
@@ -296,7 +354,6 @@ func (p *Population) fileDirect(addrs []IP) int {
 	jobs[w-1].hi = n
 	p.split.wg.Add(w - 1)
 	for k := 1; k < w; k++ {
-		go rangeWorker()
 		rangeJobs <- &jobs[k]
 	}
 	jobs[0].run()
@@ -304,6 +361,7 @@ func (p *Population) fileDirect(addrs []IP) int {
 	dup := len(addrs)
 	for k := range jobs {
 		dup = min(dup, jobs[k].dup)
+		jobs[k].addrs = nil // the caller's list is not the Population's to keep
 	}
 	return dup
 }
@@ -317,16 +375,36 @@ type rangeJob struct {
 	dup    int // index of the first duplicate in the range, or len(addrs)
 }
 
-// rangeJobs hands each rangeWorker its job. A go statement whose
-// function takes arguments allocates a closure; one without does not,
-// so a repeated restore stays allocation-free.
+// rangeJobs hands the rangeWorkers their jobs, from every Population's
+// restores.
 var rangeJobs = make(chan *rangeJob)
 
-// rangeWorker runs one job received from rangeJobs.
+// rangeWorkers counts the rangeWorker goroutines. They are started by
+// the first restores that need them and live for the process, waiting
+// on rangeJobs, so a restore starts no goroutine and allocates nothing:
+// a go statement per restore allocated a goroutine whenever the
+// caller's processor had no exited one to reuse, which was usual, since
+// the workers exit on the other processors.
+var rangeWorkers struct {
+	mu      sync.Mutex
+	started int
+}
+
+// startRangeWorkers makes sure n rangeWorkers run.
+func startRangeWorkers(n int) {
+	rangeWorkers.mu.Lock()
+	defer rangeWorkers.mu.Unlock()
+	for ; rangeWorkers.started < n; rangeWorkers.started++ {
+		go rangeWorker()
+	}
+}
+
+// rangeWorker runs the jobs received from rangeJobs.
 func rangeWorker() {
-	j := <-rangeJobs
-	j.run()
-	j.p.split.wg.Done()
+	for j := range rangeJobs {
+		j.run()
+		j.p.split.wg.Done()
+	}
 }
 
 func (j *rangeJob) run() {
@@ -364,9 +442,12 @@ func (p *Population) Addr(i int) IP { return p.addrs[i] }
 // index. This is the simulator's per-scan hit test. In direct mode it
 // reads ip's home slot and nothing else: a host at ip would be there,
 // so an empty slot, or one holding the host that an ip outside the
-// hosts' span aliases onto, is a miss. Otherwise it hashes, then probes linearly, which at
-// ≤2/3 load inspects ~1.5 slots on a hit and ~2.5 on a miss — usually
-// within the home slot's cache line, since eight slots share one.
+// hosts' span aliases onto, is a miss. Otherwise it hashes and reads
+// ip's filter bit: a clear bit is a miss, answered without touching the
+// table. A set bit — every host's, and a few other addresses' — probes
+// linearly from the home slot, which at ≤2/3 load inspects ~1.5 slots
+// on a hit and ~2.5 on a miss, usually within the home slot's cache
+// line, since eight slots share one.
 func (p *Population) Lookup(ip IP) (int, bool) {
 	if p.direct {
 		if s := p.table[p.home(ip)]; s.key == ip && s.val != 0 {
@@ -374,10 +455,12 @@ func (p *Population) Lookup(ip IP) (int, bool) {
 		}
 		return 0, false
 	}
-	if len(p.table) == 0 {
+	h := hashIP(ip)
+	// An unbuilt Population has no filter, and every ip misses.
+	if w := (h & p.fmask) >> 6; w >= uint32(len(p.filter)) || p.filter[w]&(1<<(h&63)) == 0 {
 		return 0, false
 	}
-	h := hashIP(ip) & p.mask
+	h &= p.mask
 	for {
 		s := p.table[h]
 		if s.val == 0 {
@@ -397,14 +480,19 @@ func (p *Population) AppendAddrs(dst []IP) []IP {
 	return append(dst, p.addrs...)
 }
 
-// Memory returns the structure's approximate resident size in bytes
-// (address slab plus hash table), for capacity planning output.
+// Memory returns the structure's approximate resident size in bytes,
+// for capacity planning output: the address slab and the table, plus
+// the filter in hashed mode (direct mode has none).
 func (p *Population) Memory() uint64 {
-	return uint64(cap(p.addrs))*4 + uint64(len(p.table))*8
+	return uint64(cap(p.addrs))*4 + uint64(len(p.table))*8 + uint64(len(p.filter))*8
 }
 
-// EstimateMemory predicts Memory() for a freshly built population of v
-// hosts without constructing it — capacity planning for CLI headers.
+// EstimateMemory predicts Memory() for a population of v hosts drawn
+// over the whole IPv4 space, as NewPopulation(v, nil, src) draws it,
+// without constructing it — capacity planning for CLI headers. Such a
+// population is hashed, so the filter is counted; one dense enough in
+// its prefix for direct mode has no filter and is smaller by that much.
 func EstimateMemory(v int) uint64 {
-	return uint64(v)*4 + uint64(tableSize(v))*8
+	slots := tableSize(v)
+	return uint64(v)*4 + uint64(slots)*8 + filterBits(slots)/8
 }

@@ -334,6 +334,23 @@ func TestPopulationMemory(t *testing.T) {
 	if _, ok := empty.Lookup(IP(1)); ok {
 		t.Fatal("zero-value Population must miss")
 	}
+	// The filter is counted in hashed mode and only there, and
+	// EstimateMemory predicts an internet-wide (hashed) draw exactly.
+	slab, table := uint64(cap(pop.addrs))*4, uint64(len(pop.table))*8
+	if pop.direct || got != slab+table+filterBits(len(pop.table))/8 {
+		t.Fatalf("hashed: Memory() = %d, want slab %d + table %d + filter %d",
+			got, slab, table, filterBits(len(pop.table))/8)
+	}
+	if est := EstimateMemory(10000); est != got {
+		t.Fatalf("EstimateMemory(10000) = %d, a drawn population has %d", est, got)
+	}
+	dense, _ := ParsePrefix("10.0.0.0/16")
+	if err := pop.Repopulate(40000, &dense, rng.NewPCG64(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !pop.direct || pop.Memory() != uint64(cap(pop.addrs))*4+uint64(len(pop.table))*8 {
+		t.Fatalf("direct: Memory() = %d, want slab and table only", pop.Memory())
+	}
 }
 
 // Addrs returns a copy of all host addresses (index order).
@@ -341,4 +358,169 @@ func (p *Population) Addrs() []IP {
 	out := make([]IP, len(p.addrs))
 	copy(out, p.addrs)
 	return out
+}
+
+// checkFilter checks p's filter against the one its hosts alone
+// define: in hashed mode exactly the bits of p's addresses are set, so
+// a bit left from an earlier build, or one a build missed, fails; in
+// direct mode there is no filter.
+func checkFilter(t *testing.T, stage string, p *Population) {
+	t.Helper()
+	if p.direct {
+		if p.filter != nil || p.fmask != 0 {
+			t.Fatalf("%s: direct population keeps a %d-word filter", stage, len(p.filter))
+		}
+		return
+	}
+	bits := filterBits(len(p.table))
+	if uint64(len(p.filter))*64 != bits || uint64(p.fmask) != bits-1 {
+		t.Fatalf("%s: %d-word filter, mask %#x, for %d slots", stage, len(p.filter), p.fmask, len(p.table))
+	}
+	want := make([]uint64, len(p.filter))
+	for _, ip := range p.addrs {
+		h := hashIP(ip) & p.fmask
+		want[h>>6] |= 1 << (h & 63)
+	}
+	for w := range want {
+		if p.filter[w] != want[w] {
+			t.Fatalf("%s: filter word %d = %#x, its hosts set %#x", stage, w, p.filter[w], want[w])
+		}
+	}
+}
+
+// filterSet reports whether ip's filter bit is set.
+func filterSet(p *Population, ip IP) bool {
+	h := hashIP(ip) & p.fmask
+	return p.filter[h>>6]&(1<<(h&63)) != 0
+}
+
+// probeAgainstMap checks Lookup against a map of p's own hosts for
+// every host and for n addresses drawn uniformly over the whole space,
+// and returns how many of the drawn non-hosts had their filter bit set
+// and so were answered by the probe loop rather than by the filter.
+func probeAgainstMap(t *testing.T, stage string, p *Population, n int, src rng.Source) (fallThrough int) {
+	t.Helper()
+	hosts := make(map[IP]int, len(p.addrs))
+	for i, ip := range p.addrs {
+		hosts[ip] = i
+	}
+	probe := func(ip IP) {
+		wantIdx, want := hosts[ip]
+		if idx, ok := p.Lookup(ip); ok != want || (ok && idx != wantIdx) {
+			t.Fatalf("%s: lookup(%v) = (%d, %v), want (%d, %v)", stage, ip, idx, ok, wantIdx, want)
+		}
+		if _, host := hosts[ip]; !host && !p.direct && filterSet(p, ip) {
+			fallThrough++
+		}
+	}
+	for _, ip := range p.addrs {
+		probe(ip)
+	}
+	for k := 0; k < n; k++ {
+		probe(IP(rng.Uint64n(src, SpaceSize)))
+	}
+	return fallThrough
+}
+
+// TestPopulationFilterNoStaleBits draws a smaller hashed population into
+// the table and filter of a larger hashed draw: the filter must hold the
+// new hosts' bits and nothing else, and every host of the larger draw
+// that is not in the smaller must miss.
+func TestPopulationFilterNoStaleBits(t *testing.T) {
+	pop, err := NewPopulation(50000, nil, rng.NewPCG64(11, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFilter(t, "larger draw", pop)
+	earlier := pop.Addrs()
+	if err := pop.Repopulate(3000, nil, rng.NewPCG64(11, 2)); err != nil {
+		t.Fatal(err)
+	}
+	checkFilter(t, "smaller draw", pop)
+	hosts := make(map[IP]bool, len(pop.addrs))
+	for _, ip := range pop.addrs {
+		hosts[ip] = true
+	}
+	for _, ip := range earlier {
+		if _, ok := pop.Lookup(ip); ok != hosts[ip] {
+			t.Fatalf("earlier host %v: lookup hit = %v, want %v", ip, ok, hosts[ip])
+		}
+	}
+	probeAgainstMap(t, "smaller draw", pop, 1<<16, rng.NewPCG64(11, 3))
+}
+
+// TestPopulationFilterModeFlip takes one Population from a hashed draw
+// to a direct draw and back: the direct build must drop the filter, and
+// the second hashed build must build one from its own hosts alone.
+func TestPopulationFilterModeFlip(t *testing.T) {
+	const v = 3000
+	dense := mustParsePrefix(t, "10.1.0.0/20") // 4096 addresses, 8192-slot table
+	pop := &Population{}
+	for _, step := range []struct {
+		stage  string
+		pfx    *Prefix
+		stream uint64
+	}{{"hashed", nil, 1}, {"direct", &dense, 2}, {"hashed again", nil, 3}} {
+		if err := pop.Repopulate(v, step.pfx, rng.NewPCG64(12, step.stream)); err != nil {
+			t.Fatal(err)
+		}
+		if pop.direct != (step.pfx != nil) {
+			t.Fatalf("%s: direct = %v", step.stage, pop.direct)
+		}
+		checkFilter(t, step.stage, pop)
+		probeAgainstMap(t, step.stage, pop, 1<<16, rng.NewPCG64(12, 10+step.stream))
+		for k := IP(0); k < 4096; k++ {
+			if idx, ok := pop.Lookup(dense.Net + k); ok && pop.Addr(idx) != dense.Net+k {
+				t.Fatalf("%s: lookup(%v) names host %d at %v", step.stage, dense.Net+k, idx, pop.Addr(idx))
+			}
+		}
+	}
+}
+
+// TestRestoreAddrsHashedFilter restores a list spread wider than its
+// table, into a fresh Population and into one that holds a larger
+// hashed draw, and checks that both build the filter the list's hosts
+// define and answer like the drawn original.
+func TestRestoreAddrsHashedFilter(t *testing.T) {
+	orig, err := NewPopulation(20000, nil, rng.NewPCG64(13, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger, err := NewPopulation(100000, nil, rng.NewPCG64(13, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pop  *Population
+	}{{"fresh", &Population{}}, {"reused", larger}} {
+		if err := c.pop.RestoreAddrs(orig.Addrs()); err != nil {
+			t.Fatal(err)
+		}
+		if c.pop.direct {
+			t.Fatalf("%s: direct restore of an internet-wide list", c.name)
+		}
+		checkFilter(t, c.name, c.pop)
+		probeAgainstMap(t, c.name, c.pop, 1<<16, rng.NewPCG64(13, 3))
+	}
+}
+
+// TestPopulationFilterSweep compares Lookup with a map of the hosts over
+// a million addresses drawn across the whole space, at the paper's
+// density (360 000 hosts in 2^32) and at a denser one, and requires the
+// sweep to reach the probe loop through addresses whose filter bit is
+// set but which hold no host: the filter may say "maybe", never "no"
+// for a host.
+func TestPopulationFilterSweep(t *testing.T) {
+	for _, v := range []int{360_000, 5000} {
+		pop, err := NewPopulation(v, nil, rng.NewPCG64(14, uint64(v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stage := fmt.Sprintf("v=%d", v)
+		checkFilter(t, stage, pop)
+		if n := probeAgainstMap(t, stage, pop, 1<<20, rng.NewPCG64(15, uint64(v))); n < 100 {
+			t.Fatalf("%s: %d of 2^20 probes fell through the filter; the probe loop went untested", stage, n)
+		}
+	}
 }

@@ -68,8 +68,11 @@ func (h *hostState) markImmunized(i int) {
 }
 
 // PopulationFootprint estimates the resident bytes of per-host state for
-// a v-host run: the address slab and lookup table plus the packed
-// epidemiology bitsets and shard counters. CLI capacity-planning output.
+// a v-host run: the population's index as addr.EstimateMemory counts it
+// (address slab, lookup table and, for hosts drawn over the whole IPv4
+// space, the hashed mode's filter; a population dense in a prefix has
+// no filter) plus the packed epidemiology bitsets and shard counters.
+// CLI capacity-planning output.
 func PopulationFootprint(v int) uint64 {
 	words := uint64((v + 63) >> 6)
 	shards := uint64((v + (1<<shardBits - 1)) >> shardBits)
