@@ -78,8 +78,8 @@ chaos:
 # enforcing and re-serving every alert it had acknowledged
 # (internal/fleet), and the shared storage layer crashed at every
 # filesystem operation must recover exactly the last published content
-# or an acknowledged record prefix (internal/crashsafe: publish and
-# append log; internal/simstate: checkpoint generations). The pattern
+# (internal/crashsafe: publish; internal/simstate: checkpoint
+# generations). The pattern
 # also takes the journal-ordering tests (cycle rolls and
 # snapshot cuts under concurrent observers, gap-free drains, the
 # degraded store). Seeds
@@ -96,14 +96,14 @@ crash:
 # resumes and the sim-layer seed sweep (goldenSeeds 1/7/1905 × both
 # kernels live inside the tests), the des run loop every run and resume
 # goes through, the population restore, the simstate
-# directory and crashsafe append-log contracts, the Monte-Carlo progress
-# journal, the restore's concurrency under the race detector, and the
+# directory and crashsafe directory-scan contracts, the restore's
+# concurrency under the race detector, and the
 # wormsim CLI end-to-end resume — swept across extra trajectory seeds to
 # match the CI resume matrix. Override with RESUME_SEEDS="42" for a single seed.
 RESUME_SEEDS ?= 1 7 1905
 resume:
-	$(GO) test -run 'Checkpoint|Resume|Restore|Journal|Log|Dir|RunUntil|Stop' -count=1 \
-		./internal/addr ./internal/des ./internal/sim ./internal/crashsafe ./internal/simstate ./internal/experiments
+	$(GO) test -run 'Checkpoint|Resume|Restore|Dir|RunUntil|Stop' -count=1 \
+		./internal/addr ./internal/des ./internal/sim ./internal/crashsafe ./internal/simstate
 	$(GO) test -race -run 'Restore|Resume|CheckpointRejects' -count=1 ./internal/addr ./internal/des ./internal/sim
 	@for s in $(RESUME_SEEDS); do \
 		echo "resume seed $$s"; \

@@ -48,10 +48,12 @@ func run(args []string) error {
 		summary = fs.Bool("summary", false, "print only titles and notes, not series")
 		asPlot  = fs.Bool("plot", false, "render each artifact's series as an ASCII chart")
 		tsvDir  = fs.String("tsv", "", "also write each artifact's series as TSV files into this directory")
-		ckptDir = fs.String("checkpoint-dir", "", "journal Monte-Carlo replication progress here; an interrupted regeneration resumes from completed replications")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *runs < 0 {
+		return fmt.Errorf("-runs %d: need at least one replication (0 = paper's 1000)", *runs)
 	}
 	if *all && *id != "" {
 		return fmt.Errorf("-id %s and -all are mutually exclusive", *id)
@@ -62,8 +64,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	opts := experiments.Options{Seed: *seed, Runs: *runs, Quick: *quick,
-		Workers: *workers, CheckpointDir: *ckptDir}
+	opts := experiments.Options{Seed: *seed, Runs: *runs, Quick: *quick, Workers: *workers}
 	var results []*experiments.Result
 	switch {
 	case *all:

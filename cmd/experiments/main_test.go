@@ -33,6 +33,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-id", "fig3", "-all"}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-id with -all: err = %v, want the combination rejected", err)
 	}
+	if err := run([]string{"-id", "fig3", "-runs", "-3"}); err == nil || !strings.Contains(err.Error(), "-runs -3") {
+		t.Errorf("-runs -3: err = %v, want the negative count rejected", err)
+	}
 }
 
 func TestRunPlotMode(t *testing.T) {

@@ -106,6 +106,9 @@ func runBorelTanner(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *kMax < 0 {
+		return fmt.Errorf("-kmax %d: must be >= 0 (0 = q999)", *kMax)
+	}
 	lambdaSet := false
 	fs.Visit(func(f *flag.Flag) { lambdaSet = lambdaSet || f.Name == "lambda" })
 
@@ -319,6 +322,9 @@ func runTracegen(args []string, w io.Writer) error {
 	}
 	if *top < 0 {
 		return fmt.Errorf("-top %d: must be >= 0", *top)
+	}
+	if *m < 1 {
+		return fmt.Errorf("-m %d: must be >= 1", *m)
 	}
 
 	var records []trace.Record

@@ -84,6 +84,7 @@ func TestBorelTannerErrors(t *testing.T) {
 		{"-lambda", "1.5"},
 		{"-lambda", "-0.5"},
 		{"-worm", "codered", "-m", "20000"}, // λ > 1: no proper distribution
+		{"-kmax", "-5"},
 	})
 }
 
@@ -180,5 +181,6 @@ func TestTracegenErrors(t *testing.T) {
 		{"-in", "/nonexistent/file"},
 		{"-hosts", "0"},
 		{"-quick", "-top", "-1"},
+		{"-quick", "-m", "-7"},
 	})
 }

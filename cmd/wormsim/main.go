@@ -114,7 +114,7 @@ func run(args []string) error {
 			return fmt.Errorf("-checkpoint-interval %v: must be positive", *ckptInt)
 		}
 		if *runs > 1 {
-			return fmt.Errorf("-checkpoint-dir checkpoints a single run; use -runs 1 (Monte-Carlo sweeps resume via the experiments journal)")
+			return fmt.Errorf("-checkpoint-dir checkpoints a single run; use -runs 1")
 		}
 	}
 

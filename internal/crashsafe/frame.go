@@ -1,17 +1,17 @@
 // Package crashsafe owns how bytes become durable: the checksummed
 // frame every stored payload travels in, write-fully-then-fsync, the
 // temp-file + fsync + atomic-rename publish, fixed-width generation
-// file names with the directory scan that reads them back, and a
-// CRC-framed append log. internal/durable (limiter WAL and snapshots),
-// internal/simstate (simulation checkpoints), internal/experiments
-// (Monte-Carlo progress) and wormgate's -state file are written from
-// these pieces and add only their own policy.
+// file names with the directory scan that reads them back, and the
+// frame scanner that cuts a torn stream of frames back to its valid
+// prefix. internal/durable (limiter WAL and snapshots),
+// internal/simstate (simulation checkpoints) and wormgate's -state file
+// are written from these pieces and add only their own policy; the one
+// append path, the WAL's, is durable's.
 //
 // All I/O goes through faultfs.FS, so the crash-injection suites kill
 // the filesystem at every operation and prove the layer's invariant:
 // after a crash a published file reads as its previous content or the
-// new one in full, and an append log as a prefix of whole records that
-// includes every record whose Sync returned.
+// new one in full.
 package crashsafe
 
 import (
@@ -21,7 +21,7 @@ import (
 )
 
 // FrameHeader is the size of a frame's header. Every stored payload —
-// WAL record, snapshot, checkpoint generation, log record — is framed
+// WAL record, snapshot, checkpoint generation — is framed
 //
 //	[u32 LE payload length][u32 LE CRC32-C of payload][payload]
 //

@@ -14,13 +14,6 @@ const tmpSuffix = ".tmp"
 // WriteSync writes data to f in full, then fsyncs: when it returns nil
 // every byte survives a crash.
 func WriteSync(f faultfs.File, data []byte) error {
-	if err := writeFull(f, data); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-func writeFull(f faultfs.File, data []byte) error {
 	for len(data) > 0 {
 		n, err := f.Write(data)
 		if err != nil {
@@ -28,7 +21,7 @@ func writeFull(f faultfs.File, data []byte) error {
 		}
 		data = data[n:]
 	}
-	return nil
+	return f.Sync()
 }
 
 // Publish makes data the content of name atomically: written to a temp

@@ -4,12 +4,28 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"strconv"
 	"testing"
 
 	"wormcontain/internal/faultfs"
 )
 
 var testSeries = Series{Prefix: "snap-", Suffix: ".snap"}
+
+// crashSeeds follows the crash suites' convention (durable, fleet,
+// simstate): WORMGATE_CRASH_SEED pins a single fault schedule (the CI
+// matrix), default sweeps the canonical three.
+func crashSeeds(t *testing.T) []uint64 {
+	if v := os.Getenv("WORMGATE_CRASH_SEED"); v != "" {
+		seed, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			t.Fatalf("WORMGATE_CRASH_SEED=%q: %v", v, err)
+		}
+		return []uint64{seed}
+	}
+	return []uint64{1, 7, 1905}
+}
 
 func TestSeriesMatchesOnlyItsOwnNames(t *testing.T) {
 	for _, gen := range []uint64{0, 1, 42, 9999999999999999} {

@@ -46,20 +46,6 @@ type Options struct {
 	// backend; TestKernelArtifactParity sets the wheel to pin that both
 	// backends produce byte-identical artifacts.
 	kernel des.Kind
-	// CheckpointDir, when non-empty, makes the Monte-Carlo runners
-	// journal every completed replication's outcome to a per-artifact
-	// progress file in this directory. A rerun with the same
-	// configuration resumes: journaled replications are merged back
-	// without re-simulating and only the remainder runs — the merged
-	// result is byte-identical to an uninterrupted run, because
-	// replication r is always pinned to RNG stream r. A configuration
-	// change (different worm, seed, or sizes) resets the journal.
-	CheckpointDir string
-	// checkpointEvery is the group-commit cadence of the progress
-	// journal in replications: outcomes are fsynced at least this often,
-	// bounding what a crash can lose. Zero or negative selects the
-	// default of 64; the checkpoint tests set it lower.
-	checkpointEvery int
 }
 
 // normalize fills defaults.
@@ -76,9 +62,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = parallel.DefaultWorkers()
-	}
-	if o.checkpointEvery <= 0 {
-		o.checkpointEvery = 64
 	}
 	return o
 }

@@ -198,10 +198,7 @@ func TestFig2Generations(t *testing.T) {
 
 func TestFig9And10SamplePaths(t *testing.T) {
 	for _, id := range []string{"fig9", "fig10"} {
-		res, err := Run(id, quickOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := catalogueResult(t, id)
 		if len(res.Series) != 3 {
 			t.Fatalf("%s: series = %d, want 3 paths", id, len(res.Series))
 		}
@@ -327,7 +324,7 @@ func TestRunAllQuick(t *testing.T) {
 	eachArtifact(t, wholeCatalogue(t), func(t *testing.T, _ string, legs [2][2]catalogueRun) {
 		for _, leg := range legs {
 			for _, r := range leg {
-				if r.notes == 0 {
+				if len(r.res.Notes) == 0 {
 					t.Errorf("seed %d %v workers=%d: no notes", r.opts.Seed, r.opts.kernel, r.opts.Workers)
 				}
 			}
@@ -343,10 +340,7 @@ func TestDeterministicAcrossInvocations(t *testing.T) {
 }
 
 func TestAblationDetectionFootprints(t *testing.T) {
-	res, err := Run("ablation-detection", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := catalogueResult(t, "ablation-detection")
 	joined := strings.Join(res.Notes, "\n")
 	for _, want := range []string{"threshold(", "kalman-trend(", "ewma(", "q99 outbreak"} {
 		if !strings.Contains(joined, want) {
@@ -364,10 +358,7 @@ func TestAblationDetectionFootprints(t *testing.T) {
 }
 
 func TestAblationIntrusivenessTwoSided(t *testing.T) {
-	res, err := Run("ablation-intrusiveness", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := catalogueResult(t, "ablation-intrusiveness")
 	if len(res.Series) != 2 {
 		t.Fatalf("series = %d, want containment + fp-rate", len(res.Series))
 	}

@@ -37,10 +37,10 @@ var catalogueLegs = [2][2]Options{
 
 // catalogueRun is one artifact run of the catalogue pass.
 type catalogueRun struct {
-	opts  Options
-	text  string // Format() rendering
-	notes int
-	err   error
+	opts Options
+	res  *Result
+	text string // Format() rendering
+	err  error
 }
 
 var (
@@ -59,9 +59,9 @@ func catalogueRuns(id string) [2][2]catalogueRun {
 			for l, leg := range catalogueLegs {
 				for i, opts := range leg {
 					r := catalogueRun{opts: opts}
-					res, err := Run(id, opts)
-					if r.err = err; err == nil {
-						r.text, r.notes = res.Format(), len(res.Notes)
+					r.res, r.err = Run(id, opts)
+					if r.err == nil {
+						r.text = r.res.Format()
 					}
 					runs[l][i] = r
 				}
@@ -72,6 +72,18 @@ func catalogueRuns(id string) [2][2]catalogueRun {
 	}
 	catalogueMu.Unlock()
 	return run()
+}
+
+// catalogueResult returns an artifact's first catalogue run (seed 1,
+// one worker, heap kernel), for the tests that check an artifact's
+// shape.
+func catalogueResult(t *testing.T, id string) *Result {
+	t.Helper()
+	r := catalogueRuns(id)[0][0]
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.res
 }
 
 // wholeCatalogue returns every artifact ID, skipping t under -short.

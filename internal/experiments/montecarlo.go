@@ -29,7 +29,7 @@ func mcFigure(id, title string, w core.WormModel, kMax int, cdf bool, opts Optio
 		I0:        w.I0,
 		Seed:      opts.Seed,
 	}
-	mc, err := runMonteCarlo(id, cfg, opts)
+	mc, err := sim.RunFastMonteCarloWorkers(cfg, opts.Runs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 // Package faultfs extends the faultnet philosophy from the network to
 // the filesystem: crash-safe storage (internal/crashsafe, and through
-// it the limiter's WAL and snapshots, simulation checkpoints and
-// experiment progress logs) talks to disk only through the small FS
-// interface below, so tests can substitute a deterministic in-memory
-// filesystem that crashes at any chosen write/sync/rename point, tears
-// unsynced tails, delivers short writes and flips bits — while
-// production uses the real OS with the fsync discipline (file fsync before rename, directory fsync after
+// it the limiter's WAL and snapshots and simulation checkpoints) talks
+// to disk only through the small FS interface below, so tests can
+// substitute a deterministic in-memory filesystem that crashes at any
+// chosen write/sync/rename point, tears unsynced tails, delivers short
+// writes and flips bits — while production uses the real OS with the
+// fsync discipline (file fsync before rename, directory fsync after
 // namespace changes) that crash-safe storage requires.
 //
 // Fault schedules follow the faultnet contract: every injectable
@@ -27,8 +27,8 @@ import (
 
 // FS is the filesystem surface crash-safe storage uses: a single flat
 // state directory of whole files — snapshots and WAL segments,
-// checkpoint generations, progress logs. Implementations must be safe
-// for concurrent use.
+// checkpoint generations. Implementations must be safe for concurrent
+// use.
 type FS interface {
 	// List returns the base names of the files in the state directory,
 	// sorted ascending.
@@ -39,7 +39,7 @@ type FS interface {
 	// the temp-file side of an atomic publish.
 	Create(name string) (File, error)
 	// Append opens name for appending, creating it (durably: a namespace
-	// change like Rename) when absent — the WAL segment and log write path.
+	// change like Rename) when absent — the WAL segment write path.
 	Append(name string) (File, error)
 	// Rename atomically replaces newname with oldname and makes the
 	// namespace change durable (directory fsync on real filesystems).

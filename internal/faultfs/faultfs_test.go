@@ -202,8 +202,7 @@ func TestOSRoundTrip(t *testing.T) {
 
 // TestOSAppendSyncsDirOnlyOnCreate: an Append that creates its file is
 // a namespace change and owes the directory fsync Rename and Remove
-// pay; reopening an existing file owes none (the WAL reopens nothing on
-// the hot path, but a progress log is reopened at every resume).
+// pay; reopening an existing file owes none.
 func TestOSAppendSyncsDirOnlyOnCreate(t *testing.T) {
 	o, err := NewOS(t.TempDir())
 	if err != nil {

@@ -115,12 +115,11 @@ func (m *MonteCarlo) Summary() (stats.Summary, error) {
 }
 
 // RunFastMonteCarlo performs runs independent replications of
-// fastTotalScratch,
-// replication r drawing from stream r of cfg.Seed. This is the engine
-// behind the paper's "we ran this simulation with M = 10,000 for a 1000
-// times and collected the values of I" (Section V). Replications are
-// fanned across parallel.DefaultWorkers() workers; results are identical
-// to a serial run (see RunFastMonteCarloWorkers).
+// fastTotalScratch, replication r drawing from stream r of cfg.Seed.
+// This is the engine behind the paper's "we ran this simulation with
+// M = 10,000 for a 1000 times and collected the values of I" (Section
+// V). Replications are fanned across parallel.DefaultWorkers() workers;
+// results are identical to a serial run (see RunFastMonteCarloWorkers).
 func RunFastMonteCarlo(cfg FastConfig, runs int) (*MonteCarlo, error) {
 	return RunFastMonteCarloWorkers(cfg, runs, parallel.DefaultWorkers())
 }
@@ -132,46 +131,16 @@ func RunFastMonteCarlo(cfg FastConfig, runs int) (*MonteCarlo, error) {
 // slice and histogram alike — is bit-for-bit identical for every worker
 // count.
 func RunFastMonteCarloWorkers(cfg FastConfig, runs, workers int) (*MonteCarlo, error) {
-	return RunFastMonteCarloResume(cfg, runs, workers, nil, nil)
-}
-
-// RunFastMonteCarloResume is RunFastMonteCarloWorkers with checkpoint
-// support: prior holds the totals of already-completed replications
-// 0..len(prior)-1 (from a progress journal) and only the remaining
-// replications are simulated, each still pinned to its own RNG stream —
-// so the merged result is bit-identical to an uninterrupted run.
-// onTotal, when non-nil, observes every newly computed total on the
-// reducer goroutine in strict replication order (the journaling hook);
-// an error from it aborts the run.
-func RunFastMonteCarloResume(cfg FastConfig, runs, workers int, prior []int,
-	onTotal func(r, total int) error) (*MonteCarlo, error) {
-
 	if runs < 1 {
 		return nil, fmt.Errorf("sim: monte carlo needs runs >= 1, got %d", runs)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(prior) > runs {
-		return nil, fmt.Errorf("sim: %d resumed replications exceed the requested %d runs", len(prior), runs)
-	}
 	mc := &MonteCarlo{
 		Totals: make([]int, 0, runs),
 		Hist:   stats.NewIntHistogram(),
 	}
-	for r, total := range prior {
-		if total < cfg.I0 || total > cfg.V {
-			return nil, fmt.Errorf("sim: resumed total %d for replication %d outside [I0=%d, V=%d]",
-				total, r, cfg.I0, cfg.V)
-		}
-		mc.Totals = append(mc.Totals, total)
-		mc.Hist.Add(total)
-	}
-	remaining := runs - len(prior)
-	if remaining == 0 {
-		return mc, nil
-	}
-	offset := len(prior)
 	// Each slot owns one arena and one generator for its whole run
 	// sequence; Reseed pins replication r to stream r exactly as a
 	// fresh NewPCG64 would, so reuse changes no draw.
@@ -179,22 +148,17 @@ func RunFastMonteCarloResume(cfg FastConfig, runs, workers int, prior []int,
 		scratch fastScratch
 		src     rng.PCG64
 	}
-	pool := parallel.NewScratchPool(parallel.ClampWorkers(workers, remaining),
+	pool := parallel.NewScratchPool(parallel.ClampWorkers(workers, runs),
 		func() *slotState { return new(slotState) })
-	_, err := parallel.ReduceSlot(remaining, workers, mc,
+	_, err := parallel.ReduceSlot(runs, workers, mc,
 		func(r, slot int) (int, error) {
 			s := pool.Get(slot)
-			s.src.Reseed(cfg.Seed, uint64(offset+r))
+			s.src.Reseed(cfg.Seed, uint64(r))
 			return fastTotalScratch(cfg, &s.src, &s.scratch)
 		},
 		func(mc *MonteCarlo, r int, total int) (*MonteCarlo, error) {
 			mc.Totals = append(mc.Totals, total)
 			mc.Hist.Add(total)
-			if onTotal != nil {
-				if err := onTotal(offset+r, total); err != nil {
-					return mc, err
-				}
-			}
 			return mc, nil
 		})
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -167,6 +168,18 @@ func TestFastMonteCarloWorkerCountInvariant(t *testing.T) {
 			if gf[v] != rf[v] {
 				t.Fatalf("workers=%d: hist[%d] = %v of the runs, want %v", workers, v, gf[v], rf[v])
 			}
+		}
+	}
+	// Replication r draws stream r whatever the run count, so a run of
+	// n replications is the first n totals of any longer run.
+	for _, workers := range []int{1, 2, 8, 64} {
+		got, err := RunFastMonteCarloWorkers(cfg, 37, workers)
+		if err != nil {
+			t.Fatalf("workers=%d, 37 runs: %v", workers, err)
+		}
+		if !slices.Equal(got.Totals, ref.Totals[:37]) {
+			t.Fatalf("workers=%d: 37 runs gave\n %v\nwant the first 37 of 200 runs\n %v",
+				workers, got.Totals, ref.Totals[:37])
 		}
 	}
 }

@@ -754,17 +754,17 @@ var reachAllowed = map[string]string{
 	"internal/fleet.MemTransport.partition":     "TestChaosFleetPartitionHealsToIdenticalLedgers cuts links between live fleet nodes with it",
 	"internal/fleet.MemTransport.heal":          "TestNodeDigestSyncConverges restores the links partition cut",
 	"internal/topo.writeAdjacency":              "TestTopoAdjacencyRoundTrip and FuzzAdjacencyParser compare the live ParseAdjacency against the canonical form it writes",
-	"internal/faultfs.NewMem":                   "the crashable filesystem TestPublishCrashSweep, TestLogCrashSweep and durable's TestCrashAtEveryInjectionPoint put under live code",
-	"internal/faultfs.NewInjector":              "TestPublishCrashSweep, TestLogCrashSweep and TestCrashAtEveryInjectionPoint draw their fault schedule from it",
-	"internal/faultfs.Injector.Ops":             "TestPublishCrashSweep and TestLogCrashSweep count a clean run's operations, then crash at each",
+	"internal/faultfs.NewMem":                   "the crashable filesystem TestPublishCrashSweep and durable's TestCrashAtEveryInjectionPoint put under live code",
+	"internal/faultfs.NewInjector":              "TestPublishCrashSweep and TestCrashAtEveryInjectionPoint draw their fault schedule from it",
+	"internal/faultfs.Injector.Ops":             "TestPublishCrashSweep and TestCrashAtEveryInjectionPoint count a clean run's operations, then crash at each",
 	"internal/faultfs.Injector.SetCrashAt":      "TestCrashAtEveryInjectionPoint arms its crash at the k-th operation with it",
 	"internal/faultfs.Injector.TraceString":     "TestCrashAtEveryInjectionPoint prints the schedule on failure so the seed can be replayed",
 	"internal/faultfs.Mem.Crash":                "TestCrashAtEveryInjectionPoint's power loss: drops everything not fsynced",
 	"internal/faultfs.Mem.Reopen":               "TestCrashAtEveryInjectionPoint's restart after Crash",
-	"internal/faultfs.Mem.Content":              "TestLogBytesGolden and TestCheckpointBytesGolden read the durable bytes live code wrote",
+	"internal/faultfs.Mem.Content":              "TestCheckpointBytesGolden reads the durable bytes live code wrote",
 	"internal/faultfs.Mem.Create":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
-	"internal/faultfs.Mem.Append":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
-	"internal/faultfs.Mem.ReadFile":             "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
+	"internal/faultfs.Mem.Append":               "faultfs.FS, which live durable code calls on TestCrashAtEveryInjectionPoint's Mem",
+	"internal/faultfs.Mem.ReadFile":             "faultfs.FS, which live durable code calls on TestCrashAtEveryInjectionPoint's Mem",
 	"internal/faultfs.Mem.List":                 "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
 	"internal/faultfs.Mem.Remove":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
 	"internal/faultfs.Mem.Rename":               "faultfs.FS, which live crashsafe code calls on TestPublishCrashSweep's Mem",
