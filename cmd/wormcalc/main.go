@@ -109,6 +109,10 @@ func runBorelTanner(args []string, w io.Writer) error {
 	if *kMax < 0 {
 		return fmt.Errorf("-kmax %d: must be >= 0 (0 = q999)", *kMax)
 	}
+	if *kMax != 0 && *kMax < *i0 {
+		// The table starts at k = I0: it would print a header and no rows.
+		return fmt.Errorf("-kmax %d is below -i0 %d: the table starts at k = I0", *kMax, *i0)
+	}
 	lambdaSet := false
 	fs.Visit(func(f *flag.Flag) { lambdaSet = lambdaSet || f.Name == "lambda" })
 
@@ -169,6 +173,12 @@ func runExtinction(args []string, w io.Writer) error {
 	base, err := model()
 	if err != nil {
 		return err
+	}
+	if base.I0 < 1 {
+		return fmt.Errorf("-i0 %d: must be >= 1", base.I0)
+	}
+	if *gens < 0 {
+		return fmt.Errorf("-gens %d: must be >= 0", *gens)
 	}
 	ms, err := parseInts(*mList)
 	if err != nil {
@@ -244,8 +254,8 @@ func runDesign(args []string, w io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "scenario %s: V=%d, p=%.4g, Proposition-1 threshold 1/p = %.0f\n",
-		base.Name, base.V, base.Density(), base.ExtinctionThreshold())
+	// Every step is computed before the report's first line, so a bad
+	// value fails with nothing printed.
 
 	// Step 1: size M for the containment target.
 	target := core.ContainmentTarget{MaxTotalInfected: *maxTotal, Confidence: *confidence}
@@ -259,41 +269,42 @@ func runDesign(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nstep 1 — scan limit:\n")
-	fmt.Fprintf(w, "  designed M = %d for P{I <= %d} >= %.3f (achieved %.4f)\n",
-		m, *maxTotal, *confidence, bt.CDF(*maxTotal))
-	fmt.Fprintf(w, "  outbreak law at this M: E[I]=%.1f std=%.1f q95=%d q99=%d\n",
-		bt.Mean(), math.Sqrt(bt.Var()), bt.Quantile(0.95), bt.Quantile(0.99))
-
 	// Step 2: audit clean traffic against the designed M.
 	var records []trace.Record
+	source := "synthetic LBL-CONN-7 stand-in"
 	if *tracePath != "" {
-		if records, err = readTrace(*tracePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nstep 2 — clean-traffic audit (%s):\n", *tracePath)
+		records, err = readTrace(*tracePath)
+		source = *tracePath
 	} else {
-		if records, err = trace.Generate(trace.DefaultGeneratorConfig(*seed)); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nstep 2 — clean-traffic audit (synthetic LBL-CONN-7 stand-in):\n")
+		records, err = trace.Generate(trace.DefaultGeneratorConfig(*seed))
+	}
+	if err != nil {
+		return err
 	}
 	analysis, err := trace.Analyze(records)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  hosts: %d over %.1f days; busiest host %d distinct destinations\n",
-		analysis.Hosts(), analysis.Span.Hours()/24, analysis.Top(1)[0].Distinct)
-	fmt.Fprintf(w, "  hosts that would hit M=%d in the trace span: %d\n", m, analysis.FalseAlarms(m))
-	fmt.Fprintf(w, "  hosts that would cross the f·M=%0.f check threshold: %d\n",
-		*checkFrac*float64(m), analysis.FalseAlarms(int(*checkFrac*float64(m))))
-
 	// Steps 3–4: containment cycle from the observed activity.
 	planner := core.CyclePlanner{M: m, CheckFraction: *checkFrac, Tolerance: *tolerance}
 	cycle, err := planner.Recommend(analysis.RatesPerHour(), 24*time.Hour, 365*24*time.Hour)
 	if err != nil {
 		return err
 	}
+
+	fmt.Fprintf(w, "scenario %s: V=%d, p=%.4g, Proposition-1 threshold 1/p = %.0f\n",
+		base.Name, base.V, base.Density(), base.ExtinctionThreshold())
+	fmt.Fprintf(w, "\nstep 1 — scan limit:\n")
+	fmt.Fprintf(w, "  designed M = %d for P{I <= %d} >= %.3f (achieved %.4f)\n",
+		m, *maxTotal, *confidence, bt.CDF(*maxTotal))
+	fmt.Fprintf(w, "  outbreak law at this M: E[I]=%.1f std=%.1f q95=%d q99=%d\n",
+		bt.Mean(), math.Sqrt(bt.Var()), bt.Quantile(0.95), bt.Quantile(0.99))
+	fmt.Fprintf(w, "\nstep 2 — clean-traffic audit (%s):\n", source)
+	fmt.Fprintf(w, "  hosts: %d over %.1f days; busiest host %d distinct destinations\n",
+		analysis.Hosts(), analysis.Span.Hours()/24, analysis.Top(1)[0].Distinct)
+	fmt.Fprintf(w, "  hosts that would hit M=%d in the trace span: %d\n", m, analysis.FalseAlarms(m))
+	fmt.Fprintf(w, "  hosts that would cross the f·M=%0.f check threshold: %d\n",
+		*checkFrac*float64(m), analysis.FalseAlarms(int(*checkFrac*float64(m))))
 	fmt.Fprintf(w, "\nsteps 3-4 — containment cycle:\n")
 	fmt.Fprintf(w, "  recommended cycle: %.0f days (f=%.2f, tolerance %.2g)\n",
 		cycle.Hours()/24, *checkFrac, *tolerance)

@@ -42,12 +42,16 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // expectErrors runs the subcommand on each argument list and fails for
-// every one that succeeds.
+// every one that succeeds, or that prints part of its report before
+// failing.
 func expectErrors(t *testing.T, cmd string, cases [][]string) {
 	t.Helper()
 	for _, args := range cases {
-		if err := run(append([]string{cmd}, args...), io.Discard); err == nil {
+		var out bytes.Buffer
+		if err := run(append([]string{cmd}, args...), &out); err == nil {
 			t.Errorf("%s %v succeeded, want error", cmd, args)
+		} else if out.Len() > 0 {
+			t.Errorf("%s %v printed %q before failing with %v", cmd, args, out.String(), err)
 		}
 	}
 }
@@ -85,6 +89,8 @@ func TestBorelTannerErrors(t *testing.T) {
 		{"-lambda", "-0.5"},
 		{"-worm", "codered", "-m", "20000"}, // λ > 1: no proper distribution
 		{"-kmax", "-5"},
+		{"-kmax", "3"}, // below the default -i0 10: no row to print
+		{"-lambda", "0.5", "-i0", "4", "-kmax", "3"},
 	})
 }
 
@@ -112,6 +118,8 @@ func TestExtinctionErrors(t *testing.T) {
 		{"-m", "abc"},
 		{"-m", "-5"},
 		{"-v", "100", "-i0", "0"},
+		{"-i0", "0"},
+		{"-gens", "-1"},
 		{"-v", "-5"},
 	})
 }
@@ -149,7 +157,9 @@ func TestDesignErrors(t *testing.T) {
 	expectErrors(t, "design", [][]string{
 		{"-worm", "morris"},
 		{"-max-infected", "0"},
+		{"-max-infected", "5"}, // below the 10 initial infections
 		{"-confidence", "1.5"},
+		{"-check-fraction", "1.5"},
 		{"-trace", "/nonexistent/file"},
 		{"-v", "-5"},
 	})

@@ -22,7 +22,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -30,9 +29,7 @@ import (
 
 	"wormcontain/internal/addr"
 	"wormcontain/internal/core"
-	"wormcontain/internal/crashsafe"
 	"wormcontain/internal/durable"
-	"wormcontain/internal/faultfs"
 	"wormcontain/internal/faultnet"
 	"wormcontain/internal/fleet"
 	"wormcontain/internal/gateway"
@@ -64,8 +61,9 @@ func run(args []string) error {
 	}
 }
 
-// runServe starts a gateway, optionally restoring limiter state, and
-// optionally reporting to a collector, until SIGINT/SIGTERM.
+// runServe starts a gateway, on durable state with -state-dir or on an
+// in-memory limiter without it, optionally reporting to a collector,
+// until SIGINT/SIGTERM.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("wormgate serve", flag.ContinueOnError)
 	var (
@@ -80,7 +78,6 @@ func runServe(args []string) error {
 		sketchBits  = fs.Int("sketch-bits", 0, "sketch: per-host contact-bitmap width in bits (power of two >= 64; 0 = auto-size from -m)")
 		failLimit   = fs.Int("fail-threshold", 0, "sketch: remove a host whose distinct failed destinations reach this in one cycle (0 disables the failure variant)")
 		failBits    = fs.Int("fail-bits", 0, "sketch: per-host failure-bitmap width in bits (0 = auto-size from -fail-threshold)")
-		statePath   = fs.String("state", "", "legacy limiter snapshot file (restored at start, saved at exit); prefer -state-dir")
 		stateDir    = fs.String("state-dir", "", "durable state directory (checksummed WAL + atomic snapshots; survives kill -9)")
 		snapEvery   = fs.Duration("snapshot-interval", 5*time.Minute, "full-snapshot period for -state-dir (bounds WAL growth)")
 		syncEvery   = fs.Duration("fsync-interval", 10*time.Millisecond, "WAL group-commit period for -state-dir (crash loses at most this much acknowledged input)")
@@ -96,7 +93,6 @@ func runServe(args []string) error {
 		failModeStr   = fs.String("fail-mode", "open", "degradation policy while the collector is unreachable: open (keep relaying) or closed (deny new connections)")
 		dialRetries   = fs.Int("dial-retries", 3, "upstream dial attempts per connection (1 = no retries)")
 		dialBackoff   = fs.Duration("dial-backoff", 50*time.Millisecond, "initial upstream dial backoff (doubles per retry, jittered)")
-		spoolSize     = fs.Int("report-spool", gateway.DefaultSpoolSize, "reports buffered in memory while the collector is unreachable")
 		reportRetries = fs.Int("report-retries", 0, "consecutive collector reconnect failures before giving up (0 = never)")
 		reportBackoff = fs.Duration("report-backoff", time.Second, "initial collector reconnect backoff (doubles, capped, jittered)")
 	)
@@ -116,18 +112,25 @@ func runServe(args []string) error {
 		// at its ring owner, not at whichever member relayed it.
 		return fmt.Errorf("-fail-threshold and -fail-bits cannot be combined with -peers: connection failures are not counted across a fleet")
 	}
-	if *statePath != "" && *stateDir != "" {
-		return fmt.Errorf("-state and -state-dir are mutually exclusive")
+	// gateway.New and RetryConfig replace an attempt count below one
+	// and a backoff <= 0 with their defaults, and Reporter.Run a period
+	// <= 0 with one second, so each would print one setting and run
+	// another. Refuse instead.
+	if *dialRetries < 1 {
+		return fmt.Errorf("-dial-retries %d: must be >= 1 (1 = no retries)", *dialRetries)
+	}
+	if *dialBackoff <= 0 {
+		return fmt.Errorf("-dial-backoff %v: must be > 0", *dialBackoff)
 	}
 	if *collector != "" {
-		// Reporter.Run replaces a period <= 0 with one second and a
-		// spool < 1 with DefaultSpoolSize, so either value would print
-		// one setting and run another. Refuse instead.
 		if *interval <= 0 {
 			return fmt.Errorf("-report-interval %v: must be > 0 when -collector is set", *interval)
 		}
-		if *spoolSize < 1 {
-			return fmt.Errorf("-report-spool %d: must be >= 1 when -collector is set", *spoolSize)
+		if *reportRetries < 0 {
+			return fmt.Errorf("-report-retries %d: must be >= 0 when -collector is set (0 = never give up)", *reportRetries)
+		}
+		if *reportBackoff <= 0 {
+			return fmt.Errorf("-report-backoff %v: must be > 0 when -collector is set", *reportBackoff)
 		}
 	}
 	if *stateDir != "" {
@@ -172,8 +175,10 @@ func runServe(args []string) error {
 		return fmt.Errorf("-limiter %q (want exact or sketch)", *limiterKind)
 	}
 	// Surface bad sketch widths and thresholds before any listener
-	// comes up, not on first use.
-	if _, err := newLimiter(time.Now().UTC()); err != nil {
+	// comes up, not on first use. Without -state-dir this is the
+	// limiter the gateway runs.
+	backend, err := newLimiter(time.Now().UTC())
+	if err != nil {
 		return err
 	}
 
@@ -211,10 +216,9 @@ func runServe(args []string) error {
 		fmt.Printf("admin endpoint on http://%s (%s)\n", admin.Addr(), routes)
 	}
 
-	// backend is the limiter this process owns and persists; decider is
-	// what the gateway asks, the backend itself or a fleet node in front
-	// of it.
-	var backend core.Backend
+	// backend is the limiter this process owns (and, with -state-dir,
+	// persists); decider is what the gateway asks, the backend itself or
+	// a fleet node in front of it.
 	var store *durable.Store
 	if *stateDir != "" {
 		store, err = durable.Open(durable.Options{
@@ -238,14 +242,6 @@ func runServe(args []string) error {
 		} else {
 			fmt.Printf("durable state: recovered snapshot %d + %d WAL record(s) from %s (cycle %d, truncated %d byte(s))\n",
 				ri.SnapshotSeq, ri.ReplayedRecords, *stateDir, backend.CycleIndex(), ri.TruncatedBytes)
-		}
-	} else {
-		backend, err = loadOrCreateLimiter(*statePath, newLimiter)
-		if err != nil {
-			if admin != nil {
-				admin.Shutdown()
-			}
-			return err
 		}
 	}
 	registerSketchMetrics(reg, backend)
@@ -332,7 +328,6 @@ func runServe(args []string) error {
 			CollectorAddr: *collector,
 			Interval:      *interval,
 			Source:        gw.Stats,
-			SpoolSize:     *spoolSize,
 			Retry: faultnet.RetryConfig{
 				MaxAttempts: *reportRetries,
 				BaseDelay:   *reportBackoff,
@@ -341,8 +336,8 @@ func runServe(args []string) error {
 			OnStateChange: func(connected bool) { gw.SetDegraded(!connected) },
 		}
 		go func() { reporterErr <- reporter.Run() }()
-		fmt.Printf("reporting to %s every %v (spool %d, fail-%s when unreachable)\n",
-			*collector, *interval, *spoolSize, failMode)
+		fmt.Printf("reporting to %s every %v (fail-%s when unreachable)\n",
+			*collector, *interval, failMode)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -375,19 +370,13 @@ func runServe(args []string) error {
 		fmt.Printf("durable state flushed to %s (cycle %d, %d record(s) acknowledged)\n",
 			*stateDir, backend.CycleIndex(), store.Acked())
 	}
-	if *statePath != "" {
-		if err := saveLimiter(backend, *statePath); err != nil {
-			return err
-		}
-		fmt.Printf("limiter state saved to %s\n", *statePath)
-	}
 	s := gw.Stats()
 	fmt.Printf("final stats: relayed=%d denied=%d flagged=%d removals=%d\n",
 		s.Relayed, s.Denied, s.Flagged, s.Limiter.TotalRemovals)
 	if reporter != nil {
 		rs := reporter.Stats()
-		fmt.Printf("reporter stats: enqueued=%d sent=%d dropped=%d redials=%d reconnects=%d\n",
-			rs.Enqueued, rs.Sent, rs.Dropped, rs.Redials, rs.Reconnects)
+		fmt.Printf("reporter stats: ticks=%d sent=%d missed=%d redials=%d reconnects=%d\n",
+			rs.Ticks, rs.Sent, rs.Missed, rs.Redials, rs.Reconnects)
 	}
 	return nil
 }
@@ -445,29 +434,6 @@ func parseFleetPeers(peers, self string, vnodes, fanout int, gossip time.Duratio
 	return list, nil
 }
 
-// loadOrCreateLimiter restores a snapshot when present — whichever
-// backend wrote it — and otherwise builds a fresh limiter via the
-// factory the flags selected.
-func loadOrCreateLimiter(path string, newLimiter func(time.Time) (core.Backend, error)) (core.Backend, error) {
-	if path != "" {
-		data, err := os.ReadFile(path)
-		switch {
-		case err == nil:
-			l, err := core.RestoreAnyLimiter(data)
-			if err != nil {
-				return nil, fmt.Errorf("restore %s: %w", path, err)
-			}
-			fmt.Printf("restored limiter state from %s (cycle %d)\n", path, l.CycleIndex())
-			return l, nil
-		case os.IsNotExist(err):
-			// Fresh start below.
-		default:
-			return nil, err
-		}
-	}
-	return newLimiter(time.Now().UTC())
-}
-
 // registerSketchMetrics exposes the estimator's memory footprint and
 // analytic accuracy, the two numbers an operator sizing -sketch-bits
 // watches. It asks the backend this process built or recovered, not the
@@ -489,18 +455,6 @@ func registerSketchMetrics(reg *telemetry.Registry, backend core.Backend) {
 	reg.GaugeFunc("wormgate_sketch_expected_relative_error",
 		"Analytic standard relative error of the cardinality estimate at the removal threshold M.",
 		func() float64 { return sk.ExpectedRelativeError() })
-}
-
-// saveLimiter publishes the limiter snapshot (the bare MarshalState
-// payload) atomically under path: a power loss leaves the previous file
-// or the new one, never an empty or torn one. The OS literal, not NewOS:
-// a missing parent directory stays an error, it is not created.
-func saveLimiter(l core.Backend, path string) error {
-	data, err := l.MarshalState()
-	if err != nil {
-		return err
-	}
-	return crashsafe.Publish(&faultfs.OS{Dir: filepath.Dir(path)}, filepath.Base(path), data)
 }
 
 // runCollect starts a collector and prints the fleet aggregate

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"errors"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -88,88 +85,6 @@ func TestProbeErrors(t *testing.T) {
 	}
 }
 
-// exactFactory builds the default factory runServe would assemble for
-// -limiter=exact with the given config.
-func exactFactory(cfg core.LimiterConfig) func(time.Time) (core.Backend, error) {
-	return func(start time.Time) (core.Backend, error) {
-		return core.NewLimiter(cfg, start)
-	}
-}
-
-func TestLimiterStatePersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.snap")
-	factory := exactFactory(core.LimiterConfig{M: 3, Cycle: time.Hour})
-
-	fresh, err := loadOrCreateLimiter(path, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Observe(7, 1, time.Now())
-	fresh.Observe(7, 2, time.Now())
-	if err := saveLimiter(fresh, path); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := loadOrCreateLimiter(path, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.(*core.Limiter).DistinctCount(7); got != 2 {
-		t.Errorf("restored count = %d, want 2", got)
-	}
-}
-
-// TestSketchStatePersistence round-trips a sketch snapshot through the
-// legacy -state path: the saved file must restore into a sketch backend
-// even when the restoring process asked for -limiter=exact, because the
-// snapshot's backend byte wins.
-func TestSketchStatePersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.snap")
-	scfg := core.SketchConfig{
-		LimiterConfig: core.LimiterConfig{M: 100, Cycle: time.Hour},
-		Bits:          128,
-	}
-	fresh, err := loadOrCreateLimiter(path, func(start time.Time) (core.Backend, error) {
-		return core.NewSketchLimiter(scfg, start)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Observe(7, 1, time.Now())
-	if err := saveLimiter(fresh, path); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := loadOrCreateLimiter(path, exactFactory(core.LimiterConfig{M: 3, Cycle: time.Hour}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := restored.(*core.SketchLimiter); !ok {
-		t.Fatalf("restored %T, want *core.SketchLimiter (snapshot backend wins)", restored)
-	}
-}
-
-func TestLoadOrCreateLimiterBadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "garbage.snap")
-	if err := os.WriteFile(path, []byte("not a snapshot"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	factory := exactFactory(core.LimiterConfig{M: 1, Cycle: time.Hour})
-	if _, err := loadOrCreateLimiter(path, factory); err == nil {
-		t.Error("expected error for corrupt state file")
-	}
-	// A -state file from before the binary codec is refused by name,
-	// never silently replaced by a fresh limiter.
-	if err := os.WriteFile(path, []byte(`{"version":1,"m":1,"cycleMillis":3600000,"hosts":[]}`), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadOrCreateLimiter(path, factory); !errors.Is(err, core.ErrLegacySnapshot) {
-		t.Errorf("legacy JSON state file: err = %v, want ErrLegacySnapshot", err)
-	}
-}
-
 // TestServeFlagValidation pins runServe's up-front flag rejection: bad
 // durability intervals and bad limiter selections must fail fast with a
 // clear error, before any listener or state directory is touched.
@@ -184,7 +99,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{"negative snapshot interval", []string{"serve", "-state-dir", dir, "-snapshot-interval", "-1m"}, "-snapshot-interval"},
 		{"zero fsync interval", []string{"serve", "-state-dir", dir, "-fsync-interval", "0s"}, "-fsync-interval"},
 		{"negative fsync interval", []string{"serve", "-state-dir", dir, "-fsync-interval", "-10ms"}, "-fsync-interval"},
-		{"state and state-dir", []string{"serve", "-state", "x.json", "-state-dir", dir}, "mutually exclusive"},
 		{"unknown limiter", []string{"serve", "-limiter", "bloom"}, "-limiter"},
 		{"sketch flags without sketch", []string{"serve", "-sketch-bits", "128"}, "-limiter=sketch"},
 		{"fail threshold without sketch", []string{"serve", "-fail-threshold", "50"}, "-limiter=sketch"},
@@ -210,8 +124,10 @@ func TestServeFlagValidation(t *testing.T) {
 			"-peer-listen", "a:1", "-peers", "a:1,b:2"}, "-fail-threshold and -fail-bits cannot be combined with -peers"},
 		{"zero report interval", []string{"serve", "-collector", "127.0.0.1:7700", "-report-interval", "0s"}, "-report-interval"},
 		{"negative report interval", []string{"serve", "-collector", "127.0.0.1:7700", "-report-interval", "-1s"}, "-report-interval"},
-		{"zero report spool", []string{"serve", "-collector", "127.0.0.1:7700", "-report-spool", "0"}, "-report-spool"},
-		{"negative report spool", []string{"serve", "-collector", "127.0.0.1:7700", "-report-spool", "-1"}, "-report-spool"},
+		{"zero dial retries", []string{"serve", "-dial-retries", "0"}, "-dial-retries"},
+		{"negative dial backoff", []string{"serve", "-dial-backoff", "-5s"}, "-dial-backoff"},
+		{"negative report retries", []string{"serve", "-collector", "127.0.0.1:7700", "-report-retries", "-3"}, "-report-retries"},
+		{"zero report backoff", []string{"serve", "-collector", "127.0.0.1:7700", "-report-backoff", "0"}, "-report-backoff"},
 		{"zero gossip interval", []string{"serve", "-peer-listen", "127.0.0.1:9001",
 			"-peers", "127.0.0.1:9001,127.0.0.1:9002", "-gossip-interval", "0s"}, "-gossip-interval"},
 	}

@@ -108,7 +108,7 @@ func mask(bits int) IP {
 	return IP(^uint32(0) << (32 - bits))
 }
 
-// Size returns the number of addresses covered by the prefix.
+// Size returns the number of addresses in the prefix.
 func (p Prefix) Size() uint64 {
 	return 1 << (32 - p.Bits)
 }

@@ -104,9 +104,12 @@ func (b *alertBook) restore(alerts []Alert, removals int) {
 
 // ApplyAlert applies one fleet alert: if the alert is new, it is
 // journaled, the containment cycle is rolled to contain the alert time,
-// and the host is removed for the current cycle. It reports whether the
-// alert was new — false means a duplicate, which changes nothing (the
-// dedup that makes gossip idempotent). A fresh alert writes the ledger
+// and the host is removed for the current cycle. An alert raised in an
+// earlier cycle than the current one enters the ledger and removes
+// nothing: its removal ended with the cycle it was raised in, as the
+// origin's own did. It reports whether the alert was new — false means
+// a duplicate, which changes nothing (the dedup that makes gossip
+// idempotent). A fresh alert writes the ledger
 // and may roll the cycle, so it is journaled and applied with every
 // stripe held: every other record falls strictly before or after it,
 // and WAL order equals apply order. A duplicate — the common case under
@@ -127,9 +130,10 @@ func (l *limiter[T, P]) ApplyAlert(a Alert) bool {
 	if l.journal != nil {
 		l.journal.RecordAlert(a)
 	}
-	l.rollCycleLocked(time.UnixMilli(a.UnixMs).UTC())
+	at := time.UnixMilli(a.UnixMs).UTC()
+	l.rollCycleLocked(at)
 	l.alerts.apply(a)
-	if P(&s.hosts).alert(a.Src) {
+	if !at.Before(l.epoch) && P(&s.hosts).alert(a.Src) {
 		l.alerts.removals++
 	}
 	return true

@@ -38,7 +38,7 @@ func TestApplyAlertRemovesAndDedups(t *testing.T) {
 			if !l.ApplyAlert(a) {
 				t.Fatal("first ApplyAlert = false, want true")
 			}
-			if !l.Removed(42) {
+			if !l.RemovedAt(42, start) {
 				t.Fatal("host 42 not removed after alert")
 			}
 			if l.ApplyAlert(a) {
@@ -96,6 +96,53 @@ func TestAlertsSurviveCycleRollButRemovalDoesNot(t *testing.T) {
 	}
 	if len(l.Alerts()) != 1 {
 		t.Fatalf("Alerts() = %d entries, want 1", len(l.Alerts()))
+	}
+}
+
+// TestRemovedAtEndsWithTheCycle: a removal reads true up to the end of
+// its cycle and false from there on, before any observation has rolled
+// the limiter, and the read itself rolls nothing.
+func TestRemovedAtEndsWithTheCycle(t *testing.T) {
+	cfg := LimiterConfig{M: 3, Cycle: time.Hour}
+	for _, backend := range testBackends {
+		l := newBackend(t, backend, cfg)
+		l.ApplyAlert(Alert{Origin: 1, Seq: 1, Src: 42, UnixMs: t0.UnixMilli()})
+		if !l.RemovedAt(42, t0.Add(cfg.Cycle-time.Millisecond)) {
+			t.Errorf("%s: alerted host not removed in the last millisecond of its cycle", backend)
+		}
+		if l.RemovedAt(42, t0.Add(cfg.Cycle)) {
+			t.Errorf("%s: alerted host still removed once its cycle has ended", backend)
+		}
+		if l.RemovedAt(43, t0) {
+			t.Errorf("%s: a host never removed reads removed", backend)
+		}
+		if l.CycleIndex() != 0 || l.Snapshot().RemovedHosts != 1 {
+			t.Errorf("%s: RemovedAt rolled the cycle", backend)
+		}
+	}
+}
+
+// TestAlertRaisedInAnEndedCycleRemovesNothing: an alert that reaches a
+// limiter after the cycle it was raised in has rolled enters the ledger
+// (so it dedups and is re-served) and removes no host, as the
+// origin's own removal ended with that cycle.
+func TestAlertRaisedInAnEndedCycleRemovesNothing(t *testing.T) {
+	start := msAligned(time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC))
+	l := alertTestLimiter(t, start)
+	now := start.Add(2 * time.Hour)
+	l.Observe(1, 1, now) // cycle 2
+	a := Alert{Origin: 5, Seq: 1, Src: 42, UnixMs: start.Add(90 * time.Minute).UnixMilli()}
+	if !l.ApplyAlert(a) {
+		t.Fatal("late alert rejected as a duplicate")
+	}
+	if l.RemovedAt(42, now) {
+		t.Fatal("an alert raised in cycle 1 removed its host in cycle 2")
+	}
+	if got := l.Observe(42, 7, now); got != Allow {
+		t.Fatalf("Observe after a late alert = %v, want Allow", got)
+	}
+	if s := l.Snapshot(); s.TotalAlerts != 1 || s.AlertRemovals != 0 || len(l.Alerts()) != 1 {
+		t.Fatalf("alerts = %d, alert removals = %d, ledger %d; want 1, 0, 1", s.TotalAlerts, s.AlertRemovals, len(l.Alerts()))
 	}
 }
 

@@ -98,7 +98,7 @@ func snapshotBenchLimiter(b *testing.B, backend string, hosts int) Backend {
 	}
 	for s := 0; s < hosts/500; s++ {
 		src := 0xAC100000 + uint32(s)
-		for d := uint32(0); !l.Removed(src); d++ {
+		for d := uint32(0); !l.RemovedAt(src, t0); d++ {
 			l.Observe(src, d*2654435761+uint32(s), t0)
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkLimiterSnapshot(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&after)
 				perHost := float64(after.HeapAlloc-before.HeapAlloc) / float64(l.Snapshot().ActiveHosts)
-				data, err := l.MarshalState()
+				data, err := l.CheckpointState(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func BenchmarkLimiterSnapshot(b *testing.B) {
 					b.ReportMetric(perHost, "B/host")
 					b.ReportMetric(float64(len(data)), "snapshot-bytes")
 					for i := 0; i < b.N; i++ {
-						if _, err := l.MarshalState(); err != nil {
+						if _, err := l.CheckpointState(nil); err != nil {
 							b.Fatal(err)
 						}
 					}

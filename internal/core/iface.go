@@ -22,10 +22,10 @@ import "time"
 //
 //	holder                            interface     methods it calls
 //	gateway.Config.Limiter            Decider       Observe, Snapshot
-//	fleet.Config.Local                AlertDecider  Decider + Removed, CycleIndex, ApplyAlert, Alerts
+//	fleet.Config.Local                AlertDecider  Decider + RemovedAt, CycleIndex, ApplyAlert, Alerts
 //	durable.Options.NewLimiter,       Backend       Observe, Snapshot, CycleIndex, ApplyAlert,
 //	durable.Store.Limiter,                          Reinstate, Config, SetJournal, CheckpointState
-//	RestoreAnyLimiter, cmd/wormgate                 (durable); CycleIndex, MarshalState (wormgate)
+//	RestoreAnyLimiter, cmd/wormgate                 (durable); CycleIndex (wormgate)
 //
 // Backend embeds AlertDecider because wormgate hands the limiter a
 // durable store recovered to the fleet node as its local limiter.
@@ -45,8 +45,10 @@ type Decider interface {
 // plus the alert ledger.
 type AlertDecider interface {
 	Decider
-	// Removed reports whether the host is currently removed.
-	Removed(src uint32) bool
+	// RemovedAt reports whether the host is removed at time t. A
+	// removal ends with its cycle, so a t past the current cycle's end
+	// reads false.
+	RemovedAt(src uint32, t time.Time) bool
 	// CycleIndex returns the zero-based containment-cycle index.
 	CycleIndex() uint64
 	// ApplyAlert applies one fleet removal alert, reporting whether it
@@ -73,8 +75,6 @@ type Backend interface {
 	// point atomically with copying it out; see
 	// (*Limiter).CheckpointState.
 	CheckpointState(cut func()) ([]byte, error)
-	// MarshalState serializes the complete state deterministically.
-	MarshalState() ([]byte, error)
 }
 
 // FailureObserver is the optional connection-failure-counting extension

@@ -123,7 +123,7 @@ func TestTotalInfectionsContainedRegime(t *testing.T) {
 	}
 	// Section V reports E(I) = 58 using the rounded λ = 0.83; with the
 	// exact λ = 0.8382 the mean is 61.8. Assert the exact value here;
-	// the paper-rounded variant is covered in package dist.
+	// the paper-rounded variant is checked in package dist.
 	if math.Abs(bt.Mean()-61.8) > 0.1 {
 		t.Errorf("E[I] = %v, want 61.8 (paper's 58 uses rounded λ)", bt.Mean())
 	}

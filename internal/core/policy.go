@@ -147,7 +147,7 @@ type stripe[T any] struct {
 // works identically under the discrete-event simulator's virtual clock
 // and under wall-clock deployment.
 //
-// Locking. A per-source input (Observe, Reinstate, Removed, and
+// Locking. A per-source input (Observe, Reinstate, Removed, RemovedAt and
 // Limiter.DistinctCount or SketchLimiter.ObserveFailure) takes only its
 // source's stripe. Everything
 // that touches state shared by all sources — a cycle roll, ApplyAlert,
@@ -311,6 +311,18 @@ func (l *limiter[T, P]) Removed(src uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return P(&s.hosts).isRemoved(src)
+}
+
+// RemovedAt reports whether the host is removed at time t: removed now,
+// and t inside the current containment cycle. Past the cycle's end it
+// reports false, because the observation that rolls the cycle reinstates
+// every host (step 4). It is a read: it rolls nothing and journals
+// nothing.
+func (l *limiter[T, P]) RemovedAt(src uint32, t time.Time) bool {
+	s := l.stripeOf(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return t.Sub(l.epoch) < l.cfg.Cycle && P(&s.hosts).isRemoved(src)
 }
 
 // DistinctCount returns the number of unique destinations the host has

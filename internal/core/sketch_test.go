@@ -335,7 +335,7 @@ func TestSketchRestoreAnyDispatch(t *testing.T) {
 
 func mustMarshal(t testing.TB, l Backend) []byte {
 	t.Helper()
-	data, err := l.MarshalState()
+	data, err := l.CheckpointState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,10 @@
 // temp-file + fsync + atomic-rename publish, fixed-width generation
 // file names with the directory scan that reads them back, and the
 // frame scanner that cuts a torn stream of frames back to its valid
-// prefix. internal/durable (limiter WAL and snapshots),
-// internal/simstate (simulation checkpoints) and wormgate's -state file
-// are written from these pieces and add only their own policy; the one
-// append path, the WAL's, is durable's.
+// prefix. internal/durable (limiter WAL and snapshots) and
+// internal/simstate (simulation checkpoints) are written from these
+// pieces and add only their own policy; the one append path, the
+// WAL's, is durable's.
 //
 // All I/O goes through faultfs.FS, so the crash-injection suites kill
 // the filesystem at every operation and prove the layer's invariant:

@@ -374,7 +374,8 @@ func TestCrashRecoveredStoreReservesAlerts(t *testing.T) {
 		}
 		// Host 5 was alert-removed in the final cycle: the removal itself
 		// must survive recovery, not just the ledger entry.
-		if !r.Limiter().Removed(5) {
+		end := crashStart.Add(time.Duration(in[len(in)-1].atMs) * time.Millisecond)
+		if !r.Limiter().RemovedAt(5, end) {
 			t.Fatalf("seed %d: recovery refunded the alert removal of host 5", seed)
 		}
 	}

@@ -29,9 +29,9 @@ func openMem(t *testing.T, m *faultfs.Mem, opts Options) *Store {
 
 func mustState(t *testing.T, l core.Backend) []byte {
 	t.Helper()
-	b, err := l.MarshalState()
+	b, err := l.CheckpointState(nil)
 	if err != nil {
-		t.Fatalf("MarshalState: %v", err)
+		t.Fatalf("CheckpointState: %v", err)
 	}
 	return b
 }

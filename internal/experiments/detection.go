@@ -51,7 +51,7 @@ func runAblationDetection(opts Options) (*Result, error) {
 		Kernel:      opts.kernel,
 		RecordPaths: true,
 		ScanObserver: func(_, dst addr.IP, at time.Duration) {
-			// The monitor sees scans landing in its covered block.
+			// The monitor sees scans landing in its monitored block.
 			if uint32(dst) < uint32(float64(1<<32)*monitorCoverage) {
 				scansPerMinute[int(at.Minutes())]++
 			}

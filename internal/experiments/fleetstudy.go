@@ -113,14 +113,14 @@ func runFleetEpidemic(g *rng.PCG64, n int, observe fleetObserver, nodes []*fleet
 			}
 		}
 		if firstSeen && propRounds < 0 {
-			covered := true
+			reached := true
 			for _, nd := range nodes {
 				if !nd.Removed(firstSrc) {
-					covered = false
+					reached = false
 					break
 				}
 			}
-			if covered {
+			if reached {
 				propRounds = round - firstRound
 			}
 		}

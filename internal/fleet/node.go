@@ -94,7 +94,6 @@ type Node struct {
 	nextSeq    uint64
 	outbox     []outEntry
 	perOrigin  map[uint64]*originState
-	covered    map[uint32]bool // sources covered by an applied alert (cumulative)
 	originated map[uint32]bool // sources this node alerted this cycle
 	cycleIdx   uint64
 	peerUp     map[string]bool
@@ -123,7 +122,8 @@ func pushRounds(n int) int {
 // existing alert ledger (a durable store restores one) is absorbed:
 // sequence allocation resumes after this node's own highest alert, and
 // recovered alerts are re-served to peers through digest sync rather
-// than re-pushed.
+// than re-pushed. Which sources they remove is the limiter's to say:
+// the node keeps no copy.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.Local == nil {
 		return nil, fmt.Errorf("fleet: config needs a local limiter")
@@ -176,7 +176,6 @@ func NewNode(cfg Config) (*Node, error) {
 		src:        rng.NewPCG64(cfg.Seed, uint64(selfIx)+0xf1ee7),
 		nextSeq:    1,
 		perOrigin:  make(map[uint64]*originState),
-		covered:    make(map[uint32]bool),
 		originated: make(map[uint32]bool),
 		cycleIdx:   cfg.Local.CycleIndex(),
 		peerUp:     make(map[string]bool, len(others)),
@@ -185,7 +184,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for _, p := range others {
 		n.peerUp[p] = true
 	}
-	// Absorb a restored ledger: frontier, coverage and own-seq resume.
+	// Absorb a restored ledger: frontier and own-seq resume.
 	for _, a := range cfg.Local.Alerts() {
 		n.noteAlertLocked(a)
 	}
@@ -201,11 +200,10 @@ func (n *Node) Ring() *Ring { return n.ring }
 // self returns the node's member name.
 func (n *Node) self() string { return n.cfg.Self }
 
-// noteAlertLocked updates the per-origin frontier, coverage set and
-// own-sequence allocator for one applied alert. Caller holds n.mu (or
-// is still inside NewNode).
+// noteAlertLocked updates the per-origin frontier and own-sequence
+// allocator for one applied alert. Caller holds n.mu (or is still
+// inside NewNode).
 func (n *Node) noteAlertLocked(a core.Alert) {
-	n.covered[a.Src] = true
 	os := n.perOrigin[a.Origin]
 	if os == nil {
 		os = &originState{pending: make(map[uint64]bool)}
@@ -228,15 +226,17 @@ func (n *Node) noteAlertLocked(a core.Alert) {
 // Observe implements core.Decider: the fleet's sharded hot path. Three
 // cases, cheapest first:
 //
-//  1. The source is alert-covered → Deny locally, no network. This is
-//     the immunization payoff: one shard's removal denies everywhere.
+//  1. The local limiter has the source removed at t → Deny, no network.
+//     This is the immunization payoff: an applied alert removes the
+//     source here, so one shard's removal denies everywhere — until the
+//     cycle it fell in ends, as it would on one limiter.
 //  2. This node owns the source → observe on the local limiter (and
 //     maybe originate an alert).
 //  3. A peer owns it → forward. A transport failure falls back to
 //     counting locally: degraded accuracy (the budget fragments, as it
 //     would without a fleet) beats an open gate during a partition.
 func (n *Node) Observe(src, dst uint32, t time.Time) core.Decision {
-	if n.isCovered(src) {
+	if n.local.RemovedAt(src, t) {
 		return core.Deny
 	}
 	owner := n.ring.Owner(src)
@@ -258,34 +258,27 @@ func (n *Node) Observe(src, dst uint32, t time.Time) core.Decision {
 	return d
 }
 
-// isCovered reports whether src is covered by an applied alert.
-func (n *Node) isCovered(src uint32) bool {
-	n.mu.Lock()
-	c := n.covered[src]
-	n.mu.Unlock()
-	return c
-}
-
-// observeLocal runs the local limiter and originates a removal alert
-// when this observation pushed the source over its threshold.
+// observeLocal runs the local limiter on a source it did not have
+// removed at t, and originates a removal alert when the verdict is
+// Deny: a limiter denies only a removed host, so this observation (or
+// one racing it) removed the source.
 func (n *Node) observeLocal(src, dst uint32, t time.Time) core.Decision {
 	d := n.local.Observe(src, dst, t)
-	if d == core.Deny && n.local.Removed(src) {
+	if d == core.Deny {
 		n.maybeOriginate(src, t)
 	}
 	return d
 }
 
 // maybeOriginate creates and disseminates a removal alert for src,
-// once per source per containment cycle, and never for sources some
-// fleet alert already covers.
+// once per source per containment cycle.
 func (n *Node) maybeOriginate(src uint32, t time.Time) {
 	n.mu.Lock()
 	if ci := n.local.CycleIndex(); ci != n.cycleIdx {
 		n.cycleIdx = ci
 		n.originated = make(map[uint32]bool)
 	}
-	if n.covered[src] || n.originated[src] {
+	if n.originated[src] {
 		n.mu.Unlock()
 		return
 	}
@@ -329,10 +322,11 @@ func (n *Node) applyAlert(a core.Alert) bool {
 // handleObserve serves a forwarded observation for a source this node
 // owns — the server side of case 3 in Observe.
 func (n *Node) handleObserve(src, dst uint32, unixMs int64) core.Decision {
-	if n.isCovered(src) {
+	t := time.UnixMilli(unixMs).UTC()
+	if n.local.RemovedAt(src, t) {
 		return core.Deny
 	}
-	return n.observeLocal(src, dst, time.UnixMilli(unixMs).UTC())
+	return n.observeLocal(src, dst, t)
 }
 
 // handleAlerts applies a pushed alert batch and returns how many were
@@ -535,10 +529,10 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// Removed reports whether src is removed here: covered by a fleet
-// alert, or removed by the local limiter.
+// Removed reports whether the local limiter has src removed now, by
+// its own count or by an applied alert.
 func (n *Node) Removed(src uint32) bool {
-	return n.isCovered(src) || n.local.Removed(src)
+	return n.local.RemovedAt(src, n.now())
 }
 
 // Snapshot implements core.Decider with the local limiter's counters:

@@ -151,7 +151,7 @@ func TestNodeRemovalOriginatesAndPropagates(t *testing.T) {
 	// Push-gossip rounds: every node ticks once per round. The alert
 	// must cover the whole fleet within the O(log N · fanout) budget.
 	budget := pushRounds(n)
-	covered := func() int {
+	reached := func() int {
 		c := 0
 		for _, node := range nodes {
 			if node.Removed(src) {
@@ -161,13 +161,13 @@ func TestNodeRemovalOriginatesAndPropagates(t *testing.T) {
 		return c
 	}
 	rounds := 0
-	for ; covered() < n && rounds < budget; rounds++ {
+	for ; reached() < n && rounds < budget; rounds++ {
 		for _, node := range nodes {
 			node.PushTick()
 		}
 	}
-	if covered() != n {
-		t.Fatalf("alert covered %d/%d nodes after %d rounds (budget %d)", covered(), n, rounds, budget)
+	if reached() != n {
+		t.Fatalf("alert reached %d/%d nodes after %d rounds (budget %d)", reached(), n, rounds, budget)
 	}
 	t.Logf("fleet of %d converged in %d rounds (budget %d)", n, rounds, budget)
 

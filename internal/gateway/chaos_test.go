@@ -293,9 +293,10 @@ func TestParseFailMode(t *testing.T) {
 }
 
 // TestChaosCollectorOutage starts a reporter against a dead collector
-// address, lets the bounded spool overflow, then brings the collector
-// up and requires exact delivery accounting: every report is delivered,
-// still spooled, or counted in Dropped — nothing is lost silently.
+// address, lets ticks go missed, then brings the collector up and
+// requires exact accounting — every tick sent or counted missed — and a
+// collector whose latest report after the reconnect carries the
+// gateway's current stats, not a snapshot from the outage.
 func TestChaosCollectorOutage(t *testing.T) {
 	leakCheck(t)
 
@@ -307,56 +308,62 @@ func TestChaosCollectorOutage(t *testing.T) {
 	collectorAddr := ln.Addr().String()
 	ln.Close()
 
+	gw, _ := newTestGateway(t, 3, 0.5)
+	client := Client{GatewayAddr: gw.Addr(), Timeout: 5 * time.Second}
+	connect := func(dst string) {
+		t.Helper()
+		conn, _, err := client.Connect(mustIP(t, "10.7.0.1"), mustIP(t, dst), 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	connect("198.51.100.1")
 	rep := &Reporter{
 		GatewayID:     "outage-gw",
 		CollectorAddr: collectorAddr,
 		Interval:      2 * time.Millisecond,
-		Source:        func() GatewayStats { return GatewayStats{Relayed: 1} },
-		SpoolSize:     8,
+		Source:        gw.Stats,
 		Retry:         faultnet.RetryConfig{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 		Logf:          t.Logf,
 	}
 	repErr := make(chan error, 1)
 	go func() { repErr <- rep.Run() }()
 
-	// Outage phase: the spool (8) must fill and then shed oldest-first.
-	waitFor(t, "spool overflow", func() bool { return rep.Stats().Dropped >= 5 })
-	if s := rep.Stats(); s.SpoolDepth != rep.SpoolSize {
-		t.Errorf("overflowing spool depth = %d, want %d (bound not respected)", s.SpoolDepth, rep.SpoolSize)
+	// Outage: every tick is missed, none is sent.
+	waitFor(t, "missed ticks", func() bool { return rep.Stats().Missed >= 5 })
+	if s := rep.Stats(); s.Sent != 0 || s.Reconnects != 0 || s.Redials == 0 {
+		t.Errorf("outage stats %+v: want nothing sent, no connect, some redials", s)
 	}
 
-	// Recovery phase: the collector appears on the very address the
-	// reporter has been retrying.
+	// Recovery: the collector appears on the very address the reporter
+	// has been retrying, and the gateway relays once more.
 	c, err := NewCollector(collectorAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = c.Serve() }()
 	t.Cleanup(c.Shutdown)
-
-	waitFor(t, "spool drain after reconnect", func() bool {
-		s := rep.Stats()
-		return s.Reconnects >= 1 && s.SpoolDepth == 0 && s.Sent > 0
-	})
+	waitFor(t, "a report after reconnect", func() bool { return c.ReportsReceived() > 0 })
+	connect("198.51.100.2")
+	waitFor(t, "the second relay to finish", func() bool { return gw.Stats().Relayed == 2 })
 
 	rep.Stop()
 	if err := <-repErr; err != nil {
 		t.Fatalf("reporter: %v", err)
 	}
 	s := rep.Stats()
-	if s.Enqueued != s.Sent+s.Dropped+uint64(s.SpoolDepth) {
-		t.Errorf("accounting broken: enqueued %d != sent %d + dropped %d + spooled %d",
-			s.Enqueued, s.Sent, s.Dropped, s.SpoolDepth)
+	if s.Ticks != s.Sent+s.Missed {
+		t.Errorf("accounting broken: ticks %d != sent %d + missed %d", s.Ticks, s.Sent, s.Missed)
 	}
-	if s.SpoolDepth != 0 {
-		t.Errorf("spool depth = %d after clean stop with a live collector, want 0", s.SpoolDepth)
+	if s.Reconnects != 1 {
+		t.Errorf("reconnects = %d, want 1", s.Reconnects)
 	}
-	// Zero loss up to the spool bound: everything not dropped arrived.
 	waitFor(t, "collector to consume every sent report", func() bool {
 		return uint64(c.ReportsReceived()) == s.Sent
 	})
-	if got := uint64(c.ReportsReceived()); got != s.Enqueued-s.Dropped {
-		t.Errorf("received %d reports, want enqueued−dropped = %d", got, s.Enqueued-s.Dropped)
+	if got, want := c.Latest()["outage-gw"].Stats, gw.Stats(); got != want {
+		t.Errorf("latest report after reconnect carries %+v, the gateway's current stats are %+v", got, want)
 	}
 	t.Logf("reporter stats: %+v", s)
 }
@@ -415,11 +422,11 @@ func TestChaosFleetUnderFaults(t *testing.T) {
 		f := collector.Aggregate()
 		return f.Gateways == 2 && f.TotalRemovals == 1
 	})
-	// Soak long enough that the injectors actually tear some reports
-	// mid-flight; convergence alone can happen before any fault fires.
-	waitFor(t, "enough reports to exercise the fault schedule", func() bool {
+	// Soak until the injectors have cost every reporter a tick;
+	// convergence alone can happen before any fault fires.
+	waitFor(t, "a missed tick on every reporter", func() bool {
 		for _, rep := range reporters {
-			if rep.Stats().Enqueued < 30 {
+			if rep.Stats().Missed == 0 {
 				return false
 			}
 		}
@@ -430,7 +437,7 @@ func TestChaosFleetUnderFaults(t *testing.T) {
 	for _, rep := range reporters {
 		rep.Stop()
 		s := rep.Stats()
-		if s.Enqueued != s.Sent+s.Dropped+uint64(s.SpoolDepth) {
+		if s.Ticks != s.Sent+s.Missed || s.Sent == 0 {
 			t.Errorf("%s accounting broken: %+v", rep.GatewayID, s)
 		}
 		sent += s.Sent

@@ -265,40 +265,32 @@ func (c *Collector) Aggregate() FleetStats {
 	return f
 }
 
-// ReporterStats is the reporter's own health ledger. Its invariant,
-// asserted by the chaos suite, is exact accounting:
+// ReporterStats is the reporter's own health ledger. Every tick takes
+// the gateway's current snapshot and either delivers it or misses, so
 //
-//	Enqueued == Sent + Dropped + SpoolDepth
+//	Ticks == Sent + Missed
 //
-// so a collector outage can never lose a report silently — every report
-// is either delivered, still spooled, or counted in Dropped.
+// A missed snapshot is not kept for later: the next tick's is newer,
+// and the collector keeps only each gateway's latest report.
 type ReporterStats struct {
-	// Enqueued counts every report generated (delivered or not).
-	Enqueued uint64 `json:"enqueued"`
-	// Sent counts reports delivered to the collector.
+	// Ticks counts snapshots taken: one per tick and one at Stop.
+	Ticks uint64 `json:"ticks"`
+	// Sent counts snapshots delivered to the collector.
 	Sent uint64 `json:"sent"`
-	// Dropped counts reports lost to spool overflow, oldest first.
-	Dropped uint64 `json:"dropped"`
+	// Missed counts snapshots that could not be delivered.
+	Missed uint64 `json:"missed"`
 	// Redials counts failed (re)connect attempts.
 	Redials uint64 `json:"redials"`
 	// Reconnects counts successful connects, including the first.
 	Reconnects uint64 `json:"reconnects"`
-	// SpoolDepth is the number of reports currently awaiting delivery.
-	SpoolDepth int `json:"spoolDepth"`
 }
 
-// DefaultSpoolSize bounds the reporter's in-memory spool when the
-// configuration leaves SpoolSize at zero: enough to ride out minutes of
-// collector outage at typical reporting intervals, small enough that a
-// fleet of gateways cannot balloon memory during a long partition.
-const DefaultSpoolSize = 256
-
 // Reporter periodically pushes a gateway's stats to a collector and
-// survives collector outages: reports generated while the collector is
-// unreachable are spooled in a bounded in-memory queue and flushed on
-// reconnect, with reconnects paced by capped exponential backoff.
-// Start it with Run (usually in a goroutine) and stop it with Stop;
-// Stop waits for the loop to exit.
+// survives collector outages: each tick sends the current snapshot, a
+// tick that finds the collector unreachable is counted as missed, and
+// reconnects are paced by capped exponential backoff. Start it with Run
+// (usually in a goroutine) and stop it with Stop; Stop waits for the
+// loop to exit.
 type Reporter struct {
 	// GatewayID names this gateway in reports.
 	GatewayID string
@@ -314,13 +306,8 @@ type Reporter struct {
 	// a production gateway — the fleet report path must outlast the
 	// outage it is reporting on.
 	Retry faultnet.RetryConfig
-	// SpoolSize bounds the in-memory report queue (default
-	// DefaultSpoolSize). When full, the oldest report is dropped and
-	// counted — newest-state-wins, since the collector keeps only each
-	// gateway's latest report anyway.
-	SpoolSize int
-	// Logf, when non-nil, receives operational log lines (drops, failed
-	// dials, reconnects). Nil means silent.
+	// Logf, when non-nil, receives operational log lines (failed dials
+	// and sends, reconnects). Nil means silent.
 	Logf func(format string, args ...any)
 	// OnStateChange, when non-nil, is called with false when the
 	// collector becomes unreachable and true when the connection is
@@ -358,10 +345,8 @@ func (r *Reporter) logf(format string, args ...any) {
 // Run reports until Stop, reconnecting through outages. It returns nil
 // after Stop, or the last dial error once Retry.MaxAttempts consecutive
 // reconnect attempts have failed (never with the default unlimited
-// budget). Reports that cannot be delivered are spooled up to SpoolSize
-// and flushed on reconnect; overflow drops the oldest report and is
-// logged and counted — the outage is visible even before the spool
-// lands in a dashboard.
+// budget). It sends one snapshot at once, one per Interval and a last
+// one at Stop.
 func (r *Reporter) Run() error {
 	if r.GatewayID == "" || r.CollectorAddr == "" || r.Source == nil {
 		return errors.New("gateway: reporter needs GatewayID, CollectorAddr and Source")
@@ -375,16 +360,11 @@ func (r *Reporter) Run() error {
 			return net.DialTimeout(network, address, dialTimeout)
 		}
 	}
-	spoolSize := r.SpoolSize
-	if spoolSize <= 0 {
-		spoolSize = DefaultSpoolSize
-	}
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
 	defer close(r.done)
 
 	var (
-		spool      = make([]report, 0, spoolSize)
 		conn       net.Conn
 		enc        *json.Encoder
 		backoff    = r.Retry.NewBackoff()
@@ -404,29 +384,6 @@ func (r *Reporter) Run() error {
 		connected = v
 		if r.OnStateChange != nil {
 			r.OnStateChange(v)
-		}
-	}
-
-	// The spool itself is touched only by this goroutine; r.mu guards
-	// just the stats ledger that Stats() reads concurrently.
-	enqueue := func(rep report) {
-		var droppedTotal uint64
-		if overflow := len(spool) >= spoolSize; overflow {
-			copy(spool, spool[1:])
-			spool = spool[:len(spool)-1]
-			r.mu.Lock()
-			r.stats.Dropped++
-			droppedTotal = r.stats.Dropped
-			r.mu.Unlock()
-		}
-		spool = append(spool, rep)
-		r.mu.Lock()
-		r.stats.Enqueued++
-		r.stats.SpoolDepth = len(spool)
-		r.mu.Unlock()
-		if droppedTotal > 0 {
-			r.logf("gateway reporter %s: spool full (%d), dropped oldest report (%d dropped total)",
-				r.GatewayID, spoolSize, droppedTotal)
 		}
 	}
 
@@ -453,9 +410,8 @@ func (r *Reporter) Run() error {
 				return false
 			}
 			nextDialAt = now.Add(delay)
-			r.logf("gateway reporter %s: dial %s: %v (retry in %v, spool %d, dropped %d)",
-				r.GatewayID, r.CollectorAddr, err, delay.Round(time.Millisecond),
-				len(spool), r.Stats().Dropped)
+			r.logf("gateway reporter %s: dial %s: %v (retry in %v, %d report(s) missed)",
+				r.GatewayID, r.CollectorAddr, err, delay.Round(time.Millisecond), r.Stats().Missed)
 			return false
 		}
 		conn = c
@@ -468,43 +424,38 @@ func (r *Reporter) Run() error {
 		r.mu.Unlock()
 		setConnected(true)
 		if n > 1 {
-			r.logf("gateway reporter %s: reconnected to %s (flushing %d spooled)",
-				r.GatewayID, r.CollectorAddr, len(spool))
+			r.logf("gateway reporter %s: reconnected to %s", r.GatewayID, r.CollectorAddr)
 		}
 		return true
 	}
 
-	// flush delivers spooled reports oldest-first until the spool is
-	// empty or the connection fails; a failed send keeps the report
-	// spooled for the next attempt.
-	flush := func() {
-		for len(spool) > 0 && fatal == nil {
-			if !ensureConn() {
-				return
-			}
-			if err := enc.Encode(spool[0]); err != nil {
-				conn.Close()
-				conn, enc = nil, nil
-				setConnected(false)
-				r.logf("gateway reporter %s: send: %v (%d spooled)", r.GatewayID, err, len(spool))
-				return
-			}
-			copy(spool, spool[1:])
-			spool = spool[:len(spool)-1]
-			r.mu.Lock()
-			r.stats.Sent++
-			r.stats.SpoolDepth = len(spool)
-			r.mu.Unlock()
-		}
-	}
-
+	// tick sends the current snapshot. A failed send drops the
+	// connection; the next tick redials and sends a newer snapshot.
 	tick := func() {
-		enqueue(report{
+		rep := report{
 			GatewayID:        r.GatewayID,
 			SentAtUnixMillis: time.Now().UnixMilli(),
 			Stats:            r.Source(),
-		})
-		flush()
+		}
+		sent := false
+		if ensureConn() {
+			if err := enc.Encode(rep); err != nil {
+				conn.Close()
+				conn, enc = nil, nil
+				setConnected(false)
+				r.logf("gateway reporter %s: send: %v", r.GatewayID, err)
+			} else {
+				sent = true
+			}
+		}
+		r.mu.Lock()
+		r.stats.Ticks++
+		if sent {
+			r.stats.Sent++
+		} else {
+			r.stats.Missed++
+		}
+		r.mu.Unlock()
 	}
 
 	// Immediate first report so collectors see new gateways promptly.
@@ -519,9 +470,9 @@ func (r *Reporter) Run() error {
 		case <-ticker.C:
 			tick()
 		case <-r.stop:
-			// Best-effort final flush so a clean shutdown does not strand
-			// spooled reports that the collector could still take.
-			flush()
+			// A last snapshot, so the collector holds the gateway's
+			// final counters.
+			tick()
 			return nil
 		}
 	}
