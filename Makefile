@@ -140,11 +140,12 @@ fuzz-smoke:
 # Coverage floors, one "package:floor%" pair per row: the deployable
 # network path, the crash-safe storage layer and the durability layer on
 # top of it, the containment policy plus sketch estimator, the graph
-# topology layer, and the fleet's routing and alert gossip. The CI
-# coverage job runs this target.
+# topology layer, the fleet's routing and alert gossip, and the
+# simulator with its checkpoint codec. The CI coverage job runs this
+# target.
 # Profiles are written into the gitignored coverage/ dir, never the repo
 # root.
-COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:85 core:94 topo:90 fleet:88
+COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:85 core:94 topo:90 fleet:88 sim:92
 cover:
 	@mkdir -p coverage
 	@for row in $(COVER_FLOORS); do \

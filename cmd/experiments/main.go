@@ -55,6 +55,9 @@ func run(args []string) error {
 	if *runs < 0 {
 		return fmt.Errorf("-runs %d: need at least one replication (0 = paper's 1000)", *runs)
 	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers %d: need at least one worker", *workers)
+	}
 	if *all && *id != "" {
 		return fmt.Errorf("-id %s and -all are mutually exclusive", *id)
 	}

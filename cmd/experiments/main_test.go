@@ -36,6 +36,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-id", "fig3", "-runs", "-3"}); err == nil || !strings.Contains(err.Error(), "-runs -3") {
 		t.Errorf("-runs -3: err = %v, want the negative count rejected", err)
 	}
+	for _, w := range []string{"0", "-1"} {
+		if err := run([]string{"-id", "fig3", "-workers", w}); err == nil || !strings.Contains(err.Error(), "-workers "+w) {
+			t.Errorf("-workers %s: err = %v, want the worker count rejected", w, err)
+		}
+	}
 }
 
 func TestRunPlotMode(t *testing.T) {

@@ -86,8 +86,6 @@ func runServe(args []string) error {
 
 		peersStr    = fs.String("peers", "", "comma-separated fleet membership, every member's peer address including this node's -peer-listen (empty = standalone gateway)")
 		peerListen  = fs.String("peer-listen", "", "fleet peer listen address for forwarded observations and alert gossip (required with -peers)")
-		ringVnodes  = fs.Int("ring-vnodes", 64, "consistent-hash virtual nodes per fleet member")
-		alertFanout = fs.Int("alert-fanout", 3, "fleet peers each alert gossip push targets")
 		gossipEvery = fs.Duration("gossip-interval", time.Second, "fleet gossip period (alert push and digest anti-entropy)")
 
 		failModeStr   = fs.String("fail-mode", "open", "degradation policy while the collector is unreachable: open (keep relaying) or closed (deny new connections)")
@@ -103,7 +101,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fleetPeers, err := parseFleetPeers(*peersStr, *peerListen, *ringVnodes, *alertFanout, *gossipEvery)
+	fleetPeers, err := parseFleetPeers(*peersStr, *peerListen, *gossipEvery)
 	if err != nil {
 		return err
 	}
@@ -270,8 +268,6 @@ func runServe(args []string) error {
 		fleetNode, err = fleet.NewNode(fleet.Config{
 			Self:      *peerListen,
 			Peers:     fleetPeers,
-			Vnodes:    *ringVnodes,
-			Fanout:    *alertFanout,
 			Local:     backend,
 			Transport: fleetTr,
 			Seed:      uint64(time.Now().UnixNano()),
@@ -293,8 +289,8 @@ func runServe(args []string) error {
 		go func() { _ = fleetSrv.Serve() }()
 		fleetNode.Start(*gossipEvery, *gossipEvery)
 		decider = fleetNode
-		fmt.Printf("fleet member %s: %d peers, %d vnodes, fanout %d, gossip every %v\n",
-			*peerListen, len(fleetPeers)-1, *ringVnodes, *alertFanout, *gossipEvery)
+		fmt.Printf("fleet member %s: %d peers, gossip every %v\n",
+			*peerListen, len(fleetPeers)-1, *gossipEvery)
 	}
 
 	gw, err := gateway.New(gateway.Config{
@@ -388,13 +384,7 @@ func runServe(args []string) error {
 // the byte-identical list, or the rings disagree about ownership).
 // Empty -peers with no -peer-listen means standalone; the parsed
 // membership is returned otherwise.
-func parseFleetPeers(peers, self string, vnodes, fanout int, gossip time.Duration) ([]string, error) {
-	if vnodes <= 0 {
-		return nil, fmt.Errorf("-ring-vnodes %d: must be positive", vnodes)
-	}
-	if fanout <= 0 {
-		return nil, fmt.Errorf("-alert-fanout %d: must be positive", fanout)
-	}
+func parseFleetPeers(peers, self string, gossip time.Duration) ([]string, error) {
 	if peers == "" {
 		if self != "" {
 			return nil, fmt.Errorf("-peer-listen needs -peers (the full fleet membership)")

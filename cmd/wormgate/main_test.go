@@ -105,9 +105,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{"non power-of-two bits", []string{"serve", "-limiter", "sketch", "-sketch-bits", "100"}, "power of two"},
 		{"bits too narrow for m", []string{"serve", "-limiter", "sketch", "-m", "5000", "-sketch-bits", "64"}, "cannot resolve"},
 		{"bad fail mode", []string{"serve", "-fail-mode", "sideways"}, "fail mode"},
-		{"zero ring vnodes", []string{"serve", "-ring-vnodes", "0"}, "-ring-vnodes"},
-		{"negative ring vnodes", []string{"serve", "-ring-vnodes", "-8"}, "-ring-vnodes"},
-		{"zero alert fanout", []string{"serve", "-alert-fanout", "0"}, "-alert-fanout"},
 		{"peers without peer-listen", []string{"serve", "-peers", "127.0.0.1:9001,127.0.0.1:9002"}, "-peer-listen"},
 		{"peer-listen without peers", []string{"serve", "-peer-listen", "127.0.0.1:9001"}, "-peers"},
 		{"peer address missing port", []string{"serve", "-peer-listen", "127.0.0.1:9001",

@@ -73,6 +73,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-sources %d, must be >= 1", *sources)
 	case *port < 1 || *port > 65535:
 		return fmt.Errorf("-port %d, must be in [1, 65535]", *port)
+	case *retries < 1:
+		return fmt.Errorf("-retries %d, must be >= 1", *retries)
 	}
 	dst, err := addr.ParseIP(*dstStr)
 	if err != nil {

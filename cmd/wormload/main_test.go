@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +48,13 @@ func TestRunFlagValidation(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v: expected error", args)
+		}
+	}
+	// A retry budget below one attempt is refused, not replaced by one.
+	for _, n := range []string{"0", "-3"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-retries", n}, &buf); err == nil || !strings.Contains(err.Error(), "-retries "+n) {
+			t.Errorf("-retries %s: err = %v, want the flag named", n, err)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("wormsim", flag.ContinueOnError)
 	var (
-		worm      = fs.String("worm", "", "preset name (codered, slammer, codered2, nimda, blaster, witty, sasser) setting V")
+		worm      = fs.String("worm", "", "preset name (codered, slammer, codered2, nimda, blaster, witty, sasser) setting V (overridden by -v)")
 		v         = fs.Int("v", 360000, "vulnerable population size")
 		i0        = fs.Int("i0", 10, "initially infected hosts")
 		m         = fs.Int("m", 10000, "containment limit M (distinct destinations per cycle)")
@@ -97,10 +97,17 @@ func run(args []string) error {
 		if !ok {
 			return fmt.Errorf("unknown worm preset %q", *worm)
 		}
-		*v = w.V
+		vSet := false
+		fs.Visit(func(f *flag.Flag) { vSet = vSet || f.Name == "v" })
+		if !vSet {
+			*v = w.V
+		}
 	}
 	if *runs < 1 {
 		return fmt.Errorf("-runs %d: need at least one replication", *runs)
+	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers %d: need at least one worker", *workers)
 	}
 	if *runs > 1 && *path {
 		return fmt.Errorf("-path prints a single sample path; drop it or use -runs 1")
@@ -160,23 +167,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown topology %q (uniform, tree, scalefree, smallworld, file)", *topology)
 	}
-	if graph != nil {
-		lambda1, _ := graph.SpectralRadius()
-		fmt.Printf("topology: %s  n=%d  edges=%d  mean degree %.2f  max degree %d  lambda1 %.4f\n",
-			*topology, graph.N(), graph.EdgeCount(), graph.MeanDegree(), graph.MaxDegree(), lambda1)
-		if *edgeRate {
-			fmt.Printf("edge-rate: beta=%.4g per edge, beta/delta*lambda1 threshold at rate %.4g\n",
-				*rate, 1/lambda1)
-		}
-	} else if *edgeRate {
-		return fmt.Errorf("-edge-rate needs a graph topology")
-	}
-	// The population header: selected event kernel and the per-host state
-	// footprint (address table plus packed epidemiology bitsets) the -v
-	// hosts will occupy.
-	fmt.Printf("kernel: %s  population: %d hosts (%.1f MB state)\n",
-		kind, *v, float64(sim.PopulationFootprint(*v))/(1<<20))
-
 	// Defenses are stateful (scan budgets, throttle queues, quarantine
 	// timers), so every replication builds its own instance.
 	mkDefense := func(stream uint64) (defense.Defense, error) {
@@ -219,24 +209,47 @@ func run(args []string) error {
 		return cfg
 	}
 
-	if *runs > 1 {
-		return runSweep(mkDefense, mkConfig, *runs, *workers, *stream)
-	}
-
+	// Every flag is checked before the first line is printed: the
+	// defense and the configuration of the first replication are built
+	// and validated here.
 	d, err := mkDefense(*stream)
 	if err != nil {
 		return err
 	}
+	cfg := mkConfig(d, *stream)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+
+	if graph != nil {
+		lambda1, _ := graph.SpectralRadius()
+		fmt.Printf("topology: %s  n=%d  edges=%d  mean degree %.2f  max degree %d  lambda1 %.4f\n",
+			*topology, graph.N(), graph.EdgeCount(), graph.MeanDegree(), graph.MaxDegree(), lambda1)
+		if *edgeRate {
+			fmt.Printf("edge-rate: beta=%.4g per edge, beta/delta*lambda1 threshold at rate %.4g\n",
+				*rate, 1/lambda1)
+		}
+	}
+	// The population header: selected event kernel and the per-host state
+	// footprint (address table plus packed epidemiology bitsets) the -v
+	// hosts will occupy.
+	fmt.Printf("kernel: %s  population: %d hosts (%.1f MB state)\n",
+		kind, *v, float64(sim.PopulationFootprint(*v))/(1<<20))
+
+	if *runs > 1 {
+		return runSweep(mkDefense, mkConfig, *runs, *workers, *stream)
+	}
+
 	var res *sim.Result
 	if *ckptDir != "" {
-		res, err = runCheckpointed(mkConfig(d, *stream), *ckptDir, *ckptInt, *resume, kind, *seed)
+		res, err = runCheckpointed(cfg, *ckptDir, *ckptInt, *resume)
 		if errors.Is(err, sim.ErrStopRequested) {
 			// The interruption wrote a final checkpoint; this is a clean
 			// exit, not a failure.
 			return nil
 		}
 	} else {
-		res, err = sim.Run(mkConfig(d, *stream))
+		res, err = sim.Run(cfg)
 	}
 	if err != nil {
 		return err
@@ -277,9 +290,7 @@ func run(args []string) error {
 // graceful stop: a final checkpoint is written and the process exits
 // cleanly, ready for a later -resume. On a stop request the returned
 // error is sim.ErrStopRequested and the partial result is discarded.
-func runCheckpointed(cfg sim.Config, dirPath string, interval time.Duration,
-	resume bool, kind des.Kind, seed uint64) (*sim.Result, error) {
-
+func runCheckpointed(cfg sim.Config, dirPath string, interval time.Duration, resume bool) (*sim.Result, error) {
 	dir, err := simstate.OpenPath(dirPath)
 	if err != nil {
 		return nil, err
@@ -297,19 +308,9 @@ func runCheckpointed(cfg sim.Config, dirPath string, interval time.Duration,
 		if ck, err = sim.DecodeCheckpoint(payload); err != nil {
 			return nil, fmt.Errorf("checkpoint generation %d: %w", gen, err)
 		}
-		// The library can resume across kernels and the result stays
-		// bit-identical, but flag mismatches at the CLI are almost always
-		// operator mistakes — reject them with the fix spelled out.
-		// Topology, defense and rate mismatches are caught by the
-		// checkpoint's identity check inside ResumeCheckpointed.
-		if ck.Kernel != kind {
-			return nil, fmt.Errorf("checkpoint generation %d was written with -kernel %s, not -kernel %s; rerun with -kernel %s",
-				gen, ck.Kernel, kind, ck.Kernel)
-		}
-		if ck.Seed != seed {
-			return nil, fmt.Errorf("checkpoint generation %d was written with -seed %d, not -seed %d; rerun with -seed %d",
-				gen, ck.Seed, seed, ck.Seed)
-		}
+		// A scenario that differs from the checkpoint's is refused by
+		// ResumeCheckpointed, naming the first field that differs. The
+		// kernel is not part of it: a cut resumes on either.
 		fmt.Printf("resume: generation %d at t=%v (%d infected, %d removed)\n",
 			gen, ck.Now, ck.TotalInfected, ck.TotalRemoved)
 	}
@@ -390,12 +391,6 @@ type sweepOut struct {
 func runSweep(mkDefense func(uint64) (defense.Defense, error),
 	mkConfig func(defense.Defense, uint64) sim.Config,
 	runs, workers int, base uint64) error {
-
-	// Surface config errors (bad defense name, unbounded null defense)
-	// before launching the pool.
-	if _, err := mkDefense(base); err != nil {
-		return err
-	}
 
 	var (
 		totals, peaks, durations stats.Accumulator

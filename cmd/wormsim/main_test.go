@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// captureRun executes run(args) with stdout captured, returning the
-// printed report.
-func captureRun(t *testing.T, args []string) string {
+// runCaptured executes run(args) with stdout captured, returning the
+// printed report and run's error.
+func runCaptured(t *testing.T, args []string) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -29,11 +29,30 @@ func captureRun(t *testing.T, args []string) string {
 	runErr := run(args)
 	w.Close()
 	os.Stdout = old
-	out := <-done
-	if runErr != nil {
-		t.Fatalf("run(%v): %v", args, runErr)
+	return <-done, runErr
+}
+
+// captureRun is runCaptured for a run that must succeed.
+func captureRun(t *testing.T, args []string) string {
+	t.Helper()
+	out, err := runCaptured(t, args)
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
 	}
 	return out
+}
+
+// expectErrors runs wormsim on each argument list and fails for every
+// one that succeeds, or that prints part of its report before failing.
+func expectErrors(t *testing.T, cases [][]string) {
+	t.Helper()
+	for _, args := range cases {
+		if out, err := runCaptured(t, args); err == nil {
+			t.Errorf("run(%v) succeeded, want error", args)
+		} else if out != "" {
+			t.Errorf("run(%v) printed %q before failing with %v", args, out, err)
+		}
+	}
 }
 
 func TestRunSmallScenario(t *testing.T) {
@@ -111,34 +130,45 @@ func TestRunSweepPerDefense(t *testing.T) {
 }
 
 func TestRunSweepErrors(t *testing.T) {
-	cases := [][]string{
+	expectErrors(t, [][]string{
 		// Zero replications.
 		{"-v", "1000", "-runs", "0"},
 		// -path needs a single replication.
 		{"-v", "1000", "-horizon", "1s", "-runs", "2", "-path"},
 		// Unbounded null defense must be rejected before the pool starts.
 		{"-v", "1000", "-defense", "none", "-runs", "4"},
-	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
-	}
+		// A pool needs a worker.
+		{"-v", "1000", "-runs", "4", "-workers", "0"},
+		{"-v", "1000", "-runs", "4", "-workers", "-2"},
+	})
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := [][]string{
+	expectErrors(t, [][]string{
 		{"-worm", "melissa"},
 		{"-defense", "firewall"},
 		{"-v", "0"},
+		{"-m", "0"},
+		{"-i0", "5", "-v", "3"},
+		{"-workers", "-2"},
+		// A NaN rate used to reach the kernel and panic there.
+		{"-rate", "NaN"},
+		{"-patch-rate", "NaN"},
+		{"-immunize-rate", "NaN"},
 		// A duty cycle with a phase <= 0 is rejected, not run always-on.
 		{"-duty-on", "-1s", "-duty-off", "1s"},
+		{"-duty-on", "0", "-duty-off", "5s"},
 		{"-duty-off", "10m"},
-	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
+	})
+}
+
+// TestRunPresetPopulationOverride: an explicit -v wins over the -worm
+// preset's population.
+func TestRunPresetPopulationOverride(t *testing.T) {
+	out := captureRun(t, []string{"-worm", "codered", "-v", "500", "-i0", "2", "-m", "5",
+		"-rate", "20", "-horizon", "1s"})
+	if !strings.Contains(out, "population: 500 hosts") {
+		t.Errorf("-v 500 did not override the codered preset:\n%s", out)
 	}
 }
 
@@ -312,9 +342,9 @@ func TestRunCheckpointSeedTruncated(t *testing.T) {
 }
 
 // TestRunCheckpointFlagValidation pins the fail-fast contract of the
-// checkpoint flags: misuse and mismatches are rejected with a clear
-// error before any simulation (or with the corrective flag spelled
-// out), never by silently producing a different trajectory.
+// checkpoint flags: misuse and scenario mismatches are rejected with a
+// clear error before any simulation, never by silently producing a
+// different trajectory, while a -kernel change is no mismatch.
 func TestRunCheckpointFlagValidation(t *testing.T) {
 	// A populated checkpoint directory for the mismatch cases.
 	seeded := t.TempDir()
@@ -340,12 +370,9 @@ func TestRunCheckpointFlagValidation(t *testing.T) {
 		{"resume from empty dir", ckptScenario("-horizon", "6s",
 			"-checkpoint-dir", t.TempDir(), "-resume"),
 			"no valid checkpoint"},
-		{"kernel mismatch", ckptScenario("-horizon", "40s", "-kernel", "wheel",
-			"-checkpoint-dir", seeded, "-resume"),
-			"written with -kernel heap"},
 		{"seed mismatch", append(ckptScenario("-horizon", "40s",
 			"-checkpoint-dir", seeded, "-resume"), "-seed", "12"),
-			"written with -seed 11"},
+			"checkpoint Seed \"11\" does not match configuration \"12\""},
 		{"topology mismatch", []string{"-v", "400", "-i0", "3", "-rate", "0.4",
 			"-patch-rate", "1", "-defense", "none", "-max-infected", "400",
 			"-seed", "11", "-horizon", "40s",
@@ -358,10 +385,18 @@ func TestRunCheckpointFlagValidation(t *testing.T) {
 			t.Errorf("%s: error %v, want substring %q", c.name, err, c.wantErr)
 		}
 	}
+
+	// A cut resumes on the other kernel to the same final report.
+	ref := captureRun(t, ckptScenario("-horizon", "40s"))
+	resumed := captureRun(t, ckptScenario("-horizon", "40s", "-kernel", "wheel",
+		"-checkpoint-dir", seeded, "-resume"))
+	if got, want := reportCore(t, resumed), reportCore(t, ref); got != want {
+		t.Errorf("heap cut resumed on the wheel:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
 }
 
 func TestTopoRunErrors(t *testing.T) {
-	cases := [][]string{
+	expectErrors(t, [][]string{
 		// Unknown topology name.
 		{"-v", "100", "-topology", "torus"},
 		// -topology file without a file.
@@ -372,10 +407,5 @@ func TestTopoRunErrors(t *testing.T) {
 		{"-v", "100", "-edge-rate", "-horizon", "1s"},
 		// Generator rejects a degenerate parameterization.
 		{"-v", "100", "-topology", "tree", "-topo-degree", "0"},
-	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
-	}
+	})
 }

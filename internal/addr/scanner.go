@@ -2,6 +2,7 @@ package addr
 
 import (
 	"fmt"
+	"strings"
 
 	"wormcontain/internal/rng"
 )
@@ -12,6 +13,9 @@ import (
 type Scanner interface {
 	// Next returns the next address host self will scan.
 	Next(src rng.Source, self IP) IP
+	// Name identifies the strategy and its parameters canonically:
+	// scanners with equal names draw equal targets from equal streams.
+	Name() string
 }
 
 // Uniform scans the entire IPv4 space uniformly at random — the paper's
@@ -25,6 +29,9 @@ var _ Scanner = Uniform{}
 func (Uniform) Next(src rng.Source, _ IP) IP {
 	return IP(rng.Uint64n(src, SpaceSize))
 }
+
+// Name implements Scanner.
+func (Uniform) Name() string { return "uniform" }
 
 // SubnetPreference implements preference scanning (Section VI's future-
 // work direction), modelled on Code Red II's strategy: with probability
@@ -60,6 +67,11 @@ func (s SubnetPreference) Next(src rng.Source, self IP) IP {
 	default:
 		return IP(rng.Uint64n(src, SpaceSize))
 	}
+}
+
+// Name implements Scanner.
+func (s SubnetPreference) Name() string {
+	return fmt.Sprintf("subnet-preference(/8=%g,/16=%g)", s.PSame8, s.PSame16)
 }
 
 // Routable scans uniformly over a fixed set of prefixes instead of the
@@ -111,4 +123,14 @@ func (r *Routable) Next(src rng.Source, _ IP) IP {
 		before = r.cum[lo-1]
 	}
 	return p.Net + IP(x-before)
+}
+
+// Name implements Scanner. The prefixes are listed in their draw order,
+// which the cumulative table depends on.
+func (r *Routable) Name() string {
+	names := make([]string, len(r.prefixes))
+	for i, p := range r.prefixes {
+		names[i] = p.String()
+	}
+	return "routable(" + strings.Join(names, ",") + ")"
 }

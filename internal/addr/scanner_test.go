@@ -164,3 +164,28 @@ func TestRoutableDensityAmplification(t *testing.T) {
 		t.Errorf("uniform hits %d, want ≈2", hitsUniform)
 	}
 }
+
+// TestScannerNames pins the canonical names a checkpoint records: each
+// parameter that changes the draws changes the name, and the routable
+// prefixes keep their draw order.
+func TestScannerNames(t *testing.T) {
+	p1, _ := ParsePrefix("10.0.0.0/8")
+	p2, _ := ParsePrefix("192.168.0.0/16")
+	r12, _ := NewRoutable([]Prefix{p1, p2})
+	r21, _ := NewRoutable([]Prefix{p2, p1})
+	cr2, _ := NewSubnetPreference(0.5, 0.375)
+	for _, c := range []struct {
+		s    Scanner
+		want string
+	}{
+		{Uniform{}, "uniform"},
+		{cr2, "subnet-preference(/8=0.5,/16=0.375)"},
+		{SubnetPreference{PSame8: 0.1}, "subnet-preference(/8=0.1,/16=0)"},
+		{r12, "routable(10.0.0.0/8,192.168.0.0/16)"},
+		{r21, "routable(192.168.0.0/16,10.0.0.0/8)"},
+	} {
+		if got := c.s.Name(); got != c.want {
+			t.Errorf("%T name %q, want %q", c.s, got, c.want)
+		}
+	}
+}

@@ -21,9 +21,8 @@ import (
 //
 // The configuration itself (M, working-set size, detection probability,
 // ...) is NOT part of the snapshot contract: the restorer constructs
-// the defense from configuration first (the checkpoint's identity
-// header pins it via Name()) and RestoreState then overlays the mutable
-// counters.
+// the defense from configuration first (the checkpoint's scenario pins
+// it via Name()) and RestoreState then overlays the mutable counters.
 type Snapshotter interface {
 	// SnapshotState serializes the defense's mutable state.
 	SnapshotState() ([]byte, error)

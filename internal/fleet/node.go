@@ -35,11 +35,6 @@ type Config struct {
 	// must be configured with the same set (order is irrelevant — the
 	// ring and origin IDs are derived from the sorted set).
 	Peers []string
-	// Vnodes is the ring's virtual-node count per member (default 64).
-	Vnodes int
-	// Fanout is how many peers each gossip push round targets
-	// (default 3).
-	Fanout int
 	// Local is the node's own containment limiter; required. A durable
 	// store's limiter works unchanged — alerts journal through the
 	// same WAL as observations.
@@ -106,7 +101,10 @@ type Node struct {
 	metrics *fleetMetrics
 }
 
-// pushRounds is the per-alert push budget: a rumor pushed to Fanout
+// gossipFanout is how many peers each push-gossip round targets.
+const gossipFanout = 3
+
+// pushRounds is the per-alert push budget: a rumor pushed to gossipFanout
 // uniform peers per round reaches all N members with high probability
 // in O(log N) rounds, so ceil(log2 N) + 3 rounds bound dissemination
 // while keeping total message load O(N · fanout · log N).
@@ -131,18 +129,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("fleet: config needs a self name")
 	}
-	if cfg.Vnodes == 0 {
-		cfg.Vnodes = 64
-	}
-	if cfg.Fanout == 0 {
-		cfg.Fanout = 3
-	}
-	if cfg.Vnodes < 0 {
-		return nil, fmt.Errorf("fleet: vnodes must be positive, got %d", cfg.Vnodes)
-	}
-	if cfg.Fanout < 0 {
-		return nil, fmt.Errorf("fleet: fanout must be positive, got %d", cfg.Fanout)
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -155,7 +141,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if len(members) > 1 && cfg.Transport == nil {
 		return nil, fmt.Errorf("fleet: a %d-member fleet needs a transport", len(members))
 	}
-	ring, err := newRing(members, cfg.Vnodes)
+	ring, err := newRing(members)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +363,7 @@ func (n *Node) digest() []OriginMax {
 }
 
 // PushTick runs one push-gossip round: every alert with remaining
-// budget goes to Fanout distinct seeded-random peers in one batch per
+// budget goes to gossipFanout distinct seeded-random peers in one batch per
 // peer. Budgets are spent only when at least one peer accepted the
 // batch, so alerts born during a total partition keep their rounds for
 // the heal.
@@ -393,7 +379,7 @@ func (n *Node) PushTick() {
 			batch = append(batch, e.alert)
 		}
 	}
-	targets := n.pickPeersLocked(n.cfg.Fanout)
+	targets := n.pickPeersLocked(gossipFanout)
 	n.mu.Unlock()
 
 	delivered := false

@@ -90,8 +90,6 @@ func TestNodeValidation(t *testing.T) {
 		{"no limiter", Config{Self: "a", Peers: []string{"a"}}},
 		{"no self", Config{Peers: []string{"a"}, Local: lim}},
 		{"self not a peer", Config{Self: "x", Peers: []string{"a", "b"}, Local: lim, Transport: NewMemTransport().For("x")}},
-		{"negative vnodes", Config{Self: "a", Peers: []string{"a"}, Local: lim, Vnodes: -1}},
-		{"negative fanout", Config{Self: "a", Peers: []string{"a"}, Local: lim, Fanout: -1}},
 		{"multi-member without transport", Config{Self: "a", Peers: []string{"a", "b"}, Local: lim}},
 	}
 	for _, tc := range cases {

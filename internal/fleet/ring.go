@@ -56,8 +56,13 @@ type ringPoint struct {
 	member int32 // index into members
 }
 
+// ringVnodes is each member's point count on the ring. Every member
+// builds its own ring and nothing on the wire compares them, so members
+// agree on ownership only because this is a constant.
+const ringVnodes = 64
+
 // Ring is a consistent-hash ring over the fleet's member names. Each
-// member owns Vnodes points; a source belongs to the member owning the
+// member owns ringVnodes points; a source belongs to the member owning the
 // first point at or after the source's hash (wrapping). Placement is a
 // pure function of the member NAME, so adding or removing a member
 // moves only the arcs that member owned — every other source keeps its
@@ -68,19 +73,16 @@ type Ring struct {
 	points  []ringPoint
 }
 
-// newRing builds a ring over members with vnodes points per member.
-// Member names must be unique and non-empty.
-func newRing(members []string, vnodes int) (*Ring, error) {
+// newRing builds a ring over members. Member names must be unique and
+// non-empty.
+func newRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one member")
-	}
-	if vnodes <= 0 {
-		return nil, fmt.Errorf("fleet: ring vnodes must be positive, got %d", vnodes)
 	}
 	seen := make(map[string]bool, len(members))
 	r := &Ring{
 		members: append([]string(nil), members...),
-		points:  make([]ringPoint, 0, len(members)*vnodes),
+		points:  make([]ringPoint, 0, len(members)*ringVnodes),
 	}
 	for mi, m := range r.members {
 		if m == "" {
@@ -91,7 +93,7 @@ func newRing(members []string, vnodes int) (*Ring, error) {
 		}
 		seen[m] = true
 		base := hashString(m)
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVnodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   splitmix64(base + uint64(v)),
 				member: int32(mi),

@@ -14,16 +14,13 @@ func ringMembers(n int) []string {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := newRing(nil, 64); err == nil {
+	if _, err := newRing(nil); err == nil {
 		t.Fatal("empty membership accepted")
 	}
-	if _, err := newRing([]string{"a"}, 0); err == nil {
-		t.Fatal("zero vnodes accepted")
-	}
-	if _, err := newRing([]string{"a", "a"}, 4); err == nil {
+	if _, err := newRing([]string{"a", "a"}); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
-	if _, err := newRing([]string{"a", ""}, 4); err == nil {
+	if _, err := newRing([]string{"a", ""}); err == nil {
 		t.Fatal("empty member accepted")
 	}
 }
@@ -35,11 +32,11 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 	// the ring itself must be order-sensitive-free for sorted input and
 	// deterministic run to run.
 	members := ringMembers(8)
-	a, err := newRing(members, 64)
+	a, err := newRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newRing(members, 64)
+	b, err := newRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +48,11 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	// With 64 vnodes per member the load spread should be reasonable:
+	// With ringVnodes points per member the load spread should be reasonable:
 	// no member owns more than ~2.5x its fair share of a uniform
 	// source population.
 	members := ringMembers(8)
-	r, err := newRing(members, 64)
+	r, err := newRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +78,11 @@ func TestRingStabilityUnderMembershipChange(t *testing.T) {
 	// with the same shard. This is the property that justifies
 	// consistent hashing over modulo assignment.
 	members := ringMembers(8)
-	full, err := newRing(members, 64)
+	full, err := newRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := newRing(members[:7], 64)
+	shrunk, err := newRing(members[:7])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +106,7 @@ func TestRingStabilityUnderMembershipChange(t *testing.T) {
 }
 
 func TestRingSingleMember(t *testing.T) {
-	r, err := newRing([]string{"solo"}, 8)
+	r, err := newRing([]string{"solo"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,22 +19,18 @@ import (
 // on a fresh process — and, because pending events are stored in the
 // kernel-neutral exported form, on either event-kernel backend.
 //
-// A checkpoint has three parts. The identity header pins the
-// configuration the state belongs to (restores against a different
-// configuration are rejected; see matches). The dynamic state carries
-// the clock, the RNG position, the population's exact addresses, the
-// packed epidemiology bitsets, the in-flight delayed deliveries and the
-// pending-event set. The result part carries the Result accumulated so
-// far, including the raw sample-path points, so the continued run's
-// Result is byte-identical to an uninterrupted one.
+// A checkpoint has three parts. The scenario pins the configuration the
+// state belongs to (restores against a different configuration are
+// rejected; see matches). The dynamic state carries the clock, the RNG
+// position, the population's exact addresses, the packed epidemiology
+// bitsets, the in-flight delayed deliveries and the pending-event set.
+// The result part carries the Result accumulated so far, including the
+// raw sample-path points, so the continued run's Result is
+// byte-identical to an uninterrupted one.
 type Checkpoint struct {
-	// Identity header — the run configuration this state belongs to.
-	identity
-	// Kernel is the backend that wrote the cut. It is not part of the
-	// identity (the pending-event export is kernel-neutral, so a cut
-	// resumes on either kernel); cmd/wormsim reads it to reject a
-	// mismatched -kernel on -resume.
-	Kernel des.Kind
+	// scenario holds the value of each checkpointable entry of the
+	// scenario table, in table order.
+	scenario []string
 
 	// Dynamic state at the cut.
 	Now        time.Duration
@@ -60,61 +56,76 @@ type Checkpoint struct {
 	InfectedPts, RemovedPts, ActivePts      SeriesPoints
 }
 
-// identity is the configuration a checkpoint belongs to, as identityOf
-// derives it from a Config. Horizon, MaxInfected and the unexported
-// maxEvents guard are deliberately absent: they are run control, not
-// state identity, so a checkpoint taken under one horizon can be
-// resumed under a longer one.
-type identity struct {
-	V, I0                   int
-	ScanRate                float64
-	Seed, Stream            uint64
-	PatchRate, ImmunizeRate float64
-	EdgeScanRate            bool
-	TopoFingerprint         uint64 // 0 = no topology
-	DefenseName             string
-	HasCluster              bool
-	ClusterNet              addr.IP
-	ClusterBits             uint8
-	HasDuty                 bool
-	DutyOn, DutyOff         time.Duration
-	RecordPaths, RecordTree bool
+// scenarioEntry is one Config field of the scenario table.
+type scenarioEntry struct {
+	field string
+	// value renders the field of a validated Config canonically. Nil
+	// marks a field whose state a checkpoint does not capture: a
+	// configuration that sets it cannot be checkpointed.
+	value func(c *Config) string
 }
 
-// identityOf is the identity of a validated configuration.
-func identityOf(cfg *Config) identity {
-	id := identity{
-		V: cfg.V, I0: cfg.I0,
-		ScanRate: cfg.ScanRate,
-		Seed:     cfg.Seed, Stream: cfg.Stream,
-		PatchRate: cfg.PatchRate, ImmunizeRate: cfg.ImmunizeRate,
-		EdgeScanRate: cfg.EdgeScanRate,
-		DefenseName:  cfg.Defense.Name(),
-		RecordPaths:  cfg.RecordPaths, RecordTree: cfg.RecordTree,
-	}
-	if g := cfg.Topology; g != nil {
-		id.TopoFingerprint = g.Fingerprint()
-	}
-	if p := cfg.ClusterPrefix; p != nil {
-		id.HasCluster, id.ClusterNet, id.ClusterBits = true, p.Net, uint8(p.Bits)
-	}
-	if d := cfg.DutyCycle; d != nil {
-		id.HasDuty, id.DutyOn, id.DutyOff = true, d.On, d.Off
-	}
-	return id
-}
-
-// matches verifies the checkpoint's identity header against cfg and
-// names the first field that differs; a mismatch means the checkpoint
-// belongs to a different experiment and resuming it would silently
-// produce the wrong trajectory.
-func (ck *Checkpoint) matches(cfg *Config) error {
-	got, want := reflect.ValueOf(ck.identity), reflect.ValueOf(identityOf(cfg))
-	for i := 0; i < got.NumField(); i++ {
-		if g, w := got.Field(i).Interface(), want.Field(i).Interface(); g != w {
-			return fmt.Errorf("sim: checkpoint %s %v does not match configuration %v",
-				got.Type().Field(i).Name, g, w)
+// scenario is the table of the Config fields a checkpoint belongs to.
+// The codec writes and reads the checkpointable entries in this order,
+// and matches names the first that differs. Every other Config field is
+// run control, which a resume may change: a longer Horizon, another
+// Kernel, a Metrics registry.
+var scenario = [...]scenarioEntry{
+	{"V", func(c *Config) string { return fmt.Sprint(c.V) }},
+	{"I0", func(c *Config) string { return fmt.Sprint(c.I0) }},
+	{"ScanRate", func(c *Config) string { return fmt.Sprint(c.ScanRate) }},
+	{"Seed", func(c *Config) string { return fmt.Sprint(c.Seed) }},
+	{"Stream", func(c *Config) string { return fmt.Sprint(c.Stream) }},
+	{"PatchRate", func(c *Config) string { return fmt.Sprint(c.PatchRate) }},
+	{"ImmunizeRate", func(c *Config) string { return fmt.Sprint(c.ImmunizeRate) }},
+	{"EdgeScanRate", func(c *Config) string { return fmt.Sprint(c.EdgeScanRate) }},
+	{"Topology", func(c *Config) string {
+		if c.Topology == nil {
+			return "<nil>"
 		}
+		return fmt.Sprintf("%016x", c.Topology.Fingerprint())
+	}},
+	{"Defense", func(c *Config) string { return c.Defense.Name() }},
+	// The scanner sets the density p = V/(scanned space) behind the
+	// threshold λ = M·p.
+	{"Scanner", func(c *Config) string { return c.Scanner.Name() }},
+	{"ClusterPrefix", func(c *Config) string { return fmt.Sprint(c.ClusterPrefix) }},
+	{"DutyCycle", func(c *Config) string { return fmt.Sprint(c.DutyCycle) }},
+	{"RecordPaths", func(c *Config) string { return fmt.Sprint(c.RecordPaths) }},
+	{"RecordTree", func(c *Config) string { return fmt.Sprint(c.RecordTree) }},
+	// Background traffic draws from its own RNG stream and keeps
+	// per-host destination pools that a checkpoint does not record.
+	{"Background", nil},
+}
+
+// scenarioOf appends the checkpointable entries' values for a validated
+// configuration to dst.
+func scenarioOf(cfg *Config, dst []string) []string {
+	for _, e := range scenario {
+		if e.value != nil {
+			dst = append(dst, e.value(cfg))
+		}
+	}
+	return dst
+}
+
+// matches verifies the checkpoint's scenario against cfg and names the
+// first entry that differs; a mismatch means the checkpoint belongs to a
+// different experiment and resuming it would silently produce the wrong
+// trajectory.
+func (ck *Checkpoint) matches(cfg *Config) error {
+	i := 0
+	for _, e := range scenario {
+		if e.value == nil {
+			continue
+		}
+		if i == len(ck.scenario) {
+			return fmt.Errorf("sim: checkpoint has no %s", e.field)
+		}
+		if got, want := ck.scenario[i], e.value(cfg); got != want {
+			return fmt.Errorf("sim: checkpoint %s %q does not match configuration %q", e.field, got, want)
+		}
+		i++
 	}
 	return nil
 }
@@ -150,12 +161,14 @@ type SeriesPoints struct {
 	Values []float64
 }
 
-// checkpointableConfig rejects configurations whose state cannot be
-// captured: background traffic draws from its own RNG stream and keeps
-// per-host destination pools that a checkpoint does not record.
+// checkpointableConfig rejects configurations that set a field of the
+// scenario table's not-checkpointable class.
 func checkpointableConfig(cfg *Config) error {
-	if cfg.Background != nil {
-		return fmt.Errorf("sim: checkpointing does not support background traffic")
+	fields := reflect.ValueOf(cfg).Elem()
+	for _, e := range scenario {
+		if e.value == nil && !fields.FieldByName(e.field).IsZero() {
+			return fmt.Errorf("sim: checkpointing does not support %s", e.field)
+		}
 	}
 	return nil
 }
@@ -228,8 +241,7 @@ func (e *engine) snapshot(ck *Checkpoint) error {
 		return err
 	}
 
-	ck.identity = identityOf(cfg)
-	ck.Kernel = cfg.Kernel
+	ck.scenario = scenarioOf(cfg, ck.scenario[:0])
 
 	// Dynamic state.
 	ck.Now = e.sim.Now()
@@ -289,7 +301,7 @@ func replaySeries(ts *stats.TimeSeries, p SeriesPoints) {
 }
 
 // setupResume is setupRun's checkpoint counterpart: it checks the
-// configuration against the checkpoint's identity header and the
+// configuration against the checkpoint's scenario and the
 // checkpoint's own consistency, then lays the cut — population,
 // bitsets, RNG position, defense state, delayed deliveries and the
 // pending-event set — over a freshly set-up engine, ready to fire the
@@ -310,7 +322,7 @@ func setupResume(cfg Config, scratch *Scratch, res *Result, ck *Checkpoint) (*en
 	if err != nil {
 		return nil, err
 	}
-	if err := validateCheckpointState(ck); err != nil {
+	if err := validateCheckpointState(ck, &cfg); err != nil {
 		return nil, err
 	}
 	e := scratch.engine()
@@ -370,8 +382,8 @@ func (e *engine) overlay(ck *Checkpoint, sn defense.Snapshotter) error {
 	for i := range e.state.shardActive {
 		lo := i << shardBits
 		hi := lo + 1<<shardBits
-		if hi > ck.V {
-			hi = ck.V
+		if hi > e.cfg.V {
+			hi = e.cfg.V
 		}
 		n := 0
 		for w := lo >> 6; w < (hi+63)>>6; w++ {
@@ -428,30 +440,31 @@ func (e *engine) overlay(ck *Checkpoint, sn defense.Snapshotter) error {
 }
 
 // validateCheckpointState deep-checks the dynamic state's internal
-// consistency (the codec checks structure; this checks semantics that
-// need the whole value).
-func validateCheckpointState(ck *Checkpoint) error {
-	words := (ck.V + 63) >> 6
-	if len(ck.Addrs) != ck.V {
-		return fmt.Errorf("sim: checkpoint has %d addresses for V=%d", len(ck.Addrs), ck.V)
+// consistency against the configuration it matched (the codec checks
+// structure; this checks semantics that need the whole value).
+func validateCheckpointState(ck *Checkpoint, cfg *Config) error {
+	v := cfg.V
+	words := (v + 63) >> 6
+	if len(ck.Addrs) != v {
+		return fmt.Errorf("sim: checkpoint has %d addresses for V=%d", len(ck.Addrs), v)
 	}
 	if len(ck.Infected) != words || len(ck.Removed) != words {
 		return fmt.Errorf("sim: checkpoint bitset words %d/%d, want %d",
 			len(ck.Infected), len(ck.Removed), words)
 	}
-	if tail := ck.V & 63; tail != 0 && words > 0 {
+	if tail := v & 63; tail != 0 && words > 0 {
 		mask := ^uint64(0) << tail
 		if ck.Infected[words-1]&mask != 0 || ck.Removed[words-1]&mask != 0 {
-			return fmt.Errorf("sim: checkpoint bitset has bits beyond host %d", ck.V-1)
+			return fmt.Errorf("sim: checkpoint bitset has bits beyond host %d", v-1)
 		}
 	}
-	if len(ck.Gen) != ck.V {
-		return fmt.Errorf("sim: checkpoint has %d generation entries for V=%d", len(ck.Gen), ck.V)
+	if len(ck.Gen) != v {
+		return fmt.Errorf("sim: checkpoint has %d generation entries for V=%d", len(ck.Gen), v)
 	}
-	if ck.HasDuty {
-		if len(ck.InfectedAt) != ck.V {
+	if cfg.DutyCycle != nil {
+		if len(ck.InfectedAt) != v {
 			return fmt.Errorf("sim: duty-cycle checkpoint has %d infection instants for V=%d",
-				len(ck.InfectedAt), ck.V)
+				len(ck.InfectedAt), v)
 		}
 	} else if len(ck.InfectedAt) != 0 {
 		return fmt.Errorf("sim: checkpoint has infection instants without a duty cycle")
@@ -459,17 +472,17 @@ func validateCheckpointState(ck *Checkpoint) error {
 	if ck.Now < 0 {
 		return fmt.Errorf("sim: checkpoint clock %v is negative", ck.Now)
 	}
-	if ck.TotalInfected < ck.I0 || ck.TotalInfected > ck.V {
+	if ck.TotalInfected < cfg.I0 || ck.TotalInfected > v {
 		return fmt.Errorf("sim: checkpoint TotalInfected %d outside [I0=%d, V=%d]",
-			ck.TotalInfected, ck.I0, ck.V)
+			ck.TotalInfected, cfg.I0, v)
 	}
 	if ck.TotalRemoved < 0 || ck.TotalRemoved > ck.TotalInfected {
 		return fmt.Errorf("sim: checkpoint TotalRemoved %d outside [0, TotalInfected=%d]",
 			ck.TotalRemoved, ck.TotalInfected)
 	}
-	if ck.Immunized < 0 || ck.TotalInfected+ck.Immunized > ck.V {
+	if ck.Immunized < 0 || ck.TotalInfected+ck.Immunized > v {
 		return fmt.Errorf("sim: checkpoint Immunized %d inconsistent with TotalInfected %d, V %d",
-			ck.Immunized, ck.TotalInfected, ck.V)
+			ck.Immunized, ck.TotalInfected, v)
 	}
 	seen := make(map[int32]bool, len(ck.FreeDeliv))
 	for _, s := range ck.FreeDeliv {
@@ -482,7 +495,7 @@ func validateCheckpointState(ck *Checkpoint) error {
 		seen[s] = true
 	}
 	for i, d := range ck.Deliv {
-		if d.Parent < 0 || int(d.Parent) >= ck.V {
+		if d.Parent < 0 || int(d.Parent) >= v {
 			return fmt.Errorf("sim: checkpoint delivery %d has parent %d outside [0, V)", i, d.Parent)
 		}
 	}
@@ -503,7 +516,7 @@ func validateCheckpointState(ck *Checkpoint) error {
 				return fmt.Errorf("sim: checkpoint delivery event %d references freed slot %d", i, ev.Arg)
 			}
 		default:
-			if ev.Arg < 0 || int(ev.Arg) >= ck.V {
+			if ev.Arg < 0 || int(ev.Arg) >= v {
 				return fmt.Errorf("sim: checkpoint event %d targets host %d outside [0, V)", i, ev.Arg)
 			}
 		}

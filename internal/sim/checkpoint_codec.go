@@ -8,13 +8,13 @@ import (
 
 	"wormcontain/internal/addr"
 	"wormcontain/internal/binio"
-	"wormcontain/internal/des"
 	"wormcontain/internal/topo"
 )
 
-// Checkpoint wire format, version 1: a 4-byte magic, a version word,
-// then every Checkpoint field in fixed order, little-endian, with
-// 32-bit length prefixes on variable-length sections. The layout is
+// Checkpoint wire format, version 2: a 4-byte magic, a version word,
+// the scenario table's checkpointable values in table order, then every
+// other Checkpoint field in fixed order, little-endian, with 32-bit
+// length prefixes on variable-length sections. The layout is
 // canonical — one state, one byte string — so checkpoints can be
 // compared and deduplicated by content, and the decoder enforces the
 // inverse: every accepted input re-encodes to exactly itself (the
@@ -23,7 +23,7 @@ import (
 
 const (
 	checkpointMagic   = "WCKP"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // EncodeCheckpoint serializes ck.
@@ -38,27 +38,10 @@ func appendEncodeCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = append(b, checkpointMagic...)
 	b = binio.AppendU16(b, checkpointVersion)
 
-	// Identity header.
-	b = binio.AppendU64(b, uint64(ck.V))
-	b = binio.AppendU64(b, uint64(ck.I0))
-	b = binio.AppendF64(b, ck.ScanRate)
-	b = binio.AppendU64(b, ck.Seed)
-	b = binio.AppendU64(b, ck.Stream)
-	b = binio.AppendF64(b, ck.PatchRate)
-	b = binio.AppendF64(b, ck.ImmunizeRate)
-	b = binio.AppendBool(b, ck.EdgeScanRate)
-	b = binio.AppendU64(b, ck.TopoFingerprint)
-	b = binio.AppendU32(b, uint32(len(ck.DefenseName)))
-	b = append(b, ck.DefenseName...)
-	b = binio.AppendBool(b, ck.HasCluster)
-	b = binio.AppendU32(b, uint32(ck.ClusterNet))
-	b = append(b, ck.ClusterBits)
-	b = binio.AppendBool(b, ck.HasDuty)
-	b = binio.AppendU64(b, uint64(ck.DutyOn))
-	b = binio.AppendU64(b, uint64(ck.DutyOff))
-	b = binio.AppendBool(b, ck.RecordPaths)
-	b = binio.AppendBool(b, ck.RecordTree)
-	b = append(b, uint8(ck.Kernel))
+	for _, v := range ck.scenario {
+		b = binio.AppendU32(b, uint32(len(v)))
+		b = append(b, v...)
+	}
 
 	// Dynamic state.
 	b = binio.AppendU64(b, uint64(ck.Now))
@@ -157,41 +140,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck := &Checkpoint{}
 
-	// Identity header.
-	vHosts := r.U64("V")
-	if r.Err() == nil && (vHosts < 1 || vHosts > 1<<31-1) {
-		return nil, fmt.Errorf("sim: checkpoint V %d out of range", vHosts)
+	for _, e := range scenario {
+		if e.value != nil {
+			ck.scenario = append(ck.scenario, string(section(r, 1, e.field)))
+		}
 	}
-	ck.V = int(vHosts)
-	i0 := r.U64("I0")
-	if r.Err() == nil && (i0 < 1 || i0 > vHosts) {
-		return nil, fmt.Errorf("sim: checkpoint I0 %d out of [1, V=%d]", i0, vHosts)
-	}
-	ck.I0 = int(i0)
-	ck.ScanRate = r.F64("scan rate")
-	ck.Seed = r.U64("seed")
-	ck.Stream = r.U64("stream")
-	ck.PatchRate = r.F64("patch rate")
-	ck.ImmunizeRate = r.F64("immunize rate")
-	ck.EdgeScanRate = r.Bool("edge-scan-rate")
-	ck.TopoFingerprint = r.U64("topology fingerprint")
-	ck.DefenseName = string(r.Bytes(r.Count(1, "defense name"), "defense name"))
-	ck.HasCluster = r.Bool("cluster flag")
-	ck.ClusterNet = addr.IP(r.U32("cluster net"))
-	ck.ClusterBits = r.U8("cluster bits")
-	if r.Err() == nil && ck.ClusterBits > 32 {
-		return nil, fmt.Errorf("sim: checkpoint cluster bits %d out of [0, 32]", ck.ClusterBits)
-	}
-	ck.HasDuty = r.Bool("duty flag")
-	ck.DutyOn = readDur(r, "duty on")
-	ck.DutyOff = readDur(r, "duty off")
-	ck.RecordPaths = r.Bool("record-paths")
-	ck.RecordTree = r.Bool("record-tree")
-	kernel := r.U8("kernel")
-	if r.Err() == nil && kernel > uint8(des.KernelWheel) {
-		return nil, fmt.Errorf("sim: checkpoint kernel %d unknown", kernel)
-	}
-	ck.Kernel = des.Kind(kernel)
 
 	// Dynamic state.
 	ck.Now = readDur(r, "clock")

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"wormcontain/internal/defense"
 	"wormcontain/internal/des"
 	"wormcontain/internal/rng"
+	"wormcontain/internal/topo"
 )
 
 // memSink is an in-memory CheckpointSink: it copies every payload and
@@ -355,7 +358,7 @@ func TestCheckpointStopRequested(t *testing.T) {
 }
 
 // TestCheckpointRejects pins the fail-fast paths: unsupported
-// configurations, identity mismatches, corrupted state and a sink
+// configurations, scenario mismatches, corrupted state and a sink
 // without an interval.
 func TestCheckpointRejects(t *testing.T) {
 	base := func() Config { return checkpointScenario(t, "enterprise-mlimit", 1) }
@@ -363,40 +366,80 @@ func TestCheckpointRejects(t *testing.T) {
 	var res Result
 	cfgBG := base()
 	cfgBG.Background = &BackgroundConfig{Hosts: 10, ConnRate: 1, NewDestProb: 0.1}
-	if err := RunCheckpointed(cfgBG, nil, &res, CheckpointOptions{}); err == nil {
-		t.Error("background traffic accepted")
+	if err := RunCheckpointed(cfgBG, nil, &res, CheckpointOptions{}); err == nil || !strings.Contains(err.Error(), "Background") {
+		t.Errorf("background traffic: %v, want it refused by name", err)
 	}
 	if err := RunCheckpointed(base(), nil, &res, CheckpointOptions{Sink: &memSink{}}); err == nil {
 		t.Error("sink without interval accepted")
 	}
 
-	// A valid checkpoint against mismatched configurations.
-	sink := &memSink{}
-	if err := RunCheckpointed(base(), nil, &res, CheckpointOptions{
-		Sink: sink, Interval: scenarioInterval("enterprise-mlimit"),
-	}); err != nil {
-		t.Fatal(err)
+	// A valid checkpoint against configurations that each differ from
+	// it in one scenario entry. The graph scenarios cover the entries
+	// that only topology mode can set.
+	firstCut := func(cfg Config) ([]byte, *Checkpoint) {
+		sink := &memSink{}
+		if err := RunCheckpointed(cfg, nil, &res, CheckpointOptions{
+			Sink: sink, Interval: scenarioInterval("enterprise-mlimit"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := DecodeCheckpoint(sink.payloads[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sink.payloads[0], ck
 	}
-	payload := sink.payloads[0]
-	ck, err := DecodeCheckpoint(payload)
-	if err != nil {
-		t.Fatal(err)
+	tree := func(branching int) *topo.Graph {
+		g, err := topo.Tree{N: 2000, Branching: branching}.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(c *Config)
+	onGraph := func() Config {
+		c := base()
+		c.Scanner, c.ClusterPrefix, c.Topology = nil, nil, tree(3)
+		return c
+	}
+	payload, ck := firstCut(base())
+	_, graphCk := firstCut(onGraph())
+	mismatches := []struct {
+		entry   string
+		onGraph bool
+		mutate  func(c *Config)
 	}{
-		{"seed", func(c *Config) { c.Seed++ }},
-		{"V", func(c *Config) { c.V++ }},
-		{"scan rate", func(c *Config) { c.ScanRate *= 2 }},
-		{"defense", func(c *Config) { c.Defense = defense.Null{} }},
-		{"cluster", func(c *Config) { c.ClusterPrefix = nil }},
-		{"record-paths", func(c *Config) { c.RecordPaths = !c.RecordPaths }},
-	} {
-		bad := base()
+		{"V", false, func(c *Config) { c.V++ }},
+		{"I0", false, func(c *Config) { c.I0++ }},
+		{"ScanRate", false, func(c *Config) { c.ScanRate *= 2 }},
+		{"Seed", false, func(c *Config) { c.Seed++ }},
+		{"Stream", false, func(c *Config) { c.Stream++ }},
+		{"PatchRate", false, func(c *Config) { c.PatchRate = 0.01 }},
+		{"ImmunizeRate", false, func(c *Config) { c.ImmunizeRate = 0.001 }},
+		{"EdgeScanRate", true, func(c *Config) { c.EdgeScanRate = true }},
+		{"Topology", true, func(c *Config) { c.Topology = tree(4) }},
+		{"Defense", false, func(c *Config) { c.Defense = defense.Null{} }},
+		{"Scanner", false, func(c *Config) { c.Scanner = addr.Uniform{} }},
+		{"ClusterPrefix", false, func(c *Config) { c.ClusterPrefix = nil }},
+		{"DutyCycle", false, func(c *Config) { c.DutyCycle = &DutyCycleConfig{On: time.Second, Off: time.Second} }},
+		{"RecordPaths", false, func(c *Config) { c.RecordPaths = !c.RecordPaths }},
+		{"RecordTree", false, func(c *Config) { c.RecordTree = !c.RecordTree }},
+	}
+	covered := map[string]bool{}
+	for _, tc := range mismatches {
+		covered[tc.entry] = true
+		bad, from := base(), ck
+		if tc.onGraph {
+			bad, from = onGraph(), graphCk
+		}
 		tc.mutate(&bad)
-		if err := ResumeFromCheckpoint(bad, nil, &res, ck); err == nil {
-			t.Errorf("mismatched %s accepted on resume", tc.name)
+		err := ResumeFromCheckpoint(bad, nil, &res, from)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint "+tc.entry+" ") {
+			t.Errorf("mismatched %s: resume = %v, want it refused by name", tc.entry, err)
+		}
+	}
+	for _, e := range scenario {
+		if e.value != nil && !covered[e.field] {
+			t.Errorf("scenario entry %s has no mismatch case", e.field)
 		}
 	}
 
@@ -452,13 +495,87 @@ func TestCheckpointRejects(t *testing.T) {
 	})
 	// The population is rebuilt beside the rest of the state; when both
 	// are corrupt, the population's error is the one reported.
-	err = corrupt("dup address and overlap", func(c *Checkpoint) {
+	err := corrupt("dup address and overlap", func(c *Checkpoint) {
 		c.Addrs[1] = c.Addrs[0]
 		c.Infected[0] |= 1
 		c.Removed[0] |= 1
 	})
 	if err == nil || !strings.Contains(err.Error(), "duplicate address") {
 		t.Errorf("dup address and overlap: resume = %v, want the duplicate-address error", err)
+	}
+}
+
+// TestResumeRejectsOtherScanner cuts throttle-duty, whose worm scans
+// only its routable /16, at its middle checkpoint and resumes it under a
+// uniform scanner. The scanner sets the density p behind the threshold
+// λ = M·p, so the continuation would be another branching process: the
+// resume must be refused with an error that names the scanner.
+func TestResumeRejectsOtherScanner(t *testing.T) {
+	const name, seed = "throttle-duty", uint64(1)
+	r := kernelRunFor(t, name, seed, des.KernelHeap)
+	ck, err := DecodeCheckpoint(r.payloads[len(r.payloads)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := checkpointScenario(t, name, seed)
+	cfg.Scanner = addr.Uniform{}
+	var res Result
+	if err := ResumeFromCheckpoint(cfg, nil, &res, ck); err == nil || !strings.Contains(err.Error(), "Scanner") {
+		t.Fatalf("resume under a uniform scanner = %v, want the scanner mismatch", err)
+	}
+}
+
+// runControl lists the Config fields that are neither scenario entries
+// nor in its not-checkpointable class, each with the reason a resume may
+// change it.
+var runControl = map[string]string{
+	"Horizon":      "a stop condition: a cut taken under one horizon continues under a longer one",
+	"MaxInfected":  "a stop condition, like Horizon",
+	"maxEvents":    "a runaway guard, not part of the trajectory",
+	"ScanObserver": "observes delivered scans and changes none",
+	"Metrics":      "counts what the run does and draws nothing",
+	"Kernel":       "both kernels fire in (time, seq) order, and a cut resumes on either",
+	"invariants":   "audits the run, consuming no randomness and scheduling no event",
+}
+
+// TestCheckpointClassifiesEveryConfigField requires every Config field
+// to be a scenario entry, in its not-checkpointable class or run
+// control, so a new field cannot be left out of a checkpoint silently.
+func TestCheckpointClassifiesEveryConfigField(t *testing.T) {
+	class := map[string]string{}
+	for _, e := range scenario {
+		class[e.field] = "a scenario entry"
+		if e.value == nil {
+			class[e.field] = "not checkpointable"
+		}
+	}
+	for field := range runControl {
+		if c, ok := class[field]; ok {
+			t.Errorf("%s is both %s and run control", field, c)
+		}
+		class[field] = "run control"
+	}
+	ty := reflect.TypeOf(Config{})
+	for i := 0; i < ty.NumField(); i++ {
+		field := ty.Field(i).Name
+		if _, ok := class[field]; !ok {
+			t.Errorf("Config.%s is unclassified: add it to the scenario table or to runControl with its reason", field)
+		}
+		delete(class, field)
+	}
+	for field, c := range class {
+		t.Errorf("%s is classified as %s but is no Config field", field, c)
+	}
+}
+
+// TestCheckpointDecodeRefusesVersion1 pins that a payload of the
+// previous format, whose scenario lacks the scanner, is refused by its
+// version rather than resumed.
+func TestCheckpointDecodeRefusesVersion1(t *testing.T) {
+	p := EncodeCheckpoint(&Checkpoint{})
+	binary.LittleEndian.PutUint16(p[len(checkpointMagic):], 1)
+	if _, err := DecodeCheckpoint(p); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 payload: %v, want it refused by version", err)
 	}
 }
 

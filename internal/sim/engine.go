@@ -137,6 +137,10 @@ type Config struct {
 	RecordTree bool
 }
 
+// Validate reports whether a run would accept the configuration,
+// changing nothing: a caller checks it before doing anything else.
+func (c Config) Validate() error { return c.validate() }
+
 // validate normalizes and checks the configuration.
 func (c *Config) validate() error {
 	switch {
@@ -144,15 +148,15 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: V = %d, must be >= 1", c.V)
 	case c.I0 < 1 || c.I0 > c.V:
 		return fmt.Errorf("sim: I0 = %d, must be in [1, V]", c.I0)
-	case c.ScanRate <= 0:
+	case !(c.ScanRate > 0): // NaN too
 		return fmt.Errorf("sim: scan rate %v, must be > 0", c.ScanRate)
 	case c.Horizon < 0:
 		return fmt.Errorf("sim: horizon %v, must be >= 0", c.Horizon)
 	case c.MaxInfected < 0:
 		return fmt.Errorf("sim: max infected %v, must be >= 0", c.MaxInfected)
-	case c.PatchRate < 0:
+	case !(c.PatchRate >= 0):
 		return fmt.Errorf("sim: patch rate %v, must be >= 0", c.PatchRate)
-	case c.ImmunizeRate < 0:
+	case !(c.ImmunizeRate >= 0):
 		return fmt.Errorf("sim: immunize rate %v, must be >= 0", c.ImmunizeRate)
 	}
 	if c.DutyCycle != nil {

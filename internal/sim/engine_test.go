@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -42,6 +43,9 @@ func TestRunValidation(t *testing.T) {
 		{V: 10, I0: 0, ScanRate: 1},
 		{V: 10, I0: 11, ScanRate: 1},
 		{V: 10, I0: 1, ScanRate: 0},
+		{V: 10, I0: 1, ScanRate: math.NaN()},
+		{V: 10, I0: 1, ScanRate: 1, PatchRate: math.NaN()},
+		{V: 10, I0: 1, ScanRate: 1, ImmunizeRate: math.NaN()},
 		{V: 10, I0: 1, ScanRate: 1, Horizon: -time.Second},
 		{V: 10, I0: 1, ScanRate: 1, MaxInfected: -1},
 	}
