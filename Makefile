@@ -127,25 +127,27 @@ fleet-soak:
 	done
 
 # Ten seconds of native fuzzing per target, matching the CI fuzz-smoke
-# job.
+# job. Minimizing a new input is capped at 100 runs: unbounded, the
+# engine spends the whole budget shrinking one FuzzCheckpointDecode
+# input of a few hundred KB a byte at a time and executes none.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzPrometheusWriter -fuzztime 10s ./internal/telemetry
-	$(GO) test -run '^$$' -fuzz FuzzReportLine -fuzztime 10s ./internal/gateway
-	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/crashsafe
-	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/durable
-	$(GO) test -run '^$$' -fuzz FuzzAdjacencyParser -fuzztime 10s ./internal/topo
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzLimiterSnapshotDecode -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzPrometheusWriter -fuzztime 10s -fuzzminimizetime 100x ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzReportLine -fuzztime 10s -fuzzminimizetime 100x ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s -fuzzminimizetime 100x ./internal/crashsafe
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s -fuzzminimizetime 100x ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzAdjacencyParser -fuzztime 10s -fuzzminimizetime 100x ./internal/topo
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 100x ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLimiterSnapshotDecode -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
 # Coverage floors, one "package:floor%" pair per row: the deployable
 # network path, the crash-safe storage layer and the durability layer on
 # top of it, the containment policy plus sketch estimator, the graph
-# topology layer, the fleet's routing and alert gossip, and the
-# simulator with its checkpoint codec. The CI coverage job runs this
-# target.
+# topology layer, the fleet's routing and alert gossip, the simulator
+# with its checkpoint codec, and the fault injector with its backoff.
+# The CI coverage job runs this target.
 # Profiles are written into the gitignored coverage/ dir, never the repo
 # root.
-COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:85 core:94 topo:90 fleet:88 sim:92
+COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:85 core:94 topo:90 fleet:88 sim:92 faultnet:94.1
 cover:
 	@mkdir -p coverage
 	@for row in $(COVER_FLOORS); do \

@@ -5,11 +5,14 @@
 //	wormgate probe     — issue one WCP/1 connection through a gateway
 //	wormgate fsck      — verify a durable state directory offline
 //
-// Examples:
+// Examples: a collector whose one HTTP listener takes each gateway's
+// POST /report and serves the fleet view on /stats and /metrics, a
+// gateway reporting to it every 10s, a probe, an offline check.
 //
 //	wormgate collect -listen 127.0.0.1:7700
 //	wormgate serve -listen 127.0.0.1:7800 -m 5000 -cycle 720h \
 //	    -collector 127.0.0.1:7700 -id site-a -state-dir /var/lib/wormgate
+//	curl http://127.0.0.1:7700/stats
 //	wormgate probe -gateway 127.0.0.1:7800 -src 10.0.0.1 -dst 93.184.216.34 -port 80
 //	wormgate fsck -state-dir /var/lib/wormgate
 package main
@@ -71,7 +74,7 @@ func runServe(args []string) error {
 		m           = fs.Int("m", 5000, "scan limit M (distinct destinations per cycle)")
 		cycle       = fs.Duration("cycle", 30*24*time.Hour, "containment cycle duration")
 		checkFrac   = fs.Float64("check-fraction", 0.9, "early-check fraction f (0 disables)")
-		collector   = fs.String("collector", "", "collector address to report to (empty = none)")
+		collector   = fs.String("collector", "", "collector host:port; each report is one POST to its /report (empty = none)")
 		id          = fs.String("id", "gateway", "gateway id in reports")
 		interval    = fs.Duration("report-interval", 10*time.Second, "reporting period")
 		limiterKind = fs.String("limiter", "exact", "containment backend: exact (per-host destination sets) or sketch (fixed-size cardinality estimators)")
@@ -88,11 +91,9 @@ func runServe(args []string) error {
 		peerListen  = fs.String("peer-listen", "", "fleet peer listen address for forwarded observations and alert gossip (required with -peers)")
 		gossipEvery = fs.Duration("gossip-interval", time.Second, "fleet gossip period (alert push and digest anti-entropy)")
 
-		failModeStr   = fs.String("fail-mode", "open", "degradation policy while the collector is unreachable: open (keep relaying) or closed (deny new connections)")
-		dialRetries   = fs.Int("dial-retries", 3, "upstream dial attempts per connection (1 = no retries)")
-		dialBackoff   = fs.Duration("dial-backoff", 50*time.Millisecond, "initial upstream dial backoff (doubles per retry, jittered)")
-		reportRetries = fs.Int("report-retries", 0, "consecutive collector reconnect failures before giving up (0 = never)")
-		reportBackoff = fs.Duration("report-backoff", time.Second, "initial collector reconnect backoff (doubles, capped, jittered)")
+		failModeStr = fs.String("fail-mode", "open", "degradation policy while reports are missed: open (keep relaying) or closed (deny new connections)")
+		dialRetries = fs.Int("dial-retries", 3, "upstream dial attempts per connection (1 = no retries)")
+		dialBackoff = fs.Duration("dial-backoff", 50*time.Millisecond, "initial upstream dial backoff (doubles per retry, jittered)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,16 +121,8 @@ func runServe(args []string) error {
 	if *dialBackoff <= 0 {
 		return fmt.Errorf("-dial-backoff %v: must be > 0", *dialBackoff)
 	}
-	if *collector != "" {
-		if *interval <= 0 {
-			return fmt.Errorf("-report-interval %v: must be > 0 when -collector is set", *interval)
-		}
-		if *reportRetries < 0 {
-			return fmt.Errorf("-report-retries %d: must be >= 0 when -collector is set (0 = never give up)", *reportRetries)
-		}
-		if *reportBackoff <= 0 {
-			return fmt.Errorf("-report-backoff %v: must be > 0 when -collector is set", *reportBackoff)
-		}
+	if *collector != "" && *interval <= 0 {
+		return fmt.Errorf("-report-interval %v: must be > 0 when -collector is set", *interval)
 	}
 	if *stateDir != "" {
 		// Zero or negative intervals used to slip straight into
@@ -324,15 +317,11 @@ func runServe(args []string) error {
 			CollectorAddr: *collector,
 			Interval:      *interval,
 			Source:        gw.Stats,
-			Retry: faultnet.RetryConfig{
-				MaxAttempts: *reportRetries,
-				BaseDelay:   *reportBackoff,
-			},
 			Logf:          log.Printf,
 			OnStateChange: func(connected bool) { gw.SetDegraded(!connected) },
 		}
 		go func() { reporterErr <- reporter.Run() }()
-		fmt.Printf("reporting to %s every %v (fail-%s when unreachable)\n",
+		fmt.Printf("reporting to %s every %v (fail-%s on a missed report)\n",
 			*collector, *interval, failMode)
 	}
 
@@ -371,8 +360,7 @@ func runServe(args []string) error {
 		s.Relayed, s.Denied, s.Flagged, s.Limiter.TotalRemovals)
 	if reporter != nil {
 		rs := reporter.Stats()
-		fmt.Printf("reporter stats: ticks=%d sent=%d missed=%d redials=%d reconnects=%d\n",
-			rs.Ticks, rs.Sent, rs.Missed, rs.Redials, rs.Reconnects)
+		fmt.Printf("reporter stats: ticks=%d sent=%d missed=%d\n", rs.Ticks, rs.Sent, rs.Missed)
 	}
 	return nil
 }
@@ -447,41 +435,38 @@ func registerSketchMetrics(reg *telemetry.Registry, backend core.Backend) {
 		func() float64 { return sk.ExpectedRelativeError() })
 }
 
-// runCollect starts a collector and prints the fleet aggregate
-// periodically until SIGINT/SIGTERM.
+// runCollect starts a collector on one admin listener and prints the
+// fleet aggregate periodically until SIGINT/SIGTERM.
 func runCollect(args []string) error {
 	fs := flag.NewFlagSet("wormgate collect", flag.ContinueOnError)
 	var (
-		listen    = fs.String("listen", "127.0.0.1:7700", "collector listen address")
-		interval  = fs.Duration("print-interval", 10*time.Second, "aggregate print period")
-		adminAddr = fs.String("admin", "", "HTTP admin endpoint address (/healthz, /stats, /metrics); empty = off")
-		pprofOn   = fs.Bool("pprof", false, "mount /debug/pprof/ on the admin endpoint (debug only)")
+		listen   = fs.String("listen", "127.0.0.1:7700", "collector listen address (POST /report, /healthz, /stats, /metrics)")
+		interval = fs.Duration("print-interval", 10*time.Second, "aggregate print period")
+		pprofOn  = fs.Bool("pprof", false, "mount /debug/pprof/ on the collector's listener (debug only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := gateway.NewCollector(*listen)
+	if *interval <= 0 {
+		return fmt.Errorf("-print-interval %v: must be > 0", *interval)
+	}
+	c := gateway.NewCollector()
+	admin, err := gateway.NewAdmin(gateway.AdminConfig{
+		Stats:     func() any { return c.Aggregate() },
+		Registry:  c.Registry(),
+		Pprof:     *pprofOn,
+		Collector: c,
+	}, *listen)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("collector listening on %s\n", c.Addr())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- c.Serve() }()
-
-	var admin *gateway.AdminServer
-	if *adminAddr != "" {
-		admin, err = gateway.NewAdmin(gateway.AdminConfig{
-			Stats:    func() any { return c.Aggregate() },
-			Registry: c.Registry(),
-			Pprof:    *pprofOn,
-		}, *adminAddr)
-		if err != nil {
-			return err
-		}
-		go func() { _ = admin.Serve() }()
-		fmt.Printf("admin endpoint on http://%s\n", admin.Addr())
-		defer admin.Shutdown()
+	routes := "/report, /healthz, /stats, /metrics"
+	if *pprofOn {
+		routes += ", /debug/pprof/"
 	}
+	fmt.Printf("collector listening on %s (%s)\n", admin.Addr(), routes)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- admin.Serve() }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -495,7 +480,7 @@ func runCollect(args []string) error {
 				f.Gateways, f.Relayed, f.Denied, f.Flagged, f.TotalRemovals)
 		case s := <-sig:
 			fmt.Printf("signal %v: shutting down\n", s)
-			c.Shutdown()
+			admin.Shutdown()
 			return nil
 		case err := <-serveErr:
 			return err

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -123,8 +125,6 @@ func TestServeFlagValidation(t *testing.T) {
 		{"negative report interval", []string{"serve", "-collector", "127.0.0.1:7700", "-report-interval", "-1s"}, "-report-interval"},
 		{"zero dial retries", []string{"serve", "-dial-retries", "0"}, "-dial-retries"},
 		{"negative dial backoff", []string{"serve", "-dial-backoff", "-5s"}, "-dial-backoff"},
-		{"negative report retries", []string{"serve", "-collector", "127.0.0.1:7700", "-report-retries", "-3"}, "-report-retries"},
-		{"zero report backoff", []string{"serve", "-collector", "127.0.0.1:7700", "-report-backoff", "0"}, "-report-backoff"},
 		{"zero gossip interval", []string{"serve", "-peer-listen", "127.0.0.1:9001",
 			"-peers", "127.0.0.1:9001,127.0.0.1:9002", "-gossip-interval", "0s"}, "-gossip-interval"},
 	}
@@ -139,4 +139,41 @@ func TestServeFlagValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCollectFlagValidation pins runCollect's up-front flag rejection:
+// a print period that time.NewTicker cannot take fails naming the flag,
+// before the collector prints that it is listening.
+func TestCollectFlagValidation(t *testing.T) {
+	for _, period := range []string{"0", "-1s"} {
+		args := []string{"collect", "-listen", "127.0.0.1:0", "-print-interval", period}
+		var err error
+		printed := captureStdout(t, func() { err = run(args) })
+		if err == nil || !strings.Contains(err.Error(), "-print-interval") {
+			t.Errorf("run(%v) error %v, want it to name -print-interval", args, err)
+		}
+		if printed != "" {
+			t.Errorf("run(%v) printed %q before failing", args, printed)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what f
+// printed there.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

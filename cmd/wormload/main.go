@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -63,8 +64,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	switch {
-	case *rate <= 0:
-		return fmt.Errorf("-rate %v, must be > 0", *rate)
+	case !(*rate > 0 && *rate < math.Inf(1)):
+		return fmt.Errorf("-rate %v, must be finite and > 0", *rate)
 	case *duration <= 0:
 		return fmt.Errorf("-duration %v, must be > 0", *duration)
 	case *concurrency < 1:

@@ -50,6 +50,14 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("args %v: expected error", args)
 		}
 	}
+	// A rate that is not a finite positive number is refused by name,
+	// not run as a one-request campaign.
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-rate", v}, &buf); err == nil || !strings.Contains(err.Error(), "-rate") {
+			t.Errorf("-rate %s: err = %v, want the flag named", v, err)
+		}
+	}
 	// A retry budget below one attempt is refused, not replaced by one.
 	for _, n := range []string{"0", "-3"} {
 		var buf bytes.Buffer

@@ -13,7 +13,8 @@
 //     keeps working.
 //
 //  4. A fleet collector aggregates the gateway's counters — the
-//     operator's view.
+//     operator's view. The gateway's reporter POSTs a snapshot to the
+//     collector's admin endpoint every tick.
 //
 //     go run ./examples/gateway
 package main
@@ -81,16 +82,20 @@ func run() error {
 	defer gw.Shutdown()
 	fmt.Printf("containment gateway on %s (M=30, f=0.8)\n\n", gw.Addr())
 
-	// --- The fleet collector. ---
-	collector, err := gateway.NewCollector("127.0.0.1:0")
+	// --- The fleet collector: POST /report on an admin endpoint. ---
+	collector := gateway.NewCollector()
+	collectorAdmin, err := gateway.NewAdmin(gateway.AdminConfig{
+		Registry:  collector.Registry(),
+		Collector: collector,
+	}, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	go func() { _ = collector.Serve() }()
-	defer collector.Shutdown()
+	go func() { _ = collectorAdmin.Serve() }()
+	defer collectorAdmin.Shutdown()
 	reporter := &gateway.Reporter{
 		GatewayID:     "demo-site",
-		CollectorAddr: collector.Addr(),
+		CollectorAddr: collectorAdmin.Addr(),
 		Interval:      50 * time.Millisecond,
 		Source:        gw.Stats,
 	}

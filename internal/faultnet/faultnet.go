@@ -14,8 +14,9 @@
 // the same operation sequence, so chaos tests replay bit-identically.
 //
 // The companion retry.go provides RetryConfig/Backoff, the capped
-// exponential backoff with deterministic jitter that the gateway,
-// reporter and client use to ride out the injected (and real) faults.
+// exponential backoff with deterministic jitter that the gateway's
+// upstream dial and the client use to ride out the injected (and real)
+// faults.
 package faultnet
 
 import (

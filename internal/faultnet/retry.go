@@ -8,18 +8,12 @@ import (
 
 // RetryConfig parameterizes capped exponential backoff with
 // deterministic jitter. The zero value is usable: it means "one
-// attempt, no retries" for bounded callers like the gateway's dial
-// retry, while loops that own their retry budget (the reporter's
-// reconnect loop) treat MaxAttempts <= 0 as unlimited and apply the
-// delay defaults below.
+// attempt, no retries".
 type RetryConfig struct {
-	// MaxAttempts is the total number of attempts (1 = no retries).
-	// Callers that document it so treat <= 0 as unlimited.
+	// MaxAttempts is the total number of attempts (<= 1 = no retries).
 	MaxAttempts int
 	// BaseDelay is the delay after the first failure (default 100ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (default 30s).
-	MaxDelay time.Duration
 	// jitter spreads each delay by ±jitter·delay·U with U uniform in
 	// [0,1), defeating retry synchronization across a fleet. Zero means
 	// the default 0.2; negative disables jitter entirely, which tests
@@ -30,19 +24,18 @@ type RetryConfig struct {
 	seed uint64
 }
 
-// backoffMultiplier is the delay's growth factor per failure.
-const backoffMultiplier = 2
+const (
+	// backoffMultiplier is the delay's growth factor per failure.
+	backoffMultiplier = 2
+	// maxDelay caps the exponential growth; a BaseDelay above it is
+	// used as is.
+	maxDelay = 30 * time.Second
+)
 
 // withDefaults normalizes zero fields.
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.BaseDelay <= 0 {
 		c.BaseDelay = 100 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 30 * time.Second
-	}
-	if c.MaxDelay < c.BaseDelay {
-		c.MaxDelay = c.BaseDelay
 	}
 	if c.jitter == 0 {
 		c.jitter = 0.2
@@ -53,24 +46,21 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	return c
 }
 
-// Backoff walks one retry episode: Next after each failure, Reset after
-// a success. Not safe for concurrent use; each retry loop owns one.
+// Backoff walks one retry episode: Next after each failure. Not safe
+// for concurrent use; each retry loop owns one.
 type Backoff struct {
-	cfg       RetryConfig
-	unlimited bool
-	attempts  int
-	delay     time.Duration
-	src       *rng.SplitMix64
+	cfg      RetryConfig
+	attempts int
+	delay    time.Duration
+	src      *rng.SplitMix64
 }
 
-// NewBackoff returns a Backoff for the config. Unlimited configs
-// (MaxAttempts <= 0) never report exhaustion.
+// NewBackoff returns a Backoff for the config.
 func (c RetryConfig) NewBackoff() *Backoff {
 	n := c.withDefaults()
 	return &Backoff{
-		cfg:       n,
-		unlimited: c.MaxAttempts <= 0,
-		src:       rng.NewSplitMix64(n.seed ^ 0xba0cf0ff),
+		cfg: n,
+		src: rng.NewSplitMix64(n.seed ^ 0xba0cf0ff),
 	}
 }
 
@@ -79,16 +69,13 @@ func (c RetryConfig) NewBackoff() *Backoff {
 // the caller should give up and surface the last error.
 func (b *Backoff) Next() (delay time.Duration, ok bool) {
 	b.attempts++
-	if !b.unlimited && b.attempts >= b.cfg.MaxAttempts {
+	if b.attempts >= b.cfg.MaxAttempts {
 		return 0, false
 	}
 	if b.delay == 0 {
 		b.delay = b.cfg.BaseDelay
-	} else {
-		b.delay = time.Duration(float64(b.delay) * backoffMultiplier)
-	}
-	if b.delay > b.cfg.MaxDelay {
-		b.delay = b.cfg.MaxDelay
+	} else if b.delay < maxDelay {
+		b.delay = min(b.delay*backoffMultiplier, maxDelay)
 	}
 	delay = b.delay
 	if b.cfg.jitter > 0 {
@@ -100,12 +87,4 @@ func (b *Backoff) Next() (delay time.Duration, ok bool) {
 		delay = 0
 	}
 	return delay, true
-}
-
-// Reset starts a fresh episode after a success: the attempt budget and
-// the delay curve start over (the jitter stream continues, keeping the
-// whole sequence deterministic).
-func (b *Backoff) Reset() {
-	b.attempts = 0
-	b.delay = 0
 }

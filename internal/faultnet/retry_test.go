@@ -6,7 +6,7 @@ import (
 )
 
 func TestBackoffDeterministicSequence(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, seed: 99}
+	cfg := RetryConfig{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, seed: 99}
 	seq := func() []time.Duration {
 		b := cfg.NewBackoff()
 		var out []time.Duration
@@ -30,36 +30,39 @@ func TestBackoffDeterministicSequence(t *testing.T) {
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 50 * time.Millisecond, jitter: -1} // no jitter: exact curve
+	cfg := RetryConfig{MaxAttempts: 10, BaseDelay: 5 * time.Second, jitter: -1} // no jitter: exact curve
 	b := cfg.NewBackoff()
-	want := []time.Duration{10, 20, 40, 50, 50, 50, 50, 50, 50}
+	want := []time.Duration{5, 10, 20, 30, 30, 30, 30, 30, 30}
 	for i, w := range want {
 		d, ok := b.Next()
 		if !ok {
 			t.Fatalf("exhausted at attempt %d", i)
 		}
-		if d != w*time.Millisecond {
-			t.Errorf("delay %d = %v, want %v", i, d, w*time.Millisecond)
+		if d != w*time.Second {
+			t.Errorf("delay %d = %v, want %v", i, d, w*time.Second)
 		}
 	}
 	if _, ok := b.Next(); ok {
 		t.Error("budget should be exhausted after MaxAttempts")
 	}
+	// The zero config is one attempt: the first failure is final.
+	if _, ok := (RetryConfig{}).NewBackoff().Next(); ok {
+		t.Error("zero RetryConfig allowed a retry")
+	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 0, BaseDelay: 100 * time.Millisecond,
-		MaxDelay: 100 * time.Millisecond, jitter: 0.5, seed: 4}
+	// A base delay at the cap stays there, so every draw jitters it.
+	cfg := RetryConfig{MaxAttempts: 201, BaseDelay: maxDelay, jitter: 0.5, seed: 4}
 	b := cfg.NewBackoff()
 	var lo, hi time.Duration = time.Hour, 0
 	for i := 0; i < 200; i++ {
 		d, ok := b.Next()
 		if !ok {
-			t.Fatal("unlimited backoff reported exhaustion")
+			t.Fatalf("budget exhausted at retry %d of 200", i)
 		}
-		if d < 50*time.Millisecond || d > 150*time.Millisecond {
-			t.Fatalf("jittered delay %v outside ±50%% of 100ms", d)
+		if d < maxDelay/2 || d > maxDelay*3/2 {
+			t.Fatalf("jittered delay %v outside ±50%% of %v", d, maxDelay)
 		}
 		if d < lo {
 			lo = d
@@ -68,26 +71,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 			hi = d
 		}
 	}
-	if hi-lo < 10*time.Millisecond {
+	if hi-lo < maxDelay/10 {
 		t.Errorf("jitter spread only [%v, %v]; expected real dispersion", lo, hi)
-	}
-}
-
-func TestBackoffReset(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, jitter: -1}
-	b := cfg.NewBackoff()
-	if _, ok := b.Next(); !ok {
-		t.Fatal("first retry should be allowed")
-	}
-	if _, ok := b.Next(); !ok {
-		t.Fatal("second retry should be allowed")
-	}
-	b.Reset()
-	if b.attempts != 0 {
-		t.Errorf("attempts after reset = %d", b.attempts)
-	}
-	d, ok := b.Next()
-	if !ok || d != time.Millisecond {
-		t.Errorf("after reset: delay %v ok %v, want fresh base delay", d, ok)
 	}
 }

@@ -29,36 +29,29 @@ type AdminConfig struct {
 	// profiling handlers can observe and perturb the process, so they
 	// are off by default and should stay firewalled when enabled.
 	Pprof bool
+	// Collector, when non-nil, accepts gateway reports on POST /report,
+	// making this endpoint a fleet collector's one listener.
+	Collector *Collector
 }
 
 // AdminServer exposes a gateway's or collector's operational state over
 // HTTP for dashboards and scrapers:
 //
-//	GET /healthz      — liveness probe ("ok")
-//	GET /readyz       — readiness probe (503 while degraded; with AdminConfig.Ready)
-//	GET /stats        — the configured snapshot as JSON
-//	GET /metrics      — Prometheus text exposition (v0.0.4)
-//	GET /debug/pprof/ — runtime profiles (only with AdminConfig.Pprof)
+//	GET  /healthz      — liveness probe ("ok")
+//	GET  /readyz       — readiness probe (503 while degraded; with AdminConfig.Ready)
+//	GET  /stats        — the configured snapshot as JSON
+//	GET  /metrics      — Prometheus text exposition (v0.0.4)
+//	POST /report       — one gateway report (only with AdminConfig.Collector)
+//	GET  /debug/pprof/ — runtime profiles (only with AdminConfig.Pprof)
 //
-// It is a separate listener from the WCP/1 data path, so operators can
-// firewall the two independently.
+// Any other method on a route is answered 405. It is a separate
+// listener from the WCP/1 data path, so operators can firewall the two
+// independently.
 type AdminServer struct {
 	cfg    AdminConfig
 	server *http.Server
 	ln     net.Listener
 	done   chan struct{}
-}
-
-// getOnly wraps a handler so any method other than GET is rejected with
-// 405 — the one guard every read-only admin route shares.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
-	}
 }
 
 // NewAdmin builds an admin endpoint from cfg, listening on listenAddr.
@@ -77,15 +70,18 @@ func NewAdmin(cfg AdminConfig, listenAddr string) (*AdminServer, error) {
 		done: make(chan struct{}),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", getOnly(a.handleHealth))
+	mux.HandleFunc("GET /healthz", a.handleHealth)
 	if cfg.Ready != nil {
-		mux.HandleFunc("/readyz", getOnly(a.handleReady))
+		mux.HandleFunc("GET /readyz", a.handleReady)
 	}
 	if cfg.Stats != nil {
-		mux.HandleFunc("/stats", getOnly(a.handleStats))
+		mux.HandleFunc("GET /stats", a.handleStats)
 	}
 	if cfg.Registry != nil {
-		mux.HandleFunc("/metrics", getOnly(cfg.Registry.Handler().ServeHTTP))
+		mux.Handle("GET /metrics", cfg.Registry.Handler())
+	}
+	if cfg.Collector != nil {
+		mux.HandleFunc("POST /report", cfg.Collector.handleReport)
 	}
 	if cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,9 +184,10 @@ func TestChaosDeterministicDialSchedule(t *testing.T) {
 }
 
 // TestChaosFailClosedDegradation drives the degradation policy end to
-// end: a fail-closed gateway that loses its reporter link must deny new
-// connections with the degraded verdict (without charging the limiter),
-// flip /readyz to 503, and recover the moment the link returns.
+// end: a fail-closed gateway whose reporter misses a tick — here the
+// collector answers 503 — must deny new connections with the degraded
+// verdict (without charging the limiter), flip /readyz to 503, and
+// recover on the next tick the collector acknowledges.
 func TestChaosFailClosedDegradation(t *testing.T) {
 	leakCheck(t)
 
@@ -207,6 +210,25 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 	go func() { _ = gw.Serve() }()
 	t.Cleanup(gw.Shutdown)
 
+	// The collector acknowledges while status holds 204.
+	var status atomic.Int32
+	status.Store(http.StatusNoContent)
+	collector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(int(status.Load()))
+	}))
+	t.Cleanup(collector.Close)
+	rep := &Reporter{
+		GatewayID:     "fail-closed-gw",
+		CollectorAddr: collector.Listener.Addr().String(),
+		// Long enough that an acknowledged POST never overruns its
+		// one-interval deadline on a loaded machine.
+		Interval:      100 * time.Millisecond,
+		Source:        gw.Stats,
+		OnStateChange: func(connected bool) { gw.SetDegraded(!connected) },
+	}
+	go func() { _ = rep.Run() }()
+	t.Cleanup(rep.Stop)
+
 	admin, err := NewAdmin(AdminConfig{
 		Stats: func() any { return gw.Stats() },
 		Ready: func() bool { return !gw.Degraded() },
@@ -217,18 +239,18 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 	go func() { _ = admin.Serve() }()
 	t.Cleanup(admin.Shutdown)
 	readyz := func() int {
-		resp, err := http.Get("http://" + admin.Addr() + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		code, _ := httpGet(t, "http://"+admin.Addr()+"/readyz")
+		return code
 	}
 
 	client := Client{GatewayAddr: gw.Addr(), Timeout: 5 * time.Second}
 	src := mustIP(t, "10.5.0.1")
 
-	// Healthy: relays fine, ready.
+	// Healthy: reports are acknowledged, relays fine, ready.
+	waitFor(t, "a sent report", func() bool { return rep.Stats().Sent > 0 })
+	if gw.Degraded() {
+		t.Fatal("degraded while the collector acknowledges reports")
+	}
 	conn, _, err := client.Connect(src, mustIP(t, "198.51.100.10"), 80)
 	if err != nil {
 		t.Fatalf("healthy connect: %v", err)
@@ -238,11 +260,19 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 		t.Errorf("healthy /readyz = %d, want 200", got)
 	}
 
-	// Degraded: what the reporter's OnStateChange(false) triggers.
-	gw.SetDegraded(true)
-	_, _, err = client.Connect(src, mustIP(t, "198.51.100.11"), 80)
+	// Degraded: the collector answers, but not with a 2xx, so the tick
+	// is missed.
+	status.Store(http.StatusServiceUnavailable)
+	waitFor(t, "degradation on a missed tick", gw.Degraded)
+	if rep.Stats().Missed == 0 {
+		t.Error("degraded without a missed tick")
+	}
+	conn, _, err = client.Connect(src, mustIP(t, "198.51.100.11"), 80)
 	var denied *DeniedError
 	if !errors.As(err, &denied) || denied.Reason != "degraded-fail-closed" {
+		if err == nil {
+			conn.Close() // or gw.Shutdown waits for the relay
+		}
 		t.Fatalf("degraded connect: err = %v, want degraded-fail-closed denial", err)
 	}
 	if got := readyz(); got != http.StatusServiceUnavailable {
@@ -258,8 +288,13 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 			s.Limiter.TotalObserved)
 	}
 
-	// Recovered: OnStateChange(true).
-	gw.SetDegraded(false)
+	// Recovered: the next acknowledged tick lifts the degradation.
+	sent := rep.Stats().Sent
+	status.Store(http.StatusNoContent)
+	waitFor(t, "recovery on a sent tick", func() bool { return !gw.Degraded() })
+	if rep.Stats().Sent == sent {
+		t.Error("recovered without a sent tick")
+	}
 	conn, _, err = client.Connect(src, mustIP(t, "198.51.100.12"), 80)
 	if err != nil {
 		t.Fatalf("recovered connect: %v", err)
@@ -295,8 +330,8 @@ func TestParseFailMode(t *testing.T) {
 // TestChaosCollectorOutage starts a reporter against a dead collector
 // address, lets ticks go missed, then brings the collector up and
 // requires exact accounting — every tick sent or counted missed — and a
-// collector whose latest report after the reconnect carries the
-// gateway's current stats, not a snapshot from the outage.
+// collector whose latest report after the outage carries the gateway's
+// current stats, not a snapshot from the outage.
 func TestChaosCollectorOutage(t *testing.T) {
 	leakCheck(t)
 
@@ -322,9 +357,8 @@ func TestChaosCollectorOutage(t *testing.T) {
 	rep := &Reporter{
 		GatewayID:     "outage-gw",
 		CollectorAddr: collectorAddr,
-		Interval:      2 * time.Millisecond,
+		Interval:      20 * time.Millisecond,
 		Source:        gw.Stats,
-		Retry:         faultnet.RetryConfig{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 		Logf:          t.Logf,
 	}
 	repErr := make(chan error, 1)
@@ -332,21 +366,24 @@ func TestChaosCollectorOutage(t *testing.T) {
 
 	// Outage: every tick is missed, none is sent.
 	waitFor(t, "missed ticks", func() bool { return rep.Stats().Missed >= 5 })
-	if s := rep.Stats(); s.Sent != 0 || s.Reconnects != 0 || s.Redials == 0 {
-		t.Errorf("outage stats %+v: want nothing sent, no connect, some redials", s)
+	if s := rep.Stats(); s.Sent != 0 {
+		t.Errorf("outage stats %+v: want nothing sent", s)
 	}
 
 	// Recovery: the collector appears on the very address the reporter
-	// has been retrying, and the gateway relays once more.
-	c, err := NewCollector(collectorAddr)
+	// has been posting to, and the gateway relays once more.
+	c := NewCollector()
+	admin, err := NewAdmin(AdminConfig{Registry: c.Registry(), Collector: c}, collectorAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = c.Serve() }()
-	t.Cleanup(c.Shutdown)
-	waitFor(t, "a report after reconnect", func() bool { return c.ReportsReceived() > 0 })
+	go func() { _ = admin.Serve() }()
+	t.Cleanup(admin.Shutdown)
+	waitFor(t, "a sent tick after the outage", func() bool { return rep.Stats().Sent > 0 })
 	connect("198.51.100.2")
 	waitFor(t, "the second relay to finish", func() bool { return gw.Stats().Relayed == 2 })
+	sent := rep.Stats().Sent
+	waitFor(t, "a sent tick after the second relay", func() bool { return rep.Stats().Sent > sent })
 
 	rep.Stop()
 	if err := <-repErr; err != nil {
@@ -356,14 +393,11 @@ func TestChaosCollectorOutage(t *testing.T) {
 	if s.Ticks != s.Sent+s.Missed {
 		t.Errorf("accounting broken: ticks %d != sent %d + missed %d", s.Ticks, s.Sent, s.Missed)
 	}
-	if s.Reconnects != 1 {
-		t.Errorf("reconnects = %d, want 1", s.Reconnects)
+	if got := uint64(c.ReportsReceived()); got < s.Sent || got > s.Ticks {
+		t.Errorf("collector received %d reports, want between sent %d and ticks %d", got, s.Sent, s.Ticks)
 	}
-	waitFor(t, "collector to consume every sent report", func() bool {
-		return uint64(c.ReportsReceived()) == s.Sent
-	})
 	if got, want := c.Latest()["outage-gw"].Stats, gw.Stats(); got != want {
-		t.Errorf("latest report after reconnect carries %+v, the gateway's current stats are %+v", got, want)
+		t.Errorf("latest report after the outage carries %+v, the gateway's current stats are %+v", got, want)
 	}
 	t.Logf("reporter stats: %+v", s)
 }
@@ -372,12 +406,12 @@ func TestChaosCollectorOutage(t *testing.T) {
 // reporters, collector — with every reporter's collector link wrapped
 // in a seeded fault injector. The fleet view must still converge and
 // the delivery ledger must balance despite resets and short writes
-// tearing connections mid-report.
+// tearing requests and answers mid-report.
 func TestChaosFleetUnderFaults(t *testing.T) {
 	leakCheck(t)
 	seed := chaosSeed(t)
 
-	collector := newTestCollector(t)
+	collector, collectorAddr := newTestCollector(t)
 	profile := faultnet.Profile{
 		DialFail:    0.2,
 		Reset:       0.15,
@@ -393,14 +427,13 @@ func TestChaosFleetUnderFaults(t *testing.T) {
 		inj := faultnet.New(profile, seed+uint64(g))
 		rep := &Reporter{
 			GatewayID:     fmt.Sprintf("chaos-site-%d", g),
-			CollectorAddr: collector.Addr(),
+			CollectorAddr: collectorAddr,
 			Interval:      5 * time.Millisecond,
 			Source:        gw.Stats,
 			dial: inj.Dial(func(network, address string) (net.Conn, error) {
 				return net.DialTimeout(network, address, 5*time.Second)
 			}),
-			Retry: faultnet.RetryConfig{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-			Logf:  t.Logf,
+			Logf: t.Logf,
 		}
 		go func() { _ = rep.Run() }()
 		reporters = append(reporters, rep)
@@ -433,20 +466,20 @@ func TestChaosFleetUnderFaults(t *testing.T) {
 		return true
 	})
 
-	var sent uint64
+	var sent, ticks uint64
 	for _, rep := range reporters {
 		rep.Stop()
 		s := rep.Stats()
-		if s.Ticks != s.Sent+s.Missed || s.Sent == 0 {
+		if s.Ticks != s.Sent+s.Missed || s.Sent == 0 || s.Missed == 0 {
 			t.Errorf("%s accounting broken: %+v", rep.GatewayID, s)
 		}
 		sent += s.Sent
+		ticks += s.Ticks
 		t.Logf("%s: %+v", rep.GatewayID, s)
 	}
-	// Every report counted Sent was fully written to a healthy stream
-	// (short writes and resets error synchronously and are retried), so
-	// the collector must eventually hold exactly that many.
-	waitFor(t, "collector to consume every sent report", func() bool {
-		return uint64(collector.ReportsReceived()) == sent
-	})
+	// A Sent report was acknowledged, so the collector holds it; a
+	// missed one may still have arrived before its answer was lost.
+	if got := uint64(collector.ReportsReceived()); got < sent || got > ticks {
+		t.Errorf("collector received %d reports, want between sent %d and ticks %d", got, sent, ticks)
+	}
 }

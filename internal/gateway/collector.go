@@ -1,20 +1,22 @@
 package gateway
 
 import (
-	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
-	"wormcontain/internal/faultnet"
 	"wormcontain/internal/telemetry"
 )
 
-// report is one gateway's periodic counter snapshot, serialized as one
-// JSON object per line on the collector connection.
+// report is one gateway's periodic counter snapshot, the JSON body of
+// one POST /report to the collector.
 type report struct {
 	// GatewayID names the reporting enforcement point.
 	GatewayID string `json:"gatewayId"`
@@ -24,39 +26,30 @@ type report struct {
 	Stats GatewayStats `json:"stats"`
 }
 
-// Collector aggregates Reports from a fleet of gateways over TCP: the
+// Collector aggregates Reports from a fleet of gateways: the
 // operator-side view of Section IV's monitoring (which hosts crossed
-// f·M, how many were removed, whether the fleet sees an outbreak).
+// f·M, how many were removed, whether the fleet sees an outbreak). It
+// has no listener of its own: an AdminServer whose AdminConfig names it
+// accepts reports on POST /report.
 type Collector struct {
-	listener net.Listener
-	reg      *telemetry.Registry
+	reg *telemetry.Registry
 
 	mu       sync.Mutex
 	latest   map[string]report
 	latestAt map[string]time.Time // receive time of each latest report
 	total    int
-	closed   bool
 	badLine  int
-	conns    map[net.Conn]struct{} // open reporter connections
-
-	wg sync.WaitGroup
 }
 
-// NewCollector returns a collector listening on listenAddr.
-func NewCollector(listenAddr string) (*Collector, error) {
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: collector listen: %w", err)
-	}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
 	c := &Collector{
-		listener: ln,
 		reg:      telemetry.NewRegistry(),
 		latest:   make(map[string]report),
 		latestAt: make(map[string]time.Time),
-		conns:    make(map[net.Conn]struct{}),
 	}
 	c.registerMetrics()
-	return c, nil
+	return c
 }
 
 // Registry returns the collector's telemetry registry — the source for
@@ -72,7 +65,7 @@ func (c *Collector) registerMetrics() {
 		"Valid gateway reports consumed.",
 		func() float64 { return float64(c.ReportsReceived()) })
 	c.reg.CounterFunc("wormgate_collector_bad_lines_total",
-		"Malformed report lines seen.",
+		"Malformed report bodies seen.",
 		func() float64 { return float64(c.badLines()) })
 	c.reg.GaugeFunc("wormgate_collector_gateways",
 		"Gateways with at least one report.",
@@ -116,70 +109,19 @@ func (c *Collector) staleness() time.Duration {
 	return time.Since(oldest)
 }
 
-// Addr returns the collector's listening address.
-func (c *Collector) Addr() string { return c.listener.Addr().String() }
-
-// Serve accepts reporter connections until Shutdown. It always returns a
-// non-nil error; after Shutdown the error is net.ErrClosed.
-func (c *Collector) Serve() error {
-	for {
-		conn, err := c.listener.Accept()
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.consume(conn)
-		}()
-	}
-}
-
-// Shutdown stops accepting, closes every open reporter connection, and
-// waits for readers to drain. Closing the connections is what makes
-// Shutdown terminate: a consume goroutine otherwise blocks in Scan
-// until its reporter hangs up, which a reconnecting reporter never does.
-func (c *Collector) Shutdown() {
-	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	conns := make([]net.Conn, 0, len(c.conns))
-	for conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.mu.Unlock()
-	if !already {
-		if err := c.listener.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			_ = err
-		}
-		for _, conn := range conns {
-			conn.Close()
-		}
-	}
-	c.wg.Wait()
-}
-
-// Wire-format bounds for one report line. The scanner already caps the
-// physical line; parseReportLine additionally rejects oversized lines
-// and absurd gateway ids so a malicious or corrupted reporter cannot
-// make the collector hold unbounded state per gateway.
+// Wire-format bounds for one report. The handler already caps the body
+// read; parseReportLine additionally rejects oversized bodies and
+// absurd gateway ids so a malicious or corrupted reporter cannot make
+// the collector hold unbounded state per gateway.
 const (
 	maxReportLine = 256 * 1024
 	maxGatewayID  = 128
 )
 
-// parseReportLine decodes one newline-delimited JSON report. It is the
-// collector's entire wire-format parser, split out so the fuzz target
-// can hammer it: it must never panic and never accept a report whose
-// retained state (the gateway id key) exceeds the wire bounds.
+// parseReportLine decodes one JSON report. It is the collector's
+// entire wire-format parser, split out so the fuzz target can hammer
+// it: it must never panic and never accept a report whose retained
+// state (the gateway id key) exceeds the wire bounds.
 func parseReportLine(line []byte) (report, error) {
 	if len(line) > maxReportLine {
 		return report{}, fmt.Errorf("gateway: report line %d bytes exceeds %d", len(line), maxReportLine)
@@ -197,30 +139,29 @@ func parseReportLine(line []byte) (report, error) {
 	return r, nil
 }
 
-// consume reads newline-delimited JSON reports from one connection.
-func (c *Collector) consume(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 16*1024), maxReportLine)
-	for sc.Scan() {
-		r, err := parseReportLine(sc.Bytes())
-		if err != nil {
-			c.mu.Lock()
-			c.badLine++
-			c.mu.Unlock()
-			continue
-		}
-		c.mu.Lock()
+// handleReport implements POST /report: one report per request,
+// answered 204 once it is the gateway's latest and 400 if it is
+// malformed or longer than maxReportLine.
+func (c *Collector) handleReport(w http.ResponseWriter, req *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxReportLine))
+	var r report
+	if err == nil {
+		r, err = parseReportLine(body)
+	}
+	c.mu.Lock()
+	if err != nil {
+		c.badLine++
+	} else {
 		c.latest[r.GatewayID] = r
 		c.latestAt[r.GatewayID] = time.Now()
 		c.total++
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // ReportsReceived returns the number of valid reports consumed so far.
@@ -230,7 +171,7 @@ func (c *Collector) ReportsReceived() int {
 	return c.total
 }
 
-// badLines returns the number of malformed report lines seen.
+// badLines returns the number of malformed report bodies seen.
 func (c *Collector) badLines() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -275,48 +216,40 @@ func (c *Collector) Aggregate() FleetStats {
 type ReporterStats struct {
 	// Ticks counts snapshots taken: one per tick and one at Stop.
 	Ticks uint64 `json:"ticks"`
-	// Sent counts snapshots delivered to the collector.
+	// Sent counts snapshots the collector acknowledged with a 2xx.
 	Sent uint64 `json:"sent"`
-	// Missed counts snapshots that could not be delivered.
+	// Missed counts snapshots that were not acknowledged: the POST
+	// failed, timed out or drew another status.
 	Missed uint64 `json:"missed"`
-	// Redials counts failed (re)connect attempts.
-	Redials uint64 `json:"redials"`
-	// Reconnects counts successful connects, including the first.
-	Reconnects uint64 `json:"reconnects"`
 }
 
 // Reporter periodically pushes a gateway's stats to a collector and
-// survives collector outages: each tick sends the current snapshot, a
-// tick that finds the collector unreachable is counted as missed, and
-// reconnects are paced by capped exponential backoff. Start it with Run
-// (usually in a goroutine) and stop it with Stop; Stop waits for the
-// loop to exit.
+// survives collector outages: each tick POSTs the current snapshot to
+// the collector's /report with a deadline of one Interval, and a tick
+// the collector does not acknowledge is counted as missed. Start it
+// with Run (usually in a goroutine) and stop it with Stop; Stop waits
+// for the loop to exit.
 type Reporter struct {
 	// GatewayID names this gateway in reports.
 	GatewayID string
-	// CollectorAddr is the collector's TCP address.
+	// CollectorAddr is the host:port of the collector's admin endpoint.
 	CollectorAddr string
-	// Interval is the reporting period (default 1s).
+	// Interval is the reporting period and each report's deadline
+	// (default 1s).
 	Interval time.Duration
 	// Source supplies the stats snapshot, typically Gateway.Stats.
 	Source func() GatewayStats
-	// Retry paces reconnect attempts. MaxAttempts bounds *consecutive*
-	// failed dials before Run gives up and returns the last error;
-	// <= 0 (the default) retries forever, which is the right posture for
-	// a production gateway — the fleet report path must outlast the
-	// outage it is reporting on.
-	Retry faultnet.RetryConfig
-	// Logf, when non-nil, receives operational log lines (failed dials
-	// and sends, reconnects). Nil means silent.
+	// Logf, when non-nil, receives operational log lines (missed
+	// reports, recoveries). Nil means silent.
 	Logf func(format string, args ...any)
-	// OnStateChange, when non-nil, is called with false when the
-	// collector becomes unreachable and true when the connection is
-	// (re)established — the hook the gateway's fail-open/fail-closed
-	// degradation policy attaches to. Called from the reporter
-	// goroutine.
+	// OnStateChange, when non-nil, is called with false on a missed
+	// tick that follows a sent one (or is the first) and with true on a
+	// sent tick that follows a missed one — the hook the gateway's
+	// fail-open/fail-closed degradation policy attaches to. Called from
+	// the reporter goroutine.
 	OnStateChange func(connected bool)
-	// dial opens the collector connection; nil means net.DialTimeout
-	// with dialTimeout. The chaos tests set it to inject faults.
+	// dial opens collector connections; nil means a net.Dialer bounded
+	// by the report's deadline. The chaos tests set it to inject faults.
 	dial func(network, address string) (net.Conn, error)
 
 	mu    sync.Mutex
@@ -342,11 +275,9 @@ func (r *Reporter) logf(format string, args ...any) {
 	}
 }
 
-// Run reports until Stop, reconnecting through outages. It returns nil
-// after Stop, or the last dial error once Retry.MaxAttempts consecutive
-// reconnect attempts have failed (never with the default unlimited
-// budget). It sends one snapshot at once, one per Interval and a last
-// one at Stop.
+// Run reports until Stop and returns nil then; it returns an error only
+// for a Reporter missing GatewayID, CollectorAddr or Source. It sends
+// one snapshot at once, one per Interval and a last one at Stop.
 func (r *Reporter) Run() error {
 	if r.GatewayID == "" || r.CollectorAddr == "" || r.Source == nil {
 		return errors.New("gateway: reporter needs GatewayID, CollectorAddr and Source")
@@ -354,100 +285,38 @@ func (r *Reporter) Run() error {
 	if r.Interval <= 0 {
 		r.Interval = time.Second
 	}
-	dial := r.dial
-	if dial == nil {
-		dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, dialTimeout)
-		}
-	}
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
 	defer close(r.done)
 
-	var (
-		conn       net.Conn
-		enc        *json.Encoder
-		backoff    = r.Retry.NewBackoff()
-		nextDialAt time.Time
-		connected  bool
-		fatal      error
-	)
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	setConnected := func(v bool) {
-		if v == connected {
-			return
-		}
-		connected = v
-		if r.OnStateChange != nil {
-			r.OnStateChange(v)
-		}
+	var dialer net.Dialer
+	client := &http.Client{
+		Timeout: r.Interval,
+		Transport: &http.Transport{
+			// Proxy is nil: the report goes straight to the collector.
+			DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
+				if r.dial != nil {
+					return r.dial(network, address)
+				}
+				return dialer.DialContext(ctx, network, address)
+			},
+		},
 	}
+	defer client.CloseIdleConnections()
+	url := "http://" + r.CollectorAddr + "/report"
 
-	// ensureConn dials when disconnected and past the backoff deadline.
-	// It returns whether a connection is available now; a permanently
-	// exhausted retry budget sets fatal.
-	ensureConn := func() bool {
-		if conn != nil {
-			return true
-		}
-		now := time.Now()
-		if now.Before(nextDialAt) {
-			return false
-		}
-		c, err := dial("tcp", r.CollectorAddr)
-		if err != nil {
-			r.mu.Lock()
-			r.stats.Redials++
-			r.mu.Unlock()
-			setConnected(false)
-			delay, ok := backoff.Next()
-			if !ok {
-				fatal = fmt.Errorf("gateway: reporter dial: %w", err)
-				return false
-			}
-			nextDialAt = now.Add(delay)
-			r.logf("gateway reporter %s: dial %s: %v (retry in %v, %d report(s) missed)",
-				r.GatewayID, r.CollectorAddr, err, delay.Round(time.Millisecond), r.Stats().Missed)
-			return false
-		}
-		conn = c
-		enc = json.NewEncoder(conn)
-		backoff.Reset()
-		nextDialAt = time.Time{}
-		r.mu.Lock()
-		r.stats.Reconnects++
-		n := r.stats.Reconnects
-		r.mu.Unlock()
-		setConnected(true)
-		if n > 1 {
-			r.logf("gateway reporter %s: reconnected to %s", r.GatewayID, r.CollectorAddr)
-		}
-		return true
-	}
-
-	// tick sends the current snapshot. A failed send drops the
-	// connection; the next tick redials and sends a newer snapshot.
+	// The gateway starts undegraded, as if the collector were reachable.
+	connected := true
 	tick := func() {
-		rep := report{
+		body, err := json.Marshal(report{
 			GatewayID:        r.GatewayID,
 			SentAtUnixMillis: time.Now().UnixMilli(),
 			Stats:            r.Source(),
+		})
+		if err == nil {
+			err = post(client, url, body)
 		}
-		sent := false
-		if ensureConn() {
-			if err := enc.Encode(rep); err != nil {
-				conn.Close()
-				conn, enc = nil, nil
-				setConnected(false)
-				r.logf("gateway reporter %s: send: %v", r.GatewayID, err)
-			} else {
-				sent = true
-			}
-		}
+		sent := err == nil
 		r.mu.Lock()
 		r.stats.Ticks++
 		if sent {
@@ -455,7 +324,22 @@ func (r *Reporter) Run() error {
 		} else {
 			r.stats.Missed++
 		}
+		missed := r.stats.Missed
 		r.mu.Unlock()
+		if !sent {
+			r.logf("gateway reporter %s: report to %s: %v (%d report(s) missed)",
+				r.GatewayID, r.CollectorAddr, err, missed)
+		}
+		if sent == connected {
+			return
+		}
+		connected = sent
+		if sent {
+			r.logf("gateway reporter %s: collector %s reachable again", r.GatewayID, r.CollectorAddr)
+		}
+		if r.OnStateChange != nil {
+			r.OnStateChange(sent)
+		}
 	}
 
 	// Immediate first report so collectors see new gateways promptly.
@@ -463,9 +347,6 @@ func (r *Reporter) Run() error {
 	ticker := time.NewTicker(r.Interval)
 	defer ticker.Stop()
 	for {
-		if fatal != nil {
-			return fatal
-		}
 		select {
 		case <-ticker.C:
 			tick()
@@ -476,6 +357,21 @@ func (r *Reporter) Run() error {
 			return nil
 		}
 	}
+}
+
+// post delivers one report body and succeeds only on a 2xx answer.
+func post(client *http.Client, url string, body []byte) error {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	// Drain the short answer so the connection is reused next tick.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("collector answered %s", resp.Status)
+	}
+	return nil
 }
 
 // Stop signals Run to exit and waits for it. Safe to call once Run has

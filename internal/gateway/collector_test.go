@@ -1,25 +1,55 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"wormcontain/internal/addr"
-	"wormcontain/internal/faultnet"
 )
 
-func newTestCollector(t *testing.T) *Collector {
+// newTestCollector serves a fresh collector on a loopback admin
+// endpoint and returns it with that endpoint's address.
+func newTestCollector(t *testing.T) (*Collector, string) {
 	t.Helper()
-	c, err := NewCollector("127.0.0.1:0")
+	c := NewCollector()
+	a, err := NewAdmin(AdminConfig{
+		Stats:     func() any { return c.Aggregate() },
+		Registry:  c.Registry(),
+		Collector: c,
+	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = c.Serve() }()
-	t.Cleanup(c.Shutdown)
-	return c
+	go func() { _ = a.Serve() }()
+	t.Cleanup(a.Shutdown)
+	return c, a.Addr()
+}
+
+// postReport POSTs body to the collector at addr and returns the status.
+func postReport(t *testing.T, addr string, body []byte) int {
+	t.Helper()
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post("http://"+addr+"/report", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// mustJSON encodes a report body.
+func mustJSON(t *testing.T, r report) []byte {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // waitFor polls cond until it is true or the deadline expires.
@@ -36,23 +66,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestCollectorReceivesReports(t *testing.T) {
-	c := newTestCollector(t)
-	conn, err := net.DialTimeout("tcp", c.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
+	c, addr := newTestCollector(t)
 	for i := 0; i < 3; i++ {
-		if err := enc.Encode(report{
+		body := mustJSON(t, report{
 			GatewayID:        "gw-1",
 			SentAtUnixMillis: int64(i),
 			Stats:            GatewayStats{Relayed: uint64(i + 1)},
-		}); err != nil {
-			t.Fatal(err)
+		})
+		if code := postReport(t, addr, body); code != http.StatusNoContent {
+			t.Fatalf("report %d: status %d, want 204", i, code)
 		}
 	}
-	waitFor(t, "3 reports", func() bool { return c.ReportsReceived() == 3 })
+	// A 204 means the report is already the gateway's latest.
+	if got := c.ReportsReceived(); got != 3 {
+		t.Errorf("ReportsReceived = %d, want 3", got)
+	}
 	latest := c.Latest()
 	if len(latest) != 1 || latest["gw-1"].Stats.Relayed != 3 {
 		t.Errorf("latest = %+v", latest)
@@ -60,13 +88,9 @@ func TestCollectorReceivesReports(t *testing.T) {
 }
 
 func TestCollectorAggregatesFleet(t *testing.T) {
-	c := newTestCollector(t)
+	c, addr := newTestCollector(t)
 	for g := 0; g < 4; g++ {
-		conn, err := net.DialTimeout("tcp", c.Addr(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewEncoder(conn).Encode(report{
+		body := mustJSON(t, report{
 			GatewayID: fmt.Sprintf("gw-%d", g),
 			Stats: GatewayStats{
 				Relayed: 10,
@@ -74,12 +98,10 @@ func TestCollectorAggregatesFleet(t *testing.T) {
 				Flagged: 1,
 			},
 		})
-		conn.Close()
-		if err != nil {
-			t.Fatal(err)
+		if code := postReport(t, addr, body); code != http.StatusNoContent {
+			t.Fatalf("gateway %d: status %d, want 204", g, code)
 		}
 	}
-	waitFor(t, "4 gateways", func() bool { return len(c.Latest()) == 4 })
 	f := c.Aggregate()
 	if f.Gateways != 4 || f.Relayed != 40 || f.Denied != 8 || f.Flagged != 4 {
 		t.Errorf("aggregate = %+v", f)
@@ -87,59 +109,65 @@ func TestCollectorAggregatesFleet(t *testing.T) {
 }
 
 func TestCollectorRejectsGarbage(t *testing.T) {
-	c := newTestCollector(t)
-	conn, err := net.DialTimeout("tcp", c.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	c, addr := newTestCollector(t)
+	oversized := mustJSON(t, report{GatewayID: strings.Repeat("x", maxReportLine)})
+	for _, body := range [][]byte{
+		[]byte("this is not json"),
+		[]byte(`{"stats":{}}`), // valid JSON, missing gateway id
+		oversized,              // cut at maxReportLine by the body limit
+	} {
+		if code := postReport(t, addr, body); code != http.StatusBadRequest {
+			t.Errorf("POST %.20q...: status %d, want 400", body, code)
+		}
 	}
-	fmt.Fprintf(conn, "this is not json\n")
-	fmt.Fprintf(conn, "{\"stats\":{}}\n") // valid JSON, missing gateway id
-	if err := json.NewEncoder(conn).Encode(report{GatewayID: "ok"}); err != nil {
-		t.Fatal(err)
+	if code := postReport(t, addr, mustJSON(t, report{GatewayID: "ok"})); code != http.StatusNoContent {
+		t.Errorf("valid report: status %d, want 204", code)
 	}
-	conn.Close()
-	waitFor(t, "1 good + 2 bad lines", func() bool {
-		return c.ReportsReceived() == 1 && c.badLines() == 2
-	})
+	if c.ReportsReceived() != 1 || c.badLines() != 3 {
+		t.Errorf("received %d, bad %d; want 1 good and 3 bad", c.ReportsReceived(), c.badLines())
+	}
+	if code, _ := httpGet(t, "http://"+addr+"/report"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /report = %d, want 405", code)
+	}
 }
 
 // Shutdown must terminate even while a reporter holds an open
-// connection: consume blocks in Scan until its peer hangs up, and a
-// reconnecting reporter never hangs up, so Shutdown has to close the
-// accepted connections itself.
+// keep-alive connection to the collector's listener, and that
+// connection must not outlive the reporter and the listener.
 func TestCollectorShutdownClosesOpenConns(t *testing.T) {
 	leakCheck(t)
-	c, err := NewCollector("127.0.0.1:0")
+	c := NewCollector()
+	a, err := NewAdmin(AdminConfig{Registry: c.Registry(), Collector: c}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = c.Serve() }()
-	conn, err := net.Dial("tcp", c.Addr())
-	if err != nil {
-		t.Fatal(err)
+	go func() { _ = a.Serve() }()
+	rep := &Reporter{
+		GatewayID:     "held",
+		CollectorAddr: a.Addr(),
+		Interval:      time.Hour, // one report, then an idle connection
+		Source:        func() GatewayStats { return GatewayStats{} },
 	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(report{GatewayID: "held"}); err != nil {
-		t.Fatal(err)
-	}
+	go func() { _ = rep.Run() }()
 	waitFor(t, "report consumed", func() bool { return c.ReportsReceived() == 1 })
 
 	done := make(chan struct{})
-	go func() { c.Shutdown(); close(done) }()
+	go func() { a.Shutdown(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown did not return with an open reporter connection")
+		t.Fatal("Shutdown did not return with a reporter connected")
 	}
+	rep.Stop()
 }
 
 func TestReporterPushesPeriodically(t *testing.T) {
 	leakCheck(t)
-	c := newTestCollector(t)
+	c, collectorAddr := newTestCollector(t)
 	var calls int
 	r := &Reporter{
 		GatewayID:     "gw-r",
-		CollectorAddr: c.Addr(),
+		CollectorAddr: collectorAddr,
 		Interval:      10 * time.Millisecond,
 		Source: func() GatewayStats {
 			calls++
@@ -163,20 +191,29 @@ func TestReporterValidation(t *testing.T) {
 	if err := (&Reporter{}).Run(); err == nil {
 		t.Error("expected error for missing fields")
 	}
-	// With a bounded retry budget, exhausting consecutive dial failures
-	// surfaces the last error (the default budget retries forever).
+	// A dead collector never ends Run: every tick is missed, the first
+	// one already reports the collector unreachable, and Stop returns
+	// nil.
+	var states []bool
 	r := &Reporter{
 		GatewayID:     "x",
 		CollectorAddr: "127.0.0.1:1", // nothing listens here
 		Interval:      2 * time.Millisecond,
 		Source:        func() GatewayStats { return GatewayStats{} },
-		Retry:         faultnet.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond},
+		OnStateChange: func(connected bool) { states = append(states, connected) },
 	}
-	if err := r.Run(); err == nil {
-		t.Error("expected dial error after retry budget exhausted")
+	errCh := make(chan error, 1)
+	go func() { errCh <- r.Run() }()
+	waitFor(t, "missed ticks", func() bool { return r.Stats().Missed >= 3 })
+	r.Stop()
+	if err := <-errCh; err != nil {
+		t.Errorf("Run = %v, want nil after Stop", err)
 	}
-	if s := r.Stats(); s.Redials != 2 || s.Sent != 0 {
-		t.Errorf("stats = %+v, want 2 redials, 0 sent", s)
+	if s := r.Stats(); s.Sent != 0 || s.Missed != s.Ticks {
+		t.Errorf("stats = %+v, want every tick missed", s)
+	}
+	if len(states) != 1 || states[0] {
+		t.Errorf("state changes = %v, want [false]", states)
 	}
 }
 
@@ -189,7 +226,7 @@ func TestEndToEndFleet(t *testing.T) {
 	// source tripping one of them, reporters pushing to one collector,
 	// operator reads the fleet aggregate.
 	leakCheck(t)
-	collector := newTestCollector(t)
+	collector, collectorAddr := newTestCollector(t)
 
 	var reporters []*Reporter
 	var gws []*Gateway
@@ -198,7 +235,7 @@ func TestEndToEndFleet(t *testing.T) {
 		gws = append(gws, gw)
 		rep := &Reporter{
 			GatewayID:     fmt.Sprintf("site-%d", g),
-			CollectorAddr: collector.Addr(),
+			CollectorAddr: collectorAddr,
 			Interval:      10 * time.Millisecond,
 			Source:        gw.Stats,
 		}

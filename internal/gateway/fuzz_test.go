@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzReportLine throws arbitrary bytes at the collector's wire-format
-// parser. The parser fronts an unauthenticated TCP port, so the bar is:
-// never panic, never accept a report that violates its own documented
-// bounds (non-empty gateway id, bounded id and line length).
+// parser. The parser fronts an unauthenticated POST /report, so the bar
+// is: never panic, never accept a report that violates its own
+// documented bounds (non-empty gateway id, bounded id and body length).
 func FuzzReportLine(f *testing.F) {
 	f.Add([]byte(`{"gatewayId":"gw-1","sentAtUnixMillis":42,"stats":{"relayed":3}}`))
 	f.Add([]byte(`{"gatewayId":"","stats":{}}`))

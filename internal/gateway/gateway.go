@@ -136,7 +136,7 @@ type Config struct {
 	sleep func(time.Duration)
 }
 
-// dialTimeout bounds upstream and collector connection establishment.
+// dialTimeout bounds upstream connection establishment.
 const dialTimeout = 10 * time.Second
 
 // Gateway is the enforcement point. Create with New, start with Serve,

@@ -38,16 +38,16 @@ func leakCheck(t *testing.T) {
 
 // TestLifecycleNoGoroutineLeak drives the full gateway + reporter +
 // collector lifecycle and verifies every goroutine is reclaimed: the
-// accept loop, per-connection handlers, the reporter loop and the
-// collector's per-connection consumers.
+// accept loop, per-connection handlers, the reporter loop with its HTTP
+// connections, and the collector's admin server.
 func TestLifecycleNoGoroutineLeak(t *testing.T) {
 	leakCheck(t)
 
-	collector := newTestCollector(t)
+	collector, collectorAddr := newTestCollector(t)
 	gw, _ := newTestGateway(t, 100, 0)
 	rep := &Reporter{
 		GatewayID:     "leak-gw",
-		CollectorAddr: collector.Addr(),
+		CollectorAddr: collectorAddr,
 		Interval:      5 * time.Millisecond,
 		Source:        gw.Stats,
 	}

@@ -177,31 +177,17 @@ func TestAdminRequiresSomeSource(t *testing.T) {
 }
 
 // TestCollectorScrapeWhileReporting hammers /metrics scrapes while a
-// reporter keeps pushing gateway snapshots, asserting that reports keep
-// flowing throughout. Run under -race, this is the collector half of
-// the concurrent-telemetry certification.
+// reporter keeps pushing gateway snapshots to the same listener,
+// asserting that reports keep flowing throughout. Run under -race, this
+// is the collector half of the concurrent-telemetry certification.
 func TestCollectorScrapeWhileReporting(t *testing.T) {
 	gw, _ := newTestGateway(t, 10, 0)
-	coll, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = coll.Serve() }()
-	t.Cleanup(coll.Shutdown)
-
-	admin, err := NewAdmin(AdminConfig{
-		Stats:    func() any { return coll.Aggregate() },
-		Registry: coll.Registry(),
-	}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = admin.Serve() }()
-	t.Cleanup(admin.Shutdown)
+	// One listener takes both the reports and the scrapes.
+	coll, collAddr := newTestCollector(t)
 
 	rep := &Reporter{
 		GatewayID:     "gw-under-test",
-		CollectorAddr: coll.Addr(),
+		CollectorAddr: collAddr,
 		Interval:      5 * time.Millisecond,
 		Source:        gw.Stats,
 	}
@@ -222,7 +208,7 @@ func TestCollectorScrapeWhileReporting(t *testing.T) {
 					return
 				default:
 				}
-				code, _ := httpGet(t, "http://"+admin.Addr()+"/metrics")
+				code, _ := httpGet(t, "http://"+collAddr+"/metrics")
 				if code != http.StatusOK {
 					t.Errorf("scrape status %d", code)
 					return
@@ -238,7 +224,7 @@ func TestCollectorScrapeWhileReporting(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	_, body := httpGet(t, "http://"+admin.Addr()+"/metrics")
+	_, body := httpGet(t, "http://"+collAddr+"/metrics")
 	if !strings.Contains(body, "wormgate_collector_gateways 1") {
 		t.Errorf("collector metrics missing gateway count:\n%s", body)
 	}

@@ -765,6 +765,17 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
+	// The same scenario at V = 40: every section present in a payload
+	// of a few KB, which a mutation can reach across in one step.
+	small := cfgs["uncontained-countermeasures"]
+	small.V, small.I0, small.MaxInfected = 40, 4, 40
+	sink = &memSink{}
+	if err := RunCheckpointed(small, nil, &res, CheckpointOptions{
+		Sink: sink, Interval: 30 * time.Second,
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sink.payloads[len(sink.payloads)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeCheckpoint(data)
 		if err != nil {

@@ -774,7 +774,6 @@ var reachAllowed = map[string]string{
 	"internal/faultnet.Injector.TraceString":    "TestChaosDeterministicDialSchedule compares the schedule across replays of the live gateway",
 	"internal/faultnet.Profile.String":          "TestParseProfileRoundTrip checks the live ParseProfile against the text it writes",
 	"internal/faultfs.Profile.ShortWrite":       "TestDirShortWriteRetry tears the writes under the live simstate.Dir.Save retry with it",
-	"internal/faultnet.RetryConfig.MaxDelay":    "TestChaosCollectorOutage and TestChaosFleetUnderFaults cap the live reporter's reconnect backoff with it",
 }
 
 func TestReachable(t *testing.T) {
