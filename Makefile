@@ -147,7 +147,7 @@ fuzz-smoke:
 # The CI coverage job runs this target.
 # Profiles are written into the gitignored coverage/ dir, never the repo
 # root.
-COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:85 core:94 topo:90 fleet:88 sim:92 faultnet:94.1
+COVER_FLOORS ?= gateway:88.8 crashsafe:85 durable:92.7 core:97.9 topo:90 fleet:88 sim:92 faultnet:94.1
 cover:
 	@mkdir -p coverage
 	@for row in $(COVER_FLOORS); do \

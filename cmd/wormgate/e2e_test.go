@@ -393,3 +393,45 @@ func metricFromText(t *testing.T, text, name string) float64 {
 	t.Fatalf("metric %s not in exposition:\n%s", name, text)
 	return 0
 }
+
+// TestE2EReadinessWithCollectorGone serves in each fail mode with a
+// collector address nothing listens on, so every report tick is missed
+// and the gateway degrades. A fail-closed gateway then denies new
+// connections and is not ready, so a load balancer drains it; a
+// fail-open one relays on and stays ready.
+func TestE2EReadinessWithCollectorGone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess e2e test")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := ln.Addr().String()
+	ln.Close()
+	for _, tc := range []struct {
+		mode string
+		want int
+	}{{"open", http.StatusOK}, {"closed", http.StatusServiceUnavailable}} {
+		t.Run(tc.mode, func(t *testing.T) {
+			p := startServe(t, "serve",
+				"-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
+				"-collector", gone, "-report-interval", "20ms", "-fail-mode", tc.mode)
+			deadline := time.Now().Add(10 * time.Second)
+			for metricFromText(t, fetchMetrics(t, p.adminAddr), "wormgate_degraded") != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("not degraded 10 s after start with the collector gone:\n%s", p.output())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			resp, err := http.Get("http://" + p.adminAddr + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("fail-%s gateway without its collector: /readyz %d, want %d", tc.mode, resp.StatusCode, tc.want)
+			}
+		})
+	}
+}

@@ -191,7 +191,7 @@ func runServe(args []string) error {
 			Registry: reg,
 			Ready: func() bool {
 				gw := gwSlot.Load()
-				return recovered.Load() && gw != nil && !gw.Degraded()
+				return recovered.Load() && gw != nil && gw.Ready()
 			},
 			Pprof: *pprofOn,
 		}, *adminAddr)

@@ -107,19 +107,25 @@ func hostSlotsFor(n int) int {
 	return c
 }
 
+// slotShift is a table's shift for a length of slots.
+func slotShift(slots int) uint8 { return uint8(32 - bits.TrailingZeros(uint(slots))) }
+
+// homeSlot is where the probe for a source hash starts, in a table of
+// the shift given: the hash bits below the stripeBits that chose the
+// stripe, on which the hosts of one stripe all agree.
+func homeSlot(hash uint32, shift uint8) uint32 { return hash << stripeBits >> shift }
+
 // resize replaces the slots with empty ones sized for n hosts.
 func (t *slotTable[R]) resize(n int) {
 	t.slots = make([]slot[R], hostSlotsFor(n))
-	t.shift = uint8(32 - bits.TrailingZeros(uint(len(t.slots))))
+	t.shift = slotShift(len(t.slots))
 }
 
 // probe returns src's slot if the table has it, and otherwise the empty
-// slot its probe sequence ends at. The table must not be nil. The home
-// index comes from the hash bits below the stripeBits that chose the
-// stripe: the hosts of one stripe all agree on those.
+// slot its probe sequence ends at. The table must not be nil.
 func (t *slotTable[R]) probe(src uint32) *slot[R] {
 	mask := uint32(len(t.slots) - 1)
-	for i := SourceHash(src) << stripeBits >> t.shift; ; i = (i + 1) & mask {
+	for i := homeSlot(SourceHash(src), t.shift); ; i = (i + 1) & mask {
 		if h := &t.slots[i]; !h.live() || h.src == src {
 			return h
 		}

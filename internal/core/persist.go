@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"wormcontain/internal/binio"
@@ -277,6 +279,11 @@ func (l *limiter[T, P]) CheckpointState(cut func()) ([]byte, error) {
 // section reads what the backend's section holds (the exact one has
 // none) and returns the empty table every stripe starts from. Anything
 // but a canonical payload of a valid state is an error.
+//
+// Two passes. The first reads the payload front to back and makes every
+// check, so an error names the first bad host in the file whatever the
+// striping (checkHosts). The second cannot fail: it puts each stripe's
+// hosts into its table in slot order, stripe-parallel (fill).
 func (l *limiter[T, P]) restore(data []byte, backend SnapshotBackend, section func(*binio.Reader, LimiterConfig) (T, error)) error {
 	h, c, r, err := readSnapshotCommon(data, backend)
 	if err != nil {
@@ -286,46 +293,142 @@ func (l *limiter[T, P]) restore(data []byte, backend SnapshotBackend, section fu
 	if err != nil {
 		return err
 	}
-
-	// Sizing pass on a forked cursor, before anything is allocated by
-	// the header's counts: every claimed host must be present. It counts
-	// the hosts of each stripe, so every stripe's table is made once at
-	// its final size.
-	probe := *r
-	var perStripe [stripeCount]int
-	for i := 0; i < h.Hosts && probe.Err() == nil; i++ {
-		perStripe[stripeIndex(probe.U32("host src"))]++
-		probe.Bytes(hostHeaderLen-4, "host")
-		P(&empty).skipHost(&probe)
-	}
-	if err := probe.Err(); err != nil {
-		return err
-	}
-
 	l.init(c.cfg, c.epoch, empty)
 	l.cycleIndex = c.cycleIndex
-	for i, n := range perStripe {
-		if n > 0 {
-			P(&l.stripes[i].hosts).presize(n)
-		}
+	hosts, err := l.checkHosts(data, r, h.Hosts)
+	if err != nil {
+		return err
+	}
+	t := c.totals
+	if err := readAlerts(r, h.Alerts, t.AlertRemovals, &l.alerts); err != nil {
+		return err
 	}
 	// The snapshot sums the counters over the stripes, and any split
 	// sums back to it.
-	t := c.totals
 	l.stripes[0].tally = tally{observed: t.TotalObserved, removals: t.TotalRemovals, flags: t.TotalFlags, denied: t.TotalDenied}
+	l.fill(data, hosts)
+	return nil
+}
+
+// A host's note is what checkHost leaves for fillHost in its low bits,
+// with the host's marks in the top two.
+const (
+	noteRemoved = 1 << 63
+	noteFlagged = 1 << 62
+)
+
+// checkedHosts is a checked payload's hosts by stripe: stripe s's are
+// entries start[s] to start[s+1] of keys and notes, in file order. A
+// key is SourceHash(src)<<32 | the host's index within its stripe.
+type checkedHosts struct {
+	keys, notes []uint64
+	start       [stripeCount + 1]int
+}
+
+// checkHosts is the restore's first pass over n host records at r:
+// sorted distinct sources, strict marks, and the backend's own checks
+// of each record (checkHost), which also builds what lives apart from
+// the host's slot while the bytes are at hand. It allocates by what the
+// bytes hold, not by the header's counts.
+func (l *limiter[T, P]) checkHosts(data []byte, r *binio.Reader, n int) (*checkedHosts, error) {
+	capacity := min(n, r.Len()/(hostHeaderLen+4))
+	keys, notes := make([]uint64, 0, capacity), make([]uint64, 0, capacity)
+	var perStripe [stripeCount]int
 	var prevSrc uint32
-	for i := 0; i < h.Hosts; i++ {
+	for i := 0; i < n; i++ {
 		src := r.U32("host src")
 		if i > 0 && src <= prevSrc {
-			return r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
+			return nil, r.Failf("host %d is not after host %d (duplicate or unsorted)", src, prevSrc)
 		}
 		prevSrc = src
-		removed, flagged := r.Bool("host removed mark"), r.Bool("host flagged mark")
-		if err := P(&l.stripeOf(src).hosts).readHost(r, src, removed, flagged); err != nil {
-			return err
+		var marks uint64
+		if r.Bool("host removed mark") {
+			marks |= noteRemoved
+		}
+		if r.Bool("host flagged mark") {
+			marks |= noteFlagged
+		}
+		h := SourceHash(src)
+		s := h >> (32 - stripeBits)
+		note, err := P(&l.stripes[s].hosts).checkHost(r, src, perStripe[s], len(data)-r.Len())
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, uint64(h)<<32|uint64(perStripe[s]))
+		notes = append(notes, marks|note)
+		perStripe[s]++
+	}
+	// Group them by stripe, each stripe's in file order.
+	c := &checkedHosts{keys: make([]uint64, len(keys)), notes: make([]uint64, len(keys))}
+	for s, k := range perStripe {
+		c.start[s+1] = c.start[s] + k
+	}
+	for i, k := range keys {
+		at := c.start[k>>(64-stripeBits)] + int(uint32(k))
+		c.keys[at], c.notes[at] = k, notes[i]
+	}
+	return c, nil
+}
+
+// restoreSplit is the fewest hosts a restore hands another worker: a
+// goroutine costs about a microsecond, a host's fill a few dozen
+// nanoseconds.
+const restoreSplit = 1 << 12
+
+// fill is the restore's second pass. The stripes are split by
+// contiguous range over up to GOMAXPROCS workers, each of which sizes
+// and fills only its own.
+func (l *limiter[T, P]) fill(data []byte, c *checkedHosts) {
+	workers := min(runtime.GOMAXPROCS(0), 1+len(c.keys)/restoreSplit, stripeCount)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			l.fillStripes(data, c, lo, hi)
+		}(w*stripeCount/workers, (w+1)*stripeCount/workers)
+	}
+	l.fillStripes(data, c, 0, stripeCount/workers)
+	wg.Wait()
+}
+
+// fillStripes fills stripes [lo, hi). Each stripe's hosts go in by
+// their home slot, so the table fills front to back and a probe meets
+// only the hosts just placed — where file order, by source, lands each
+// host on a random slot and misses the cache on almost every one. A
+// counting sort over the slots orders them; hosts that share a home
+// slot keep file order.
+func (l *limiter[T, P]) fillStripes(data []byte, c *checkedHosts, lo, hi int) {
+	var next []int
+	var order []uint64
+	for s := lo; s < hi; s++ {
+		keys, notes := c.keys[c.start[s]:c.start[s+1]], c.notes[c.start[s]:c.start[s+1]]
+		if len(keys) == 0 {
+			continue
+		}
+		t := P(&l.stripes[s].hosts)
+		t.presize(len(keys))
+		slots := hostSlotsFor(len(keys))
+		shift := slotShift(slots)
+		next = append(next[:0], make([]int, slots+1)...)
+		for _, k := range keys {
+			next[homeSlot(uint32(k>>32), shift)+1]++
+		}
+		for i := 1; i < slots; i++ {
+			next[i] += next[i-1]
+		}
+		order = append(order[:0], keys...)
+		for _, k := range keys {
+			home := homeSlot(uint32(k>>32), shift)
+			order[next[home]] = k
+			next[home]++
+		}
+		for _, k := range order {
+			j := int(uint32(k))
+			note := notes[j]
+			t.fillHost(data, j, uint32(k>>32)*sourceHashInverse, note&noteRemoved != 0, note&noteFlagged != 0, note&^(noteRemoved|noteFlagged))
 		}
 	}
-	return readAlerts(r, h.Alerts, t.AlertRemovals, &l.alerts)
 }
 
 // RestoreLimiter rebuilds a limiter from a MarshalState snapshot. The
@@ -405,36 +508,52 @@ func sortDestinations(d []uint32, scratch *[]uint32) {
 	}
 }
 
-func (*hostTable) skipHost(r *binio.Reader) {
-	r.Bytes(4*r.Count(4, "host destinations"), "host destinations")
-}
+// spilledNote marks an exact host's note as a spilled set's index; an
+// inline host's note is where its destination count is in the payload.
+const spilledNote = 1 << 61
 
-// readHost decodes a host's destinations and tracks it; the table is
-// presized, so it does not move.
-func (t *hostTable) readHost(r *binio.Reader, src uint32, removed, flagged bool) error {
+// checkHost reads a host's destinations, at offset off of the payload,
+// and checks them: at most M, ascending strictly. A set too big for the
+// slot's line is built here, while the bytes are at hand.
+func (t *hostTable) checkHost(r *binio.Reader, src uint32, _, off int) (uint64, error) {
 	n := r.Count(4, "host destinations")
 	if n > t.m {
-		return r.Failf("host %d has %d distinct > M=%d", src, n, t.m)
+		return 0, r.Failf("host %d has %d distinct > M=%d", src, n, t.m)
 	}
 	raw := r.Bytes(4*n, "host destinations")
 	if r.Err() != nil {
-		return r.Err()
+		return 0, r.Err()
 	}
+	for j := 4; j < len(raw); j += 4 {
+		if d, prev := binary.LittleEndian.Uint32(raw[j:]), binary.LittleEndian.Uint32(raw[j-4:]); d <= prev {
+			return 0, r.Failf("host %d destination %d is not after %d (duplicate or unsorted)", src, d, prev)
+		}
+	}
+	if n <= inlineDsts {
+		return uint64(off), nil
+	}
+	set := newDstSet(n)
+	for j := 0; j < len(raw); j += 4 {
+		set.add(binary.LittleEndian.Uint32(raw[j:]))
+	}
+	t.spilled = append(t.spilled, set)
+	return spilledNote | uint64(len(t.spilled)), nil
+}
+
+// fillHost tracks a checked host with its marks and destinations; the
+// table is presized, so it does not move.
+func (t *hostTable) fillHost(data []byte, _ int, src uint32, removed, flagged bool, note uint64) {
 	h, _ := t.track(src)
 	t.restoreMarks(&h.slotMarks, removed, flagged)
-	if n > inlineDsts {
-		t.spill(h, n)
+	if note&spilledNote != 0 {
+		h.rec.spill = uint32(note)
+		t.dsts += t.spilled[h.rec.spill-1].n
+		return
 	}
-	var prev uint32
-	for j := 0; j < n; j++ {
-		d := binary.LittleEndian.Uint32(raw[4*j:])
-		if j > 0 && d <= prev {
-			return r.Failf("host %d destination %d is not after %d (duplicate or unsorted)", src, d, prev)
-		}
-		prev = d
-		t.add(h, d)
+	raw := data[note:]
+	for j, n := 0, int(binary.LittleEndian.Uint32(raw)); j < n; j++ {
+		t.add(h, binary.LittleEndian.Uint32(raw[4+4*j:]))
 	}
-	return nil
 }
 
 // RestoreAnyLimiter rebuilds whichever limiter backend produced the

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -443,6 +445,95 @@ func TestRestoreRejectsEveryTruncation(t *testing.T) {
 		}
 		if _, err := RestoreAnyLimiter(data); err != nil {
 			t.Fatalf("%s: full snapshot rejected: %v", name, err)
+		}
+	}
+}
+
+// bigSpec is a valid snapshot of n hosts, sorted by source, with the
+// first n/2 spread over at least two of the fill's workers' stripe
+// ranges: exact hosts of 1 to 15 destinations under M=20 (past 12 they
+// spill), sketch hosts of a few contact bits; every seventh removed and
+// every fifth flagged.
+func bigSpec(backend uint8, n int) snapSpec {
+	s := exactSpec()
+	if backend == 2 {
+		s = sketchSpecValid()
+	}
+	s.hostCount, s.alertCount, s.alerts, s.m = uint32(n), 0, nil, 20
+	s.counters[4] = 0
+	s.hosts = make([]hostSpec, n)
+	for i := range s.hosts {
+		h := hostSpec{src: uint32(1000 + 3*i), removed: uint8(i % 7 / 6), flagged: uint8(i % 5 / 4)}
+		if backend == 2 {
+			h.regs = []uint64{uint64(i % 64), 1 << (i % 64), 0}
+		} else {
+			for d := 0; d <= i%15; d++ {
+				h.dsts = append(h.dsts, uint32(50+7*d+i%3))
+			}
+		}
+		s.hosts[i] = h
+	}
+	return s
+}
+
+// TestRestoreParallelFillMatchesFileOrder restores payloads large
+// enough that the fill splits the stripes over several workers, for
+// both backends. A valid one restores to a state that marshals back to
+// the same bytes. One with bad hosts in two stripes that different
+// workers fill — the later of them in file order in the first worker's
+// range — is refused on every run with the same error, naming the first
+// bad host in the file.
+func TestRestoreParallelFillMatchesFileOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 4 * restoreSplit
+	for _, backend := range []uint8{1, 2} {
+		spec := bigSpec(backend, n)
+		want := spec.encode()
+		for run := 0; run < 3; run++ {
+			l, err := RestoreAnyLimiter(want)
+			if err != nil {
+				t.Fatalf("backend %d: valid payload rejected: %v", backend, err)
+			}
+			if got := mustMarshal(t, l); !bytes.Equal(got, want) {
+				t.Fatalf("backend %d run %d: restore → marshal changed the %d-byte payload", backend, run, len(want))
+			}
+		}
+
+		// first is a host in the last worker's stripes, second a later
+		// one in the first worker's.
+		first, second := -1, -1
+		for i, h := range spec.hosts {
+			if s := stripeIndex(h.src); first < 0 && s >= 3*stripeCount/4 {
+				first = i
+			} else if first >= 0 && s < stripeCount/4 {
+				second = i
+				break
+			}
+		}
+		bad := spec
+		bad.hosts = append([]hostSpec(nil), spec.hosts...)
+		if backend == 2 {
+			bad.hosts[first].regs = []uint64{1<<64 - 1, 1<<64 - 1, 0} // contact bits past the threshold
+			bad.hosts[second].regs = []uint64{0, 0, 1<<64 - 1}        // failure bits past it
+		} else {
+			bad.hosts[first].dsts = []uint32{9, 8}      // unsorted
+			bad.hosts[second].dsts = make([]uint32, 21) // more than M
+		}
+		data := bad.encode()
+		var msg string
+		for run := 0; run < 20; run++ {
+			_, err := RestoreAnyLimiter(data)
+			switch {
+			case err == nil:
+				t.Fatalf("backend %d: payload with bad hosts %d and %d accepted", backend, bad.hosts[first].src, bad.hosts[second].src)
+			case run == 0:
+				msg = err.Error()
+				if !strings.Contains(msg, fmt.Sprintf("host %d ", bad.hosts[first].src)) {
+					t.Fatalf("backend %d: error %q does not name host %d, the first bad one in the file", backend, msg, bad.hosts[first].src)
+				}
+			case err.Error() != msg:
+				t.Fatalf("backend %d run %d: error %q, run 0 said %q", backend, run, err, msg)
+			}
 		}
 	}
 }

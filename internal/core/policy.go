@@ -78,6 +78,11 @@ const (
 // stripes never meet on a lane either.
 func SourceHash(src uint32) uint32 { return src * 0x9e3779b9 }
 
+// sourceHashInverse undoes SourceHash: the multiplier is odd, so it has
+// an inverse modulo 2^32, and h*sourceHashInverse is the source h came
+// from.
+const sourceHashInverse = 0x144cbc89
+
 // tally is what a stripe's decisions have counted across all cycles;
 // Snapshot sums the stripes'.
 type tally struct {
@@ -118,9 +123,9 @@ type table[T any] interface {
 	appendSection(b []byte, st Stats) []byte
 	copyOut(c *hostsCopy)
 	appendHost(b []byte, words []uint32, scratch *[]uint32) []byte
-	skipHost(r *binio.Reader)
+	checkHost(r *binio.Reader, src uint32, j, off int) (note uint64, err error)
 	presize(hosts int)
-	readHost(r *binio.Reader, src uint32, removed, flagged bool) error
+	fillHost(data []byte, j int, src uint32, removed, flagged bool, note uint64)
 }
 
 // stripe is one partition of a limiter: the hosts whose SourceHash

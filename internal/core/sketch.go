@@ -308,10 +308,12 @@ func (t *sketchTable) slot(src uint32) *sketchSlot {
 
 // regs returns the host's register words: contact registers first,
 // failure registers after.
-func (t *sketchTable) regs(h *sketchSlot) []uint64 {
-	slab := t.pool[h.rec.reg/sketchSlabHosts]
-	off := int(h.rec.reg%sketchSlabHosts) * int(t.stride)
-	return slab[off : off+int(t.stride)]
+func (t *sketchTable) regs(h *sketchSlot) []uint64 { return t.block(h.rec.reg) }
+
+// block returns register block j.
+func (t *sketchTable) block(j uint32) []uint64 {
+	off := int(j%sketchSlabHosts) * int(t.stride)
+	return t.pool[j/sketchSlabHosts][off : off+int(t.stride)]
 }
 
 // observe decides one observation: one hash, one bit test and one

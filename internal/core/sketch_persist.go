@@ -87,26 +87,23 @@ func (*sketchTable) appendHost(b []byte, words []uint32, _ *[]uint32) []byte {
 	return b
 }
 
-func (t *sketchTable) skipHost(r *binio.Reader) { r.Bytes(8*int(t.stride), "host registers") }
+// presize makes room in an empty table for hosts hosts. Their register
+// blocks are there already: checkHost made them.
+func (t *sketchTable) presize(hosts int) { t.resize(hosts) }
 
-// presize makes room in an empty table for hosts hosts: slots, and
-// register slabs.
-func (t *sketchTable) presize(hosts int) {
-	t.resize(hosts)
-	for n := 0; n < hosts; n += sketchSlabHosts {
-		t.pool = append(t.pool, make([]uint64, sketchSlabHosts*int(t.stride)))
-	}
-}
-
-// readHost decodes a host's registers and tracks it, recounting its set
-// bits.
-func (t *sketchTable) readHost(r *binio.Reader, src uint32, removed, flagged bool) error {
+// checkHost reads the registers of the stripe's host j and checks that
+// neither sketch holds more set bits than its removal threshold. It
+// copies them into register block j — the stripe's hosts are checked in
+// order, so the blocks grow by one — and notes the two counts.
+func (t *sketchTable) checkHost(r *binio.Reader, src uint32, j, _ int) (uint64, error) {
 	raw := r.Bytes(8*int(t.stride), "host registers")
 	if r.Err() != nil {
-		return r.Err()
+		return 0, r.Err()
 	}
-	h := t.slot(src)
-	regs := t.regs(h)
+	if j%sketchSlabHosts == 0 {
+		t.pool = append(t.pool, make([]uint64, sketchSlabHosts*int(t.stride)))
+	}
+	regs := t.block(uint32(j))
 	var set, fset int
 	for i := range regs {
 		regs[i] = binary.LittleEndian.Uint64(raw[8*i:])
@@ -117,10 +114,17 @@ func (t *sketchTable) readHost(r *binio.Reader, src uint32, removed, flagged boo
 		}
 	}
 	if set > int(t.denyBits) || fset > int(t.failDenyBits) {
-		return r.Failf("host %d has %d/%d set bits past thresholds %d/%d",
+		return 0, r.Failf("host %d has %d/%d set bits past thresholds %d/%d",
 			src, set, fset, t.denyBits, t.failDenyBits)
 	}
-	h.rec.set, h.rec.fset = uint16(set), uint16(fset)
+	return uint64(set) | uint64(fset)<<16, nil
+}
+
+// fillHost tracks the stripe's host j, a checked one, with its marks,
+// register block j and the counts checkHost noted.
+func (t *sketchTable) fillHost(_ []byte, j int, src uint32, removed, flagged bool, note uint64) {
+	h, _ := t.track(src)
+	h.rec.reg = uint32(j)
+	h.rec.set, h.rec.fset = uint16(note), uint16(note>>16)
 	t.restoreMarks(&h.slotMarks, removed, flagged)
-	return nil
 }

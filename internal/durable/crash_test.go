@@ -288,28 +288,77 @@ func TestCrashWithShortWritesAndRecoveryChain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d crash@%d: first recovery failed: %v", seed, k, err)
 			}
-			if j := matchPrefix(states, mustState(t, r.Limiter())); j < 0 {
+			j := matchPrefix(states, mustState(t, r.Limiter()))
+			if j < 0 {
 				t.Fatalf("seed %d crash@%d: first recovery matches no prefix", seed, k)
 			}
 
-			// Second life: crash shortly after recovery.
+			// Second life: crash shortly after recovery. Whether the
+			// recovery resumed its generation or published a new one,
+			// the second life's records must come back as the sweep's
+			// invariant says: the first life's prefix j, then a prefix
+			// of the second life's journaled inputs between acked and
+			// appended.
+			second := shadowFrom(t, states[j], in[:6])
 			inj.SetCrashAt(inj.Ops() + 5)
 			driveScript(r, in[:6])
 			_ = r.Close()
+			acked, appended := r.Acked(), r.Appended()
 			mem.Crash()
 			mem.Reopen()
-			if _, err := Open(Options{FS: mem}, crashCfg, crashStart); err != nil {
+			r2, err := Open(Options{FS: mem}, crashCfg, crashStart)
+			if err != nil {
 				// The scheduled crash can outlive the short second drive
 				// and fire during this very Open — a crash mid-startup.
 				// The startup after THAT must succeed.
 				mem.Crash()
 				mem.Reopen()
-				if _, err := Open(Options{FS: mem}, crashCfg, crashStart); err != nil {
+				if r2, err = Open(Options{FS: mem}, crashCfg, crashStart); err != nil {
 					t.Fatalf("seed %d crash@%d: second recovery failed twice: %v", seed, k, err)
 				}
 			}
+			i := matchPrefix(second, mustState(t, r2.Limiter()))
+			switch {
+			case i < 0:
+				t.Fatalf("seed %d crash@%d: second recovery matches no prefix of the second life on top of prefix %d",
+					seed, k, j)
+			case uint64(i) < acked:
+				t.Fatalf("seed %d crash@%d: second recovery at second-life prefix %d < acked %d — acknowledged inputs were refunded",
+					seed, k, i, acked)
+			case uint64(i) > appended:
+				t.Fatalf("seed %d crash@%d: second recovery at second-life prefix %d > appended %d — recovery invented inputs",
+					seed, k, i, appended)
+			}
 		}
 	}
+}
+
+// shadowFrom returns states[i] = MarshalState after the first i
+// journaled inputs of in, applied to the limiter base restores to. An
+// input the limiter takes without a record (a duplicate alert, a
+// reinstate of a host that is not removed) adds no state.
+func shadowFrom(t *testing.T, base []byte, in []crashInput) [][]byte {
+	t.Helper()
+	l, err := core.RestoreLimiter(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := [][]byte{base}
+	for _, c := range in {
+		journaled := true
+		switch {
+		case c.reinstate:
+			journaled = l.Reinstate(c.src)
+		case c.alert:
+			journaled = l.ApplyAlert(c.asAlert())
+		default:
+			l.Observe(c.src, c.dst, crashStart.Add(time.Duration(c.atMs)*time.Millisecond))
+		}
+		if journaled {
+			states = append(states, mustState(t, l))
+		}
+	}
+	return states
 }
 
 func matchPrefix(states [][]byte, got []byte) int {

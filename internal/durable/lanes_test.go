@@ -112,7 +112,7 @@ func TestRollUnderTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			var replayed RecoveryInfo
-			if err := replaySegments(m, fresh, scan, 1, &replayed, func(string, ...any) {}); err != nil {
+			if _, err := replaySegments(m, fresh, scan, 1, &replayed, func(string, ...any) {}); err != nil {
 				t.Fatal(err)
 			}
 			if uint64(replayed.ReplayedRecords) != s.Appended() || replayed.TruncatedBytes != 0 {

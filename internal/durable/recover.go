@@ -81,6 +81,9 @@ type recovered struct {
 	// replayable is false when no valid snapshot exists and the WAL
 	// does not start at generation 0: the segments are unreachable.
 	replayable bool
+	// baseBytes is the base snapshot file's size, walBytes the WAL
+	// bytes replay applied: Open weighs one against the other.
+	baseBytes, walBytes int
 }
 
 // snapshotFile is one snapshot generation as loadSnapshot found it.
@@ -146,6 +149,7 @@ func recoverState(fsys faultfs.FS, logf func(string, ...any)) (recovered, error)
 			continue
 		}
 		rec.base(f.limiter, seq)
+		rec.baseBytes = f.bytes
 	}
 	rec.planReplay(logf)
 	return rec, nil
@@ -180,9 +184,11 @@ func (rec *recovered) planReplay(logf func(string, ...any)) {
 // accounting a restart would.
 func (rec *recovered) replay(fsys faultfs.FS, limiter core.Backend, logf func(string, ...any)) error {
 	if rec.replayable {
-		if err := replaySegments(fsys, limiter, rec.scan, rec.baseSeq, &rec.info, logf); err != nil {
+		n, err := replaySegments(fsys, limiter, rec.scan, rec.baseSeq, &rec.info, logf)
+		if err != nil {
 			return err
 		}
+		rec.walBytes = n
 	}
 	if rec.info.ReplayedRecords > 0 {
 		rec.info.Fresh = false
@@ -190,11 +196,23 @@ func (rec *recovered) replay(fsys faultfs.FS, limiter core.Backend, logf func(st
 	return nil
 }
 
+// resumable reports whether Open can carry on in the base generation
+// rather than publish a new one: there is a valid base snapshot and
+// nothing to heal — no corrupt snapshot skipped, no byte truncated, no
+// stray temp file, no generation past the base — and its segment is no
+// larger than the snapshot. The last rule bounds replay: a crash loop
+// that never reaches a snapshot appends to one segment, and once that
+// outgrows the snapshot the next Open folds it into a new generation.
+func (rec *recovered) resumable() bool {
+	return rec.limiter != nil && rec.info.CorruptSnapshots == 0 && rec.info.TruncatedBytes == 0 &&
+		len(rec.scan.tmps) == 0 && rec.scan.maxSeq == rec.baseSeq && rec.walBytes <= rec.baseBytes
+}
+
 // replaySegments applies WAL segments baseSeq, baseSeq+1, … to limiter,
-// stopping at the first torn/corrupt record or sequence gap. It
-// mutates info in place.
+// stopping at the first torn/corrupt record or sequence gap, and returns
+// the bytes of the records it applied. It mutates info in place.
 func replaySegments(fsys faultfs.FS, limiter core.Backend, sc *dirScan, baseSeq uint64,
-	info *RecoveryInfo, logf func(string, ...any)) error {
+	info *RecoveryInfo, logf func(string, ...any)) (int, error) {
 
 	// A recFailure record replays only into a backend that observes
 	// failures (the sketch with FailureM configured). One that does not —
@@ -226,6 +244,7 @@ func replaySegments(fsys faultfs.FS, limiter core.Backend, sc *dirScan, baseSeq 
 
 	want := baseSeq
 	truncated := false
+	applied := 0
 	for _, seq := range sc.segs {
 		if seq < baseSeq {
 			continue
@@ -233,7 +252,7 @@ func replaySegments(fsys faultfs.FS, limiter core.Backend, sc *dirScan, baseSeq 
 		name := walSeries.Name(seq)
 		data, err := fsys.ReadFile(name)
 		if err != nil {
-			return fmt.Errorf("durable: read %s: %w", name, err)
+			return 0, fmt.Errorf("durable: read %s: %w", name, err)
 		}
 		if truncated || seq != want {
 			// Unreachable records: either a sequence gap (lost segment)
@@ -247,6 +266,7 @@ func replaySegments(fsys faultfs.FS, limiter core.Backend, sc *dirScan, baseSeq 
 			continue
 		}
 		valid, recs := decodeWAL(data, apply)
+		applied += valid
 		info.ReplayedSegments++
 		info.ReplayedRecords += recs
 		if valid < len(data) {
@@ -261,5 +281,5 @@ func replaySegments(fsys faultfs.FS, limiter core.Backend, sc *dirScan, baseSeq 
 	if droppedFailures > 0 {
 		logf("durable: dropped %d failure record(s): recovered backend does not observe failures", droppedFailures)
 	}
-	return nil
+	return applied, nil
 }

@@ -140,10 +140,16 @@ type Store struct {
 // — the WAL stores millisecond timestamps, and alignment makes replay
 // reproduce every cycle-roll decision exactly.
 //
-// Open always finishes by writing a fresh snapshot generation and
-// starting a new WAL segment: torn tails from the previous life are
-// truncated logically, never rewritten in place, and old generations
-// are garbage-collected (the previous one is kept as a fallback).
+// Open reads the state once and rewrites none of it when there is
+// nothing to heal: the newest snapshot is valid, its WAL segment is
+// intact and no larger than it, and there is no later generation and no
+// stray temp file. It then journals on into that segment, fsynced once
+// before Open returns, and the next snapshot publishes the generation
+// after it. Otherwise — a fresh directory included — it finishes by
+// writing a fresh snapshot generation and starting a new WAL segment:
+// torn tails from the previous life are truncated logically, never
+// rewritten in place, and old generations are garbage-collected (the
+// previous one is kept as a fallback).
 //
 // Corrupt or torn files never fail Open; a checksum-valid snapshot in
 // the retired JSON format does (core.ErrLegacySnapshot), before
@@ -194,20 +200,23 @@ func Open(opts Options, cfg core.LimiterConfig, start time.Time) (*Store, error)
 		limiter: limiter,
 		logf:    logf,
 		info:    rec.info,
-		seq:     rec.scan.maxSeq, // next snapshot becomes maxSeq+1
+		seq:     rec.scan.maxSeq, // a published snapshot becomes maxSeq+1
 		stop:    make(chan struct{}),
 	}
 	s.lastSnapMs.Store(time.Now().UnixMilli())
 
 	// Journal from here on; no traffic reaches the limiter before Open
-	// returns, so the initial snapshot below cuts an empty journal.
+	// returns, so a snapshot below cuts an empty journal.
 	limiter.SetJournal(s)
 
-	// Publish the recovered state as a brand-new generation. This is
-	// what makes torn tails safe without ever truncating a file: the
-	// old segment is abandoned, not appended to past its tear.
+	// A directory with nothing to heal goes on in its newest generation.
+	// Anything else is published as a brand-new one: that is what makes
+	// torn tails safe without ever truncating a file — the old segment
+	// is abandoned, not appended to past its tear.
 	s.ioMu.Lock()
-	err = s.snapshotLocked()
+	if !rec.resumable() || !s.resumeLocked(rec.baseSeq) {
+		err = s.snapshotLocked()
+	}
 	s.ioMu.Unlock()
 	if err != nil {
 		limiter.SetJournal(nil)
@@ -395,6 +404,26 @@ func (s *Store) setBroken(err error) {
 	}
 }
 
+// resumeLocked makes generation base the live one again: its segment
+// reopened for append and fsynced, so every record replay applied from
+// it is durable before Open returns — as a republished snapshot would
+// have made it. On failure it logs and reports false, and Open
+// publishes a new generation instead.
+func (s *Store) resumeLocked(base uint64) bool {
+	seg, err := s.fs.Append(walSeries.Name(base))
+	if err == nil {
+		if err = seg.Sync(); err != nil {
+			_ = seg.Close()
+		}
+	}
+	if err != nil {
+		s.logf("durable: resuming generation %d: %v; publishing a new one", base, err)
+		return false
+	}
+	s.seg, s.seq = seg, base
+	return true
+}
+
 // WriteSnapshot checkpoints the full limiter state as a new generation:
 // complete the old segment, write the snapshot to a temp file, fsync,
 // atomically rename, start a new segment, garbage-collect. On success
@@ -523,7 +552,7 @@ func (s *Store) register(reg *telemetry.Registry) {
 		"Full limiter snapshots published.",
 		func() float64 { return float64(s.snapWrites.Load()) })
 	reg.GaugeFunc("wormgate_snapshot_age_seconds",
-		"Seconds since the last published snapshot.",
+		"Seconds since this process last published a snapshot, or since it opened the state directory if it has published none.",
 		func() float64 {
 			return float64(time.Now().UnixMilli()-s.lastSnapMs.Load()) / 1000
 		})

@@ -21,9 +21,10 @@ type AdminConfig struct {
 	// GET /metrics.
 	Registry *telemetry.Registry
 	// Ready, when non-nil, backs GET /readyz: 200 while it returns
-	// true, 503 otherwise. Wire it to !Gateway.Degraded so load
-	// balancers drain fail-closed gateways that lost their collector
-	// instead of sending traffic into a wall of DENYs.
+	// true, 503 otherwise. Wire it to Gateway.Ready so load balancers
+	// drain fail-closed gateways that lost their collector instead of
+	// sending traffic into a wall of DENYs, and keep a fail-open one,
+	// which relays on without its collector.
 	Ready func() bool
 	// Pprof mounts net/http/pprof under /debug/pprof/. Debug-only: the
 	// profiling handlers can observe and perturb the process, so they
@@ -38,7 +39,7 @@ type AdminConfig struct {
 // HTTP for dashboards and scrapers:
 //
 //	GET  /healthz      — liveness probe ("ok")
-//	GET  /readyz       — readiness probe (503 while degraded; with AdminConfig.Ready)
+//	GET  /readyz       — readiness probe (503 while not ready; with AdminConfig.Ready)
 //	GET  /stats        — the configured snapshot as JSON
 //	GET  /metrics      — Prometheus text exposition (v0.0.4)
 //	POST /report       — one gateway report (only with AdminConfig.Collector)
@@ -129,7 +130,7 @@ func (a *AdminServer) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if !a.cfg.Ready() {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "degraded")
+		fmt.Fprintln(w, "not ready")
 		return
 	}
 	fmt.Fprintln(w, "ready")

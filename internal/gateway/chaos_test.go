@@ -231,7 +231,7 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 
 	admin, err := NewAdmin(AdminConfig{
 		Stats: func() any { return gw.Stats() },
-		Ready: func() bool { return !gw.Degraded() },
+		Ready: gw.Ready,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 
 	// Healthy: reports are acknowledged, relays fine, ready.
 	waitFor(t, "a sent report", func() bool { return rep.Stats().Sent > 0 })
-	if gw.Degraded() {
+	if gw.degraded.Load() {
 		t.Fatal("degraded while the collector acknowledges reports")
 	}
 	conn, _, err := client.Connect(src, mustIP(t, "198.51.100.10"), 80)
@@ -263,7 +263,7 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 	// Degraded: the collector answers, but not with a 2xx, so the tick
 	// is missed.
 	status.Store(http.StatusServiceUnavailable)
-	waitFor(t, "degradation on a missed tick", gw.Degraded)
+	waitFor(t, "degradation on a missed tick", gw.degraded.Load)
 	if rep.Stats().Missed == 0 {
 		t.Error("degraded without a missed tick")
 	}
@@ -291,7 +291,7 @@ func TestChaosFailClosedDegradation(t *testing.T) {
 	// Recovered: the next acknowledged tick lifts the degradation.
 	sent := rep.Stats().Sent
 	status.Store(http.StatusNoContent)
-	waitFor(t, "recovery on a sent tick", func() bool { return !gw.Degraded() })
+	waitFor(t, "recovery on a sent tick", func() bool { return !gw.degraded.Load() })
 	if rep.Stats().Sent == sent {
 		t.Error("recovered without a sent tick")
 	}

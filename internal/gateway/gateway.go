@@ -200,9 +200,10 @@ func New(cfg Config, listenAddr string) (*Gateway, error) {
 // configured FailMode. Safe from any goroutine.
 func (g *Gateway) SetDegraded(v bool) { g.degraded.Store(v) }
 
-// Degraded reports whether the gateway currently considers itself
-// degraded (fleet reporting down).
-func (g *Gateway) Degraded() bool { return g.degraded.Load() }
+// Ready reports whether the gateway should be sent new connections:
+// always under fail-open, which keeps relaying while degraded, and
+// under fail-closed only while it is not degraded — it would deny them.
+func (g *Gateway) Ready() bool { return g.cfg.FailMode == failOpen || !g.degraded.Load() }
 
 // Registry returns the telemetry registry holding the gateway's metric
 // families — the source for an admin server's /metrics endpoint.
